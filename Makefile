@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-json servebench chaos countmon countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-replay experiments examples lint clean
+.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace bench-json servebench chaos countmon countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-replay experiments examples lint clean
 
 all: build test
 
@@ -22,8 +22,29 @@ chaos:
 cover:
 	$(GO) test -cover ./...
 
-bench:
+# The packages whose concurrency depends on how many Ps run it (group
+# commit, ingest-vs-Close fence, combining tree), under -race at each.
+race-procs:
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 ./internal/client/ ./internal/server/ ./internal/runtime/ || exit 1; \
+	done
+
+# Every `go test` benchmark function once through; the repository's
+# benchmark proper is `make bench`.
+gobench:
 	$(GO) test -bench . -benchmem .
+
+# The repository's benchmark (BENCHMARK.json, bench/README.md): every
+# workload's gated run, a 0.2 s-per-workload harness check, and the traced
+# per-layer run that writes bench/out/trace-<workload>.json.
+bench:
+	bash bench/run.sh
+
+bench-smoke:
+	bash bench/run.sh --smoke
+
+bench-trace:
+	bash bench/run.sh --trace 1
 
 # Machine-readable benchmark results (ns/op, B/op, allocs/op, paper
 # metrics) for diffing and plotting; see cmd/benchjson. Writes the full

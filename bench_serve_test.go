@@ -104,6 +104,7 @@ func BenchmarkServerLoopback(b *testing.B) {
 				defer c.Close()
 
 				b.ReportAllocs()
+				before := c.Stats().Writes
 				b.ResetTimer()
 				var wg sync.WaitGroup
 				per := b.N / g
@@ -130,6 +131,11 @@ func BenchmarkServerLoopback(b *testing.B) {
 				wg.Wait()
 				b.StopTimer()
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+				if mode == wire.ModeLIN {
+					// One frame per LIN op, so this is the share of a write
+					// syscall each op pays: 1 alone, less as callers overlap.
+					b.ReportMetric(float64(c.Stats().Writes-before)/float64(b.N), "writes/op")
+				}
 			})
 		}
 	}

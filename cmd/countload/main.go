@@ -222,6 +222,7 @@ type result struct {
 	Dup      int64 // values handed to two callers (must be 0)
 	MaxValue int64
 	Windows  []client.WindowStats        // per-client adaptive-window state at end of run
+	Wire     client.Stats                // transport counters summed over the clients (zero in cluster mode)
 	Flight   *countingnet.FlightRecorder // client-side spans (nil: tracing off)
 }
 
@@ -261,6 +262,10 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		res.Ops, res.opsPerSec(), res.Errors, res.Dup, res.MaxValue)
 	fmt.Fprintf(out, "  latency p50 %v p95 %v p99 %v max %v\n",
 		res.Lat.P50, res.Lat.P95, res.Lat.P99, res.Lat.Max)
+	if w := res.Wire; w.Writes > 0 {
+		fmt.Fprintf(out, "  wire: %d frames in %d writes (%.1f frames/write), retries %d, refusals %d\n",
+			w.Frames, w.Writes, float64(w.Frames)/float64(w.Writes), w.Retries, w.Refusals)
+	}
 	if o.adaptive {
 		for i, ws := range res.Windows {
 			for j, eff := range ws.Effective {
@@ -576,6 +581,7 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 	}
 	outs := make([]workerOut, o.clients*o.window)
 	windows := make([]client.WindowStats, o.clients)
+	wires := make([]client.Stats, o.clients)
 
 	// The stop signal is an atomic flag, not ctx.Err(): with thousands of
 	// workers on the hot loop, a per-op ctx.Err() is a measurable tax on
@@ -670,12 +676,19 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 			cwg.Wait()
 			if cc != nil {
 				windows[g] = cc.WindowStats()
+				wires[g] = cc.Stats()
 			}
 		}(g)
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
 	res.Windows = windows
+	for _, w := range wires {
+		res.Wire.Frames += w.Frames
+		res.Wire.Writes += w.Writes
+		res.Wire.Retries += w.Retries
+		res.Wire.Refusals += w.Refusals
+	}
 
 	// Post-run merge and uniqueness audit: one sort over every observed
 	// value replaces the per-op map the driver used to maintain.

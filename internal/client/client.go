@@ -17,8 +17,17 @@
 // frame, and deals the returned value ranges back out in arrival order.
 // Against a coalescing server this compounds: many callers → few frames →
 // fewer sweeps. LIN increments never re-batch — each one pays its own
-// round trip through the server's linearizing section, which is the
-// point.
+// frame and its own pass through the server's linearizing section, which
+// is the point.
+//
+// # Group commit
+//
+// What no request pays alone is the write syscall. Every frame, of either
+// mode, is appended to its connection's pending buffer; the caller that
+// finds no writer active writes for everyone — one yield so the rest of a
+// burst can append, then one Write per accumulated buffer until none is
+// left. A lone caller still gets exactly one Write per request and no
+// added hold. Stats reports how many frames each write carried.
 package client
 
 import (
@@ -28,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	stdruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,6 +145,7 @@ type Client struct {
 
 	idSeq atomic.Uint64
 	rr    atomic.Uint64 // round-robin cursor over the pool
+	stats counters
 
 	mu     sync.Mutex
 	pool   []*cconn // slots; nil or dead entries are re-dialed lazily
@@ -423,6 +434,32 @@ func (c *Client) WindowStats() WindowStats {
 	return ws
 }
 
+// Stats is a point-in-time view of the client's transport counters,
+// summed over every connection the pool has held.
+type Stats struct {
+	Frames   uint64 // request frames handed to a connection write
+	Writes   uint64 // Write calls that carried them; Frames/Writes is the group-commit factor
+	Retries  uint64 // attempts re-issued after a retryable failure
+	Refusals uint64 // requests the server answered with an error frame
+}
+
+// counters backs Stats. Frames and Writes move once per write, not once
+// per request, so the per-op path shares no cache line through them.
+type counters struct {
+	frames, writes, retries, refusals atomic.Uint64
+}
+
+// Stats reports the transport counters. Always on: the counters cost two
+// atomic adds per write and nothing per request.
+func (c *Client) Stats() Stats {
+	return Stats{
+		Frames:   c.stats.frames.Load(),
+		Writes:   c.stats.writes.Load(),
+		Retries:  c.stats.retries.Load(),
+		Refusals: c.stats.refusals.Load(),
+	}
+}
+
 // Snapshot fetches the server's stats snapshot, decoded into out (any
 // JSON-shaped destination; pass a *server.Snapshot or *map[string]any).
 func (c *Client) Snapshot(ctx context.Context, out any) error {
@@ -461,6 +498,7 @@ func (c *Client) request(ctx context.Context, f wire.Frame) (wire.Frame, error) 
 			if err := c.opt.Backoff.Sleep(ctx, attempt-1); err != nil {
 				return wire.Frame{}, err
 			}
+			c.stats.retries.Add(1)
 		}
 		cc, err := c.conn()
 		if err != nil {
@@ -503,6 +541,7 @@ func (c *Client) roundTrip(ctx context.Context, cc *cconn, f wire.Frame) (wire.F
 		return wire.Frame{}, err
 	}
 	if rf.Type == wire.TError {
+		c.stats.refusals.Add(1)
 		return wire.Frame{}, rf.Code.Err()
 	}
 	return rf, nil
@@ -555,6 +594,7 @@ func (c *Client) dial() (*cconn, error) {
 	cc := &cconn{
 		nc:       nc,
 		clk:      c.clk,
+		stats:    &c.stats,
 		window:   make(chan struct{}, c.opt.Window),
 		pending:  make(map[uint64]chan wire.Frame),
 		dead:     make(chan struct{}),
@@ -564,14 +604,22 @@ func (c *Client) dial() (*cconn, error) {
 	return cc, nil
 }
 
-// cconn is one pooled connection: pipelined writes under a mutex, a
+// cconn is one pooled connection: pipelined, group-committed writes and a
 // reader goroutine matching responses to waiters by request id.
 type cconn struct {
-	nc  net.Conn
-	clk clock.Clock
+	nc    net.Conn
+	clk   clock.Clock
+	stats *counters
 
-	wmu  sync.Mutex // serializes frame writes
-	wbuf []byte
+	// The group-commit state. Callers append encoded frames to wpend; the
+	// one that finds writing false becomes the writer (commit) and owns
+	// nc.Write until wpend is empty. wspare is the buffer the writer is not
+	// currently writing from, so a burst never allocates.
+	wmu     sync.Mutex
+	wpend   []byte
+	wframes uint64 // frames encoded in wpend
+	wspare  []byte
+	writing bool
 
 	mu      sync.Mutex
 	pending map[uint64]chan wire.Frame
@@ -670,7 +718,10 @@ func (cc *cconn) isDead() bool {
 	}
 }
 
-// kill tears the connection down and fails every waiter.
+// kill tears the connection down and fails every waiter. dead closes
+// before the sweep and do registers under mu with a dead check, so every
+// registered waiter is swept: a caller whose frame sits in a buffer some
+// other goroutine failed to write is never left waiting.
 func (cc *cconn) kill(err error) {
 	cc.die.Do(func() {
 		cc.lastErr = err
@@ -699,6 +750,12 @@ func (cc *cconn) do(ctx context.Context, f *wire.Frame) (wire.Frame, error) {
 
 	ch := respChPool.Get().(chan wire.Frame)
 	cc.mu.Lock()
+	if cc.isDead() {
+		cc.mu.Unlock()
+		respChPool.Put(ch)
+		release()
+		return wire.Frame{}, errTransport
+	}
 	cc.pending[f.ID] = ch
 	cc.mu.Unlock()
 	forget := func() {
@@ -713,16 +770,20 @@ func (cc *cconn) do(ctx context.Context, f *wire.Frame) (wire.Frame, error) {
 	}
 	cc.wmu.Lock()
 	var err error
-	cc.wbuf, err = wire.AppendFrame(cc.wbuf[:0], f)
-	if err == nil {
-		_, err = cc.nc.Write(cc.wbuf)
-	}
-	cc.wmu.Unlock()
+	cc.wpend, err = wire.AppendFrame(cc.wpend, f)
 	if err != nil {
+		// AppendFrame left wpend as it was: nothing of f is on its way.
+		cc.wmu.Unlock()
 		forget()
 		release()
-		cc.kill(err)
-		return wire.Frame{}, fmt.Errorf("%w: %v", errTransport, err)
+		return wire.Frame{}, fmt.Errorf("client: encode %v: %w", f.Type, err)
+	}
+	cc.wframes++
+	lead := !cc.writing
+	cc.writing = true
+	cc.wmu.Unlock()
+	if lead {
+		cc.commit()
 	}
 
 	select {
@@ -739,11 +800,41 @@ func (cc *cconn) do(ctx context.Context, f *wire.Frame) (wire.Frame, error) {
 		return rf, nil
 	case <-ctx.Done():
 		// The channel stays out of the pool: the reader may still deliver
-		// the orphaned response into it.
+		// the orphaned response into it. The frame, if still pending, is
+		// written anyway; its answer finds no waiter and is discarded.
 		forget()
 		release()
 		return wire.Frame{}, fault.FromContext(ctx.Err())
 	}
+}
+
+// commit is the group-commit writer: one Write per accumulated buffer
+// until none is left. The yield is what makes a burst coalesce — on one P
+// a non-blocking loopback write never parks, so without it every caller
+// would find the writer gone and write alone; a lone caller's yield
+// returns at once. A failed write kills the connection, which fails every
+// waiter, this caller included, with the retryable errTransport.
+func (cc *cconn) commit() {
+	stdruntime.Gosched()
+	cc.wmu.Lock()
+	for len(cc.wpend) > 0 {
+		buf, n := cc.wpend, cc.wframes
+		cc.wpend, cc.wframes = cc.wspare[:0], 0
+		cc.wmu.Unlock()
+		_, err := cc.nc.Write(buf)
+		cc.stats.frames.Add(n)
+		cc.stats.writes.Add(1)
+		if err != nil {
+			// writing stays set: a dead connection admits no new waiter,
+			// and those already appended were just failed by kill.
+			cc.kill(err)
+			return
+		}
+		cc.wmu.Lock()
+		cc.wspare = buf
+	}
+	cc.writing = false
+	cc.wmu.Unlock()
 }
 
 // readLoop delivers responses to waiters; responses with no waiter

@@ -49,7 +49,11 @@ func (c *QueueLockCounter) Inc(int) int64 {
 // measure against.
 type CombiningTree struct {
 	leaves []*combNode
-	root   *combNode
+	// admit bounds each leaf to the two threads the FIRST/SECOND protocol
+	// can combine; a third arriving mid-combine would find the leaf in a
+	// status precombine has no move for.
+	admit []chan struct{}
+	root  *combNode
 }
 
 type combStatus int
@@ -81,7 +85,8 @@ func newCombNode(parent *combNode, status combStatus) *combNode {
 
 // NewCombiningTree builds a tree with the given number of leaves (a power
 // of two). Callers map each thread to a leaf via Inc's wire argument; two
-// threads per leaf is the classic configuration.
+// threads per leaf is the classic configuration, and Inc makes any further
+// thread mapped to a busy leaf wait its turn.
 func NewCombiningTree(leaves int) *CombiningTree {
 	t := &CombiningTree{root: newCombNode(nil, combRoot)}
 	level := []*combNode{t.root}
@@ -93,6 +98,10 @@ func NewCombiningTree(leaves int) *CombiningTree {
 		level = next
 	}
 	t.leaves = level
+	t.admit = make([]chan struct{}, len(level))
+	for i := range t.admit {
+		t.admit[i] = make(chan struct{}, 2)
+	}
 	return t
 }
 
@@ -189,7 +198,9 @@ func (n *combNode) distribute(prior int64) {
 
 // Inc implements Counter; wire selects the starting leaf.
 func (t *CombiningTree) Inc(wire int) int64 {
-	leaf := t.leaves[wire%len(t.leaves)]
+	slot := wire % len(t.leaves)
+	leaf := t.leaves[slot]
+	t.admit[slot] <- struct{}{}
 
 	// Precombine: claim nodes upward until reaching the root or a node
 	// someone else already claimed as FIRST (we become its SECOND and stop
@@ -217,5 +228,6 @@ func (t *CombiningTree) Inc(wire int) int64 {
 	for i := len(path) - 1; i >= 0; i-- {
 		path[i].distribute(prior)
 	}
+	<-t.admit[slot]
 	return prior
 }

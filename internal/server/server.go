@@ -315,6 +315,13 @@ type Server struct {
 
 	closing atomic.Bool
 	closed  chan struct{} // closed when Close has fully finished
+	// ingestMu fences PacketIngest posts against Close: IngestBatch
+	// read-holds it once per batch around its posts, Close write-holds it
+	// to close the mailboxes and set mailShut. The server's own ingest
+	// loops are already waited for by then; a PacketIngest driven from
+	// outside is not.
+	ingestMu sync.RWMutex
+	mailShut bool
 
 	connSeq atomic.Int64
 	issued  atomic.Int64
@@ -529,11 +536,15 @@ func (s *Server) Close() error {
 	// replies are enqueued before the out queues close — a graceful drain
 	// loses no LIN reply.
 	s.linWg.Wait()
-	// Readers were the only mailbox senders; the combiners sweep the rest
-	// and exit.
+	// Readers were the only mailbox senders besides externally driven
+	// PacketIngests, which ingestMu holds off (and which see mailShut from
+	// here on); the combiners sweep the rest and exit.
+	s.ingestMu.Lock()
+	s.mailShut = true
 	for _, mail := range s.shards {
 		close(mail)
 	}
+	s.ingestMu.Unlock()
 	s.combWg.Wait()
 	// No senders remain on any out queue: closing them flushes the writers.
 	s.mu.Lock()

@@ -105,6 +105,8 @@ func (s *Server) NewPacketIngest() *PacketIngest {
 // to the combining shards, aggregated per wire — one mailbox post covers
 // a whole batch's increments on that wire, so at batch 64 the combiners
 // see 1/64th the channel traffic. Steady state it allocates nothing.
+// Safe to call during and after Server.Close: what can no longer be
+// posted is counted as udp_dropped.
 //
 // A slot whose SegSize is set is a GRO super-datagram: a stride of
 // equal-size wire datagrams coalesced by the kernel (the last possibly
@@ -145,9 +147,14 @@ func (pi *PacketIngest) IngestBatch(b *packetio.Batch) {
 		return
 	}
 	now := s.clk.Now()
+	// One fence per batch, not per frame: Close cannot close the mailboxes
+	// under these posts, and a batch that arrives after it has is refused
+	// whole and counted as dropped.
+	s.ingestMu.RLock()
+	defer s.ingestMu.RUnlock()
 	for j := range pi.agg {
 		a := &pi.agg[j]
-		if !s.post(req{c: nil, wire: a.wire, k: a.k, folds: uint32(a.datagrams), enq: now, trace: a.trace}) {
+		if s.mailShut || !s.post(req{c: nil, wire: a.wire, k: a.k, folds: uint32(a.datagrams), enq: now, trace: a.trace}) {
 			if st != nil {
 				st.udpDropped.Add(a.datagrams)
 			}

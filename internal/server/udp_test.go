@@ -586,3 +586,58 @@ func BenchmarkPacketIngestGSO(b *testing.B) {
 		})
 	}
 }
+
+// TestIngestBatchDuringClose: a PacketIngest driven from outside the
+// server (the simulation harness, the benchmark) may still be posting
+// while Close closes the mailboxes, and after. Neither may panic with
+// "send on closed channel"; what Close refused is counted as dropped, so
+// admitted == minted + dropped.
+func TestIngestBatchDuringClose(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		st := NewStats(0)
+		s := newIngestServer(t, 4, Options{Stats: st})
+		pi := s.NewPacketIngest()
+		b := packetio.NewBatch(packetio.MaxBatch)
+		var id uint64
+		ingest := func(frames int) {
+			b.Reset()
+			for i := 0; i < frames; i++ {
+				f := wire.Frame{Type: wire.TInc, ID: id, Wire: int64(id % 4)}
+				b.AppendWith(func(dst []byte) []byte {
+					dst, _ = wire.AppendFrame(dst, &f) // a TInc always encodes
+					return dst
+				})
+				id++
+			}
+			pi.IngestBatch(b)
+		}
+
+		ingest(packetio.MaxBatch)
+		stop, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					ingest(packetio.MaxBatch)
+				}
+			}
+		}()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		<-done
+		ingest(1) // Close has fully returned: refused, not a panic
+
+		snap := st.Snapshot()
+		if snap.UDPDropped == 0 {
+			t.Fatalf("round %d: ingest after Close dropped nothing", round)
+		}
+		if got := uint64(s.Issued()) + snap.UDPDropped; got != snap.UDPDatagrams {
+			t.Fatalf("round %d: minted %d + dropped %d != admitted %d", round, s.Issued(), snap.UDPDropped, snap.UDPDatagrams)
+		}
+	}
+}
