@@ -2,18 +2,21 @@
 
 GO ?= go
 
-.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace bench-json servebench chaos countmon countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-replay experiments examples lint clean
+.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace chaos countmon countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay experiments examples lint clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 
+# bench/ is its own module, which ./... never reaches.
 test:
 	$(GO) test ./...
+	$(GO) test -C bench ./...
 
 race:
 	$(GO) test -race ./internal/... ./cmd/countd/ ./cmd/countload/
+	$(GO) test -C bench -race ./...
 
 # Reproducible fault-injection run: same seed, same fault schedule.
 chaos:
@@ -46,23 +49,6 @@ bench-smoke:
 bench-trace:
 	bash bench/run.sh --trace 1
 
-# Machine-readable benchmark results (ns/op, B/op, allocs/op, paper
-# metrics) for diffing and plotting; see cmd/benchjson. Writes the full
-# suite and the throughput trajectory (counter variants × goroutine
-# counts) as separate files so perf PRs can diff the hot numbers alone.
-bench-json:
-	$(GO) run ./cmd/benchjson -time 100ms \
-		-bench . -o BENCH_runtime.json \
-		-bench 'Throughput|WireEncode|WireDecode|ServerLoopback|UDPIngest' -o BENCH_throughput.json
-
-# Serving-path benchmarks: wire codec (asserted zero-allocation), the
-# in-process server loopback across modes and client counts, and the UDP
-# ingest before/after rows (portable ReadFrom loop vs recvmmsg ring),
-# merged into the throughput trajectory file.
-servebench:
-	$(GO) run ./cmd/benchjson -time 300ms \
-		-bench 'WireEncode|WireDecode|ServerLoopback|UDPIngest' -o BENCH_throughput.json
-
 # The full paper-reproduction report; non-zero exit if any experiment fails.
 experiments:
 	$(GO) run ./cmd/experiments
@@ -85,34 +71,34 @@ countmon:
 countd:
 	$(GO) run ./cmd/countd -w 8 -listen 127.0.0.1:9701 -telemetry 127.0.0.1:8080
 
-# Loopback end-to-end smoke: countd for 4s, countload against it for 2s,
-# load-test JSON merged into BENCH_throughput.json. Mirrors the CI job.
+# Loopback end-to-end smoke: countd for 4s, countload against it for 2s;
+# countload exits non-zero on zero ops or a duplicate value. Mirrors the
+# CI job.
 netsmoke:
 	$(GO) run ./cmd/countd -w 8 -listen 127.0.0.1:9701 -duration 4s & \
 	sleep 1 && \
-	$(GO) run ./cmd/countload -addr 127.0.0.1:9701 -g 4 -duration 2s -json BENCH_throughput.json && \
+	$(GO) run ./cmd/countload -addr 127.0.0.1:9701 -g 4 -duration 2s && \
 	wait
 
 # Loopback UDP smoke: countd's fire-and-forget endpoint driven open loop
-# at sendmmsg batch 1, 16 and 64; throughput rows merge into
-# BENCH_throughput.json under Countload/udp/. Mirrors the CI job.
+# at sendmmsg batch 1, 16 and 64, then GSO; countload exits non-zero when
+# nothing minted or more minted than was sent. Mirrors the CI job.
 udpsmoke:
 	$(GO) run ./cmd/countd -w 8 -listen 127.0.0.1:9711 -udp 127.0.0.1:9712 -duration 14s & \
 	sleep 1 && \
 	for b in 1 16 64; do \
 		$(GO) run ./cmd/countload -addr 127.0.0.1:9711 -udp 127.0.0.1:9712 \
-			-udp-batch $$b -udp-wires 8 -g 2 -duration 2s -json BENCH_throughput.json || exit 1; \
+			-udp-batch $$b -udp-wires 8 -g 2 -duration 2s || exit 1; \
 	done && \
 	$(GO) run ./cmd/countload -addr 127.0.0.1:9711 -udp 127.0.0.1:9712 \
-		-udp-batch 64 -udp-gso 64 -udp-wires 8 -g 2 -duration 2s -json BENCH_throughput.json && \
+		-udp-batch 64 -udp-gso 64 -udp-wires 8 -g 2 -duration 2s && \
 	wait
 
 # Three countd nodes as one logical counter on loopback: gossip
 # membership, epoch-fenced id blocks, LIN forwarded to the leader's
 # serialization point. Drives SC then LIN through cluster-aware clients
 # (a follower is killed mid-LIN-run; failover must keep the count moving
-# without errors) and merges Countload/cluster/n=3 rows into
-# BENCH_throughput.json. Mirrors the CI job.
+# without errors). Mirrors the CI job.
 clustersmoke:
 	@rm -rf .clustersmoke && mkdir -p .clustersmoke
 	$(GO) build -o .clustersmoke/ ./cmd/countd ./cmd/countload
@@ -125,10 +111,10 @@ clustersmoke:
 	done; \
 	sleep 5; \
 	.clustersmoke/countload -cluster 127.0.0.1:9701,127.0.0.1:9702,127.0.0.1:9703 \
-		-g 6 -duration 2s -mode sc -json BENCH_throughput.json; \
+		-g 6 -duration 2s -mode sc; \
 	( sleep 1; kill -INT $$P3 ) & \
 	.clustersmoke/countload -cluster 127.0.0.1:9701,127.0.0.1:9702,127.0.0.1:9703 \
-		-g 6 -duration 4s -mode lin -json BENCH_throughput.json; \
+		-g 6 -duration 4s -mode lin; \
 	kill -INT $$P1 $$P2; wait $$P1 $$P2; \
 	cat .clustersmoke/node1.log .clustersmoke/node2.log .clustersmoke/node3.log
 
@@ -187,3 +173,4 @@ lint:
 
 clean:
 	$(GO) clean ./...
+	rm -rf .clustersmoke sim-artifacts trace.json flight.json

@@ -83,9 +83,10 @@ func BenchmarkWireDecode(b *testing.B) {
 }
 
 // BenchmarkServerLoopback — the full serving stack on loopback: a width-8
-// bitonic network served over TCP, g goroutines sharing one client. The
-// ops/s metric is the serving-path throughput trajectory recorded into
-// BENCH_throughput.json by `make servebench`.
+// bitonic network served over TCP, g goroutines sharing one client,
+// reporting closed-loop ops/s. CI asserts mode=sc/g=64 stays at 0
+// allocs/op; the numbers compared across commits are the paced
+// tcp_sc_paced / tcp_lin_paced workloads in bench/.
 func BenchmarkServerLoopback(b *testing.B) {
 	for _, mode := range []wire.Mode{wire.ModeSC, wire.ModeLIN} {
 		for _, g := range []int{1, 16, 64} {
@@ -149,12 +150,12 @@ func BenchmarkServerLoopback(b *testing.B) {
 // portable/batch=1 row is the classic one-ReadFrom-per-datagram loop —
 // the "before" — and the fast rows are the recvmmsg ring at increasing
 // batch, where one syscall fills the whole ring. The before/after rows
-// recorded into BENCH_throughput.json by `make servebench` are the UDP
-// fast path's headline numbers: datagrams/s is the wall-clock gain
-// (bounded below by the kernel's per-message udp_recvmsg work, which
-// recvmmsg cannot amortize — expect modest ratios on small hosts) and
-// datagrams/syscall is the 64x syscall amortization itself, which is
-// what scales with syscall entry cost (mitigations, virtualization).
+// are the UDP fast path's headline numbers: datagrams/s is the
+// wall-clock gain (bounded below by the kernel's per-message
+// udp_recvmsg work, which recvmmsg cannot amortize — expect modest
+// ratios on small hosts) and datagrams/syscall is the 64x syscall
+// amortization itself, which is what scales with syscall entry cost
+// (mitigations, virtualization).
 func BenchmarkUDPIngest(b *testing.B) {
 	configs := []struct {
 		name     string

@@ -264,9 +264,9 @@ func BenchmarkBarrierApplication(b *testing.B) {
 	}
 }
 
-// The throughput family below is the AHS94-motivation comparison and the
-// perf trajectory every PR diffs against (BENCH_throughput.json, written
-// by `make bench-json`): every counter variant — counting networks under
+// The throughput family below is the AHS94-motivation comparison
+// (experiment E11; `go test -bench Throughput .` prints the variants ×
+// goroutines table): every counter variant — counting networks under
 // FAA, CAS and batched traversal, and the centralized/combining baselines
 // — measured at fixed goroutine counts. ns/op is wall time per obtained
 // value aggregated across all goroutines, so lower is better and the

@@ -1,16 +1,10 @@
 // Command countload drives a running countd with concurrent remote
 // clients and reports what the service sustained: ops/s, p50/p95/p99
 // latency, errors, and — because the values a counting network hands out
-// are auditable — a uniqueness check over every value observed. It is
-// the serving-layer analogue of cmd/countbench: same reporting shape,
-// but measured across a real socket against the coalescing server.
-//
-// -json appends the run to a benchmark report file in the cmd/benchjson
-// schema, merging into whatever groups the file already holds, so remote
-// and in-process throughput numbers accumulate side by side in
-// BENCH_throughput.json:
-//
-//	{"name": "Countload/mode=sc/g=4", "nsPerOp": ..., "metrics": {"ops/s": ...}}
+// are auditable — a uniqueness check over every value observed. It is a
+// smoke driver: it exits non-zero when nothing completed or the audit
+// failed; the numbers to compare across commits come from the
+// repository's benchmark (bench/README.md).
 //
 // -sim N runs deterministic whole-system simulation seed N
 // (internal/dst) with this driver's client-side configuration (-g,
@@ -37,14 +31,12 @@
 // (client.DialCluster) bootstrapped from the full endpoint list, so it
 // fails over when a node dies mid-run and keeps counting. The uniqueness
 // audit then spans every node — a duplicate across machines is an
-// ownership-protocol violation, not just a server bug — and the JSON row
-// is named Countload/cluster/n=<nodes>/mode=<mode> so the SC-versus-LIN
-// gap at each cluster size lands side by side in BENCH_throughput.json.
+// ownership-protocol violation, not just a server bug.
 //
 // Usage:
 //
 //	countload -addr 127.0.0.1:9701 -g 4 -duration 2s
-//	countload -addr 127.0.0.1:9701 -g 64 -mode lin -json BENCH_throughput.json
+//	countload -addr 127.0.0.1:9701 -g 64 -mode lin
 //	countload -cluster 127.0.0.1:9701,127.0.0.1:9711,127.0.0.1:9721 -mode lin
 //	countload -addr 127.0.0.1:9701 -udp 127.0.0.1:9702 -udp-batch 64 -duration 2s
 //	countload -g 8 -mode lin -sim 42
@@ -55,6 +47,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -68,7 +61,6 @@ import (
 	"time"
 
 	countingnet "repro"
-	"repro/internal/benchfmt"
 	"repro/internal/client"
 	"repro/internal/dst"
 	"repro/internal/packetio"
@@ -82,7 +74,6 @@ type options struct {
 	window   int           // per-client pipelined in-flight window
 	mode     string        // consistency mode requested per increment
 	duration time.Duration // run length
-	jsonOut  string        // benchmark-report path ("" disables, "-" stdout)
 	adaptive bool          // RTT-adaptive in-flight window
 	cpuprof  string        // write a CPU profile here ("" disables)
 	sim      uint64        // deterministic-simulation seed (0: drive a live countd)
@@ -114,7 +105,6 @@ func main() {
 	flag.IntVar(&o.window, "window", 64, "per-client pipelined in-flight window")
 	flag.StringVar(&o.mode, "mode", "sc", "consistency mode: sc or lin")
 	flag.DurationVar(&o.duration, "duration", 2*time.Second, "run length")
-	flag.StringVar(&o.jsonOut, "json", "", "merge results into this benchmark report file (- for stdout)")
 	flag.BoolVar(&o.adaptive, "adaptive", false, "tune each connection's in-flight window to measured RTT (AIMD)")
 	flag.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile to this file (empty: off)")
 	flag.Uint64Var(&o.sim, "sim", 0, "run this deterministic-simulation seed with the client-side configuration instead of driving a live server (0: off)")
@@ -156,9 +146,15 @@ func main() {
 	}
 	if err := run(context.Background(), o, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "countload:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
+
+// errUsage marks a flag combination run refuses before it dials anything.
+var errUsage = errors.New("usage")
 
 // runSim executes one deterministic whole-system simulation seed with
 // this driver's client-side configuration — worker count from -g,
@@ -233,8 +229,8 @@ func (r result) opsPerSec() float64 {
 	return float64(r.Ops) / r.Elapsed.Seconds()
 }
 
-// run drives the load and writes the human report (and, when asked, the
-// merged JSON report). Split from main for in-process testing.
+// run drives the load and writes the human report. Split from main for
+// in-process testing.
 func run(ctx context.Context, o options, out io.Writer) error {
 	mode, err := countingnet.ParseConsistencyMode(o.mode)
 	if err != nil {
@@ -242,6 +238,12 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	}
 	if o.clients <= 0 {
 		return fmt.Errorf("need at least one client, got %d", o.clients)
+	}
+	if o.traceOut != "" && o.sample <= 0 {
+		return fmt.Errorf("%w: -trace-out requires -trace-sample", errUsage)
+	}
+	if o.traceSrc != "" && o.traceOut == "" {
+		return fmt.Errorf("%w: -trace-from requires -trace-out", errUsage)
 	}
 	if o.udp != "" {
 		return runUDP(ctx, o, out)
@@ -282,23 +284,11 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	}
 
 	if o.traceOut != "" {
-		if res.Flight == nil {
-			return fmt.Errorf("-trace-out requires -trace-sample")
-		}
 		n, err := writeTimeline(o, res)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "  trace: %d span events -> %s\n", n, o.traceOut)
-	}
-
-	if o.jsonOut != "" {
-		if err := writeJSON(o.jsonOut, o, res); err != nil {
-			return err
-		}
-		if o.jsonOut != "-" {
-			fmt.Fprintf(out, "  json: merged into %s\n", o.jsonOut)
-		}
 	}
 	return nil
 }
@@ -326,8 +316,8 @@ func runUDP(ctx context.Context, o options, out io.Writer) error {
 	gso := o.udpGSO
 	if gso > 1 && !packetio.Segmentation() {
 		// Graceful fallback, loudly: the run proceeds unsegmented so the
-		// workload still lands, but the banner and the JSON row must not
-		// claim a GSO measurement the kernel never made.
+		// workload still lands, but the banner must not claim a GSO
+		// measurement the kernel never made.
 		fmt.Fprintln(out, "countload: kernel lacks UDP_SEGMENT/UDP_GRO; falling back to unsegmented sends (-udp-gso 0)")
 		gso = 0
 	}
@@ -458,45 +448,6 @@ func runUDP(ctx context.Context, o options, out io.Writer) error {
 	}
 	if minted == 0 {
 		return fmt.Errorf("nothing minted from %d datagrams — is %s countd's UDP endpoint?", total, o.udp)
-	}
-
-	if o.jsonOut != "" {
-		name := fmt.Sprintf("Countload/udp/mode=%s/batch=%d", o.mode, o.udpBatch)
-		frames := 1.0
-		if gso > 1 {
-			// The gso=N rows sit beside the batch=N baseline so the
-			// 1.9M→target trajectory reads straight off the report.
-			name = fmt.Sprintf("Countload/udp/gso=%d/batch=%d", gso, o.udpBatch)
-			frames = float64(gso)
-		}
-		rep := &benchfmt.Report{
-			Date: time.Now().UTC().Format(time.RFC3339),
-			Pkg:  "repro/cmd/countload",
-			Benchmarks: []benchfmt.Result{{
-				Name:       name,
-				Iterations: total,
-				NsPerOp:    float64(elapsed.Nanoseconds()) / float64(total),
-				Metrics: map[string]float64{
-					"datagrams/s":     float64(total) / elapsed.Seconds(),
-					"minted":          float64(minted),
-					"write-errors":    float64(errs),
-					"senders":         float64(o.clients),
-					"frames/datagram": frames,
-				},
-			}},
-		}
-		if o.jsonOut == "-" {
-			return benchfmt.Write("-", rep)
-		}
-		prev, err := benchfmt.Load(o.jsonOut)
-		if err != nil {
-			return err
-		}
-		benchfmt.Merge(prev, rep)
-		if err := benchfmt.Write(o.jsonOut, prev); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  json: merged into %s\n", o.jsonOut)
 	}
 	return nil
 }
@@ -709,45 +660,4 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 	}
 	res.Lat = lat.Summary()
 	return res, nil
-}
-
-// writeJSON merges the run into the benchmark report at path, in the
-// same schema cmd/benchjson writes, named so repeated configurations
-// replace their previous rows.
-func writeJSON(path string, o options, res result) error {
-	name := fmt.Sprintf("Countload/mode=%s/g=%d", o.mode, o.clients)
-	if n := len(o.clusterAddrs()); n > 0 {
-		name = fmt.Sprintf("Countload/cluster/n=%d/mode=%s", n, o.mode)
-	}
-	nsPerOp := 0.0
-	if res.Ops > 0 {
-		nsPerOp = float64(res.Elapsed.Nanoseconds()) / float64(res.Ops)
-	}
-	rep := &benchfmt.Report{
-		Date: time.Now().UTC().Format(time.RFC3339),
-		Pkg:  "repro/cmd/countload",
-		Benchmarks: []benchfmt.Result{{
-			Name:       name,
-			Iterations: res.Ops,
-			NsPerOp:    nsPerOp,
-			Metrics: map[string]float64{
-				"ops/s":      res.opsPerSec(),
-				"p50-ns":     float64(res.Lat.P50.Nanoseconds()),
-				"p95-ns":     float64(res.Lat.P95.Nanoseconds()),
-				"p99-ns":     float64(res.Lat.P99.Nanoseconds()),
-				"errors":     float64(res.Errors),
-				"clients":    float64(o.clients),
-				"window-ops": float64(o.window),
-			},
-		}},
-	}
-	if path == "-" {
-		return benchfmt.Write("-", rep)
-	}
-	prev, err := benchfmt.Load(path)
-	if err != nil {
-		return err
-	}
-	benchfmt.Merge(prev, rep)
-	return benchfmt.Write(path, prev)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	countingnet "repro"
-	"repro/internal/benchfmt"
 	"repro/internal/server"
 )
 
@@ -48,15 +48,14 @@ func startUDPService(t *testing.T, width int) (tcp, udp string) {
 
 // TestLoadUDPRun drives the open-loop UDP mode against a live service:
 // datagrams must flow, the issued-count audit must reconcile (minted
-// never exceeds sent), and the JSON row must land under the udp group.
+// never exceeds sent).
 func TestLoadUDPRun(t *testing.T) {
 	tcp, udp := startUDPService(t, 4)
-	path := filepath.Join(t.TempDir(), "BENCH_throughput.json")
 	var out strings.Builder
 	err := run(context.Background(), options{
 		addr: tcp, udp: udp, clients: 2, mode: "sc",
 		udpBatch: 16, udpWires: 4,
-		duration: 200 * time.Millisecond, jsonOut: path,
+		duration: 200 * time.Millisecond,
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
@@ -66,25 +65,6 @@ func TestLoadUDPRun(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)
 		}
-	}
-	rep, err := benchfmt.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, b := range rep.Benchmarks {
-		if b.Name == "Countload/udp/mode=sc/batch=16" {
-			found = true
-			if b.Metrics["datagrams/s"] <= 0 {
-				t.Errorf("udp row has no datagrams/s: %+v", b)
-			}
-			if b.Metrics["minted"] <= 0 || b.Metrics["minted"] > float64(b.Iterations) {
-				t.Errorf("udp row minted %v outside (0, sent=%d]", b.Metrics["minted"], b.Iterations)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("udp row missing from %s: %+v", path, rep.Benchmarks)
 	}
 }
 
@@ -115,66 +95,6 @@ func TestLoadRun(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)
 		}
-	}
-}
-
-func TestLoadJSONMerges(t *testing.T) {
-	addr := startService(t, 4)
-	path := filepath.Join(t.TempDir(), "BENCH_throughput.json")
-
-	// Seed the file with an unrelated in-process benchmark group; the load
-	// run must land beside it, not clobber it.
-	seed := &benchfmt.Report{
-		Date:       "2026-01-01T00:00:00Z",
-		Benchmarks: []benchfmt.Result{{Name: "BenchmarkThroughput/g=4", Iterations: 1, NsPerOp: 100}},
-	}
-	if err := benchfmt.Write(path, seed); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, mode := range []string{"sc", "lin"} {
-		var out strings.Builder
-		err := run(context.Background(), options{
-			addr: addr, clients: 2, window: 8, mode: mode,
-			duration: 200 * time.Millisecond, jsonOut: path,
-		}, &out)
-		if err != nil {
-			t.Fatalf("run(mode=%s): %v\n%s", mode, err, out.String())
-		}
-	}
-
-	rep, err := benchfmt.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := map[string]bool{}
-	for _, b := range rep.Benchmarks {
-		names[b.Name] = true
-	}
-	for _, want := range []string{
-		"BenchmarkThroughput/g=4", // the seeded group survived
-		"Countload/mode=sc/g=2",
-		"Countload/mode=lin/g=2",
-	} {
-		if !names[want] {
-			t.Errorf("merged report missing %q (have %v)", want, names)
-		}
-	}
-	// A re-run replaces its row rather than appending a duplicate.
-	var out strings.Builder
-	if err := run(context.Background(), options{
-		addr: addr, clients: 2, window: 8, mode: "sc",
-		duration: 100 * time.Millisecond, jsonOut: path,
-	}, &out); err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := benchfmt.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep2.Benchmarks) != len(rep.Benchmarks) {
-		t.Errorf("re-run grew the report from %d to %d rows; want in-place replace",
-			len(rep.Benchmarks), len(rep2.Benchmarks))
 	}
 }
 
@@ -260,15 +180,24 @@ func TestLoadTraceExport(t *testing.T) {
 	}
 }
 
+// TestLoadTraceOutRequiresSample pins that an unusable trace-flag
+// combination is refused as a usage error before anything is dialed: the
+// address is a closed port and the duration a minute, so reaching the
+// load loop would report "no operation completed" instead.
 func TestLoadTraceOutRequiresSample(t *testing.T) {
-	addr := startService(t, 4)
-	err := run(context.Background(), options{
-		addr: addr, clients: 1, window: 4, mode: "sc",
-		duration: 100 * time.Millisecond,
-		traceOut: filepath.Join(t.TempDir(), "trace.json"),
-	}, &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), "-trace-sample") {
-		t.Fatalf("want -trace-out-without-sample error, got %v", err)
+	for _, tc := range []struct {
+		o    options
+		want string
+	}{
+		{options{traceOut: filepath.Join(t.TempDir(), "trace.json")}, "-trace-out requires -trace-sample"},
+		{options{sample: 8, traceSrc: "http://127.0.0.1:1"}, "-trace-from requires -trace-out"},
+	} {
+		o := tc.o
+		o.addr, o.clients, o.window, o.mode, o.duration = "127.0.0.1:1", 1, 4, "sc", time.Minute
+		err := run(context.Background(), o, &strings.Builder{})
+		if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("want usage error %q, got %v", tc.want, err)
+		}
 	}
 }
 
