@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace chaos countmon countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay experiments examples lint clean
+.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace countmon countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay experiments examples lint clean
 
 all: build test
 
@@ -18,18 +18,15 @@ race:
 	$(GO) test -race ./internal/... ./cmd/countd/ ./cmd/countload/
 	$(GO) test -C bench -race ./...
 
-# Reproducible fault-injection run: same seed, same fault schedule.
-chaos:
-	$(GO) run ./cmd/chaos -seed 1 -w 8 -scale 1ms -scenario all -failover
-
 cover:
 	$(GO) test -cover ./...
 
 # The packages whose concurrency depends on how many Ps run it (group
-# commit, ingest-vs-Close fence, combining tree), under -race at each.
+# commit, ingest-vs-Close fence, combining tree), under -race at each —
+# and internal/dst, which must pin itself to one P whatever it is given.
 race-procs:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 ./internal/client/ ./internal/server/ ./internal/runtime/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 ./internal/client/ ./internal/server/ ./internal/runtime/ ./internal/dst/ || exit 1; \
 	done
 
 # Every `go test` benchmark function once through; the repository's

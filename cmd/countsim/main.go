@@ -65,7 +65,7 @@ func main() {
 	flag.Uint64Var(&o.seeds, "seeds", 0, "sweep this many seeds (0: single-seed mode)")
 	flag.Uint64Var(&o.start, "start", 1, "first seed of the sweep")
 	flag.Uint64Var(&o.seed, "seed", 0, "replay exactly this seed")
-	flag.IntVar(&o.par, "par", runtime.GOMAXPROCS(0), "concurrent simulation worlds")
+	flag.IntVar(&o.par, "par", runtime.GOMAXPROCS(0), "concurrent simulation worlds, interleaved on the one P internal/dst pins the process to")
 	flag.BoolVar(&o.bug, "bug", false, "inject a duplicate-mint bug into the backend")
 	flag.BoolVar(&o.expectBug, "expect-bug", false, "succeed only if the injected bug is caught (use with -bug)")
 	flag.BoolVar(&o.trace, "trace", false, "print the deterministic trace (with -seed)")
@@ -198,9 +198,10 @@ type sweepResult struct {
 }
 
 // sweep fans the seed range across -par worlds. Each world is fully
-// self-contained (own virtual clock, own transport), so parallelism
-// cannot perturb determinism — the per-seed traces are identical to a
-// serial run's.
+// self-contained (own virtual clock, own transport), so concurrent
+// worlds cannot perturb determinism — the per-seed traces are identical
+// to a serial run's. dst.NewWorld pins the process to one P, so the
+// worlds interleave rather than run in parallel.
 func sweep(o options, out *os.File) (int, error) {
 	results := make([]sweepResult, o.seeds)
 	seeds := make(chan uint64)

@@ -309,24 +309,18 @@ var (
 )
 
 // Fault-injection and fault-tolerance layer (package chaos): the paper's
-// adversaries as executable fault scenarios against the real concurrent
+// adversaries as a seeded fault vocabulary for the real concurrent
 // implementations, plus the machinery to survive them.
 type (
 	// FaultPlan is a seeded, deterministic fault-injection plan.
 	FaultPlan = chaos.FaultPlan
 	// CrashSpec schedules one warm balancer crash-and-restart.
 	CrashSpec = chaos.CrashSpec
-	// ChaosScenario is one reproducible fault scenario + workload.
-	ChaosScenario = chaos.Scenario
-	// ChaosResult is a scenario's audited outcome.
-	ChaosResult = chaos.Result
 	// ResilientCounter degrades gracefully from a stalled primary network
 	// to a backup counter without ever duplicating an id.
 	ResilientCounter = chaos.ResilientCounter
 	// ResilientOptions tunes timeouts, retry/backoff and failover.
 	ResilientOptions = chaos.ResilientOptions
-	// FailoverReport is the outcome of a failover drill.
-	FailoverReport = chaos.FailoverReport
 )
 
 var (
@@ -337,16 +331,6 @@ var (
 	// NewResilientCounter wraps a primary CtxCounter with deadline-bounded
 	// attempts, retry with backoff, and id-range-handoff failover.
 	NewResilientCounter = chaos.NewResilientCounter
-	// ChaosScenarios is the standard scenario catalogue.
-	ChaosScenarios = chaos.Scenarios
-	// RunChaos runs one scenario on both substrates; RunChaosMsgnet /
-	// RunChaosRuntime pick one.
-	RunChaos        = chaos.Run
-	RunChaosMsgnet  = chaos.RunMsgnet
-	RunChaosRuntime = chaos.RunRuntime
-	// RunFailoverDrill drives a ResilientCounter over a primary that
-	// loses a balancer permanently mid-run.
-	RunFailoverDrill = chaos.RunFailover
 )
 
 // Telemetry layer (package telemetry): per-balancer metrics, latency

@@ -58,7 +58,6 @@ func TestCLIsRun(t *testing.T) {
 		{"run", "./cmd/netviz", "-net", "periodic", "-w", "8", "-split"},
 		{"run", "./cmd/experiments", "-run", "F1", "-widths", "4,8"},
 		{"run", "./cmd/perfsim", "-procs", "1,8", "-ops", "500"},
-		{"run", "./cmd/chaos", "-seed", "1", "-w", "4", "-scale", "200us"},
 		{"run", "./cmd/countmon", "-w", "4", "-addr", "127.0.0.1:0", "-duration", "300ms"},
 		{"run", "./cmd/countd", "-w", "4", "-listen", "127.0.0.1:0", "-duration", "300ms"},
 	}

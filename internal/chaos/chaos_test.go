@@ -1,12 +1,133 @@
 package chaos
 
 import (
+	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/consistency"
 	"repro/internal/construct"
 	"repro/internal/msgnet"
+	"repro/internal/network"
+	"repro/internal/runtime"
+	"repro/internal/telemetry"
 )
+
+// scenario is one reproducible chaos run: a fault plan plus the workload
+// shape that drives a network through it.
+type scenario struct {
+	name string
+	// plan fills in a fresh FaultPlan (plans carry per-run stream state,
+	// so each run needs its own).
+	plan func(*FaultPlan)
+	// deadline, when positive, bounds every increment; timed-out
+	// increments are counted, not retried, and their abandoned tokens burn
+	// values — so only uniqueness is asserted for such a run.
+	deadline time.Duration
+	// msgnetOnly skips the shared-memory run for plans whose faults have
+	// no shared-memory analogue.
+	msgnetOnly bool
+}
+
+const (
+	scenarioWorkers = 8   // one per input wire of B(8)
+	scenarioOps     = 150 // per worker
+	scenarioBuffer  = 2   // msgnet wire channel size
+)
+
+// scenarios is the standard catalogue: one scenario per fault class plus a
+// benign control and an everything-at-once mix, durations scaled by scale.
+func scenarios(scale time.Duration) []scenario {
+	return []scenario{
+		{name: "baseline", plan: func(*FaultPlan) {}},
+		{name: "stall", plan: func(p *FaultPlan) {
+			p.StallProb, p.StallMin, p.StallMax = 0.05, scale/5, 2*scale
+		}},
+		{name: "latency", msgnetOnly: true, plan: func(p *FaultPlan) {
+			p.LatencyProb, p.LatencyMin, p.LatencyMax = 0.3, scale/10, scale
+		}},
+		{name: "duplicate", msgnetOnly: true, plan: func(p *FaultPlan) {
+			p.DuplicateProb, p.RedeliverAfter = 0.2, scale/5
+		}},
+		{name: "crash-restart", msgnetOnly: true, plan: func(p *FaultPlan) {
+			p.Crashes = []CrashSpec{
+				{Balancer: 0, AtStep: 40, Restart: 2 * scale},
+				{Balancer: 1, AtStep: 90, Restart: 4 * scale},
+				{Balancer: 0, AtStep: 200, Restart: 2 * scale},
+			}
+		}},
+		{name: "counter-pause", msgnetOnly: true, plan: func(p *FaultPlan) {
+			p.PauseProb, p.PauseMin, p.PauseMax = 0.1, scale/5, scale
+		}},
+		{name: "mixed", msgnetOnly: true, plan: func(p *FaultPlan) {
+			p.StallProb, p.StallMin, p.StallMax = 0.03, scale/5, scale
+			p.LatencyProb, p.LatencyMin, p.LatencyMax = 0.2, scale/10, scale/2
+			p.DuplicateProb, p.RedeliverAfter = 0.1, scale/5
+			p.PauseProb, p.PauseMin, p.PauseMax = 0.05, scale/5, scale/2
+			p.Crashes = []CrashSpec{{Balancer: 2, AtStep: 60, Restart: 2 * scale}}
+		}},
+		{name: "deadline", deadline: 5 * scale, plan: func(p *FaultPlan) {
+			p.StallProb, p.StallMin, p.StallMax = 0.02, 2*scale, 10*scale
+		}},
+	}
+}
+
+// deadlined adapts a context-aware increment to the stock workload driver
+// (runtime.Workload): every Inc is bounded by deadline when it is
+// positive, and one that fails — timed out, never retried — returns -1.
+type deadlined struct {
+	inc      func(ctx context.Context, wire int) (int64, error)
+	deadline time.Duration
+}
+
+func (d deadlined) Inc(wire int) int64 {
+	ctx := context.Background()
+	if d.deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d.deadline)
+		defer cancel()
+	}
+	v, err := d.inc(ctx, wire)
+	if err != nil {
+		return -1
+	}
+	return v
+}
+
+// drive runs workers × opsPer increments through c, worker i on wire i,
+// and splits the completed operations from the count of failed ones.
+func drive(workers, opsPer int, c deadlined) (ops []runtime.Op, failed int) {
+	for _, op := range (runtime.Workload{Workers: workers, OpsPerWorker: opsPer}).Run(c) {
+		if op.Value < 0 {
+			failed++
+		} else {
+			ops = append(ops, op)
+		}
+	}
+	return ops, failed
+}
+
+// audit checks the guarantees that must survive a chaos run of a width-w
+// network, each through the repository's one implementation of it:
+// duplicates are never excusable (consistency.Duplicate); when every
+// increment completed the values are exactly 0..N-1 (runtime.Verify) and
+// the per-sink exit counts form a step sequence at quiescence
+// (network.CheckStepSequence). Abandoned tokens burn values, so an
+// incomplete run is held to uniqueness only.
+func audit(ops []runtime.Op, w int, complete bool) error {
+	if a, b, dup := consistency.Duplicate(runtime.Audit(ops)); dup {
+		return fmt.Errorf("duplicate value %d handed to workers %d and %d", ops[a].Value, ops[a].Worker, ops[b].Worker)
+	}
+	if !complete {
+		return nil
+	}
+	vals := runtime.Values(ops)
+	if err := runtime.Verify(vals); err != nil {
+		return err
+	}
+	return network.CheckStepSequence(network.SinkCountsOf(vals, w))
+}
 
 // TestScenarioCatalogue runs every standard scenario against B(8) on both
 // substrates and asserts the surviving guarantees: counting property and
@@ -14,37 +135,61 @@ import (
 // crash-restart), uniqueness under deadline-driven abandonment.
 func TestScenarioCatalogue(t *testing.T) {
 	spec := construct.MustBitonic(8)
-	for _, sc := range Scenarios(200 * time.Microsecond) {
+	const seed = 42
+	for _, sc := range scenarios(200 * time.Microsecond) {
 		sc := sc
-		t.Run(sc.Name, func(t *testing.T) {
+		t.Run(sc.name, func(t *testing.T) {
 			t.Parallel()
-			results, err := Run(spec, sc, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, r := range results {
-				if !r.Ok() {
-					t.Errorf("%s", r)
+			check := func(substrate string, inc func(context.Context, int) (int64, error), col *telemetry.Collector) {
+				ops, timedOut := drive(scenarioWorkers, scenarioOps, deadlined{inc, sc.deadline})
+				snap := col.Snapshot()
+				t.Logf("%s: ops=%d timeout=%d %s", substrate, len(ops), timedOut, consistency.Measure(runtime.Audit(ops)))
+				if err := audit(ops, spec.FanOut(), timedOut == 0); err != nil {
+					t.Errorf("%s: %v", substrate, err)
 				}
-				if r.Completed+r.TimedOut != sc.Workers*sc.Ops {
-					t.Errorf("%s/%s: %d completed + %d timed out != %d issued",
-						r.Scenario, r.Substrate, r.Completed, r.TimedOut, sc.Workers*sc.Ops)
+				if len(ops)+timedOut != scenarioWorkers*scenarioOps {
+					t.Errorf("%s: %d completed + %d timed out != %d issued",
+						substrate, len(ops), timedOut, scenarioWorkers*scenarioOps)
 				}
 				// Every fault run carries its telemetry: completed tokens
 				// and their latency are accounted for exactly.
-				if r.Telemetry.Tokens != uint64(r.Completed) {
-					t.Errorf("%s/%s: telemetry tokens %d != completed %d",
-						r.Scenario, r.Substrate, r.Telemetry.Tokens, r.Completed)
+				if snap.Tokens != uint64(len(ops)) {
+					t.Errorf("%s: telemetry tokens %d != completed %d", substrate, snap.Tokens, len(ops))
 				}
-				if r.Telemetry.Latency.Count != uint64(r.Completed) {
-					t.Errorf("%s/%s: latency count %d != completed %d",
-						r.Scenario, r.Substrate, r.Telemetry.Latency.Count, r.Completed)
+				if snap.Latency.Count != uint64(len(ops)) {
+					t.Errorf("%s: latency count %d != completed %d", substrate, snap.Latency.Count, len(ops))
 				}
-				if r.Completed > 0 && r.Telemetry.TotalToggles() < uint64(r.Completed)*uint64(spec.Depth()) {
-					t.Errorf("%s/%s: %d toggles for %d completed tokens (depth %d)",
-						r.Scenario, r.Substrate, r.Telemetry.TotalToggles(), r.Completed, spec.Depth())
+				if len(ops) > 0 && snap.TotalToggles() < uint64(len(ops))*uint64(spec.Depth()) {
+					t.Errorf("%s: %d toggles for %d completed tokens (depth %d)",
+						substrate, snap.TotalToggles(), len(ops), spec.Depth())
 				}
 			}
+			newPlan := func() *FaultPlan {
+				p := &FaultPlan{Seed: seed}
+				sc.plan(p)
+				return p
+			}
+
+			col := telemetry.NewCollectorFor(spec)
+			mn, err := msgnet.Start(spec, scenarioBuffer,
+				msgnet.WithFaults(newPlan().Msgnet()), msgnet.WithObserver(col))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mn.Close()
+			check("msgnet", mn.IncCtx, col)
+			if sc.msgnetOnly {
+				return
+			}
+
+			rt, err := runtime.Compile(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.SetFaultHook(newPlan().RuntimeHook())
+			col = telemetry.NewCollectorFor(spec)
+			rt.SetObserver(col)
+			check("runtime", rt.IncCtx, col)
 		})
 	}
 }
@@ -127,54 +272,97 @@ func TestCrashRestartPreservesState(t *testing.T) {
 	}
 }
 
-// TestFailover: the headline acceptance test — a primary that loses a
-// balancer for longer than the run fails over to the backup, and no id is
-// ever handed out twice across the transition.
+// TestFailover: the headline acceptance test — a msgnet primary that
+// loses a balancer for longer than the run (a crash with an hour-long
+// restart, a third of the way in) fails over to the backup, and no id is
+// ever handed out twice across the id-range handoff.
 func TestFailover(t *testing.T) {
-	rep, err := RunFailover(construct.MustBitonic(4), 4, 80, 11, ResilientOptions{
+	const workers, ops = 4, 80
+	plan := &FaultPlan{
+		Seed:    11,
+		Crashes: []CrashSpec{{Balancer: 0, AtStep: workers * ops / 3, Restart: time.Hour}},
+	}
+	n, err := msgnet.Start(construct.MustBitonic(4), 1, msgnet.WithFaults(plan.Msgnet()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	rc := NewResilientCounter(n, new(runtime.AtomicCounter), ResilientOptions{
 		Timeout:     5 * time.Millisecond,
 		MaxRetries:  1,
 		BackoffBase: 100 * time.Microsecond,
 		BackoffCap:  time.Millisecond,
 		FailAfter:   2,
 	})
-	if err != nil {
-		t.Fatalf("%v (report %+v)", err, rep)
+
+	got, errs := drive(workers, ops, deadlined{inc: rc.IncCtx})
+
+	if !rc.FailedOver() {
+		t.Fatal("failover never triggered")
 	}
-	if rep.PrimaryServed == 0 {
+	if err := audit(got, 4, false); err != nil {
+		t.Fatal(err)
+	}
+	primary, backup := 0, 0
+	for _, op := range got {
+		if op.Value >= rc.Base() {
+			backup++
+		} else {
+			primary++
+		}
+	}
+	if primary == 0 {
 		t.Error("no increments served by the primary before the crash")
 	}
-	if rep.BackupServed == 0 {
+	if backup == 0 {
 		t.Error("no increments served by the backup after failover")
 	}
-	if rep.Base <= 0 {
-		t.Errorf("handoff base = %d, want positive", rep.Base)
+	if rc.Base() <= 0 {
+		t.Errorf("handoff base = %d, want positive", rc.Base())
 	}
-	if rep.Errors != 0 {
-		t.Errorf("%d increments surfaced errors despite retry+failover", rep.Errors)
+	if errs != 0 {
+		t.Errorf("%d increments surfaced errors despite retry+failover", errs)
 	}
 }
 
+// TestVerifyStep: the step check audit applies to a complete run — the
+// per-sink exit counts recovered from the values form a step sequence.
 func TestVerifyStep(t *testing.T) {
-	if err := verifyStep([]int64{0, 1, 4, 5, 2, 3}, 4); err != nil {
+	step := func(vals ...int64) error {
+		return network.CheckStepSequence(network.SinkCountsOf(vals, 4))
+	}
+	if err := step(0, 1, 4, 5, 2, 3); err != nil {
 		t.Errorf("legal step sequence rejected: %v", err)
 	}
-	if err := verifyStep([]int64{0, 4, 8, 1}, 4); err == nil {
+	if err := step(0, 4, 8, 1); err == nil {
 		t.Error("y_0=3, y_1=1 should violate the step property")
 	}
-	if err := verifyStep(nil, 4); err != nil {
+	if err := audit(opsOf(0, 4, 8, 1), 4, true); err == nil {
+		t.Error("a complete run with y_0=3, y_1=1 should be rejected")
+	}
+	if err := audit(nil, 4, true); err != nil {
 		t.Errorf("empty run rejected: %v", err)
 	}
 }
 
+// TestVerifyUnique: audit holds every run, complete or not, to uniqueness,
+// and an incomplete one to nothing more.
 func TestVerifyUnique(t *testing.T) {
-	if err := verifyUnique([]int64{5, 0, 9}); err != nil {
-		t.Errorf("unique values rejected: %v", err)
+	if err := audit(opsOf(5, 0, 9), 4, false); err != nil {
+		t.Errorf("unique values with gaps rejected on an incomplete run: %v", err)
 	}
-	if err := verifyUnique([]int64{5, 0, 5}); err == nil {
-		t.Error("duplicate not caught")
+	for _, complete := range []bool{false, true} {
+		if err := audit(opsOf(2, 0, 2), 4, complete); err == nil {
+			t.Errorf("duplicate not caught (complete=%v)", complete)
+		}
 	}
-	if err := verifyUnique([]int64{-1}); err == nil {
-		t.Error("negative value not caught")
+}
+
+// opsOf wraps bare values as completed operations.
+func opsOf(vals ...int64) []runtime.Op {
+	ops := make([]runtime.Op, len(vals))
+	for i, v := range vals {
+		ops[i].Value = v
 	}
+	return ops
 }

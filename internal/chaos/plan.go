@@ -1,5 +1,5 @@
-// Package chaos turns the paper's adversaries into executable fault
-// scenarios against the real concurrent implementations, and provides the
+// Package chaos turns the paper's adversaries into an executable fault
+// vocabulary for the real concurrent implementations, and provides the
 // fault-tolerance layer that lets counting survive them.
 //
 // The paper quantifies counting-network behaviour under adversarial
@@ -10,8 +10,10 @@
 // crash-restart into internal/msgnet's actors and stalls into
 // internal/runtime's compiled balancers, a ResilientCounter keeps an
 // application counting when its primary network degrades beyond its
-// deadline budget, and a scenario harness (RunScenario, cmd/chaos) asserts
-// which guarantees survive which faults:
+// deadline budget, and the package's tests drive a scenario catalogue
+// through both substrates and assert which guarantees survive which
+// faults (the frame faults of the serving stack are exercised by
+// internal/dst, deterministically):
 //
 //   - the counting property (completed increments have no duplicates, and
 //     no gaps when every increment completed) survives every non-crashing

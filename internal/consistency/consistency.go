@@ -31,6 +31,21 @@ type Op struct {
 // in the execution.
 func (o Op) CompletelyPrecedes(p Op) bool { return o.ExitSeq < p.EnterSeq }
 
+// Duplicate returns the indices of the first pair of operations, in input
+// order, that obtained the same value — the one breach no counter may
+// ever commit, whatever its consistency condition. ok is false when all
+// values are distinct.
+func Duplicate(ops []Op) (first, second int, ok bool) {
+	at := make(map[int64]int, len(ops))
+	for i, op := range ops {
+		if j, dup := at[op.Value]; dup {
+			return j, i, true
+		}
+		at[op.Value] = i
+	}
+	return 0, 0, false
+}
+
 // NonLinearizable marks each operation that is non-linearizable in the
 // sense of LSST99 (Section 5.1): some other operation completely precedes
 // it yet returned a larger value. The result is indexed like ops.

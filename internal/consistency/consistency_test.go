@@ -285,3 +285,32 @@ func TestWitnessExtraction(t *testing.T) {
 		t.Error("clean execution should have no SC witness")
 	}
 }
+
+func TestDuplicate(t *testing.T) {
+	tests := []struct {
+		name          string
+		ops           []Op
+		first, second int
+		dup           bool
+	}{
+		{name: "empty"},
+		{name: "distinct", ops: seqOps([2]int64{0, 5}, [2]int64{1, 0}, [2]int64{0, 9})},
+		{name: "pair", ops: seqOps([2]int64{0, 5}, [2]int64{1, 0}, [2]int64{2, 5}), first: 0, second: 2, dup: true},
+		{
+			// Two duplicated values: the pair whose second occurrence
+			// comes first in input order wins.
+			name:  "earliest repeat wins",
+			ops:   seqOps([2]int64{0, 7}, [2]int64{1, 3}, [2]int64{2, 3}, [2]int64{3, 7}),
+			first: 1, second: 2, dup: true,
+		},
+		{name: "triple reports first two", ops: seqOps([2]int64{0, 1}, [2]int64{1, 1}, [2]int64{2, 1}), first: 0, second: 1, dup: true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			first, second, dup := Duplicate(tt.ops)
+			if dup != tt.dup || first != tt.first || second != tt.second {
+				t.Errorf("Duplicate = (%d, %d, %v), want (%d, %d, %v)", first, second, dup, tt.first, tt.second, tt.dup)
+			}
+		})
+	}
+}

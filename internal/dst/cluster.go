@@ -586,39 +586,19 @@ func uniqueGranted(grants []cluster.GrantRecord) int64 {
 	return total + cur.hi - cur.lo
 }
 
-// allowedClusterErr whitelists the error categories adversity may
-// surface in a cluster run: everything the single-server harness allows
-// plus the cluster refusals (leadership gaps, range droughts).
-func allowedClusterErr(cat string) bool {
-	cat = strings.TrimPrefix(cat, "dial:")
-	switch cat {
-	case "not_leader", "no_range":
-		return true
-	}
-	return allowedErr(cat)
-}
-
 // checkClusterInvariants audits one finished cluster run.
 func checkClusterInvariants(res *ClusterResult, w *World, audit *cluster.Audit) {
 	sc := &res.Scenario
 	adversity := !sc.CleanRun()
 
 	// No id is ever delivered twice, cluster-wide — the heart of the
-	// epoch-fencing argument.
-	type owner struct{ wk, idx int }
-	seen := make(map[int64]owner)
-	var delivered []int64
-	for _, op := range res.Ops {
-		for _, v := range op.Vals {
-			if prev, dup := seen[v]; dup {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("duplicate value %d delivered to w%d/op%d and w%d/op%d", v, prev.wk, prev.idx, op.Worker, op.Index))
-				continue
-			}
-			seen[v] = owner{op.Worker, op.Index}
-			delivered = append(delivered, v)
-		}
-	}
+	// epoch-fencing argument — and cluster-wide F_nl = 0: within an epoch
+	// the leader mints LIN from a strictly increasing frontier; across
+	// elections the new epoch's stripe starts above the old one's, and
+	// the lease ordering (LeaseTimeout < SuspectAfter) forbids old-leader
+	// mints after the new leader starts.
+	delivered, violations := auditOps(res.Ops, w, adversity, true)
+	res.Violations = append(res.Violations, violations...)
 	res.Delivered = len(delivered)
 
 	// Every delivered id lies inside an audited grant, and every grant
@@ -663,47 +643,10 @@ func checkClusterInvariants(res *ClusterResult, w *World, audit *cluster.Audit) 
 			fmt.Sprintf("issued %d ids but only %d were ever granted", res.Issued, res.Granted))
 	}
 
-	// Errors: none on a clean run; only whitelisted categories otherwise.
-	for _, op := range res.Ops {
-		if op.Err == "" {
-			continue
-		}
-		if !adversity {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("error %q on clean cluster run at w%d/op%d", op.Err, op.Worker, op.Index))
-		} else if !allowedClusterErr(op.Err) {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("unexpected error category %q at w%d/op%d", op.Err, op.Worker, op.Index))
-		}
-	}
 	// On a clean run nothing burns: every issued id reaches a caller.
 	if !adversity && int64(res.Delivered) != res.Issued {
 		res.Violations = append(res.Violations,
 			fmt.Sprintf("clean cluster run delivered %d ids, issued %d", res.Delivered, res.Issued))
-	}
-
-	// Cluster-wide F_nl = 0: if LIN op a completed before LIN op b began
-	// (simulated real time, any worker, any node), a's ids precede b's.
-	// Within an epoch the leader mints LIN from a strictly increasing
-	// frontier; across elections the new epoch's stripe starts above the
-	// old one's, and the lease ordering (LeaseTimeout < SuspectAfter)
-	// forbids old-leader mints after the new leader starts.
-	var lins []OpRecord
-	for _, op := range res.Ops {
-		if op.Mode == wire.ModeLIN && op.Err == "" && len(op.Vals) > 0 {
-			lins = append(lins, op)
-		}
-	}
-	for i := 0; i < len(lins); i++ {
-		for j := 0; j < len(lins); j++ {
-			a, b := lins[i], lins[j]
-			if a.End < b.Start && a.Vals[len(a.Vals)-1] >= b.Vals[0] {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("cluster LIN non-linearizable: w%d/op%d (val %d, ended %d) before w%d/op%d (val %d, started %d)",
-						a.Worker, a.Index, a.Vals[len(a.Vals)-1], a.End.Nanoseconds(),
-						b.Worker, b.Index, b.Vals[0], b.Start.Nanoseconds()))
-			}
-		}
 	}
 
 	// Transport audit for the SC hot path: with a healthy cluster, SC
@@ -730,12 +673,6 @@ func checkClusterInvariants(res *ClusterResult, w *World, audit *cluster.Audit) 
 			res.Violations = append(res.Violations,
 				fmt.Sprintf("%d blocking refills on a clean run (at most one first-fill per node, %d nodes) — prefetch fell behind", refill, sc.Nodes))
 		}
-	}
-
-	// Drain: nothing may still be parked on the virtual clock.
-	if n := w.Clk.Sleepers(); n != 0 {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("drain left %d goroutines parked on the simulated clock", n))
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/clock"
+	"repro/internal/consistency"
 	"repro/internal/construct"
 	"repro/internal/fault"
 	"repro/internal/flightrec"
+	"repro/internal/network"
 	"repro/internal/packetio"
 	"repro/internal/runtime"
 	"repro/internal/server"
@@ -470,14 +472,85 @@ func classify(err error) string {
 }
 
 // allowedErr reports whether an error category may appear in a scenario
-// that injects adversity. "other:*" is never allowed.
-func allowedErr(cat string) bool {
-	cat = strings.TrimPrefix(cat, "dial:")
-	switch cat {
+// that injects adversity; the cluster refusals (leadership gaps, range
+// droughts) only in a cluster run. "other:*" is never allowed.
+func allowedErr(cat string, cluster bool) bool {
+	switch strings.TrimPrefix(cat, "dial:") {
 	case "backpressure", "timeout", "transport":
 		return true
+	case "not_leader", "no_range":
+		return cluster
 	}
 	return false
+}
+
+// expand renders the values the run's successful increments delivered
+// in the consistency checkers' form: one consistency.Op per value, every
+// value of a batch carrying the batch's worker, op index and simulated
+// enter/exit stamps. linOnly keeps the LIN operations only.
+func expand(ops []OpRecord, linOnly bool) []consistency.Op {
+	var out []consistency.Op
+	for _, op := range ops {
+		if op.Kind == OpRead || (linOnly && op.Mode != wire.ModeLIN) {
+			continue
+		}
+		for _, v := range op.Vals {
+			out = append(out, consistency.Op{
+				Process: op.Worker, Index: op.Index, Value: v,
+				EnterSeq: op.Start.Nanoseconds(), ExitSeq: op.End.Nanoseconds(),
+			})
+		}
+	}
+	return out
+}
+
+// auditOps runs the audits both flavors share, each through its one
+// implementation, and returns the delivered values with the violations
+// found:
+//
+//   - burn, never mint: no value is handed to two callers
+//     (consistency.Duplicate);
+//   - F_nl = 0, the whole point of the LIN mode: no LIN increment
+//     returns a value below one that a LIN increment which had already
+//     ended (simulated real time, any worker, any node) returned
+//     (consistency.NonLinearizable);
+//   - errors: none on a clean run, only whitelisted categories otherwise;
+//   - drain: after Close nothing is still parked on the virtual clock.
+func auditOps(ops []OpRecord, w *World, adversity, cluster bool) (vals []int64, violations []string) {
+	fail := func(format string, args ...any) {
+		violations = append(violations, fmt.Sprintf(format, args...))
+	}
+	incs := expand(ops, false)
+	if a, b, dup := consistency.Duplicate(incs); dup {
+		fail("duplicate value %d delivered to w%d/op%d and w%d/op%d",
+			incs[a].Value, incs[a].Process, incs[a].Index, incs[b].Process, incs[b].Index)
+	}
+	lins := expand(ops, true)
+	for i, bad := range consistency.NonLinearizable(lins) {
+		if bad {
+			l := lins[i]
+			fail("LIN non-linearizable: w%d/op%d (val %d, started %d) returned below a value whose op had already ended",
+				l.Process, l.Index, l.Value, l.EnterSeq)
+			break
+		}
+	}
+	for _, op := range ops {
+		switch {
+		case op.Err == "":
+		case !adversity:
+			fail("error %q on clean run at w%d/op%d", op.Err, op.Worker, op.Index)
+		case !allowedErr(op.Err, cluster):
+			fail("unexpected error category %q at w%d/op%d", op.Err, op.Worker, op.Index)
+		}
+	}
+	if n := w.Clk.Sleepers(); n != 0 {
+		fail("drain left %d goroutines parked on the simulated clock", n)
+	}
+	vals = make([]int64, len(incs))
+	for i, op := range incs {
+		vals[i] = op.Value
+	}
+	return vals, violations
 }
 
 // checkInvariants audits one finished run. Violations are appended to
@@ -487,90 +560,34 @@ func checkInvariants(res *Result, w *World) {
 	adversity := !sc.CleanRun()
 	hasUDP := sc.UDPActive()
 
-	// Values delivered to callers by increment ops. Reads are audited
-	// separately.
-	type owner struct{ wk, idx int }
-	seen := make(map[int64]owner)
-	var delivered []int64
-	for _, op := range res.Ops {
-		if op.Kind == OpRead {
-			continue
-		}
-		for _, v := range op.Vals {
-			// Burn, never mint: a value is handed to at most one caller.
-			if prev, dup := seen[v]; dup {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("duplicate value %d delivered to w%d/op%d and w%d/op%d", v, prev.wk, prev.idx, op.Worker, op.Index))
-				continue
-			}
-			seen[v] = owner{op.Worker, op.Index}
-			delivered = append(delivered, v)
-			if v < 0 || v >= res.Issued {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("value %d outside issued range [0,%d) at w%d/op%d", v, res.Issued, op.Worker, op.Index))
-			}
-		}
-	}
-	res.Delivered = len(delivered)
-
-	// Errors: none on a clean run; only whitelisted categories otherwise.
-	for _, op := range res.Ops {
-		if op.Err == "" {
-			continue
-		}
-		if !adversity {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("error %q on clean run at w%d/op%d", op.Err, op.Worker, op.Index))
-		} else if !allowedErr(op.Err) {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("unexpected error category %q at w%d/op%d", op.Err, op.Worker, op.Index))
-		}
-	}
+	vals, violations := auditOps(res.Ops, w, adversity, false)
+	res.Violations = append(res.Violations, violations...)
+	res.Delivered = len(vals)
 
 	// Clean runs deliver exactly [0, issued): nothing lost, nothing
-	// minted — and therefore satisfy the remote step property (values
-	// deal round-robin over the width, per-residue counts differ by ≤1).
+	// minted — and therefore satisfy the step property at quiescence
+	// (output wire j handed out j, j+w, ...). With burns (retries, drops)
+	// a wire falls behind by the number of burned values, so there only
+	// the bound holds: no caller sees a value the server never issued.
 	// UDP scenarios mint fire-and-forget values no caller ever sees, so
-	// the gap-free and step checks give way to the UDP reconciliation
+	// they too keep the bound and leave the rest to the reconciliation
 	// below.
-	if !adversity && !hasUDP {
-		sort.Slice(delivered, func(i, j int) bool { return delivered[i] < delivered[j] })
-		if int64(len(delivered)) != res.Issued {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("clean run delivered %d values, issued %d", len(delivered), res.Issued))
-		} else {
-			for i, v := range delivered {
-				if v != int64(i) {
-					res.Violations = append(res.Violations,
-						fmt.Sprintf("clean run gap: expected %d at position %d, got %d", i, i, v))
-					break
-				}
+	switch {
+	case adversity || hasUDP:
+		for _, v := range vals {
+			if v < 0 || v >= res.Issued {
+				res.Violations = append(res.Violations,
+					fmt.Sprintf("value %d outside issued range [0,%d)", v, res.Issued))
 			}
 		}
-	}
-	// Remote step property over whatever was delivered, duplicates
-	// excluded: counts per residue class may differ by at most... the
-	// number of values still in flight. On a clean, fully-delivered run
-	// the bound is exactly 1; with burns (retries, drops) a residue can
-	// fall behind by the number of burned values, so the step check is
-	// only sound when nothing burned.
-	if !adversity && !hasUDP && sc.Width > 0 && len(delivered) > 0 {
-		counts := make([]int, sc.Width)
-		for _, v := range delivered {
-			counts[int(v)%sc.Width]++
-		}
-		lo, hi := counts[0], counts[0]
-		for _, c := range counts[1:] {
-			if c < lo {
-				lo = c
-			}
-			if c > hi {
-				hi = c
-			}
-		}
-		if hi-lo > 1 {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("step property violated: residue counts %v", counts))
+	case int64(len(vals)) != res.Issued:
+		res.Violations = append(res.Violations,
+			fmt.Sprintf("clean run delivered %d values, issued %d", len(vals), res.Issued))
+	default:
+		if err := runtime.Verify(vals); err != nil {
+			res.Violations = append(res.Violations, "clean run: "+err.Error())
+		} else if err := network.CheckStepSequence(network.SinkCountsOf(vals, sc.Width)); err != nil {
+			res.Violations = append(res.Violations, err.Error())
 		}
 	}
 
@@ -606,27 +623,6 @@ func checkInvariants(res *Result, w *World) {
 		}
 	}
 
-	// Linearizability of LIN increments: if op a completed before op b
-	// began (simulated real time), a's value precedes b's. This is the
-	// F_nl = 0 condition — the whole point of the LIN mode.
-	var lins []OpRecord
-	for _, op := range res.Ops {
-		if op.Kind != OpRead && op.Mode == wire.ModeLIN && op.Err == "" && len(op.Vals) > 0 {
-			lins = append(lins, op)
-		}
-	}
-	for i := 0; i < len(lins); i++ {
-		for j := 0; j < len(lins); j++ {
-			a, b := lins[i], lins[j]
-			if a.End < b.Start && a.Vals[len(a.Vals)-1] >= b.Vals[0] {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("LIN non-linearizable: w%d/op%d (val %d, ended %d) before w%d/op%d (val %d, started %d)",
-						a.Worker, a.Index, a.Vals[len(a.Vals)-1], a.End.Nanoseconds(),
-						b.Worker, b.Index, b.Vals[0], b.Start.Nanoseconds()))
-			}
-		}
-	}
-
 	// Reads are monotone per worker (a worker's reads are sequential, and
 	// the issued count never decreases) and bounded by the final count.
 	lastRead := make(map[int]int64)
@@ -659,13 +655,6 @@ func checkInvariants(res *Result, w *World) {
 					fmt.Sprintf("op budget exceeded at w%d/op%d: took %d ns, budget %d ns", op.Worker, op.Index, d.Nanoseconds(), budget.Nanoseconds()))
 			}
 		}
-	}
-
-	// Drain: after Close completes nothing may still be parked on the
-	// virtual clock — no orphaned in-flight op survives shutdown.
-	if n := w.Clk.Sleepers(); n != 0 {
-		res.Violations = append(res.Violations,
-			fmt.Sprintf("drain left %d goroutines parked on the simulated clock", n))
 	}
 }
 

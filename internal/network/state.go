@@ -224,6 +224,19 @@ func CheckStepSequence(counts []int64) error {
 	return nil
 }
 
+// SinkCountsOf recovers the per-output-wire exit counts from the values a
+// width-w counting network handed out: output wire j assigns j, j+w,
+// j+2w, ..., so value v left on wire v mod w. Values must be
+// non-negative. With CheckStepSequence this audits the step property of
+// a quiesced run from its values alone.
+func SinkCountsOf(values []int64, w int) []int64 {
+	counts := make([]int64, w)
+	for _, v := range values {
+		counts[v%int64(w)]++
+	}
+	return counts
+}
+
 // VerifyQuiescent checks, at a quiescent state, the paper's per-balancer
 // and network-level properties: conservation (safety + liveness fixed
 // point: tokens in == tokens out everywhere) and the step property at every

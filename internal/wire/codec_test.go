@@ -63,9 +63,9 @@ func TestCodecZeroAllocs(t *testing.T) {
 
 	tmpl := NewErrorTemplate(ErrBackpressure)
 	if n := testing.AllocsPerRun(100, func() {
-		buf = tmpl.AppendFrame(buf[:0], 7)
+		buf = tmpl.AppendFrameTraced(buf[:0], 7, 0)
 	}); n != 0 {
-		t.Errorf("ErrorTemplate.AppendFrame allocates %.1f/op", n)
+		t.Errorf("ErrorTemplate.AppendFrameTraced allocates %.1f/op", n)
 	}
 }
 
@@ -168,7 +168,7 @@ func TestErrorTemplate(t *testing.T) {
 	for _, sentinel := range []error{ErrBackpressure, fault.ErrTimeout, fault.ErrClosed, ErrBadWire} {
 		tmpl := NewErrorTemplate(sentinel)
 		for _, id := range []uint64{0, 1, 300, 1 << 40} {
-			got := tmpl.AppendFrame(nil, id)
+			got := tmpl.AppendFrameTraced(nil, id, 0)
 			want, err := EncodeFrame(&Frame{Type: TError, ID: id, Code: CodeOf(sentinel), Msg: sentinel.Error()})
 			if err != nil {
 				t.Fatal(err)
@@ -185,28 +185,6 @@ func TestErrorTemplate(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPools: pooled buffers and frames come back usable and reset.
-func TestPools(t *testing.T) {
-	b := GetBuf()
-	*b = append(*b, 1, 2, 3)
-	PutBuf(b)
-	if got := GetBuf(); len(*got) != 0 {
-		t.Fatalf("pooled buffer not reset: len %d", len(*got))
-	}
-	f := GetFrame()
-	f.Type = TRanges
-	f.Rs = append(f.Rs, Range{First: 1, Stride: 1, Count: 1})
-	f.Data = append(f.Data, 'x')
-	PutFrame(f)
-	g := GetFrame()
-	if g.Type != 0 || len(g.Rs) != 0 || len(g.Data) != 0 {
-		t.Fatalf("pooled frame not reset: %+v", g)
-	}
-	// Oversized buffers are dropped, not pooled.
-	huge := make([]byte, 0, maxPooledBuf+1)
-	PutBuf(&huge)
 }
 
 // TestReadFrameIntoOverSocket: the recycled-reader path works over a real

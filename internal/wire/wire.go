@@ -38,7 +38,7 @@
 // the paper's sequentially-consistent-versus-linearizable tradeoff.
 // The cluster opcodes (TGossip, TRange*, TLinForward) are spoken between
 // countd nodes on the cluster listener (internal/cluster); they reuse the
-// same framing, pools and CRC discipline as the client-facing protocol.
+// same framing and CRC discipline as the client-facing protocol.
 //
 // The trace extension (flag bit 1) is backward compatible by
 // construction: a frame with Frame.Trace == 0 encodes to exactly the
@@ -59,7 +59,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/network"
@@ -531,14 +530,9 @@ func NewErrorTemplate(err error) *ErrorTemplate {
 // Code returns the template's error code.
 func (t *ErrorTemplate) Code() ErrCode { return t.code }
 
-// AppendFrame appends the complete TError frame answering request id.
-func (t *ErrorTemplate) AppendFrame(dst []byte, id uint64) []byte {
-	return t.AppendFrameTraced(dst, id, 0)
-}
-
-// AppendFrameTraced is AppendFrame with the request's trace id echoed on
-// the reply (trace == 0 emits the untraced layout, byte-identical to
-// AppendFrame).
+// AppendFrameTraced appends the complete TError frame answering request
+// id, with the request's trace id echoed on the reply (trace == 0 emits
+// the untraced layout).
 func (t *ErrorTemplate) AppendFrameTraced(dst []byte, id, trace uint64) []byte {
 	psize := uvarintLen(id) + len(t.tail)
 	start := len(dst)
@@ -852,9 +846,8 @@ func getVarint(p []byte) (int64, []byte, error) {
 // a frame returns io.ErrUnexpectedEOF.
 func ReadFrame(br *bufio.Reader) (Frame, error) {
 	var f Frame
-	scratch := GetBuf()
-	err := ReadFrameInto(br, &f, scratch)
-	PutBuf(scratch)
+	var scratch []byte
+	err := ReadFrameInto(br, &f, &scratch)
 	return f, err
 }
 
@@ -928,45 +921,6 @@ func ReadFrameInto(br *bufio.Reader, f *Frame, scratch *[]byte) error {
 		return ErrBadFrame
 	}
 	return nil
-}
-
-// Scratch pooling: frame and byte buffers recycled across the serving hot
-// path, shared by server and client so encode/decode steady state stays at
-// zero allocations. PutBuf/PutFrame drop oversized buffers instead of
-// pinning a rare huge frame's memory in the pool forever.
-const (
-	maxPooledBuf    = 64 << 10
-	maxPooledRanges = 4096
-)
-
-var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 2048); return &b }}
-
-// GetBuf returns a pooled length-zero scratch buffer.
-func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-// PutBuf recycles a buffer obtained from GetBuf (or any buffer).
-func PutBuf(b *[]byte) {
-	if b == nil || cap(*b) > maxPooledBuf {
-		return
-	}
-	*b = (*b)[:0]
-	bufPool.Put(b)
-}
-
-var framePool = sync.Pool{New: func() any { return new(Frame) }}
-
-// GetFrame returns a pooled zeroed Frame whose Rs and Data retain capacity
-// from earlier use, ready for DecodeInto/ReadFrameInto.
-func GetFrame() *Frame { return framePool.Get().(*Frame) }
-
-// PutFrame recycles f. The caller must no longer hold references into
-// f.Rs or f.Data.
-func PutFrame(f *Frame) {
-	if f == nil || cap(f.Rs) > maxPooledRanges || cap(f.Data) > maxPooledBuf {
-		return
-	}
-	*f = Frame{Rs: f.Rs[:0], Data: f.Data[:0]}
-	framePool.Put(f)
 }
 
 func unexpected(err error) error {

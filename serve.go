@@ -1,16 +1,9 @@
 package countingnet
 
 import (
-	"context"
-	"fmt"
-	"sync"
-	"time"
-
-	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/flightrec"
 	"repro/internal/network"
-	"repro/internal/runtime"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -85,104 +78,3 @@ var (
 	// ReadFlightChrome parses a merged timeline back into its span events.
 	ReadFlightChrome = flightrec.ReadChrome
 )
-
-// NetDrillReport summarises one loopback service drill under injected
-// frame faults (RunNetDrill).
-type NetDrillReport struct {
-	Clients, OpsPerClient int
-	Completed             int   // increments that returned a value
-	Errors                int   // increments that gave up after retries
-	Issued                int64 // values the server handed out
-	Duplicates            int   // values observed more than once (must be 0)
-	Dropped               uint64
-	Duplicated            uint64
-	Delayed               uint64
-	Backpressure          uint64
-	Retburn               int64 // issued - completed: values burned by faults/retries
-}
-
-func (r NetDrillReport) String() string {
-	return fmt.Sprintf(
-		"net drill: %d clients x %d ops: completed %d, errors %d, issued %d (burned %d), duplicates %d; faults dropped %d dup %d delayed %d, backpressure %d",
-		r.Clients, r.OpsPerClient, r.Completed, r.Errors, r.Issued, r.Retburn,
-		r.Duplicates, r.Dropped, r.Duplicated, r.Delayed, r.Backpressure)
-}
-
-// Ok reports whether the guarantees that must survive frame faults held:
-// no observed value was ever handed to two callers, and the values the
-// server issued cover everything observed (gaps are allowed — each is a
-// dropped or duplicated frame's burned value — duplicates are not).
-func (r NetDrillReport) Ok() bool {
-	return r.Duplicates == 0 && int64(r.Completed) <= r.Issued
-}
-
-// RunNetDrill serves spec on loopback with plan's frame faults injected
-// at the transport seam, drives it with concurrent remote clients in SC
-// mode, and audits what the clients observed. It is the serving-layer
-// analogue of the chaos scenario catalogue: faults may burn values and
-// cost retries, but may never mint duplicate values.
-func RunNetDrill(spec *Network, plan *chaos.FaultPlan, clients, opsPerClient int) (NetDrillReport, error) {
-	rep := NetDrillReport{Clients: clients, OpsPerClient: opsPerClient}
-	rt := runtime.MustCompile(spec)
-	st := server.NewStats(0)
-	srv := server.New(rt, server.Options{Stats: st, Faults: plan.Frames()})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return rep, err
-	}
-	defer srv.Close()
-
-	var (
-		mu     sync.Mutex
-		values = make(map[int64]int, clients*opsPerClient)
-		errs   int
-		wg     sync.WaitGroup
-	)
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c, err := client.Dial(addr.String(), client.Options{
-				OpTimeout: 250 * time.Millisecond,
-				Retries:   10,
-			})
-			if err != nil {
-				mu.Lock()
-				errs += opsPerClient
-				mu.Unlock()
-				return
-			}
-			defer c.Close()
-			for i := 0; i < opsPerClient; i++ {
-				v, err := c.IncCtx(context.Background(), g)
-				mu.Lock()
-				if err != nil {
-					errs++
-				} else {
-					values[v]++
-				}
-				mu.Unlock()
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	for _, n := range values {
-		rep.Completed += n
-		if n > 1 {
-			rep.Duplicates += n - 1
-		}
-	}
-	rep.Errors = errs
-	rep.Issued = srv.Issued()
-	rep.Retburn = rep.Issued - int64(rep.Completed)
-	snap := st.Snapshot()
-	rep.Dropped = snap.FaultDropped
-	rep.Duplicated = snap.FaultDuplicated
-	rep.Delayed = snap.FaultDelayed
-	rep.Backpressure = snap.Backpressure
-	if !rep.Ok() {
-		return rep, fmt.Errorf("net drill violated a surviving guarantee: %s", rep)
-	}
-	return rep, nil
-}
