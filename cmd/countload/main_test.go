@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +97,15 @@ func TestLoadRun(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)
 		}
+	}
+	// 16 SC workers per client share one combiner, so the wire line must
+	// show fewer frames than ops.
+	m := regexp.MustCompile(`wire: .*, ([0-9.]+) frames/op\)`).FindStringSubmatch(got)
+	if m == nil {
+		t.Fatalf("report has no frames/op on its wire line:\n%s", got)
+	}
+	if f, err := strconv.ParseFloat(m[1], 64); err != nil || f >= 1 {
+		t.Errorf("SC run sent %s frames/op, want < 1:\n%s", m[1], got)
 	}
 }
 

@@ -22,10 +22,14 @@ type batchGroup struct {
 	// group. Claims past the seal (or past BatchLimit) are abandoned —
 	// the seal-time count minus the overshoot is the group's true size.
 	arrivals atomic.Int32
-	n        int     // final size, set once by the sealer
-	vals     []int64 // dealt values by arrival index, valid after done
-	err      error   // group-wide failure, valid after done
-	done     chan struct{}
+	// wire is the input wire the combined frame enters on: the wire of
+	// the caller that opened the group (whose mk installed it). An int32
+	// fills the padding after arrivals, so the group stays 80 bytes.
+	wire int32
+	n    int     // final size, set once by the sealer
+	vals []int64 // dealt values by arrival index, valid after done
+	err  error   // group-wide failure, valid after done
+	done chan struct{}
 
 	// trace, when nonzero, marks the group sampled: its combined frame
 	// carries the id and both sides record stage spans for it. born is
@@ -36,15 +40,18 @@ type batchGroup struct {
 
 const sealBit = int32(1) << 30
 
-// wireBatcher is one input wire's flat-combining point. Callers claim a
-// slot in the open group with two atomic adds — no lock on the per-op
-// path — and the caller that finds the wire idle elects itself flusher
-// with a CAS. The flusher issues one TIncBatch per group and, if callers
-// kept arriving, hands off to a continuation goroutine so its own latency
-// stays one round trip. At most one batch per wire is in flight at a
-// time; while it is out new callers accumulate, which is exactly what
-// builds big batches under load. Different wires flush concurrently.
-type wireBatcher struct {
+// batcher is one flat-combining point; a client has Options.Conns of
+// them, one per pooled connection, and callers on every wire that maps
+// to a batcher share it. Callers claim a slot in the open group with two
+// atomic adds — no lock on the per-op path — and the caller that finds
+// the batcher idle elects itself flusher with a CAS. The flusher issues
+// one TIncBatch per group, on the wire of the caller that opened it,
+// and, if callers kept arriving, hands off to a continuation goroutine
+// so its own latency stays one round trip. At most one batch per batcher
+// is in flight at a time; while it is out new callers accumulate, which
+// is exactly what builds big batches under load. Different batchers
+// flush concurrently.
+type batcher struct {
 	open     atomic.Pointer[batchGroup]
 	inflight atomic.Bool
 	nsealed  atomic.Int32 // len(sealed), readable without the lock
@@ -52,28 +59,24 @@ type wireBatcher struct {
 	sealed   []*batchGroup
 }
 
-// incBatched submits one SC increment through the per-wire combiner and
-// waits for its dealt-out value.
+// incBatched submits one SC increment on wire w through batcher
+// w % Conns and waits for its dealt-out value. Should w open the group,
+// the whole group enters on w.
 func (c *Client) incBatched(ctx context.Context, w int) (int64, error) {
-	if len(c.batchers) == 0 {
-		w = 0 // no shape learned; degenerate single batcher
-	} else {
-		w %= len(c.batchers)
-	}
-	b := &c.batchers[w]
-	g, idx := b.join(c.opt.BatchLimit, c.newGroup)
+	b := &c.batchers[w%len(c.batchers)]
+	g, idx := b.join(c.opt.BatchLimit, func() *batchGroup { return c.newGroup(w) })
 	if b.inflight.CompareAndSwap(false, true) {
 		b.settle()
-		c.flushOnce(w, b)
+		c.flushOnce(b)
 	}
 	return waitInc(ctx, g, idx)
 }
 
-// newGroup builds a fresh batch group and samples it: the group is the
-// unit that crosses the wire, so it is also the unit of tracing. With
-// sampling off this is one nil check beyond the old allocation.
-func (c *Client) newGroup() *batchGroup {
-	g := &batchGroup{done: make(chan struct{})}
+// newGroup builds a fresh batch group entering on wire w and samples it:
+// the group is the unit that crosses the wire, so it is also the unit of
+// tracing. With sampling off this is one nil check beyond the allocation.
+func (c *Client) newGroup(w int) *batchGroup {
+	g := &batchGroup{wire: int32(w), done: make(chan struct{})}
 	if id := c.sampler.Sample(); id != 0 {
 		g.trace = id
 		g.born = c.clk.Now().UnixNano()
@@ -81,10 +84,10 @@ func (c *Client) newGroup() *batchGroup {
 	return g
 }
 
-// join claims an arrival slot in the wire's open group, installing a
+// join claims an arrival slot in the batcher's open group, installing a
 // fresh group (built by mk) when none is open and retrying when a
 // concurrent sealer won the race for the slot.
-func (b *wireBatcher) join(limit int, mk func() *batchGroup) (*batchGroup, int) {
+func (b *batcher) join(limit int, mk func() *batchGroup) (*batchGroup, int) {
 	for {
 		g := b.open.Load()
 		if g == nil {
@@ -112,7 +115,7 @@ func (b *wireBatcher) join(limit int, mk func() *batchGroup) (*batchGroup, int) 
 }
 
 // seal freezes a detached group's membership and records its final size.
-func (b *wireBatcher) seal(g *batchGroup, limit int) {
+func (b *batcher) seal(g *batchGroup, limit int) {
 	count := int(g.arrivals.Add(sealBit) &^ sealBit)
 	if count > limit {
 		count = limit // overshooting claimers retried elsewhere
@@ -145,21 +148,21 @@ func waitInc(ctx context.Context, g *batchGroup, idx int) (int64, error) {
 	return g.vals[idx], nil
 }
 
-// flushOnce runs one combined flush for wire w — the lead caller's own
-// round trip. If callers queued up behind the batch, a continuation
-// goroutine keeps flushing until the wire goes idle again. The caller
-// must hold the inflight flag.
-func (c *Client) flushOnce(w int, b *wireBatcher) {
+// flushOnce runs one combined flush — the lead caller's own round trip.
+// If callers queued up behind the batch, a continuation goroutine keeps
+// flushing until the batcher goes idle again. The caller must hold the
+// inflight flag.
+func (c *Client) flushOnce(b *batcher) {
 	g := b.take(c.opt.BatchLimit)
 	if g == nil {
 		if b.release() {
-			go c.flushLoop(w, b)
+			go c.flushLoop(b)
 		}
 		return
 	}
-	c.sendGroup(w, g)
+	c.sendGroup(g)
 	if b.pending() || b.release() {
-		go c.flushLoop(w, b)
+		go c.flushLoop(b)
 	}
 }
 
@@ -167,15 +170,15 @@ func (c *Client) flushOnce(w int, b *wireBatcher) {
 // always makes open non-nil (or lands the group in the sealed list)
 // before the claimer tries to elect itself, so a flusher that checks
 // pending after giving up the flag cannot miss a caller.
-func (b *wireBatcher) pending() bool {
+func (b *batcher) pending() bool {
 	return b.open.Load() != nil || b.nsealed.Load() > 0
 }
 
-// flushLoop drains a busy wire: one batch per round trip until no caller
-// is waiting. Under sustained load this goroutine is the wire's standing
-// combiner; it exits the moment the wire goes idle. The goroutine owns
-// the inflight flag.
-func (c *Client) flushLoop(w int, b *wireBatcher) {
+// flushLoop drains a busy batcher: one batch per round trip until no
+// caller is waiting. Under sustained load this goroutine is the
+// batcher's standing combiner; it exits the moment the batcher goes
+// idle. The goroutine owns the inflight flag.
+func (c *Client) flushLoop(b *batcher) {
 	for {
 		b.settle()
 		g := b.take(c.opt.BatchLimit)
@@ -185,7 +188,7 @@ func (c *Client) flushLoop(w int, b *wireBatcher) {
 			}
 			continue // late arrival slipped in; stay the flusher
 		}
-		c.sendGroup(w, g)
+		c.sendGroup(g)
 	}
 }
 
@@ -194,7 +197,7 @@ func (c *Client) flushLoop(w int, b *wireBatcher) {
 // handover — the claimer that lost its CAS during that window would
 // otherwise wait on a group no one flushes. Reports whether the caller
 // is the flusher again.
-func (b *wireBatcher) release() bool {
+func (b *batcher) release() bool {
 	b.inflight.Store(false)
 	return b.pending() && b.inflight.CompareAndSwap(false, true)
 }
@@ -204,7 +207,7 @@ func (b *wireBatcher) release() bool {
 // the herd has re-enqueued would cut every batch to half the window
 // (half in flight, half waking — the classic double buffer). The loop is
 // bounded: it exits the first time a yield adds no caller.
-func (b *wireBatcher) settle() {
+func (b *batcher) settle() {
 	prev := int32(-1)
 	for {
 		var n int32
@@ -221,7 +224,7 @@ func (b *wireBatcher) settle() {
 
 // take removes the oldest waiting group, sealing the open one, or
 // returns nil when no caller is queued.
-func (b *wireBatcher) take(limit int) *batchGroup {
+func (b *batcher) take(limit int) *batchGroup {
 	var g *batchGroup
 	if b.nsealed.Load() > 0 {
 		b.mu.Lock()
@@ -247,15 +250,16 @@ func (b *wireBatcher) take(limit int) *batchGroup {
 	return g
 }
 
-// sendGroup issues one TIncBatch for the group (all on wire w) and deals
-// the returned values out by arrival index. Safe for per-process ordering
-// despite concurrent flushes on other wires: a caller's next increment is
-// only submitted after this one's value arrives, so its batch is issued
-// strictly later.
-func (c *Client) sendGroup(w int, g *batchGroup) {
+// sendGroup issues one TIncBatch for the group on its opener's wire and
+// deals the returned values out by arrival index. Safe for per-process
+// ordering despite concurrent flushes on other batchers: a caller's next
+// increment is only submitted after this one's value arrives, so its
+// batch is issued strictly later.
+func (c *Client) sendGroup(g *batchGroup) {
+	w := int64(g.wire)
 	req := wire.Frame{
 		Type:  wire.TIncBatch,
-		Wire:  int64(w),
+		Wire:  w,
 		K:     int64(g.n),
 		Mode:  wire.ModeSC,
 		Trace: g.trace,
@@ -266,13 +270,13 @@ func (c *Client) sendGroup(w int, g *batchGroup) {
 	var sendNS int64
 	if g.trace != 0 {
 		sendNS = c.clk.Now().UnixNano()
-		c.flight.RecordNS(g.trace, flightrec.StageClientCombine, 0, int64(w), g.born, sendNS)
+		c.flight.RecordNS(g.trace, flightrec.StageClientCombine, 0, w, g.born, sendNS)
 	}
 	f, err := c.request(context.Background(), req)
 	var doneNS int64
 	if g.trace != 0 {
 		doneNS = c.clk.Now().UnixNano()
-		c.flight.RecordNS(g.trace, flightrec.StageClientRPC, 0, int64(w), sendNS, doneNS)
+		c.flight.RecordNS(g.trace, flightrec.StageClientRPC, 0, w, sendNS, doneNS)
 	}
 	if err != nil {
 		g.err = err
@@ -289,7 +293,7 @@ func (c *Client) sendGroup(w int, g *batchGroup) {
 		g.err = wire.ErrBadFrame
 	}
 	if g.trace != 0 {
-		c.flight.RecordNS(g.trace, flightrec.StageClientComplete, 0, int64(w), doneNS, c.clk.Now().UnixNano())
+		c.flight.RecordNS(g.trace, flightrec.StageClientComplete, 0, w, doneNS, c.clk.Now().UnixNano())
 	}
 	close(g.done)
 }

@@ -12,13 +12,18 @@
 // # Re-batching
 //
 // Concurrent SC Inc calls do not each cross the network. They meet at a
-// per-wire flat-combining point: the caller that finds its wire idle
+// flat-combining point, one per pooled connection (Options.Conns), which
+// callers on every input wire share: the caller that finds it idle
 // becomes the flusher, folds everyone queued behind it into one TIncBatch
 // frame, and deals the returned value ranges back out in arrival order.
-// Against a coalescing server this compounds: many callers → few frames →
-// fewer sweeps. LIN increments never re-batch — each one pays its own
-// frame and its own pass through the server's linearizing section, which
-// is the point.
+// The frame enters on the wire of the caller that opened the group; the
+// counting and step properties do not depend on which wires tokens enter
+// on, and a caller's next increment waits for this one's value, so
+// per-process order survives. Against a coalescing server this
+// compounds: many callers → few frames → fewer sweeps. LIN increments
+// and IncBatchCtx never re-batch and always enter on the caller's wire —
+// a LIN increment pays its own frame and its own pass through the
+// server's linearizing section, which is the point.
 //
 // # Group commit
 //
@@ -151,7 +156,7 @@ type Client struct {
 	pool   []*cconn // slots; nil or dead entries are re-dialed lazily
 	closed bool
 
-	batchers []wireBatcher // per-wire SC flat-combining points
+	batchers []batcher // SC flat-combining points, one per pooled connection
 	done     chan struct{}
 
 	// The node advertisement learned from an extended handshake (cluster
@@ -182,6 +187,7 @@ func Dial(addr string, opt Options) (*Client, error) {
 		c.sampler = flightrec.NewSampler(c.opt.TraceSample, c.opt.TraceActor)
 	}
 	c.pool = make([]*cconn, c.opt.Conns)
+	c.batchers = make([]batcher, c.opt.Conns)
 	// The handshake is bounded by DialTimeout and retried like any other
 	// request: on a faulty transport the THello or its TShape answer can
 	// be dropped, and an unbounded wait would hang Dial forever. A
@@ -219,11 +225,6 @@ func Dial(addr string, opt Options) (*Client, error) {
 	if last != nil {
 		return nil, fmt.Errorf("client: handshake: %w", last)
 	}
-	width := c.shape.Width
-	if width <= 0 {
-		width = 1
-	}
-	c.batchers = make([]wireBatcher, width)
 	return c, nil
 }
 

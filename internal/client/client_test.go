@@ -137,12 +137,18 @@ func TestLINOverClient(t *testing.T) {
 // re-batching mailbox.
 type slowBackend struct {
 	delay time.Duration
+	width int // input wires served (0: 4)
 	mu    sync.Mutex
 	next  int64
+	wires []int // entry wire of every IncBatch, in order
 }
 
 func (b *slowBackend) Shape() network.Shape {
-	return network.Shape{Width: 4, Sinks: 4, Balancers: 4, Depth: 2}
+	w := b.width
+	if w == 0 {
+		w = 4
+	}
+	return network.Shape{Width: w, Sinks: w, Balancers: w, Depth: 2}
 }
 
 func (b *slowBackend) Inc(w int) int64 { return b.IncBatch(w, 1)[0].First }
@@ -153,6 +159,7 @@ func (b *slowBackend) IncBatch(w, k int) []runtime.Range {
 	defer b.mu.Unlock()
 	first := b.next
 	b.next += int64(k)
+	b.wires = append(b.wires, w)
 	return []runtime.Range{{First: first, Stride: 1, Count: int64(k)}}
 }
 
@@ -170,6 +177,19 @@ func TestRebatching(t *testing.T) {
 	c := dialC(t, addr.String(), Options{})
 
 	const callers, per = 64, 4
+	driveIncs(t, c, callers, per, func(i int) int { return i })
+	// The handshake is 1 frame; without re-batching the incs alone would
+	// be 256 more. The 20ms sweeps mean almost everything coalesces.
+	if in := st.Snapshot().FramesIn; in >= callers*per/2 {
+		t.Fatalf("re-batching ineffective: %d request frames for %d incs", in, callers*per)
+	}
+}
+
+// driveIncs runs callers goroutines of per sequential SC incs each, caller
+// i on wire wireOf(i), and checks that the values dealt are exactly
+// 0..callers*per-1, each once (the slow backend hands out a dense range).
+func driveIncs(t *testing.T, c *Client, callers, per int, wireOf func(i int) int) {
+	t.Helper()
 	var wg sync.WaitGroup
 	values := make(chan int64, callers*per)
 	for i := 0; i < callers; i++ {
@@ -177,7 +197,7 @@ func TestRebatching(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				v, err := c.IncCtx(context.Background(), i)
+				v, err := c.IncCtx(context.Background(), wireOf(i))
 				if err != nil {
 					t.Error(err)
 					return
@@ -194,31 +214,101 @@ func TestRebatching(t *testing.T) {
 		if seen[v] {
 			t.Fatalf("value %d dealt twice", v)
 		}
+		if v < 0 || v >= int64(callers*per) {
+			t.Fatalf("value %d outside [0,%d)", v, callers*per)
+		}
 		seen[v] = true
 	}
 	if len(seen) != callers*per {
 		t.Fatalf("completed %d/%d incs", len(seen), callers*per)
 	}
-	// The handshake is 1 frame; without re-batching the incs alone would
-	// be 256 more. The 20ms sweeps mean almost everything coalesces.
-	if in := st.Snapshot().FramesIn; in >= callers*per/2 {
-		t.Fatalf("re-batching ineffective: %d request frames for %d incs", in, callers*per)
-	}
+}
+
+// TestRebatchingAcrossWires: callers on different input wires share their
+// connection's combining point, so a round of increments costs one frame
+// per connection, not one per wire.
+func TestRebatchingAcrossWires(t *testing.T) {
+	t.Run("frames", func(t *testing.T) {
+		// 64 callers on 16 wires, 4 sequential incs each, one connection.
+		// With one combiner per wire, each wire needs its own frame for
+		// each of its callers' 4 rounds: at least 16×4 = 64 frames (the
+		// per-wire client measured 64–66 at -cpu 1,2,8, 65–88 under
+		// -race). One combiner per connection folds every wire into each
+		// round: measured 4–8, with or without -race.
+		st := server.NewStats(0)
+		s := server.New(&slowBackend{delay: 20 * time.Millisecond, width: 16}, server.Options{Stats: st})
+		addr, err := s.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		c := dialC(t, addr.String(), Options{Conns: 1})
+
+		const callers, per, wires = 64, 4, 16
+		driveIncs(t, c, callers, per, func(i int) int { return i % wires })
+		in := st.Snapshot().FramesIn - 1 // minus the handshake
+		t.Logf("%d inc frames for %d incs on %d wires", in, callers*per, wires)
+		if in >= wires*per/2 {
+			t.Fatalf("combining stops at the wire: %d inc frames for %d incs on %d wires", in, callers*per, wires)
+		}
+	})
+
+	t.Run("opener-wire", func(t *testing.T) {
+		// Two joiners on different wires land in one group, and the group
+		// crosses as one TIncBatch on the wire of the one that opened it.
+		be := &slowBackend{width: 16}
+		s := server.New(be, server.Options{})
+		addr, err := s.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		c := dialC(t, addr.String(), Options{})
+
+		b := &c.batchers[0]
+		joinOn := func(w int) (*batchGroup, int) {
+			return b.join(c.opt.BatchLimit, func() *batchGroup { return c.newGroup(w) })
+		}
+		g1, i1 := joinOn(3)
+		g2, i2 := joinOn(5)
+		if g1 != g2 || i1 != 0 || i2 != 1 {
+			t.Fatalf("joiners on wires 3 and 5 did not share a group: (%p,%d) (%p,%d)", g1, i1, g2, i2)
+		}
+		g := b.take(c.opt.BatchLimit)
+		if g != g1 || g.n != 2 || g.wire != 3 {
+			t.Fatalf("took group n=%d wire=%d, want the opened group, n=2 wire=3", g.n, g.wire)
+		}
+		c.sendGroup(g)
+		v1, err1 := waitInc(context.Background(), g, i1)
+		v2, err2 := waitInc(context.Background(), g, i2)
+		if err1 != nil || err2 != nil || v1 == v2 {
+			t.Fatalf("dealt %d (%v) and %d (%v), want two distinct values", v1, err1, v2, err2)
+		}
+		be.mu.Lock()
+		defer be.mu.Unlock()
+		if len(be.wires) != 1 || be.wires[0] != 3 {
+			t.Fatalf("server traversed on wires %v, want one batch on wire 3", be.wires)
+		}
+	})
 }
 
 // TestRetryOnBackpressure: shed requests retry with backoff and
 // eventually land, invisibly to the caller.
 func TestRetryOnBackpressure(t *testing.T) {
 	st := server.NewStats(0)
-	s := server.New(&slowBackend{delay: 10 * time.Millisecond}, server.Options{Mailbox: 1, Stats: st})
+	s := server.New(&slowBackend{delay: 10 * time.Millisecond}, server.Options{Mailbox: 1, Shards: 1, Stats: st})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// BatchLimit 1 defeats the client-side combiner so every Inc is its
-	// own frame and the single-slot server mailbox actually sheds.
-	c := dialC(t, addr.String(), Options{BatchLimit: 1, Retries: 20})
+	// One shard keeps the single mailbox slot shared by every wire,
+	// whatever GOMAXPROCS is. BatchLimit 1 defeats the client-side
+	// combiner so every Inc is its own frame, and Conns 4 gives four
+	// combining points, so four frames are in flight at once and the slot
+	// actually overfills. (With one connection the lone combining point
+	// would send one frame at a time and never shed.)
+	c := dialC(t, addr.String(), Options{BatchLimit: 1, Conns: 4, Retries: 20})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)

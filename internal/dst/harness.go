@@ -171,7 +171,7 @@ func RunScenario(sc Scenario, opts RunOptions) (*Result, error) {
 	go srv.Serve(ln)
 
 	// Workers: one client per worker — client-internal state (request ids,
-	// the per-wire combiner, the backoff rng) then only ever sees one
+	// the SC combiner, the backoff rng) then only ever sees one
 	// goroutine, so its behaviour is a pure function of simulated time.
 	recs := make([][]OpRecord, sc.Workers)
 	var remaining atomic.Int64
