@@ -2,9 +2,10 @@
 // protocol — the daemon form of the repository. It compiles a network,
 // wraps it in the coalescing server (internal/server), and listens on
 // TCP for framed Inc/IncBatch/Read/Snapshot requests, each carrying its
-// own SC|LIN consistency mode. Concurrent SC increments from different
-// connections are folded into single IncBatch FAA sweeps; LIN increments
-// serialize through the network one traversal at a time.
+// own SC|LIN consistency mode. Concurrent increments from different
+// connections are folded into single IncBatch FAA sweeps, run one at a
+// time by the server's one sweeper, so every sweep's values lie above
+// the previous sweep's and LIN is served by the same sweeps as SC.
 //
 // Endpoints:
 //
@@ -81,10 +82,9 @@ type options struct {
 	listen   string        // TCP service address
 	udp      string        // UDP datagram address ("" disables)
 	telem    string        // telemetry HTTP address ("" disables)
-	mode     string        // default consistency: sc (coalesce) or lin (serialize all)
-	mailbox  int           // SC mailbox depth (0: server default)
-	shards   int           // combining shards (0: server default)
-	batch    int           // combiner batch limit (0: server default)
+	mode     string        // default consistency: sc or lin (serve every increment as LIN)
+	mailbox  int           // request mailbox depth (0: server default)
+	batch    int           // sweep batch limit (0: server default)
 	opTime   time.Duration // per-request mailbox deadline (0: none)
 	flushDur time.Duration // writer flush deadline (0: default, <0: flush eagerly)
 	flushBy  int           // writer flush byte threshold (0: default)
@@ -115,10 +115,9 @@ func main() {
 	flag.BoolVar(&o.udpPort, "udp-portable", false, "force the portable single-datagram UDP read loop (benchmarking baseline)")
 	flag.BoolVar(&o.udpGSO, "udp-gso", true, "UDP GSO/GRO segmentation offload on the -udp endpoint; falls back to the plain batched path when the kernel lacks UDP_SEGMENT/UDP_GRO")
 	flag.StringVar(&o.telem, "telemetry", "", "HTTP telemetry address (empty: off)")
-	flag.StringVar(&o.mode, "mode", "sc", "default consistency: sc coalesces, lin serializes every increment")
-	flag.IntVar(&o.mailbox, "mailbox", 0, "SC request mailbox depth (0: default)")
-	flag.IntVar(&o.shards, "shards", 0, "combining shards, one combiner per wire range (0: default)")
-	flag.IntVar(&o.batch, "batch", 0, "combiner batch limit (0: default)")
+	flag.StringVar(&o.mode, "mode", "sc", "default consistency: sc, or lin to serve every increment as LIN (forwarded to the leader in a cluster)")
+	flag.IntVar(&o.mailbox, "mailbox", 0, "request mailbox depth (0: default)")
+	flag.IntVar(&o.batch, "batch", 0, "sweep batch limit (0: default)")
 	flag.DurationVar(&o.opTime, "optimeout", 0, "fail requests queued longer than this (0: never)")
 	flag.DurationVar(&o.flushDur, "flush-delay", 0, "writer flush deadline for pipelined responses (0: default 200µs, negative: flush eagerly)")
 	flag.IntVar(&o.flushBy, "flush-bytes", 0, "writer flush byte threshold (0: default 16KiB)")
@@ -164,7 +163,7 @@ func main() {
 // runSim executes one deterministic whole-system simulation seed with
 // this daemon's flag-derived configuration — the same network spec,
 // consistency mode and server tuning (-net, -w, -mode, -mailbox,
-// -shards, -optimeout) the serving path would use, but on the virtual
+// -optimeout) the serving path would use, but on the virtual
 // clock and in-memory transport, with a seed-generated workload and
 // fault schedule. The invariant audit that countsim applies to sweeps
 // runs on this single seed; a violation is a daemon bug.
@@ -183,7 +182,7 @@ func runSim(o options, out io.Writer) error {
 	}
 	// Scenario width is the compiled network's fan-in, not -w: a tree of
 	// any -w has a single input wire.
-	ov := dst.Overrides{Width: ctr.Width(), Mailbox: o.mailbox, Shards: o.shards, SrvOpTimeout: o.opTime}
+	ov := dst.Overrides{Width: ctr.Width(), Mailbox: o.mailbox, SrvOpTimeout: o.opTime}
 	if mode == countingnet.ModeLIN {
 		ov.Mode = "lin"
 	}
@@ -297,7 +296,6 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	stats := countingnet.NewServerStats(0)
 	sopt := countingnet.ServerOptions{
 		Mailbox:     o.mailbox,
-		Shards:      o.shards,
 		BatchLimit:  o.batch,
 		OpTimeout:   o.opTime,
 		Flush:       countingnet.ServerFlushPolicy{MaxDelay: o.flushDur, MaxBytes: o.flushBy},

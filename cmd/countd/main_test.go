@@ -271,8 +271,8 @@ func TestDaemonUDPPortableLoop(t *testing.T) {
 	}
 }
 
-// TestDaemonForceLIN checks -mode lin serializes even SC-requested
-// increments: the drain report must count them as LIN ops.
+// TestDaemonForceLIN checks -mode lin serves even SC-requested
+// increments as LIN: the drain report must count them as LIN ops.
 func TestDaemonForceLIN(t *testing.T) {
 	out, addr, cancel, done := startDaemon(t, options{
 		kind: "bitonic", width: 4, listen: "127.0.0.1:0", mode: "lin",

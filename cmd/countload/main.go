@@ -265,8 +265,8 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	fmt.Fprintf(out, "  latency p50 %v p95 %v p99 %v max %v\n",
 		res.Lat.P50, res.Lat.P95, res.Lat.P99, res.Lat.Max)
 	if w := res.Wire; w.Writes > 0 && res.Ops > 0 {
-		// frames/op is the client's combining factor: 1 for LIN, far below
-		// for SC.
+		// frames/op is the client's combining factor: far below 1 under
+		// concurrent load, in either mode.
 		fmt.Fprintf(out, "  wire: %d frames in %d writes (%.1f frames/write, %.3f frames/op), retries %d, refusals %d\n",
 			w.Frames, w.Writes, float64(w.Frames)/float64(w.Writes), float64(w.Frames)/float64(res.Ops), w.Retries, w.Refusals)
 	}

@@ -83,29 +83,33 @@ func TestLoadUDPRejectsLIN(t *testing.T) {
 }
 
 func TestLoadRun(t *testing.T) {
-	addr := startService(t, 8)
-	var out strings.Builder
-	err := run(context.Background(), options{
-		addr: addr, clients: 4, window: 16, mode: "sc",
-		duration: 300 * time.Millisecond,
-	}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	got := out.String()
-	for _, want := range []string{"ops ", "ops/s", "duplicates 0", "latency p50"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("report missing %q:\n%s", want, got)
-		}
-	}
-	// 16 SC workers per client share one combiner, so the wire line must
-	// show fewer frames than ops.
-	m := regexp.MustCompile(`wire: .*, ([0-9.]+) frames/op\)`).FindStringSubmatch(got)
-	if m == nil {
-		t.Fatalf("report has no frames/op on its wire line:\n%s", got)
-	}
-	if f, err := strconv.ParseFloat(m[1], 64); err != nil || f >= 1 {
-		t.Errorf("SC run sent %s frames/op, want < 1:\n%s", m[1], got)
+	for _, mode := range []string{"sc", "lin"} {
+		t.Run(mode, func(t *testing.T) {
+			addr := startService(t, 8)
+			var out strings.Builder
+			err := run(context.Background(), options{
+				addr: addr, clients: 4, window: 16, mode: mode,
+				duration: 300 * time.Millisecond,
+			}, &out)
+			if err != nil {
+				t.Fatalf("run: %v\n%s", err, out.String())
+			}
+			got := out.String()
+			for _, want := range []string{"ops ", "ops/s", "duplicates 0", "latency p50"} {
+				if !strings.Contains(got, want) {
+					t.Errorf("report missing %q:\n%s", want, got)
+				}
+			}
+			// 16 workers per client share one combiner per mode, so the
+			// wire line must show fewer frames than ops.
+			m := regexp.MustCompile(`wire: .*, ([0-9.]+) frames/op\)`).FindStringSubmatch(got)
+			if m == nil {
+				t.Fatalf("report has no frames/op on its wire line:\n%s", got)
+			}
+			if f, err := strconv.ParseFloat(m[1], 64); err != nil || f >= 1 {
+				t.Errorf("%s run sent %s frames/op, want < 1:\n%s", mode, m[1], got)
+			}
+		})
 	}
 }
 

@@ -1,23 +1,25 @@
-// Command netcounter is the serving-layer demonstration of the paper's
-// central tradeoff, measured across a real socket: the same counting
-// network, served by the same daemon, behaves sequentially consistent
-// when increments may coalesce and linearizable when they serialize —
-// and the difference is visible in what remote clients observe.
+// Command netcounter is the serving-layer view of the paper's central
+// tradeoff on one node, measured across a real socket: the price of
+// linearizability is waiting (§1.1, after HSW96), and a server with one
+// sweeper already waits — it runs one traversal at a time, so every
+// sweep's values lie above the previous sweep's.
 //
 // It starts an in-process server for B(8) on loopback, connects two
 // remote clients, and runs the same workload twice:
 //
-//   - SC phase: increments carry ModeSC, so the server folds concurrent
-//     requests from both connections into shared IncBatch sweeps. The
-//     streaming consistency monitor typically flags a fraction of ops as
-//     non-linearizable (a value handed out "late" relative to real time)
-//     — allowed by sequential consistency, cheap, and exactly the
-//     behavior Theorem 5.11 prices.
+//   - SC phase: increments carry ModeSC; both clients combine them into
+//     TIncBatch frames and the server folds frames from both connections
+//     into shared IncBatch sweeps. Sequential consistency would allow a
+//     value handed out "late" relative to real time; one sweeper never
+//     does it, so the streaming monitor reads F_nl = 0 here too.
 //
-//   - LIN phase: increments carry ModeLIN, so the server runs each
-//     traversal alone. The monitor must report F_nl = 0 — the program
-//     exits non-zero if it does not, making this example a checked claim
-//     rather than a printout.
+//   - LIN phase: increments carry ModeLIN and ride the same combining
+//     and the same sweeps. The monitor must report F_nl = 0 — the
+//     program exits non-zero if it does not, making this example a
+//     checked claim rather than a printout.
+//
+// The gap the paper prices opens where traversals cannot be made
+// sequential: across the nodes of a cluster (countd -cluster-listen).
 //
 // Both phases audit uniqueness: no value may ever be handed to two
 // callers, whatever the mode.
@@ -72,21 +74,21 @@ func demo() error {
 	if err != nil {
 		return fmt.Errorf("SC phase: %w", err)
 	}
-	fmt.Printf("SC  mode: %4d ops   F_nl = %.4f   F_nsc = %.4f   (coalesced sweeps; reordering against real time is allowed)\n",
+	fmt.Printf("SC  mode: %4d ops   F_nl = %.4f   F_nsc = %.4f   (combined sweeps; reordering against real time is allowed)\n",
 		scFrac.Total, scFrac.NonLinFraction(), scFrac.NonSCFraction())
 
 	linFrac, err := phase(addr.String(), countingnet.ModeLIN)
 	if err != nil {
 		return fmt.Errorf("LIN phase: %w", err)
 	}
-	fmt.Printf("LIN mode: %4d ops   F_nl = %.4f   F_nsc = %.4f   (serialized traversals; real-time order is paid for)\n",
+	fmt.Printf("LIN mode: %4d ops   F_nl = %.4f   F_nsc = %.4f   (the same sweeps; real-time order is the sweeper's wait)\n",
 		linFrac.Total, linFrac.NonLinFraction(), linFrac.NonSCFraction())
 
 	snap := stats.Snapshot()
-	fmt.Printf("\nserver: %d SC tokens arrived in %d request frames (client re-batching %.1fx),\n",
-		snap.SweepTokens, snap.SCOps, float64(snap.SweepTokens)/float64(max64(snap.SCOps, 1)))
-	fmt.Printf("        served in %d combiner sweeps; %d LIN ops serialized one traversal at a time\n",
-		snap.Sweeps, snap.LINOps)
+	frames := snap.SCOps + snap.LINOps
+	fmt.Printf("\nserver: %d tokens arrived in %d request frames (%d SC, %d LIN; client re-batching %.1fx),\n",
+		snap.SweepTokens, frames, snap.SCOps, snap.LINOps, float64(snap.SweepTokens)/float64(max64(frames, 1)))
+	fmt.Printf("        served in %d sweeps\n", snap.Sweeps)
 
 	// The checked claim: linearizable service means zero non-linearizable
 	// observations, full stop.

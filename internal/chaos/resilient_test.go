@@ -3,10 +3,12 @@ package chaos
 import (
 	"context"
 	"errors"
+	stdruntime "runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fault"
 	"repro/internal/runtime"
 )
@@ -130,8 +132,13 @@ func TestClosedPrimaryFailsOverImmediately(t *testing.T) {
 }
 
 // TestCallerDeadlineWins: the caller's own expired context surfaces as
-// ErrTimeout instead of being retried away.
+// ErrTimeout instead of being retried away. On the simulated clock the
+// race is exact: backoffs are jittered into [0.5ms, 1ms], so the fourth
+// attempt — the one that would find the primary closed and fail over —
+// cannot start before 1.5ms, and the caller's deadline at 1.25ms always
+// fires first, while the counter waits out a backoff or runs an attempt.
 func TestCallerDeadlineWins(t *testing.T) {
+	clk := clock.NewSim()
 	p := &scriptedPrimary{script: []func() (int64, error){timeout(), timeout(), timeout()}}
 	rc := NewResilientCounter(p, new(runtime.AtomicCounter), ResilientOptions{
 		Timeout:     time.Millisecond,
@@ -139,12 +146,36 @@ func TestCallerDeadlineWins(t *testing.T) {
 		FailAfter:   100,
 		BackoffBase: time.Millisecond,
 		BackoffCap:  time.Millisecond,
+		Clock:       clk,
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+	const deadline = 1250 * time.Microsecond
+	ctx, cancel := clk.WithTimeout(context.Background(), deadline)
 	defer cancel()
-	_, err := rc.IncCtx(ctx, 0)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := rc.IncCtx(ctx, 0)
+		errc <- err
+	}()
+	// Fire virtual timers in deadline order up to the caller's deadline,
+	// which is armed before the call starts, so no backoff past it fires
+	// first; past it the call must return without more time passing.
+	var err error
+	for done := false; !done; {
+		select {
+		case err = <-errc:
+			done = true
+		default:
+			if clk.Since(clock.SimEpoch) < deadline {
+				clk.FireNext()
+			}
+			stdruntime.Gosched()
+		}
+	}
 	if !errors.Is(err, fault.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	if got := clk.Since(clock.SimEpoch); got != deadline {
+		t.Errorf("returned at %v of simulated time, want the caller's deadline %v", got, deadline)
 	}
 	if rc.FailedOver() {
 		t.Error("caller deadline should not by itself retire the primary")

@@ -11,10 +11,11 @@ import (
 	"repro/internal/wire"
 )
 
-// batchGroup is one set of SC increments that crosses the wire as a
-// single TIncBatch. Callers claim arrival slots lock-free; results come
-// back by arrival index; done is closed once vals/err are final, waking
-// every waiter with one operation instead of one channel send per caller.
+// batchGroup is one set of increments of one mode that crosses the wire
+// as a single TIncBatch. Callers claim arrival slots lock-free; results
+// come back by arrival index; done is closed once vals/err are final,
+// waking every waiter with one operation instead of one channel send per
+// caller.
 type batchGroup struct {
 	// arrivals packs the claim counter with sealBit. A caller joins by
 	// adding 1; the claimer that detaches the group from the batcher seals
@@ -23,12 +24,13 @@ type batchGroup struct {
 	// the seal-time count minus the overshoot is the group's true size.
 	arrivals atomic.Int32
 	// wire is the input wire the combined frame enters on: the wire of
-	// the caller that opened the group (whose mk installed it). An int32
-	// fills the padding after arrivals, so the group stays 80 bytes.
+	// the caller that opened the group (whose mk installed it). wire, n
+	// and mode share the word after arrivals, so the group stays 80 bytes.
 	wire int32
-	n    int     // final size, set once by the sealer
-	vals []int64 // dealt values by arrival index, valid after done
-	err  error   // group-wide failure, valid after done
+	n    int32     // final size, set once by the sealer
+	mode wire.Mode // every member's mode, sent in the frame
+	vals []int64   // dealt values by arrival index, valid after done
+	err  error     // group-wide failure, valid after done
 	done chan struct{}
 
 	// trace, when nonzero, marks the group sampled: its combined frame
@@ -41,16 +43,18 @@ type batchGroup struct {
 const sealBit = int32(1) << 30
 
 // batcher is one flat-combining point; a client has Options.Conns of
-// them, one per pooled connection, and callers on every wire that maps
-// to a batcher share it. Callers claim a slot in the open group with two
-// atomic adds — no lock on the per-op path — and the caller that finds
-// the batcher idle elects itself flusher with a CAS. The flusher issues
-// one TIncBatch per group, on the wire of the caller that opened it,
-// and, if callers kept arriving, hands off to a continuation goroutine
-// so its own latency stays one round trip. At most one batch per batcher
-// is in flight at a time; while it is out new callers accumulate, which
-// is exactly what builds big batches under load. Different batchers
-// flush concurrently.
+// them per mode, one per pooled connection, and callers on every wire
+// that maps to a batcher share it. SC and LIN never share a batcher, so
+// never a frame: in a cluster the LIN frame is forwarded to the leader
+// while SC is minted where it lands. Callers claim a slot in the open
+// group with two atomic adds — no lock on the per-op path — and the
+// caller that finds the batcher idle elects itself flusher with a CAS.
+// The flusher issues one TIncBatch per group, on the wire of the caller
+// that opened it, and, if callers kept arriving, hands off to a
+// continuation goroutine so its own latency stays one round trip. At
+// most one batch per batcher is in flight at a time; while it is out new
+// callers accumulate, which is exactly what builds big batches under
+// load. Different batchers flush concurrently.
 type batcher struct {
 	open     atomic.Pointer[batchGroup]
 	inflight atomic.Bool
@@ -59,12 +63,16 @@ type batcher struct {
 	sealed   []*batchGroup
 }
 
-// incBatched submits one SC increment on wire w through batcher
+// incBatched submits one increment on wire w through its mode's batcher
 // w % Conns and waits for its dealt-out value. Should w open the group,
-// the whole group enters on w.
-func (c *Client) incBatched(ctx context.Context, w int) (int64, error) {
-	b := &c.batchers[w%len(c.batchers)]
-	g, idx := b.join(c.opt.BatchLimit, func() *batchGroup { return c.newGroup(w) })
+// the whole group enters on w. Any mode but SC is LIN.
+func (c *Client) incBatched(ctx context.Context, w int, mode wire.Mode) (int64, error) {
+	i := w % c.opt.Conns
+	if mode != wire.ModeSC {
+		mode, i = wire.ModeLIN, i+c.opt.Conns
+	}
+	b := &c.batchers[i]
+	g, idx := b.join(c.opt.BatchLimit, func() *batchGroup { return c.newGroup(w, mode) })
 	if b.inflight.CompareAndSwap(false, true) {
 		b.settle()
 		c.flushOnce(b)
@@ -72,11 +80,12 @@ func (c *Client) incBatched(ctx context.Context, w int) (int64, error) {
 	return waitInc(ctx, g, idx)
 }
 
-// newGroup builds a fresh batch group entering on wire w and samples it:
-// the group is the unit that crosses the wire, so it is also the unit of
-// tracing. With sampling off this is one nil check beyond the allocation.
-func (c *Client) newGroup(w int) *batchGroup {
-	g := &batchGroup{wire: int32(w), done: make(chan struct{})}
+// newGroup builds a fresh batch group of one mode entering on wire w and
+// samples it: the group is the unit that crosses the wire, so it is also
+// the unit of tracing. With sampling off this is one nil check beyond the
+// allocation.
+func (c *Client) newGroup(w int, mode wire.Mode) *batchGroup {
+	g := &batchGroup{wire: int32(w), mode: mode, done: make(chan struct{})}
 	if id := c.sampler.Sample(); id != 0 {
 		g.trace = id
 		g.born = c.clk.Now().UnixNano()
@@ -120,7 +129,7 @@ func (b *batcher) seal(g *batchGroup, limit int) {
 	if count > limit {
 		count = limit // overshooting claimers retried elsewhere
 	}
-	g.n = count
+	g.n = int32(count)
 }
 
 // waitInc blocks until the flusher closes the group. Delivery is
@@ -254,14 +263,19 @@ func (b *batcher) take(limit int) *batchGroup {
 // deals the returned values out by arrival index. Safe for per-process
 // ordering despite concurrent flushes on other batchers: a caller's next
 // increment is only submitted after this one's value arrives, so its
-// batch is issued strictly later.
+// batch is issued strictly later. The same argument makes a combined LIN
+// frame linearizable: every member was invoked before the frame was sent
+// and answers after its reply, so the members overlap and any order
+// among them is legal, while an op invoked after that reply can only
+// join a later frame, which the server sweeps after this one.
 func (c *Client) sendGroup(g *batchGroup) {
 	w := int64(g.wire)
+	m := uint8(g.mode)
 	req := wire.Frame{
 		Type:  wire.TIncBatch,
 		Wire:  w,
 		K:     int64(g.n),
-		Mode:  wire.ModeSC,
+		Mode:  g.mode,
 		Trace: g.trace,
 	}
 	// Traced groups record their three client stages: combine (birth →
@@ -270,30 +284,31 @@ func (c *Client) sendGroup(g *batchGroup) {
 	var sendNS int64
 	if g.trace != 0 {
 		sendNS = c.clk.Now().UnixNano()
-		c.flight.RecordNS(g.trace, flightrec.StageClientCombine, 0, w, g.born, sendNS)
+		c.flight.RecordNS(g.trace, flightrec.StageClientCombine, m, w, g.born, sendNS)
 	}
 	f, err := c.request(context.Background(), req)
 	var doneNS int64
 	if g.trace != 0 {
 		doneNS = c.clk.Now().UnixNano()
-		c.flight.RecordNS(g.trace, flightrec.StageClientRPC, 0, w, sendNS, doneNS)
+		c.flight.RecordNS(g.trace, flightrec.StageClientRPC, m, w, sendNS, doneNS)
 	}
 	if err != nil {
 		g.err = err
 		close(g.done)
 		return
 	}
-	g.vals = make([]int64, 0, g.n)
+	n := int(g.n)
+	g.vals = make([]int64, 0, n)
 	for _, r := range f.Rs {
-		for off := int64(0); off < r.Count && len(g.vals) < g.n; off++ {
+		for off := int64(0); off < r.Count && len(g.vals) < n; off++ {
 			g.vals = append(g.vals, r.First+off*r.Stride)
 		}
 	}
-	if len(g.vals) < g.n {
+	if len(g.vals) < n {
 		g.err = wire.ErrBadFrame
 	}
 	if g.trace != 0 {
-		c.flight.RecordNS(g.trace, flightrec.StageClientComplete, 0, w, doneNS, c.clk.Now().UnixNano())
+		c.flight.RecordNS(g.trace, flightrec.StageClientComplete, m, w, doneNS, c.clk.Now().UnixNano())
 	}
 	close(g.done)
 }

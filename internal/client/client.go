@@ -1,6 +1,6 @@
 // Package client is the Go client for the networked counting service: a
 // connection pool speaking the internal/wire protocol with pipelined,
-// id-matched requests, automatic re-batching of concurrent SC increments,
+// id-matched requests, automatic re-batching of concurrent increments,
 // and retry with the shared fault.Backoff policy.
 //
 // The client presents the same Counter/CtxCounter/BatchCounter facade as
@@ -11,19 +11,20 @@
 //
 // # Re-batching
 //
-// Concurrent SC Inc calls do not each cross the network. They meet at a
-// flat-combining point, one per pooled connection (Options.Conns), which
-// callers on every input wire share: the caller that finds it idle
-// becomes the flusher, folds everyone queued behind it into one TIncBatch
-// frame, and deals the returned value ranges back out in arrival order.
-// The frame enters on the wire of the caller that opened the group; the
-// counting and step properties do not depend on which wires tokens enter
-// on, and a caller's next increment waits for this one's value, so
-// per-process order survives. Against a coalescing server this
-// compounds: many callers → few frames → fewer sweeps. LIN increments
-// and IncBatchCtx never re-batch and always enter on the caller's wire —
-// a LIN increment pays its own frame and its own pass through the
-// server's linearizing section, which is the point.
+// Concurrent Inc calls do not each cross the network. They meet at a
+// flat-combining point, one per pooled connection (Options.Conns) and
+// mode, which callers on every input wire share: the caller that finds
+// it idle becomes the flusher, folds everyone queued behind it into one
+// TIncBatch frame of that mode, and deals the returned value ranges back
+// out in arrival order. The frame enters on the wire of the caller that
+// opened the group; the counting and step properties do not depend on
+// which wires tokens enter on, and a caller's next increment waits for
+// this one's value, so per-process order survives. LIN combines too:
+// every op in a frame was invoked before it was sent and answers after
+// its reply, so they all overlap, and an op invoked after a reply joins
+// a later frame, which the server sweeps later. Against a coalescing
+// server this compounds: many callers → few frames → fewer sweeps.
+// IncBatchCtx never re-batches and always enters on the caller's wire.
 //
 // # Group commit
 //
@@ -67,8 +68,8 @@ type Options struct {
 	// Mode is the consistency mode used by the Counter facade methods
 	// (default ModeSC). The *Mode methods override it per call.
 	Mode wire.Mode
-	// BatchLimit caps how many SC increments one TIncBatch frame carries
-	// (default 512).
+	// BatchLimit caps how many increments one combined TIncBatch frame
+	// carries (default 512).
 	BatchLimit int
 	// Retries is how many times a retryable failure (backpressure, mailbox
 	// timeout, transport error) is re-attempted before giving up
@@ -106,7 +107,7 @@ type Options struct {
 	Flight *flightrec.Recorder
 	// TraceSample, when positive, stamps one in every TraceSample
 	// increments with a trace id the server propagates and records
-	// against. Zero disables client-side sampling. For SC increments the
+	// against. Zero disables client-side sampling. For Inc calls the
 	// sampled unit is the combined batch group — the thing that actually
 	// crosses the wire.
 	TraceSample int
@@ -156,7 +157,7 @@ type Client struct {
 	pool   []*cconn // slots; nil or dead entries are re-dialed lazily
 	closed bool
 
-	batchers []batcher // SC flat-combining points, one per pooled connection
+	batchers []batcher // flat-combining points: Conns for SC, then Conns for LIN
 	done     chan struct{}
 
 	// The node advertisement learned from an extended handshake (cluster
@@ -187,7 +188,7 @@ func Dial(addr string, opt Options) (*Client, error) {
 		c.sampler = flightrec.NewSampler(c.opt.TraceSample, c.opt.TraceActor)
 	}
 	c.pool = make([]*cconn, c.opt.Conns)
-	c.batchers = make([]batcher, c.opt.Conns)
+	c.batchers = make([]batcher, 2*c.opt.Conns)
 	// The handshake is bounded by DialTimeout and retried like any other
 	// request: on a faulty transport the THello or its TShape answer can
 	// be dropped, and an unbounded wait would hang Dial forever. A
@@ -325,33 +326,9 @@ func (c *Client) IncCtx(ctx context.Context, w int) (int64, error) {
 }
 
 // IncMode obtains the next counter value in an explicit consistency
-// mode: SC increments join the re-batching mailbox, LIN increments go
-// straight to the server's linearizing section.
+// mode, through that mode's re-batching point.
 func (c *Client) IncMode(ctx context.Context, w int, mode wire.Mode) (int64, error) {
-	w = c.wireFor(w)
-	if mode == wire.ModeSC {
-		return c.incBatched(ctx, w)
-	}
-	// LIN increments never combine, so the sampled unit is the request
-	// itself; the trace id is set before request so retried attempts keep
-	// it (one logical request, one trace).
-	req := wire.Frame{Type: wire.TInc, Wire: int64(w), Mode: wire.ModeLIN}
-	var t0 int64
-	if id := c.sampler.Sample(); id != 0 {
-		req.Trace = id
-		t0 = c.clk.Now().UnixNano()
-	}
-	f, err := c.request(ctx, req)
-	if req.Trace != 0 {
-		c.flight.RecordNS(req.Trace, flightrec.StageClientRPC, 1, req.Wire, t0, c.clk.Now().UnixNano())
-	}
-	if err != nil {
-		return 0, err
-	}
-	if f.Type != wire.TValue {
-		return 0, fmt.Errorf("client: inc answered with %v", f.Type)
-	}
-	return f.Value, nil
+	return c.incBatched(ctx, c.wireFor(w), mode)
 }
 
 // IncBatch reserves k values from a wire in one request, satisfying the

@@ -133,6 +133,54 @@ func TestLINOverClient(t *testing.T) {
 	}
 }
 
+// TestLINBesideSC: LIN increments stay linearizable while SC traffic
+// sweeps the same network. 8 LIN workers on one client and 32 SC workers
+// on another share a server at default options; no LIN op may return
+// below a value that a LIN op which had already ended returned, and the
+// values of both together are exactly 0..n-1.
+func TestLINBesideSC(t *testing.T) {
+	_, addr := startService(t, 8, server.Options{})
+	lin := dialC(t, addr, Options{Mode: wire.ModeLIN, Conns: 2})
+	sc := dialC(t, addr, Options{Conns: 8})
+
+	var linOps, scOps []runtime.Op
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		linOps = runtime.Workload{Workers: 8, OpsPerWorker: 40}.Run(lin)
+	}()
+	go func() {
+		defer wg.Done()
+		scOps = runtime.Workload{Workers: 32, OpsPerWorker: 40}.Run(sc)
+	}()
+	wg.Wait()
+
+	if f := consistency.Measure(runtime.Audit(linOps)); f.NonLin != 0 {
+		t.Fatalf("LIN ops beside SC traffic: %v", f)
+	}
+	if err := runtime.Verify(append(runtime.Values(linOps), runtime.Values(scOps)...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSCProcessOrder: 32 SC workers over 8 connections to a server at
+// default options keep per-process order (F_nsc = 0). One sweeper runs
+// the traversals one after another, so they keep real-time order too
+// (F_nl = 0).
+func TestSCProcessOrder(t *testing.T) {
+	_, addr := startService(t, 8, server.Options{})
+	c := dialC(t, addr, Options{Conns: 8})
+	ops := runtime.Workload{Workers: 32, OpsPerWorker: 40}.Run(c)
+
+	if f := consistency.Measure(runtime.Audit(ops)); f.NonSC != 0 || f.NonLin != 0 {
+		t.Fatalf("SC ops broke per-process or real-time order: %v", f)
+	}
+	if err := runtime.Verify(runtime.Values(ops)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // slowBackend delays sweeps so concurrent client Incs pile up in the
 // re-batching mailbox.
 type slowBackend struct {
@@ -151,8 +199,6 @@ func (b *slowBackend) Shape() network.Shape {
 	return network.Shape{Width: w, Sinks: w, Balancers: w, Depth: 2}
 }
 
-func (b *slowBackend) Inc(w int) int64 { return b.IncBatch(w, 1)[0].First }
-
 func (b *slowBackend) IncBatch(w, k int) []runtime.Range {
 	time.Sleep(b.delay)
 	b.mu.Lock()
@@ -163,25 +209,40 @@ func (b *slowBackend) IncBatch(w, k int) []runtime.Range {
 	return []runtime.Range{{First: first, Stride: 1, Count: int64(k)}}
 }
 
-// TestRebatching: 64 concurrent Inc callers against a slow server cross
-// the network in far fewer frames than ops — the client-side combiner is
-// actually combining.
+// TestRebatching: 64 concurrent Inc callers of either mode against a slow
+// server cross the network in far fewer frames than ops — the
+// client-side combiner is actually combining — and every op is served in
+// the mode it asked for.
 func TestRebatching(t *testing.T) {
-	st := server.NewStats(0)
-	s := server.New(&slowBackend{delay: 20 * time.Millisecond}, server.Options{Stats: st})
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c := dialC(t, addr.String(), Options{})
-
 	const callers, per = 64, 4
-	driveIncs(t, c, callers, per, func(i int) int { return i })
-	// The handshake is 1 frame; without re-batching the incs alone would
-	// be 256 more. The 20ms sweeps mean almost everything coalesces.
-	if in := st.Snapshot().FramesIn; in >= callers*per/2 {
-		t.Fatalf("re-batching ineffective: %d request frames for %d incs", in, callers*per)
+	for _, mode := range []wire.Mode{wire.ModeSC, wire.ModeLIN} {
+		t.Run(mode.String(), func(t *testing.T) {
+			st := server.NewStats(0)
+			s := server.New(&slowBackend{delay: 20 * time.Millisecond}, server.Options{Stats: st})
+			addr, err := s.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			c := dialC(t, addr.String(), Options{Mode: mode})
+
+			driveIncs(t, c, callers, per, func(i int) int { return i })
+			// The handshake is 1 frame; without re-batching the incs alone
+			// would be 256 more. The 20ms sweeps mean almost everything
+			// coalesces.
+			snap := st.Snapshot()
+			if in := snap.FramesIn; in >= callers*per/2 {
+				t.Fatalf("re-batching ineffective: %d request frames for %d incs", in, callers*per)
+			}
+			// The server counts requests: one per combined frame.
+			own, other := snap.SCOps, snap.LINOps
+			if mode == wire.ModeLIN {
+				own, other = other, own
+			}
+			if own == 0 || other != 0 {
+				t.Fatalf("served %d SC and %d LIN requests for %v incs", snap.SCOps, snap.LINOps, mode)
+			}
+		})
 	}
 }
 
@@ -267,7 +328,7 @@ func TestRebatchingAcrossWires(t *testing.T) {
 
 		b := &c.batchers[0]
 		joinOn := func(w int) (*batchGroup, int) {
-			return b.join(c.opt.BatchLimit, func() *batchGroup { return c.newGroup(w) })
+			return b.join(c.opt.BatchLimit, func() *batchGroup { return c.newGroup(w, wire.ModeSC) })
 		}
 		g1, i1 := joinOn(3)
 		g2, i2 := joinOn(5)
@@ -296,17 +357,16 @@ func TestRebatchingAcrossWires(t *testing.T) {
 // eventually land, invisibly to the caller.
 func TestRetryOnBackpressure(t *testing.T) {
 	st := server.NewStats(0)
-	s := server.New(&slowBackend{delay: 10 * time.Millisecond}, server.Options{Mailbox: 1, Shards: 1, Stats: st})
+	s := server.New(&slowBackend{delay: 10 * time.Millisecond}, server.Options{Mailbox: 1, Stats: st})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	// One shard keeps the single mailbox slot shared by every wire,
-	// whatever GOMAXPROCS is. BatchLimit 1 defeats the client-side
-	// combiner so every Inc is its own frame, and Conns 4 gives four
-	// combining points, so four frames are in flight at once and the slot
-	// actually overfills. (With one connection the lone combining point
+	// BatchLimit 1 defeats the client-side combiner so every Inc is its
+	// own frame, and Conns 4 gives four combining points, so four frames
+	// are in flight at once and the single mailbox slot actually
+	// overfills. (With one connection the lone combining point
 	// would send one frame at a time and never shed.)
 	c := dialC(t, addr.String(), Options{BatchLimit: 1, Conns: 4, Retries: 20})
 

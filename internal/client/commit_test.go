@@ -138,15 +138,25 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestGroupCommitCoalesces: 64 concurrent LIN callers share write
-// syscalls — at one P at least four frames per write — while every op
-// still crosses as its own frame.
+// inc1 reserves one LIN value in a frame of its own: IncBatchCtx never
+// combines, so every call is exactly one request frame, which is what
+// the group-commit tests count.
+func inc1(ctx context.Context, c *Client, w int) (int64, error) {
+	rs, err := c.IncBatchCtx(ctx, w, 1, wire.ModeLIN)
+	if err != nil {
+		return 0, err
+	}
+	return rs[0].First, nil
+}
+
+// TestGroupCommitCoalesces: 64 concurrent callers, one frame per op,
+// share write syscalls — at one P at least four frames per write.
 func TestGroupCommitCoalesces(t *testing.T) {
 	atProcs(t, func(t *testing.T, procs int) {
 		st := server.NewStats(0)
 		_, addr := startService(t, 8, server.Options{Stats: st})
 		d := &hookDialer{}
-		c := dialC(t, addr, Options{Mode: wire.ModeLIN, Dialer: d.dial})
+		c := dialC(t, addr, Options{Dialer: d.dial})
 
 		const callers, per = 64, 200
 		const ops = callers * per
@@ -157,7 +167,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < per; i++ {
-					v, err := c.IncCtx(context.Background(), g)
+					v, err := inc1(context.Background(), c, g)
 					if err != nil {
 						t.Error(err)
 						return
@@ -180,7 +190,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		cs := c.Stats()
 		// The hello is one more frame and one more write than the ops.
 		if in := st.Snapshot().FramesIn; in != ops+1 || cs.Frames != ops+1 {
-			t.Errorf("server read %d frames, client sent %d, want %d each (one per LIN op)", in, cs.Frames, ops+1)
+			t.Errorf("server read %d frames, client sent %d, want %d each (one per op)", in, cs.Frames, ops+1)
 		}
 		if w := d.writes(); uint64(w) != cs.Writes {
 			t.Errorf("Stats.Writes = %d, the connection saw %d", cs.Writes, w)
@@ -204,10 +214,10 @@ func TestGroupCommitSerialCaller(t *testing.T) {
 	atProcs(t, func(t *testing.T, _ int) {
 		_, addr := startService(t, 8, server.Options{})
 		d := &hookDialer{}
-		c := dialC(t, addr, Options{Mode: wire.ModeLIN, Dialer: d.dial})
+		c := dialC(t, addr, Options{Dialer: d.dial})
 		const ops = 200
 		for i := 0; i < ops; i++ {
-			if v, err := c.IncCtx(context.Background(), i); err != nil || v != int64(i) {
+			if v, err := inc1(context.Background(), c, i); err != nil || v != int64(i) {
 				t.Fatalf("op %d = %d, %v", i, v, err)
 			}
 		}
@@ -247,13 +257,13 @@ func TestGroupCommitWriteFailure(t *testing.T) {
 			}
 			return nil
 		}}
-		c = dialC(t, addr, Options{Mode: wire.ModeLIN, Dialer: d.dial})
+		c = dialC(t, addr, Options{Dialer: d.dial})
 
 		vals := make([]int64, callers)
 		var wg sync.WaitGroup
 		inc := func(g int) {
 			defer wg.Done()
-			v, err := c.IncCtx(context.Background(), g)
+			v, err := inc1(context.Background(), c, g)
 			if err != nil {
 				t.Error(err)
 			}
@@ -329,11 +339,11 @@ func TestGroupCommitExpiredWaiter(t *testing.T) {
 			}
 			return nil
 		}}
-		c := dialC(t, addr, Options{Mode: wire.ModeLIN, Dialer: d.dial})
+		c := dialC(t, addr, Options{Dialer: d.dial})
 
 		first := make(chan int64, 1)
 		go func() {
-			v, err := c.IncCtx(context.Background(), 0)
+			v, err := inc1(context.Background(), c, 0)
 			if err != nil {
 				t.Error(err)
 			}
@@ -343,7 +353,7 @@ func TestGroupCommitExpiredWaiter(t *testing.T) {
 		ctx := deadlineCtx{Context: context.Background(), done: make(chan struct{})}
 		expired := make(chan error, 1)
 		go func() {
-			_, err := c.IncCtx(ctx, 1)
+			_, err := inc1(ctx, c, 1)
 			expired <- err
 		}()
 		waitFor(t, "the second caller's frame to be pending", func() bool { return pendingFrames(c) == 1 })
@@ -354,7 +364,7 @@ func TestGroupCommitExpiredWaiter(t *testing.T) {
 		close(release)
 
 		a := <-first
-		b, err := c.IncCtx(context.Background(), 2)
+		b, err := inc1(context.Background(), c, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -385,7 +395,7 @@ func TestGroupCommitCloseWithPending(t *testing.T) {
 			}
 			return nil
 		}}
-		c, err := Dial(addr, Options{Mode: wire.ModeLIN, Dialer: d.dial})
+		c, err := Dial(addr, Options{Dialer: d.dial})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +404,7 @@ func TestGroupCommitCloseWithPending(t *testing.T) {
 		const callers = 8
 		errs := make(chan error, callers)
 		inc := func(g int) {
-			_, err := c.IncCtx(context.Background(), g)
+			_, err := inc1(context.Background(), c, g)
 			errs <- err
 		}
 		go inc(0)

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -119,15 +120,29 @@ func TestEndToEndMergedTimeline(t *testing.T) {
 // backpressure retry path.
 func TestTraceRetryKeepsID(t *testing.T) {
 	frC := flightrec.New(256)
-	// A tiny mailbox plus a pipelining client makes backpressure likely,
-	// but the property under test holds regardless: every RPC span for a
-	// given logical request carries the same id.
-	_, addr := startService(t, 4, server.Options{Mailbox: 1, Shards: 1})
-	c := dialC(t, addr, Options{Flight: frC, TraceSample: 1, TraceActor: 3, Retries: 8})
+	// A one-slot mailbox in front of a slow backend sheds most of 64
+	// pipelined requests, so retries are certain. IncBatchCtx never
+	// combines: each call is one logical request with a trace of its own.
+	s := server.New(&slowBackend{delay: time.Millisecond}, server.Options{Mailbox: 1})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := dialC(t, addr.String(), Options{Flight: frC, TraceSample: 1, TraceActor: 3, Retries: 20})
+	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {
-		if _, err := c.IncMode(context.Background(), i, wire.ModeLIN); err != nil {
-			t.Fatal(err)
-		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := c.IncBatchCtx(context.Background(), i, 1, wire.ModeLIN); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if c.Stats().Retries == 0 {
+		t.Fatal("no request was retried; the retry path went unexercised")
 	}
 	spans := frC.Snapshot()
 	perTrace := map[uint64]int{}

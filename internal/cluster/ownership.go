@@ -104,7 +104,7 @@ type block struct {
 func (b block) remaining() int64 { return b.end - b.next }
 
 // Minter is the cluster node's counting backend: it implements the
-// server Backend contract (Inc/IncBatch/Shape) plus the fallible
+// server Backend contract (IncBatch/Shape) plus the fallible
 // TryIncBatch extension, minting ids from epoch-fenced blocks granted by
 // the cluster leader instead of traversing a counting network. SC
 // increments therefore stay node-local: the only cross-node traffic is
@@ -143,21 +143,8 @@ func NewMinter(width int, blockSize int64, stats *Stats) *Minter {
 // Shape implements the server Backend contract.
 func (m *Minter) Shape() network.Shape { return m.shape }
 
-// Inc implements the server Backend contract. It retries until a block
-// is available; servers that understand TryIncBatch never call it.
-func (m *Minter) Inc(wire int) int64 {
-	for {
-		rs, err := m.TryIncBatch(wire, 1)
-		if err == nil {
-			return rs[0].First
-		}
-		if m.isClosed() {
-			return -1
-		}
-	}
-}
-
-// IncBatch implements the server Backend contract (see Inc).
+// IncBatch implements the server Backend contract. It retries until a
+// block is available; servers that understand TryIncBatch never call it.
 func (m *Minter) IncBatch(wire, k int) []runtime.Range {
 	for {
 		rs, err := m.TryIncBatch(wire, k)

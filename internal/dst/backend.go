@@ -17,11 +17,11 @@ import (
 // duplicate-mint defect the invariant checker must catch — the canary
 // proving the harness can see real bugs.
 //
-// Latency deadlines are grid-aligned with a per-call unique offset, so
-// two combiners sleeping in the backend never wake at the same
-// simulated instant (their continuations race on the balancer atomics
-// and the shard mailboxes otherwise). Calls start serialized through
-// simulated time, which makes the call counter deterministic.
+// Latency deadlines are grid-aligned with a per-call offset of their
+// own, so the sweeper asleep in the backend never wakes at the same
+// simulated instant as another actor. The server's one sweeper is the
+// only caller, so calls are serialized, which makes the call counter
+// deterministic.
 type simBackend struct {
 	inner *runtime.Network
 	clk   *clock.Sim
@@ -59,23 +59,6 @@ func (b *simBackend) stall() uint64 {
 // duplicate-mint bug (re-serving the previous result).
 func (b *simBackend) trip(n uint64) bool {
 	return b.bug && mix3(b.seed, 0xb116, n, 1)%100 < 7
-}
-
-func (b *simBackend) Inc(w int) int64 {
-	n := b.stall()
-	if b.trip(n) {
-		b.bugMu.Lock()
-		prev := b.lastOut
-		b.bugMu.Unlock()
-		if len(prev) > 0 {
-			return prev[0].First
-		}
-	}
-	v := b.inner.Inc(w)
-	b.bugMu.Lock()
-	b.lastOut = []runtime.Range{{First: v, Stride: 1, Count: 1}}
-	b.bugMu.Unlock()
-	return v
 }
 
 func (b *simBackend) IncBatch(w, k int) []runtime.Range {

@@ -18,11 +18,12 @@ import (
 // the tracing subsystem itself subject to the same seed-sweep regime as
 // the protocol.
 
-// scStages is the server-side trail of a sequentially consistent
-// request; linStages the linearizable one (no mailbox or sweep — LIN
-// requests go straight to the serialized section).
+// sweptStages is the server-side trail of a request the server's sweeper
+// answered, in either mode; linStages that of a LIN request forwarded to
+// a cluster leader (no mailbox or sweep — the forward stands in for the
+// traversal).
 var (
-	scStages = []flightrec.Stage{
+	sweptStages = []flightrec.Stage{
 		flightrec.StageServerMailbox, flightrec.StageServerSweep,
 		flightrec.StageServerTraverse, flightrec.StageServerFlush,
 	}
@@ -93,45 +94,36 @@ func checkFlight(res *Result, rec *flightrec.Recorder) {
 }
 
 // checkSpanTree audits one sampled request's spans on a clean run: the
-// exact expected stage set for its mode, each stage once, the server
-// trail chained end-to-start inside the client RPC window.
+// exact expected stage set for its path, each stage once, one mode
+// throughout, the server trail chained end-to-start inside the client
+// RPC window.
 func checkSpanTree(res *Result, id uint64, ss []flightrec.Span) {
 	bad := func(format string, args ...any) {
 		res.Violations = append(res.Violations, "flight: "+fmt.Sprintf(format, args...))
 	}
 	by := map[flightrec.Stage]flightrec.Span{}
-	lin := false
 	for _, s := range ss {
 		if _, dup := by[s.Stage]; dup {
 			bad("trace %#x records stage %v twice", id, s.Stage)
 			return
 		}
 		by[s.Stage] = s
-		if s.Mode == 1 {
-			lin = true
-		}
-	}
-	for _, s := range ss {
-		want := uint8(0)
-		if lin {
-			want = 1
-		}
-		if s.Mode != want {
+		if s.Mode != ss[0].Mode {
 			bad("trace %#x mixes modes: %+v", id, s)
 		}
 	}
 
-	// Client trail: LIN and direct batches record only the RPC; combined
-	// SC increments bracket it with combine and complete.
-	server := linStages
+	// Client trail: direct batches record only the RPC; combined
+	// increments of either mode bracket it with combine and complete.
+	server := sweptStages
+	if _, forwarded := by[flightrec.StageServerLINWait]; forwarded {
+		server = linStages
+	}
 	client := []flightrec.Stage{flightrec.StageClientRPC}
-	if !lin {
-		server = scStages
-		if _, combined := by[flightrec.StageClientCombine]; combined {
-			client = []flightrec.Stage{
-				flightrec.StageClientCombine, flightrec.StageClientRPC,
-				flightrec.StageClientComplete,
-			}
+	if _, combined := by[flightrec.StageClientCombine]; combined {
+		client = []flightrec.Stage{
+			flightrec.StageClientCombine, flightrec.StageClientRPC,
+			flightrec.StageClientComplete,
 		}
 	}
 	if len(ss) != len(client)+len(server) {

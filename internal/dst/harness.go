@@ -155,11 +155,10 @@ func RunScenario(sc Scenario, opts RunOptions) (*Result, error) {
 	// traces stay byte-identical with earlier builds.
 	var st *server.Stats
 	if sc.UDPActive() {
-		st = server.NewStats(sc.Shards)
+		st = server.NewStats(0)
 	}
 	srv := server.New(be, server.Options{
 		Mailbox:   sc.Mailbox,
-		Shards:    sc.Shards,
 		OpTimeout: sc.SrvOpTimeout,
 		Faults:    faults,
 		Clock:     w.Clk,

@@ -28,7 +28,6 @@ func blackHoleScenario() Scenario {
 		Width:       4,
 		Workers:     3,
 		Mailbox:     64,
-		Shards:      1,
 		Retries:     2,
 		OpTimeout:   2 * time.Millisecond,
 		DialTimeout: 20 * time.Millisecond,
@@ -92,7 +91,6 @@ func pressureScenario() Scenario {
 		Width:         2,
 		Workers:       5,
 		Mailbox:       1,
-		Shards:        1,
 		Retries:       3,
 		OpTimeout:     25 * time.Millisecond,
 		DialTimeout:   20 * time.Millisecond,
@@ -159,7 +157,7 @@ func TestResilientCounterFailsOverUnderPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(inner, server.Options{Clock: w.Clk, Shards: 1})
+	srv := server.New(inner, server.Options{Clock: w.Clk})
 	ln := w.Listen("sim")
 	go srv.Serve(ln)
 

@@ -162,7 +162,6 @@ type Scenario struct {
 
 	// Server tuning.
 	Mailbox      int
-	Shards       int
 	SrvOpTimeout time.Duration
 
 	// Client tuning.
@@ -181,7 +180,7 @@ type Scenario struct {
 	DropProb, DupProb, DelayProb float64
 	DelayMin, DelayMax           time.Duration
 
-	// Backend latency (pressure scenarios only; forces SC-only workload).
+	// Backend latency (pressure scenarios only).
 	BackendLatMin, BackendLatMax time.Duration
 }
 
@@ -290,33 +289,22 @@ func (s *Scenario) faultsActive() bool {
 type Overrides struct {
 	Width   int // network fan (power of two)
 	Workers int // concurrent workload workers (clamped to [1, 16])
-	Mailbox int // server SC mailbox depth
-	Shards  int // server combining shards
+	Mailbox int // server mailbox depth
 	// SrvOpTimeout arms the server-side mailbox deadline. Setting it also
 	// forces a client OpTimeout: a server that sheds stale requests needs
 	// clients that bound and retry them.
 	SrvOpTimeout time.Duration
-	// Mode "lin" makes every operation linearizable (and zeroes any
-	// injected backend latency — the LIN invariant is only sound when the
-	// linearizing section cannot sleep); "sc" makes every operation
-	// sequentially consistent; "" lets the seed choose the mix.
+	// Mode "lin" makes every operation linearizable; "sc" makes every
+	// operation sequentially consistent; "" lets the seed choose the mix.
 	Mode     string
 	Adaptive *bool // RTT-adaptive client window (nil: from seed)
 }
 
 // GenScenario expands a seed into a scenario. The generator enforces the
-// determinism constraints the simulation's scheduling discipline needs:
-//
-//   - LIN operations only appear when the backend has zero injected
-//     latency (a combiner asleep inside the linearizing section would
-//     hand the section over in goroutine-arrival order, not simulated
-//     order).
-//   - Pressure scenarios (backend latency, tiny mailboxes) run one
-//     combining shard and an SC-only workload.
-//   - Any scenario that can lose frames or black-hole the transport
-//     gives the client a positive OpTimeout, sized well above the worst
-//     healthy round trip, so a lost frame means a bounded retry instead
-//     of a hung worker.
+// constraint the simulation's scheduling discipline needs: any scenario
+// that can lose frames or black-hole the transport gives the client a
+// positive OpTimeout, sized well above the worst healthy round trip, so
+// a lost frame means a bounded retry instead of a hung worker.
 func GenScenario(seed uint64) Scenario {
 	return GenScenarioWith(seed, Overrides{})
 }
@@ -351,7 +339,6 @@ func GenScenarioWith(seed uint64, ov Overrides) Scenario {
 	sc.JitterMax = sc.JitterMin + 20*time.Microsecond + time.Duration(r(0x06, 0)%300)*time.Microsecond
 
 	sc.Mailbox = 64
-	sc.Shards = 1 + int(r(0x07, 0)%3)
 	sc.Retries = 2 + int(r(0x08, 0)%4)
 	sc.DialTimeout = 50 * time.Millisecond
 	sc.BackoffBase = 200*time.Microsecond + time.Duration(r(0x09, 0)%800)*time.Microsecond
@@ -369,7 +356,6 @@ func GenScenarioWith(seed uint64, ov Overrides) Scenario {
 		sc.BackendLatMin = 500 * time.Microsecond
 		sc.BackendLatMax = sc.BackendLatMin + time.Duration(r(0x14, 0)%1500)*time.Microsecond
 		sc.Mailbox = 1 + int(r(0x15, 0)%2)
-		sc.Shards = 1
 		sc.Workers = 4 + int(r(0x17, 0)%2)
 		if r(0x16, 0)%2 == 0 {
 			sc.SrvOpTimeout = 2 * sc.BackendLatMax
@@ -397,14 +383,8 @@ func GenScenarioWith(seed uint64, ov Overrides) Scenario {
 	if ov.Mailbox > 0 {
 		sc.Mailbox = ov.Mailbox
 	}
-	if ov.Shards > 0 {
-		sc.Shards = ov.Shards
-	}
 	if ov.SrvOpTimeout > 0 {
 		sc.SrvOpTimeout = ov.SrvOpTimeout
-	}
-	if ov.Mode == "lin" {
-		sc.BackendLatMin, sc.BackendLatMax = 0, 0
 	}
 	if ov.Adaptive != nil {
 		sc.AdaptiveWindow = *ov.Adaptive
@@ -423,11 +403,9 @@ func GenScenarioWith(seed uint64, ov Overrides) Scenario {
 		sc.OpTimeout = minOp // clean run, timeout armed but never expected to fire
 	}
 
-	// LIN fraction (percent). Zero whenever the backend sleeps.
-	linFrac := uint64(0)
-	if sc.BackendLatMax == 0 {
-		linFrac = []uint64{0, 30, 100}[r(0x1e, 0)%3]
-	}
+	// LIN fraction (percent). LIN rides the sweeper like SC, so pressure
+	// scenarios mix it in too: a sweeper asleep in the backend holds both.
+	linFrac := []uint64{0, 30, 100}[r(0x1e, 0)%3]
 	switch ov.Mode {
 	case "lin":
 		linFrac = 100
@@ -564,7 +542,7 @@ func GenScenarioWith(seed uint64, ov Overrides) Scenario {
 func (s *Scenario) Header() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# seed=%d flavor=%s width=%d workers=%d\n", s.Seed, s.Flavor, s.Width, s.Workers)
-	fmt.Fprintf(&b, "# server mailbox=%d shards=%d optimeout=%d\n", s.Mailbox, s.Shards, s.SrvOpTimeout.Nanoseconds())
+	fmt.Fprintf(&b, "# server mailbox=%d optimeout=%d\n", s.Mailbox, s.SrvOpTimeout.Nanoseconds())
 	fmt.Fprintf(&b, "# client retries=%d optimeout=%d dialtimeout=%d backoff=%d/%d adaptive=%v\n",
 		s.Retries, s.OpTimeout.Nanoseconds(), s.DialTimeout.Nanoseconds(),
 		s.BackoffBase.Nanoseconds(), s.BackoffCap.Nanoseconds(), s.AdaptiveWindow)

@@ -100,7 +100,6 @@ func TestSlowConsumerEvictionSimClock(t *testing.T) {
 	st := server.NewStats(0)
 	srv := server.New(compileBitonic(t, 4), server.Options{
 		OutQueue: 4,
-		Shards:   1,
 		Stats:    st,
 		Clock:    w.Clk,
 		// Flush eagerly: every response is its own transport write, so the
@@ -197,13 +196,6 @@ type stallBackend struct {
 	delay time.Duration
 }
 
-func (b *stallBackend) Inc(w int) int64 {
-	if w == 0 {
-		b.clk.Sleep(b.delay)
-	}
-	return b.inner.Inc(w)
-}
-
 func (b *stallBackend) IncBatch(w, k int) []runtime.Range {
 	if w == 0 {
 		b.clk.Sleep(b.delay)
@@ -229,10 +221,8 @@ func TestFlushMaxDelayHoldSimClock(t *testing.T) {
 	w := NewWorld(3030, 5*time.Microsecond, 25*time.Microsecond, nil, 0)
 	be := &stallBackend{inner: compileBitonic(t, 2), clk: w.Clk, delay: stall}
 	srv := server.New(be, server.Options{
-		// One shard per wire: the stalled wire-0 sweep cannot delay wire 1.
-		Shards: 2,
-		Clock:  w.Clk,
-		Flush:  server.FlushPolicy{MaxDelay: maxDelay, MaxBytes: 1 << 20},
+		Clock: w.Clk,
+		Flush: server.FlushPolicy{MaxDelay: maxDelay, MaxBytes: 1 << 20},
 	})
 	ln := w.Listen("sim")
 	go srv.Serve(ln)
@@ -255,12 +245,13 @@ func TestFlushMaxDelayHoldSimClock(t *testing.T) {
 		}
 		defer nc.Close()
 		var buf []byte
-		// One pipelined write: the slow op (wire 0, stalls 20ms in the
-		// backend) keeps the connection "outstanding" while the fast op's
-		// response is gathered — forcing the MaxDelay hold.
+		// One pipelined write, swept as one: the fast op's wire group goes
+		// first, and the slow op (wire 0, stalls 20ms in the backend)
+		// keeps the connection "outstanding" while the fast op's response
+		// is gathered — forcing the MaxDelay hold.
 		for _, f := range []wire.Frame{
-			{Type: wire.TInc, ID: 1, Wire: 0},
 			{Type: wire.TInc, ID: 2, Wire: 1},
+			{Type: wire.TInc, ID: 1, Wire: 0},
 		} {
 			f := f
 			if buf, err = wire.AppendFrame(buf, &f); err != nil {

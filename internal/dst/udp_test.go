@@ -287,7 +287,6 @@ func TestUDPSuperBurnNotMint(t *testing.T) {
 		Workers:   1,
 		Plans:     [][]opSpec{{}},
 		Mailbox:   64,
-		Shards:    1,
 		Retries:   1,
 		JitterMin: 5 * time.Microsecond,
 		JitterMax: 25 * time.Microsecond,
@@ -356,7 +355,6 @@ func TestUDPBurnNotMint(t *testing.T) {
 		Workers:   1,
 		Plans:     [][]opSpec{{}},
 		Mailbox:   64,
-		Shards:    1,
 		Retries:   1,
 		JitterMin: 5 * time.Microsecond,
 		JitterMax: 25 * time.Microsecond,

@@ -42,18 +42,18 @@ const (
 	// StageClientComplete: response decoded → values dealt out to the
 	// waiting callers.
 	StageClientComplete
-	// StageServerMailbox: request accepted at the door → its shard's
-	// sweep picks it up (mailbox wait).
+	// StageServerMailbox: request accepted at the door → the sweeper
+	// picks it up (mailbox wait).
 	StageServerMailbox
 	// StageServerSweep: sweep pickup → traversal start (batch gathering
 	// and grouping by wire).
 	StageServerSweep
 	// StageServerTraverse: the counting-network traversal itself
-	// (IncBatch for SC sweeps, the serialized section's traversal for
-	// LIN).
+	// (the sweep's IncBatch, or a cluster LIN forward's round trip).
 	StageServerTraverse
-	// StageServerLINWait: wait to enter the linearizing section — the
-	// serialization cost LIN pays and SC does not.
+	// StageServerLINWait: a cluster LIN forward's wait before its round
+	// trip (zero-length: the leader's serialization point does the
+	// waiting). Swept requests of either mode never record it.
 	StageServerLINWait
 	// StageServerFlush: reply enqueued on the connection's out queue →
 	// flushed to the socket (adaptive flush hold).

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -98,95 +97,5 @@ func TestUDPBufferReuse(t *testing.T) {
 	}
 	if got := s.Issued(); got != base+segWant {
 		t.Fatalf("issued %d, want %d: segments aliased across slot or stride boundaries", got, base+segWant)
-	}
-}
-
-// TestShardedCombining: with explicit shards, wires map onto disjoint
-// combiners, every shard that received traffic sweeps, the per-shard
-// counters reconcile with the totals, and the values dealt across shards
-// stay unique.
-func TestShardedCombining(t *testing.T) {
-	st := NewStats(0)
-	s, _, addr := startServer(t, 8, Options{Shards: 4, Stats: st})
-	if s.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", s.Shards())
-	}
-
-	const conns, per = 8, 16
-	type result struct{ vals []int64 }
-	results := make(chan result, conns)
-	for ci := 0; ci < conns; ci++ {
-		go func(ci int) {
-			nc, err := net.Dial("tcp", addr)
-			if err != nil {
-				results <- result{}
-				return
-			}
-			defer nc.Close()
-			tc := &tconn{t: t, nc: nc, br: newFrameReader(nc)}
-			var r result
-			for i := 0; i < per; i++ {
-				id := uint64(ci*per + i)
-				tc.send(wire.Frame{Type: wire.TInc, ID: id, Wire: int64((ci*per + i) % 8)})
-				f := tc.recv()
-				if f.Type == wire.TValue {
-					r.vals = append(r.vals, f.Value)
-				}
-			}
-			results <- r
-		}(ci)
-	}
-	seen := make(map[int64]bool)
-	total := 0
-	for ci := 0; ci < conns; ci++ {
-		r := <-results
-		for _, v := range r.vals {
-			if seen[v] {
-				t.Fatalf("value %d dealt twice across shards", v)
-			}
-			seen[v] = true
-			total++
-		}
-	}
-	if total != conns*per {
-		t.Fatalf("completed %d/%d ops", total, conns*per)
-	}
-
-	snap := st.Snapshot()
-	if len(snap.ShardSweeps) != 4 {
-		t.Fatalf("snapshot has %d shard counters, want 4", len(snap.ShardSweeps))
-	}
-	var sweeps, reqs uint64
-	active := 0
-	for i := range snap.ShardSweeps {
-		sweeps += snap.ShardSweeps[i]
-		reqs += snap.ShardReqs[i]
-		if snap.ShardSweeps[i] > 0 {
-			active++
-		}
-	}
-	if sweeps != snap.Sweeps || reqs != snap.SweepReqs {
-		t.Fatalf("per-shard counters (%d sweeps, %d reqs) disagree with totals (%d, %d)",
-			sweeps, reqs, snap.Sweeps, snap.SweepReqs)
-	}
-	// All 8 wires were exercised; wires map pairwise onto 4 shards, so
-	// every shard must have swept. (Work stealing may move requests, but
-	// the stealing shard still records the sweep.)
-	if active < 2 {
-		t.Fatalf("only %d shards swept; sharding is not distributing", active)
-	}
-
-	var b strings.Builder
-	st.AppendMetrics(&b)
-	for _, m := range []string{
-		"countd_shard_sweeps_total{shard=\"0\"}",
-		"countd_shard_requests_total{shard=\"3\"}",
-		"countd_flush_total",
-		"countd_steals_total",
-		"countd_bytes_out_total",
-	} {
-		if !strings.Contains(b.String(), m) {
-			t.Fatalf("metrics exposition missing %q", m)
-		}
 	}
 }

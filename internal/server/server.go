@@ -3,31 +3,30 @@
 // consistency mode as a per-request knob.
 //
 // The serving layer is where the paper's contrast becomes a systems
-// tradeoff. Sequentially consistent increments are cheap to serve: the
-// server folds concurrent SC requests from many connections into batched
-// IncBatch sweeps (one fetch-and-add per balancer for a whole batch)
-// through sharded combining mailboxes, so under load the per-token cost
-// of the network collapses. Linearizable increments pay what the
-// condition demands: each one is serialized through the server's
-// linearizing section and answered individually — no coalescing, a full
-// round trip per value.
+// tradeoff. The server folds concurrent increments from many connections
+// into batched IncBatch sweeps (one fetch-and-add per balancer for a
+// whole batch), so under load the per-token cost of the network
+// collapses. Linearizable increments ride the same sweeps: the paper's
+// price for linearizability is waiting (§1.1, after HSW96), and one
+// sweeper already waits — it runs one traversal at a time.
 //
-// # Sharded combining
+// # One sweeper
 //
 // Connection readers do not touch the network. They validate each request
-// and post it into the combining shard that owns the request's input
-// wire; one combiner goroutine per shard drains its mailbox, groups
-// pending increments by wire, executes one IncBatch per wire, and deals
-// the resulting value ranges back to the requests in arrival order.
-// Sharding by wire range lets SC coalescing scale with cores instead of
-// serializing on one channel; a combiner whose own mailbox runs dry
-// steals from its siblings' mailboxes before sweeping, so an idle shard
-// rebalances load instead of sleeping next to a hot one. When a shard's
-// mailbox is full the reader answers wire.ErrBackpressure immediately —
-// load shedding at the door instead of unbounded queueing, using a
-// pre-encoded error frame so shedding costs no allocation. Requests that
-// sit in a mailbox longer than Options.OpTimeout fail with
-// fault.ErrTimeout.
+// and post it into the one mailbox; one sweeper goroutine drains it,
+// groups pending increments by wire, executes one IncBatch per wire, and
+// deals the resulting value ranges back to the requests in arrival order.
+// The sweeper is the only caller of the backend, so the network is
+// quiescent between two IncBatch calls, and by the step property every
+// value a later call hands out lies above every value an earlier call
+// handed out. That makes every single-node increment linearizable in
+// fact: a request posted after another was answered is swept by a later
+// call. The mode bit a request carries changes only how it is counted
+// and traced. When the mailbox is full the reader answers
+// wire.ErrBackpressure immediately — load shedding at the door instead of
+// unbounded queueing, using a pre-encoded error frame so shedding costs
+// no allocation. Requests that sit in the mailbox longer than
+// Options.OpTimeout fail with fault.ErrTimeout.
 //
 // # Flush batching
 //
@@ -41,8 +40,8 @@
 // # Shutdown
 //
 // Close drains rather than drops: accepting stops, connection readers
-// finish their current frame, the combiners sweep what their mailboxes
-// still hold, writers flush every pending batched response, and only then
+// finish their current frame, the sweeper sweeps what the mailbox still
+// holds, writers flush every pending batched response, and only then
 // are the connections closed. A client that disconnects mid-flight
 // abandons its outstanding requests (their values are never delivered — a
 // bounded gap among observed values, never a duplicate).
@@ -58,8 +57,8 @@
 // Options.Flight plugs in a flightrec.Recorder: requests carrying a
 // trace id in their wire header (and, with Options.TraceSample, a
 // deterministic 1-in-N of the untraced ones) get stage spans recorded at
-// every hop — mailbox wait, sweep grouping, traversal (LIN additionally
-// records its linearizing-section wait), and the reply's flush hold —
+// every hop — mailbox wait, sweep grouping, traversal, and the reply's
+// flush hold, each span marked with the request's mode —
 // and replies echo the trace id so the client can merge its own spans
 // onto the same timeline. The recorder doubles as a black box: shed,
 // expired, evicted and failed requests are noted as anomalies. All
@@ -90,10 +89,10 @@ import (
 // Backend is the counting object a Server serves: the compiled
 // runtime.Network is the intended implementation, but anything with a
 // batched increment and a shape works (tests substitute slow or scripted
-// backends). IncBatch must be safe for concurrent use — combining shards
-// sweep in parallel.
+// backends). The server's one sweeper is its only caller, so IncBatch
+// runs one call at a time; a backend that something else also traverses
+// gives up the linearizability the sweeper otherwise provides.
 type Backend interface {
-	Inc(wire int) int64
 	IncBatch(wire, k int) []runtime.Range
 	Shape() network.Shape
 }
@@ -128,22 +127,17 @@ func (p FlushPolicy) withDefaults() FlushPolicy {
 // Options tunes a Server. The zero value picks the defaults noted on each
 // field.
 type Options struct {
-	// Mailbox bounds the SC request queue between connection readers and
-	// the combiners (default 4096), split evenly across shards. A full
-	// shard answers requests with wire.ErrBackpressure instead of queueing
-	// unboundedly.
+	// Mailbox bounds the request queue between connection readers and the
+	// sweeper (default 4096). A full mailbox answers requests with
+	// wire.ErrBackpressure instead of queueing unboundedly.
 	Mailbox int
-	// Shards is the number of combining shards, each owning a contiguous
-	// range of input wires with its own mailbox and combiner goroutine
-	// (default min(GOMAXPROCS, 8), clamped to the network width).
-	Shards int
-	// BatchLimit is the most requests one combiner sweep folds together
-	// (default 1024).
+	// BatchLimit is the most requests one sweep folds together (default
+	// 1024).
 	BatchLimit int
 	// OutQueue bounds each connection's pending-response queue (default
 	// 8192). A client that stops reading long enough to fill it is
 	// disconnected — backpressure by eviction, so one slow consumer cannot
-	// stall the combiners.
+	// stall the sweeper.
 	OutQueue int
 	// Flush tunes the per-connection response flush batching.
 	Flush FlushPolicy
@@ -157,13 +151,14 @@ type Options struct {
 	// Faults, when non-nil, is consulted once per frame at the transport
 	// seam (see wire.FrameFaults).
 	Faults wire.FrameFaults
-	// ForceLIN, when true, serves every increment through the serialized
-	// LIN path regardless of the mode the client requested — the operator
-	// override for running a linearizable-by-default daemon. Clients still
-	// see their requests answered normally; they just pay LIN latency.
+	// ForceLIN, when true, serves every increment as LIN regardless of the
+	// mode the client requested — the operator override for running a
+	// linearizable-by-default daemon. On a single node that only relabels
+	// the traffic (every sweep is already linearizable); with LINForward
+	// set, every increment is forwarded.
 	ForceLIN bool
 	// LINForward, when set, routes LIN increments through the cluster
-	// forwarding hook instead of the local linearizing section: the hook
+	// forwarding hook instead of the local sweeper: the hook
 	// returns ranges minted at the cluster leader's serialization point,
 	// or an error that is answered as a retryable TError — exactly one
 	// reply either way. connID names the requesting connection so
@@ -223,9 +218,6 @@ func (o Options) withDefaults() Options {
 	if o.Mailbox <= 0 {
 		o.Mailbox = 4096
 	}
-	if o.Shards <= 0 {
-		o.Shards = min(stdruntime.GOMAXPROCS(0), 8)
-	}
 	if o.BatchLimit <= 0 {
 		o.BatchLimit = 1024
 	}
@@ -245,7 +237,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// req is one pending SC increment in a shard mailbox.
+// req is one pending increment in the mailbox.
 type req struct {
 	c     *conn // nil: fire-and-forget (UDP)
 	id    uint64
@@ -253,6 +245,7 @@ type req struct {
 	k     int64
 	folds uint32 // >1: UDP datagrams aggregated into this post (stats weight)
 	batch bool   // answer with TRanges (TIncBatch) vs TValue (TInc)
+	mode  uint8  // 0 = SC, 1 = LIN: which stats, spans and flush mode it counts under
 	enq   time.Time
 	trace uint64 // nonzero: record stage spans for this request
 }
@@ -279,7 +272,7 @@ type outMsg struct {
 
 // fallible is the optional fail-fast form of Backend.IncBatch: a backend
 // that can run out of values (the cluster minter when it is cut off from
-// the range leader) reports the condition instead of blocking a combiner,
+// the range leader) reports the condition instead of blocking the sweeper,
 // and the server answers the affected requests with a retryable error.
 type fallible interface {
 	TryIncBatch(wire, k int) ([]runtime.Range, error)
@@ -293,7 +286,7 @@ type Server struct {
 	opt   Options
 	clk   clock.Clock
 
-	shards []chan req    // one combining mailbox per wire-range shard
+	mail   chan req      // the one mailbox, drained by the sweeper
 	done   chan struct{} // closed when Close begins
 	combWg sync.WaitGroup
 
@@ -326,16 +319,10 @@ type Server struct {
 	connSeq atomic.Int64
 	issued  atomic.Int64
 
-	// linMu is the linearizing section: a LIN request's whole traversal
-	// happens inside it, so LIN values are handed out in real-time order
-	// (sequential executions of a counting network are gap-free at every
-	// step). SC traffic does not take it — that is exactly the freedom SC
-	// buys.
-	linMu sync.Mutex
-	// linWg counts LIN operations in flight (local or forwarded), so Close
-	// can drain them explicitly before the out queues shut: a reader mid
-	// forward to a cluster leader is not parked in ReadFrame, where the
-	// read-deadline nudge would reach it.
+	// linWg counts LIN forwards in flight, so Close can drain them
+	// explicitly before the out queues shut: a reader mid forward to a
+	// cluster leader is not parked in ReadFrame, where the read-deadline
+	// nudge would reach it.
 	linWg sync.WaitGroup
 }
 
@@ -358,28 +345,9 @@ func New(be Backend, opt Options) *Server {
 	if s.opt.TraceSample > 0 {
 		s.sampler = flightrec.NewSampler(s.opt.TraceSample, serverTraceActor)
 	}
-	nsh := s.opt.Shards
-	if s.shape.Width > 0 && nsh > s.shape.Width {
-		nsh = s.shape.Width
-	}
-	if nsh < 1 {
-		nsh = 1
-	}
-	per := s.opt.Mailbox / nsh
-	if per < 1 {
-		per = 1
-	}
-	s.shards = make([]chan req, nsh)
-	for i := range s.shards {
-		s.shards[i] = make(chan req, per)
-	}
-	if st := s.opt.Stats; st != nil {
-		st.sizeShards(nsh)
-	}
-	for i := range s.shards {
-		s.combWg.Add(1)
-		go s.combine(i)
-	}
+	s.mail = make(chan req, s.opt.Mailbox)
+	s.combWg.Add(1)
+	go s.combine()
 	return s
 }
 
@@ -397,21 +365,11 @@ func (s *Server) anomaly(kind string, trace uint64) {
 	}
 }
 
-// shardOf maps an input wire onto its combining shard: contiguous wire
-// ranges, so a client hammering neighbouring wires stays on one shard's
-// cache-warm combiner.
-func (s *Server) shardOf(w int) int {
-	if s.shape.Width <= 0 || len(s.shards) == 1 {
-		return 0
-	}
-	return w * len(s.shards) / s.shape.Width
-}
-
-// post offers r to its wire's shard without blocking; false means the
-// shard is full and the request must be shed.
+// post offers r to the mailbox without blocking; false means the mailbox
+// is full and the request must be shed.
 func (s *Server) post(r req) bool {
 	select {
-	case s.shards[s.shardOf(r.wire)] <- r:
+	case s.mail <- r:
 		return true
 	default:
 		return false
@@ -430,9 +388,6 @@ func (s *Server) Stats() *Stats { return s.opt.Stats }
 // Flight returns the server's flight recorder (nil unless Options.Flight
 // was set).
 func (s *Server) Flight() *flightrec.Recorder { return s.flight }
-
-// Shards returns the number of combining shards the server runs.
-func (s *Server) Shards() int { return len(s.shards) }
 
 // Listen starts accepting TCP connections on addr (e.g. "127.0.0.1:0")
 // and returns the bound address.
@@ -531,19 +486,17 @@ func (s *Server) Close() error {
 		_ = c.nc.SetReadDeadline(s.clk.Now())
 	}
 	s.readerWg.Wait()
-	// Readers also execute LIN operations; wait out any still in flight
-	// (a cluster forward can outlive the deadline nudge above) so their
+	// Readers also execute LIN forwards; wait out any still in flight (a
+	// cluster forward can outlive the deadline nudge above) so their
 	// replies are enqueued before the out queues close — a graceful drain
 	// loses no LIN reply.
 	s.linWg.Wait()
 	// Readers were the only mailbox senders besides externally driven
 	// PacketIngests, which ingestMu holds off (and which see mailShut from
-	// here on); the combiners sweep the rest and exit.
+	// here on); the sweeper sweeps the rest and exits.
 	s.ingestMu.Lock()
 	s.mailShut = true
-	for _, mail := range s.shards {
-		close(mail)
-	}
+	close(s.mail)
 	s.ingestMu.Unlock()
 	s.combWg.Wait()
 	// No senders remain on any out queue: closing them flushes the writers.
@@ -592,18 +545,16 @@ func (s *Server) sleepDone(d time.Duration) {
 	}
 }
 
-// combine is one shard's coalescing loop: it drains the shard's mailbox,
-// steals from idle siblings' mailboxes when its own runs dry, folds the
-// pending increments of each input wire into one IncBatch sweep, and
-// deals the resulting ranges back to the requests in arrival order.
-func (s *Server) combine(shard int) {
+// combine is the sweeper's loop: it drains the mailbox, folds the pending
+// increments of each input wire into one IncBatch sweep, and deals the
+// resulting ranges back to the requests in arrival order.
+func (s *Server) combine() {
 	defer s.combWg.Done()
 	limit := s.opt.BatchLimit
-	mail := s.shards[shard]
-	sw := newSweeper(s, shard)
+	sw := newSweeper(s)
 	pending := make([]req, 0, limit)
 	for {
-		r, ok := <-mail
+		r, ok := <-s.mail
 		if !ok {
 			return // mailbox closed and fully drained
 		}
@@ -611,7 +562,7 @@ func (s *Server) combine(shard int) {
 	gather:
 		for len(pending) < limit {
 			select {
-			case r2, ok2 := <-mail:
+			case r2, ok2 := <-s.mail:
 				if !ok2 {
 					// Closed mid-gather: sweep what we hold; the next
 					// blocking receive observes the close and exits.
@@ -619,49 +570,11 @@ func (s *Server) combine(shard int) {
 				}
 				pending = append(pending, r2)
 			default:
-				// Own mailbox dry: rebalance by stealing from siblings
-				// before sweeping, so one hot shard cannot pile up work
-				// next to idle combiners.
-				pending = s.steal(shard, pending, limit)
 				break gather
 			}
 		}
 		sw.sweep(pending)
 	}
-}
-
-// steal moves requests from sibling shards' mailboxes into pending, up to
-// limit. Safe because any combiner may execute any wire's IncBatch — the
-// backend is concurrent — and each request is still consumed exactly once
-// (channel semantics).
-func (s *Server) steal(shard int, pending []req, limit int) []req {
-	if len(s.shards) == 1 {
-		return pending
-	}
-	stolen := 0
-	for i := 1; i < len(s.shards) && len(pending) < limit; i++ {
-		from := s.shards[(shard+i)%len(s.shards)]
-		dry := false
-		for !dry && len(pending) < limit {
-			select {
-			case r, ok := <-from:
-				if !ok {
-					dry = true // sibling closed and drained
-					break
-				}
-				pending = append(pending, r)
-				stolen++
-			default:
-				dry = true
-			}
-		}
-	}
-	if stolen > 0 {
-		if st := s.opt.Stats; st != nil {
-			st.steals.Add(uint64(stolen))
-		}
-	}
-	return pending
 }
 
 // wireGroup accumulates one input wire's share of a sweep.
@@ -671,12 +584,11 @@ type wireGroup struct {
 	reqs  []int // indices into the sweep's request slice
 }
 
-// sweeper holds one combiner's reusable sweep state, so steady-state
+// sweeper holds the sweeper's reusable sweep state, so steady-state
 // sweeps allocate nothing for grouping — and, when the backend can append
 // into a caller buffer, nothing for the sweep results either.
 type sweeper struct {
 	s      *Server
-	shard  int
 	groups map[int]*wireGroup
 	order  []*wireGroup
 	ba     batchAppender   // non-nil when the backend supports it
@@ -689,8 +601,8 @@ type batchAppender interface {
 	IncBatchAppend(dst []runtime.Range, wire, k int) []runtime.Range
 }
 
-func newSweeper(s *Server, shard int) *sweeper {
-	sw := &sweeper{s: s, shard: shard, groups: make(map[int]*wireGroup, 8)}
+func newSweeper(s *Server) *sweeper {
+	sw := &sweeper{s: s, groups: make(map[int]*wireGroup, 8)}
 	sw.ba, _ = s.be.(batchAppender)
 	return sw
 }
@@ -747,7 +659,7 @@ func (sw *sweeper) sweep(pending []req) {
 			s.anomaly("mailbox_timeout", r.trace)
 			if r.c != nil {
 				r.c.outstanding.Add(-1)
-				m := outMsg{f: wire.Frame{ID: r.id, Trace: r.trace}, tmpl: s.tmplTimeout}
+				m := outMsg{f: wire.Frame{ID: r.id, Trace: r.trace}, tmpl: s.tmplTimeout, mode: r.mode}
 				if r.trace != 0 {
 					m.enqNS = now.UnixNano()
 				}
@@ -763,7 +675,7 @@ func (sw *sweeper) sweep(pending []req) {
 	if st != nil {
 		st.sweeps.Add(1)
 		st.sweepReqs.Add(uint64(len(live)))
-		st.observeShard(sw.shard, len(s.shards[sw.shard]), uint64(len(live)))
+		st.observeQueue(len(s.mail))
 	}
 
 	// Group by input wire, preserving arrival order within each group.
@@ -875,26 +787,21 @@ func (sw *sweeper) sweep(pending []req) {
 				}
 			}
 			if st != nil {
-				n := r.weight()
-				st.scOps.Add(uint64(n))
-				st.latSC.RecordN(r.wire, s.clk.Since(r.enq), n)
-				st.stageRecordN(stageScMailbox, r.wire, now.Sub(r.enq), n)
-				st.stageRecordN(stageScSweep, r.wire, t0.Sub(now), n)
-				st.stageRecordN(stageScTraverse, r.wire, per, n)
+				st.recordSwept(r, s.clk.Since(r.enq), now.Sub(r.enq), t0.Sub(now), per)
 			}
 			if fl != nil && r.trace != 0 {
 				w := int64(r.wire)
-				fl.RecordNS(r.trace, flightrec.StageServerMailbox, 0, w, r.enq.UnixNano(), nowNS)
-				fl.RecordNS(r.trace, flightrec.StageServerSweep, 0, w, nowNS, t0NS)
-				fl.RecordNS(r.trace, flightrec.StageServerTraverse, 0, w, t0NS, t1NS)
+				fl.RecordNS(r.trace, flightrec.StageServerMailbox, r.mode, w, r.enq.UnixNano(), nowNS)
+				fl.RecordNS(r.trace, flightrec.StageServerSweep, r.mode, w, nowNS, t0NS)
+				fl.RecordNS(r.trace, flightrec.StageServerTraverse, r.mode, w, t0NS, t1NS)
 			}
 			if r.c == nil {
 				continue // fire-and-forget
 			}
 			r.c.outstanding.Add(-1)
-			m := outMsg{f: wire.Frame{Type: wire.TValue, ID: r.id, Trace: r.trace, Value: first}}
+			m := outMsg{f: wire.Frame{Type: wire.TValue, ID: r.id, Trace: r.trace, Value: first}, mode: r.mode}
 			if r.batch {
-				m = outMsg{f: wire.Frame{Type: wire.TRanges, ID: r.id, Trace: r.trace, Rs: out}}
+				m = outMsg{f: wire.Frame{Type: wire.TRanges, ID: r.id, Trace: r.trace, Rs: out}, mode: r.mode}
 			}
 			if r.trace != 0 {
 				m.enqNS = t1NS
@@ -924,7 +831,7 @@ type conn struct {
 	dead chan struct{}
 	die  sync.Once
 
-	// outstanding counts SC requests posted to combiners whose responses
+	// outstanding counts requests posted to the sweeper whose responses
 	// have not been enqueued yet. The writer reads it to decide whether
 	// waiting for flush companions can pay off: zero means the client is
 	// blocked on us and the buffer must go out now. Decremented before the
@@ -946,8 +853,8 @@ func (c *conn) markDead() {
 	})
 }
 
-// trySend queues a response without ever blocking the caller (a combiner
-// must not stall on one slow client): a full queue kills the connection.
+// trySend queues a response without ever blocking the caller (the
+// sweeper must not stall on one slow client): a full queue kills the connection.
 func (c *conn) trySend(m outMsg) {
 	select {
 	case <-c.dead:
@@ -1070,18 +977,22 @@ func (c *conn) process(f *wire.Frame) {
 			c.trySend(outMsg{f: wire.Frame{Type: wire.TRanges, ID: f.ID, Trace: trace, Rs: []wire.Range{}}})
 			return
 		}
+		var mode uint8
 		if f.Mode == wire.ModeLIN || s.opt.ForceLIN {
-			c.processLIN(f.ID, int(f.Wire), k, batch, trace)
-			return
+			if s.opt.LINForward != nil {
+				c.forwardLIN(f.ID, int(f.Wire), k, batch, trace)
+				return
+			}
+			mode = 1
 		}
 		c.outstanding.Add(1)
-		if !s.post(req{c: c, id: f.ID, wire: int(f.Wire), k: k, batch: batch, enq: s.clk.Now(), trace: trace}) {
+		if !s.post(req{c: c, id: f.ID, wire: int(f.Wire), k: k, batch: batch, mode: mode, enq: s.clk.Now(), trace: trace}) {
 			c.outstanding.Add(-1)
 			if st != nil {
 				st.backpressure.Add(1)
 			}
 			s.anomaly("backpressure", trace)
-			m := outMsg{f: wire.Frame{ID: f.ID, Trace: trace}, tmpl: s.tmplBackpressure}
+			m := outMsg{f: wire.Frame{ID: f.ID, Trace: trace}, tmpl: s.tmplBackpressure, mode: mode}
 			if trace != 0 {
 				m.enqNS = s.clk.Now().UnixNano()
 			}
@@ -1093,72 +1004,39 @@ func (c *conn) process(f *wire.Frame) {
 	}
 }
 
-// processLIN serves one linearizable increment: the whole traversal runs
-// inside the linearizing section, so values are handed to LIN requests in
-// real-time order — the waiting the condition demands, paid per request.
-func (c *conn) processLIN(id uint64, w int, k int64, batch bool, trace uint64) {
+// forwardLIN serves one linearizable increment in cluster mode on the
+// reader goroutine: the leader's per-epoch serialization point orders it,
+// and the whole forward round trip stands in for the traversal.
+func (c *conn) forwardLIN(id uint64, w int, k int64, batch bool, trace uint64) {
 	s := c.s
 	s.linWg.Add(1)
 	defer s.linWg.Done()
 	st := s.opt.Stats
 	fl := s.flight
 	timed := st != nil || (fl != nil && trace != 0)
-	var start, locked, end time.Time
+	var start, end time.Time
 	if timed {
 		start = s.clk.Now()
 	}
-	var first int64
-	var rs []runtime.Range
-	if fwd := s.opt.LINForward; fwd != nil {
-		// Cluster mode: the leader's per-epoch serialization point is the
-		// linearizing section, so the local linMu is not taken — the whole
-		// forward round trip stands in for the traversal.
-		locked = start
-		var err error
-		rs, err = fwd(uint64(c.id), int64(w), k)
-		if err != nil {
-			s.anomaly("lin_forward_failed", trace)
-			c.trySend(errFrame(id, trace, err))
-			return
-		}
-		first = rs[0].First
-		s.issued.Add(k)
-	} else {
-		s.linMu.Lock()
-		if timed {
-			locked = s.clk.Now()
-		}
-		if s.fb != nil {
-			var err error
-			rs, err = s.fb.TryIncBatch(w, int(k))
-			if err != nil {
-				s.linMu.Unlock()
-				s.anomaly("no_range", trace)
-				c.trySend(errFrame(id, trace, err))
-				return
-			}
-			first = rs[0].First
-		} else if k == 1 {
-			first = s.be.Inc(w)
-		} else {
-			rs = s.be.IncBatch(w, int(k))
-			first = rs[0].First
-		}
-		s.issued.Add(k)
-		s.linMu.Unlock()
+	rs, err := s.opt.LINForward(uint64(c.id), int64(w), k)
+	if err != nil {
+		s.anomaly("lin_forward_failed", trace)
+		c.trySend(errFrame(id, trace, err))
+		return
 	}
+	first := rs[0].First
+	s.issued.Add(k)
 	if timed {
 		end = s.clk.Now()
 	}
 	if st != nil {
 		st.linOps.Add(1)
 		st.latLIN.Record(w, end.Sub(start))
-		st.stageRecord(stageLinWait, w, locked.Sub(start))
-		st.stageRecord(stageLinTraverse, w, end.Sub(locked))
+		st.stageRecord(stageLinTraverse, w, end.Sub(start))
 	}
 	if fl != nil && trace != 0 {
-		fl.RecordNS(trace, flightrec.StageServerLINWait, 1, int64(w), start.UnixNano(), locked.UnixNano())
-		fl.RecordNS(trace, flightrec.StageServerTraverse, 1, int64(w), locked.UnixNano(), end.UnixNano())
+		fl.RecordNS(trace, flightrec.StageServerLINWait, 1, int64(w), start.UnixNano(), start.UnixNano())
+		fl.RecordNS(trace, flightrec.StageServerTraverse, 1, int64(w), start.UnixNano(), end.UnixNano())
 	}
 	var enq int64
 	if trace != 0 && timed {
@@ -1169,9 +1047,6 @@ func (c *conn) processLIN(id uint64, w int, k int64, batch bool, trace uint64) {
 		return
 	}
 	out := make([]wire.Range, 0, len(rs))
-	if len(rs) == 0 {
-		out = append(out, wire.Range{First: first, Stride: 1, Count: 1})
-	}
 	for _, r := range rs {
 		out = append(out, wire.Range{First: r.First, Stride: r.Stride, Count: r.Count})
 	}
@@ -1349,7 +1224,7 @@ func (c *conn) writeLoop() {
 				continue
 			}
 			// Adaptive decision: wait for companions only when requests
-			// are still in flight through the combiners for this
+			// are still in flight through the sweeper for this
 			// connection — their responses are guaranteed to arrive within
 			// a sweep. With nothing outstanding the client is blocked on
 			// this buffer, so it goes out now.

@@ -2,11 +2,13 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,6 +235,64 @@ func TestLINStepProperty(t *testing.T) {
 	}
 }
 
+// TestLINWaitsOutParkedSweep: a LIN increment is not answered while an
+// earlier sweep's token is still inside the network. An SC sweep is
+// parked at its second balancer; LIN op A, sent while it is parked, must
+// not return until the sweep is released, and LIN op B, sent after A
+// returned, must get a larger value. A traversal run beside the parked
+// one would answer A at once, and could hand it a value above the parked
+// token's and above B's.
+func TestLINWaitsOutParkedSweep(t *testing.T) {
+	rt := runtime.MustCompile(construct.MustBitonic(8))
+	parked, release := make(chan struct{}), make(chan struct{})
+	var visits atomic.Int32
+	rt.SetFaultHook(func(context.Context, int) {
+		if visits.Add(1) == 2 {
+			close(parked)
+			<-release
+		}
+	})
+	s := New(rt, Options{})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	var unpark sync.Once
+	free := func() { unpark.Do(func() { close(release) }) }
+	t.Cleanup(free) // runs before Close, so a failed test cannot leave the sweeper parked
+	sc, lin := dialT(t, addr.String()), dialT(t, addr.String())
+
+	sc.send(wire.Frame{Type: wire.TInc, ID: 1, Wire: 0})
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the SC sweep never reached its second balancer")
+	}
+	lin.send(wire.Frame{Type: wire.TInc, ID: 2, Wire: 3, Mode: wire.ModeLIN})
+	_ = lin.nc.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if f, err := wire.ReadFrame(lin.br); err == nil {
+		t.Fatalf("LIN op answered %+v while an earlier sweep was still in the network", f)
+	}
+	_ = lin.nc.SetReadDeadline(time.Time{})
+	free()
+
+	vals := []int64{sc.recv().Value}
+	a := lin.recv()
+	lin.send(wire.Frame{Type: wire.TInc, ID: 3, Wire: 5, Mode: wire.ModeLIN})
+	b := lin.recv()
+	if a.Type != wire.TValue || b.Type != wire.TValue {
+		t.Fatalf("LIN replies %+v, %+v", a, b)
+	}
+	if b.Value <= a.Value {
+		t.Fatalf("LIN op B got %d after LIN op A returned %d", b.Value, a.Value)
+	}
+	vals = append(vals, a.Value, b.Value)
+	if err := runtime.Verify(vals); err != nil {
+		t.Fatalf("values %v: %v", vals, err)
+	}
+}
+
 // TestCoalescingReducesToggles: at 64 pipelined clients, folding SC
 // increments into batched sweeps must cut balancer work at least 5x
 // against naive per-request traversal (which costs depth toggles per op).
@@ -316,8 +376,6 @@ type slowBackend struct {
 func (b *slowBackend) Shape() network.Shape {
 	return network.Shape{Width: 2, Sinks: 2, Balancers: 1, Depth: 1}
 }
-
-func (b *slowBackend) Inc(w int) int64 { return b.IncBatch(w, 1)[0].First }
 
 func (b *slowBackend) IncBatch(w, k int) []runtime.Range {
 	time.Sleep(b.delay)
@@ -575,6 +633,8 @@ func TestMetricsExposition(t *testing.T) {
 		"countd_conns_active 1",
 		"countd_latency_sc_seconds_count 1",
 		"countd_sweeps_total 1",
+		"countd_flush_total",
+		"countd_bytes_out_total",
 		"countd_latency_lin_seconds_bucket{le=\"+Inf\"} 0",
 	} {
 		if !strings.Contains(out, want) {

@@ -20,10 +20,10 @@ type Stats struct {
 	framesIn  atomic.Uint64
 	framesOut atomic.Uint64
 
-	scOps  atomic.Uint64 // coalesced increments answered
-	linOps atomic.Uint64 // serialized increments answered
+	scOps  atomic.Uint64 // SC increments answered
+	linOps atomic.Uint64 // LIN increments answered
 
-	sweeps      atomic.Uint64 // combiner passes that touched the backend
+	sweeps      atomic.Uint64 // sweeper passes that touched the backend
 	sweepReqs   atomic.Uint64 // requests folded across all sweeps
 	sweepTokens atomic.Uint64 // counter values issued by coalesced sweeps
 
@@ -64,37 +64,32 @@ type Stats struct {
 	faultDuplicated atomic.Uint64 // frames duplicated by injected faults
 	faultDelayed    atomic.Uint64 // frames delayed by injected faults
 
-	steals atomic.Uint64 // requests stolen by idle combiners from sibling shards
-
 	flushes        atomic.Uint64 // writer flush syscalls
 	flushDeadline  atomic.Uint64 // flushes forced by the FlushPolicy deadline
 	flushThreshold atomic.Uint64 // flushes forced by the byte threshold
 	bytesOut       atomic.Uint64 // response bytes written
 
-	// Per-combining-shard counters, sized once by the server before its
-	// combiners start (sizeShards); index = shard id.
-	shardSweeps   []atomic.Uint64 // sweeps executed by this shard
-	shardReqs     []atomic.Uint64 // requests folded by this shard
-	shardQueueMax []atomic.Int64  // high-water mark of this shard's mailbox
-
 	latSC  *telemetry.Histogram // mailbox-entry to response-enqueue
-	latLIN *telemetry.Histogram // linearizing-section round trip
+	latLIN *telemetry.Histogram // the same for LIN; a cluster forward's round trip
 
 	// stage holds one histogram per serving-path stage (stageDefs): where
-	// a request's time goes, split by the stage's consistency mode. SC
-	// traverse is recorded amortized (sweep duration / requests folded),
-	// so the per-request numbers stay comparable with LIN's serialized
-	// traversal — the paper's cost gap, as a metric.
+	// a request's time goes, split by the request's consistency mode.
+	// Traverse is recorded amortized (sweep duration / requests folded),
+	// so one request's share of a sweep is what it is charged.
 	stage [numStageHists]*telemetry.Histogram
 }
 
-// Stage-histogram indices and their Prometheus labels. The flush stage
-// is shared by both modes (one writer per connection).
+// Stage-histogram indices and their Prometheus labels: mailbox, sweep
+// and traverse once per mode, in the same order, so a LIN request's
+// stage is its SC stage plus stageLinMailbox. A cluster LIN forward
+// records its round trip as traverse/lin. The flush stage is shared by
+// both modes (one writer per connection).
 const (
 	stageScMailbox = iota
 	stageScSweep
 	stageScTraverse
-	stageLinWait
+	stageLinMailbox
+	stageLinSweep
 	stageLinTraverse
 	stageFlush
 	numStageHists
@@ -171,7 +166,8 @@ var stageDefs = [numStageHists]struct{ stage, mode string }{
 	{"mailbox", "sc"},
 	{"sweep", "sc"},
 	{"traverse", "sc"},
-	{"lin_wait", "lin"},
+	{"mailbox", "lin"},
+	{"sweep", "lin"},
 	{"traverse", "lin"},
 	{"flush", "all"},
 }
@@ -224,36 +220,20 @@ func (st *Stats) observeQueue(depth int) {
 	}
 }
 
-// sizeShards allocates the per-shard counters. The server calls it once,
-// before any combiner runs; a sink reused across servers keeps the larger
-// size.
-func (st *Stats) sizeShards(n int) {
-	if n <= len(st.shardSweeps) {
-		return
+// recordSwept counts one swept request under its mode: the op counter,
+// the end-to-end latency and its mailbox, sweep and traverse stages,
+// each weighted by the operations the request stands for.
+func (st *Stats) recordSwept(r req, lat, mailbox, sweep, traverse time.Duration) {
+	n := r.weight()
+	ops, hist, stage := &st.scOps, st.latSC, stageScMailbox
+	if r.mode == 1 {
+		ops, hist, stage = &st.linOps, st.latLIN, stageLinMailbox
 	}
-	st.shardSweeps = make([]atomic.Uint64, n)
-	st.shardReqs = make([]atomic.Uint64, n)
-	st.shardQueueMax = make([]atomic.Int64, n)
-}
-
-// observeShard records one combiner sweep: the shard's current mailbox
-// depth and how many requests the sweep folded. Also feeds the global
-// queue high-water mark.
-func (st *Stats) observeShard(shard, depth int, reqs uint64) {
-	st.observeQueue(depth)
-	if shard < 0 || shard >= len(st.shardSweeps) {
-		return
-	}
-	st.shardSweeps[shard].Add(1)
-	st.shardReqs[shard].Add(reqs)
-	d := int64(depth)
-	hw := &st.shardQueueMax[shard]
-	for {
-		cur := hw.Load()
-		if d <= cur || hw.CompareAndSwap(cur, d) {
-			return
-		}
-	}
+	ops.Add(uint64(n))
+	hist.RecordN(r.wire, lat, n)
+	st.stageRecordN(stage, r.wire, mailbox, n)
+	st.stageRecordN(stage+1, r.wire, sweep, n)
+	st.stageRecordN(stage+2, r.wire, traverse, n)
 }
 
 // Snapshot is a point-in-time copy of the server's metrics, JSON-ready.
@@ -301,16 +281,10 @@ type Snapshot struct {
 	FaultDuplicated uint64 `json:"faultDuplicated"`
 	FaultDelayed    uint64 `json:"faultDelayed"`
 
-	Steals uint64 `json:"steals"`
-
 	Flushes        uint64 `json:"flushes"`
 	FlushDeadline  uint64 `json:"flushDeadline"`
 	FlushThreshold uint64 `json:"flushThreshold"`
 	BytesOut       uint64 `json:"bytesOut"`
-
-	ShardSweeps   []uint64 `json:"shardSweeps,omitempty"`
-	ShardReqs     []uint64 `json:"shardReqs,omitempty"`
-	ShardQueueMax []int64  `json:"shardQueueMax,omitempty"`
 
 	LatencySC  telemetry.LatencySummary `json:"latencySC"`
 	LatencyLIN telemetry.LatencySummary `json:"latencyLIN"`
@@ -370,16 +344,10 @@ func (st *Stats) Snapshot() Snapshot {
 		FaultDuplicated: st.faultDuplicated.Load(),
 		FaultDelayed:    st.faultDelayed.Load(),
 
-		Steals: st.steals.Load(),
-
 		Flushes:        st.flushes.Load(),
 		FlushDeadline:  st.flushDeadline.Load(),
 		FlushThreshold: st.flushThreshold.Load(),
 		BytesOut:       st.bytesOut.Load(),
-
-		ShardSweeps:   loadShardU64(st.shardSweeps),
-		ShardReqs:     loadShardU64(st.shardReqs),
-		ShardQueueMax: loadShardI64(st.shardQueueMax),
 
 		LatencySC:  st.latSC.Summary(),
 		LatencyLIN: st.latLIN.Summary(),
@@ -412,28 +380,6 @@ func loadBuckets(src *[udpBatchBuckets]atomic.Uint64) []uint64 {
 	}
 	if !any {
 		return nil
-	}
-	return out
-}
-
-func loadShardU64(src []atomic.Uint64) []uint64 {
-	if len(src) == 0 {
-		return nil
-	}
-	out := make([]uint64, len(src))
-	for i := range src {
-		out[i] = src[i].Load()
-	}
-	return out
-}
-
-func loadShardI64(src []atomic.Int64) []int64 {
-	if len(src) == 0 {
-		return nil
-	}
-	out := make([]int64, len(src))
-	for i := range src {
-		out[i] = src[i].Load()
 	}
 	return out
 }
@@ -509,25 +455,10 @@ func (st *Stats) AppendMetrics(w io.Writer) {
 	counter("countd_fault_dropped_total", "frames dropped by fault injection", s.FaultDropped)
 	counter("countd_fault_duplicated_total", "frames duplicated by fault injection", s.FaultDuplicated)
 	counter("countd_fault_delayed_total", "frames delayed by fault injection", s.FaultDelayed)
-	counter("countd_steals_total", "requests stolen by idle combiner shards", s.Steals)
 	counter("countd_flush_total", "response writer flush syscalls", s.Flushes)
 	counter("countd_flush_deadline_total", "flushes forced by the flush deadline", s.FlushDeadline)
 	counter("countd_flush_threshold_total", "flushes forced by the byte threshold", s.FlushThreshold)
 	counter("countd_bytes_out_total", "response bytes written", s.BytesOut)
-	if len(s.ShardSweeps) > 0 {
-		fmt.Fprintf(w, "# HELP countd_shard_sweeps_total sweeps executed per combining shard\n# TYPE countd_shard_sweeps_total counter\n")
-		for i, v := range s.ShardSweeps {
-			fmt.Fprintf(w, "countd_shard_sweeps_total{shard=\"%d\"} %d\n", i, v)
-		}
-		fmt.Fprintf(w, "# HELP countd_shard_requests_total requests folded per combining shard\n# TYPE countd_shard_requests_total counter\n")
-		for i, v := range s.ShardReqs {
-			fmt.Fprintf(w, "countd_shard_requests_total{shard=\"%d\"} %d\n", i, v)
-		}
-		fmt.Fprintf(w, "# HELP countd_shard_queue_high_water mailbox depth high-water per shard\n# TYPE countd_shard_queue_high_water gauge\n")
-		for i, v := range s.ShardQueueMax {
-			fmt.Fprintf(w, "countd_shard_queue_high_water{shard=\"%d\"} %d\n", i, v)
-		}
-	}
 	writeHist(w, "countd_latency_sc", "SC increment latency", s.LatencySC)
 	writeHist(w, "countd_latency_lin", "LIN increment latency", s.LatencyLIN)
 	fmt.Fprintf(w, "# HELP countd_stage_seconds serving-path stage latency by stage and mode\n# TYPE countd_stage_seconds histogram\n")

@@ -55,7 +55,7 @@ func TestTracedRequestStages(t *testing.T) {
 	for {
 		all := fr.Snapshot()
 		sc, lin = spansFor(all, scTrace), spansFor(all, linTrace)
-		if len(sc) >= 4 && len(lin) >= 3 {
+		if len(sc) >= 4 && len(lin) >= 4 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -64,24 +64,20 @@ func TestTracedRequestStages(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	wantSC := []flightrec.Stage{
+	// Both modes go through the one sweeper, so both leave the same trail.
+	want := []flightrec.Stage{
 		flightrec.StageServerMailbox, flightrec.StageServerSweep,
 		flightrec.StageServerTraverse, flightrec.StageServerFlush,
 	}
-	got := stageSet(sc)
-	for _, st := range wantSC {
-		if !got[st] {
-			t.Fatalf("SC trace missing stage %v: %+v", st, sc)
+	for name, trail := range map[string][]flightrec.Span{"SC": sc, "LIN": lin} {
+		got := stageSet(trail)
+		for _, st := range want {
+			if !got[st] {
+				t.Fatalf("%s trace missing stage %v: %+v", name, st, trail)
+			}
 		}
-	}
-	wantLIN := []flightrec.Stage{
-		flightrec.StageServerLINWait, flightrec.StageServerTraverse,
-		flightrec.StageServerFlush,
-	}
-	got = stageSet(lin)
-	for _, st := range wantLIN {
-		if !got[st] {
-			t.Fatalf("LIN trace missing stage %v: %+v", st, lin)
+		if len(trail) != len(want) {
+			t.Fatalf("%s trace has %d spans, want %d: %+v", name, len(trail), len(want), trail)
 		}
 	}
 	for _, s := range append(sc, lin...) {
@@ -171,22 +167,18 @@ func TestUDPLatencyRecorded(t *testing.T) {
 	}
 }
 
-// TestStageHistogramsLINPaysMore: the metric the tracing exists to show.
-// Pipelined SC traffic amortizes one traversal across the whole combined
-// group, while every LIN request pays a full serialized traversal plus
-// the linearizing-section wait — so the per-increment serialization cost
-// (lin_wait + traverse time divided by LIN ops) must exceed SC's (sweep
-// traversal time divided by the SC ops it amortized over). A deliberately
-// slow backend makes the separation structural rather than a timing
-// accident: while one sweep stalls, the pipelined SC requests pile into
-// the mailbox and the next sweep takes them all, whereas the pipelined
-// LIN requests serialize and each one also sits in lin_wait behind its
-// predecessors' traversals. Note SC's traverse samples are per sweep,
-// not per op, which is why the division is by op counts rather than
-// sample counts.
-func TestStageHistogramsLINPaysMore(t *testing.T) {
+// TestStageHistogramsPerMode: each mode's mailbox, sweep and traverse
+// histograms count exactly that mode's requests, and pipelined LIN
+// requests amortize a traversal across the sweep like SC ones do. A
+// deliberately slow backend (1 ms per IncBatch) makes the amortization
+// structural rather than a timing accident: while one sweep stalls, the
+// rest of a 16-deep pipeline piles into the mailbox and the next sweep
+// takes it all, so the traverse time charged per op stays well below one
+// IncBatch. Served one traversal per request, it would be at least one.
+func TestStageHistogramsPerMode(t *testing.T) {
+	const delay = time.Millisecond
 	st := NewStats(0)
-	s := New(&slowBackend{delay: time.Millisecond}, Options{Stats: st})
+	s := New(&slowBackend{delay: delay}, Options{Stats: st})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -217,17 +209,19 @@ func TestStageHistogramsLINPaysMore(t *testing.T) {
 	}
 
 	snap := st.Snapshot()
-	scT, linT, linW := snap.Stages["traverse/sc"], snap.Stages["traverse/lin"], snap.Stages["lin_wait/lin"]
-	if scT.Count == 0 || linT.Count == 0 || linW.Count == 0 {
-		t.Fatalf("stage histograms empty: %+v", snap.Stages)
+	const ops = rounds * pipe
+	if snap.SCOps != ops || snap.LINOps != ops {
+		t.Fatalf("served %d SC and %d LIN ops, want %d each", snap.SCOps, snap.LINOps, ops)
 	}
-	if snap.SCOps == 0 || snap.LINOps == 0 {
-		t.Fatalf("no ops served: %+v", snap)
-	}
-	scPerOp := float64(scT.Sum) / float64(snap.SCOps)
-	linPerOp := (float64(linT.Sum) + float64(linW.Sum)) / float64(snap.LINOps)
-	if linPerOp <= scPerOp {
-		t.Fatalf("LIN serialization cost %.0fns/op not above SC's amortized %.0fns/op", linPerOp, scPerOp)
+	for _, mode := range []string{"sc", "lin"} {
+		for _, stage := range []string{"mailbox", "sweep", "traverse"} {
+			if n := snap.Stages[stage+"/"+mode].Count; n != ops {
+				t.Fatalf("%s/%s counted %d requests, want %d", stage, mode, n, ops)
+			}
+		}
+		if perOp := snap.Stages["traverse/"+mode].Sum / ops; perOp >= delay/2 {
+			t.Fatalf("%s traverse charged %v per op against a %v IncBatch: not amortized", mode, perOp, delay)
+		}
 	}
 }
 
@@ -249,7 +243,7 @@ func TestStageMetricsExposition(t *testing.T) {
 		"# TYPE countd_stage_seconds histogram",
 		`countd_stage_seconds_bucket{stage="traverse",mode="sc",le="+Inf"}`,
 		`countd_stage_seconds_bucket{stage="traverse",mode="lin",le="+Inf"}`,
-		`countd_stage_seconds_count{stage="lin_wait",mode="lin"}`,
+		`countd_stage_seconds_count{stage="mailbox",mode="lin"}`,
 		`countd_stage_seconds_count{stage="mailbox",mode="sc"}`,
 	} {
 		if !strings.Contains(out, want) {
@@ -262,7 +256,7 @@ func TestStageMetricsExposition(t *testing.T) {
 // box with their trace attached.
 func TestAnomalyNotes(t *testing.T) {
 	fr := flightrec.New(64)
-	// One-slot mailbox on one shard with a scripted-slow backend would be
+	// A one-slot mailbox with a scripted-slow backend would be
 	// elaborate; a bad-wire error frame is the cheap deterministic anomaly.
 	_, _, addr := startServer(t, 4, Options{Flight: fr})
 	c := dialT(t, addr)

@@ -102,9 +102,9 @@ func (s *Server) NewPacketIngest() *PacketIngest {
 }
 
 // IngestBatch admits every packet currently in b and posts the survivors
-// to the combining shards, aggregated per wire — one mailbox post covers
-// a whole batch's increments on that wire, so at batch 64 the combiners
-// see 1/64th the channel traffic. Steady state it allocates nothing.
+// to the mailbox, aggregated per wire — one mailbox post covers a whole
+// batch's increments on that wire, so at batch 64 the sweeper sees
+// 1/64th the channel traffic. Steady state it allocates nothing.
 // Safe to call during and after Server.Close: what can no longer be
 // posted is counted as udp_dropped.
 //

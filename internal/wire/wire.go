@@ -32,10 +32,11 @@
 //	TLinForward   id, wire, k, epoch     →  TRanges id, n, n×(first, stride, count)
 //	any           —                      →  TError  id, code, len, message
 //
-// The mode flag rides on every request frame: SC requests may be coalesced
-// and answered with purely local latency, LIN requests are serialized
-// through the server's linearizing section — the protocol-level form of
-// the paper's sequentially-consistent-versus-linearizable tradeoff.
+// The mode flag rides on every request frame: SC requests may be answered
+// with purely local latency, LIN requests must be answered in real-time
+// order — the protocol-level form of the paper's
+// sequentially-consistent-versus-linearizable tradeoff. A single node
+// meets both with one sweeper; a cluster forwards LIN to its leader.
 // The cluster opcodes (TGossip, TRange*, TLinForward) are spoken between
 // countd nodes on the cluster listener (internal/cluster); they reuse the
 // same framing and CRC discipline as the client-facing protocol.
@@ -90,9 +91,9 @@ const (
 	// ModeSC asks for sequentially consistent counting: the server may
 	// coalesce the increment with others and answer from the batched sweep.
 	ModeSC Mode = 0
-	// ModeLIN asks for linearizable counting: the increment is serialized
-	// through the server's linearizing section and pays the round trip the
-	// condition demands.
+	// ModeLIN asks for linearizable counting: the increment's value must
+	// lie above every value handed out before it was sent. It may still be
+	// coalesced, but only with increments it overlaps.
 	ModeLIN Mode = 1
 )
 

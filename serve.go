@@ -54,9 +54,9 @@ type (
 )
 
 const (
-	// ModeSC requests sequentially consistent (coalescible) increments.
+	// ModeSC requests sequentially consistent increments.
 	ModeSC = wire.ModeSC
-	// ModeLIN requests linearizable (serialized) increments.
+	// ModeLIN requests linearizable increments.
 	ModeLIN = wire.ModeLIN
 )
 
