@@ -40,6 +40,7 @@ func (s *syncBuffer) String() string {
 
 var servingRe = regexp.MustCompile(`serving ([0-9.]+:\d+)`)
 var telemRe = regexp.MustCompile(`telemetry http://([0-9.]+:\d+)/metrics`)
+var flightRe = regexp.MustCompile(`flight recorder http://([0-9.]+:\d+)/debug/flight`)
 
 // startDaemon runs the daemon in-process on ephemeral ports and waits for
 // its service address to appear in the output.
@@ -51,18 +52,26 @@ func startDaemon(t *testing.T, o options) (*syncBuffer, string, context.CancelFu
 	go func() { done <- run(ctx, o, out) }()
 	t.Cleanup(cancel)
 
+	return out, awaitAddr(t, out, done, servingRe), cancel, done
+}
+
+// awaitAddr polls countd's output for re's address. run prints one line
+// per endpoint as each comes up, so a later endpoint's line can trail the
+// serving line by a moment.
+func awaitAddr(t *testing.T, out *syncBuffer, done <-chan error, re *regexp.Regexp) string {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if m := servingRe.FindStringSubmatch(out.String()); m != nil {
-			return out, m[1], cancel, done
+		if m := re.FindStringSubmatch(out.String()); m != nil {
+			return m[1]
 		}
 		select {
 		case err := <-done:
-			t.Fatalf("countd exited before serving: %v\n%s", err, out.String())
+			t.Fatalf("countd exited before printing %q: %v\n%s", re, err, out.String())
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("countd never reported a serving address:\n%s", out.String())
+			t.Fatalf("countd never printed %q:\n%s", re, out.String())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -90,11 +99,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	c.Close()
 
-	m := telemRe.FindStringSubmatch(out.String())
-	if m == nil {
-		t.Fatalf("no telemetry address in output:\n%s", out.String())
-	}
-	resp, err := http.Get("http://" + m[1] + "/metrics")
+	resp, err := http.Get("http://" + awaitAddr(t, out, done, telemRe) + "/metrics")
 	if err != nil {
 		t.Fatalf("scrape: %v", err)
 	}
@@ -129,11 +134,7 @@ func TestDaemonUDPEndpoint(t *testing.T) {
 		listen: "127.0.0.1:0", udp: "127.0.0.1:0", telem: "127.0.0.1:0",
 		mode: "sc", udpSocks: 2, udpBatch: 16,
 	})
-	m := udpRe.FindStringSubmatch(out.String())
-	if m == nil {
-		t.Fatalf("no udp endpoint address in output:\n%s", out.String())
-	}
-	conn, err := packetio.Dial(m[1], packetio.Options{})
+	conn, err := packetio.Dial(awaitAddr(t, out, done, udpRe), packetio.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +185,7 @@ func TestDaemonUDPEndpoint(t *testing.T) {
 	}
 	c.Close()
 
-	tm := telemRe.FindStringSubmatch(out.String())
-	if tm == nil {
-		t.Fatalf("no telemetry address in output:\n%s", out.String())
-	}
-	resp, err := http.Get("http://" + tm[1] + "/metrics")
+	resp, err := http.Get("http://" + awaitAddr(t, out, done, telemRe) + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +218,7 @@ func TestDaemonUDPPortableLoop(t *testing.T) {
 		listen: "127.0.0.1:0", udp: "127.0.0.1:0",
 		mode: "sc", udpPort: true,
 	})
-	m := udpRe.FindStringSubmatch(out.String())
-	if m == nil {
-		t.Fatalf("no udp endpoint address in output:\n%s", out.String())
-	}
-	conn, err := packetio.Dial(m[1], packetio.Options{Portable: true})
+	conn, err := packetio.Dial(awaitAddr(t, out, done, udpRe), packetio.Options{Portable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,14 +310,7 @@ func TestDaemonFlightEndpoint(t *testing.T) {
 	}
 	c.Close()
 
-	m := telemRe.FindStringSubmatch(out.String())
-	if m == nil {
-		t.Fatalf("no telemetry address in output:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "flight recorder http://") {
-		t.Errorf("startup output missing flight recorder line:\n%s", out.String())
-	}
-	resp, err := http.Get("http://" + m[1] + "/debug/flight")
+	resp, err := http.Get("http://" + awaitAddr(t, out, done, flightRe) + "/debug/flight")
 	if err != nil {
 		t.Fatalf("GET /debug/flight: %v", err)
 	}

@@ -36,7 +36,12 @@
 // id passes, a recent duplicate is dropped. The window is bounded, so a
 // retransmit arriving after N fresher datagrams can still slip through —
 // that burns a counter value nobody observes, but can never mint the same
-// value for two observers, which is the invariant the chaos drills pin.
+// value for two observers, which is the invariant the simulator's udp
+// scenarios pin.
+//
+// Observe runs once per admitted frame, so it uses no Go map but a ring
+// plus an open-addressed index hashed with per-Window random tables: a
+// sender cannot aim ids at one probe run.
 //
 // # Segmentation offload (GSO/GRO)
 //
@@ -53,6 +58,8 @@
 package packetio
 
 import (
+	"math/bits"
+	"math/rand/v2"
 	"net"
 	"sync/atomic"
 )
@@ -318,24 +325,48 @@ func (b *Batch) AppendSegments(fn func(dst []byte) (payload []byte, seg int)) bo
 // serves one ingest loop — flows hash to a stable socket under
 // SO_REUSEPORT, so a retransmit meets the same window that saw the
 // original. Not safe for concurrent use.
+//
+// The ids sit in a FIFO ring, indexed by an open-addressed, linearly
+// probed table of 1 + ring index (0 is empty). The table is a power of two
+// at least eight times the capacity: a probe costs its branches, and at a
+// quarter load Observe took 35 ns against 22 at an eighth (Xeon). Eviction
+// deletes by backward shift, so there are no tombstones and no rebuilds.
 type Window struct {
 	capacity int
 	ring     []uint64
 	pos      int
 	full     bool
-	seen     map[uint64]struct{}
+	table    []uint32
+	shift    uint // 32 − log2(len(table)): a hash's top bits are its home slot
+	maxProbe int  // longest miss probe so far, in occupied slots passed
+	tab      [8][256]uint32
 }
 
 // NewWindow builds a window remembering the last capacity ids (minimum 1).
+//
+// Slots come from simple tabulation hashing over the id's eight bytes,
+// with tables drawn here from math/rand/v2's runtime-seeded source. No
+// sender sees them, so none can aim ids at one probe run, and under simple
+// tabulation linear probing takes constant expected probes on every id set
+// (Pătraşcu–Thorup). Multiply-shift does not: under about one multiplier
+// in a hundred, consecutive ids average 4 to 20 probes per miss, not 0.15.
 func NewWindow(capacity int) *Window {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Window{
+	b := uint(bits.Len(uint(8*capacity - 1)))
+	w := &Window{
 		capacity: capacity,
 		ring:     make([]uint64, capacity),
-		seen:     make(map[uint64]struct{}, capacity),
+		table:    make([]uint32, 1<<b),
+		shift:    32 - b,
 	}
+	for i := range w.tab {
+		for j := range w.tab[i] {
+			w.tab[i][j] = rand.Uint32()
+		}
+	}
+	return w
 }
 
 // Cap reports the window's capacity.
@@ -345,17 +376,56 @@ func (w *Window) Cap() int { return w.capacity }
 // datagram, false means a duplicate of a recently seen id (a replay).
 // The oldest remembered id is evicted once the window is full.
 func (w *Window) Observe(id uint64) bool {
-	if _, dup := w.seen[id]; dup {
-		return false
+	mask := len(w.table) - 1
+	home := w.home(id)
+	i := home
+	for s := w.table[i]; s != 0; s = w.table[i] {
+		if w.ring[s-1] == id {
+			return false
+		}
+		i = (i + 1) & mask
+	}
+	if d := (i - home) & mask; d > w.maxProbe {
+		w.maxProbe = d
 	}
 	if w.full {
-		delete(w.seen, w.ring[w.pos])
+		// Deleting the oldest id empties exactly one slot. If that slot is
+		// on id's probe path, it is now the first free one there.
+		if h := w.remove(); (h-home)&mask < (i-home)&mask {
+			i = h
+		}
 	}
+	w.table[i] = uint32(w.pos + 1)
 	w.ring[w.pos] = id
-	w.seen[id] = struct{}{}
 	w.pos++
 	if w.pos == w.capacity {
 		w.pos, w.full = 0, true
 	}
 	return true
+}
+
+// home is id's home slot: the top bits of its simple tabulation hash.
+func (w *Window) home(id uint64) int {
+	t := &w.tab
+	h := t[0][byte(id)] ^ t[1][byte(id>>8)] ^ t[2][byte(id>>16)] ^ t[3][byte(id>>24)] ^
+		t[4][byte(id>>32)] ^ t[5][byte(id>>40)] ^ t[6][byte(id>>48)] ^ t[7][byte(id>>56)]
+	return int(h >> w.shift)
+}
+
+// remove deletes the table entry of the oldest id, ring[pos], by backward
+// shift: every later entry of its probe run whose home allows it moves
+// back into the hole. It returns the slot left empty.
+func (w *Window) remove() int {
+	mask := len(w.table) - 1
+	hole := w.home(w.ring[w.pos])
+	for w.table[hole] != uint32(w.pos+1) {
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; w.table[j] != 0; j = (j + 1) & mask {
+		if s := w.table[j]; (j-w.home(w.ring[s-1]))&mask >= (j-hole)&mask {
+			w.table[hole], hole = s, j
+		}
+	}
+	w.table[hole] = 0
+	return hole
 }

@@ -448,6 +448,71 @@ func TestWindowDuplicateInsideStrideProperty(t *testing.T) {
 	}
 }
 
+// TestWindowHostileIDs drives the server's default window through id
+// streams that defeat a weak hash: ids sharing their low 13, 32 or 51
+// bits, the benchmark's dense band, and seeded random ids. Every verdict
+// must match the FIFO model and no miss may probe past 32 occupied slots.
+func TestWindowHostileIDs(t *testing.T) {
+	const capacity, n = 4096, 1 << 20
+	streams := []struct {
+		name string
+		id   func(j uint64) uint64
+	}{
+		{"j<<13", func(j uint64) uint64 { return j << 13 }},
+		{"j<<32", func(j uint64) uint64 { return j << 32 }},
+		{"j<<51", func(j uint64) uint64 { return j << 51 }},
+		{"1<<41|j", func(j uint64) uint64 { return 1<<41 | j }},
+		{"random", func() func(uint64) uint64 {
+			s := uint64(0x5eed)
+			return func(uint64) uint64 { return xorshift(&s) }
+		}()},
+	}
+	for _, st := range streams {
+		t.Run(st.name, func(t *testing.T) {
+			w := NewWindow(capacity)
+			m := newWindowModel(capacity)
+			for j := uint64(0); j < n; j++ {
+				id := st.id(j)
+				if got, want := w.Observe(id), m.observe(id); got != want {
+					t.Fatalf("j=%d id=%#x: Observe=%v, model=%v", j, id, got, want)
+				}
+			}
+			if w.maxProbe > 32 {
+				t.Fatalf("longest probe %d slots, want ≤ 32", w.maxProbe)
+			}
+			t.Logf("longest probe %d slots", w.maxProbe)
+		})
+	}
+}
+
+func TestWindowObserveAllocs(t *testing.T) {
+	w := NewWindow(4096)
+	var id uint64
+	if a := testing.AllocsPerRun(10000, func() { id++; w.Observe(id) }); a != 0 {
+		t.Fatalf("Observe allocates %v per call, want 0", a)
+	}
+}
+
+var observed bool
+
+// BenchmarkWindowObserve admits fresh ids into a full default-size
+// window, the ingest steady state: every call probes, evicts and inserts.
+// CI gates it at 0 allocs/op.
+func BenchmarkWindowObserve(b *testing.B) {
+	w := NewWindow(4096)
+	id := uint64(1) << 41
+	for i := 0; i < 4096; i++ {
+		id++
+		w.Observe(id)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id++
+		observed = w.Observe(id)
+	}
+}
+
 func TestWindowCapacityOne(t *testing.T) {
 	w := NewWindow(0) // clamps to 1
 	if w.Cap() != 1 {

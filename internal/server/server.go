@@ -589,8 +589,8 @@ type wireGroup struct {
 // into a caller buffer, nothing for the sweep results either.
 type sweeper struct {
 	s      *Server
-	groups map[int]*wireGroup
-	order  []*wireGroup
+	groups []wireGroup     // indexed by input wire; every post passed shape.Contains
+	order  []*wireGroup    // this sweep's groups in first-arrival order
 	ba     batchAppender   // non-nil when the backend supports it
 	rsbuf  []runtime.Range // reused sweep-result buffer (consumed before the next sweep)
 }
@@ -602,7 +602,7 @@ type batchAppender interface {
 }
 
 func newSweeper(s *Server) *sweeper {
-	sw := &sweeper{s: s, groups: make(map[int]*wireGroup, 8)}
+	sw := &sweeper{s: s, groups: make([]wireGroup, s.shape.Width)}
 	sw.ba, _ = s.be.(batchAppender)
 	return sw
 }
@@ -679,16 +679,13 @@ func (sw *sweeper) sweep(pending []req) {
 	}
 
 	// Group by input wire, preserving arrival order within each group.
-	// The group map and order slice persist across sweeps; only reqs
+	// The groups and the order slice persist across sweeps; only reqs
 	// index slices grow, and those also retain capacity.
 	order := sw.order[:0]
 	for i, r := range live {
-		g := sw.groups[r.wire]
-		if g == nil {
-			g = &wireGroup{wire: r.wire}
-			sw.groups[r.wire] = g
-		}
+		g := &sw.groups[r.wire]
 		if len(g.reqs) == 0 {
+			g.wire = r.wire
 			order = append(order, g)
 		}
 		g.total += r.k

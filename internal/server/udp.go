@@ -94,11 +94,12 @@ type PacketIngest struct {
 	win *packetio.Window
 	f   wire.Frame
 	agg []udpAgg
+	at  []int32 // per wire: 1 + its index in agg, 0 = no post yet this batch
 }
 
 // NewPacketIngest builds the admission state for one ingest loop.
 func (s *Server) NewPacketIngest() *PacketIngest {
-	return &PacketIngest{s: s, win: packetio.NewWindow(s.opt.UDPWindow)}
+	return &PacketIngest{s: s, win: packetio.NewWindow(s.opt.UDPWindow), at: make([]int32, s.shape.Width)}
 }
 
 // IngestBatch admits every packet currently in b and posts the survivors
@@ -120,6 +121,9 @@ func (pi *PacketIngest) IngestBatch(b *packetio.Batch) {
 	n := b.Len()
 	if st != nil {
 		st.observeUDPBatch(n)
+	}
+	for _, a := range pi.agg {
+		pi.at[a.wire] = 0
 	}
 	pi.agg = pi.agg[:0]
 	for i := 0; i < n; i++ {
@@ -241,15 +245,15 @@ func (pi *PacketIngest) admit(p []byte, segmented bool) {
 		trace = s.sampler.Sample()
 	}
 	w := int(f.Wire)
-	for j := range pi.agg {
-		if pi.agg[j].wire == w {
-			pi.agg[j].k += k
-			pi.agg[j].datagrams++
-			if pi.agg[j].trace == 0 {
-				pi.agg[j].trace = trace
-			}
-			return
+	if j := pi.at[w]; j != 0 {
+		a := &pi.agg[j-1]
+		a.k += k
+		a.datagrams++
+		if a.trace == 0 {
+			a.trace = trace
 		}
+		return
 	}
 	pi.agg = append(pi.agg, udpAgg{wire: w, k: k, datagrams: 1, trace: trace})
+	pi.at[w] = int32(len(pi.agg))
 }

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/construct"
 	"repro/internal/flightrec"
+	"repro/internal/network"
 	"repro/internal/packetio"
 	"repro/internal/runtime"
 	"repro/internal/wire"
@@ -257,6 +260,67 @@ func TestUDPBatchAggregation(t *testing.T) {
 	if got := st.Snapshot().UDPBatchSizes; len(got) == 0 {
 		t.Error("batch-size histogram empty after an ingest pass")
 	}
+}
+
+// udpPost is what one aggregated UDP mailbox post carries.
+type udpPost struct {
+	wire  int
+	k     int64
+	folds uint32
+	trace uint64
+}
+
+// TestUDPAggregationAcrossBatches reads PacketIngest's posts straight off
+// a mailbox no sweeper drains. Two back-to-back batches meet the wires in
+// different orders, mixed with replays and bad-wire frames; each batch
+// must post once per wire in first-arrival order, with that batch's k,
+// fold count and first nonzero trace. The second batch's wire 2 frame
+// arrives after wire 1's, so per-wire state left over from the first
+// batch would fold it into the wrong post.
+func TestUDPAggregationAcrossBatches(t *testing.T) {
+	s := &Server{
+		shape: network.Shape{Width: 4, Sinks: 4},
+		opt:   Options{}.withDefaults(),
+		clk:   clock.Or(nil),
+		mail:  make(chan req, 16),
+	}
+	pi := s.NewPacketIngest()
+	b := packetio.NewBatch(packetio.MaxBatch)
+	ingest := func(frames []wire.Frame, want []udpPost) {
+		t.Helper()
+		b.Reset()
+		for i := range frames {
+			appendFrame(t, b, &frames[i])
+		}
+		pi.IngestBatch(b)
+		var got []udpPost
+		for len(s.mail) > 0 {
+			r := <-s.mail
+			got = append(got, udpPost{r.wire, r.k, r.folds, r.trace})
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("posts %v, want %v", got, want)
+		}
+	}
+	ingest([]wire.Frame{
+		{Type: wire.TInc, ID: 1, Wire: 2},
+		{Type: wire.TInc, ID: 2, Wire: 0, Trace: 7},
+		{Type: wire.TInc, ID: 3, Wire: 99, Trace: 5},
+		{Type: wire.TIncBatch, ID: 4, Wire: 2, K: 3, Trace: 9},
+		{Type: wire.TInc, ID: 2, Wire: 0, Trace: 8},
+		{Type: wire.TInc, ID: 5, Wire: 1},
+		{Type: wire.TInc, ID: 6, Wire: 0, Trace: 11},
+	}, []udpPost{{2, 4, 2, 9}, {0, 2, 2, 7}, {1, 1, 1, 0}})
+	ingest([]wire.Frame{
+		{Type: wire.TInc, ID: 10, Wire: 1},
+		{Type: wire.TIncBatch, ID: 11, Wire: 3, K: 2, Trace: 21},
+		{Type: wire.TIncBatch, ID: 4, Wire: 2, K: 3},
+		{Type: wire.TInc, ID: 12, Wire: 7},
+		{Type: wire.TInc, ID: 13, Wire: 2},
+		{Type: wire.TInc, ID: 14, Wire: 0},
+		{Type: wire.TInc, ID: 15, Wire: 1, Trace: 22},
+		{Type: wire.TInc, ID: 6, Wire: 0},
+	}, []udpPost{{1, 2, 2, 22}, {3, 2, 1, 21}, {2, 1, 1, 0}, {0, 1, 1, 0}})
 }
 
 // TestUDPSegmentedIngest: a GRO super-datagram's segments each run the
