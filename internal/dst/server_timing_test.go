@@ -220,9 +220,13 @@ func TestFlushMaxDelayHoldSimClock(t *testing.T) {
 	)
 	w := NewWorld(3030, 5*time.Microsecond, 25*time.Microsecond, nil, 0)
 	be := &stallBackend{inner: compileBitonic(t, 2), clk: w.Clk, delay: stall}
+	// BatchLimit 1 sweeps the two ops apart: a sweep makes one backend
+	// call on its first request's wire, so a shared sweep would enter on
+	// wire 1 and never stall.
 	srv := server.New(be, server.Options{
-		Clock: w.Clk,
-		Flush: server.FlushPolicy{MaxDelay: maxDelay, MaxBytes: 1 << 20},
+		Clock:      w.Clk,
+		BatchLimit: 1,
+		Flush:      server.FlushPolicy{MaxDelay: maxDelay, MaxBytes: 1 << 20},
 	})
 	ln := w.Listen("sim")
 	go srv.Serve(ln)
@@ -245,7 +249,7 @@ func TestFlushMaxDelayHoldSimClock(t *testing.T) {
 		}
 		defer nc.Close()
 		var buf []byte
-		// One pipelined write, swept as one: the fast op's wire group goes
+		// One pipelined write, swept one op at a time: the fast op goes
 		// first, and the slow op (wire 0, stalls 20ms in the backend)
 		// keeps the connection "outstanding" while the fast op's response
 		// is gathered — forcing the MaxDelay hold.

@@ -45,8 +45,8 @@ const (
 	// StageServerMailbox: request accepted at the door → the sweeper
 	// picks it up (mailbox wait).
 	StageServerMailbox
-	// StageServerSweep: sweep pickup → traversal start (batch gathering
-	// and grouping by wire).
+	// StageServerSweep: sweep pickup → traversal start (expiry and
+	// summing the sweep's k).
 	StageServerSweep
 	// StageServerTraverse: the counting-network traversal itself
 	// (the sweep's IncBatch, or a cluster LIN forward's round trip).

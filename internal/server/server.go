@@ -14,12 +14,14 @@
 //
 // Connection readers do not touch the network. They validate each request
 // and post it into the one mailbox; one sweeper goroutine drains it,
-// groups pending increments by wire, executes one IncBatch per wire, and
-// deals the resulting value ranges back to the requests in arrival order.
-// The sweeper is the only caller of the backend, so the network is
-// quiescent between two IncBatch calls, and by the step property every
-// value a later call hands out lies above every value an earlier call
-// handed out. That makes every single-node increment linearizable in
+// folds every pending increment into one IncBatch on the first request's
+// wire, and deals the resulting value ranges back to the requests in
+// arrival order. The sweeper is the only caller of the backend, so the
+// network is quiescent between two IncBatch calls, and by the step
+// property every value a later call hands out lies above every value an
+// earlier call handed out. Which wire a call enters on changes no value
+// it hands out: from quiescence the next k tokens get the next k values
+// on any wire. That makes every single-node increment linearizable in
 // fact: a request posted after another was answered is swept by a later
 // call. The mode bit a request carries changes only how it is counted
 // and traced. When the mailbox is full the reader answers
@@ -57,7 +59,7 @@
 // Options.Flight plugs in a flightrec.Recorder: requests carrying a
 // trace id in their wire header (and, with Options.TraceSample, a
 // deterministic 1-in-N of the untraced ones) get stage spans recorded at
-// every hop — mailbox wait, sweep grouping, traversal, and the reply's
+// every hop — mailbox wait, sweep gathering, traversal, and the reply's
 // flush hold, each span marked with the request's mode —
 // and replies echo the trace id so the client can merge its own spans
 // onto the same timeline. The recorder doubles as a black box: shed,
@@ -545,9 +547,9 @@ func (s *Server) sleepDone(d time.Duration) {
 	}
 }
 
-// combine is the sweeper's loop: it drains the mailbox, folds the pending
-// increments of each input wire into one IncBatch sweep, and deals the
-// resulting ranges back to the requests in arrival order.
+// combine is the sweeper's loop: it drains the mailbox, folds every
+// pending increment into one IncBatch sweep, and deals the resulting
+// ranges back to the requests in arrival order.
 func (s *Server) combine() {
 	defer s.combWg.Done()
 	limit := s.opt.BatchLimit
@@ -577,22 +579,13 @@ func (s *Server) combine() {
 	}
 }
 
-// wireGroup accumulates one input wire's share of a sweep.
-type wireGroup struct {
-	wire  int
-	total int64
-	reqs  []int // indices into the sweep's request slice
-}
-
-// sweeper holds the sweeper's reusable sweep state, so steady-state
-// sweeps allocate nothing for grouping — and, when the backend can append
-// into a caller buffer, nothing for the sweep results either.
+// sweeper holds the sweeper's reusable sweep state, so that, when the
+// backend can append into a caller buffer, steady-state sweeps allocate
+// nothing for their results.
 type sweeper struct {
-	s      *Server
-	groups []wireGroup     // indexed by input wire; every post passed shape.Contains
-	order  []*wireGroup    // this sweep's groups in first-arrival order
-	ba     batchAppender   // non-nil when the backend supports it
-	rsbuf  []runtime.Range // reused sweep-result buffer (consumed before the next sweep)
+	s     *Server
+	ba    batchAppender   // non-nil when the backend supports it
+	rsbuf []runtime.Range // reused sweep-result buffer (consumed before the next sweep)
 }
 
 // batchAppender is the optional allocation-free form of Backend.IncBatch
@@ -602,7 +595,7 @@ type batchAppender interface {
 }
 
 func newSweeper(s *Server) *sweeper {
-	sw := &sweeper{s: s, groups: make([]wireGroup, s.shape.Width)}
+	sw := &sweeper{s: s}
 	sw.ba, _ = s.be.(batchAppender)
 	return sw
 }
@@ -678,136 +671,121 @@ func (sw *sweeper) sweep(pending []req) {
 		st.observeQueue(len(s.mail))
 	}
 
-	// Group by input wire, preserving arrival order within each group.
-	// The groups and the order slice persist across sweeps; only reqs
-	// index slices grow, and those also retain capacity.
-	order := sw.order[:0]
-	for i, r := range live {
-		g := &sw.groups[r.wire]
-		if len(g.reqs) == 0 {
-			g.wire = r.wire
-			order = append(order, g)
-		}
-		g.total += r.k
-		g.reqs = append(g.reqs, i)
+	// One backend call for the whole sweep, entering on the first live
+	// request's wire. The sweeper is the backend's only caller, so the
+	// call starts and ends at quiescence and hands out exactly the next
+	// total values whatever wire it enters on (DESIGN.md "Entry wires").
+	var total int64
+	for _, r := range live {
+		total += r.k
 	}
-	sw.order = order
-
-	nowNS := int64(0)
+	var t0, t1 time.Time
 	if timed {
-		nowNS = now.UnixNano()
+		t0 = s.clk.Now()
 	}
-	for _, g := range order {
-		var t0, t1 time.Time
-		if timed {
-			t0 = s.clk.Now()
-		}
-		var rs []runtime.Range
-		var sweepErr error
-		if s.fb != nil {
-			rs, sweepErr = s.fb.TryIncBatch(g.wire, int(g.total))
-		} else if sw.ba != nil {
-			sw.rsbuf = sw.ba.IncBatchAppend(sw.rsbuf[:0], g.wire, int(g.total))
-			rs = sw.rsbuf
-		} else {
-			rs = s.be.IncBatch(g.wire, int(g.total))
-		}
-		if timed {
-			t1 = s.clk.Now()
-		}
-		if sweepErr != nil {
-			// The backend could not mint (a cluster node cut off from its
-			// range leader): shed the whole group with a retryable error —
-			// nothing was issued, nothing is lost, clients re-issue.
-			for _, idx := range g.reqs {
-				r := live[idx]
-				s.anomaly("no_range", r.trace)
-				if r.c != nil {
-					r.c.outstanding.Add(-1)
-					r.c.trySend(errFrame(r.id, r.trace, sweepErr))
-				}
+	w := live[0].wire
+	var rs []runtime.Range
+	var sweepErr error
+	if s.fb != nil {
+		rs, sweepErr = s.fb.TryIncBatch(w, int(total))
+	} else if sw.ba != nil {
+		sw.rsbuf = sw.ba.IncBatchAppend(sw.rsbuf[:0], w, int(total))
+		rs = sw.rsbuf
+	} else {
+		rs = s.be.IncBatch(w, int(total))
+	}
+	if timed {
+		t1 = s.clk.Now()
+	}
+	if sweepErr != nil {
+		// The backend could not mint (a cluster node cut off from its
+		// range leader): shed the whole sweep with a retryable error —
+		// nothing was issued, nothing is lost, clients re-issue. UDP posts
+		// have no one to answer, so they are counted as dropped.
+		for _, r := range live {
+			s.anomaly("no_range", r.trace)
+			if r.c != nil {
+				r.c.outstanding.Add(-1)
+				r.c.trySend(errFrame(r.id, r.trace, sweepErr))
+			} else if st != nil {
+				st.udpDropped.Add(uint64(r.weight()))
 			}
-			g.total = 0
-			g.reqs = g.reqs[:0]
-			continue
 		}
-		s.issued.Add(g.total)
+		return
+	}
+	s.issued.Add(total)
+	if st != nil {
+		st.sweepTokens.Add(uint64(total))
+	}
+	// Deal the ranges out to the requests in arrival order: each takes its
+	// k values as sub-ranges of the sweep's ranges. Ranges are
+	// materialized only for batch requests with a live connection; plain
+	// TInc replies need just the first value and UDP requests need nothing
+	// at all.
+	var per time.Duration
+	var nowNS, t0NS, t1NS int64
+	if timed {
+		// Amortized: the sweep traversed once for all its requests, so
+		// each request's traverse share is the sweep cost split evenly.
+		per = t1.Sub(t0) / time.Duration(len(live))
+		nowNS = now.UnixNano()
+		t0NS = t0.UnixNano()
+		t1NS = t1.UnixNano()
+	}
+	ri, off := 0, int64(0)
+	for _, r := range live {
+		need := r.k
+		var out []wire.Range
+		if r.c != nil && r.batch {
+			// A request's reply spans at most as many ranges as the
+			// sweep produced; drawing from the pool (recycled by the
+			// writer after encoding) keeps the reply path mostly
+			// allocation-free.
+			out = getRanges(len(rs))
+		}
+		first, firstSet := int64(0), false
+		for need > 0 {
+			cur := rs[ri]
+			take := min(cur.Count-off, need)
+			if !firstSet {
+				first = cur.First + off*cur.Stride
+				firstSet = true
+			}
+			if out != nil {
+				out = append(out, wire.Range{
+					First:  cur.First + off*cur.Stride,
+					Stride: cur.Stride,
+					Count:  take,
+				})
+			}
+			off += take
+			need -= take
+			if off == cur.Count {
+				ri++
+				off = 0
+			}
+		}
 		if st != nil {
-			st.sweepTokens.Add(uint64(g.total))
+			st.recordSwept(r, s.clk.Since(r.enq), now.Sub(r.enq), t0.Sub(now), per)
 		}
-		// Deal the ranges out to the group's requests in arrival order:
-		// each takes its k values as sub-ranges of the sweep's ranges.
-		// Ranges are materialized only for batch requests with a live
-		// connection; plain TInc replies need just the first value and
-		// UDP requests need nothing at all.
-		var per time.Duration
-		var t0NS, t1NS int64
-		if timed {
-			// Amortized: the sweep traversed once for the whole group, so
-			// each request's traverse share is the group cost split evenly.
-			per = t1.Sub(t0) / time.Duration(len(g.reqs))
-			t0NS = t0.UnixNano()
-			t1NS = t1.UnixNano()
+		if fl != nil && r.trace != 0 {
+			w := int64(r.wire)
+			fl.RecordNS(r.trace, flightrec.StageServerMailbox, r.mode, w, r.enq.UnixNano(), nowNS)
+			fl.RecordNS(r.trace, flightrec.StageServerSweep, r.mode, w, nowNS, t0NS)
+			fl.RecordNS(r.trace, flightrec.StageServerTraverse, r.mode, w, t0NS, t1NS)
 		}
-		ri, off := 0, int64(0)
-		for _, idx := range g.reqs {
-			r := live[idx]
-			need := r.k
-			var out []wire.Range
-			if r.c != nil && r.batch {
-				// A request's reply spans at most as many ranges as the
-				// sweep produced; drawing from the pool (recycled by the
-				// writer after encoding) keeps the reply path mostly
-				// allocation-free.
-				out = getRanges(len(rs))
-			}
-			first, firstSet := int64(0), false
-			for need > 0 {
-				cur := rs[ri]
-				take := min(cur.Count-off, need)
-				if !firstSet {
-					first = cur.First + off*cur.Stride
-					firstSet = true
-				}
-				if out != nil {
-					out = append(out, wire.Range{
-						First:  cur.First + off*cur.Stride,
-						Stride: cur.Stride,
-						Count:  take,
-					})
-				}
-				off += take
-				need -= take
-				if off == cur.Count {
-					ri++
-					off = 0
-				}
-			}
-			if st != nil {
-				st.recordSwept(r, s.clk.Since(r.enq), now.Sub(r.enq), t0.Sub(now), per)
-			}
-			if fl != nil && r.trace != 0 {
-				w := int64(r.wire)
-				fl.RecordNS(r.trace, flightrec.StageServerMailbox, r.mode, w, r.enq.UnixNano(), nowNS)
-				fl.RecordNS(r.trace, flightrec.StageServerSweep, r.mode, w, nowNS, t0NS)
-				fl.RecordNS(r.trace, flightrec.StageServerTraverse, r.mode, w, t0NS, t1NS)
-			}
-			if r.c == nil {
-				continue // fire-and-forget
-			}
-			r.c.outstanding.Add(-1)
-			m := outMsg{f: wire.Frame{Type: wire.TValue, ID: r.id, Trace: r.trace, Value: first}, mode: r.mode}
-			if r.batch {
-				m = outMsg{f: wire.Frame{Type: wire.TRanges, ID: r.id, Trace: r.trace, Rs: out}, mode: r.mode}
-			}
-			if r.trace != 0 {
-				m.enqNS = t1NS
-			}
-			r.c.trySend(m)
+		if r.c == nil {
+			continue // fire-and-forget
 		}
-		// Reset the group for the next sweep, keeping its capacity.
-		g.total = 0
-		g.reqs = g.reqs[:0]
+		r.c.outstanding.Add(-1)
+		m := outMsg{f: wire.Frame{Type: wire.TValue, ID: r.id, Trace: r.trace, Value: first}, mode: r.mode}
+		if r.batch {
+			m = outMsg{f: wire.Frame{Type: wire.TRanges, ID: r.id, Trace: r.trace, Rs: out}, mode: r.mode}
+		}
+		if r.trace != 0 {
+			m.enqNS = t1NS
+		}
+		r.c.trySend(m)
 	}
 }
 

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/consistency"
 	"repro/internal/construct"
 	"repro/internal/fault"
@@ -293,6 +295,99 @@ func TestLINWaitsOutParkedSweep(t *testing.T) {
 	}
 }
 
+// recordingBackend is a cursor backend that logs every call's wire and k,
+// so a test can count traversals. Only a sweeper on the test goroutine
+// calls it.
+type recordingBackend struct {
+	shape network.Shape
+	next  int64
+	calls [][2]int
+}
+
+func (b *recordingBackend) Shape() network.Shape { return b.shape }
+
+func (b *recordingBackend) IncBatch(w, k int) []runtime.Range {
+	b.calls = append(b.calls, [2]int{w, k})
+	first := b.next
+	b.next += int64(k)
+	return []runtime.Range{{First: first, Stride: 1, Count: int64(k)}}
+}
+
+// TestOneTraversalPerSweep pins the sweep contract: a sweep makes exactly
+// one backend call, on its first request's wire, for the sum of its
+// requests' k, and deals the values out in arrival order. On a counting
+// network the same sweep hands out exactly the next seven values,
+// whichever wires its requests named.
+func TestOneTraversalPerSweep(t *testing.T) {
+	pending := []struct {
+		wire  int
+		k     int64
+		batch bool
+	}{{2, 1, false}, {0, 3, true}, {3, 2, true}, {1, 1, true}}
+	sweepOnce := func(be Backend) [][]int64 {
+		t.Helper()
+		s := &Server{be: be, shape: be.Shape(), opt: Options{}.withDefaults(), clk: clock.Or(nil)}
+		reqs := make([]req, len(pending))
+		conns := make([]*conn, len(pending))
+		for i, p := range pending {
+			conns[i] = &conn{s: s, out: make(chan outMsg, 1), dead: make(chan struct{})}
+			conns[i].outstanding.Add(1)
+			reqs[i] = req{c: conns[i], id: uint64(i), wire: p.wire, k: p.k, batch: p.batch, enq: s.clk.Now()}
+		}
+		newSweeper(s).sweep(reqs)
+		got := make([][]int64, len(conns))
+		for i, c := range conns {
+			var m outMsg
+			select {
+			case m = <-c.out:
+			default:
+				t.Fatalf("request %d got no reply", i)
+			}
+			switch {
+			case m.f.ID != uint64(i):
+				t.Fatalf("request %d answered with id %d", i, m.f.ID)
+			case !pending[i].batch && m.f.Type == wire.TValue:
+				got[i] = []int64{m.f.Value}
+			case pending[i].batch && m.f.Type == wire.TRanges:
+				for _, r := range m.f.Rs {
+					for j := int64(0); j < r.Count; j++ {
+						got[i] = append(got[i], r.First+j*r.Stride)
+					}
+				}
+			default:
+				t.Fatalf("request %d answered %+v", i, m.f)
+			}
+			if int64(len(got[i])) != pending[i].k {
+				t.Fatalf("request %d got %d values, want %d", i, len(got[i]), pending[i].k)
+			}
+		}
+		return got
+	}
+
+	rec := &recordingBackend{shape: network.Shape{Width: 4, Sinks: 4}}
+	got := sweepOnce(rec)
+	if want := [][2]int{{2, 7}}; !slices.Equal(rec.calls, want) {
+		t.Fatalf("backend calls (wire, k) %v, want exactly one IncBatch(2, 7)", rec.calls)
+	}
+	want := [][]int64{{0}, {1, 2, 3}, {4, 5}, {6}}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("replies %v, want %v (arrival order)", got, want)
+		}
+	}
+
+	var all []int64
+	for _, vs := range sweepOnce(runtime.MustCompile(construct.MustBitonic(4))) {
+		all = append(all, vs...)
+	}
+	if len(all) != 7 {
+		t.Fatalf("network sweep handed out %v, want 7 values", all)
+	}
+	if err := runtime.Verify(all); err != nil {
+		t.Fatalf("network sweep handed out %v: %v", all, err)
+	}
+}
+
 // TestCoalescingReducesToggles: at 64 pipelined clients, folding SC
 // increments into batched sweeps must cut balancer work at least 5x
 // against naive per-request traversal (which costs depth toggles per op).
@@ -535,8 +630,10 @@ func TestUDPEndpoint(t *testing.T) {
 	_, _ = pc.Write(b)
 	_, _ = pc.Write([]byte("not a frame"))
 
+	// The LIN and junk datagrams may land in a later read than the last
+	// increment, so wait for their rejections too.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Issued() < n && time.Now().Before(deadline) {
+	for (s.Issued() < n || s.Stats().Snapshot().UDPRejected < 2) && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	// Loopback UDP should not drop under this load, but at-most-once is

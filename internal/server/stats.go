@@ -36,7 +36,7 @@ type Stats struct {
 
 	udpDatagrams atomic.Uint64 // well-formed datagrams accepted
 	udpRejected  atomic.Uint64 // datagrams that failed decode/validation
-	udpDropped   atomic.Uint64 // datagrams shed because the mailbox was full
+	udpDropped   atomic.Uint64 // datagrams shed: mailbox full, server closed, or no range to mint from
 
 	// udpReject splits udpRejected by reason (indices: udpRejectReason*).
 	udpReject [numUDPRejectReasons]atomic.Uint64
@@ -420,7 +420,7 @@ func (st *Stats) AppendMetrics(w io.Writer) {
 	counter("countd_evictions_total", "connections dropped for unread responses", s.Evictions)
 	counter("countd_udp_datagrams_total", "UDP increments accepted", s.UDPDatagrams)
 	counter("countd_udp_rejected_total", "UDP datagrams rejected", s.UDPRejected)
-	counter("countd_udp_dropped_total", "UDP datagrams shed under load", s.UDPDropped)
+	counter("countd_udp_dropped_total", "UDP datagrams shed: mailbox full, server closed, or no range to mint from", s.UDPDropped)
 	if len(s.UDPRejects) > 0 {
 		fmt.Fprintf(w, "# HELP countd_udp_reject_reason_total UDP datagrams rejected by reason\n# TYPE countd_udp_reject_reason_total counter\n")
 		for _, label := range udpRejectLabels {

@@ -13,8 +13,7 @@ import (
 // a prefix admission filter that rejects garbage before the CRC decode
 // (wire.PeekHeader), a bounded replay window so retransmitted datagrams
 // burn values but never mint duplicates, and per-batch aggregation that
-// folds a whole syscall's worth of increments into one mailbox post per
-// wire.
+// folds a whole syscall's worth of increments into one mailbox post.
 
 // ListenPacket starts the optional UDP endpoint on addr: datagrams
 // carrying SC TInc/TIncBatch frames are folded into the combining loop
@@ -70,44 +69,30 @@ func (s *Server) ingestLoop(c packetio.Conn) {
 	}
 }
 
-// udpAgg accumulates one wire's increments across a batch: k values to
-// mint, how many datagrams contributed (drop accounting stays in
-// datagrams), and the first trace id seen (one trace rides an aggregated
-// post).
-type udpAgg struct {
-	wire      int
-	k         int64
-	datagrams uint64
-	trace     uint64
-}
-
-// PacketIngest is one ingest loop's per-batch admission state: a reusable
-// decode frame, the loop's replay window, and the per-wire aggregation
-// scratch. One PacketIngest serves one goroutine — under SO_REUSEPORT the
-// kernel hashes a flow to a stable socket, so a client's retransmit meets
-// the same replay window that saw the original. The deterministic
-// simulation harness drives this type directly (no kernel sockets) to
-// replay seeded duplicate/reorder scenarios through the real admission
-// path.
+// PacketIngest is one ingest loop's admission state: a reusable decode
+// frame and the loop's replay window. One PacketIngest serves one
+// goroutine — under SO_REUSEPORT the kernel hashes a flow to a stable
+// socket, so a client's retransmit meets the same replay window that saw
+// the original. The deterministic simulation harness drives this type
+// directly (no kernel sockets) to replay seeded duplicate/reorder
+// scenarios through the real admission path.
 type PacketIngest struct {
 	s   *Server
 	win *packetio.Window
 	f   wire.Frame
-	agg []udpAgg
-	at  []int32 // per wire: 1 + its index in agg, 0 = no post yet this batch
 }
 
 // NewPacketIngest builds the admission state for one ingest loop.
 func (s *Server) NewPacketIngest() *PacketIngest {
-	return &PacketIngest{s: s, win: packetio.NewWindow(s.opt.UDPWindow), at: make([]int32, s.shape.Width)}
+	return &PacketIngest{s: s, win: packetio.NewWindow(s.opt.UDPWindow)}
 }
 
 // IngestBatch admits every packet currently in b and posts the survivors
-// to the mailbox, aggregated per wire — one mailbox post covers a whole
-// batch's increments on that wire, so at batch 64 the sweeper sees
-// 1/64th the channel traffic. Steady state it allocates nothing.
-// Safe to call during and after Server.Close: what can no longer be
-// posted is counted as udp_dropped.
+// to the mailbox as one request: it enters on the first admitted frame's
+// wire and carries the sum of their k, so at batch 64 the sweeper sees
+// 1/64th the channel traffic. A batch that admits nothing posts nothing.
+// Steady state it allocates nothing. Safe to call during and after
+// Server.Close: what can no longer be posted is counted as udp_dropped.
 //
 // A slot whose SegSize is set is a GRO super-datagram: a stride of
 // equal-size wire datagrams coalesced by the kernel (the last possibly
@@ -122,10 +107,7 @@ func (pi *PacketIngest) IngestBatch(b *packetio.Batch) {
 	if st != nil {
 		st.observeUDPBatch(n)
 	}
-	for _, a := range pi.agg {
-		pi.at[a.wire] = 0
-	}
-	pi.agg = pi.agg[:0]
+	var post req // folds counts the admitted datagrams
 	for i := 0; i < n; i++ {
 		p := b.Packet(i)
 		seg := b.SegSize(i)
@@ -133,7 +115,7 @@ func (pi *PacketIngest) IngestBatch(b *packetio.Batch) {
 			if st != nil {
 				st.observeUDPSegs(1)
 			}
-			pi.admit(p, false)
+			pi.admit(p, false, &post)
 			continue
 		}
 		if st != nil {
@@ -144,32 +126,30 @@ func (pi *PacketIngest) IngestBatch(b *packetio.Batch) {
 			if end > len(p) {
 				end = len(p)
 			}
-			pi.admit(p[off:end], true)
+			pi.admit(p[off:end], true, &post)
 		}
 	}
-	if len(pi.agg) == 0 {
+	if post.folds == 0 {
 		return
 	}
-	now := s.clk.Now()
-	// One fence per batch, not per frame: Close cannot close the mailboxes
-	// under these posts, and a batch that arrives after it has is refused
-	// whole and counted as dropped.
+	post.enq = s.clk.Now()
+	// Close cannot close the mailbox under this post, and a batch that
+	// arrives after it has is refused whole and counted as dropped.
 	s.ingestMu.RLock()
-	defer s.ingestMu.RUnlock()
-	for j := range pi.agg {
-		a := &pi.agg[j]
-		if s.mailShut || !s.post(req{c: nil, wire: a.wire, k: a.k, folds: uint32(a.datagrams), enq: now, trace: a.trace}) {
-			if st != nil {
-				st.udpDropped.Add(a.datagrams)
-			}
-			s.anomaly("udp_drop", a.trace)
+	posted := !s.mailShut && s.post(post)
+	s.ingestMu.RUnlock()
+	if !posted {
+		if st != nil {
+			st.udpDropped.Add(uint64(post.folds))
 		}
+		s.anomaly("udp_drop", post.trace)
 	}
 }
 
 // admit runs one wire datagram — a plain packet or one segment of a GRO
-// super-datagram — through the admission chain and folds survivors into
-// the per-wire aggregation scratch.
+// super-datagram — through the admission chain and folds a survivor into
+// the batch's post: the first survivor sets its wire, every survivor adds
+// its k and one fold, and the first nonzero trace rides the post.
 //
 // Admission order: prefix filter (magic/version/known request opcode —
 // rejects garbage after five bytes), mode gate (UDP serves only SC
@@ -185,7 +165,7 @@ func (pi *PacketIngest) IngestBatch(b *packetio.Batch) {
 // the mis-strided-super signature. Plain datagrams keep the pre-GSO
 // leniency (trailing bytes ignored) and reject framing damage as
 // bad_frame.
-func (pi *PacketIngest) admit(p []byte, segmented bool) {
+func (pi *PacketIngest) admit(p []byte, segmented bool, post *req) {
 	s := pi.s
 	st := s.opt.Stats
 	badFraming := udpRejectBadFrame
@@ -244,16 +224,12 @@ func (pi *PacketIngest) admit(p []byte, segmented bool) {
 	if trace == 0 {
 		trace = s.sampler.Sample()
 	}
-	w := int(f.Wire)
-	if j := pi.at[w]; j != 0 {
-		a := &pi.agg[j-1]
-		a.k += k
-		a.datagrams++
-		if a.trace == 0 {
-			a.trace = trace
-		}
-		return
+	if post.folds == 0 {
+		post.wire = int(f.Wire)
 	}
-	pi.agg = append(pi.agg, udpAgg{wire: w, k: k, datagrams: 1, trace: trace})
-	pi.at[w] = int32(len(pi.agg))
+	post.k += k
+	post.folds++
+	if post.trace == 0 {
+		post.trace = trace
+	}
 }

@@ -228,8 +228,8 @@ func TestUDPWindowOverflowBurnsNotMints(t *testing.T) {
 }
 
 // TestUDPBatchAggregation: one ingest pass folds a batch's increments
-// into one mailbox post per wire, while the per-datagram stats semantics
-// survive the aggregation.
+// into one mailbox post, while the per-datagram stats semantics survive
+// the aggregation.
 func TestUDPBatchAggregation(t *testing.T) {
 	st := NewStats(0)
 	s := newIngestServer(t, 4, Options{Stats: st})
@@ -248,8 +248,8 @@ func TestUDPBatchAggregation(t *testing.T) {
 	const values = onWire0 + 2*onWire1
 	waitIssued(t, s, values)
 	snap := st.Snapshot()
-	if snap.SweepReqs > 2 {
-		t.Errorf("combiners saw %d posts for %d datagrams, want ≤2 (one per wire)", snap.SweepReqs, onWire0+onWire1)
+	if snap.SweepReqs != 1 {
+		t.Errorf("the sweeper saw %d posts for %d datagrams, want 1 (one per batch)", snap.SweepReqs, onWire0+onWire1)
 	}
 	if snap.SCOps != onWire0+onWire1 {
 		t.Errorf("scOps = %d, want %d (per-datagram accounting)", snap.SCOps, onWire0+onWire1)
@@ -271,12 +271,11 @@ type udpPost struct {
 }
 
 // TestUDPAggregationAcrossBatches reads PacketIngest's posts straight off
-// a mailbox no sweeper drains. Two back-to-back batches meet the wires in
+// a mailbox no sweeper drains. Back-to-back batches meet the wires in
 // different orders, mixed with replays and bad-wire frames; each batch
-// must post once per wire in first-arrival order, with that batch's k,
-// fold count and first nonzero trace. The second batch's wire 2 frame
-// arrives after wire 1's, so per-wire state left over from the first
-// batch would fold it into the wrong post.
+// must post exactly once, on its first admitted frame's wire, with that
+// batch's k, fold count and first nonzero trace — nothing carried over
+// from the batch before. A batch that admits nothing posts nothing.
 func TestUDPAggregationAcrossBatches(t *testing.T) {
 	s := &Server{
 		shape: network.Shape{Width: 4, Sinks: 4},
@@ -310,7 +309,7 @@ func TestUDPAggregationAcrossBatches(t *testing.T) {
 		{Type: wire.TInc, ID: 2, Wire: 0, Trace: 8},
 		{Type: wire.TInc, ID: 5, Wire: 1},
 		{Type: wire.TInc, ID: 6, Wire: 0, Trace: 11},
-	}, []udpPost{{2, 4, 2, 9}, {0, 2, 2, 7}, {1, 1, 1, 0}})
+	}, []udpPost{{2, 7, 5, 7}})
 	ingest([]wire.Frame{
 		{Type: wire.TInc, ID: 10, Wire: 1},
 		{Type: wire.TIncBatch, ID: 11, Wire: 3, K: 2, Trace: 21},
@@ -320,12 +319,18 @@ func TestUDPAggregationAcrossBatches(t *testing.T) {
 		{Type: wire.TInc, ID: 14, Wire: 0},
 		{Type: wire.TInc, ID: 15, Wire: 1, Trace: 22},
 		{Type: wire.TInc, ID: 6, Wire: 0},
-	}, []udpPost{{1, 2, 2, 22}, {3, 2, 1, 21}, {2, 1, 1, 0}, {0, 1, 1, 0}})
+	}, []udpPost{{1, 6, 5, 21}})
+	ingest([]wire.Frame{
+		{Type: wire.TInc, ID: 1, Wire: 2, Trace: 31},
+		{Type: wire.TInc, ID: 30, Wire: 4, Trace: 32},
+		{Type: wire.TIncBatch, ID: 11, Wire: 3, K: 2},
+		{Type: wire.TInc, ID: 31, Wire: 99},
+	}, nil)
 }
 
 // TestUDPSegmentedIngest: a GRO super-datagram's segments each run the
-// full admission chain and aggregate per wire exactly like loose
-// datagrams, while the segments-per-datagram histogram separates the
+// full admission chain and aggregate into the batch's post exactly like
+// loose datagrams, while the segments-per-datagram histogram separates the
 // coalesced slot from the plain one.
 func TestUDPSegmentedIngest(t *testing.T) {
 	st := NewStats(0)
@@ -356,8 +361,8 @@ func TestUDPSegmentedIngest(t *testing.T) {
 	if len(snap.UDPSegments) == 0 || snap.UDPSegments[4] != 1 || snap.UDPSegments[0] != 1 {
 		t.Errorf("UDPSegments = %v, want one slot in bucket 4 and one in bucket 0", snap.UDPSegments)
 	}
-	if snap.SweepReqs > 4 {
-		t.Errorf("combiners saw %d posts for 17 datagrams, want ≤4 (one per wire)", snap.SweepReqs)
+	if snap.SweepReqs != 1 {
+		t.Errorf("the sweeper saw %d posts for 17 datagrams, want 1 (one per batch)", snap.SweepReqs)
 	}
 }
 
@@ -550,8 +555,8 @@ func TestUDPEndpointMultiSocket(t *testing.T) {
 }
 
 // BenchmarkPacketIngest measures the per-datagram cost of the steady-state
-// admission path — prefix filter, CRC decode, replay window, per-wire
-// aggregation, mailbox post — and pins it at 0 allocs/op (CI gates on
+// admission path — prefix filter, CRC decode, replay window, folding into
+// the batch's one mailbox post — and pins it at 0 allocs/op (CI gates on
 // this the way it gates the codec). Ids cycle through a space much larger
 // than the replay window so every datagram takes the accept path.
 func BenchmarkPacketIngest(b *testing.B) {
@@ -703,5 +708,33 @@ func TestIngestBatchDuringClose(t *testing.T) {
 		if got := uint64(s.Issued()) + snap.UDPDropped; got != snap.UDPDatagrams {
 			t.Fatalf("round %d: minted %d + dropped %d != admitted %d", round, s.Issued(), snap.UDPDropped, snap.UDPDatagrams)
 		}
+	}
+}
+
+// TestFailedMintCountsUDPDropped: a sweep the backend cannot mint for (a
+// cluster node cut off from its range leader) is shed whole, and its UDP
+// posts have no one to answer, so their datagrams count as dropped —
+// admitted == minted + dropped holds here too.
+func TestFailedMintCountsUDPDropped(t *testing.T) {
+	m := newMintStub(4)
+	m.fail.Store(true)
+	st := NewStats(0)
+	s := New(m, Options{Stats: st})
+	pi := s.NewPacketIngest()
+	b := packetio.NewBatch(8)
+	for i := 0; i < 8; i++ {
+		appendFrame(t, b, &wire.Frame{Type: wire.TInc, ID: uint64(i), Wire: int64(i % 4)})
+	}
+	pi.IngestBatch(b)
+	// Close drains the mailbox, so the post has been swept when it returns.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := st.Snapshot()
+	if snap.UDPDatagrams != 8 {
+		t.Fatalf("admitted %d datagrams, want 8", snap.UDPDatagrams)
+	}
+	if got := uint64(s.Issued()) + snap.UDPDropped; got != snap.UDPDatagrams {
+		t.Fatalf("minted %d + dropped %d != admitted %d", s.Issued(), snap.UDPDropped, snap.UDPDatagrams)
 	}
 }
