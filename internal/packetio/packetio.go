@@ -39,9 +39,10 @@
 // value for two observers, which is the invariant the simulator's udp
 // scenarios pin.
 //
-// Observe runs once per admitted frame, so it uses no Go map but a ring
-// plus an open-addressed index hashed with per-Window random tables: a
-// sender cannot aim ids at one probe run.
+// Observe runs once per admitted frame, so it uses no Go map but a table
+// of cache-line buckets hashed with per-Window random tables (a sender
+// cannot aim ids at one probe run), and it never deletes: an id expires
+// once cap more ids have been admitted after it.
 //
 // # Segmentation offload (GSO/GRO)
 //
@@ -321,44 +322,60 @@ func (b *Batch) AppendSegments(fn func(dst []byte) (payload []byte, seg int)) bo
 }
 
 // Window is a bounded replay filter over datagram ids: it remembers the
-// last cap ids observed and reports whether an id is fresh. One Window
+// last cap ids admitted and reports whether an id is fresh. One Window
 // serves one ingest loop — flows hash to a stable socket under
 // SO_REUSEPORT, so a retransmit meets the same window that saw the
 // original. Not safe for concurrent use.
 //
-// The ids sit in a FIFO ring, indexed by an open-addressed, linearly
-// probed table of 1 + ring index (0 is empty). The table is a power of two
-// at least eight times the capacity: a probe costs its branches, and at a
-// quarter load Observe took 35 ns against 22 at an eighth (Xeon). Eviction
-// deletes by backward shift, so there are no tombstones and no rebuilds.
+// Nothing is ever deleted. Each admission is numbered, and an id stays
+// live while fewer than cap admissions have followed its own; an expired
+// slot reads as free. The ids sit in a linearly probed table of buckets,
+// one cache line each, at least one bucket per id of capacity, so a fresh
+// id costs one hash and, unless its home bucket is full, one line read
+// and written.
 type Window struct {
-	capacity int
-	ring     []uint64
-	pos      int
-	full     bool
-	table    []uint32
-	shift    uint // 32 − log2(len(table)): a hash's top bits are its home slot
-	maxProbe int  // longest miss probe so far, in occupied slots passed
+	capacity uint64
+	now      uint64 // capacity + admissions so far: the newest id's stamp
+	table    []bucket
+	shift    uint // 32 − log2(len(table)): a hash's top bits are its home bucket
+	maxProbe int  // most buckets an Observe has passed beyond the home one
 	tab      [8][256]uint32
+}
+
+// bucket is one 64-byte line of the table: three ids with the stamps
+// that keep them live, a cursor, and over, the newest stamp of an id
+// admitted past this bucket because it was full. The slots are written in
+// turn, so the cursor's slot holds the bucket's oldest id: if that id has
+// expired the bucket has room, and otherwise it is full. While over is
+// live, a lookup reading this bucket must read the next one too; once it
+// has expired, nothing live lies beyond on this bucket's account. The
+// counter starts at the capacity, so a zero stamp reads as expired and a
+// zeroed bucket is empty.
+type bucket struct {
+	id    [3]uint64
+	stamp [3]uint64
+	over  uint64
+	next  uint64 // the slot written least recently
 }
 
 // NewWindow builds a window remembering the last capacity ids (minimum 1).
 //
-// Slots come from simple tabulation hashing over the id's eight bytes,
-// with tables drawn here from math/rand/v2's runtime-seeded source. No
-// sender sees them, so none can aim ids at one probe run, and under simple
-// tabulation linear probing takes constant expected probes on every id set
-// (Pătraşcu–Thorup). Multiply-shift does not: under about one multiplier
-// in a hundred, consecutive ids average 4 to 20 probes per miss, not 0.15.
+// Home buckets come from simple tabulation hashing over the id's eight
+// bytes, with tables drawn here from math/rand/v2's runtime-seeded
+// source. No sender sees them, so none can aim ids at one probe run, and
+// under simple tabulation linear probing takes constant expected probes
+// on every id set (Pătraşcu–Thorup). Multiply-shift does not: under
+// about one multiplier in a hundred, consecutive ids average 4 to 20
+// probes per miss, not 0.15.
 func NewWindow(capacity int) *Window {
 	if capacity < 1 {
 		capacity = 1
 	}
-	b := uint(bits.Len(uint(8*capacity - 1)))
+	b := uint(bits.Len(uint(capacity - 1)))
 	w := &Window{
-		capacity: capacity,
-		ring:     make([]uint64, capacity),
-		table:    make([]uint32, 1<<b),
+		capacity: uint64(capacity),
+		now:      uint64(capacity),
+		table:    make([]bucket, 1<<b),
 		shift:    32 - b,
 	}
 	for i := range w.tab {
@@ -370,62 +387,60 @@ func NewWindow(capacity int) *Window {
 }
 
 // Cap reports the window's capacity.
-func (w *Window) Cap() int { return w.capacity }
+func (w *Window) Cap() int { return int(w.capacity) }
 
 // Observe records id and reports whether it was fresh: true admits the
-// datagram, false means a duplicate of a recently seen id (a replay).
-// The oldest remembered id is evicted once the window is full.
+// datagram, false means a duplicate of one of the last cap admitted ids
+// (a replay). A replay does not refresh the id it matched.
+//
+// The lookup reads id's home bucket and, while the bucket read last has a
+// live over stamp, the next one; on the way it notes the first bucket
+// with room. A fresh id goes there, or, if every bucket read was full,
+// into the first bucket with room further on, and every bucket it passed
+// gets its stamp as over. The walk never laps the table: it passes a
+// bucket only if the bucket was full within the last cap admissions, and
+// the table has at least cap buckets, so a lap would take three times as
+// many ids as fit in two spans of cap admissions.
 func (w *Window) Observe(id uint64) bool {
+	t := &w.tab
+	h := t[0][byte(id)] ^ t[1][byte(id>>8)] ^ t[2][byte(id>>16)] ^ t[3][byte(id>>24)] ^
+		t[4][byte(id>>32)] ^ t[5][byte(id>>40)] ^ t[6][byte(id>>48)] ^ t[7][byte(id>>56)]
+	home := int(h >> w.shift)
+	now, span := w.now, w.capacity
 	mask := len(w.table) - 1
-	home := w.home(id)
+	free := -1
 	i := home
-	for s := w.table[i]; s != 0; s = w.table[i] {
-		if w.ring[s-1] == id {
+	for {
+		b := &w.table[i]
+		if b.id[0] == id && now-b.stamp[0] < span ||
+			b.id[1] == id && now-b.stamp[1] < span ||
+			b.id[2] == id && now-b.stamp[2] < span {
 			return false
 		}
+		if free < 0 && now-b.stamp[b.next] >= span {
+			free = i
+		}
+		if now-b.over >= span {
+			break
+		}
 		i = (i + 1) & mask
+	}
+	now++
+	for free < 0 {
+		i = (i + 1) & mask
+		if b := &w.table[i]; now-b.stamp[b.next] >= span {
+			free = i
+		}
+	}
+	for k := home; k != free; k = (k + 1) & mask {
+		w.table[k].over = now
 	}
 	if d := (i - home) & mask; d > w.maxProbe {
 		w.maxProbe = d
 	}
-	if w.full {
-		// Deleting the oldest id empties exactly one slot. If that slot is
-		// on id's probe path, it is now the first free one there.
-		if h := w.remove(); (h-home)&mask < (i-home)&mask {
-			i = h
-		}
-	}
-	w.table[i] = uint32(w.pos + 1)
-	w.ring[w.pos] = id
-	w.pos++
-	if w.pos == w.capacity {
-		w.pos, w.full = 0, true
-	}
+	b := &w.table[free]
+	j := b.next
+	b.id[j], b.stamp[j], b.next = id, now, (j+1)%3
+	w.now = now
 	return true
-}
-
-// home is id's home slot: the top bits of its simple tabulation hash.
-func (w *Window) home(id uint64) int {
-	t := &w.tab
-	h := t[0][byte(id)] ^ t[1][byte(id>>8)] ^ t[2][byte(id>>16)] ^ t[3][byte(id>>24)] ^
-		t[4][byte(id>>32)] ^ t[5][byte(id>>40)] ^ t[6][byte(id>>48)] ^ t[7][byte(id>>56)]
-	return int(h >> w.shift)
-}
-
-// remove deletes the table entry of the oldest id, ring[pos], by backward
-// shift: every later entry of its probe run whose home allows it moves
-// back into the hole. It returns the slot left empty.
-func (w *Window) remove() int {
-	mask := len(w.table) - 1
-	hole := w.home(w.ring[w.pos])
-	for w.table[hole] != uint32(w.pos+1) {
-		hole = (hole + 1) & mask
-	}
-	for j := (hole + 1) & mask; w.table[j] != 0; j = (j + 1) & mask {
-		if s := w.table[j]; (j-w.home(w.ring[s-1]))&mask >= (j-hole)&mask {
-			w.table[hole], hole = s, j
-		}
-	}
-	w.table[hole] = 0
-	return hole
 }

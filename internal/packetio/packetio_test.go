@@ -451,7 +451,8 @@ func TestWindowDuplicateInsideStrideProperty(t *testing.T) {
 // TestWindowHostileIDs drives the server's default window through id
 // streams that defeat a weak hash: ids sharing their low 13, 32 or 51
 // bits, the benchmark's dense band, and seeded random ids. Every verdict
-// must match the FIFO model and no miss may probe past 32 occupied slots.
+// must match the FIFO model and no Observe may walk past 32 buckets
+// beyond its home one.
 func TestWindowHostileIDs(t *testing.T) {
 	const capacity, n = 4096, 1 << 20
 	streams := []struct {
@@ -478,10 +479,40 @@ func TestWindowHostileIDs(t *testing.T) {
 				}
 			}
 			if w.maxProbe > 32 {
-				t.Fatalf("longest probe %d slots, want ≤ 32", w.maxProbe)
+				t.Fatalf("longest walk %d buckets past home, want ≤ 32", w.maxProbe)
 			}
-			t.Logf("longest probe %d slots", w.maxProbe)
+			t.Logf("longest walk %d buckets past home", w.maxProbe)
 		})
+	}
+}
+
+// TestWindowCollidingIDs sends every id to one home bucket, the first or
+// the last of the table, by zeroing or saturating the hash tables. Ids
+// then overflow into long chains, walk past the end of the table and
+// wrap, and expire inside buckets other lookups must still walk through;
+// every verdict must still match the FIFO model.
+func TestWindowCollidingIDs(t *testing.T) {
+	for _, last := range []bool{false, true} {
+		for _, capacity := range []int{1, 2, 3, 7, 64} {
+			w := NewWindow(capacity)
+			for i := range w.tab {
+				for j := range w.tab[i] {
+					w.tab[i][j] = 0
+					if last && i == 0 {
+						w.tab[i][j] = ^uint32(0)
+					}
+				}
+			}
+			m := newWindowModel(capacity)
+			s := uint64(capacity)*0x9e3779b97f4a7c15 + 1
+			for op := 0; op < 20000; op++ {
+				id := xorshift(&s) % uint64(3*capacity+1)
+				if got, want := w.Observe(id), m.observe(id); got != want {
+					t.Fatalf("last=%v cap=%d op=%d id=%d: Observe=%v, model=%v",
+						last, capacity, op, id, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -496,8 +527,9 @@ func TestWindowObserveAllocs(t *testing.T) {
 var observed bool
 
 // BenchmarkWindowObserve admits fresh ids into a full default-size
-// window, the ingest steady state: every call probes, evicts and inserts.
-// CI gates it at 0 allocs/op.
+// window, the ingest steady state: every call hashes once, reads its home
+// bucket and overwrites the bucket's oldest slot, or walks on if the
+// bucket is full. CI gates it at 0 allocs/op.
 func BenchmarkWindowObserve(b *testing.B) {
 	w := NewWindow(4096)
 	id := uint64(1) << 41
@@ -510,6 +542,22 @@ func BenchmarkWindowObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		id++
 		observed = w.Observe(id)
+	}
+}
+
+// BenchmarkWindowObserveReplay replays ids the full default-size window
+// still holds, the cost of a retransmit flood: a lookup that matches and
+// writes nothing. CI gates it at 0 allocs/op.
+func BenchmarkWindowObserveReplay(b *testing.B) {
+	w := NewWindow(4096)
+	id := uint64(1) << 41
+	for i := 0; i < 4096; i++ {
+		w.Observe(id + uint64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		observed = w.Observe(id + uint64(i&4095))
 	}
 }
 
