@@ -22,11 +22,12 @@ cover:
 	$(GO) test -cover ./...
 
 # The packages whose concurrency depends on how many Ps run it (group
-# commit, ingest-vs-Close fence, combining tree), under -race at each —
+# commit, ingest-vs-Close fence, combining tree, a cluster node's LIN
+# path beside its sweeper), under -race at each —
 # and internal/dst, which must pin itself to one P whatever it is given.
 race-procs:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -race -count=1 ./internal/client/ ./internal/server/ ./internal/runtime/ ./internal/dst/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=1 ./internal/client/ ./internal/server/ ./internal/runtime/ ./internal/dst/ ./internal/cluster/ || exit 1; \
 	done
 
 # Every `go test` benchmark function once through; the repository's

@@ -309,9 +309,8 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		UDPGSO:      o.udpGSO,
 	}
 	if node != nil {
-		sopt.LINForward = node.ForwardLIN
+		sopt.LIN = node.LIN()
 		sopt.NodeInfo = node.Advertise
-		sopt.ConnClosed = node.ReleaseConn
 	}
 	srv := countingnet.NewServer(backend, sopt)
 	defer srv.Close()

@@ -41,8 +41,8 @@
 //     argument.
 //
 // The package deliberately does not import internal/server: cmd/countd
-// composes them — the cluster Minter is the server's Backend, and the
-// node's ForwardLIN/Advertise hooks plug into the server's options.
+// composes them — the cluster Minter is the server's Backend, Node.LIN
+// its LIN backend, and Node.Advertise plugs into the server's options.
 package cluster
 
 import (
@@ -89,7 +89,7 @@ type Lane int
 const (
 	LaneGossip  Lane = iota // periodic membership exchange
 	LaneRange               // block grants, returns and prefetch
-	LaneForward             // LIN forwards to the serialization point
+	LaneForward             // LIN forwards to the serialization point (one per sweep)
 )
 
 // Dialer opens a connection to a peer's cluster address.
@@ -141,10 +141,11 @@ type Config struct {
 
 	// Listen opens the cluster listener (nil: TCP).
 	Listen func(addr string) (net.Listener, error)
-	// Dial returns the dialer for one RPC lane. key scopes concurrent
-	// lanes of the same kind (the server connection id for LaneForward).
+	// Dial returns the dialer for one RPC lane. Each lane has one caller
+	// per node at a time: the gossip loop, the grant path (serialized by
+	// the node), and the server's one LIN sweeper through Node.LIN.
 	// nil: TCP with RPCTimeout as the dial timeout, any lane.
-	Dial func(lane Lane, key uint64) Dialer
+	Dial func(lane Lane) Dialer
 
 	// Stats receives the node's counters (nil: a private sink).
 	Stats *Stats
@@ -205,7 +206,7 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.Dial == nil {
 		timeout := cfg.RPCTimeout
-		cfg.Dial = func(Lane, uint64) Dialer {
+		cfg.Dial = func(Lane) Dialer {
 			return func(addr string) (net.Conn, error) {
 				return net.DialTimeout("tcp", addr, timeout)
 			}

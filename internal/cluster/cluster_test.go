@@ -156,7 +156,7 @@ func TestClusterLINMonotone(t *testing.T) {
 		// Mid-gossip the view can be briefly leaderless at a follower;
 		// that answers ErrNotLeader, which real clients retry. Do the same.
 		for attempt := 0; attempt < 100; attempt++ {
-			out, ferr := nd.ForwardLIN(uint64(j), 0, 1)
+			out, ferr := nd.LIN().TryIncBatch(0, 1)
 			if ferr == nil {
 				rs = collect(nil, []wire.Range{{First: out[0].First, Stride: out[0].Stride, Count: out[0].Count}})
 				err = nil
@@ -343,50 +343,6 @@ func TestTransportPrunesClosedConns(t *testing.T) {
 			t.Fatalf("%d transport conns still tracked after every peer hung up", live)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestReleaseConnEvictsForwardDialer: forwarding LIN caches one dialer
-// per server connection; the serving layer's ConnClosed hook
-// (ReleaseConn) must evict the entry, or client churn grows the cache
-// without bound.
-func TestReleaseConnEvictsForwardDialer(t *testing.T) {
-	nodes, _ := startCluster(t, 3)
-	var follower *Node
-	for _, nd := range nodes {
-		if !nd.IsLeader() {
-			follower = nd
-			break
-		}
-	}
-	if follower == nil {
-		t.Fatal("no follower")
-	}
-
-	const connID = 42
-	var err error
-	for attempt := 0; attempt < 100; attempt++ {
-		if _, err = follower.ForwardLIN(connID, 0, 1); err == nil {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("forward LIN: %v", err)
-	}
-	follower.mu.Lock()
-	_, cached := follower.fwdDial[connID]
-	follower.mu.Unlock()
-	if !cached {
-		t.Fatalf("forward via conn %d cached no dialer", connID)
-	}
-
-	follower.ReleaseConn(connID)
-	follower.mu.Lock()
-	left := len(follower.fwdDial)
-	follower.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d forward dialers still cached after ReleaseConn", left)
 	}
 }
 

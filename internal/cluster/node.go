@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/network"
 	"repro/internal/runtime"
 	"repro/internal/wire"
 )
@@ -35,7 +36,6 @@ type Node struct {
 	// deterministic (nothing iterates a map in arbitrary order).
 	conns   map[uint64]net.Conn
 	connSeq uint64
-	fwdDial map[uint64]Dialer // per-server-connection forward dialers
 
 	rangeMu sync.Mutex // serializes grant RPCs (refill + prefetch share one lane)
 
@@ -55,10 +55,9 @@ func Start(cfg Config) (*Node, error) {
 		cfg.Width = 8
 	}
 	n := &Node{
-		cfg:     cfg,
-		closed:  make(chan struct{}),
-		conns:   make(map[uint64]net.Conn),
-		fwdDial: make(map[uint64]Dialer),
+		cfg:    cfg,
+		closed: make(chan struct{}),
+		conns:  make(map[uint64]net.Conn),
 	}
 	for _, s := range cfg.Seeds {
 		if s != cfg.Addr {
@@ -266,7 +265,7 @@ func (n *Node) tick(round int) {
 	}
 	n.cfg.Stats.GossipRounds.Add(1)
 	req := wire.Frame{Type: wire.TGossip, Data: d.encode()}
-	resp, err := n.rpc(n.dialer(LaneGossip, 0), addr, &req)
+	resp, err := n.rpc(n.cfg.Dial(LaneGossip), addr, &req)
 	if err != nil {
 		n.cfg.Stats.GossipFailures.Add(1)
 		return
@@ -327,7 +326,7 @@ func (n *Node) requestBlock(k int64) (wire.Range, uint64, error) {
 	req := wire.Frame{Type: wire.TRangeRequest, Node: n.cfg.NodeID,
 		Epoch: EpochOf(cl.Term, cl.Leader), K: k}
 	n.rangeMu.Lock()
-	resp, err := n.rpc(n.dialer(LaneRange, 0), cl.Addr, &req)
+	resp, err := n.rpc(n.cfg.Dial(LaneRange), cl.Addr, &req)
 	n.rangeMu.Unlock()
 	if err != nil {
 		if errors.Is(err, wire.ErrNotLeader) || errors.Is(err, wire.ErrNoRange) {
@@ -368,16 +367,43 @@ func (n *Node) linMintLocked(k int64) ([]runtime.Range, error) {
 	return []runtime.Range{{First: first, Stride: 1, Count: k}}, nil
 }
 
-// ForwardLIN is the server's LIN hook: serve at the local serialization
-// point while holding the lease, otherwise forward to the leader. connID
-// scopes the forward transport per server connection, which keeps
-// concurrent forwards on independent, deterministically-identified
-// streams under DST.
-func (n *Node) ForwardLIN(connID uint64, wireID int64, k int64) ([]runtime.Range, error) {
+// LIN returns the node's LIN backend for the serving layer's LIN
+// sweeper (server Options.LIN): one call mints a whole sweep's k values
+// at the cluster's serialization point.
+func (n *Node) LIN() LINBackend { return LINBackend{n} }
+
+// LINBackend mints LIN values at the cluster leader's serialization
+// point. It implements the server Backend contract plus the fallible
+// TryIncBatch, which the server's one LIN sweeper calls once per sweep —
+// so a node has at most one LIN mint in flight, and its forward lane one
+// caller.
+type LINBackend struct{ n *Node }
+
+// Shape implements the server Backend contract: the minter's shape.
+func (b LINBackend) Shape() network.Shape { return b.n.minter.Shape() }
+
+// IncBatch implements the server Backend contract. It retries until the
+// mint succeeds or the node closes; servers that understand TryIncBatch
+// never call it.
+func (b LINBackend) IncBatch(wire, k int) []runtime.Range {
+	for {
+		rs, err := b.TryIncBatch(wire, k)
+		if err == nil || b.n.closing.Load() {
+			return rs
+		}
+	}
+}
+
+// TryIncBatch mints k LIN values: under the node mutex while this node
+// holds the lease, otherwise with one TLinForward to the leader. A
+// refusal, or a leader that cannot be reached, is the retryable
+// wire.ErrNotLeader (or wire.ErrNoRange); the server sheds the sweep with
+// it.
+func (b LINBackend) TryIncBatch(wireID, k int) ([]runtime.Range, error) {
+	n := b.n
 	n.mu.Lock()
-	now := n.cfg.Clock.Now()
-	if n.leaseLocked(now) {
-		rs, err := n.linMintLocked(k)
+	if n.leaseLocked(n.cfg.Clock.Now()) {
+		rs, err := n.linMintLocked(int64(k))
 		n.mu.Unlock()
 		return rs, err
 	}
@@ -389,9 +415,9 @@ func (n *Node) ForwardLIN(connID uint64, wireID int64, k int64) ([]runtime.Range
 	n.cfg.Stats.LinForwards.Add(1)
 	start := n.cfg.Clock.Now()
 	req := wire.Frame{Type: wire.TLinForward, Mode: wire.ModeLIN,
-		Wire: wireID, K: k, Epoch: EpochOf(cl.Term, cl.Leader)}
-	resp, err := n.rpc(n.fwdDialer(connID), cl.Addr, &req)
-	n.cfg.Stats.FwdLatency.Record(int(connID), n.cfg.Clock.Since(start))
+		Wire: int64(wireID), K: int64(k), Epoch: EpochOf(cl.Term, cl.Leader)}
+	resp, err := n.rpc(n.cfg.Dial(LaneForward), cl.Addr, &req)
+	n.cfg.Stats.FwdLatency.Record(wireID, n.cfg.Clock.Since(start))
 	if err != nil {
 		if errors.Is(err, wire.ErrNotLeader) || errors.Is(err, wire.ErrNoRange) {
 			return nil, err // the remote already classified the refusal
@@ -409,33 +435,6 @@ func (n *Node) ForwardLIN(connID uint64, wireID int64, k int64) ([]runtime.Range
 		out[i] = runtime.Range{First: r.First, Stride: r.Stride, Count: r.Count}
 	}
 	return out, nil
-}
-
-// dialer returns the configured dialer for a lane.
-func (n *Node) dialer(lane Lane, key uint64) Dialer { return n.cfg.Dial(lane, key) }
-
-// fwdDialer caches one forward dialer per server connection. The
-// serving layer releases the entry when the connection closes
-// (ReleaseConn), so the cache is bounded by the live connection count.
-func (n *Node) fwdDialer(connID uint64) Dialer {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	d, ok := n.fwdDial[connID]
-	if !ok {
-		d = n.cfg.Dial(LaneForward, connID)
-		n.fwdDial[connID] = d
-	}
-	return d
-}
-
-// ReleaseConn drops the forward-dialer cache entry for one server
-// connection. The serving layer calls it as its connection-closed hook
-// (server Options.ConnClosed), so client churn cannot grow the cache
-// without bound.
-func (n *Node) ReleaseConn(connID uint64) {
-	n.mu.Lock()
-	delete(n.fwdDial, connID)
-	n.mu.Unlock()
 }
 
 // Close shuts the node down gracefully: stop gossiping, hand unminted
@@ -468,7 +467,7 @@ func (n *Node) Close() error {
 		}
 		req := wire.Frame{Type: wire.TRangeReturn, Node: n.cfg.NodeID, Epoch: er.epoch}
 		req.Rs = er.rs
-		if _, err := n.rpc(n.dialer(LaneRange, 0), cl.Addr, &req); err == nil {
+		if _, err := n.rpc(n.cfg.Dial(LaneRange), cl.Addr, &req); err == nil {
 			n.cfg.Stats.Handoffs.Add(1)
 		}
 	}

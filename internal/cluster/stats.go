@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -19,7 +18,7 @@ type Stats struct {
 	RangeRequests  atomic.Uint64 // grant RPCs sent (prefetch + blocking)
 	Handoffs       atomic.Uint64 // graceful range returns sent
 	Reclaims       atomic.Uint64 // returned remainders accepted while leading
-	LinForwards    atomic.Uint64 // LIN mints forwarded to a remote leader
+	LinForwards    atomic.Uint64 // TLinForward calls to a remote leader (one per LIN sweep)
 	LinServed      atomic.Uint64 // LIN mints served at this node's serialization point
 	NotLeader      atomic.Uint64 // cluster requests refused for lack of leadership
 	RefillBlocking atomic.Uint64 // mints that had to wait on a grant RPC
@@ -114,23 +113,6 @@ func (n *Node) AppendMetrics(w io.Writer) {
 	counter("countd_cluster_no_range_total", "mints shed with no obtainable block", st.NoRange.Load())
 	counter("countd_cluster_elections_total", "election terms this node started", st.Elections.Load())
 
-	writeHist(w, "countd_cluster_lin_forward", "LIN forward round-trip latency", st.FwdLatency.Summary())
-}
-
-// writeHist writes one histogram in Prometheus exposition format (the
-// same shape internal/server uses for its latency surfaces).
-func writeHist(w io.Writer, name, help string, ls telemetry.LatencySummary) {
-	fmt.Fprintf(w, "# HELP %s_seconds %s\n# TYPE %s_seconds histogram\n", name, help, name)
-	cum := uint64(0)
-	for i, c := range ls.Buckets {
-		cum += c
-		bound := ls.Bounds[i]
-		if bound < 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%s_seconds_bucket{le=\"%g\"} %d\n", name, float64(bound)/1e9, cum)
-	}
-	fmt.Fprintf(w, "%s_seconds_bucket{le=\"+Inf\"} %d\n", name, ls.Count)
-	fmt.Fprintf(w, "%s_seconds_sum %g\n", name, time.Duration(ls.Sum).Seconds())
-	fmt.Fprintf(w, "%s_seconds_count %d\n", name, ls.Count)
+	fmt.Fprintf(w, "# HELP countd_cluster_lin_forward_seconds LIN forward round-trip latency\n# TYPE countd_cluster_lin_forward_seconds histogram\n")
+	telemetry.WriteHistogram(w, "countd_cluster_lin_forward_seconds", "", st.FwdLatency.Summary())
 }

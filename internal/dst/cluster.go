@@ -32,7 +32,7 @@ import (
 //	[  0,  64)  client workers
 //	[ 64,  96)  per-node gossip lane
 //	[ 96, 128)  per-node range-grant lane (refill + prefetch, serialized)
-//	[128, 512)  per-node LIN forward lanes, keyed by server connection
+//	[128, 160)  per-node LIN forward lane (the server's one LIN sweeper)
 type ClusterEvent struct {
 	At   time.Duration // offset from the workload start
 	Kind string        // "kill" (burn), "leave" (graceful handoff) or "restart"
@@ -259,7 +259,7 @@ func startSimNode(w *World, sc *ClusterScenario, i, gen int, audit *cluster.Audi
 		BlockSize:   sc.BlockSize,
 		LINBlock:    sc.LINBlock,
 		Listen:      func(addr string) (net.Listener, error) { return w.Listen(addr), nil },
-		Dial: func(lane cluster.Lane, key uint64) cluster.Dialer {
+		Dial: func(lane cluster.Lane) cluster.Dialer {
 			var worker int
 			switch lane {
 			case cluster.LaneGossip:
@@ -267,7 +267,7 @@ func startSimNode(w *World, sc *ClusterScenario, i, gen int, audit *cluster.Audi
 			case cluster.LaneRange:
 				worker = 96 + i
 			default:
-				worker = 128 + i*32 + int(key%32)
+				worker = 128 + i
 			}
 			d := w.Dialer(worker)
 			return func(addr string) (net.Conn, error) { return d(addr, 0) }
@@ -279,10 +279,9 @@ func startSimNode(w *World, sc *ClusterScenario, i, gen int, audit *cluster.Audi
 		return nil, err
 	}
 	srv := server.New(nd.Minter(), server.Options{
-		Clock:      w.Clk,
-		LINForward: nd.ForwardLIN,
-		NodeInfo:   nd.Advertise,
-		ConnClosed: nd.ReleaseConn,
+		Clock:    w.Clk,
+		LIN:      nd.LIN(),
+		NodeInfo: nd.Advertise,
 	})
 	go srv.Serve(w.Listen(clusterSrvAddr(i)))
 	return &simNode{idx: i, gen: gen, nd: nd, srv: srv, stats: stats, alive: true}, nil

@@ -18,20 +18,12 @@ import (
 // the tracing subsystem itself subject to the same seed-sweep regime as
 // the protocol.
 
-// sweptStages is the server-side trail of a request the server's sweeper
-// answered, in either mode; linStages that of a LIN request forwarded to
-// a cluster leader (no mailbox or sweep — the forward stands in for the
-// traversal).
-var (
-	sweptStages = []flightrec.Stage{
-		flightrec.StageServerMailbox, flightrec.StageServerSweep,
-		flightrec.StageServerTraverse, flightrec.StageServerFlush,
-	}
-	linStages = []flightrec.Stage{
-		flightrec.StageServerLINWait, flightrec.StageServerTraverse,
-		flightrec.StageServerFlush,
-	}
-)
+// sweptStages is the server-side trail of every answered increment, in
+// either mode: a sweeper answers them all.
+var sweptStages = []flightrec.Stage{
+	flightrec.StageServerMailbox, flightrec.StageServerSweep,
+	flightrec.StageServerTraverse, flightrec.StageServerFlush,
+}
 
 // checkFlight audits the run's span trees. Structural checks (spans end
 // after they start, every id belongs to a worker's namespace) apply to
@@ -116,9 +108,6 @@ func checkSpanTree(res *Result, id uint64, ss []flightrec.Span) {
 	// Client trail: direct batches record only the RPC; combined
 	// increments of either mode bracket it with combine and complete.
 	server := sweptStages
-	if _, forwarded := by[flightrec.StageServerLINWait]; forwarded {
-		server = linStages
-	}
 	client := []flightrec.Stage{flightrec.StageClientRPC}
 	if _, combined := by[flightrec.StageClientCombine]; combined {
 		client = []flightrec.Stage{

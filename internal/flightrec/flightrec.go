@@ -49,11 +49,13 @@ const (
 	// summing the sweep's k).
 	StageServerSweep
 	// StageServerTraverse: the counting-network traversal itself
-	// (the sweep's IncBatch, or a cluster LIN forward's round trip).
+	// (the sweep's IncBatch, or a cluster LIN sweep's forward round
+	// trip).
 	StageServerTraverse
-	// StageServerLINWait: a cluster LIN forward's wait before its round
-	// trip (zero-length: the leader's serialization point does the
-	// waiting). Swept requests of either mode never record it.
+	// StageServerLINWait is no longer recorded: cluster LIN rides a
+	// sweeper and records mailbox, sweep and traverse like SC. The stage
+	// is kept only because the benchmark's layer report (bench/layers.go)
+	// still reads it.
 	StageServerLINWait
 	// StageServerFlush: reply enqueued on the connection's out queue →
 	// flushed to the socket (adaptive flush hold).

@@ -112,20 +112,86 @@ func TestFallibleBackendShedsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestLINForwardHook pins the cluster forwarding seam: with LINForward
-// set, LIN increments bypass the local backend entirely and answer from
-// whatever the hook minted, while SC increments still use the backend.
+// linStub is an Options.LIN backend in the cluster-forward mold: a
+// cursor at a stripe base disjoint from mintStub's, a log of every
+// call's k, and an optional gate each call takes its outcome from, so a
+// test can hold a LIN sweep mid-forward and then let it succeed or fail.
+type linStub struct {
+	next    atomic.Int64
+	entered chan int   // each call sends its k on entry; buffered past any test's call count, so a call never blocks on it
+	gate    chan error // nil: calls return at once; else each takes one outcome
+
+	mu    sync.Mutex
+	calls []int
+}
+
+func newLINStub(base int64, gated bool) *linStub {
+	l := &linStub{entered: make(chan int, 64)}
+	l.next.Store(base)
+	if gated {
+		l.gate = make(chan error)
+	}
+	return l
+}
+
+func (l *linStub) Shape() network.Shape { return network.Shape{Width: 4, Sinks: 4} }
+
+func (l *linStub) IncBatch(w, k int) []runtime.Range {
+	rs, _ := l.TryIncBatch(w, k)
+	return rs
+}
+
+func (l *linStub) TryIncBatch(w, k int) ([]runtime.Range, error) {
+	l.mu.Lock()
+	l.calls = append(l.calls, k)
+	l.mu.Unlock()
+	l.entered <- k
+	if l.gate != nil {
+		if err := <-l.gate; err != nil {
+			return nil, err
+		}
+	}
+	first := l.next.Add(int64(k)) - int64(k)
+	return []runtime.Range{{First: first, Stride: 1, Count: int64(k)}}, nil
+}
+
+func (l *linStub) callLog() []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]int(nil), l.calls...)
+}
+
+// awaitEntered waits for the LIN backend's next call and returns its k.
+func awaitEntered(t *testing.T, l *linStub) int {
+	t.Helper()
+	select {
+	case k := <-l.entered:
+		return k
+	case <-time.After(5 * time.Second):
+		t.Fatal("the LIN sweeper never called its backend")
+		return 0
+	}
+}
+
+// awaitQueued waits until the LIN mailbox holds n requests.
+func awaitQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.linMail) != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("LIN mailbox holds %d requests, want %d", len(s.linMail), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLINForwardHook pins the cluster LIN seam: with Options.LIN set,
+// LIN increments are minted by that backend, not the main one, while SC
+// increments still use the main backend.
 func TestLINForwardHook(t *testing.T) {
 	m := newMintStub(4)
-	var base atomic.Int64
-	base.Store(1 << 40) // cluster stripe ids: disjoint from the stub's
-	opt := Options{
-		LINForward: func(connID uint64, w, k int64) ([]runtime.Range, error) {
-			first := base.Add(k) - k
-			return []runtime.Range{{First: first, Stride: 1, Count: k}}, nil
-		},
-	}
-	s := New(m, opt)
+	lin := newLINStub(1<<40, false) // cluster stripe ids: disjoint from the stub's
+	s := New(m, Options{LIN: lin})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -151,26 +217,114 @@ func TestLINForwardHook(t *testing.T) {
 	}
 }
 
+// TestSCNotHeldBehindLINForward: a LIN forward in flight must not hold
+// up the SC frames behind it on the same connection. The reader posts
+// LIN to the LIN sweeper and moves on, so the SC reply arrives while the
+// LIN backend is still blocked.
+func TestSCNotHeldBehindLINForward(t *testing.T) {
+	m := newMintStub(4)
+	lin := newLINStub(1<<40, true)
+	s := New(m, Options{LIN: lin})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	c := dialT(t, addr.String())
+
+	c.send(wire.Frame{Type: wire.TInc, ID: 1, Wire: 0, Mode: wire.ModeLIN})
+	awaitEntered(t, lin)
+	c.send(wire.Frame{Type: wire.TInc, ID: 2, Wire: 1})
+	_ = c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if f := c.recv(); f.ID != 2 || f.Type != wire.TValue || f.Value != 0 {
+		t.Fatalf("first reply while the LIN forward is blocked: %+v, want the SC value", f)
+	}
+	lin.gate <- nil
+	if f := c.recv(); f.ID != 1 || f.Type != wire.TValue || f.Value != 1<<40 {
+		t.Fatalf("LIN reply after release: %+v", f)
+	}
+}
+
+// TestLINForwardsOncePerSweep: LIN frames from several connections that
+// queue behind a blocked forward are swept together — one backend call
+// for their total k — and dealt the values in arrival order.
+func TestLINForwardsOncePerSweep(t *testing.T) {
+	m := newMintStub(4)
+	const base = 1 << 40
+	lin := newLINStub(base, true)
+	s := New(m, Options{LIN: lin})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	cs := []*tconn{dialT(t, addr.String()), dialT(t, addr.String()), dialT(t, addr.String())}
+
+	cs[0].send(wire.Frame{Type: wire.TInc, ID: 1, Wire: 0, Mode: wire.ModeLIN})
+	if k := awaitEntered(t, lin); k != 1 {
+		t.Fatalf("first sweep forwarded k=%d, want 1", k)
+	}
+
+	// Queue N frames round-robin over the three connections, each landing
+	// in the mailbox before the next is sent, so arrival order is known.
+	type sent struct {
+		c    *tconn
+		id   uint64
+		k    int64
+		want int64 // first value the request must be dealt
+	}
+	const n = 9
+	var queued []sent
+	next, total := int64(base+1), 0
+	for i := 0; i < n; i++ {
+		f := wire.Frame{Type: wire.TInc, ID: uint64(100 + i), Wire: int64(i % 4), Mode: wire.ModeLIN}
+		k := int64(1)
+		if i%4 == 3 {
+			f.Type, f.K, k = wire.TIncBatch, 3, 3
+		}
+		c := cs[i%len(cs)]
+		c.send(f)
+		awaitQueued(t, s, i+1)
+		queued = append(queued, sent{c, f.ID, k, next})
+		next += k
+		total += int(k)
+	}
+
+	lin.gate <- nil // the first sweep
+	if f := cs[0].recv(); f.ID != 1 || f.Value != base {
+		t.Fatalf("first sweep's reply: %+v", f)
+	}
+	if k := awaitEntered(t, lin); k != total {
+		t.Fatalf("second sweep forwarded k=%d, want the queued total %d", k, total)
+	}
+	lin.gate <- nil
+	for _, q := range queued {
+		f := q.c.recv()
+		got := f.Value
+		if f.Type == wire.TRanges {
+			if len(f.Rs) != 1 || f.Rs[0].Count != q.k {
+				t.Fatalf("request %d: ranges %+v, want one of %d", q.id, f.Rs, q.k)
+			}
+			got = f.Rs[0].First
+		}
+		if f.ID != q.id || got != q.want {
+			t.Fatalf("reply %+v: want id %d dealt %d (arrival order)", f, q.id, q.want)
+		}
+	}
+	if calls := lin.callLog(); len(calls) != 2 || calls[0] != 1 || calls[1] != total {
+		t.Fatalf("LIN backend calls %v, want [1 %d]", calls, total)
+	}
+}
+
 // TestCloseDrainsInFlightLINForward is the drain regression: a server
-// closed while LIN forwards are mid-flight must deliver exactly one
-// reply per request — the minted value if the forward completed, the
-// forward's error if its target died — never zero, never two.
+// closed while a LIN forward is mid-flight, with another LIN request
+// queued behind it, must deliver exactly one reply per request — the
+// forward's error to the failed sweep's member, the minted value to the
+// completed sweep's — never zero, never two.
 func TestCloseDrainsInFlightLINForward(t *testing.T) {
 	m := newMintStub(4)
-	started := make(chan uint64, 2)
-	release := make(chan struct{})
-	opt := Options{
-		LINForward: func(connID uint64, w, k int64) ([]runtime.Range, error) {
-			started <- connID
-			<-release
-			if connID == 0 {
-				// The forward target was killed under this request.
-				return nil, wire.ErrNotLeader
-			}
-			return []runtime.Range{{First: 99, Stride: 1, Count: k}}, nil
-		},
-	}
-	s := New(m, opt)
+	lin := newLINStub(99, true)
+	s := New(m, Options{LIN: lin})
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -179,15 +333,18 @@ func TestCloseDrainsInFlightLINForward(t *testing.T) {
 	c0 := dialT(t, addr.String())
 	c1 := dialT(t, addr.String())
 	c0.send(wire.Frame{Type: wire.TInc, ID: 10, Wire: 0, Mode: wire.ModeLIN})
+	awaitEntered(t, lin)
 	c1.send(wire.Frame{Type: wire.TInc, ID: 20, Wire: 0, Mode: wire.ModeLIN})
-	<-started
-	<-started
+	awaitQueued(t, s, 1)
 
 	closed := make(chan error, 1)
 	go func() { closed <- s.Close() }()
-	// Close is now draining; neither forward has resolved yet. Let them.
+	// Close is now draining; the forward has not resolved yet. Fail it
+	// (its target was killed under it), then let the next sweep complete.
 	time.Sleep(10 * time.Millisecond)
-	close(release)
+	lin.gate <- wire.ErrNotLeader
+	awaitEntered(t, lin)
+	lin.gate <- nil
 
 	select {
 	case err := <-closed:
@@ -195,71 +352,23 @@ func TestCloseDrainsInFlightLINForward(t *testing.T) {
 			t.Fatalf("close: %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung on in-flight LIN forwards")
+		t.Fatal("Close hung on an in-flight LIN forward")
 	}
 
 	// Each connection: exactly one reply, then EOF — nothing lost,
 	// nothing duplicated.
 	f0 := c0.recv()
 	if f0.Type != wire.TError || f0.ID != 10 || f0.Code != wire.CodeNotLeader {
-		t.Fatalf("failed forward reply: %+v", f0)
+		t.Fatalf("failed sweep's reply: %+v", f0)
 	}
 	assertEOF(t, c0)
 	f1 := c1.recv()
 	if f1.Type != wire.TValue || f1.ID != 20 || f1.Value != 99 {
-		t.Fatalf("completed forward reply: %+v", f1)
+		t.Fatalf("completed sweep's reply: %+v", f1)
 	}
 	assertEOF(t, c1)
-}
-
-// TestConnClosedHookFires pins the cluster release seam: when a client
-// disconnects, the server must notify ConnClosed exactly once with that
-// connection's id — the hook cluster mode uses to drop per-connection
-// forward state (without it the node retains one cache entry per
-// connection ever served).
-func TestConnClosedHookFires(t *testing.T) {
-	m := newMintStub(4)
-	var mu sync.Mutex
-	var released []uint64
-	opt := Options{ConnClosed: func(id uint64) {
-		mu.Lock()
-		released = append(released, id)
-		mu.Unlock()
-	}}
-	s := New(m, opt)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-
-	c := dialT(t, addr.String())
-	c.send(wire.Frame{Type: wire.TInc, ID: 1, Wire: 0})
-	if f := c.recv(); f.Type != wire.TValue {
-		t.Fatalf("inc: %+v", f)
-	}
-	_ = c.nc.Close()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(released)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("ConnClosed never fired after the client disconnected")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// Give a duplicate a moment to surface, then pin exactly-once with
-	// the abandoned connection's id.
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	defer mu.Unlock()
-	if len(released) != 1 || released[0] != 0 {
-		t.Fatalf("ConnClosed calls %v, want exactly one for conn 0", released)
+	if calls := lin.callLog(); len(calls) != 2 {
+		t.Fatalf("LIN backend calls %v, want one failed and one completed sweep", calls)
 	}
 }
 

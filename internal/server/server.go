@@ -24,11 +24,17 @@
 // on any wire. That makes every single-node increment linearizable in
 // fact: a request posted after another was answered is swept by a later
 // call. The mode bit a request carries changes only how it is counted
-// and traced. When the mailbox is full the reader answers
-// wire.ErrBackpressure immediately — load shedding at the door instead of
-// unbounded queueing, using a pre-encoded error frame so shedding costs
-// no allocation. Requests that sit in the mailbox longer than
-// Options.OpTimeout fail with fault.ErrTimeout.
+// and traced — on one node. In a cluster (Options.LIN) LIN requests
+// post to a second mailbox instead, and a second instance of the same
+// sweeper mints each of its sweeps with one call to the LIN backend, the
+// cluster's serialization point; SC frames behind a LIN frame on the same
+// connection never wait for that call.
+//
+// When a mailbox is full the reader answers wire.ErrBackpressure
+// immediately — load shedding at the door instead of unbounded queueing,
+// using a pre-encoded error frame so shedding costs no allocation.
+// Requests that sit in a mailbox longer than Options.OpTimeout fail with
+// fault.ErrTimeout.
 //
 // # Flush batching
 //
@@ -42,8 +48,8 @@
 // # Shutdown
 //
 // Close drains rather than drops: accepting stops, connection readers
-// finish their current frame, the sweeper sweeps what the mailbox still
-// holds, writers flush every pending batched response, and only then
+// finish their current frame, the sweepers sweep what the mailboxes still
+// hold, writers flush every pending batched response, and only then
 // are the connections closed. A client that disconnects mid-flight
 // abandons its outstanding requests (their values are never delivered — a
 // bounded gap among observed values, never a duplicate).
@@ -91,7 +97,7 @@ import (
 // Backend is the counting object a Server serves: the compiled
 // runtime.Network is the intended implementation, but anything with a
 // batched increment and a shape works (tests substitute slow or scripted
-// backends). The server's one sweeper is its only caller, so IncBatch
+// backends). A backend's one sweeper is its only caller, so IncBatch
 // runs one call at a time; a backend that something else also traverses
 // gives up the linearizability the sweeper otherwise provides.
 type Backend interface {
@@ -156,24 +162,18 @@ type Options struct {
 	// ForceLIN, when true, serves every increment as LIN regardless of the
 	// mode the client requested — the operator override for running a
 	// linearizable-by-default daemon. On a single node that only relabels
-	// the traffic (every sweep is already linearizable); with LINForward
-	// set, every increment is forwarded.
+	// the traffic (every sweep is already linearizable); with LIN set,
+	// every TCP increment rides the LIN sweeper.
 	ForceLIN bool
-	// LINForward, when set, routes LIN increments through the cluster
-	// forwarding hook instead of the local sweeper: the hook
-	// returns ranges minted at the cluster leader's serialization point,
-	// or an error that is answered as a retryable TError — exactly one
-	// reply either way. connID names the requesting connection so
-	// concurrent forwards ride independent upstream streams with stable
-	// identities (the deterministic simulation depends on that).
-	LINForward func(connID uint64, wire int64, k int64) ([]runtime.Range, error)
-	// ConnClosed, when set, is notified once with a connection's id after
-	// that connection is abandoned (client disconnect, protocol violation,
-	// response-queue overflow). Cluster mode uses it to release the
-	// per-connection forward state LINForward accumulated
-	// (cluster.Node.ReleaseConn); without it the node would retain one
-	// cache entry per connection ever served.
-	ConnClosed func(connID uint64)
+	// LIN, when set, is the backend LIN increments are minted from (the
+	// cluster's serialization point, cluster.Node.LIN). They post to a
+	// second mailbox of Mailbox depth, and a second sweeper drains it with
+	// one TryIncBatch (if LIN has it, else IncBatch) per sweep for the
+	// sweep's total k, dealing the values in arrival order. The sweep is
+	// linearizable: every member was invoked before the call and none has
+	// returned. A failed call sheds the whole sweep with its retryable
+	// error. Nil serves LIN from the one mailbox and the main backend.
+	LIN Backend
 	// NodeInfo, when set, is the cluster advertisement hook: a THello
 	// carrying the node flag is answered with the node id, epoch and owned
 	// ranges appended to the TShape reply. Clients that don't set the flag
@@ -274,23 +274,23 @@ type outMsg struct {
 
 // fallible is the optional fail-fast form of Backend.IncBatch: a backend
 // that can run out of values (the cluster minter when it is cut off from
-// the range leader) reports the condition instead of blocking the sweeper,
-// and the server answers the affected requests with a retryable error.
+// the range leader, the cluster LIN backend when it finds no leader)
+// reports the condition instead of blocking the sweeper, and the server
+// answers the affected requests with a retryable error.
 type fallible interface {
 	TryIncBatch(wire, k int) ([]runtime.Range, error)
 }
 
 // Server serves one Backend over TCP (and optionally UDP).
 type Server struct {
-	be    Backend
-	fb    fallible // non-nil when the backend is fail-fast capable
 	shape network.Shape
 	opt   Options
 	clk   clock.Clock
 
-	mail   chan req      // the one mailbox, drained by the sweeper
-	done   chan struct{} // closed when Close begins
-	combWg sync.WaitGroup
+	mail    chan req      // the main mailbox, drained by the sweeper
+	linMail chan req      // nil unless Options.LIN: the LIN sweeper's mailbox
+	done    chan struct{} // closed when Close begins
+	combWg  sync.WaitGroup
 
 	// Canonical error replies, pre-encoded once at start so the common
 	// shed/expire paths never encode an error string per response.
@@ -320,19 +320,12 @@ type Server struct {
 
 	connSeq atomic.Int64
 	issued  atomic.Int64
-
-	// linWg counts LIN forwards in flight, so Close can drain them
-	// explicitly before the out queues shut: a reader mid forward to a
-	// cluster leader is not parked in ReadFrame, where the read-deadline
-	// nudge would reach it.
-	linWg sync.WaitGroup
 }
 
 // New builds a server for be. Call Listen/Serve to accept traffic and
 // Close to drain and stop.
 func New(be Backend, opt Options) *Server {
 	s := &Server{
-		be:               be,
 		shape:            be.Shape(),
 		opt:              opt.withDefaults(),
 		clk:              clock.Or(opt.Clock),
@@ -342,14 +335,18 @@ func New(be Backend, opt Options) *Server {
 		tmplBackpressure: wire.NewErrorTemplate(wire.ErrBackpressure),
 		tmplTimeout:      wire.NewErrorTemplate(fault.ErrTimeout),
 	}
-	s.fb, _ = be.(fallible)
 	s.flight = s.opt.Flight
 	if s.opt.TraceSample > 0 {
 		s.sampler = flightrec.NewSampler(s.opt.TraceSample, serverTraceActor)
 	}
 	s.mail = make(chan req, s.opt.Mailbox)
 	s.combWg.Add(1)
-	go s.combine()
+	go s.combine(s.mail, be)
+	if s.opt.LIN != nil {
+		s.linMail = make(chan req, s.opt.Mailbox)
+		s.combWg.Add(1)
+		go s.combine(s.linMail, s.opt.LIN)
+	}
 	return s
 }
 
@@ -367,11 +364,16 @@ func (s *Server) anomaly(kind string, trace uint64) {
 	}
 }
 
-// post offers r to the mailbox without blocking; false means the mailbox
-// is full and the request must be shed.
+// post offers r to its mailbox without blocking — the LIN mailbox for a
+// LIN request when there is one, else the main one; false means the
+// mailbox is full and the request must be shed.
 func (s *Server) post(r req) bool {
+	mail := s.mail
+	if r.mode == 1 && s.linMail != nil {
+		mail = s.linMail
+	}
 	select {
-	case s.mail <- r:
+	case mail <- r:
 		return true
 	default:
 		return false
@@ -488,17 +490,16 @@ func (s *Server) Close() error {
 		_ = c.nc.SetReadDeadline(s.clk.Now())
 	}
 	s.readerWg.Wait()
-	// Readers also execute LIN forwards; wait out any still in flight (a
-	// cluster forward can outlive the deadline nudge above) so their
-	// replies are enqueued before the out queues close — a graceful drain
-	// loses no LIN reply.
-	s.linWg.Wait()
 	// Readers were the only mailbox senders besides externally driven
 	// PacketIngests, which ingestMu holds off (and which see mailShut from
-	// here on); the sweeper sweeps the rest and exits.
+	// here on); the sweepers sweep the rest — a LIN sweep still waiting
+	// on its backend included — and exit.
 	s.ingestMu.Lock()
 	s.mailShut = true
 	close(s.mail)
+	if s.linMail != nil {
+		close(s.linMail)
+	}
 	s.ingestMu.Unlock()
 	s.combWg.Wait()
 	// No senders remain on any out queue: closing them flushes the writers.
@@ -528,9 +529,6 @@ func (s *Server) removeConn(c *conn) {
 		if st := s.opt.Stats; st != nil {
 			st.connsActive.Add(-1)
 		}
-		if cc := s.opt.ConnClosed; cc != nil {
-			cc(uint64(c.id))
-		}
 	}
 }
 
@@ -547,16 +545,16 @@ func (s *Server) sleepDone(d time.Duration) {
 	}
 }
 
-// combine is the sweeper's loop: it drains the mailbox, folds every
-// pending increment into one IncBatch sweep, and deals the resulting
-// ranges back to the requests in arrival order.
-func (s *Server) combine() {
+// combine is a sweeper's loop: it drains mail, folds every pending
+// increment into one sweep of be, and deals the resulting ranges back to
+// the requests in arrival order.
+func (s *Server) combine(mail chan req, be Backend) {
 	defer s.combWg.Done()
 	limit := s.opt.BatchLimit
-	sw := newSweeper(s)
+	sw := newSweeper(s, mail, be)
 	pending := make([]req, 0, limit)
 	for {
-		r, ok := <-s.mail
+		r, ok := <-mail
 		if !ok {
 			return // mailbox closed and fully drained
 		}
@@ -564,7 +562,7 @@ func (s *Server) combine() {
 	gather:
 		for len(pending) < limit {
 			select {
-			case r2, ok2 := <-s.mail:
+			case r2, ok2 := <-mail:
 				if !ok2 {
 					// Closed mid-gather: sweep what we hold; the next
 					// blocking receive observes the close and exits.
@@ -579,11 +577,14 @@ func (s *Server) combine() {
 	}
 }
 
-// sweeper holds the sweeper's reusable sweep state, so that, when the
-// backend can append into a caller buffer, steady-state sweeps allocate
-// nothing for their results.
+// sweeper holds one sweeper's mailbox, backend and reusable sweep state,
+// so that, when the backend can append into a caller buffer,
+// steady-state sweeps allocate nothing for their results.
 type sweeper struct {
 	s     *Server
+	mail  chan req
+	be    Backend
+	fb    fallible        // non-nil when the backend is fail-fast capable
 	ba    batchAppender   // non-nil when the backend supports it
 	rsbuf []runtime.Range // reused sweep-result buffer (consumed before the next sweep)
 }
@@ -594,9 +595,10 @@ type batchAppender interface {
 	IncBatchAppend(dst []runtime.Range, wire, k int) []runtime.Range
 }
 
-func newSweeper(s *Server) *sweeper {
-	sw := &sweeper{s: s}
-	sw.ba, _ = s.be.(batchAppender)
+func newSweeper(s *Server, mail chan req, be Backend) *sweeper {
+	sw := &sweeper{s: s, mail: mail, be: be}
+	sw.fb, _ = be.(fallible)
+	sw.ba, _ = be.(batchAppender)
 	return sw
 }
 
@@ -668,7 +670,7 @@ func (sw *sweeper) sweep(pending []req) {
 	if st != nil {
 		st.sweeps.Add(1)
 		st.sweepReqs.Add(uint64(len(live)))
-		st.observeQueue(len(s.mail))
+		st.observeQueue(len(sw.mail))
 	}
 
 	// One backend call for the whole sweep, entering on the first live
@@ -686,22 +688,23 @@ func (sw *sweeper) sweep(pending []req) {
 	w := live[0].wire
 	var rs []runtime.Range
 	var sweepErr error
-	if s.fb != nil {
-		rs, sweepErr = s.fb.TryIncBatch(w, int(total))
+	if sw.fb != nil {
+		rs, sweepErr = sw.fb.TryIncBatch(w, int(total))
 	} else if sw.ba != nil {
 		sw.rsbuf = sw.ba.IncBatchAppend(sw.rsbuf[:0], w, int(total))
 		rs = sw.rsbuf
 	} else {
-		rs = s.be.IncBatch(w, int(total))
+		rs = sw.be.IncBatch(w, int(total))
 	}
 	if timed {
 		t1 = s.clk.Now()
 	}
 	if sweepErr != nil {
 		// The backend could not mint (a cluster node cut off from its
-		// range leader): shed the whole sweep with a retryable error —
-		// nothing was issued, nothing is lost, clients re-issue. UDP posts
-		// have no one to answer, so they are counted as dropped.
+		// range leader, or a LIN forward that found no leader): shed the
+		// whole sweep with a retryable error — nothing was issued, nothing
+		// is lost, clients re-issue. UDP posts have no one to answer, so
+		// they are counted as dropped.
 		for _, r := range live {
 			s.anomaly("no_range", r.trace)
 			if r.c != nil {
@@ -954,10 +957,6 @@ func (c *conn) process(f *wire.Frame) {
 		}
 		var mode uint8
 		if f.Mode == wire.ModeLIN || s.opt.ForceLIN {
-			if s.opt.LINForward != nil {
-				c.forwardLIN(f.ID, int(f.Wire), k, batch, trace)
-				return
-			}
 			mode = 1
 		}
 		c.outstanding.Add(1)
@@ -977,55 +976,6 @@ func (c *conn) process(f *wire.Frame) {
 		s.anomaly("error_frame", f.Trace)
 		c.trySend(errFrame(f.ID, f.Trace, fmt.Errorf("%w: %v is not a request", wire.ErrBadFrame, f.Type)))
 	}
-}
-
-// forwardLIN serves one linearizable increment in cluster mode on the
-// reader goroutine: the leader's per-epoch serialization point orders it,
-// and the whole forward round trip stands in for the traversal.
-func (c *conn) forwardLIN(id uint64, w int, k int64, batch bool, trace uint64) {
-	s := c.s
-	s.linWg.Add(1)
-	defer s.linWg.Done()
-	st := s.opt.Stats
-	fl := s.flight
-	timed := st != nil || (fl != nil && trace != 0)
-	var start, end time.Time
-	if timed {
-		start = s.clk.Now()
-	}
-	rs, err := s.opt.LINForward(uint64(c.id), int64(w), k)
-	if err != nil {
-		s.anomaly("lin_forward_failed", trace)
-		c.trySend(errFrame(id, trace, err))
-		return
-	}
-	first := rs[0].First
-	s.issued.Add(k)
-	if timed {
-		end = s.clk.Now()
-	}
-	if st != nil {
-		st.linOps.Add(1)
-		st.latLIN.Record(w, end.Sub(start))
-		st.stageRecord(stageLinTraverse, w, end.Sub(start))
-	}
-	if fl != nil && trace != 0 {
-		fl.RecordNS(trace, flightrec.StageServerLINWait, 1, int64(w), start.UnixNano(), start.UnixNano())
-		fl.RecordNS(trace, flightrec.StageServerTraverse, 1, int64(w), start.UnixNano(), end.UnixNano())
-	}
-	var enq int64
-	if trace != 0 && timed {
-		enq = end.UnixNano()
-	}
-	if !batch {
-		c.trySend(outMsg{f: wire.Frame{Type: wire.TValue, ID: id, Trace: trace, Value: first}, enqNS: enq, mode: 1})
-		return
-	}
-	out := make([]wire.Range, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, wire.Range{First: r.First, Stride: r.Stride, Count: r.Count})
-	}
-	c.trySend(outMsg{f: wire.Frame{Type: wire.TRanges, ID: id, Trace: trace, Rs: out}, enqNS: enq, mode: 1})
 }
 
 // writeLoop drains the connection's response queue into a buffered

@@ -326,7 +326,7 @@ func TestOneTraversalPerSweep(t *testing.T) {
 	}{{2, 1, false}, {0, 3, true}, {3, 2, true}, {1, 1, true}}
 	sweepOnce := func(be Backend) [][]int64 {
 		t.Helper()
-		s := &Server{be: be, shape: be.Shape(), opt: Options{}.withDefaults(), clk: clock.Or(nil)}
+		s := &Server{shape: be.Shape(), opt: Options{}.withDefaults(), clk: clock.Or(nil)}
 		reqs := make([]req, len(pending))
 		conns := make([]*conn, len(pending))
 		for i, p := range pending {
@@ -334,7 +334,7 @@ func TestOneTraversalPerSweep(t *testing.T) {
 			conns[i].outstanding.Add(1)
 			reqs[i] = req{c: conns[i], id: uint64(i), wire: p.wire, k: p.k, batch: p.batch, enq: s.clk.Now()}
 		}
-		newSweeper(s).sweep(reqs)
+		newSweeper(s, nil, be).sweep(reqs)
 		got := make([][]int64, len(conns))
 		for i, c := range conns {
 			var m outMsg

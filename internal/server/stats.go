@@ -459,48 +459,18 @@ func (st *Stats) AppendMetrics(w io.Writer) {
 	counter("countd_flush_deadline_total", "flushes forced by the flush deadline", s.FlushDeadline)
 	counter("countd_flush_threshold_total", "flushes forced by the byte threshold", s.FlushThreshold)
 	counter("countd_bytes_out_total", "response bytes written", s.BytesOut)
-	writeHist(w, "countd_latency_sc", "SC increment latency", s.LatencySC)
-	writeHist(w, "countd_latency_lin", "LIN increment latency", s.LatencyLIN)
+	hist := func(name, help string, ls telemetry.LatencySummary) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+		telemetry.WriteHistogram(w, name, "", ls)
+	}
+	hist("countd_latency_sc_seconds", "SC increment latency", s.LatencySC)
+	hist("countd_latency_lin_seconds", "LIN increment latency", s.LatencyLIN)
 	fmt.Fprintf(w, "# HELP countd_stage_seconds serving-path stage latency by stage and mode\n# TYPE countd_stage_seconds histogram\n")
 	for _, def := range stageDefs {
 		ls, ok := s.Stages[def.stage+"/"+def.mode]
 		if !ok {
 			continue
 		}
-		writeStageHist(w, fmt.Sprintf("stage=%q,mode=%q", def.stage, def.mode), ls)
+		telemetry.WriteHistogram(w, "countd_stage_seconds", fmt.Sprintf("stage=%q,mode=%q", def.stage, def.mode), ls)
 	}
-}
-
-// writeStageHist writes one labeled series of the countd_stage_seconds
-// histogram family.
-func writeStageHist(w io.Writer, labels string, ls telemetry.LatencySummary) {
-	var cum uint64
-	for i, c := range ls.Buckets {
-		cum += c
-		bound := ls.Bounds[i]
-		if bound < 0 {
-			continue // overflow bucket is the +Inf line below
-		}
-		fmt.Fprintf(w, "countd_stage_seconds_bucket{%s,le=\"%g\"} %d\n", labels, float64(bound)/1e9, cum)
-	}
-	fmt.Fprintf(w, "countd_stage_seconds_bucket{%s,le=\"+Inf\"} %d\n", labels, ls.Count)
-	fmt.Fprintf(w, "countd_stage_seconds_sum{%s} %g\n", labels, time.Duration(ls.Sum).Seconds())
-	fmt.Fprintf(w, "countd_stage_seconds_count{%s} %d\n", labels, ls.Count)
-}
-
-// writeHist writes one latency summary as a Prometheus histogram.
-func writeHist(w io.Writer, name, help string, ls telemetry.LatencySummary) {
-	fmt.Fprintf(w, "# HELP %s_seconds %s\n# TYPE %s_seconds histogram\n", name, help, name)
-	var cum uint64
-	for i, c := range ls.Buckets {
-		cum += c
-		bound := ls.Bounds[i]
-		if bound < 0 {
-			continue // overflow bucket is the +Inf line below
-		}
-		fmt.Fprintf(w, "%s_seconds_bucket{le=\"%g\"} %d\n", name, float64(bound)/1e9, cum)
-	}
-	fmt.Fprintf(w, "%s_seconds_bucket{le=\"+Inf\"} %d\n", name, ls.Count)
-	fmt.Fprintf(w, "%s_seconds_sum %g\n", name, time.Duration(ls.Sum).Seconds())
-	fmt.Fprintf(w, "%s_seconds_count %d\n", name, ls.Count)
 }

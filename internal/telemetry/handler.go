@@ -117,16 +117,7 @@ func writeMetrics(b *strings.Builder, s Snapshot) {
 
 	fmt.Fprintf(b, "# HELP countingnet_inc_latency_seconds Inc latency histogram.\n")
 	fmt.Fprintf(b, "# TYPE countingnet_inc_latency_seconds histogram\n")
-	var cum uint64
-	for i, c := range s.Latency.Buckets {
-		cum += c
-		if bound := s.Latency.Bounds[i]; bound >= 0 {
-			fmt.Fprintf(b, "countingnet_inc_latency_seconds_bucket{le=\"%g\"} %d\n", float64(bound)/1e9, cum)
-		}
-	}
-	fmt.Fprintf(b, "countingnet_inc_latency_seconds_bucket{le=\"+Inf\"} %d\n", s.Latency.Count)
-	fmt.Fprintf(b, "countingnet_inc_latency_seconds_sum %g\n", s.Latency.Sum.Seconds())
-	fmt.Fprintf(b, "countingnet_inc_latency_seconds_count %d\n", s.Latency.Count)
+	WriteHistogram(b, "countingnet_inc_latency_seconds", "", s.Latency)
 
 	fmt.Fprintf(b, "# HELP countingnet_inc_latency_quantile_seconds Inc latency quantile estimates.\n")
 	fmt.Fprintf(b, "# TYPE countingnet_inc_latency_quantile_seconds gauge\n")
@@ -141,6 +132,29 @@ func writeMetrics(b *strings.Builder, s Snapshot) {
 	} {
 		fmt.Fprintf(b, "countingnet_inc_latency_quantile_seconds{quantile=\"%s\"} %g\n", q.label, q.v)
 	}
+}
+
+// WriteHistogram writes one latency summary as a series of the
+// Prometheus histogram family name (e.g. "countd_latency_sc_seconds"):
+// cumulative buckets with their bounds in seconds, +Inf, sum and count.
+// labels, when not empty, is the series' label list without braces
+// (`stage="sweep",mode="sc"`). The caller writes the family's HELP and
+// TYPE lines, once per family.
+func WriteHistogram(w io.Writer, name, labels string, ls LatencySummary) {
+	le, sel := "", ""
+	if labels != "" {
+		le, sel = labels+",", "{"+labels+"}"
+	}
+	var cum uint64
+	for i, c := range ls.Buckets {
+		cum += c
+		if bound := ls.Bounds[i]; bound >= 0 {
+			fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, le, float64(bound)/1e9, cum)
+		}
+	}
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, ls.Count)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, sel, ls.Sum.Seconds())
+	fmt.Fprintf(w, "%s_count%s %d\n", name, sel, ls.Count)
 }
 
 // writeConsistencyMetrics renders live inconsistency fractions.
