@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace countmon countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay experiments examples lint clean
+.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace countmon countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay sim-digest experiments examples lint clean
 
 all: build test
 
@@ -156,6 +156,21 @@ sim-replay:
 	@test -n "$(SEED)" || { echo "usage: make sim-replay SEED=<n>"; exit 2; }
 	$(GO) run ./cmd/countsim -seed $(SEED) -trace $(if $(CLUSTER),-cluster)
 
+# One "flavor seed sha256" line per trace, seeds 1..SIM_SEEDS of both
+# flavors (the lines testdata/trace.sha256 pins). Diff two commits'
+# output to prove their traces byte-identical; run it on another tree
+# with make -C <tree> -f $(CURDIR)/Makefile sim-digest.
+sim-digest:
+	@mkdir -p .sim-digest
+	@$(GO) build -o .sim-digest/countsim ./cmd/countsim
+	@for f in single cluster; do \
+		flag=; [ $$f = cluster ] && flag=-cluster; \
+		for s in $$(seq 1 $(SIM_SEEDS)); do \
+			sum=$$(.sim-digest/countsim -seed $$s -trace $$flag | grep -v '^countsim: ' | sha256sum); \
+			echo "$$f $$s $${sum%% *}"; \
+		done; \
+	done
+
 lint:
 	$(GO) vet ./...
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
@@ -171,4 +186,4 @@ lint:
 
 clean:
 	$(GO) clean ./...
-	rm -rf .clustersmoke sim-artifacts trace.json flight.json
+	rm -rf .clustersmoke .sim-digest sim-artifacts trace.json flight.json

@@ -103,23 +103,61 @@ func run(o options, out *os.File) (int, error) {
 	return sweep(o, out)
 }
 
-// replay runs one seed and reports it in full: scenario header,
+// seedRun is one seed's outcome, whichever flavor ran it.
+type seedRun struct {
+	*dst.Outcome
+	flavor  string
+	summary string // the flavor's accounting for the replay line
+}
+
+// runSeed runs one seed of the flavor o selects: a single server, or a
+// whole multi-daemon universe — gossip, elections, grants, LIN forwards,
+// the chaos schedule — audited cluster-wide (global no-duplicate-mint,
+// grant coverage, gap accounting, LIN monotonicity, full drain).
+func runSeed(o options, seed uint64) (seedRun, error) {
+	if o.cluster {
+		res, err := dst.RunCluster(seed)
+		if err != nil {
+			return seedRun{}, err
+		}
+		return seedRun{&res.Outcome, res.Scenario.Flavor, fmt.Sprintf(
+			"%d nodes, %d ops, granted %d, issued %d, delivered %d, %d steps",
+			res.Scenario.Nodes, len(res.Ops), res.Granted, res.Issued, res.Delivered, res.Steps)}, nil
+	}
+	res, err := dst.Run(seed, dst.RunOptions{Bug: o.bug, Flight: o.flight})
+	if err != nil {
+		return seedRun{}, err
+	}
+	return seedRun{&res.Outcome, res.Scenario.Flavor, fmt.Sprintf(
+		"%d ops, issued %d, delivered %d, %d steps",
+		len(res.Ops), res.Issued, res.Delivered, res.Steps)}, nil
+}
+
+// artifact writes one of a seed's artifacts ("trace" or "flight.json")
+// into dir and returns its path. Cluster seeds carry their own prefix,
+// so both flavors' sweeps can share one directory.
+func artifact(dir string, cluster bool, seed uint64, ext string, data []byte) (string, error) {
+	name := fmt.Sprintf("seed-%d.%s", seed, ext)
+	if cluster {
+		name = "cluster-" + name
+	}
+	path := filepath.Join(dir, name)
+	return path, os.WriteFile(path, data, 0o644)
+}
+
+// replay runs one seed and reports it in full: scenario summary,
 // violations, and (with -trace) the byte-stable trace a failing sweep
 // told the operator to come look at.
 func replay(o options, out *os.File) (int, error) {
-	if o.cluster {
-		return replayCluster(o, out)
-	}
-	res, err := dst.Run(o.seed, dst.RunOptions{Bug: o.bug, Flight: o.flight})
+	r, err := runSeed(o, o.seed)
 	if err != nil {
 		return 2, fmt.Errorf("seed %d: %w", o.seed, err)
 	}
 	if o.trace {
-		out.Write(res.Trace)
+		out.Write(r.Trace)
 	} else {
-		fmt.Fprintf(out, "seed %d: flavor %s, %d ops, issued %d, delivered %d, %d steps\n",
-			res.Seed, res.Scenario.Flavor, len(res.Ops), res.Issued, res.Delivered, res.Steps)
-		for _, v := range res.Violations {
+		fmt.Fprintf(out, "seed %d: flavor %s, %s\n", r.Seed, r.flavor, r.summary)
+		for _, v := range r.Violations {
 			fmt.Fprintf(out, "  violation: %s\n", v)
 		}
 	}
@@ -127,74 +165,32 @@ func replay(o options, out *os.File) (int, error) {
 	// directory is given — diffing two runs of the same seed is how the
 	// byte-identical tracing contract is checked from the command line.
 	if o.flight && o.artifacts != "" {
-		fpath := filepath.Join(o.artifacts, fmt.Sprintf("seed-%d.flight.json", o.seed))
-		if err := os.WriteFile(fpath, res.Flight, 0o644); err != nil {
+		path, err := artifact(o.artifacts, o.cluster, o.seed, "flight.json", r.Flight)
+		if err != nil {
 			return 2, err
 		}
-		fmt.Fprintf(out, "countsim: flight dump written to %s\n", fpath)
+		fmt.Fprintf(out, "countsim: flight dump written to %s\n", path)
 	}
-	if saved, err := saveArtifact(o.artifacts, res); err != nil {
-		return 2, err
-	} else if saved != "" {
-		fmt.Fprintf(out, "countsim: trace written to %s\n", saved)
-	}
-	if res.Failed() {
-		if !o.trace {
-			fmt.Fprintf(out, "countsim: seed %d FAILED (%d violations); rerun with -trace for the full schedule\n",
-				o.seed, len(res.Violations))
-		}
-		return 1, nil
-	}
-	fmt.Fprintf(out, "countsim: seed %d ok\n", o.seed)
-	return 0, nil
-}
-
-// replayCluster runs one cluster seed: a whole multi-daemon universe —
-// gossip, elections, grants, LIN forwards, the chaos schedule — on the
-// virtual clock, then the cluster-wide audit (global no-duplicate-mint,
-// grant coverage, gap accounting, LIN monotonicity, full drain).
-func replayCluster(o options, out *os.File) (int, error) {
-	res, err := dst.RunCluster(o.seed)
-	if err != nil {
-		return 2, fmt.Errorf("seed %d: %w", o.seed, err)
-	}
-	if o.trace {
-		out.Write(res.Trace)
-	} else {
-		fmt.Fprintf(out, "seed %d: flavor %s, %d nodes, %d ops, granted %d, issued %d, delivered %d, %d steps\n",
-			res.Seed, res.Scenario.Flavor, res.Scenario.Nodes, len(res.Ops),
-			res.Granted, res.Issued, res.Delivered, res.Steps)
-		for _, v := range res.Violations {
-			fmt.Fprintf(out, "  violation: %s\n", v)
-		}
-	}
-	if o.artifacts != "" && res.Failed() {
-		path := filepath.Join(o.artifacts, fmt.Sprintf("cluster-seed-%d.trace", res.Seed))
-		if err := os.WriteFile(path, res.Trace, 0o644); err != nil {
+	if o.artifacts != "" && r.Failed() {
+		path, err := artifact(o.artifacts, o.cluster, o.seed, "trace", r.Trace)
+		if err != nil {
 			return 2, err
 		}
 		fmt.Fprintf(out, "countsim: trace written to %s\n", path)
 	}
-	if res.Failed() {
+	name := "seed"
+	if o.cluster {
+		name = "cluster seed"
+	}
+	if r.Failed() {
 		if !o.trace {
-			fmt.Fprintf(out, "countsim: cluster seed %d FAILED (%d violations); rerun with -trace for the full schedule\n",
-				o.seed, len(res.Violations))
+			fmt.Fprintf(out, "countsim: %s %d FAILED (%d violations); rerun with -trace for the full schedule\n",
+				name, o.seed, len(r.Violations))
 		}
 		return 1, nil
 	}
-	fmt.Fprintf(out, "countsim: cluster seed %d ok\n", o.seed)
+	fmt.Fprintf(out, "countsim: %s %d ok\n", name, o.seed)
 	return 0, nil
-}
-
-// sweepResult is what one swept seed contributes to the report.
-type sweepResult struct {
-	seed       uint64
-	flavor     string
-	violations []string
-	dupCaught  bool
-	trace      []byte
-	flight     []byte
-	err        error
 }
 
 // sweep fans the seed range across -par worlds. Each world is fully
@@ -203,7 +199,8 @@ type sweepResult struct {
 // to a serial run's. dst.NewWorld pins the process to one P, so the
 // worlds interleave rather than run in parallel.
 func sweep(o options, out *os.File) (int, error) {
-	results := make([]sweepResult, o.seeds)
+	runs := make([]seedRun, o.seeds)
+	errs := make([]error, o.seeds)
 	seeds := make(chan uint64)
 	var wg sync.WaitGroup
 	for p := 0; p < max(o.par, 1); p++ {
@@ -211,33 +208,7 @@ func sweep(o options, out *os.File) (int, error) {
 		go func() {
 			defer wg.Done()
 			for seed := range seeds {
-				r := &results[seed-o.start]
-				r.seed = seed
-				if o.cluster {
-					res, err := dst.RunCluster(seed)
-					if err != nil {
-						r.err = err
-						continue
-					}
-					r.flavor = res.Scenario.Flavor
-					r.violations = res.Violations
-					r.trace = res.Trace
-					continue
-				}
-				res, err := dst.Run(seed, dst.RunOptions{Bug: o.bug, Flight: o.flight})
-				if err != nil {
-					r.err = err
-					continue
-				}
-				r.flavor = res.Scenario.Flavor
-				r.violations = res.Violations
-				r.trace = res.Trace
-				r.flight = res.Flight
-				for _, v := range res.Violations {
-					if strings.Contains(v, "duplicate") {
-						r.dupCaught = true
-					}
-				}
+				runs[seed-o.start], errs[seed-o.start] = runSeed(o, seed)
 			}
 		}()
 	}
@@ -250,17 +221,20 @@ func sweep(o options, out *os.File) (int, error) {
 	flavors := map[string]int{}
 	var failing []uint64
 	dupSeeds := 0
-	for i := range results {
-		r := &results[i]
-		if r.err != nil {
-			return 2, fmt.Errorf("seed %d: %w", r.seed, r.err)
+	for i, r := range runs {
+		seed := o.start + uint64(i)
+		if errs[i] != nil {
+			return 2, fmt.Errorf("seed %d: %w", seed, errs[i])
 		}
 		flavors[r.flavor]++
-		if r.dupCaught {
-			dupSeeds++
+		for _, v := range r.Violations {
+			if strings.Contains(v, "duplicate") {
+				dupSeeds++
+				break
+			}
 		}
-		if len(r.violations) > 0 {
-			failing = append(failing, r.seed)
+		if r.Failed() {
+			failing = append(failing, seed)
 		}
 	}
 
@@ -276,32 +250,38 @@ func sweep(o options, out *os.File) (int, error) {
 	fmt.Fprintf(out, "countsim: %d seeds [%d..%d], %d failing (%s)\n",
 		o.seeds, o.start, o.start+o.seeds-1, len(failing), strings.Join(mix, ", "))
 
+	replayFlags := ""
+	if o.bug {
+		replayFlags += " -bug"
+	}
+	if o.flight {
+		replayFlags += " -flight"
+	}
+	if o.cluster {
+		replayFlags += " -cluster"
+	}
 	for _, seed := range failing {
 		if o.expectBug {
 			break // the failures are the injected canary being caught, not news
 		}
-		r := &results[seed-o.start]
-		fmt.Fprintf(out, "seed %d (%s): %d violations\n", seed, r.flavor, len(r.violations))
-		for _, v := range r.violations {
+		r := &runs[seed-o.start]
+		fmt.Fprintf(out, "seed %d (%s): %d violations\n", seed, r.flavor, len(r.Violations))
+		for _, v := range r.Violations {
 			fmt.Fprintf(out, "  %s\n", v)
 		}
 		if o.artifacts != "" {
-			path := filepath.Join(o.artifacts, fmt.Sprintf("seed-%d.trace", seed))
-			if err := os.WriteFile(path, r.trace, 0o644); err != nil {
+			path, err := artifact(o.artifacts, o.cluster, seed, "trace", r.Trace)
+			if err != nil {
 				return 2, err
 			}
 			fmt.Fprintf(out, "  trace: %s\n", path)
-			if len(r.flight) > 0 {
-				fpath := filepath.Join(o.artifacts, fmt.Sprintf("seed-%d.flight.json", seed))
-				if err := os.WriteFile(fpath, r.flight, 0o644); err != nil {
+			if len(r.Flight) > 0 {
+				path, err := artifact(o.artifacts, o.cluster, seed, "flight.json", r.Flight)
+				if err != nil {
 					return 2, err
 				}
-				fmt.Fprintf(out, "  flight: %s\n", fpath)
+				fmt.Fprintf(out, "  flight: %s\n", path)
 			}
-		}
-		replayFlags := bugFlag(o.bug) + flightFlag(o.flight)
-		if o.cluster {
-			replayFlags = " -cluster"
 		}
 		fmt.Fprintf(out, "  replay: countsim -seed %d -trace%s\n", seed, replayFlags)
 	}
@@ -319,37 +299,4 @@ func sweep(o options, out *os.File) (int, error) {
 	}
 	fmt.Fprintln(out, "countsim: all invariants green")
 	return 0, nil
-}
-
-func bugFlag(bug bool) string {
-	if bug {
-		return " -bug"
-	}
-	return ""
-}
-
-func flightFlag(flight bool) string {
-	if flight {
-		return " -flight"
-	}
-	return ""
-}
-
-// saveArtifact writes the trace (and, for traced runs, the flight
-// recorder's black box) for a failing single-seed replay.
-func saveArtifact(dir string, res *dst.Result) (string, error) {
-	if dir == "" || !res.Failed() {
-		return "", nil
-	}
-	path := filepath.Join(dir, fmt.Sprintf("seed-%d.trace", res.Seed))
-	if err := os.WriteFile(path, res.Trace, 0o644); err != nil {
-		return "", err
-	}
-	if len(res.Flight) > 0 {
-		fpath := filepath.Join(dir, fmt.Sprintf("seed-%d.flight.json", res.Seed))
-		if err := os.WriteFile(fpath, res.Flight, 0o644); err != nil {
-			return "", err
-		}
-	}
-	return path, nil
 }

@@ -1,12 +1,10 @@
 package dst
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -25,14 +23,11 @@ import (
 // flavor's existence cannot shift any existing seed's expansion (the
 // single-server traces and the -bug canary stay byte-identical).
 //
-// Worker-id lanes: every actor that sleeps in World.Dialer needs a
-// sub-grid offset of its own (offset = 8192 + worker*16 ns). Cluster
-// runs partition the id space:
-//
-//	[  0,  64)  client workers
-//	[ 64,  96)  per-node gossip lane
-//	[ 96, 128)  per-node range-grant lane (refill + prefetch, serialized)
-//	[128, 160)  per-node LIN forward lane (the server's one LIN sweeper)
+// The flavor runs on the shared harness: RunClusterScenario boots the
+// nodes and supplies the chaos actor, dials each worker a
+// *client.Cluster, and audits with checkClusterInvariants.
+
+// ClusterEvent is one planned chaos action against a node.
 type ClusterEvent struct {
 	At   time.Duration // offset from the workload start
 	Kind string        // "kill" (burn), "leave" (graceful handoff) or "restart"
@@ -86,17 +81,7 @@ func (sc *ClusterScenario) Header() string {
 	for _, p := range sc.Partitions {
 		fmt.Fprintf(&b, "# partition %d %d\n", p.Start.Nanoseconds(), p.End.Nanoseconds())
 	}
-	for w, plan := range sc.Plans {
-		fmt.Fprintf(&b, "# plan w%d:", w)
-		for _, op := range plan {
-			mode := "sc"
-			if op.Mode == wire.ModeLIN {
-				mode = "lin"
-			}
-			fmt.Fprintf(&b, " %s/%s/w%d/k%d/t%d", op.Kind, mode, op.Wire, op.K, op.Think.Nanoseconds())
-		}
-		b.WriteByte('\n')
-	}
+	writePlans(&b, sc.Plans)
 	return b.String()
 }
 
@@ -201,22 +186,15 @@ type ClusterNodeReport struct {
 	Stats  cluster.Snapshot
 }
 
-// ClusterResult is one cluster run's full outcome.
+// ClusterResult is one cluster run's full outcome: the shared Outcome
+// (Issued sums every incarnation's server) plus the per-incarnation
+// accounting.
 type ClusterResult struct {
-	Seed       uint64
-	Scenario   ClusterScenario
-	Ops        []OpRecord
-	Violations []string
-	Trace      []byte
-	Nodes      []ClusterNodeReport
-	Issued     int64 // sum over every incarnation's server
-	Granted    int64 // unique ids covered by audited grants
-	Delivered  int
-	Steps      int
+	Outcome
+	Scenario ClusterScenario
+	Nodes    []ClusterNodeReport
+	Granted  int64 // unique ids covered by audited grants
 }
-
-// Failed reports whether any invariant was violated.
-func (r *ClusterResult) Failed() bool { return len(r.Violations) > 0 }
 
 // RunCluster executes one cluster seed end to end.
 func RunCluster(seed uint64) (*ClusterResult, error) {
@@ -233,12 +211,30 @@ type simNode struct {
 	alive bool
 }
 
+// leave shuts the incarnation down gracefully: drain the serving half
+// (in-flight LIN forwards resolve), then hand its remainders to the
+// leader.
+func (n *simNode) leave() {
+	_ = n.srv.Close()
+	_ = n.nd.Close()
+	n.alive = false
+}
+
 func clusterSrvAddr(i int) string  { return fmt.Sprintf("sim-node-%d", i) }
 func clusterPeerAddr(i int) string { return fmt.Sprintf("sim-cluster-%d", i) }
 
 // startSimNode boots node index i (incarnation gen) into the world:
 // the cluster half on its peer address, the serving half on its client
 // address, wired together exactly as cmd/countd wires them.
+//
+// Worker-id lanes: every actor that sleeps in World.Dialer needs a
+// sub-grid offset of its own (offset = 8192 + worker*16 ns). Cluster
+// runs partition the id space:
+//
+//	[  0,  64)  client workers
+//	[ 64,  96)  per-node gossip lane
+//	[ 96, 128)  per-node range-grant lane (refill + prefetch, serialized)
+//	[128, 160)  per-node LIN forward lane (the server's one LIN sweeper)
 func startSimNode(w *World, sc *ClusterScenario, i, gen int, audit *cluster.Audit) (*simNode, error) {
 	seeds := make([]string, sc.Nodes)
 	for j := range seeds {
@@ -292,10 +288,9 @@ func startSimNode(w *World, sc *ClusterScenario, i, gen int, audit *cluster.Audi
 // chaos plan, shut everything down gracefully, then audit the
 // cluster-wide invariants.
 func RunClusterScenario(sc ClusterScenario) (*ClusterResult, error) {
-	res := &ClusterResult{Seed: sc.Seed, Scenario: sc}
-	const maxSteps = 200000
-
-	w := NewWorld(sc.Seed, sc.JitterMin, sc.JitterMax, sc.Partitions, 0)
+	res := &ClusterResult{Outcome: Outcome{Seed: sc.Seed}, Scenario: sc}
+	w := NewWorld(sc.Seed, sc.JitterMin, sc.JitterMax, sc.Partitions)
+	s := &sim{w: w, out: &res.Outcome, maxSteps: maxClusterSteps}
 	audit := cluster.NewAudit()
 
 	// Boot, settling between nodes so timer arming order is fixed.
@@ -332,36 +327,37 @@ func RunClusterScenario(sc ClusterScenario) (*ClusterResult, error) {
 		}
 		return alive > 0 && leaders == 1 && ready == alive
 	}
-	for !converged() {
-		w.Settle()
-		if converged() {
-			break
-		}
-		if !w.step() {
-			res.Violations = append(res.Violations, "cluster: world empty before a leader converged")
-			break
-		}
-		if res.Steps++; res.Steps > maxSteps {
-			res.Violations = append(res.Violations, fmt.Sprintf("cluster: no leader within %d steps", maxSteps))
-			break
-		}
-	}
+	s.drive(converged, 0, func() string { return "cluster: world empty before a leader converged" },
+		"cluster: no leader within %d steps")
 	w.note("L %d\n", w.Clk.Now().Sub(clock.SimEpoch).Nanoseconds())
 
 	// Workload phase: client workers (cluster-aware, failing over across
-	// every node) plus the chaos actor, all planned on the virtual clock.
-	recs := make([][]OpRecord, sc.Workers)
-	var remaining atomic.Int64
-	remaining.Store(int64(sc.Workers))
-	start := w.Clk.Now()
-	for wk := 0; wk < sc.Workers; wk++ {
-		recs[wk] = make([]OpRecord, len(sc.Plans[wk]))
-		go runClusterWorker(w, &sc, wk, recs[wk], &remaining)
+	// every node, sticky start rotated by worker so traffic spreads) plus
+	// the chaos actor, all planned on the virtual clock.
+	dial := func(wk int) (simClient, error) {
+		addrs := make([]string, sc.Nodes)
+		for j := range addrs {
+			addrs[j] = clusterSrvAddr((wk + j) % sc.Nodes)
+		}
+		return client.DialCluster(addrs, client.Options{
+			Conns:       1,
+			Retries:     sc.Retries,
+			OpTimeout:   sc.OpTimeout,
+			DialTimeout: sc.DialTimeout,
+			Clock:       w.Clk,
+			Dialer:      w.Dialer(wk),
+			Backoff: &fault.Backoff{
+				Base:  sc.BackoffBase,
+				Cap:   sc.BackoffCap,
+				Seed:  int64(wk) + 1,
+				Clock: w.Clk,
+			},
+		})
 	}
+	start := w.Clk.Now()
+	var chaos func()
 	if len(sc.Events) > 0 {
-		remaining.Add(1)
-		go func() {
-			defer remaining.Add(-1)
+		chaos = func() {
 			for _, ev := range sc.Events {
 				target := start.Add(ev.At)
 				if dt := target.Sub(w.Clk.Now()); dt > 0 {
@@ -383,11 +379,7 @@ func RunClusterScenario(sc ClusterScenario) (*ClusterResult, error) {
 					if n == nil || !n.alive {
 						continue
 					}
-					// Graceful: drain the serving half (in-flight LIN
-					// forwards resolve), then hand remainders to the leader.
-					_ = n.srv.Close()
-					_ = n.nd.Close()
-					n.alive = false
+					n.leave()
 					live[ev.Node] = nil
 				case "restart":
 					if live[ev.Node] != nil {
@@ -402,76 +394,28 @@ func RunClusterScenario(sc ClusterScenario) (*ClusterResult, error) {
 					all = append(all, nn)
 				}
 			}
-		}()
-	}
-
-	stuck := 0
-	for remaining.Load() > 0 {
-		w.Settle()
-		if remaining.Load() <= 0 {
-			break
-		}
-		if !w.step() {
-			if stuck++; stuck > 40 {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("deadlock: %d cluster actors stuck with no pending event or timer", remaining.Load()))
-				break
-			}
-			continue
-		}
-		stuck = 0
-		if res.Steps++; res.Steps > maxSteps {
-			res.Violations = append(res.Violations, fmt.Sprintf("runaway: exceeded %d scheduler steps", maxSteps))
-			break
 		}
 	}
+	s.workload(sc.Plans, 150*time.Microsecond, dial, chaos, "cluster actors")
 
 	// Shutdown: servers and nodes close gracefully, followers before the
 	// leader so every handoff still has a reclaimer to land on.
-	w.note("C %d\n", w.Clk.Now().Sub(clock.SimEpoch).Nanoseconds())
-	shutDone := make(chan struct{})
-	go func() {
-		defer close(shutDone)
+	s.drain(func() {
 		leaderIdx := -1
 		for i, n := range live {
 			if n != nil && n.alive && n.nd.IsLeader() {
 				leaderIdx = i
 			}
 		}
-		closeOne := func(n *simNode) {
-			_ = n.srv.Close()
-			_ = n.nd.Close()
-			n.alive = false
-		}
 		for i, n := range live {
 			if n != nil && n.alive && i != leaderIdx {
-				closeOne(n)
+				n.leave()
 			}
 		}
 		if leaderIdx >= 0 && live[leaderIdx] != nil && live[leaderIdx].alive {
-			closeOne(live[leaderIdx])
+			live[leaderIdx].leave()
 		}
-	}()
-	stuck = 0
-	for len(res.Violations) == 0 {
-		w.Settle()
-		if w.step() {
-			stuck = 0
-			if res.Steps++; res.Steps > maxSteps {
-				res.Violations = append(res.Violations, fmt.Sprintf("runaway: exceeded %d scheduler steps", maxSteps))
-			}
-			continue
-		}
-		select {
-		case <-shutDone:
-		default:
-			if stuck++; stuck > 40 {
-				res.Violations = append(res.Violations, "drain: cluster shutdown stuck with no pending event or timer")
-			}
-			continue
-		}
-		break
-	}
+	}, "cluster shutdown")
 
 	for _, n := range all {
 		rep := ClusterNodeReport{Node: n.idx, Gen: n.gen, Issued: n.srv.Issued(),
@@ -480,82 +424,9 @@ func RunClusterScenario(sc ClusterScenario) (*ClusterResult, error) {
 		res.Issued += rep.Issued
 	}
 	res.Granted = uniqueGranted(audit.Grants())
-	for _, rs := range recs {
-		res.Ops = append(res.Ops, rs...)
-	}
 	checkClusterInvariants(res, w, audit)
 	res.Trace = buildClusterTrace(res, w)
 	return res, nil
-}
-
-// runClusterWorker is one cluster client's life: stagger in, DialCluster
-// over every endpoint (sticky start rotated by worker so traffic spreads
-// across nodes), run the plan, close.
-func runClusterWorker(w *World, sc *ClusterScenario, wk int, out []OpRecord, remaining *atomic.Int64) {
-	defer remaining.Add(-1)
-	for i, op := range sc.Plans[wk] {
-		out[i] = OpRecord{Worker: wk, Index: i, Kind: op.Kind, Mode: op.Mode, Wire: op.Wire, K: op.K, Err: "unstarted"}
-	}
-	w.Clk.Sleep(time.Duration(wk+1)*150*time.Microsecond + time.Duration(wk*1009)*time.Nanosecond)
-
-	addrs := make([]string, sc.Nodes)
-	for j := range addrs {
-		addrs[j] = clusterSrvAddr((wk + j) % sc.Nodes)
-	}
-	var cl *client.Cluster
-	var err error
-	for attempt := 0; attempt < 6; attempt++ {
-		cl, err = client.DialCluster(addrs, client.Options{
-			Conns:       1,
-			Retries:     sc.Retries,
-			OpTimeout:   sc.OpTimeout,
-			DialTimeout: sc.DialTimeout,
-			Clock:       w.Clk,
-			Dialer:      w.Dialer(wk),
-			Backoff: &fault.Backoff{
-				Base:  sc.BackoffBase,
-				Cap:   sc.BackoffCap,
-				Seed:  int64(wk) + 1,
-				Clock: w.Clk,
-			},
-		})
-		if err == nil {
-			break
-		}
-		w.Clk.Sleep(time.Duration(attempt+1)*4*time.Millisecond + time.Duration(wk*1009)*time.Nanosecond)
-	}
-	if err != nil {
-		for i := range out {
-			out[i].Err = "dial:" + classify(err)
-		}
-		return
-	}
-	defer cl.Close()
-
-	for i, op := range sc.Plans[wk] {
-		w.Clk.Sleep(op.Think)
-		rec := &out[i]
-		rec.Start = w.Clk.Now().Sub(clock.SimEpoch)
-		switch op.Kind {
-		case OpInc:
-			v, err := cl.IncMode(context.Background(), op.Wire, op.Mode)
-			if err == nil {
-				rec.Vals = []int64{v}
-			}
-			rec.Err = classify(err)
-		case OpBatch:
-			rs, err := cl.IncBatchCtx(context.Background(), op.Wire, op.K, op.Mode)
-			if err == nil {
-				for _, r := range rs {
-					for off := int64(0); off < r.Count; off++ {
-						rec.Vals = append(rec.Vals, r.First+off*r.Stride)
-					}
-				}
-			}
-			rec.Err = classify(err)
-		}
-		rec.End = w.Clk.Now().Sub(clock.SimEpoch)
-	}
 }
 
 // uniqueGranted merges the audited grant ranges (freelist re-grants
@@ -675,46 +546,18 @@ func checkClusterInvariants(res *ClusterResult, w *World, audit *cluster.Audit) 
 	}
 }
 
-// buildClusterTrace assembles the canonical replayable trace: scenario
-// header, scheduler log, per-op log, per-incarnation accounting, footer.
+// buildClusterTrace assembles the cluster trace: the shared body, then
+// the per-incarnation accounting and the footer.
 func buildClusterTrace(res *ClusterResult, w *World) []byte {
-	var b strings.Builder
-	b.WriteString(res.Scenario.Header())
-	b.WriteString(w.trace.String())
-	ops := append([]OpRecord(nil), res.Ops...)
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].Worker != ops[j].Worker {
-			return ops[i].Worker < ops[j].Worker
+	return traceOf(res.Scenario.Header(), w, &res.Outcome, func(b *strings.Builder) {
+		for _, rep := range res.Nodes {
+			st := rep.Stats
+			fmt.Fprintf(b, "S n%d g%d issued=%d epoch=%d grants=%d reqs=%d fwd=%d served=%d refill=%d norange=%d notleader=%d elections=%d reclaims=%d handoffs=%d\n",
+				rep.Node, rep.Gen, rep.Issued, rep.Epoch, st.Grants, st.RangeRequests,
+				st.LinForwards, st.LinServed, st.RefillBlocking, st.NoRange, st.NotLeader,
+				st.Elections, st.Reclaims, st.Handoffs)
 		}
-		return ops[i].Index < ops[j].Index
+		fmt.Fprintf(b, "# cluster granted=%d issued=%d delivered=%d burned=%d steps=%d violations=%d\n",
+			res.Granted, res.Issued, res.Delivered, res.Granted-res.Issued, res.Steps, len(res.Violations))
 	})
-	for _, op := range ops {
-		mode := "sc"
-		if op.Mode == wire.ModeLIN {
-			mode = "lin"
-		}
-		fmt.Fprintf(&b, "O w%d i%d %s %s wire=%d k=%d s=%d e=%d err=%q vals=",
-			op.Worker, op.Index, op.Kind, mode, op.Wire, op.K,
-			op.Start.Nanoseconds(), op.End.Nanoseconds(), op.Err)
-		for vi, v := range op.Vals {
-			if vi > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%d", v)
-		}
-		b.WriteByte('\n')
-	}
-	for _, rep := range res.Nodes {
-		st := rep.Stats
-		fmt.Fprintf(&b, "S n%d g%d issued=%d epoch=%d grants=%d reqs=%d fwd=%d served=%d refill=%d norange=%d notleader=%d elections=%d reclaims=%d handoffs=%d\n",
-			rep.Node, rep.Gen, rep.Issued, rep.Epoch, st.Grants, st.RangeRequests,
-			st.LinForwards, st.LinServed, st.RefillBlocking, st.NoRange, st.NotLeader,
-			st.Elections, st.Reclaims, st.Handoffs)
-	}
-	fmt.Fprintf(&b, "# cluster granted=%d issued=%d delivered=%d burned=%d steps=%d violations=%d\n",
-		res.Granted, res.Issued, res.Delivered, res.Granted-res.Issued, res.Steps, len(res.Violations))
-	for _, v := range res.Violations {
-		fmt.Fprintf(&b, "V %s\n", v)
-	}
-	return []byte(b.String())
 }

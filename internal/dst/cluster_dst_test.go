@@ -37,7 +37,8 @@ func TestClusterScenarioSweep(t *testing.T) {
 // TestClusterTraceDeterminism replays seeds of each flavor and requires
 // byte-identical traces: the whole multi-daemon universe — gossip,
 // elections, grants, forwards, kills, restarts, partitions — must be a
-// pure function of the seed.
+// pure function of the seed. Each trace also matches its digest in
+// testdata/trace.sha256.
 func TestClusterTraceDeterminism(t *testing.T) {
 	// Pick one seed per flavor from the front of the seed space.
 	picked := map[string]uint64{}
@@ -47,6 +48,7 @@ func TestClusterTraceDeterminism(t *testing.T) {
 			picked[sc.Flavor] = seed
 		}
 	}
+	traces := map[uint64][]byte{}
 	for flavor, seed := range picked {
 		a, err := RunCluster(seed)
 		if err != nil {
@@ -78,7 +80,9 @@ func TestClusterTraceDeterminism(t *testing.T) {
 			t.Fatalf("%s seed %d: traces diverge at byte %d\nrun1: …%q…\nrun2: …%q…",
 				flavor, seed, i, clip(a.Trace), clip(b.Trace))
 		}
+		traces[seed] = a.Trace
 	}
+	pinTraces(t, "cluster", traces)
 }
 
 // TestGenClusterScenarioSeparation pins that adding the cluster flavor

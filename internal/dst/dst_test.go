@@ -36,8 +36,10 @@ func TestSeedsPass(t *testing.T) {
 
 // TestReplayByteIdentical is the determinism contract: running a seed
 // twice produces byte-identical traces, which is what makes a failing
-// seed replayable.
+// seed replayable — and each trace matches the digest an earlier build
+// pinned in testdata/trace.sha256, so no commit changes one unnoticed.
 func TestReplayByteIdentical(t *testing.T) {
+	traces := map[uint64][]byte{}
 	for seed := uint64(1); seed <= 40; seed++ {
 		a, err := Run(seed, RunOptions{})
 		if err != nil {
@@ -50,7 +52,9 @@ func TestReplayByteIdentical(t *testing.T) {
 		if !bytes.Equal(a.Trace, b.Trace) {
 			t.Fatalf("seed %d: traces differ between runs\nrun1:\n%s\nrun2:\n%s", seed, a.Trace, b.Trace)
 		}
+		traces[seed] = a.Trace
 	}
+	pinTraces(t, "single", traces)
 }
 
 // TestReplayWithBugByteIdentical pins determinism on the buggy backend

@@ -29,11 +29,6 @@ type RunOptions struct {
 	// the canary proving the invariant checker catches real bugs. A Bug
 	// run is expected to produce violations.
 	Bug bool
-	// SettleRounds overrides the quiescence-detection window (0 = default).
-	SettleRounds int
-	// MaxSteps bounds the scheduler (0 = default 50000); exceeding it is
-	// reported as a violation rather than hanging.
-	MaxSteps int
 	// Backend substitutes a pre-compiled counting network for the default
 	// bitonic one — cmd/countd plumbs its -net/-w selection through here.
 	// Its fan-in must match the scenario width.
@@ -48,6 +43,16 @@ type RunOptions struct {
 	Flight bool
 }
 
+// Scheduler step bounds: exceeding one is reported as a violation
+// (runaway, formatted with the bound) rather than hanging. A cluster
+// universe takes more steps — gossip and elections run beside the
+// workload.
+const (
+	maxSteps        = 50000
+	maxClusterSteps = 200000
+	runawayText     = "runaway: exceeded %d scheduler steps"
+)
+
 // OpRecord is one completed workload operation with its simulated-time
 // span and outcome.
 type OpRecord struct {
@@ -60,12 +65,11 @@ type OpRecord struct {
 	Err           string        // classified error category, "" = success
 }
 
-// Result is one simulation run's full outcome: the scenario, every
-// operation, the invariant violations (empty = pass) and the replayable
-// trace (same seed ⇒ byte-identical bytes).
-type Result struct {
+// Outcome is what a run reports in either flavor: every operation, the
+// invariant violations (empty = pass), the replayable trace (same seed ⇒
+// byte-identical bytes) and the run's accounting.
+type Outcome struct {
 	Seed       uint64
-	Scenario   Scenario
 	Ops        []OpRecord
 	Violations []string
 	Trace      []byte
@@ -73,6 +77,16 @@ type Result struct {
 	Issued     int64
 	Delivered  int
 	Steps      int
+}
+
+// Failed reports whether any invariant was violated.
+func (o *Outcome) Failed() bool { return len(o.Violations) > 0 }
+
+// Result is one single-server run's full outcome: the shared Outcome
+// plus the scenario it expanded.
+type Result struct {
+	Outcome
+	Scenario Scenario
 
 	// UDP ingest accounting (udp flavor only), from the server's stats
 	// sink: admission units accepted (datagrams plus super segments),
@@ -85,9 +99,6 @@ type Result struct {
 	UDPBadSegs  uint64
 }
 
-// Failed reports whether any invariant was violated.
-func (r *Result) Failed() bool { return len(r.Violations) > 0 }
-
 // Run executes one seed: expand the scenario, build the world, run the
 // real client/server stack to completion under the deterministic
 // scheduler, then check every protocol invariant.
@@ -97,15 +108,12 @@ func Run(seed uint64, opts RunOptions) (*Result, error) {
 
 // RunScenario executes an explicit scenario (tests hand-build these to
 // target one failure mode); Run is RunScenario over GenScenario(seed).
+// The single-server flavor boots one server, dials it with one
+// *client.Client per worker, and audits with checkInvariants.
 func RunScenario(sc Scenario, opts RunOptions) (*Result, error) {
 	seed := sc.Seed
-	res := &Result{Seed: seed, Scenario: sc}
-
-	w := NewWorld(seed, sc.JitterMin, sc.JitterMax, sc.Partitions, opts.SettleRounds)
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 50000
-	}
+	res := &Result{Outcome: Outcome{Seed: seed}, Scenario: sc}
+	w := NewWorld(seed, sc.JitterMin, sc.JitterMax, sc.Partitions)
 
 	inner := opts.Backend
 	if inner == nil {
@@ -169,76 +177,47 @@ func RunScenario(sc Scenario, opts RunOptions) (*Result, error) {
 	ln := w.Listen(addr)
 	go srv.Serve(ln)
 
-	// Workers: one client per worker — client-internal state (request ids,
-	// the SC combiner, the backoff rng) then only ever sees one
-	// goroutine, so its behaviour is a pure function of simulated time.
-	recs := make([][]OpRecord, sc.Workers)
-	var remaining atomic.Int64
-	remaining.Store(int64(sc.Workers))
-	for wk := 0; wk < sc.Workers; wk++ {
-		recs[wk] = make([]OpRecord, len(sc.Plans[wk]))
-		go w.runWorker(wk, &sc, recs[wk], &remaining)
+	// With tracing on, every request is sampled (every=1) and each worker
+	// owns actor namespace wk+1 — disjoint from the other workers and
+	// from the server's minting namespace — so trace ids are
+	// deterministic and collision-free across the run.
+	traceSample := 0
+	if w.flight != nil {
+		traceSample = 1
 	}
-
+	dial := func(wk int) (simClient, error) {
+		return client.Dial(addr, client.Options{
+			Conns:          1,
+			Retries:        sc.Retries,
+			OpTimeout:      sc.OpTimeout,
+			DialTimeout:    sc.DialTimeout,
+			AdaptiveWindow: sc.AdaptiveWindow,
+			Clock:          w.Clk,
+			Dialer:         w.Dialer(wk),
+			Flight:         w.flight,
+			TraceSample:    traceSample,
+			TraceActor:     uint64(wk) + 1,
+			Backoff: &fault.Backoff{
+				Base:  sc.BackoffBase,
+				Cap:   sc.BackoffCap,
+				Seed:  int64(wk) + 1,
+				Clock: w.Clk,
+			},
+		})
+	}
 	// The UDP injector is one more planned actor: it drives the datagram
 	// plan through the server's real admission path on the simulated
-	// clock and counts toward phase-1 completion like any worker.
+	// clock and counts toward the workload's completion like any worker.
+	var udp func()
 	if sc.UDPActive() {
-		remaining.Add(1)
-		go w.runUDPInjector(&sc, srv, &remaining)
+		udp = func() { w.runUDPInjector(&sc, srv) }
 	}
-
-	// Phase 1: drive the world until every worker has finished. Each step
-	// performs exactly one wake-up — the earliest transport delivery or,
-	// when no delivery precedes it, the earliest timer (net-before-timer
-	// on ties) — then waits for quiescence.
-	stuck := 0
-	for remaining.Load() > 0 {
-		w.Settle()
-		if remaining.Load() <= 0 {
-			break
-		}
-		if !w.step() {
-			if stuck++; stuck > 40 {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("deadlock: %d workers stuck with no pending event or timer", remaining.Load()))
-				break
-			}
-			continue
-		}
-		stuck = 0
-		if res.Steps++; res.Steps > maxSteps {
-			res.Violations = append(res.Violations, fmt.Sprintf("runaway: exceeded %d scheduler steps", maxSteps))
-			break
-		}
-	}
-
-	// Phase 2: graceful drain. Close stops accepting, lets readers finish
-	// their current frame, sweeps the mailboxes and flushes every pending
-	// response; the scheduler keeps delivering until the world is empty.
-	w.note("C %d\n", w.Clk.Now().Sub(clock.SimEpoch).Nanoseconds())
-	closeDone := make(chan struct{})
-	go func() { _ = srv.Close(); close(closeDone) }()
-	stuck = 0
-	for len(res.Violations) == 0 {
-		w.Settle()
-		if w.step() {
-			stuck = 0
-			if res.Steps++; res.Steps > maxSteps {
-				res.Violations = append(res.Violations, fmt.Sprintf("runaway: exceeded %d scheduler steps", maxSteps))
-			}
-			continue
-		}
-		select {
-		case <-closeDone:
-		default:
-			if stuck++; stuck > 40 {
-				res.Violations = append(res.Violations, "drain: server Close stuck with no pending event or timer")
-			}
-			continue
-		}
-		break
-	}
+	s := &sim{w: w, out: &res.Outcome, maxSteps: maxSteps}
+	s.workload(sc.Plans, 100*time.Microsecond, dial, udp, "workers")
+	// Graceful drain: Close stops accepting, lets readers finish their
+	// current frame, sweeps the mailboxes and flushes every pending
+	// response.
+	s.drain(func() { _ = srv.Close() }, "server Close")
 
 	res.Issued = srv.Issued()
 	if st != nil {
@@ -248,9 +227,6 @@ func RunScenario(sc Scenario, opts RunOptions) (*Result, error) {
 		res.UDPDropped = snap.UDPDropped
 		res.UDPBadSegs = snap.UDPRejects["bad_segment"]
 	}
-	for _, rs := range recs {
-		res.Ops = append(res.Ops, rs...)
-	}
 	checkInvariants(res, w)
 	if w.flight != nil {
 		checkFlight(res, w.flight)
@@ -258,6 +234,105 @@ func RunScenario(sc Scenario, opts RunOptions) (*Result, error) {
 	}
 	res.Trace = buildTrace(res, w)
 	return res, nil
+}
+
+// sim is one run in progress, whichever flavor: its world, its step
+// bound, and the outcome the phases fill in.
+type sim struct {
+	w        *World
+	out      *Outcome
+	maxSteps int
+}
+
+func (s *sim) fail(format string, args ...any) {
+	s.out.Violations = append(s.out.Violations, fmt.Sprintf(format, args...))
+}
+
+// drive steps the world until done reports true. Each step performs
+// exactly one wake-up — the earliest transport delivery or, when no
+// delivery precedes it, the earliest timer (net-before-timer on ties) —
+// then waits for quiescence. A world with nothing to wake gets patience
+// more settles (a woken goroutine may not have re-armed yet) before
+// stuck() is reported; more than maxSteps wake-ups is reported with
+// the runaway text, formatted with the bound.
+func (s *sim) drive(done func() bool, patience int, stuck func() string, runaway string) {
+	idle := 0
+	for {
+		s.w.Settle()
+		if done() {
+			return
+		}
+		if !s.w.step() {
+			if idle++; idle > patience {
+				s.fail("%s", stuck())
+				return
+			}
+			continue
+		}
+		idle = 0
+		if s.out.Steps++; s.out.Steps > s.maxSteps {
+			s.fail(runaway, s.maxSteps)
+			return
+		}
+	}
+}
+
+// workload runs every worker's plan — each worker staggered in by
+// stagger and dialing through dial — plus the flavor's own planned
+// actor (nil: none), until all of them have finished; who names the
+// actors in the deadlock violation. The workers' records become the
+// outcome's ops.
+func (s *sim) workload(plans [][]opSpec, stagger time.Duration, dial func(wk int) (simClient, error), actor func(), who string) {
+	recs := make([][]OpRecord, len(plans))
+	var remaining atomic.Int64
+	remaining.Store(int64(len(plans)))
+	for wk := range plans {
+		recs[wk] = make([]OpRecord, len(plans[wk]))
+		go func() {
+			defer remaining.Add(-1)
+			s.w.runWorker(wk, plans[wk], stagger, dial, recs[wk])
+		}()
+	}
+	if actor != nil {
+		remaining.Add(1)
+		go func() {
+			defer remaining.Add(-1)
+			actor()
+		}()
+	}
+	s.drive(func() bool { return remaining.Load() <= 0 }, 40,
+		func() string {
+			return fmt.Sprintf("deadlock: %d %s stuck with no pending event or timer", remaining.Load(), who)
+		},
+		runawayText)
+	for _, rs := range recs {
+		s.out.Ops = append(s.out.Ops, rs...)
+	}
+}
+
+// drain shuts the universe down gracefully — shutdown runs on a
+// goroutine of its own — and keeps delivering until shutdown has
+// returned and the world is empty; what names the shutdown in the stuck
+// violation. A run that already failed is not drained.
+func (s *sim) drain(shutdown func(), what string) {
+	s.w.note("C %d\n", s.w.Clk.Now().Sub(clock.SimEpoch).Nanoseconds())
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		shutdown()
+	}()
+	if s.out.Failed() {
+		return
+	}
+	s.drive(func() bool {
+		select {
+		case <-closed:
+			return s.w.idle()
+		default:
+			return false
+		}
+	}, 40, func() string { return "drain: " + what + " stuck with no pending event or timer" },
+		runawayText)
 }
 
 // step performs one scheduler wake-up: the earliest pending transport
@@ -278,46 +353,38 @@ func (w *World) step() bool {
 	}
 }
 
+// idle reports whether the world has nothing left to wake.
+func (w *World) idle() bool {
+	_, evOk := w.peekEvent()
+	_, twOk := w.Clk.NextWake()
+	return !evOk && !twOk
+}
+
+// simClient is what a worker drives: both *client.Client and the
+// failover-aware *client.Cluster.
+type simClient interface {
+	IncMode(ctx context.Context, w int, mode wire.Mode) (int64, error)
+	IncBatchCtx(ctx context.Context, w, k int, mode wire.Mode) ([]runtime.Range, error)
+	Read(ctx context.Context) (int64, error)
+	Close() error
+}
+
 // runWorker is one worker's life: stagger in, dial (with bounded
 // re-dial attempts — connects are refused during partitions), run the
 // planned operations with think time between them, close the client.
-func (w *World) runWorker(wk int, sc *Scenario, out []OpRecord, remaining *atomic.Int64) {
-	defer remaining.Add(-1)
-	for i, op := range sc.Plans[wk] {
+// Each worker owns its client, so client-internal state (request ids,
+// the combiner, the backoff rng) only ever sees one goroutine and its
+// behaviour is a pure function of simulated time.
+func (w *World) runWorker(wk int, plan []opSpec, stagger time.Duration, dial func(wk int) (simClient, error), out []OpRecord) {
+	for i, op := range plan {
 		out[i] = OpRecord{Worker: wk, Index: i, Kind: op.Kind, Mode: op.Mode, Wire: op.Wire, K: op.K, Err: "unstarted"}
 	}
-	w.Clk.Sleep(time.Duration(wk+1)*100*time.Microsecond + time.Duration(wk*1009)*time.Nanosecond)
+	w.Clk.Sleep(time.Duration(wk+1)*stagger + time.Duration(wk*1009)*time.Nanosecond)
 
-	// With tracing on, every request is sampled (every=1) and each worker
-	// owns actor namespace wk+1 — disjoint from the other workers and
-	// from the server's minting namespace — so trace ids are
-	// deterministic and collision-free across the run.
-	traceSample := 0
-	if w.flight != nil {
-		traceSample = 1
-	}
-	var cl *client.Client
+	var cl simClient
 	var err error
 	for attempt := 0; attempt < 6; attempt++ {
-		cl, err = client.Dial("sim", client.Options{
-			Conns:          1,
-			Retries:        sc.Retries,
-			OpTimeout:      sc.OpTimeout,
-			DialTimeout:    sc.DialTimeout,
-			AdaptiveWindow: sc.AdaptiveWindow,
-			Clock:          w.Clk,
-			Dialer:         w.Dialer(wk),
-			Flight:         w.flight,
-			TraceSample:    traceSample,
-			TraceActor:     uint64(wk) + 1,
-			Backoff: &fault.Backoff{
-				Base:  sc.BackoffBase,
-				Cap:   sc.BackoffCap,
-				Seed:  int64(wk) + 1,
-				Clock: w.Clk,
-			},
-		})
-		if err == nil {
+		if cl, err = dial(wk); err == nil {
 			break
 		}
 		w.Clk.Sleep(time.Duration(attempt+1)*4*time.Millisecond + time.Duration(wk*1009)*time.Nanosecond)
@@ -330,7 +397,7 @@ func (w *World) runWorker(wk int, sc *Scenario, out []OpRecord, remaining *atomi
 	}
 	defer cl.Close()
 
-	for i, op := range sc.Plans[wk] {
+	for i, op := range plan {
 		w.Clk.Sleep(op.Think)
 		rec := &out[i]
 		rec.Start = w.Clk.Now().Sub(clock.SimEpoch)
@@ -372,8 +439,7 @@ func (w *World) runWorker(wk int, sc *Scenario, out []OpRecord, remaining *atomi
 // back-to-back with its declared stride recorded via AppendSegments,
 // exactly as a coalescing kernel would deliver it — truncated tails
 // and skewed strides included.
-func (w *World) runUDPInjector(sc *Scenario, srv *server.Server, remaining *atomic.Int64) {
-	defer remaining.Add(-1)
+func (w *World) runUDPInjector(sc *Scenario, srv *server.Server) {
 	pi := srv.NewPacketIngest()
 	b := packetio.NewBatch(1)
 	gb := packetio.NewBatchSized(1, packetio.GROSlotSize)
@@ -657,14 +723,29 @@ func checkInvariants(res *Result, w *World) {
 	}
 }
 
-// buildTrace assembles the canonical replayable trace: scenario header,
-// the scheduler's delivery/timer log, the per-op outcome log, footer.
-// Every byte derives from the seed, so equal seeds produce equal traces.
+// buildTrace assembles the single-server trace: the shared body, then
+// the UDP admission accounting and the footer.
 func buildTrace(res *Result, w *World) []byte {
+	return traceOf(res.Scenario.Header(), w, &res.Outcome, func(b *strings.Builder) {
+		if res.Scenario.UDPActive() {
+			fmt.Fprintf(b, "# udp accepted=%d replays=%d dropped=%d badsegs=%d expected=%d\n",
+				res.UDPAccepted, res.UDPReplays, res.UDPDropped, res.UDPBadSegs, res.Scenario.UDPExpected())
+		}
+		fmt.Fprintf(b, "# issued=%d delivered=%d steps=%d violations=%d\n",
+			res.Issued, res.Delivered, res.Steps, len(res.Violations))
+	})
+}
+
+// traceOf assembles a canonical replayable trace in either flavor:
+// scenario header, the scheduler's delivery/timer log, the per-op
+// outcome log in (worker, index) order, the flavor's accounting, then
+// one V line per violation. Every byte derives from the seed, so equal
+// seeds produce equal traces.
+func traceOf(header string, w *World, out *Outcome, accounting func(*strings.Builder)) []byte {
 	var b strings.Builder
-	b.WriteString(res.Scenario.Header())
+	b.WriteString(header)
 	b.WriteString(w.trace.String())
-	ops := append([]OpRecord(nil), res.Ops...)
+	ops := append([]OpRecord(nil), out.Ops...)
 	sort.Slice(ops, func(i, j int) bool {
 		if ops[i].Worker != ops[j].Worker {
 			return ops[i].Worker < ops[j].Worker
@@ -672,12 +753,8 @@ func buildTrace(res *Result, w *World) []byte {
 		return ops[i].Index < ops[j].Index
 	})
 	for _, op := range ops {
-		mode := "sc"
-		if op.Mode == wire.ModeLIN {
-			mode = "lin"
-		}
 		fmt.Fprintf(&b, "O w%d i%d %s %s wire=%d k=%d s=%d e=%d err=%q vals=",
-			op.Worker, op.Index, op.Kind, mode, op.Wire, op.K,
+			op.Worker, op.Index, op.Kind, modeName(op.Mode), op.Wire, op.K,
 			op.Start.Nanoseconds(), op.End.Nanoseconds(), op.Err)
 		for vi, v := range op.Vals {
 			if vi > 0 {
@@ -687,13 +764,8 @@ func buildTrace(res *Result, w *World) []byte {
 		}
 		b.WriteByte('\n')
 	}
-	if res.Scenario.UDPActive() {
-		fmt.Fprintf(&b, "# udp accepted=%d replays=%d dropped=%d badsegs=%d expected=%d\n",
-			res.UDPAccepted, res.UDPReplays, res.UDPDropped, res.UDPBadSegs, res.Scenario.UDPExpected())
-	}
-	fmt.Fprintf(&b, "# issued=%d delivered=%d steps=%d violations=%d\n",
-		res.Issued, res.Delivered, res.Steps, len(res.Violations))
-	for _, v := range res.Violations {
+	accounting(&b)
+	for _, v := range out.Violations {
 		fmt.Fprintf(&b, "V %s\n", v)
 	}
 	return []byte(b.String())

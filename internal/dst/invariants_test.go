@@ -115,11 +115,11 @@ func TestCheckInvariantsHandMadeHistories(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res := &Result{Scenario: Scenario{Width: 4}, Issued: tt.issued, Ops: tt.ops}
+			res := &Result{Outcome: Outcome{Issued: tt.issued, Ops: tt.ops}, Scenario: Scenario{Width: 4}}
 			if tt.adverse {
 				res.Scenario.DropProb = 0.1
 			}
-			checkInvariants(res, NewWorld(1, 0, 0, nil, 0))
+			checkInvariants(res, NewWorld(1, 0, 0, nil))
 			if len(res.Violations) != len(tt.want) {
 				t.Fatalf("violations = %q, want %d matching %q", res.Violations, len(tt.want), tt.want)
 			}

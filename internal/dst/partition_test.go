@@ -147,7 +147,7 @@ func TestBackpressureShedUnderFullMailbox(t *testing.T) {
 func TestResilientCounterFailsOverUnderPartition(t *testing.T) {
 	const seed = 99
 	w := NewWorld(seed, 10*time.Microsecond, 60*time.Microsecond,
-		[]Partition{{Start: 3 * time.Millisecond, End: 100 * time.Second}}, 0)
+		[]Partition{{Start: 3 * time.Millisecond, End: 100 * time.Second}})
 
 	spec, _, err := construct.Bitonic(4)
 	if err != nil {

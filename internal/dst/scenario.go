@@ -575,16 +575,26 @@ func (s *Scenario) Header() string {
 			b.WriteByte('\n')
 		}
 	}
-	for w, plan := range s.Plans {
-		fmt.Fprintf(&b, "# plan w%d:", w)
+	writePlans(&b, s.Plans)
+	return b.String()
+}
+
+// writePlans renders every worker's op plan as trace-header lines, the
+// part both flavors' headers share.
+func writePlans(b *strings.Builder, plans [][]opSpec) {
+	for w, plan := range plans {
+		fmt.Fprintf(b, "# plan w%d:", w)
 		for _, op := range plan {
-			mode := "sc"
-			if op.Mode == wire.ModeLIN {
-				mode = "lin"
-			}
-			fmt.Fprintf(&b, " %s/%s/w%d/k%d/t%d", op.Kind, mode, op.Wire, op.K, op.Think.Nanoseconds())
+			fmt.Fprintf(b, " %s/%s/w%d/k%d/t%d", op.Kind, modeName(op.Mode), op.Wire, op.K, op.Think.Nanoseconds())
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
+}
+
+// modeName is a consistency mode's trace spelling.
+func modeName(m wire.Mode) string {
+	if m == wire.ModeLIN {
+		return "lin"
+	}
+	return "sc"
 }

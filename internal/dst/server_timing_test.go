@@ -28,22 +28,11 @@ import (
 // test on deadlock or runaway instead of hanging.
 func driveWhile(t *testing.T, w *World, stop func() bool) {
 	t.Helper()
-	stuck, steps := 0, 0
-	for !stop() {
-		w.Settle()
-		if stop() {
-			return
-		}
-		if !w.step() {
-			if stuck++; stuck > 40 {
-				t.Fatal("simulation deadlocked")
-			}
-			continue
-		}
-		stuck = 0
-		if steps++; steps > 50000 {
-			t.Fatal("runaway simulation")
-		}
+	var out Outcome
+	(&sim{w: w, out: &out, maxSteps: maxSteps}).drive(stop, 40,
+		func() string { return "simulation deadlocked" }, "runaway simulation: exceeded %d steps")
+	if out.Failed() {
+		t.Fatal(out.Violations[0])
 	}
 }
 
@@ -51,24 +40,10 @@ func driveWhile(t *testing.T, w *World, stop func() bool) {
 // close completes and the event/timer queues are empty.
 func drainServer(t *testing.T, w *World, srv *server.Server) {
 	t.Helper()
-	closeDone := make(chan struct{})
-	go func() { _ = srv.Close(); close(closeDone) }()
-	stuck := 0
-	for {
-		w.Settle()
-		if w.step() {
-			stuck = 0
-			continue
-		}
-		select {
-		case <-closeDone:
-		default:
-			if stuck++; stuck > 40 {
-				t.Fatal("drain stuck")
-			}
-			continue
-		}
-		break
+	var out Outcome
+	(&sim{w: w, out: &out, maxSteps: maxSteps}).drain(func() { _ = srv.Close() }, "server Close")
+	if out.Failed() {
+		t.Fatal(out.Violations[0])
 	}
 }
 
@@ -94,7 +69,7 @@ func compileBitonic(t *testing.T, width int) *runtime.Network {
 // wall-clock original polled a stats counter under a 5-second deadline;
 // here eviction is reached purely through scheduler steps.
 func TestSlowConsumerEvictionSimClock(t *testing.T) {
-	w := NewWorld(2024, 5*time.Microsecond, 25*time.Microsecond, nil, 0)
+	w := NewWorld(2024, 5*time.Microsecond, 25*time.Microsecond, nil)
 	// A tiny receive window: ~20 response frames fit, the flood sends 256.
 	w.SetRecvWindow(256)
 	st := server.NewStats(0)
@@ -218,7 +193,7 @@ func TestFlushMaxDelayHoldSimClock(t *testing.T) {
 		maxDelay = 5 * time.Millisecond
 		stall    = 20 * time.Millisecond
 	)
-	w := NewWorld(3030, 5*time.Microsecond, 25*time.Microsecond, nil, 0)
+	w := NewWorld(3030, 5*time.Microsecond, 25*time.Microsecond, nil)
 	be := &stallBackend{inner: compileBitonic(t, 2), clk: w.Clk, delay: stall}
 	// BatchLimit 1 sweeps the two ops apart: a sweep makes one backend
 	// call on its first request's wire, so a shared sweep would enter on

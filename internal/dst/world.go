@@ -90,15 +90,17 @@ type World struct {
 
 	// trace is written only from the scheduler goroutine.
 	trace strings.Builder
-
-	settleRounds int
 }
+
+// settleRounds is the quiescence window: consecutive yields that must
+// observe no clock or transport activity before Settle returns.
+const settleRounds = 24
 
 // NewWorld builds a simulated universe for one run. jitterMin/Max bound
 // the per-chunk transport delay (drawn per (stream, seq) from the
 // seed); partitions are the black-hole windows.
 //
-// Stopgap (ROADMAP item 1, step 0): NewWorld pins the whole process to
+// Stopgap (ROADMAP item 2, step 0): NewWorld pins the whole process to
 // one P. Settle infers quiescence from Gosched, which is sound only
 // when a single P cycles the entire run queue between two activity
 // readings; on several Ps a goroutine the scheduler just woke may not
@@ -107,8 +109,8 @@ type World struct {
 // follows is single-threaded by design. The pin sits here rather than
 // in a TestMain because `go test -cpu 1,2,8` resets GOMAXPROCS before
 // every run. It goes away when quiescence is counted at the seams
-// rather than guessed (ROADMAP 1(a)/(b)), which is the done condition.
-func NewWorld(seed uint64, jitterMin, jitterMax time.Duration, partitions []Partition, settleRounds int) *World {
+// rather than guessed (ROADMAP 2(a)/(b)), which is the done condition.
+func NewWorld(seed uint64, jitterMin, jitterMax time.Duration, partitions []Partition) *World {
 	stdruntime.GOMAXPROCS(1)
 	if jitterMin < 0 {
 		jitterMin = 0
@@ -116,17 +118,13 @@ func NewWorld(seed uint64, jitterMin, jitterMax time.Duration, partitions []Part
 	if jitterMax < jitterMin {
 		jitterMax = jitterMin
 	}
-	if settleRounds <= 0 {
-		settleRounds = 24
-	}
 	return &World{
-		Clk:          clock.NewSim(),
-		seed:         seed,
-		jitterMin:    jitterMin,
-		jitterMax:    jitterMax,
-		partitions:   partitions,
-		listeners:    make(map[string]*memListener),
-		settleRounds: settleRounds,
+		Clk:        clock.NewSim(),
+		seed:       seed,
+		jitterMin:  jitterMin,
+		jitterMax:  jitterMax,
+		partitions: partitions,
+		listeners:  make(map[string]*memListener),
 	}
 }
 
@@ -277,7 +275,7 @@ func (w *World) activity() uint64 { return w.Clk.Activity() + w.netAct.Load() }
 func (w *World) Settle() {
 	last := w.activity()
 	stable := 0
-	for i := 0; stable < w.settleRounds; i++ {
+	for i := 0; stable < settleRounds; i++ {
 		stdruntime.Gosched()
 		if i&31 == 31 {
 			time.Sleep(20 * time.Microsecond)
