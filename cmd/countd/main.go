@@ -44,9 +44,9 @@
 //
 // -sim N skips serving entirely and instead runs deterministic
 // whole-system simulation seed N (internal/dst) through this daemon's
-// exact configuration — same network spec, consistency mode and server
-// tuning — on a virtual clock and in-memory transport, auditing the
-// protocol invariants. `countd -w 8 -mode lin -sim 42` answers "does my
+// exact configuration — same network spec and consistency mode — on a
+// virtual clock and in-memory transport, auditing the protocol
+// invariants. `countd -w 8 -mode lin -sim 42` answers "does my
 // deployment configuration survive adversarial schedules?" without
 // opening a socket.
 //
@@ -83,14 +83,7 @@ type options struct {
 	udp      string        // UDP datagram address ("" disables)
 	telem    string        // telemetry HTTP address ("" disables)
 	mode     string        // default consistency: sc or lin (serve every increment as LIN)
-	mailbox  int           // request mailbox depth (0: server default)
-	batch    int           // sweep batch limit (0: server default)
-	opTime   time.Duration // per-request mailbox deadline (0: none)
-	flushDur time.Duration // writer flush deadline (0: default, <0: flush eagerly)
-	flushBy  int           // writer flush byte threshold (0: default)
 	udpSocks int           // SO_REUSEPORT socket count for -udp (0: server default)
-	udpBatch int           // datagrams per recvmmsg syscall (0: server default)
-	udpPort  bool          // force the portable single-datagram UDP read loop
 	udpGSO   bool          // UDP GSO/GRO segmentation offload (auto-falls back)
 	duration time.Duration // run length (0: serve until interrupted)
 	cpuprof  string        // write a CPU profile here ("" disables)
@@ -104,32 +97,30 @@ type options struct {
 	nodeID   uint64 // cluster node id, unique per node
 }
 
+// flags registers every countd flag on fs, bound to o's fields.
+func flags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.kind, "net", "bitonic", "network: bitonic, periodic or tree")
+	fs.IntVar(&o.width, "w", 8, "network fan (power of two)")
+	fs.StringVar(&o.listen, "listen", ":9701", "TCP service address")
+	fs.StringVar(&o.udp, "udp", "", "UDP datagram address for fire-and-forget SC increments (empty: off)")
+	fs.IntVar(&o.udpSocks, "udp-sockets", 0, "UDP sockets sharing the port via SO_REUSEPORT, one batched read loop each (0: default, min(GOMAXPROCS,4) on Linux)")
+	fs.BoolVar(&o.udpGSO, "udp-gso", true, "UDP GSO/GRO segmentation offload on the -udp endpoint; falls back to the plain batched path when the kernel lacks UDP_SEGMENT/UDP_GRO")
+	fs.StringVar(&o.telem, "telemetry", "", "HTTP telemetry address (empty: off)")
+	fs.StringVar(&o.mode, "mode", "sc", "default consistency: sc, or lin to serve every increment as LIN (forwarded to the leader in a cluster)")
+	fs.DurationVar(&o.duration, "duration", 0, "run length (0: serve until interrupted)")
+	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile to this file (empty: off)")
+	fs.Uint64Var(&o.sim, "sim", 0, "run this deterministic-simulation seed through the daemon's configuration instead of serving (0: off)")
+	fs.IntVar(&o.sample, "trace-sample", 0, "sample 1 in N untraced requests into the flight recorder with a server-minted trace id (0: off; client-traced requests always record)")
+	fs.IntVar(&o.flight, "flight", 0, "flight recorder span capacity; serves /debug/flight on the telemetry endpoint (0: off, or 4096 when -trace-sample is set)")
+	fs.StringVar(&o.flOut, "flight-out", "", "write the flight recorder's black box to this file on each anomaly burst and at exit (empty: off)")
+	fs.StringVar(&o.clListen, "cluster-listen", "", "cluster transport address; joins this daemon to a multi-node counting cluster (empty: standalone)")
+	fs.StringVar(&o.join, "join", "", "comma-separated cluster addresses to gossip with (this node's own -cluster-listen may be included)")
+	fs.Uint64Var(&o.nodeID, "node-id", 0, "cluster node id, unique across the cluster, >= 1 (required with -cluster-listen)")
+}
+
 func main() {
 	var o options
-	flag.StringVar(&o.kind, "net", "bitonic", "network: bitonic, periodic or tree")
-	flag.IntVar(&o.width, "w", 8, "network fan (power of two)")
-	flag.StringVar(&o.listen, "listen", ":9701", "TCP service address")
-	flag.StringVar(&o.udp, "udp", "", "UDP datagram address for fire-and-forget SC increments (empty: off)")
-	flag.IntVar(&o.udpSocks, "udp-sockets", 0, "UDP sockets sharing the port via SO_REUSEPORT, one batched read loop each (0: default, min(GOMAXPROCS,4) on Linux)")
-	flag.IntVar(&o.udpBatch, "udp-batch", 0, "datagrams read per recvmmsg syscall on the UDP endpoint, up to 64 (0: default)")
-	flag.BoolVar(&o.udpPort, "udp-portable", false, "force the portable single-datagram UDP read loop (benchmarking baseline)")
-	flag.BoolVar(&o.udpGSO, "udp-gso", true, "UDP GSO/GRO segmentation offload on the -udp endpoint; falls back to the plain batched path when the kernel lacks UDP_SEGMENT/UDP_GRO")
-	flag.StringVar(&o.telem, "telemetry", "", "HTTP telemetry address (empty: off)")
-	flag.StringVar(&o.mode, "mode", "sc", "default consistency: sc, or lin to serve every increment as LIN (forwarded to the leader in a cluster)")
-	flag.IntVar(&o.mailbox, "mailbox", 0, "request mailbox depth (0: default)")
-	flag.IntVar(&o.batch, "batch", 0, "sweep batch limit (0: default)")
-	flag.DurationVar(&o.opTime, "optimeout", 0, "fail requests queued longer than this (0: never)")
-	flag.DurationVar(&o.flushDur, "flush-delay", 0, "writer flush deadline for pipelined responses (0: default 200µs, negative: flush eagerly)")
-	flag.IntVar(&o.flushBy, "flush-bytes", 0, "writer flush byte threshold (0: default 16KiB)")
-	flag.DurationVar(&o.duration, "duration", 0, "run length (0: serve until interrupted)")
-	flag.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile to this file (empty: off)")
-	flag.Uint64Var(&o.sim, "sim", 0, "run this deterministic-simulation seed through the daemon's configuration instead of serving (0: off)")
-	flag.IntVar(&o.sample, "trace-sample", 0, "sample 1 in N untraced requests into the flight recorder with a server-minted trace id (0: off; client-traced requests always record)")
-	flag.IntVar(&o.flight, "flight", 0, "flight recorder span capacity; serves /debug/flight on the telemetry endpoint (0: off, or 4096 when -trace-sample is set)")
-	flag.StringVar(&o.flOut, "flight-out", "", "write the flight recorder's black box to this file on each anomaly burst and at exit (empty: off)")
-	flag.StringVar(&o.clListen, "cluster-listen", "", "cluster transport address; joins this daemon to a multi-node counting cluster (empty: standalone)")
-	flag.StringVar(&o.join, "join", "", "comma-separated cluster addresses to gossip with (this node's own -cluster-listen may be included)")
-	flag.Uint64Var(&o.nodeID, "node-id", 0, "cluster node id, unique across the cluster, >= 1 (required with -cluster-listen)")
+	flags(flag.CommandLine, &o)
 	flag.Parse()
 
 	if o.clListen == "" && (o.join != "" || o.nodeID != 0) {
@@ -161,12 +152,12 @@ func main() {
 }
 
 // runSim executes one deterministic whole-system simulation seed with
-// this daemon's flag-derived configuration — the same network spec,
-// consistency mode and server tuning (-net, -w, -mode, -mailbox,
-// -optimeout) the serving path would use, but on the virtual
-// clock and in-memory transport, with a seed-generated workload and
-// fault schedule. The invariant audit that countsim applies to sweeps
-// runs on this single seed; a violation is a daemon bug.
+// this daemon's flag-derived configuration — the same network spec and
+// consistency mode (-net, -w, -mode) the serving path would use, but on
+// the virtual clock and in-memory transport, with a seed-generated
+// workload, server tuning and fault schedule. The invariant audit that
+// countsim applies to sweeps runs on this single seed; a violation is a
+// daemon bug.
 func runSim(o options, out io.Writer) error {
 	mode, err := countingnet.ParseConsistencyMode(o.mode)
 	if err != nil {
@@ -182,7 +173,7 @@ func runSim(o options, out io.Writer) error {
 	}
 	// Scenario width is the compiled network's fan-in, not -w: a tree of
 	// any -w has a single input wire.
-	ov := dst.Overrides{Width: ctr.Width(), Mailbox: o.mailbox, SrvOpTimeout: o.opTime}
+	ov := dst.Overrides{Width: ctr.Width()}
 	if mode == countingnet.ModeLIN {
 		ov.Mode = "lin"
 	}
@@ -295,17 +286,11 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	rec := countingnet.NewFlightRecorder(flCap)
 	stats := countingnet.NewServerStats(0)
 	sopt := countingnet.ServerOptions{
-		Mailbox:     o.mailbox,
-		BatchLimit:  o.batch,
-		OpTimeout:   o.opTime,
-		Flush:       countingnet.ServerFlushPolicy{MaxDelay: o.flushDur, MaxBytes: o.flushBy},
 		Stats:       stats,
 		ForceLIN:    mode == countingnet.ModeLIN,
 		Flight:      rec,
 		TraceSample: o.sample,
 		UDPSockets:  o.udpSocks,
-		UDPBatch:    o.udpBatch,
-		UDPPortable: o.udpPort,
 		UDPGSO:      o.udpGSO,
 	}
 	if node != nil {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -124,15 +126,15 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 var udpRe = regexp.MustCompile(`udp endpoint ([0-9.]+:\d+)`)
 
-// TestDaemonUDPEndpoint boots countd with the UDP endpoint tuned by the
-// new flags (-udp-sockets, -udp-batch, -udp-portable), fires batched
-// fire-and-forget increments at it — including one replayed dedup id —
-// and checks the minted count and the per-reason reject metrics.
+// TestDaemonUDPEndpoint boots countd with the UDP endpoint sharded over
+// two sockets (-udp-sockets 2), fires batched fire-and-forget increments
+// at it — including one replayed dedup id — and checks the minted count
+// and the per-reason reject metrics.
 func TestDaemonUDPEndpoint(t *testing.T) {
 	out, addr, cancel, done := startDaemon(t, options{
 		kind: "bitonic", width: 4,
 		listen: "127.0.0.1:0", udp: "127.0.0.1:0", telem: "127.0.0.1:0",
-		mode: "sc", udpSocks: 2, udpBatch: 16,
+		mode: "sc", udpSocks: 2,
 	})
 	conn, err := packetio.Dial(awaitAddr(t, out, done, udpRe), packetio.Options{})
 	if err != nil {
@@ -203,61 +205,6 @@ func TestDaemonUDPEndpoint(t *testing.T) {
 		}
 	}
 
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-}
-
-// TestDaemonUDPPortableLoop pins the portable fallback behind
-// -udp-portable: a single classic ReadFrom loop serving the same
-// protocol.
-func TestDaemonUDPPortableLoop(t *testing.T) {
-	out, addr, cancel, done := startDaemon(t, options{
-		kind: "bitonic", width: 4,
-		listen: "127.0.0.1:0", udp: "127.0.0.1:0",
-		mode: "sc", udpPort: true,
-	})
-	conn, err := packetio.Dial(awaitAddr(t, out, done, udpRe), packetio.Options{Portable: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var f wire.Frame
-	b := packetio.NewBatch(8)
-	for i := 0; i < 8; i++ {
-		f = wire.Frame{Type: wire.TInc, ID: uint64(i + 1), Wire: 0}
-		b.AppendWith(func(dst []byte) []byte {
-			p, err := wire.AppendFrame(dst, &f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return p
-		})
-		if _, err := conn.WriteBatch(b); err != nil {
-			t.Fatal(err)
-		}
-		b.Reset()
-	}
-	c, err := client.Dial(addr, client.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		v, err := c.Read(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v == 8 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("issued %d, want 8", v)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	c.Close()
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
@@ -368,5 +315,23 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 		if err := run(context.Background(), o, &syncBuffer{}); err == nil {
 			t.Errorf("run(%+v) accepted bad configuration", o)
 		}
+	}
+}
+
+// TestDaemonFlags pins countd's flag set, name and default, in flag
+// order: a flag added, dropped or re-defaulted shows up here as a diff.
+func TestDaemonFlags(t *testing.T) {
+	fs := flag.NewFlagSet("countd", flag.ContinueOnError)
+	flags(fs, &options{})
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
+	want := []string{
+		"cluster-listen=", "cpuprofile=", "duration=0s", "flight=0",
+		"flight-out=", "join=", "listen=:9701", "mode=sc", "net=bitonic",
+		"node-id=0", "sim=0", "telemetry=", "trace-sample=0", "udp=",
+		"udp-gso=true", "udp-sockets=0", "w=8",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("countd flags:\n got %q\nwant %q", got, want)
 	}
 }

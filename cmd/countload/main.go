@@ -71,7 +71,6 @@ import (
 type options struct {
 	addr     string        // countd service address
 	clients  int           // concurrent client connections
-	window   int           // per-client pipelined in-flight window
 	mode     string        // consistency mode requested per increment
 	duration time.Duration // run length
 	adaptive bool          // RTT-adaptive in-flight window
@@ -98,24 +97,28 @@ func (o options) clusterAddrs() []string {
 	return out
 }
 
+// flags registers every countload flag on fs, bound to o's fields.
+func flags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:9701", "countd service address")
+	fs.IntVar(&o.clients, "g", 4, "concurrent clients")
+	fs.StringVar(&o.mode, "mode", "sc", "consistency mode: sc or lin")
+	fs.DurationVar(&o.duration, "duration", 2*time.Second, "run length")
+	fs.BoolVar(&o.adaptive, "adaptive", false, "tune each connection's in-flight window to measured RTT (AIMD)")
+	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile to this file (empty: off)")
+	fs.Uint64Var(&o.sim, "sim", 0, "run this deterministic-simulation seed with the client-side configuration instead of driving a live server (0: off)")
+	fs.IntVar(&o.sample, "trace-sample", 0, "trace 1 in N increments through the serving path (0: off)")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write the sampled requests as Chrome trace-event JSON here (requires -trace-sample)")
+	fs.StringVar(&o.traceSrc, "trace-from", "", "countd telemetry base URL (e.g. http://127.0.0.1:8080); its /debug/flight spans merge into -trace-out as the server part")
+	fs.StringVar(&o.udp, "udp", "", "countd UDP endpoint: open-loop fire-and-forget SC increments instead of the TCP workload (empty: off)")
+	fs.IntVar(&o.udpBatch, "udp-batch", 64, "datagrams per sendmmsg batch in -udp mode (1..64)")
+	fs.IntVar(&o.udpWires, "udp-wires", 1, "spread -udp increments across this many input wires (must not exceed the served width)")
+	fs.IntVar(&o.udpGSO, "udp-gso", 0, "pack this many unique-id frames into one UDP_SEGMENT super-datagram per send slot (0/1: off, max 64; falls back to unsegmented sends when the kernel lacks UDP_SEGMENT)")
+	fs.StringVar(&o.cluster, "cluster", "", "comma-separated cluster endpoints; drive the whole cluster with failover instead of one -addr daemon (empty: off)")
+}
+
 func main() {
 	var o options
-	flag.StringVar(&o.addr, "addr", "127.0.0.1:9701", "countd service address")
-	flag.IntVar(&o.clients, "g", 4, "concurrent clients")
-	flag.IntVar(&o.window, "window", 64, "per-client pipelined in-flight window")
-	flag.StringVar(&o.mode, "mode", "sc", "consistency mode: sc or lin")
-	flag.DurationVar(&o.duration, "duration", 2*time.Second, "run length")
-	flag.BoolVar(&o.adaptive, "adaptive", false, "tune each connection's in-flight window to measured RTT (AIMD)")
-	flag.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile to this file (empty: off)")
-	flag.Uint64Var(&o.sim, "sim", 0, "run this deterministic-simulation seed with the client-side configuration instead of driving a live server (0: off)")
-	flag.IntVar(&o.sample, "trace-sample", 0, "trace 1 in N increments through the serving path (0: off)")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write the sampled requests as Chrome trace-event JSON here (requires -trace-sample)")
-	flag.StringVar(&o.traceSrc, "trace-from", "", "countd telemetry base URL (e.g. http://127.0.0.1:8080); its /debug/flight spans merge into -trace-out as the server part")
-	flag.StringVar(&o.udp, "udp", "", "countd UDP endpoint: open-loop fire-and-forget SC increments instead of the TCP workload (empty: off)")
-	flag.IntVar(&o.udpBatch, "udp-batch", 64, "datagrams per sendmmsg batch in -udp mode (1..64)")
-	flag.IntVar(&o.udpWires, "udp-wires", 1, "spread -udp increments across this many input wires (must not exceed the served width)")
-	flag.IntVar(&o.udpGSO, "udp-gso", 0, "pack this many unique-id frames into one UDP_SEGMENT super-datagram per send slot (0/1: off, max 64; falls back to unsegmented sends when the kernel lacks UDP_SEGMENT)")
-	flag.StringVar(&o.cluster, "cluster", "", "comma-separated cluster endpoints; drive the whole cluster with failover instead of one -addr daemon (empty: off)")
+	flags(flag.CommandLine, &o)
 	flag.Parse()
 
 	if o.cluster != "" && (o.udp != "" || o.sim != 0) {
@@ -153,8 +156,15 @@ func main() {
 	}
 }
 
-// errUsage marks a flag combination run refuses before it dials anything.
+// errUsage marks a flag combination run refuses: before it dials
+// anything, or, for -udp-wires, once the audit dial has learned the
+// served width.
 var errUsage = errors.New("usage")
+
+// workers is each load client's count of worker goroutines, each looping
+// sequential increments. It equals the client's in-flight window, so
+// every worker can have an op on the wire.
+const workers = 64
 
 // runSim executes one deterministic whole-system simulation seed with
 // this driver's client-side configuration — worker count from -g,
@@ -259,7 +269,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		target = fmt.Sprintf("cluster[%s]", o.cluster)
 	}
 	fmt.Fprintf(out, "countload: %s, %d clients x window %d, mode %s, %v\n",
-		target, o.clients, o.window, o.mode, res.Elapsed.Round(time.Millisecond))
+		target, o.clients, workers, o.mode, res.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(out, "  ops %d (%.0f ops/s), errors %d, duplicates %d, max value %d\n",
 		res.Ops, res.opsPerSec(), res.Errors, res.Dup, res.MaxValue)
 	fmt.Fprintf(out, "  latency p50 %v p95 %v p99 %v max %v\n",
@@ -328,6 +338,9 @@ func runUDP(ctx context.Context, o options, out io.Writer) error {
 		return fmt.Errorf("dial %s for the issued-count audit: %w", o.addr, err)
 	}
 	defer aud.Close()
+	if o.udpWires > aud.Width() {
+		return fmt.Errorf("%w: -udp-wires %d exceeds the served width %d", errUsage, o.udpWires, aud.Width())
+	}
 	before, err := aud.Read(ctx)
 	if err != nil {
 		return fmt.Errorf("read issued count: %w", err)
@@ -508,7 +521,7 @@ func fetchServerSpans(url string) ([]countingnet.FlightSpan, error) {
 	return d.Spans, nil
 }
 
-// drive runs the measurement: o.clients connections, each with o.window
+// drive runs the measurement: o.clients connections, each with workers
 // fixed worker goroutines looping sequential increments (the worker count
 // is the pipelining — no goroutine is spawned per op, and no global lock
 // sits on the hot path). Every observed value is collected per worker and
@@ -526,13 +539,13 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 		res.Flight = countingnet.NewFlightRecorder(1 << 16)
 	}
 
-	lat := telemetry.NewHistogram(o.clients * o.window)
+	lat := telemetry.NewHistogram(o.clients * workers)
 	type workerOut struct {
 		ops, errs int64
 		maxVal    int64
 		vals      []int64
 	}
-	outs := make([]workerOut, o.clients*o.window)
+	outs := make([]workerOut, o.clients*workers)
 	windows := make([]client.WindowStats, o.clients)
 	wires := make([]client.Stats, o.clients)
 
@@ -549,7 +562,7 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 		go func(g int) {
 			defer wg.Done()
 			copt := client.Options{
-				Window:         o.window,
+				Window:         workers,
 				Mode:           mode,
 				OpTimeout:      time.Second,
 				AdaptiveWindow: o.adaptive,
@@ -580,17 +593,17 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 				c = cc
 			}
 			if err != nil {
-				outs[g*o.window].errs++
+				outs[g*workers].errs++
 				return
 			}
 			defer c.Close()
 
 			var cwg sync.WaitGroup
-			for w := 0; w < o.window; w++ {
+			for w := 0; w < workers; w++ {
 				cwg.Add(1)
 				go func(w int) {
 					defer cwg.Done()
-					id := g*o.window + w
+					id := g*workers + w
 					out := &outs[id]
 					out.maxVal = -1
 					out.vals = make([]int64, 0, 512)

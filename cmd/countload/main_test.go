@@ -3,11 +3,13 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -70,6 +72,21 @@ func TestLoadUDPRun(t *testing.T) {
 	}
 }
 
+// TestLoadUDPRejectsWiresBeyondWidth: -udp-wires above the served width
+// is a usage error once the audit dial has learned the width, not a run
+// whose out-of-range datagrams are silently rejected as bad_wire.
+func TestLoadUDPRejectsWiresBeyondWidth(t *testing.T) {
+	tcp, udp := startUDPService(t, 4)
+	var out strings.Builder
+	err := run(context.Background(), options{
+		addr: tcp, udp: udp, clients: 1, mode: "sc",
+		udpBatch: 8, udpWires: 8, duration: time.Minute,
+	}, &out)
+	if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "-udp-wires 8 exceeds the served width 4") {
+		t.Fatalf("want usage error for -udp-wires 8 on width 4, got %v\n%s", err, out.String())
+	}
+}
+
 // TestLoadUDPRejectsLIN pins the mode gate: the UDP endpoint is SC-only.
 func TestLoadUDPRejectsLIN(t *testing.T) {
 	var out strings.Builder
@@ -88,7 +105,7 @@ func TestLoadRun(t *testing.T) {
 			addr := startService(t, 8)
 			var out strings.Builder
 			err := run(context.Background(), options{
-				addr: addr, clients: 4, window: 16, mode: mode,
+				addr: addr, clients: 4, mode: mode,
 				duration: 300 * time.Millisecond,
 			}, &out)
 			if err != nil {
@@ -100,7 +117,7 @@ func TestLoadRun(t *testing.T) {
 					t.Errorf("report missing %q:\n%s", want, got)
 				}
 			}
-			// 16 workers per client share one combiner per mode, so the
+			// 64 workers per client share one combiner per mode, so the
 			// wire line must show fewer frames than ops.
 			m := regexp.MustCompile(`wire: .*, ([0-9.]+) frames/op\)`).FindStringSubmatch(got)
 			if m == nil {
@@ -147,7 +164,7 @@ func TestLoadTraceExport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var out strings.Builder
 	err := run(context.Background(), options{
-		addr: addr, clients: 2, window: 8, mode: "sc",
+		addr: addr, clients: 2, mode: "sc",
 		duration: 300 * time.Millisecond,
 		sample:   8, traceOut: path, traceSrc: telem,
 	}, &out)
@@ -208,7 +225,7 @@ func TestLoadTraceOutRequiresSample(t *testing.T) {
 		{options{sample: 8, traceSrc: "http://127.0.0.1:1"}, "-trace-from requires -trace-out"},
 	} {
 		o := tc.o
-		o.addr, o.clients, o.window, o.mode, o.duration = "127.0.0.1:1", 1, 4, "sc", time.Minute
+		o.addr, o.clients, o.mode, o.duration = "127.0.0.1:1", 1, "sc", time.Minute
 		err := run(context.Background(), o, &strings.Builder{})
 		if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("want usage error %q, got %v", tc.want, err)
@@ -219,7 +236,7 @@ func TestLoadTraceOutRequiresSample(t *testing.T) {
 func TestLoadFailsWithoutService(t *testing.T) {
 	var out strings.Builder
 	err := run(context.Background(), options{
-		addr: "127.0.0.1:1", clients: 1, window: 4, mode: "sc",
+		addr: "127.0.0.1:1", clients: 1, mode: "sc",
 		duration: 100 * time.Millisecond,
 	}, &out)
 	if err == nil {
@@ -231,5 +248,23 @@ func TestLoadRejectsBadMode(t *testing.T) {
 	err := run(context.Background(), options{addr: "x", clients: 1, mode: "quantum"}, &strings.Builder{})
 	if err == nil || !strings.Contains(err.Error(), "quantum") {
 		t.Fatalf("want bad-mode error, got %v", err)
+	}
+}
+
+// TestLoadFlags pins countload's flag set, name and default, in flag
+// order: a flag added, dropped or re-defaulted shows up here as a diff.
+func TestLoadFlags(t *testing.T) {
+	fs := flag.NewFlagSet("countload", flag.ContinueOnError)
+	flags(fs, &options{})
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
+	want := []string{
+		"adaptive=false", "addr=127.0.0.1:9701", "cluster=", "cpuprofile=",
+		"duration=2s", "g=4", "mode=sc", "sim=0", "trace-from=",
+		"trace-out=", "trace-sample=0", "udp=", "udp-batch=64",
+		"udp-gso=0", "udp-wires=1",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("countload flags:\n got %q\nwant %q", got, want)
 	}
 }

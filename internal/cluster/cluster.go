@@ -28,14 +28,14 @@
 //     strictly increasing stripes — so the remote step property's
 //     F_nl = 0 holds cluster-wide. The leader holds an endorsement
 //     lease: it serves LIN and grants ranges only while a majority of
-//     peers have directly restated its exact claim within LeaseTimeout,
-//     AND both its own tenure and those endorsements have aged past
-//     RPCTimeout+LeaseTimeout. The aging fence is what makes leases
-//     mutually exclusive across a partition heal: a peer that switches
-//     to a newer claim never endorses the older one again (terms are
-//     monotone per node), so every lease statement the old leader still
-//     holds was produced before the switch and expires within
-//     RPCTimeout+LeaseTimeout of it — by the time the new leader's
+//     peers have directly restated its exact claim within leaseTimeout
+//     (4×GossipEvery), AND both its own tenure and those endorsements
+//     have aged past RPCTimeout+leaseTimeout. The aging fence is what
+//     makes leases mutually exclusive across a partition heal: a peer
+//     that switches to a newer claim never endorses the older one again
+//     (terms are monotone per node), so every lease statement the old
+//     leader still holds was produced before the switch and expires
+//     within RPCTimeout+leaseTimeout of it — by the time the new leader's
 //     endorsements mature, majority intersection guarantees the old
 //     lease is provably dead. See Node.leaseLocked for the full
 //     argument.
@@ -114,18 +114,10 @@ type Config struct {
 
 	// Clock is the time seam (nil: wall clock).
 	Clock clock.Clock
-	// GossipEvery paces the gossip loop (default 150ms).
+	// GossipEvery paces the gossip loop (default 150ms). The failure
+	// detector and the lease scale with it: a silent member is suspect
+	// after 8 periods and dead after 24, and the lease timeout is 4.
 	GossipEvery time.Duration
-	// SuspectAfter demotes a member to suspect when its heartbeat has not
-	// advanced for this long (default 8×GossipEvery).
-	SuspectAfter time.Duration
-	// DeadAfter demotes a suspect to dead (default 3×SuspectAfter).
-	DeadAfter time.Duration
-	// LeaseTimeout bounds how stale the leader's majority view may be
-	// while it still serves LIN and grants ranges. Must stay below
-	// SuspectAfter so a deposed leader's lease lapses before a successor
-	// is electable (default SuspectAfter/2).
-	LeaseTimeout time.Duration
 	// RPCTimeout bounds one cluster RPC round trip (default 2s).
 	RPCTimeout time.Duration
 
@@ -170,19 +162,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.GossipEvery <= 0 {
 		cfg.GossipEvery = 150 * time.Millisecond
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 8 * cfg.GossipEvery
-	}
-	if cfg.DeadAfter <= 0 {
-		cfg.DeadAfter = 3 * cfg.SuspectAfter
-	}
-	if cfg.LeaseTimeout <= 0 {
-		cfg.LeaseTimeout = cfg.SuspectAfter / 2
-	}
-	if cfg.LeaseTimeout >= cfg.SuspectAfter {
-		return cfg, fmt.Errorf("cluster: LeaseTimeout %v must stay below SuspectAfter %v",
-			cfg.LeaseTimeout, cfg.SuspectAfter)
-	}
 	if cfg.RPCTimeout <= 0 {
 		cfg.RPCTimeout = 2 * time.Second
 	}
@@ -220,6 +199,16 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	return cfg, nil
 }
+
+// The failure detector and the lease are fixed multiples of the gossip
+// period. A member whose heartbeat has not advanced for suspectAfter is
+// suspect, and dead after deadAfter. The leader serves LIN and grants
+// ranges only while a majority's view of it is at most leaseTimeout
+// stale. leaseTimeout is half of suspectAfter for every GossipEvery, so
+// a deposed leader's lease lapses before any successor is electable.
+func (cfg Config) suspectAfter() time.Duration { return 8 * cfg.GossipEvery }
+func (cfg Config) deadAfter() time.Duration    { return 24 * cfg.GossipEvery }
+func (cfg Config) leaseTimeout() time.Duration { return 4 * cfg.GossipEvery }
 
 // Audit is an append-only record of every range grant in a cluster run,
 // shared by all nodes under test so the harness can check global

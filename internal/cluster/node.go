@@ -75,7 +75,7 @@ func Start(cfg Config) (*Node, error) {
 		// so stale rumours about the old life cannot shadow the new one.
 		Incarnation: uint64(now.UnixNano()),
 	}
-	n.ms = newMembership(self, now, cfg.SuspectAfter, cfg.DeadAfter)
+	n.ms = newMembership(self, now, cfg.suspectAfter(), cfg.deadAfter())
 	ln, err := cfg.Listen(cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen %s: %w", cfg.Addr, err)
@@ -150,8 +150,8 @@ func (n *Node) quorum() int { return n.cfg.ExpectedPeers/2 + 1 }
 // old leader can still assemble therefore rests on statements the
 // switching peer made before it adopted the new claim; those statements
 // were generated at most RPCTimeout before they merged and expire
-// LeaseTimeout after, so the old lease is provably dead once the new
-// claim has been endorsed for RPCTimeout+LeaseTimeout — exactly the
+// leaseTimeout after, so the old lease is provably dead once the new
+// claim has been endorsed for RPCTimeout+leaseTimeout — exactly the
 // maturity both the leader's own tenure (electedAt) and every counted
 // endorsement must reach. Majorities intersect, so the two leases can
 // never overlap: the SC-vs-LIN gap stays honest across elections.
@@ -163,11 +163,11 @@ func (n *Node) leaseLocked(now time.Time) bool {
 	if n.alloc.epoch != EpochOf(cl.Term, cl.Leader) {
 		return false
 	}
-	aging := n.cfg.RPCTimeout + n.cfg.LeaseTimeout
+	aging := n.cfg.RPCTimeout + n.cfg.leaseTimeout()
 	if now.Sub(n.electedAt) < aging {
 		return false // a predecessor's lease may not have lapsed yet
 	}
-	return 1+n.ms.endorseCount(cl, now, n.cfg.LeaseTimeout, aging) >= n.quorum()
+	return 1+n.ms.endorseCount(cl, now, n.cfg.leaseTimeout(), aging) >= n.quorum()
 }
 
 // electLocked advances the leadership state machine one step. Called on
@@ -185,7 +185,7 @@ func (n *Node) electLocked(now time.Time) {
 		// ids. Supersede the ghost with a fresh term (fresh stripe) once a
 		// majority is fresh enough to propagate it; until then we hold no
 		// lease and refuse leadership work.
-		if n.ms.freshCount(now, n.cfg.LeaseTimeout) < n.quorum() {
+		if n.ms.freshCount(now, n.cfg.leaseTimeout()) < n.quorum() {
 			return
 		}
 		n.startTermLocked(now, "superseding own ghost claim of term %d", cl.Term)
@@ -213,7 +213,7 @@ func (n *Node) electLocked(now time.Time) {
 	if len(alive) == 0 || alive[0] != n.cfg.NodeID {
 		return
 	}
-	if n.ms.freshCount(now, n.cfg.LeaseTimeout) < n.quorum() {
+	if n.ms.freshCount(now, n.cfg.leaseTimeout()) < n.quorum() {
 		return
 	}
 	n.startTermLocked(now, "no live claimant")
@@ -221,7 +221,7 @@ func (n *Node) electLocked(now time.Time) {
 
 // startTermLocked begins a fresh term with this node as leader: a new
 // epoch, a new allocator over that epoch's untouched stripe. The lease
-// stays fenced until the term has aged RPCTimeout+LeaseTimeout and a
+// stays fenced until the term has aged RPCTimeout+leaseTimeout and a
 // majority's endorsements of it have matured the same way (leaseLocked).
 // The why is for the transition log only.
 func (n *Node) startTermLocked(now time.Time, why string, args ...any) {

@@ -465,8 +465,9 @@ func checkClusterInvariants(res *ClusterResult, w *World, audit *cluster.Audit) 
 	// epoch-fencing argument — and cluster-wide F_nl = 0: within an epoch
 	// the leader mints LIN from a strictly increasing frontier; across
 	// elections the new epoch's stripe starts above the old one's, and
-	// the lease ordering (LeaseTimeout < SuspectAfter) forbids old-leader
-	// mints after the new leader starts.
+	// the lease ordering (a lease of 4×GossipEvery lapses before the
+	// 8×GossipEvery suspicion that lets a successor stand) forbids
+	// old-leader mints after the new leader starts.
 	delivered, violations := auditOps(res.Ops, w, adversity, true)
 	res.Violations = append(res.Violations, violations...)
 	res.Delivered = len(delivered)

@@ -289,11 +289,6 @@ func (s *Scenario) faultsActive() bool {
 type Overrides struct {
 	Width   int // network fan (power of two)
 	Workers int // concurrent workload workers (clamped to [1, 16])
-	Mailbox int // server mailbox depth
-	// SrvOpTimeout arms the server-side mailbox deadline. Setting it also
-	// forces a client OpTimeout: a server that sheds stale requests needs
-	// clients that bound and retry them.
-	SrvOpTimeout time.Duration
 	// Mode "lin" makes every operation linearizable; "sc" makes every
 	// operation sequentially consistent; "" lets the seed choose the mix.
 	Mode     string
@@ -379,12 +374,6 @@ func GenScenarioWith(seed uint64, ov Overrides) Scenario {
 	}
 	if ov.Workers > 0 {
 		sc.Workers = min(max(ov.Workers, 1), 16)
-	}
-	if ov.Mailbox > 0 {
-		sc.Mailbox = ov.Mailbox
-	}
-	if ov.SrvOpTimeout > 0 {
-		sc.SrvOpTimeout = ov.SrvOpTimeout
 	}
 	if ov.Adaptive != nil {
 		sc.AdaptiveWindow = *ov.Adaptive

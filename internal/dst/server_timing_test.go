@@ -3,8 +3,8 @@ package dst
 // The wall-clock-sensitive server tests, converted to the simulated
 // clock: slow-consumer eviction (a reader that stops consuming must get
 // its connection dropped without stalling anyone else) and the adaptive
-// FlushPolicy MaxDelay hold (a response gathered while companions are
-// still in flight is held exactly MaxDelay, no longer). On the wall
+// FlushDelay hold (a response gathered while companions are
+// still in flight is held exactly FlushDelay, no longer). On the wall
 // clock these depended on scheduler luck — polling loops with generous
 // deadlines, timing asserted only as "not absurdly late". Here the
 // timing assertions are exact in simulated nanoseconds.
@@ -79,7 +79,7 @@ func TestSlowConsumerEvictionSimClock(t *testing.T) {
 		Clock:    w.Clk,
 		// Flush eagerly: every response is its own transport write, so the
 		// window fills write by write and the writer parks deterministically.
-		Flush: server.FlushPolicy{MaxDelay: -1},
+		FlushDelay: -1,
 	})
 	ln := w.Listen("sim")
 	go srv.Serve(ln)
@@ -180,14 +180,14 @@ func (b *stallBackend) IncBatch(w, k int) []runtime.Range {
 
 func (b *stallBackend) Shape() network.Shape { return b.inner.Shape() }
 
-// TestFlushMaxDelayHoldSimClock pins the adaptive FlushPolicy MaxDelay
+// TestFlushMaxDelayHoldSimClock pins the adaptive FlushDelay
 // timing exactly: a response whose connection still has a request in
 // flight is held for companions, and the hold is released by the
-// MaxDelay timer — in simulated time, between MaxDelay and MaxDelay
+// FlushDelay timer — in simulated time, between FlushDelay and FlushDelay
 // plus the transport jitter, not a nanosecond class more. The in-flight
 // request's own response then flushes eagerly (nothing outstanding).
 // The wall-clock original could only assert "Close delivers everything
-// eventually"; the actual MaxDelay bound was untestable.
+// eventually"; the actual FlushDelay bound was untestable.
 func TestFlushMaxDelayHoldSimClock(t *testing.T) {
 	const (
 		maxDelay = 5 * time.Millisecond
@@ -201,7 +201,7 @@ func TestFlushMaxDelayHoldSimClock(t *testing.T) {
 	srv := server.New(be, server.Options{
 		Clock:      w.Clk,
 		BatchLimit: 1,
-		Flush:      server.FlushPolicy{MaxDelay: maxDelay, MaxBytes: 1 << 20},
+		FlushDelay: maxDelay,
 	})
 	ln := w.Listen("sim")
 	go srv.Serve(ln)
@@ -227,7 +227,7 @@ func TestFlushMaxDelayHoldSimClock(t *testing.T) {
 		// One pipelined write, swept one op at a time: the fast op goes
 		// first, and the slow op (wire 0, stalls 20ms in the backend)
 		// keeps the connection "outstanding" while the fast op's response
-		// is gathered — forcing the MaxDelay hold.
+		// is gathered — forcing the FlushDelay hold.
 		for _, f := range []wire.Frame{
 			{Type: wire.TInc, ID: 2, Wire: 1},
 			{Type: wire.TInc, ID: 1, Wire: 0},
@@ -267,17 +267,17 @@ func TestFlushMaxDelayHoldSimClock(t *testing.T) {
 	if tm.fastID != 2 || tm.slowID != 1 {
 		t.Fatalf("response order: got ids %d then %d, want 2 (held) then 1 (stalled)", tm.fastID, tm.slowID)
 	}
-	// The held response is released by the MaxDelay timer: after the full
+	// The held response is released by the FlushDelay timer: after the full
 	// hold, but within transport jitter + a settle quantum of it.
 	hold := tm.fastAt - tm.sent
 	if hold < maxDelay {
-		t.Fatalf("held response released after %v, before MaxDelay %v — timer never held it", hold, maxDelay)
+		t.Fatalf("held response released after %v, before FlushDelay %v — timer never held it", hold, maxDelay)
 	}
 	if hold > maxDelay+time.Millisecond {
-		t.Fatalf("held response released after %v; MaxDelay is %v — flush timer fired late", hold, maxDelay)
+		t.Fatalf("held response released after %v; FlushDelay is %v — flush timer fired late", hold, maxDelay)
 	}
 	// The stalled op completes after its backend sleep and flushes
-	// eagerly (nothing else outstanding): no extra MaxDelay tax.
+	// eagerly (nothing else outstanding): no extra FlushDelay tax.
 	slow := tm.slowAt - tm.sent
 	if slow < stall {
 		t.Fatalf("stalled response arrived at %v, before its %v backend stall", slow, stall)

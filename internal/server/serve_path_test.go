@@ -9,7 +9,7 @@ import (
 	"repro/internal/wire"
 )
 
-// Slow-consumer eviction and the adaptive FlushPolicy MaxDelay hold were
+// Slow-consumer eviction and the adaptive FlushDelay hold were
 // tested here against real sockets with wall-clock polling loops —
 // whether they passed depended on kernel buffer sizes and scheduler
 // luck. Both now run on the simulated clock with exact timing

@@ -39,11 +39,11 @@
 // # Flush batching
 //
 // Each connection's writer gathers every queued response into its
-// buffered encoder and flushes adaptively (FlushPolicy): a connection
-// seeing one response at a time flushes immediately (no added latency),
-// while a pipelined connection's responses are held briefly — until the
-// queue drains and stays dry, a byte threshold fills, or a deadline
-// expires — so many response frames share one syscall.
+// buffered encoder and flushes adaptively (Options.FlushDelay): a
+// connection seeing one response at a time flushes immediately (no added
+// latency), while a pipelined connection's responses are held briefly —
+// until the queue drains and stays dry, a byte threshold fills, or a
+// deadline expires — so many response frames share one syscall.
 //
 // # Shutdown
 //
@@ -105,32 +105,10 @@ type Backend interface {
 	Shape() network.Shape
 }
 
-// FlushPolicy tunes the response writer's Nagle-style flush batching.
-// The zero value picks the defaults noted on each field.
-type FlushPolicy struct {
-	// MaxDelay bounds how long a pipelined response may sit in the write
-	// buffer waiting for companions before the writer forces a flush
-	// (default 200µs). Negative disables the wait entirely: the writer
-	// flushes every time its queue drains, the pre-batching behaviour.
-	// The wait is adaptive — it is only taken on connections that have
-	// demonstrated pipelining (more than one response per gather), so a
-	// strict request-response client never pays it.
-	MaxDelay time.Duration
-	// MaxBytes flushes mid-gather once this many bytes are buffered
-	// (default 16 KiB), bounding response latency under sustained bursts
-	// and keeping writes under the kernel's coalescing sweet spot.
-	MaxBytes int
-}
-
-func (p FlushPolicy) withDefaults() FlushPolicy {
-	if p.MaxDelay == 0 {
-		p.MaxDelay = 200 * time.Microsecond
-	}
-	if p.MaxBytes <= 0 {
-		p.MaxBytes = 16 << 10
-	}
-	return p
-}
+// flushBytes is the write-buffer fill at which the writer flushes
+// mid-gather, bounding response latency under sustained bursts and
+// keeping writes under the kernel's coalescing sweet spot.
+const flushBytes = 16 << 10
 
 // Options tunes a Server. The zero value picks the defaults noted on each
 // field.
@@ -147,8 +125,14 @@ type Options struct {
 	// disconnected — backpressure by eviction, so one slow consumer cannot
 	// stall the sweeper.
 	OutQueue int
-	// Flush tunes the per-connection response flush batching.
-	Flush FlushPolicy
+	// FlushDelay bounds how long a pipelined response may sit in the
+	// write buffer waiting for companions before the writer forces a
+	// flush (default 200µs). Negative disables the wait entirely: the
+	// writer flushes every time its queue drains, the pre-batching
+	// behaviour. The wait is adaptive — it is only taken on connections
+	// that have requests in flight, so a strict request-response client
+	// never pays it.
+	FlushDelay time.Duration
 	// OpTimeout, when positive, fails requests that waited in a mailbox
 	// longer than this with fault.ErrTimeout.
 	OpTimeout time.Duration
@@ -197,17 +181,10 @@ type Options struct {
 	// (default min(GOMAXPROCS, 4)). One socket on platforms without the
 	// fast path.
 	UDPSockets int
-	// UDPBatch is how many datagrams one ingest syscall may return
-	// (default packetio.MaxBatch; clamped to it).
-	UDPBatch int
 	// UDPWindow sizes each ingest loop's replay-dedup window: how many
 	// recent datagram ids are remembered to reject retransmits (default
 	// 4096).
 	UDPWindow int
-	// UDPPortable forces the classic one-ReadFrom-per-datagram UDP loop
-	// even where the batched fast path exists — the before/after lever for
-	// benchmarking the fast path against its predecessor.
-	UDPPortable bool
 	// UDPGSO opts the UDP endpoint into segmentation offload: UDP_GRO on
 	// the ingest sockets so one read slot carries a stride of coalesced
 	// wire frames from GSO senders. Ignored — full fallback to the plain
@@ -229,13 +206,12 @@ func (o Options) withDefaults() Options {
 	if o.UDPSockets <= 0 {
 		o.UDPSockets = min(stdruntime.GOMAXPROCS(0), 4)
 	}
-	if o.UDPBatch <= 0 || o.UDPBatch > packetio.MaxBatch {
-		o.UDPBatch = packetio.MaxBatch
-	}
 	if o.UDPWindow <= 0 {
 		o.UDPWindow = 4096
 	}
-	o.Flush = o.Flush.withDefaults()
+	if o.FlushDelay == 0 {
+		o.FlushDelay = 200 * time.Microsecond
+	}
 	return o
 }
 
@@ -987,7 +963,7 @@ func (c *conn) process(f *wire.Frame) {
 func (c *conn) writeLoop() {
 	defer c.s.writerWg.Done()
 	bw := newFrameWriter(c.nc)
-	pol := c.s.opt.Flush
+	delay := c.s.opt.FlushDelay
 	st := c.s.opt.Stats
 	fl := c.s.flight
 	var scratch []byte
@@ -1067,7 +1043,7 @@ func (c *conn) writeLoop() {
 			st.framesOut.Add(1)
 			st.bytesOut.Add(uint64(len(scratch)))
 		}
-		if bw.Buffered() >= pol.MaxBytes {
+		if bw.Buffered() >= flushBytes {
 			if st != nil {
 				st.flushThreshold.Add(1)
 			}
@@ -1153,16 +1129,16 @@ func (c *conn) writeLoop() {
 			// connection — their responses are guaranteed to arrive within
 			// a sweep. With nothing outstanding the client is blocked on
 			// this buffer, so it goes out now.
-			if pol.MaxDelay <= 0 || c.outstanding.Load() == 0 {
+			if delay <= 0 || c.outstanding.Load() == 0 {
 				disarm()
 				flush(false)
 				continue
 			}
 			if timerC == nil {
 				if timer == nil {
-					timer = c.s.clk.NewTimer(pol.MaxDelay)
+					timer = c.s.clk.NewTimer(delay)
 				} else {
-					timer.Reset(pol.MaxDelay)
+					timer.Reset(delay)
 				}
 				timerC = timer.C()
 			}

@@ -45,7 +45,10 @@ type Stats struct {
 	// bucket i counts syscalls that returned (2^(i-1), 2^i] datagrams.
 	// The batching win is legible here — a loaded fast-path server fills
 	// the top buckets, the portable loop never leaves bucket 0.
-	udpBatch [udpBatchBuckets]atomic.Uint64
+	// udpBatchSum carries the exact slot total so the histogram exports a
+	// sum in the buckets' unit.
+	udpBatch    [udpBatchBuckets]atomic.Uint64
+	udpBatchSum atomic.Uint64
 
 	// udpSegs is the GRO mirror of udpBatch: a log2 histogram of wire
 	// frames per received super-datagram. An unsegmented datagram lands in
@@ -65,7 +68,7 @@ type Stats struct {
 	faultDelayed    atomic.Uint64 // frames delayed by injected faults
 
 	flushes        atomic.Uint64 // writer flush syscalls
-	flushDeadline  atomic.Uint64 // flushes forced by the FlushPolicy deadline
+	flushDeadline  atomic.Uint64 // flushes forced by the FlushDelay deadline
 	flushThreshold atomic.Uint64 // flushes forced by the byte threshold
 	bytesOut       atomic.Uint64 // response bytes written
 
@@ -137,6 +140,7 @@ func (st *Stats) observeUDPBatch(n int) {
 		b++
 	}
 	st.udpBatch[b].Add(1)
+	st.udpBatchSum.Add(uint64(n))
 }
 
 // observeUDPSegs records one received datagram carrying n wire-frame
@@ -266,8 +270,10 @@ type Snapshot struct {
 
 	// UDPBatchSizes[i] counts ReadBatch syscalls returning (2^(i-1), 2^i]
 	// datagrams (so index 0 is the one-datagram bucket); omitted until a
-	// UDP endpoint has read traffic.
+	// UDP endpoint has read traffic. UDPBatchSum is the exact total of
+	// the slots those syscalls returned.
 	UDPBatchSizes []uint64 `json:"udpBatchSizes,omitempty"`
+	UDPBatchSum   uint64   `json:"udpBatchSum,omitempty"`
 
 	// UDPSegments[i] counts received datagrams carrying (2^(i-1), 2^i]
 	// wire-frame segments (index 0 = plain datagrams); omitted until a UDP
@@ -336,6 +342,7 @@ func (st *Stats) Snapshot() Snapshot {
 
 		UDPRejects:     st.loadUDPRejects(),
 		UDPBatchSizes:  st.loadUDPBatches(),
+		UDPBatchSum:    st.udpBatchSum.Load(),
 		UDPSegments:    loadBuckets(&st.udpSegs),
 		UDPSegmentsSum: st.udpSegsSum.Load(),
 		GSOActive:      st.gsoActive.Load(),
@@ -437,7 +444,7 @@ func (st *Stats) AppendMetrics(w io.Writer) {
 			fmt.Fprintf(w, "countd_udp_batch_size_bucket{le=\"%d\"} %d\n", 1<<i, cum)
 		}
 		fmt.Fprintf(w, "countd_udp_batch_size_bucket{le=\"+Inf\"} %d\n", cum)
-		fmt.Fprintf(w, "countd_udp_batch_size_sum %d\n", s.UDPDatagrams+s.UDPRejected)
+		fmt.Fprintf(w, "countd_udp_batch_size_sum %d\n", s.UDPBatchSum)
 		fmt.Fprintf(w, "countd_udp_batch_size_count %d\n", cum)
 	}
 	gauge("countd_udp_gso_active", "1 while UDP GSO/GRO segmentation offload is engaged", s.GSOActive)

@@ -24,9 +24,8 @@ import (
 // loop serves the same protocol.
 func (s *Server) ListenPacket(addr string) (net.Addr, error) {
 	conns, err := packetio.Listen(addr, packetio.Options{
-		Sockets:  s.opt.UDPSockets,
-		Portable: s.opt.UDPPortable,
-		GSO:      s.opt.UDPGSO,
+		Sockets: s.opt.UDPSockets,
+		GSO:     s.opt.UDPGSO,
 	})
 	if err != nil {
 		return nil, err
@@ -60,7 +59,7 @@ func (s *Server) ingestLoop(c packetio.Conn) {
 	if c.Segmented() {
 		slot = packetio.GROSlotSize
 	}
-	b := packetio.NewBatchSized(s.opt.UDPBatch, slot)
+	b := packetio.NewBatchSized(packetio.MaxBatch, slot)
 	for {
 		if _, err := c.ReadBatch(b); err != nil {
 			return // socket closed

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -363,6 +364,37 @@ func TestUDPSegmentedIngest(t *testing.T) {
 	}
 	if snap.SweepReqs != 1 {
 		t.Errorf("the sweeper saw %d posts for 17 datagrams, want 1 (one per batch)", snap.SweepReqs)
+	}
+}
+
+// TestUDPBatchSizeSumCountsSlots: the batch-size histogram's sum is in
+// the buckets' unit, slots per read. One read of one GRO slot carrying
+// four wire frames lands in bucket le="1" and must add 1 to the sum, not
+// the four frames it admitted.
+func TestUDPBatchSizeSumCountsSlots(t *testing.T) {
+	st := NewStats(0)
+	s := newIngestServer(t, 4, Options{Stats: st})
+	pi := s.NewPacketIngest()
+	b := packetio.NewBatchSized(1, packetio.GROSlotSize)
+	frames := make([]*wire.Frame, 4)
+	for i := range frames {
+		frames[i] = &wire.Frame{Type: wire.TInc, ID: uint64(0x100 + i), Wire: int64(i)}
+	}
+	appendSuper(t, b, 0, 0, frames...)
+	pi.IngestBatch(b)
+	waitIssued(t, s, 4)
+
+	var sb strings.Builder
+	st.AppendMetrics(&sb)
+	for _, want := range []string{
+		"countd_udp_batch_size_bucket{le=\"1\"} 1\n",
+		"countd_udp_batch_size_sum 1\n",
+		"countd_udp_batch_size_count 1\n",
+		"countd_udp_datagrams_total 4\n",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("/metrics missing %q:\n%s", want, sb.String())
+		}
 	}
 }
 

@@ -29,8 +29,6 @@ type (
 	ServerBackend = server.Backend
 	// ServerOptions tunes the server's queues, timeouts and fault seam.
 	ServerOptions = server.Options
-	// ServerFlushPolicy tunes the response writer's adaptive flush batching.
-	ServerFlushPolicy = server.FlushPolicy
 	// ServerStats is the serving layer's metrics sink.
 	ServerStats = server.Stats
 	// ServerSnapshot is a point-in-time copy of the server's metrics.
