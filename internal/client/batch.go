@@ -42,19 +42,18 @@ type batchGroup struct {
 
 const sealBit = int32(1) << 30
 
-// batcher is one flat-combining point; a client has Options.Conns of
-// them per mode, one per pooled connection, and callers on every wire
-// that maps to a batcher share it. SC and LIN never share a batcher, so
-// never a frame: in a cluster the LIN frame is forwarded to the leader
-// while SC is minted where it lands. Callers claim a slot in the open
-// group with two atomic adds — no lock on the per-op path — and the
-// caller that finds the batcher idle elects itself flusher with a CAS.
-// The flusher issues one TIncBatch per group, on the wire of the caller
-// that opened it, and, if callers kept arriving, hands off to a
-// continuation goroutine so its own latency stays one round trip. At
-// most one batch per batcher is in flight at a time; while it is out new
-// callers accumulate, which is exactly what builds big batches under
-// load. Different batchers flush concurrently.
+// batcher is one flat-combining point. A client has exactly two, one per
+// mode, and callers on every wire share their mode's. SC and LIN never
+// share a batcher, so never a frame: in a cluster the LIN frame is
+// forwarded to the leader while SC is minted where it lands. Callers
+// claim a slot in the open group with two atomic adds — no lock on the
+// per-op path — and the caller that finds the batcher idle elects itself
+// flusher with a CAS. The flusher issues one TIncBatch per group, on the
+// wire of the caller that opened it and the pool's next connection, and,
+// if callers kept arriving, hands off to a continuation goroutine so its
+// own latency stays one round trip. At most one batch per mode is in
+// flight at a time; while it is out new callers accumulate, which is
+// exactly what builds big batches under load.
 type batcher struct {
 	open     atomic.Pointer[batchGroup]
 	inflight atomic.Bool
@@ -64,14 +63,13 @@ type batcher struct {
 }
 
 // incBatched submits one increment on wire w through its mode's batcher
-// w % Conns and waits for its dealt-out value. Should w open the group,
-// the whole group enters on w. Any mode but SC is LIN.
+// and waits for its dealt-out value. Should w open the group, the whole
+// group enters on w. Any mode but SC is LIN.
 func (c *Client) incBatched(ctx context.Context, w int, mode wire.Mode) (int64, error) {
-	i := w % c.opt.Conns
 	if mode != wire.ModeSC {
-		mode, i = wire.ModeLIN, i+c.opt.Conns
+		mode = wire.ModeLIN
 	}
-	b := &c.batchers[i]
+	b := &c.batchers[mode]
 	g, idx := b.join(c.opt.BatchLimit, func() *batchGroup { return c.newGroup(w, mode) })
 	if b.inflight.CompareAndSwap(false, true) {
 		b.settle()

@@ -12,18 +12,19 @@
 // # Re-batching
 //
 // Concurrent Inc calls do not each cross the network. They meet at a
-// flat-combining point, one per pooled connection (Options.Conns) and
-// mode, which callers on every input wire share: the caller that finds
-// it idle becomes the flusher, folds everyone queued behind it into one
-// TIncBatch frame of that mode, and deals the returned value ranges back
-// out in arrival order. The frame enters on the wire of the caller that
-// opened the group; the counting and step properties do not depend on
-// which wires tokens enter on, and a caller's next increment waits for
-// this one's value, so per-process order survives. LIN combines too:
-// every op in a frame was invoked before it was sent and answers after
-// its reply, so they all overlap, and an op invoked after a reply joins
-// a later frame, which the server sweeps later. Against a coalescing
-// server this compounds: many callers → few frames → fewer sweeps.
+// flat-combining point, exactly one per mode, which callers on every
+// input wire share: the caller that finds it idle becomes the flusher,
+// folds everyone queued behind it into one TIncBatch frame of that mode,
+// sends it on the pool's next connection (Options.Conns sizes only the
+// pool), and deals the returned value ranges back out in arrival order.
+// The frame enters on the wire of the caller that opened the group; the
+// counting and step properties do not depend on which wires tokens enter
+// on, and a caller's next increment waits for this one's value, so
+// per-process order survives. LIN combines too: every op in a frame was
+// invoked before it was sent and answers after its reply, so they all
+// overlap, and an op invoked after a reply joins a later frame, which
+// the server sweeps later. Against a coalescing server this compounds:
+// many callers → few frames → fewer sweeps.
 // IncBatchCtx never re-batches and always enters on the caller's wire.
 //
 // # Group commit
@@ -59,7 +60,8 @@ import (
 // Options tunes a Client; the zero value picks the defaults noted on
 // each field.
 type Options struct {
-	// Conns is the connection pool size (default 1).
+	// Conns is the connection pool size (default 1). It sizes only the
+	// pool; combined Inc calls meet at one combining point per mode.
 	Conns int
 	// Window bounds the in-flight (unanswered) requests per connection
 	// (default 64); acquiring a slot blocks, which is the client-side
@@ -157,7 +159,7 @@ type Client struct {
 	pool   []*cconn // slots; nil or dead entries are re-dialed lazily
 	closed bool
 
-	batchers []batcher // flat-combining points: Conns for SC, then Conns for LIN
+	batchers [2]batcher // flat-combining points, indexed by mode: SC, then LIN
 	done     chan struct{}
 
 	// The node advertisement learned from an extended handshake (cluster
@@ -188,7 +190,6 @@ func Dial(addr string, opt Options) (*Client, error) {
 		c.sampler = flightrec.NewSampler(c.opt.TraceSample, c.opt.TraceActor)
 	}
 	c.pool = make([]*cconn, c.opt.Conns)
-	c.batchers = make([]batcher, 2*c.opt.Conns)
 	// The handshake is bounded by DialTimeout and retried like any other
 	// request: on a faulty transport the THello or its TShape answer can
 	// be dropped, and an unbounded wait would hang Dial forever. A

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -285,32 +286,44 @@ func driveIncs(t *testing.T, c *Client, callers, per int, wireOf func(i int) int
 	}
 }
 
-// TestRebatchingAcrossWires: callers on different input wires share their
-// connection's combining point, so a round of increments costs one frame
-// per connection, not one per wire.
+// TestRebatchingAcrossWires: callers on different input wires and behind
+// different pooled connections share their mode's one combining point, so
+// a round of increments costs one frame, not one per wire or per
+// connection.
 func TestRebatchingAcrossWires(t *testing.T) {
 	t.Run("frames", func(t *testing.T) {
-		// 64 callers on 16 wires, 4 sequential incs each, one connection.
-		// With one combiner per wire, each wire needs its own frame for
-		// each of its callers' 4 rounds: at least 16×4 = 64 frames (the
-		// per-wire client measured 64–66 at -cpu 1,2,8, 65–88 under
-		// -race). One combiner per connection folds every wire into each
-		// round: measured 4–8, with or without -race.
-		st := server.NewStats(0)
-		s := server.New(&slowBackend{delay: 20 * time.Millisecond, width: 16}, server.Options{Stats: st})
-		addr, err := s.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		c := dialC(t, addr.String(), Options{Conns: 1})
-
+		// 64 callers on 16 wires, 4 sequential incs each. With one
+		// combiner per wire, each wire needs its own frame for each of its
+		// callers' 4 rounds: at least 16×4 = 64 frames (the per-wire
+		// client measured 64–66 at -cpu 1,2,8, 65–88 under -race). With
+		// one combiner per pooled connection, Conns 4 needs a frame per
+		// connection per round: at least 4×4 = 16 (measured 16–25 at
+		// -cpu 1,2,8, with or without -race). One combiner per mode
+		// folds every wire and every connection into each round:
+		// measured 4–8 at either pool size.
 		const callers, per, wires = 64, 4, 16
-		driveIncs(t, c, callers, per, func(i int) int { return i % wires })
-		in := st.Snapshot().FramesIn - 1 // minus the handshake
-		t.Logf("%d inc frames for %d incs on %d wires", in, callers*per, wires)
-		if in >= wires*per/2 {
-			t.Fatalf("combining stops at the wire: %d inc frames for %d incs on %d wires", in, callers*per, wires)
+		for _, tc := range []struct{ conns, max int }{
+			{conns: 1, max: wires * per / 2},
+			{conns: 4, max: 4 * per},
+		} {
+			t.Run(fmt.Sprintf("conns=%d", tc.conns), func(t *testing.T) {
+				st := server.NewStats(0)
+				s := server.New(&slowBackend{delay: 20 * time.Millisecond, width: 16}, server.Options{Stats: st})
+				addr, err := s.Listen("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				c := dialC(t, addr.String(), Options{Conns: tc.conns})
+
+				driveIncs(t, c, callers, per, func(i int) int { return i % wires })
+				in := st.Snapshot().FramesIn - 1 // minus the handshake
+				t.Logf("%d inc frames for %d incs on %d wires and %d connections", in, callers*per, wires, tc.conns)
+				if in >= uint64(tc.max) {
+					t.Fatalf("combining stops at the wire or the connection: %d inc frames for %d incs on %d wires and %d connections, want < %d",
+						in, callers*per, wires, tc.conns, tc.max)
+				}
+			})
 		}
 	})
 
@@ -364,19 +377,22 @@ func TestRetryOnBackpressure(t *testing.T) {
 	}
 	defer s.Close()
 	// BatchLimit 1 defeats the client-side combiner so every Inc is its
-	// own frame, and Conns 4 gives four combining points, so four frames
-	// are in flight at once and the single mailbox slot actually
-	// overfills. (With one connection the lone combining point
-	// would send one frame at a time and never shed.)
-	c := dialC(t, addr.String(), Options{BatchLimit: 1, Conns: 4, Retries: 20})
+	// own frame. A client's one combining point per mode sends one frame
+	// at a time, so four clients put four frames in flight at once and
+	// the single mailbox slot actually overfills.
+	const clients, callers = 4, 16
+	cs := make([]*Client, clients)
+	for i := range cs {
+		cs[i] = dialC(t, addr.String(), Options{BatchLimit: 1, Retries: 20})
+	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 16)
-	for i := 0; i < 16; i++ {
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := c.IncCtx(context.Background(), i); err != nil {
+			if _, err := cs[i%clients].IncCtx(context.Background(), i); err != nil {
 				errs <- err
 			}
 		}(i)
