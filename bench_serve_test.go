@@ -9,7 +9,8 @@ package countingnet
 // paper's SC-vs-LIN story on one node: both modes combine across callers
 // and ride the same sweeps, and a single sweeper's one-at-a-time
 // traversals are the waiting LIN needs, so the two curves should sit
-// close together.
+// close together. BenchmarkPipelinedIncBatch is the uncombined side:
+// many requests in flight on one connection, sharing write syscalls.
 
 import (
 	"context"
@@ -138,6 +139,58 @@ func BenchmarkServerLoopback(b *testing.B) {
 				b.ReportMetric(float64(c.Stats().Writes-before)/float64(b.N), "writes/op")
 			})
 		}
+	}
+}
+
+// BenchmarkPipelinedIncBatch — the traffic the client's group commit
+// serves: 64 goroutines sharing one connection, each calling
+// IncBatchCtx with k=1, which never combines, so up to Window requests
+// are in flight on the connection at once. frames/write is the
+// group-commit factor: the frames each write syscall carried.
+func BenchmarkPipelinedIncBatch(b *testing.B) {
+	const g = 64
+	for _, mode := range []wire.Mode{wire.ModeSC, wire.ModeLIN} {
+		b.Run(fmt.Sprintf("mode=%s", mode), func(b *testing.B) {
+			rt := runtime.MustCompile(construct.MustBitonic(8))
+			srv := server.New(rt, server.Options{})
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			c, err := client.Dial(addr.String(), client.Options{Mode: mode, Conns: 1, Window: 64})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+
+			before := c.Stats()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < g; w++ {
+				n := b.N / g
+				if w < b.N%g {
+					n++
+				}
+				wg.Add(1)
+				go func(w, n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						if _, err := c.IncBatchCtx(context.Background(), w%8, 1, mode); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(w, n)
+			}
+			wg.Wait()
+			b.StopTimer()
+			after := c.Stats()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+			if writes := after.Writes - before.Writes; writes > 0 {
+				b.ReportMetric(float64(after.Frames-before.Frames)/float64(writes), "frames/write")
+			}
+		})
 	}
 }
 

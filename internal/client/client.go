@@ -13,18 +13,23 @@
 //
 // Concurrent Inc calls do not each cross the network. They meet at a
 // flat-combining point, exactly one per mode, which callers on every
-// input wire share: the caller that finds it idle becomes the flusher,
-// folds everyone queued behind it into one TIncBatch frame of that mode,
-// sends it on the pool's next connection (Options.Conns sizes only the
-// pool), and deals the returned value ranges back out in arrival order.
-// The frame enters on the wire of the caller that opened the group; the
-// counting and step properties do not depend on which wires tokens enter
-// on, and a caller's next increment waits for this one's value, so
-// per-process order survives. LIN combines too: every op in a frame was
-// invoked before it was sent and answers after its reply, so they all
-// overlap, and an op invoked after a reply joins a later frame, which
-// the server sweeps later. Against a coalescing server this compounds:
-// many callers → few frames → fewer sweeps.
+// input wire share: the caller that finds no group open opens one, and
+// everyone who arrives while it waits for its mode's turn joins it. On
+// its turn the opener seals the group, sends it as one TIncBatch frame
+// of that mode on the pool's next connection (Options.Conns sizes only
+// the pool), and deals the returned value ranges back out in arrival
+// order; so each mode has at most one frame in flight, and no goroutine
+// is started to send one. An opener whose context ends before its turn
+// comes sends nothing: its group is dropped unsent and the other members
+// join a later one.
+// The frame enters on the opener's wire; the counting and step
+// properties do not depend on which wires tokens enter on, and a
+// caller's next increment waits for this one's value, so per-process
+// order survives. LIN combines too: every op in a frame was invoked
+// before it was sent and answers after its reply, so they all overlap,
+// and an op invoked after a reply joins a later frame, which the server
+// sweeps later. Against a coalescing server this compounds: many callers
+// → few frames → fewer sweeps.
 // IncBatchCtx never re-batches and always enters on the caller's wire.
 //
 // # Group commit
@@ -34,7 +39,11 @@
 // finds no writer active writes for everyone — one yield so the rest of a
 // burst can append, then one Write per accumulated buffer until none is
 // left. A lone caller still gets exactly one Write per request and no
-// added hold. Stats reports how many frames each write carried.
+// added hold. Stats reports how many frames each write carried. Combined
+// increments keep at most one frame per mode in flight, so group commit
+// serves the pipelined, uncombined requests: IncBatchCtx and Read, up to
+// Window per connection. No caller waits on another's Write; each waits
+// only for its reply, under its own context.
 package client
 
 import (
@@ -184,6 +193,9 @@ func Dial(addr string, opt Options) (*Client, error) {
 		opt:  opt.withDefaults(),
 		clk:  clock.Or(opt.Clock),
 		done: make(chan struct{}),
+	}
+	for i := range c.batchers {
+		c.batchers[i].turn = make(chan struct{}, 1)
 	}
 	c.flight = c.opt.Flight
 	if c.opt.TraceSample > 0 {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/consistency"
 	"repro/internal/construct"
+	"repro/internal/fault"
 	"repro/internal/network"
 	"repro/internal/runtime"
 	"repro/internal/server"
@@ -183,13 +184,16 @@ func TestSCProcessOrder(t *testing.T) {
 }
 
 // slowBackend delays sweeps so concurrent client Incs pile up in the
-// re-batching mailbox.
+// re-batching mailbox. With hold set, every sweep also counts itself in
+// entered and then waits until hold is closed.
 type slowBackend struct {
-	delay time.Duration
-	width int // input wires served (0: 4)
-	mu    sync.Mutex
-	next  int64
-	wires []int // entry wire of every IncBatch, in order
+	delay   time.Duration
+	width   int // input wires served (0: 4)
+	hold    chan struct{}
+	entered atomic.Int32
+	mu      sync.Mutex
+	next    int64
+	wires   []int // entry wire of every IncBatch, in order
 }
 
 func (b *slowBackend) Shape() network.Shape {
@@ -202,6 +206,10 @@ func (b *slowBackend) Shape() network.Shape {
 
 func (b *slowBackend) IncBatch(w, k int) []runtime.Range {
 	time.Sleep(b.delay)
+	if b.hold != nil {
+		b.entered.Add(1)
+		<-b.hold
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	first := b.next
@@ -245,6 +253,168 @@ func TestRebatching(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCancelInsideGroup: cancelling members of a combined group touches
+// no one else. Eight callers share one group; while its frame is out,
+// the opener's context and one other member's are cancelled. The group
+// still crosses as exactly one frame — the opener sends even when
+// cancelled — the other six get six distinct values, and the cancelled
+// member returns its context error.
+func TestCancelInsideGroup(t *testing.T) {
+	st := server.NewStats(0)
+	be := &slowBackend{hold: make(chan struct{})}
+	s := server.New(be, server.Options{Stats: st})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	unhold := sync.OnceFunc(func() { close(be.hold) })
+	defer unhold()
+	c := dialC(t, addr.String(), Options{})
+
+	// The test holds the SC turn, so every member joins the group while
+	// its opener waits.
+	b := &c.batchers[wire.ModeSC]
+	b.turn <- struct{}{}
+	const members, other = 8, 5
+	res := make([]chan incResult, members)
+	cancels := make([]context.CancelFunc, members)
+	for i := range cancels {
+		var ctx context.Context
+		ctx, cancels[i] = context.WithCancel(context.Background())
+		defer cancels[i]()
+		res[i] = goInc(ctx, c, i)
+		if i == 0 {
+			waitFor(t, "the opener to install its group", func() bool { return b.open.Load() != nil })
+		}
+	}
+	g := b.open.Load()
+	waitFor(t, "every member to join", func() bool { return g.arrivals.Load() == members })
+	<-b.turn
+	waitFor(t, "the group's frame to reach the backend", func() bool { return be.entered.Load() == 1 })
+	cancels[0]()
+	cancels[other]()
+	if r := <-res[other]; !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("cancelled member returned %d, %v; want context.Canceled", r.v, r.err)
+	}
+	unhold()
+
+	seen := make(map[int64]bool, members)
+	for i := 1; i < members; i++ {
+		if i == other {
+			continue
+		}
+		r := <-res[i]
+		if r.err != nil {
+			t.Fatalf("member %d: %v", i, r.err)
+		}
+		if seen[r.v] {
+			t.Fatalf("value %d dealt twice", r.v)
+		}
+		seen[r.v] = true
+	}
+	// The opener may see its value or its cancellation.
+	if r := <-res[0]; r.err != nil && !errors.Is(r.err, context.Canceled) || r.err == nil && seen[r.v] {
+		t.Fatalf("opener returned %d, %v", r.v, r.err)
+	}
+	if in := st.Snapshot().FramesIn; in != 2 {
+		t.Fatalf("server read %d frames, want 2: the hello and one increment frame", in)
+	}
+	be.mu.Lock()
+	defer be.mu.Unlock()
+	if len(be.wires) != 1 || be.wires[0] != 0 {
+		t.Fatalf("server traversed on wires %v, want one batch on the opener's wire 0", be.wires)
+	}
+}
+
+// TestOpenerDeadlineBehindStalledFrame: an opener waiting for its turn
+// behind a stalled frame still returns on its own deadline. Its group is
+// dropped unsent, and its members join a later group that goes out once
+// the stalled frame is answered: no value is minted for the opener, and
+// every member gets a distinct one.
+func TestOpenerDeadlineBehindStalledFrame(t *testing.T) {
+	st := server.NewStats(0)
+	be := &slowBackend{hold: make(chan struct{})}
+	s := server.New(be, server.Options{Stats: st})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	unhold := sync.OnceFunc(func() { close(be.hold) })
+	defer unhold()
+	c := dialC(t, addr.String(), Options{})
+	b := &c.batchers[wire.ModeSC]
+
+	// A lone caller's frame stalls in the backend; its opener holds the
+	// SC turn until the reply comes.
+	first := goInc(context.Background(), c, 1)
+	waitFor(t, "the first frame to stall in the backend", func() bool { return be.entered.Load() == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	opener := goInc(ctx, c, 0)
+	waitFor(t, "the opener to install its group or give up", func() bool {
+		return b.open.Load() != nil || len(opener) > 0
+	})
+	const members = 6
+	res := make([]chan incResult, members)
+	for i := range res {
+		res[i] = goInc(context.Background(), c, 2+i%2)
+	}
+	select {
+	case r := <-opener:
+		if !errors.Is(r.err, fault.ErrTimeout) {
+			t.Fatalf("opener returned %d, %v; want ErrTimeout", r.v, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("opener still waiting behind the stalled frame past its deadline")
+	}
+	if n := be.entered.Load(); n != 1 {
+		t.Fatalf("backend entered %d times before the stalled frame returned, want 1", n)
+	}
+	waitFor(t, "every member to join the next group", func() bool {
+		g := b.open.Load()
+		return g != nil && g.arrivals.Load() == members
+	})
+	unhold()
+
+	seen := make(map[int64]bool, members+1)
+	for _, ch := range append(res, first) {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("caller: %v", r.err)
+		}
+		if seen[r.v] {
+			t.Fatalf("value %d dealt twice", r.v)
+		}
+		seen[r.v] = true
+	}
+	for v := int64(0); v <= members; v++ {
+		if !seen[v] {
+			t.Fatalf("values %v, want exactly 0..%d: none minted for the opener", seen, members)
+		}
+	}
+	if in := st.Snapshot().FramesIn; in != 3 {
+		t.Fatalf("server read %d frames, want 3: the hello, the stalled frame and the members' frame", in)
+	}
+}
+
+type incResult struct {
+	v   int64
+	err error
+}
+
+// goInc runs one combined SC increment on wire w in its own goroutine.
+func goInc(ctx context.Context, c *Client, w int) chan incResult {
+	ch := make(chan incResult, 1)
+	go func() {
+		v, err := c.IncMode(ctx, w, wire.ModeSC)
+		ch <- incResult{v, err}
+	}()
+	return ch
 }
 
 // driveIncs runs callers goroutines of per sequential SC incs each, caller
@@ -348,9 +518,10 @@ func TestRebatchingAcrossWires(t *testing.T) {
 		if g1 != g2 || i1 != 0 || i2 != 1 {
 			t.Fatalf("joiners on wires 3 and 5 did not share a group: (%p,%d) (%p,%d)", g1, i1, g2, i2)
 		}
-		g := b.take(c.opt.BatchLimit)
-		if g != g1 || g.n != 2 || g.wire != 3 {
-			t.Fatalf("took group n=%d wire=%d, want the opened group, n=2 wire=3", g.n, g.wire)
+		g := g1
+		b.seal(g, c.opt.BatchLimit)
+		if b.open.Load() != nil || g.n != 2 || g.wire != 3 {
+			t.Fatalf("sealed group n=%d wire=%d (still open: %v), want detached, n=2 wire=3", g.n, g.wire, b.open.Load() == g)
 		}
 		c.sendGroup(g)
 		v1, err1 := waitInc(context.Background(), g, i1)

@@ -32,8 +32,8 @@ import (
 type Stage uint8
 
 const (
-	// StageClientCombine: batch-group birth (first joiner) → the elected
-	// flusher hands the combined frame to the connection. Client-side
+	// StageClientCombine: batch-group birth (its opener's arrival) → the
+	// opener hands the combined frame to the connection. Client-side
 	// enqueue + combine + encode.
 	StageClientCombine Stage = iota
 	// StageClientRPC: frame handed to the connection → response frame

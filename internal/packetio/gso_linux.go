@@ -60,7 +60,9 @@ func groSegSize(ctrl []byte) int {
 	off := 0
 	for off+cmsgHdrLen <= len(ctrl) {
 		h := (*cmsgHdr)(unsafe.Pointer(&ctrl[off]))
-		if h.Len < cmsgHdrLen || off+int(h.Len) > len(ctrl) {
+		// Compared as uint64: a length with its top bit set would turn
+		// negative as an int and pass the bounds check.
+		if h.Len < cmsgHdrLen || h.Len > uint64(len(ctrl)-off) {
 			return 0 // malformed or truncated control data
 		}
 		if h.Level == solUDP && h.Type == udpGRO && int(h.Len) >= cmsgHdrLen+4 {

@@ -3,9 +3,11 @@
 package packetio
 
 import (
+	"encoding/binary"
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // resetProbe clears the cached capability verdict so a test can re-run
@@ -147,4 +149,41 @@ func TestGSORoundTrip(t *testing.T) {
 			t.Fatalf("frame %d delivered %d times, want exactly once", s, got[byte(s)])
 		}
 	}
+}
+
+// cmsgBytes lays out one control message the way groSegSize reads it on
+// a little-endian 64-bit kernel, in a buffer of ctrlSlot bytes.
+func cmsgBytes(length uint64, level, typ int32, payload []byte) []byte {
+	b := make([]byte, ctrlSlot)
+	binary.LittleEndian.PutUint64(b, length)
+	binary.LittleEndian.PutUint32(b[8:], uint32(level))
+	binary.LittleEndian.PutUint32(b[12:], uint32(typ))
+	copy(b[cmsgHdrLen:], payload)
+	return b
+}
+
+// FuzzGROSegSize: the control-message walk stays inside the control data
+// whatever lengths the headers claim, and reads the stride of a
+// well-formed leading UDP_GRO message.
+func FuzzGROSegSize(f *testing.F) {
+	f.Add(cmsgBytes(cmsgHdrLen+4, solUDP, udpGRO, binary.LittleEndian.AppendUint32(nil, 1200)))
+	f.Add(cmsgBytes(1<<63|cmsgHdrLen, solUDP, udpGRO, nil))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		// The kernel hands the walk an 8-byte aligned slot; so does this.
+		words := make([]uint64, len(b)/8+1)
+		ctrl := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(b))
+		copy(ctrl, b)
+		got := groSegSize(ctrl)
+		if len(b) < cmsgHdrLen+4 {
+			return
+		}
+		n := binary.LittleEndian.Uint64(b)
+		level := int32(binary.LittleEndian.Uint32(b[8:]))
+		typ := int32(binary.LittleEndian.Uint32(b[12:]))
+		if n >= cmsgHdrLen+4 && n <= uint64(len(b)) && level == solUDP && typ == udpGRO {
+			if want := int(int32(binary.LittleEndian.Uint32(b[cmsgHdrLen:]))); got != want {
+				t.Fatalf("leading UDP_GRO message of stride %d read as %d", want, got)
+			}
+		}
+	})
 }
