@@ -68,6 +68,10 @@ const (
 	StripeShift = 34
 	// StripeSize is the number of ids in one epoch's stripe.
 	StripeSize = int64(1) << StripeShift
+	// MaxTerm is the highest election term a peer's digest may carry: the
+	// election after it, at the highest node id, still owns a stripe that
+	// ends within int64. A larger term would overflow StripeBase.
+	MaxTerm = 1<<(63-StripeShift)/MaxNodes - 2
 )
 
 // EpochOf encodes an election term and a node id into an epoch.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"sort"
 	"time"
 )
@@ -276,8 +277,24 @@ func (d digest) encode() []byte {
 	return b
 }
 
+// decodeDigest also rejects what merge must never admit: a member or
+// leader id outside [1, MaxNodes), which no Config accepts, and a term
+// above MaxTerm, whose next epoch's stripe would overflow int64.
 func decodeDigest(b []byte) (digest, error) {
 	var d digest
-	err := json.Unmarshal(b, &d)
-	return d, err
+	if err := json.Unmarshal(b, &d); err != nil {
+		return digest{}, err
+	}
+	for _, m := range d.Members {
+		if m.ID == 0 || m.ID >= MaxNodes {
+			return digest{}, fmt.Errorf("cluster: digest member id %d outside [1, %d)", m.ID, MaxNodes)
+		}
+	}
+	if d.Claim.Leader >= MaxNodes {
+		return digest{}, fmt.Errorf("cluster: digest leader id %d outside [1, %d)", d.Claim.Leader, MaxNodes)
+	}
+	if d.Claim.Term > MaxTerm {
+		return digest{}, fmt.Errorf("cluster: digest term %d above %d", d.Claim.Term, uint64(MaxTerm))
+	}
+	return d, nil
 }

@@ -2,12 +2,12 @@ package dst
 
 // The wall-clock-sensitive server tests, converted to the simulated
 // clock: slow-consumer eviction (a reader that stops consuming must get
-// its connection dropped without stalling anyone else) and the adaptive
-// FlushDelay hold (a response gathered while companions are
-// still in flight is held exactly FlushDelay, no longer). On the wall
-// clock these depended on scheduler luck — polling loops with generous
-// deadlines, timing asserted only as "not absurdly late". Here the
-// timing assertions are exact in simulated nanoseconds.
+// its connection dropped without stalling anyone else) and the writer's
+// flush rule (a reply goes out as soon as the writer's queue drains, even
+// while a request on the same connection is still in flight). On the
+// wall clock these depended on scheduler luck — polling loops with
+// generous deadlines, timing asserted only as "not absurdly late". Here
+// the timing assertions are exact in simulated nanoseconds.
 
 import (
 	"bufio"
@@ -77,9 +77,6 @@ func TestSlowConsumerEvictionSimClock(t *testing.T) {
 		OutQueue: 4,
 		Stats:    st,
 		Clock:    w.Clk,
-		// Flush eagerly: every response is its own transport write, so the
-		// window fills write by write and the writer parks deterministically.
-		FlushDelay: -1,
 	})
 	ln := w.Listen("sim")
 	go srv.Serve(ln)
@@ -180,18 +177,17 @@ func (b *stallBackend) IncBatch(w, k int) []runtime.Range {
 
 func (b *stallBackend) Shape() network.Shape { return b.inner.Shape() }
 
-// TestFlushMaxDelayHoldSimClock pins the adaptive FlushDelay
-// timing exactly: a response whose connection still has a request in
-// flight is held for companions, and the hold is released by the
-// FlushDelay timer — in simulated time, between FlushDelay and FlushDelay
-// plus the transport jitter, not a nanosecond class more. The in-flight
-// request's own response then flushes eagerly (nothing outstanding).
-// The wall-clock original could only assert "Close delivers everything
-// eventually"; the actual FlushDelay bound was untestable.
-func TestFlushMaxDelayHoldSimClock(t *testing.T) {
+// TestPipelinedReplyNotHeldSimClock pins the writer's flush rule: it
+// flushes whenever its queue drains and never holds a reply back to wait
+// for companions. Two pipelined requests are swept apart; the second
+// stalls in the backend, and the first one's reply must reach the client
+// while the stalled request is still in flight — within transport
+// jitter of the write, not after any hold. The stalled reply then
+// arrives after its backend stall plus jitter only.
+func TestPipelinedReplyNotHeldSimClock(t *testing.T) {
 	const (
-		maxDelay = 5 * time.Millisecond
-		stall    = 20 * time.Millisecond
+		fastBound = 100 * time.Microsecond
+		stall     = 20 * time.Millisecond
 	)
 	w := NewWorld(3030, 5*time.Microsecond, 25*time.Microsecond, nil)
 	be := &stallBackend{inner: compileBitonic(t, 2), clk: w.Clk, delay: stall}
@@ -201,7 +197,6 @@ func TestFlushMaxDelayHoldSimClock(t *testing.T) {
 	srv := server.New(be, server.Options{
 		Clock:      w.Clk,
 		BatchLimit: 1,
-		FlushDelay: maxDelay,
 	})
 	ln := w.Listen("sim")
 	go srv.Serve(ln)
@@ -225,9 +220,8 @@ func TestFlushMaxDelayHoldSimClock(t *testing.T) {
 		defer nc.Close()
 		var buf []byte
 		// One pipelined write, swept one op at a time: the fast op goes
-		// first, and the slow op (wire 0, stalls 20ms in the backend)
-		// keeps the connection "outstanding" while the fast op's response
-		// is gathered — forcing the FlushDelay hold.
+		// first, and the slow op (wire 0, stalls 20ms in the backend) is
+		// still in flight while the fast op's reply is gathered.
 		for _, f := range []wire.Frame{
 			{Type: wire.TInc, ID: 2, Wire: 1},
 			{Type: wire.TInc, ID: 1, Wire: 0},
@@ -265,25 +259,24 @@ func TestFlushMaxDelayHoldSimClock(t *testing.T) {
 		t.Fatal(tm.err)
 	}
 	if tm.fastID != 2 || tm.slowID != 1 {
-		t.Fatalf("response order: got ids %d then %d, want 2 (held) then 1 (stalled)", tm.fastID, tm.slowID)
+		t.Fatalf("response order: got ids %d then %d, want 2 (fast) then 1 (stalled)", tm.fastID, tm.slowID)
 	}
-	// The held response is released by the FlushDelay timer: after the full
-	// hold, but within transport jitter + a settle quantum of it.
-	hold := tm.fastAt - tm.sent
-	if hold < maxDelay {
-		t.Fatalf("held response released after %v, before FlushDelay %v — timer never held it", hold, maxDelay)
+	// The fast reply went out as soon as the writer's queue drained: it
+	// arrives while the stalled request is still in the backend, within
+	// transport jitter of the write.
+	fast := tm.fastAt - tm.sent
+	if fast >= stall {
+		t.Fatalf("fast reply arrived at %v, after the %v stall — it waited for its companion", fast, stall)
 	}
-	if hold > maxDelay+time.Millisecond {
-		t.Fatalf("held response released after %v; FlushDelay is %v — flush timer fired late", hold, maxDelay)
+	if fast > fastBound {
+		t.Fatalf("fast reply arrived at %v; want within %v of the write — the writer held it", fast, fastBound)
 	}
-	// The stalled op completes after its backend sleep and flushes
-	// eagerly (nothing else outstanding): no extra FlushDelay tax.
 	slow := tm.slowAt - tm.sent
 	if slow < stall {
 		t.Fatalf("stalled response arrived at %v, before its %v backend stall", slow, stall)
 	}
 	if slow > stall+time.Millisecond {
-		t.Fatalf("stalled response arrived at %v; want %v plus jitter only (eager flush)", slow, stall)
+		t.Fatalf("stalled response arrived at %v; want %v plus jitter only", slow, stall)
 	}
 	if n := w.Clk.Sleepers(); n != 0 {
 		t.Errorf("%d goroutines left parked on the sim clock", n)

@@ -58,7 +58,7 @@ const (
 	// still reads it.
 	StageServerLINWait
 	// StageServerFlush: reply enqueued on the connection's out queue →
-	// flushed to the socket (adaptive flush hold).
+	// flushed to the socket (queue wait plus the writer's gather).
 	StageServerFlush
 
 	numStages

@@ -9,14 +9,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Slow-consumer eviction and the adaptive FlushDelay hold were
-// tested here against real sockets with wall-clock polling loops —
-// whether they passed depended on kernel buffer sizes and scheduler
-// luck. Both now run on the simulated clock with exact timing
-// assertions: see TestSlowConsumerEvictionSimClock and
-// TestFlushMaxDelayHoldSimClock in internal/dst, plus the drain
-// invariant every dst scenario audits (Close delivers all pending
-// batched responses).
+// Slow-consumer eviction and the writer's flush timing are tested on
+// the simulated clock with exact timing assertions rather than against
+// real sockets with wall-clock polling loops, whose outcome depended on
+// kernel buffer sizes and scheduler luck: see
+// TestSlowConsumerEvictionSimClock and TestPipelinedReplyNotHeldSimClock
+// in internal/dst, plus the drain invariant every dst scenario audits
+// (Close delivers all pending batched responses).
 
 // TestUDPBufferReuse: datagrams arriving back-to-back into the packet
 // loop's single reused read buffer must not corrupt one another — the

@@ -38,12 +38,12 @@
 //
 // # Flush batching
 //
-// Each connection's writer gathers every queued response into its
-// buffered encoder and flushes adaptively (Options.FlushDelay): a
-// connection seeing one response at a time flushes immediately (no added
-// latency), while a pipelined connection's responses are held briefly —
-// until the queue drains and stays dry, a byte threshold fills, or a
-// deadline expires — so many response frames share one syscall.
+// Each connection's writer gathers every response already queued into
+// its buffered encoder and flushes once when the queue drains, so the
+// replies one sweep deals to a pipelined connection share one syscall
+// while a lone reply goes out at once. A byte threshold flushes mid-gather
+// under a sustained burst. The writer never holds a reply back to wait
+// for companions.
 //
 // # Shutdown
 //
@@ -66,7 +66,7 @@
 // trace id in their wire header (and, with Options.TraceSample, a
 // deterministic 1-in-N of the untraced ones) get stage spans recorded at
 // every hop — mailbox wait, sweep gathering, traversal, and the reply's
-// flush hold, each span marked with the request's mode —
+// wait to be flushed, each span marked with the request's mode —
 // and replies echo the trace id so the client can merge its own spans
 // onto the same timeline. The recorder doubles as a black box: shed,
 // expired, evicted and failed requests are noted as anomalies. All
@@ -125,14 +125,6 @@ type Options struct {
 	// disconnected — backpressure by eviction, so one slow consumer cannot
 	// stall the sweeper.
 	OutQueue int
-	// FlushDelay bounds how long a pipelined response may sit in the
-	// write buffer waiting for companions before the writer forces a
-	// flush (default 200µs). Negative disables the wait entirely: the
-	// writer flushes every time its queue drains, the pre-batching
-	// behaviour. The wait is adaptive — it is only taken on connections
-	// that have requests in flight, so a strict request-response client
-	// never pays it.
-	FlushDelay time.Duration
 	// OpTimeout, when positive, fails requests that waited in a mailbox
 	// longer than this with fault.ErrTimeout.
 	OpTimeout time.Duration
@@ -163,7 +155,7 @@ type Options struct {
 	// ranges appended to the TShape reply. Clients that don't set the flag
 	// get the pre-extension reply, byte for byte.
 	NodeInfo func() (node uint64, epoch uint64, rs []wire.Range)
-	// Clock times mailbox residency (OpTimeout), flush deadlines and
+	// Clock times mailbox residency (OpTimeout), stage spans and
 	// injected frame delays; nil means the wall clock. The deterministic
 	// simulation harness (internal/dst) injects its virtual clock here.
 	Clock clock.Clock
@@ -208,9 +200,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.UDPWindow <= 0 {
 		o.UDPWindow = 4096
-	}
-	if o.FlushDelay == 0 {
-		o.FlushDelay = 200 * time.Microsecond
 	}
 	return o
 }
@@ -629,7 +618,6 @@ func (sw *sweeper) sweep(pending []req) {
 			}
 			s.anomaly("mailbox_timeout", r.trace)
 			if r.c != nil {
-				r.c.outstanding.Add(-1)
 				m := outMsg{f: wire.Frame{ID: r.id, Trace: r.trace}, tmpl: s.tmplTimeout, mode: r.mode}
 				if r.trace != 0 {
 					m.enqNS = now.UnixNano()
@@ -684,7 +672,6 @@ func (sw *sweeper) sweep(pending []req) {
 		for _, r := range live {
 			s.anomaly("no_range", r.trace)
 			if r.c != nil {
-				r.c.outstanding.Add(-1)
 				r.c.trySend(errFrame(r.id, r.trace, sweepErr))
 			} else if st != nil {
 				st.udpDropped.Add(uint64(r.weight()))
@@ -756,7 +743,6 @@ func (sw *sweeper) sweep(pending []req) {
 		if r.c == nil {
 			continue // fire-and-forget
 		}
-		r.c.outstanding.Add(-1)
 		m := outMsg{f: wire.Frame{Type: wire.TValue, ID: r.id, Trace: r.trace, Value: first}, mode: r.mode}
 		if r.batch {
 			m = outMsg{f: wire.Frame{Type: wire.TRanges, ID: r.id, Trace: r.trace, Rs: out}, mode: r.mode}
@@ -784,14 +770,6 @@ type conn struct {
 	out  chan outMsg
 	dead chan struct{}
 	die  sync.Once
-
-	// outstanding counts requests posted to the sweeper whose responses
-	// have not been enqueued yet. The writer reads it to decide whether
-	// waiting for flush companions can pay off: zero means the client is
-	// blocked on us and the buffer must go out now. Decremented before the
-	// response is enqueued, so a writer that sees a positive count is
-	// guaranteed more traffic (at worst one early flush, never a stall).
-	outstanding atomic.Int64
 
 	inSeq, outSeq int // frame-fault sequence numbers (single-threaded each)
 }
@@ -935,9 +913,7 @@ func (c *conn) process(f *wire.Frame) {
 		if f.Mode == wire.ModeLIN || s.opt.ForceLIN {
 			mode = 1
 		}
-		c.outstanding.Add(1)
 		if !s.post(req{c: c, id: f.ID, wire: int(f.Wire), k: k, batch: batch, mode: mode, enq: s.clk.Now(), trace: trace}) {
-			c.outstanding.Add(-1)
 			if st != nil {
 				st.backpressure.Add(1)
 			}
@@ -955,22 +931,18 @@ func (c *conn) process(f *wire.Frame) {
 }
 
 // writeLoop drains the connection's response queue into a buffered
-// encoder with adaptive flush batching: gather everything queued, flush
-// when the pipeline drains (immediately for request-response clients,
-// after a short companion wait for pipelined ones), on a byte threshold,
-// or on the deadline. Encoding reuses one scratch buffer, so the steady
-// state writes allocate nothing.
+// encoder: it gathers everything queued, then flushes once — the server's
+// group commit — with a mid-gather flush when the buffer passes
+// flushBytes. Encoding reuses one scratch buffer, so the steady state
+// writes allocate nothing.
 func (c *conn) writeLoop() {
 	defer c.s.writerWg.Done()
 	bw := newFrameWriter(c.nc)
-	delay := c.s.opt.FlushDelay
 	st := c.s.opt.Stats
 	fl := c.s.flight
 	var scratch []byte
 	broken := false
 	unflushed := 0 // frames written into bw since the last flush
-	var timer clock.Timer
-	var timerC <-chan time.Time
 
 	// Flush-stage accounting: when the batch's first frame landed in the
 	// buffer (histogram), and which traced replies are waiting in it (one
@@ -983,15 +955,7 @@ func (c *conn) writeLoop() {
 	var batchStart time.Time
 	var tpend []flushPend
 
-	disarm := func() {
-		if timerC != nil {
-			if !timer.Stop() {
-				<-timer.C()
-			}
-			timerC = nil
-		}
-	}
-	flush := func(deadline bool) {
+	flush := func() {
 		if broken || unflushed == 0 {
 			return
 		}
@@ -1002,9 +966,6 @@ func (c *conn) writeLoop() {
 		}
 		if st != nil {
 			st.flushes.Add(1)
-			if deadline {
-				st.flushDeadline.Add(1)
-			}
 		}
 		if st != nil || len(tpend) > 0 {
 			fnow := c.s.clk.Now()
@@ -1047,7 +1008,7 @@ func (c *conn) writeLoop() {
 			if st != nil {
 				st.flushThreshold.Add(1)
 			}
-			flush(false)
+			flush()
 		}
 	}
 	write := func(m *outMsg) {
@@ -1101,8 +1062,7 @@ func (c *conn) writeLoop() {
 		case m, ok := <-c.out:
 			if !ok {
 				// Server Close: flush what was queued and finish.
-				disarm()
-				flush(false)
+				flush()
 				return
 			}
 			handle(m)
@@ -1111,8 +1071,7 @@ func (c *conn) writeLoop() {
 				select {
 				case m2, ok2 := <-c.out:
 					if !ok2 {
-						disarm()
-						flush(false)
+						flush()
 						return
 					}
 					handle(m2)
@@ -1120,34 +1079,9 @@ func (c *conn) writeLoop() {
 					break gather
 				}
 			}
-			if broken || unflushed == 0 {
-				disarm()
-				continue
-			}
-			// Adaptive decision: wait for companions only when requests
-			// are still in flight through the sweeper for this
-			// connection — their responses are guaranteed to arrive within
-			// a sweep. With nothing outstanding the client is blocked on
-			// this buffer, so it goes out now.
-			if delay <= 0 || c.outstanding.Load() == 0 {
-				disarm()
-				flush(false)
-				continue
-			}
-			if timerC == nil {
-				if timer == nil {
-					timer = c.s.clk.NewTimer(delay)
-				} else {
-					timer.Reset(delay)
-				}
-				timerC = timer.C()
-			}
-		case <-timerC:
-			timerC = nil
-			flush(true)
+			flush()
 		case <-c.dead:
 			// Abandoned connection: discard whatever is still queued.
-			disarm()
 			return
 		}
 	}

@@ -331,7 +331,6 @@ func TestOneTraversalPerSweep(t *testing.T) {
 		conns := make([]*conn, len(pending))
 		for i, p := range pending {
 			conns[i] = &conn{s: s, out: make(chan outMsg, 1), dead: make(chan struct{})}
-			conns[i].outstanding.Add(1)
 			reqs[i] = req{c: conns[i], id: uint64(i), wire: p.wire, k: p.k, batch: p.batch, enq: s.clk.Now()}
 		}
 		newSweeper(s, nil, be).sweep(reqs)

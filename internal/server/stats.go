@@ -68,7 +68,6 @@ type Stats struct {
 	faultDelayed    atomic.Uint64 // frames delayed by injected faults
 
 	flushes        atomic.Uint64 // writer flush syscalls
-	flushDeadline  atomic.Uint64 // flushes forced by the FlushDelay deadline
 	flushThreshold atomic.Uint64 // flushes forced by the byte threshold
 	bytesOut       atomic.Uint64 // response bytes written
 
@@ -288,7 +287,6 @@ type Snapshot struct {
 	FaultDelayed    uint64 `json:"faultDelayed"`
 
 	Flushes        uint64 `json:"flushes"`
-	FlushDeadline  uint64 `json:"flushDeadline"`
 	FlushThreshold uint64 `json:"flushThreshold"`
 	BytesOut       uint64 `json:"bytesOut"`
 
@@ -352,7 +350,6 @@ func (st *Stats) Snapshot() Snapshot {
 		FaultDelayed:    st.faultDelayed.Load(),
 
 		Flushes:        st.flushes.Load(),
-		FlushDeadline:  st.flushDeadline.Load(),
 		FlushThreshold: st.flushThreshold.Load(),
 		BytesOut:       st.bytesOut.Load(),
 
@@ -463,7 +460,6 @@ func (st *Stats) AppendMetrics(w io.Writer) {
 	counter("countd_fault_duplicated_total", "frames duplicated by fault injection", s.FaultDuplicated)
 	counter("countd_fault_delayed_total", "frames delayed by fault injection", s.FaultDelayed)
 	counter("countd_flush_total", "response writer flush syscalls", s.Flushes)
-	counter("countd_flush_deadline_total", "flushes forced by the flush deadline", s.FlushDeadline)
 	counter("countd_flush_threshold_total", "flushes forced by the byte threshold", s.FlushThreshold)
 	counter("countd_bytes_out_total", "response bytes written", s.BytesOut)
 	hist := func(name, help string, ls telemetry.LatencySummary) {
