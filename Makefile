@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace countmon countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay sim-digest experiments examples lint clean
+.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay sim-digest experiments examples lint clean
 
 all: build test
 
@@ -60,10 +60,6 @@ examples:
 	$(GO) run ./examples/monitor
 	$(GO) run ./examples/chaos
 	$(GO) run ./examples/netcounter
-
-# Live telemetry demo: run for 5s, print the report, leave no server behind.
-countmon:
-	$(GO) run ./cmd/countmon -w 8 -duration 5s
 
 # Serve a counting network over the wire protocol until interrupted.
 countd:

@@ -378,9 +378,8 @@ func BenchmarkThroughput(b *testing.B) {
 
 // BenchmarkIncOverhead — the telemetry overhead budget: Inc on B(8) with
 // no observer (the nil-check fast path, which must not allocate) versus
-// the same network with the sharded telemetry collector attached, and
-// versus collector+tracer through a Tee. The delta between the first two
-// is the advertised cost of observability.
+// the same network with the sharded telemetry collector attached. The
+// delta is the advertised cost of observability.
 func BenchmarkIncOverhead(b *testing.B) {
 	spec := construct.MustBitonic(8)
 	variants := []struct {
@@ -389,11 +388,6 @@ func BenchmarkIncOverhead(b *testing.B) {
 	}{
 		{"uninstrumented", func() telemetry.Observer { return nil }},
 		{"collector", func() telemetry.Observer { return telemetry.NewCollectorFor(spec) }},
-		{"collector+tracer", func() telemetry.Observer {
-			col := telemetry.NewCollectorFor(spec)
-			tr := telemetry.NewTracer(telemetry.TracerConfig{Workers: spec.FanIn(), MaxOpsPerWorker: 1 << 16})
-			return telemetry.Tee(col, tr)
-		}},
 	}
 	for _, tc := range variants {
 		b.Run(tc.name, func(b *testing.B) {

@@ -14,7 +14,8 @@
 //	-telemetry  optional HTTP address serving /metrics (balancer toggles,
 //	            per-mode latency histograms, per-stage countd_stage_seconds,
 //	            coalescing factor, queue high-water marks),
-//	            /debug/countingnet, /debug/flight and pprof
+//	            /debug/countingnet, /debug/flight, /heatmap (the
+//	            per-layer balancer traffic; standalone only) and pprof
 //
 // Tracing: -trace-sample N samples one in N untraced requests into the
 // flight recorder under a server-minted trace id (requests that arrive
@@ -266,10 +267,10 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		// Balancer-level telemetry feeds the same /metrics surface countmon
-		// serves; the server's own stats ride along as an extra section. The
-		// observer costs atomics on every balancer visit, so it is attached
-		// only when the telemetry endpoint is actually on.
+		// Balancer-level telemetry feeds /metrics and /heatmap; the
+		// server's own stats ride along as an extra section. The observer
+		// costs atomics on every balancer visit, so it is attached only
+		// when the telemetry endpoint is actually on.
 		if o.telem != "" {
 			col = countingnet.NewTelemetryCollectorFor(spec)
 			ctr.SetObserver(col)
@@ -361,6 +362,14 @@ func run(ctx context.Context, o options, out io.Writer) error {
 				w.Header().Set("Content-Type", "application/json")
 				snap, _ := json.Marshal(stats.Snapshot())
 				_ = rec.WriteDump(w, snap)
+			})
+		}
+		// A cluster node mints from id blocks and traverses no network,
+		// so it has no collector and /heatmap falls through to a 404.
+		if col != nil {
+			mux.HandleFunc("/heatmap", func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+				fmt.Fprintln(w, countingnet.Heatmap(spec, col.Snapshot().Toggles))
 			})
 		}
 		hsrv := &http.Server{Handler: mux}

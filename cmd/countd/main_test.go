@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -289,6 +290,76 @@ func TestDaemonFlightEndpoint(t *testing.T) {
 	}
 	if len(exitDump.Stats) == 0 {
 		t.Error("-flight-out exit dump carries no server stats snapshot")
+	}
+}
+
+// TestDaemonHeatmap: -telemetry on a standalone B(8) serves /heatmap with
+// one row per network layer, and a cluster node, which traverses no
+// network and so has no collector, answers it 404.
+func TestDaemonHeatmap(t *testing.T) {
+	get := func(url string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+
+	out, addr, cancel, done := startDaemon(t, options{
+		kind: "bitonic", width: 8,
+		listen: "127.0.0.1:0", telem: "127.0.0.1:0", mode: "sc",
+	})
+	c, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 16; i++ {
+		c.Inc(i % 8)
+	}
+	c.Close()
+	code, body := get("http://" + awaitAddr(t, out, done, telemRe) + "/heatmap")
+	if code != http.StatusOK {
+		t.Fatalf("standalone /heatmap = %d, want 200:\n%s", code, body)
+	}
+	spec, _, err := countingnet.Bitonic(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "layer ") {
+			rows++
+		}
+	}
+	if rows != spec.Depth() {
+		t.Errorf("/heatmap has %d layer rows, want %d (B(8)'s depth):\n%s", rows, spec.Depth(), body)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+
+	out, _, cancel, done = startDaemon(t, options{
+		kind: "bitonic", width: 8,
+		listen: "127.0.0.1:0", telem: "127.0.0.1:0", mode: "sc",
+		clListen: "127.0.0.1:0", nodeID: 1,
+	})
+	telem := "http://" + awaitAddr(t, out, done, telemRe)
+	if code, body := get(telem + "/heatmap"); code != http.StatusNotFound {
+		t.Errorf("cluster /heatmap = %d, want 404:\n%s", code, body)
+	}
+	if code, _ := get(telem + "/metrics"); code != http.StatusOK {
+		t.Errorf("cluster /metrics = %d, want 200", code)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("cluster run: %v\n%s", err, out.String())
 	}
 }
 

@@ -334,7 +334,7 @@ var (
 )
 
 // Telemetry layer (package telemetry): per-balancer metrics, latency
-// histograms, execution tracing and the live HTTP observability surface.
+// histograms and the live HTTP observability surface.
 // Attach to a compiled network with SetObserver, or to a message-passing
 // one with WithTelemetryObserver; both hooks are zero-cost when absent.
 type (
@@ -343,13 +343,8 @@ type (
 	TelemetryCollector = telemetry.Collector
 	// TelemetrySnapshot is a merged, JSON-serialisable collector view.
 	TelemetrySnapshot = telemetry.Snapshot
-	// TelemetryObserver is the event hook Collector and Tracer implement.
+	// TelemetryObserver is the event hook Collector implements.
 	TelemetryObserver = telemetry.Observer
-	// Tracer records per-token traversal events and exports Chrome
-	// trace-event JSON or consistency.Op slices.
-	Tracer = telemetry.Tracer
-	// TracerConfig shapes a Tracer (workers, hop sampling, buffer caps).
-	TracerConfig = telemetry.TracerConfig
 	// LatencySummary is a latency histogram snapshot with quantiles.
 	LatencySummary = telemetry.LatencySummary
 )
@@ -360,16 +355,9 @@ var (
 	// from a network directly.
 	NewTelemetryCollector    = telemetry.NewCollector
 	NewTelemetryCollectorFor = telemetry.NewCollectorFor
-	// NewTracer starts an execution tracer.
-	NewTracer = telemetry.NewTracer
-	// TelemetryTee fans observer events out to several observers.
-	TelemetryTee = telemetry.Tee
 	// TelemetryHandler serves /metrics, /debug/countingnet and pprof for a
 	// collector plus an optional online consistency monitor.
 	TelemetryHandler = telemetry.Handler
-	// ParseChromeTrace reads an exported Chrome trace back into
-	// consistency-checkable operations.
-	ParseChromeTrace = telemetry.ParseChromeTrace
 	// WithTelemetryObserver instruments a message-passing network (pass to
 	// StartMessagePassing).
 	WithTelemetryObserver = msgnet.WithObserver

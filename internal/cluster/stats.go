@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
 
@@ -74,17 +73,19 @@ func (st *Stats) Snapshot() Snapshot {
 func (n *Node) AppendMetrics(w io.Writer) {
 	st := n.cfg.Stats
 	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+		telemetry.WriteFamily(w, name, "counter", help)
+		telemetry.WriteSample(w, name, "", v)
 	}
 	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+		telemetry.WriteFamily(w, name, "gauge", help)
+		telemetry.WriteSample(w, name, "", v)
 	}
 
 	alive, suspect, dead := n.memberCounts()
-	fmt.Fprintf(w, "# HELP countd_cluster_members cluster members by state\n# TYPE countd_cluster_members gauge\n")
-	fmt.Fprintf(w, "countd_cluster_members{state=\"alive\"} %d\n", alive)
-	fmt.Fprintf(w, "countd_cluster_members{state=\"suspect\"} %d\n", suspect)
-	fmt.Fprintf(w, "countd_cluster_members{state=\"dead\"} %d\n", dead)
+	telemetry.WriteFamily(w, "countd_cluster_members", "gauge", "cluster members by state")
+	telemetry.WriteSample(w, "countd_cluster_members", `state="alive"`, alive)
+	telemetry.WriteSample(w, "countd_cluster_members", `state="suspect"`, suspect)
+	telemetry.WriteSample(w, "countd_cluster_members", `state="dead"`, dead)
 
 	gauge("countd_cluster_node_id", "this node's id", int64(n.cfg.NodeID))
 	gauge("countd_cluster_epoch", "current epoch (term*1024+leader)", int64(n.Epoch()))
@@ -113,6 +114,6 @@ func (n *Node) AppendMetrics(w io.Writer) {
 	counter("countd_cluster_no_range_total", "mints shed with no obtainable block", st.NoRange.Load())
 	counter("countd_cluster_elections_total", "election terms this node started", st.Elections.Load())
 
-	fmt.Fprintf(w, "# HELP countd_cluster_lin_forward_seconds LIN forward round-trip latency\n# TYPE countd_cluster_lin_forward_seconds histogram\n")
+	telemetry.WriteFamily(w, "countd_cluster_lin_forward_seconds", "histogram", "LIN forward round-trip latency")
 	telemetry.WriteHistogram(w, "countd_cluster_lin_forward_seconds", "", st.FwdLatency.Summary())
 }

@@ -6,14 +6,13 @@ import (
 	"io"
 )
 
-// Chrome trace-event export: the same shape telemetry.Tracer writes
-// (displayTimeUnit + traceEvents, "X" complete events with µs ts/dur
-// and exact nanosecond stamps in args), so one viewer setup serves both
-// the in-process traversal traces and the serving-path stage spans.
-// Each Part becomes one Chrome "process" (client, server, ...); stages
-// are rows (tids) within it; spans from both sides of one RPC share a
-// trace id in args, which is what lets the viewer's flow search line up
-// a request's journey end to end.
+// Chrome trace-event export, the repository's one trace format:
+// displayTimeUnit + traceEvents, "X" complete events with µs ts/dur and
+// exact nanosecond stamps in args. Each Part becomes one Chrome
+// "process" (client, server, ...); stages are rows (tids) within it;
+// spans from both sides of one RPC share a trace id in args, which is
+// what lets the viewer's flow search line up a request's journey end to
+// end.
 
 // Part is one side's contribution to a merged timeline.
 type Part struct {

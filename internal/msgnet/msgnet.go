@@ -54,7 +54,7 @@ type token struct {
 }
 
 // Observer receives telemetry events from an instrumented network (the
-// telemetry package's Collector and Tracer satisfy it). Methods must be
+// telemetry package's Collector satisfies it). Methods must be
 // safe for concurrent use: BalancerVisit is called from the balancer
 // actors, TokenEnter/TokenExit from the caller's goroutine. wire is the
 // caller-supplied input wire, un-reduced. Balancers here never retry a

@@ -63,7 +63,7 @@ type BatchCounter interface {
 type FaultHook func(ctx context.Context, bal int)
 
 // Observer receives telemetry events from an instrumented network (the
-// telemetry package's Collector and Tracer implement it). All methods must
+// telemetry package's Collector implements it). All methods must
 // be safe for concurrent use and should be fast: they run inline on the
 // traversal. wire is the caller-supplied input wire, un-reduced, so
 // observers can use it as the worker identity.

@@ -403,10 +403,27 @@ func (s Snapshot) CoalescingFactor() float64 {
 func (st *Stats) AppendMetrics(w io.Writer) {
 	s := st.Snapshot()
 	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+		telemetry.WriteFamily(w, name, "counter", help)
+		telemetry.WriteSample(w, name, "", v)
 	}
 	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
+		telemetry.WriteFamily(w, name, "gauge", help)
+		telemetry.WriteSample(w, name, "", v)
+	}
+	// sizes writes a power-of-two count histogram: bucket i is le=2^i.
+	sizes := func(name, help string, buckets []uint64, sum uint64) {
+		if len(buckets) == 0 {
+			return
+		}
+		telemetry.WriteFamily(w, name, "histogram", help)
+		var cum uint64
+		for i, c := range buckets {
+			cum += c
+			telemetry.WriteSample(w, name+"_bucket", fmt.Sprintf("le=\"%d\"", 1<<i), cum)
+		}
+		telemetry.WriteSample(w, name+"_bucket", `le="+Inf"`, cum)
+		telemetry.WriteSample(w, name+"_sum", "", sum)
+		telemetry.WriteSample(w, name+"_count", "", cum)
 	}
 	gauge("countd_conns_active", "open client connections", s.ConnsActive)
 	counter("countd_conns_total", "client connections accepted", uint64(s.ConnsTotal))
@@ -426,36 +443,16 @@ func (st *Stats) AppendMetrics(w io.Writer) {
 	counter("countd_udp_rejected_total", "UDP datagrams rejected", s.UDPRejected)
 	counter("countd_udp_dropped_total", "UDP datagrams shed: mailbox full, server closed, or no range to mint from", s.UDPDropped)
 	if len(s.UDPRejects) > 0 {
-		fmt.Fprintf(w, "# HELP countd_udp_reject_reason_total UDP datagrams rejected by reason\n# TYPE countd_udp_reject_reason_total counter\n")
+		telemetry.WriteFamily(w, "countd_udp_reject_reason_total", "counter", "UDP datagrams rejected by reason")
 		for _, label := range udpRejectLabels {
 			if v, ok := s.UDPRejects[label]; ok {
-				fmt.Fprintf(w, "countd_udp_reject_reason_total{reason=\"%s\"} %d\n", label, v)
+				telemetry.WriteSample(w, "countd_udp_reject_reason_total", fmt.Sprintf("reason=%q", label), v)
 			}
 		}
 	}
-	if len(s.UDPBatchSizes) > 0 {
-		fmt.Fprintf(w, "# HELP countd_udp_batch_size datagrams returned per UDP read syscall\n# TYPE countd_udp_batch_size histogram\n")
-		var cum uint64
-		for i, c := range s.UDPBatchSizes {
-			cum += c
-			fmt.Fprintf(w, "countd_udp_batch_size_bucket{le=\"%d\"} %d\n", 1<<i, cum)
-		}
-		fmt.Fprintf(w, "countd_udp_batch_size_bucket{le=\"+Inf\"} %d\n", cum)
-		fmt.Fprintf(w, "countd_udp_batch_size_sum %d\n", s.UDPBatchSum)
-		fmt.Fprintf(w, "countd_udp_batch_size_count %d\n", cum)
-	}
+	sizes("countd_udp_batch_size", "datagrams returned per UDP read syscall", s.UDPBatchSizes, s.UDPBatchSum)
 	gauge("countd_udp_gso_active", "1 while UDP GSO/GRO segmentation offload is engaged", s.GSOActive)
-	if len(s.UDPSegments) > 0 {
-		fmt.Fprintf(w, "# HELP countd_udp_segments_per_datagram wire frames per received UDP datagram (GRO coalescing)\n# TYPE countd_udp_segments_per_datagram histogram\n")
-		var cum uint64
-		for i, c := range s.UDPSegments {
-			cum += c
-			fmt.Fprintf(w, "countd_udp_segments_per_datagram_bucket{le=\"%d\"} %d\n", 1<<i, cum)
-		}
-		fmt.Fprintf(w, "countd_udp_segments_per_datagram_bucket{le=\"+Inf\"} %d\n", cum)
-		fmt.Fprintf(w, "countd_udp_segments_per_datagram_sum %d\n", s.UDPSegmentsSum)
-		fmt.Fprintf(w, "countd_udp_segments_per_datagram_count %d\n", cum)
-	}
+	sizes("countd_udp_segments_per_datagram", "wire frames per received UDP datagram (GRO coalescing)", s.UDPSegments, s.UDPSegmentsSum)
 	counter("countd_fault_dropped_total", "frames dropped by fault injection", s.FaultDropped)
 	counter("countd_fault_duplicated_total", "frames duplicated by fault injection", s.FaultDuplicated)
 	counter("countd_fault_delayed_total", "frames delayed by fault injection", s.FaultDelayed)
@@ -463,12 +460,12 @@ func (st *Stats) AppendMetrics(w io.Writer) {
 	counter("countd_flush_threshold_total", "flushes forced by the byte threshold", s.FlushThreshold)
 	counter("countd_bytes_out_total", "response bytes written", s.BytesOut)
 	hist := func(name, help string, ls telemetry.LatencySummary) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+		telemetry.WriteFamily(w, name, "histogram", help)
 		telemetry.WriteHistogram(w, name, "", ls)
 	}
 	hist("countd_latency_sc_seconds", "SC increment latency", s.LatencySC)
 	hist("countd_latency_lin_seconds", "LIN increment latency", s.LatencyLIN)
-	fmt.Fprintf(w, "# HELP countd_stage_seconds serving-path stage latency by stage and mode\n# TYPE countd_stage_seconds histogram\n")
+	telemetry.WriteFamily(w, "countd_stage_seconds", "histogram", "serving-path stage latency by stage and mode")
 	for _, def := range stageDefs {
 		ls, ok := s.Stages[def.stage+"/"+def.mode]
 		if !ok {

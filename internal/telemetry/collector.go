@@ -1,8 +1,9 @@
 // Package telemetry is the observability layer for the concurrent counting
 // implementations: lock-free per-balancer traffic counters and Inc latency
-// histograms (Collector), a per-token execution tracer with Chrome
-// trace-event export (Tracer), and an HTTP surface serving Prometheus-text
-// metrics, JSON snapshots and pprof (Handler).
+// histograms (Collector), the Prometheus text writers every /metrics
+// section is written with (WriteFamily, WriteSample, WriteHistogram), and
+// the HTTP surface serving metrics, JSON snapshots and pprof (Handler).
+// Per-request traces live in the flight recorder (internal/flightrec).
 //
 // Instrumentation attaches through the Observer hook on runtime.Network
 // (SetObserver) and msgnet.Network (WithObserver), the same
@@ -22,8 +23,8 @@ import (
 // Observer receives traversal events from an instrumented network. All
 // methods must be safe for concurrent use; wire is the caller-supplied
 // input wire (also the worker identity under the pinned-wire convention).
-// Collector and Tracer implement it, and runtime.Observer / msgnet.Observer
-// are satisfied structurally by any Observer.
+// Collector implements it, and runtime.Observer / msgnet.Observer are
+// satisfied structurally by any Observer.
 type Observer interface {
 	// TokenEnter fires when a token enters the network on wire.
 	TokenEnter(wire int)
@@ -218,43 +219,4 @@ func (s Snapshot) Summary() string {
 		}
 	}
 	return b.String()
-}
-
-// tee fans events out to several observers.
-type tee []Observer
-
-// Tee combines observers: every event goes to each in order. Use it to run
-// a Collector and a Tracer off one network hook.
-func Tee(obs ...Observer) Observer {
-	flat := make(tee, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			flat = append(flat, o)
-		}
-	}
-	return flat
-}
-
-func (t tee) TokenEnter(wire int) {
-	for _, o := range t {
-		o.TokenEnter(wire)
-	}
-}
-
-func (t tee) BalancerVisit(wire, bal int) {
-	for _, o := range t {
-		o.BalancerVisit(wire, bal)
-	}
-}
-
-func (t tee) CASRetry(wire, bal int) {
-	for _, o := range t {
-		o.CASRetry(wire, bal)
-	}
-}
-
-func (t tee) TokenExit(wire, sink int, value int64, elapsed time.Duration) {
-	for _, o := range t {
-		o.TokenExit(wire, sink, value, elapsed)
-	}
 }

@@ -90,20 +90,3 @@ func TestSnapshotTopBalancers(t *testing.T) {
 		t.Errorf("TopBalancers over-ask returned %d entries, want 4", len(got))
 	}
 }
-
-// TestTee checks the fan-out observer delivers every event to every child.
-func TestTee(t *testing.T) {
-	a := NewCollectorShards(2, 2, 2, 1)
-	b := NewCollectorShards(2, 2, 2, 1)
-	o := Tee(a, nil, b)
-	o.TokenEnter(1)
-	o.BalancerVisit(1, 0)
-	o.CASRetry(1, 1)
-	o.TokenExit(1, 1, 7, time.Microsecond)
-	for name, c := range map[string]*Collector{"a": a, "b": b} {
-		s := c.Snapshot()
-		if s.Tokens != 1 || s.Toggles[0] != 1 || s.CASRetries[1] != 1 || s.WireTokens[1] != 1 {
-			t.Errorf("tee child %s missed events: %+v", name, s)
-		}
-	}
-}

@@ -20,7 +20,9 @@ import (
 //
 // Either argument may be nil; the corresponding sections are omitted. The
 // handler is a plain ServeMux, so callers can mount it under their own mux
-// and add routes beside it.
+// and add routes beside it (countd adds /debug/flight and /heatmap). So
+// its index at / names the surface and lists no routes: any list it held
+// would miss the caller's.
 //
 // extras are appended to the /metrics exposition after the built-in
 // sections; each is called per scrape with the response writer. The
@@ -70,7 +72,7 @@ func Handler(c *Collector, mon *consistency.Online, extras ...func(io.Writer)) h
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "countingnet telemetry\n\n/metrics\n/debug/countingnet\n/debug/pprof/\n")
+		fmt.Fprint(w, "countingnet telemetry\n")
 	})
 	return mux
 }
@@ -82,56 +84,65 @@ type debugSnapshot struct {
 }
 
 // writeMetrics renders a Snapshot in the Prometheus text format.
-func writeMetrics(b *strings.Builder, s Snapshot) {
-	fmt.Fprintf(b, "# HELP countingnet_uptime_seconds Seconds since the collector attached.\n")
-	fmt.Fprintf(b, "# TYPE countingnet_uptime_seconds gauge\n")
-	fmt.Fprintf(b, "countingnet_uptime_seconds %g\n", s.UptimeNS.Seconds())
-
-	fmt.Fprintf(b, "# HELP countingnet_tokens_total Tokens that completed a traversal.\n")
-	fmt.Fprintf(b, "# TYPE countingnet_tokens_total counter\n")
-	fmt.Fprintf(b, "countingnet_tokens_total %d\n", s.Tokens)
-
-	fmt.Fprintf(b, "# HELP countingnet_balancer_toggles_total Tokens that toggled each balancer.\n")
-	fmt.Fprintf(b, "# TYPE countingnet_balancer_toggles_total counter\n")
-	for i, v := range s.Toggles {
-		fmt.Fprintf(b, "countingnet_balancer_toggles_total{balancer=\"%d\"} %d\n", i, v)
-	}
-
-	fmt.Fprintf(b, "# HELP countingnet_cas_retries_total Failed CAS attempts per balancer (IncCAS ablation).\n")
-	fmt.Fprintf(b, "# TYPE countingnet_cas_retries_total counter\n")
-	for i, v := range s.CASRetries {
-		fmt.Fprintf(b, "countingnet_cas_retries_total{balancer=\"%d\"} %d\n", i, v)
-	}
-
-	fmt.Fprintf(b, "# HELP countingnet_wire_tokens_total Tokens entered per input wire.\n")
-	fmt.Fprintf(b, "# TYPE countingnet_wire_tokens_total counter\n")
-	for i, v := range s.WireTokens {
-		fmt.Fprintf(b, "countingnet_wire_tokens_total{wire=\"%d\"} %d\n", i, v)
-	}
-
-	fmt.Fprintf(b, "# HELP countingnet_sink_tokens_total Tokens exited per output counter.\n")
-	fmt.Fprintf(b, "# TYPE countingnet_sink_tokens_total counter\n")
-	for i, v := range s.SinkTokens {
-		fmt.Fprintf(b, "countingnet_sink_tokens_total{sink=\"%d\"} %d\n", i, v)
-	}
-
-	fmt.Fprintf(b, "# HELP countingnet_inc_latency_seconds Inc latency histogram.\n")
-	fmt.Fprintf(b, "# TYPE countingnet_inc_latency_seconds histogram\n")
-	WriteHistogram(b, "countingnet_inc_latency_seconds", "", s.Latency)
-
-	fmt.Fprintf(b, "# HELP countingnet_inc_latency_quantile_seconds Inc latency quantile estimates.\n")
-	fmt.Fprintf(b, "# TYPE countingnet_inc_latency_quantile_seconds gauge\n")
-	for _, q := range []struct {
-		label string
-		v     float64
+func writeMetrics(w io.Writer, s Snapshot) {
+	WriteFamily(w, "countingnet_uptime_seconds", "gauge", "Seconds since the collector attached.")
+	WriteSample(w, "countingnet_uptime_seconds", "", s.UptimeNS.Seconds())
+	WriteFamily(w, "countingnet_tokens_total", "counter", "Tokens that completed a traversal.")
+	WriteSample(w, "countingnet_tokens_total", "", s.Tokens)
+	for _, f := range []struct {
+		name, help, label string
+		vs                []uint64
 	}{
-		{"0.5", s.Latency.P50.Seconds()},
-		{"0.95", s.Latency.P95.Seconds()},
-		{"0.99", s.Latency.P99.Seconds()},
-		{"1", s.Latency.Max.Seconds()},
+		{"countingnet_balancer_toggles_total", "Tokens that toggled each balancer.", "balancer", s.Toggles},
+		{"countingnet_cas_retries_total", "Failed CAS attempts per balancer (IncCAS ablation).", "balancer", s.CASRetries},
+		{"countingnet_wire_tokens_total", "Tokens entered per input wire.", "wire", s.WireTokens},
+		{"countingnet_sink_tokens_total", "Tokens exited per output counter.", "sink", s.SinkTokens},
 	} {
-		fmt.Fprintf(b, "countingnet_inc_latency_quantile_seconds{quantile=\"%s\"} %g\n", q.label, q.v)
+		WriteFamily(w, f.name, "counter", f.help)
+		for i, v := range f.vs {
+			WriteSample(w, f.name, fmt.Sprintf("%s=\"%d\"", f.label, i), v)
+		}
 	}
+	WriteFamily(w, "countingnet_inc_latency_seconds", "histogram", "Inc latency histogram.")
+	WriteHistogram(w, "countingnet_inc_latency_seconds", "", s.Latency)
+	const q = "countingnet_inc_latency_quantile_seconds"
+	WriteFamily(w, q, "gauge", "Inc latency quantile estimates.")
+	WriteSample(w, q, `quantile="0.5"`, s.Latency.P50.Seconds())
+	WriteSample(w, q, `quantile="0.95"`, s.Latency.P95.Seconds())
+	WriteSample(w, q, `quantile="0.99"`, s.Latency.P99.Seconds())
+	WriteSample(w, q, `quantile="1"`, s.Latency.Max.Seconds())
+}
+
+// writeConsistencyMetrics renders live inconsistency fractions.
+func writeConsistencyMetrics(w io.Writer, f consistency.Fractions) {
+	WriteFamily(w, "countingnet_ops_total", "counter", "Operations audited by the online monitor.")
+	WriteSample(w, "countingnet_ops_total", "", f.Total)
+	WriteFamily(w, "countingnet_nonlinearizable_total", "counter", "Operations flagged non-linearizable.")
+	WriteSample(w, "countingnet_nonlinearizable_total", "", f.NonLin)
+	WriteFamily(w, "countingnet_nonsc_total", "counter", "Operations flagged non-sequentially-consistent.")
+	WriteSample(w, "countingnet_nonsc_total", "", f.NonSC)
+	WriteFamily(w, "countingnet_nonlin_fraction", "gauge", "Live F_nl.")
+	WriteSample(w, "countingnet_nonlin_fraction", "", f.NonLinFraction())
+	WriteFamily(w, "countingnet_nonsc_fraction", "gauge", "Live F_nsc.")
+	WriteSample(w, "countingnet_nonsc_fraction", "", f.NonSCFraction())
+}
+
+// WriteFamily writes a Prometheus family's HELP and TYPE lines, once per
+// family, before its samples; typ is "counter", "gauge" or "histogram".
+func WriteFamily(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// WriteSample writes one sample line of the series name (a family name,
+// or a histogram's name_bucket, name_sum or name_count). labels, when not
+// empty, is the series' label list without braces (`reason="replay"`).
+// Integers print in full, floats in %g.
+func WriteSample[V int | int64 | uint64 | float64](w io.Writer, name, labels string, v V) {
+	if labels != "" {
+		fmt.Fprintf(w, "%s{%s} %v\n", name, labels, v)
+		return
+	}
+	fmt.Fprintf(w, "%s %v\n", name, v)
 }
 
 // WriteHistogram writes one latency summary as a series of the
@@ -139,39 +150,20 @@ func writeMetrics(b *strings.Builder, s Snapshot) {
 // cumulative buckets with their bounds in seconds, +Inf, sum and count.
 // labels, when not empty, is the series' label list without braces
 // (`stage="sweep",mode="sc"`). The caller writes the family's HELP and
-// TYPE lines, once per family.
+// TYPE lines (WriteFamily), once per family.
 func WriteHistogram(w io.Writer, name, labels string, ls LatencySummary) {
-	le, sel := "", ""
+	le := ""
 	if labels != "" {
-		le, sel = labels+",", "{"+labels+"}"
+		le = labels + ","
 	}
 	var cum uint64
 	for i, c := range ls.Buckets {
 		cum += c
 		if bound := ls.Bounds[i]; bound >= 0 {
-			fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, le, float64(bound)/1e9, cum)
+			WriteSample(w, name+"_bucket", fmt.Sprintf("%sle=\"%g\"", le, float64(bound)/1e9), cum)
 		}
 	}
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, le, ls.Count)
-	fmt.Fprintf(w, "%s_sum%s %g\n", name, sel, ls.Sum.Seconds())
-	fmt.Fprintf(w, "%s_count%s %d\n", name, sel, ls.Count)
-}
-
-// writeConsistencyMetrics renders live inconsistency fractions.
-func writeConsistencyMetrics(b *strings.Builder, f consistency.Fractions) {
-	fmt.Fprintf(b, "# HELP countingnet_ops_total Operations audited by the online monitor.\n")
-	fmt.Fprintf(b, "# TYPE countingnet_ops_total counter\n")
-	fmt.Fprintf(b, "countingnet_ops_total %d\n", f.Total)
-	fmt.Fprintf(b, "# HELP countingnet_nonlinearizable_total Operations flagged non-linearizable.\n")
-	fmt.Fprintf(b, "# TYPE countingnet_nonlinearizable_total counter\n")
-	fmt.Fprintf(b, "countingnet_nonlinearizable_total %d\n", f.NonLin)
-	fmt.Fprintf(b, "# HELP countingnet_nonsc_total Operations flagged non-sequentially-consistent.\n")
-	fmt.Fprintf(b, "# TYPE countingnet_nonsc_total counter\n")
-	fmt.Fprintf(b, "countingnet_nonsc_total %d\n", f.NonSC)
-	fmt.Fprintf(b, "# HELP countingnet_nonlin_fraction Live F_nl.\n")
-	fmt.Fprintf(b, "# TYPE countingnet_nonlin_fraction gauge\n")
-	fmt.Fprintf(b, "countingnet_nonlin_fraction %g\n", f.NonLinFraction())
-	fmt.Fprintf(b, "# HELP countingnet_nonsc_fraction Live F_nsc.\n")
-	fmt.Fprintf(b, "# TYPE countingnet_nonsc_fraction gauge\n")
-	fmt.Fprintf(b, "countingnet_nonsc_fraction %g\n", f.NonSCFraction())
+	WriteSample(w, name+"_bucket", le+`le="+Inf"`, ls.Count)
+	WriteSample(w, name+"_sum", labels, ls.Sum.Seconds())
+	WriteSample(w, name+"_count", labels, ls.Count)
 }

@@ -8,9 +8,10 @@ import (
 )
 
 // The latency histogram uses fixed power-of-two nanosecond buckets: bucket i
-// covers [2^(histMinShift+i-1), 2^(histMinShift+i)) ns, with bucket 0
-// absorbing everything below 2^histMinShift and a final overflow bucket
-// absorbing everything at or above the largest finite bound. Fixed bounds
+// covers (2^(histMinShift+i-1), 2^(histMinShift+i)] ns, upper bound
+// included as Prometheus's le means ≤, with bucket 0 absorbing everything
+// up to 2^histMinShift and a final overflow bucket absorbing everything
+// above the largest finite bound. Fixed bounds
 // keep Record allocation-free and mergeable across shards with plain adds;
 // power-of-two bounds make the bucket index one bits.Len64.
 const (
@@ -19,7 +20,7 @@ const (
 	histBuckets  = histFinite + 1
 )
 
-// BucketBound returns bucket i's exclusive upper bound in nanoseconds;
+// BucketBound returns bucket i's inclusive upper bound in nanoseconds;
 // the overflow bucket reports -1 (unbounded).
 func BucketBound(i int) int64 {
 	if i >= histFinite {
@@ -28,12 +29,13 @@ func BucketBound(i int) int64 {
 	return int64(1) << (histMinShift + i)
 }
 
-// bucketIndex maps a latency in nanoseconds to its bucket.
+// bucketIndex maps a latency in nanoseconds to its bucket: the one whose
+// bound is the least power of two ≥ ns.
 func bucketIndex(ns int64) int {
-	if ns < 0 {
-		ns = 0
+	if ns <= 0 {
+		return 0
 	}
-	i := bits.Len64(uint64(ns)) - histMinShift
+	i := bits.Len64(uint64(ns-1)) - histMinShift
 	if i < 0 {
 		return 0
 	}
@@ -101,7 +103,7 @@ type LatencySummary struct {
 	P99   time.Duration `json:"p99NS"`
 	Max   time.Duration `json:"maxNS"`
 	// Buckets holds the non-cumulative per-bucket counts; Bounds[i] is
-	// bucket i's exclusive upper bound in ns (-1 for the overflow bucket).
+	// bucket i's inclusive upper bound in ns (-1 for the overflow bucket).
 	Buckets []uint64 `json:"buckets"`
 	Bounds  []int64  `json:"boundsNS"`
 }

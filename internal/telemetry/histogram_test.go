@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -10,11 +11,12 @@ func TestBucketIndexBoundaries(t *testing.T) {
 		ns   int64
 		want int
 	}{
-		{-5, 0}, {0, 0}, {1, 0}, {15, 0},
-		{16, 1}, {31, 1}, {32, 2},
-		{1 << 30, histFinite - 1},
-		{1<<31 - 1, histFinite - 1},
-		{1 << 31, histFinite},
+		{-5, 0}, {0, 0}, {1, 0}, {15, 0}, {16, 0},
+		{17, 1}, {31, 1}, {32, 1}, {33, 2},
+		{1 << 30, histFinite - 2},
+		{1<<30 + 1, histFinite - 1},
+		{1 << 31, histFinite - 1},
+		{1<<31 + 1, histFinite},
 		{1 << 60, histFinite},
 	}
 	for _, tc := range cases {
@@ -22,13 +24,35 @@ func TestBucketIndexBoundaries(t *testing.T) {
 			t.Errorf("bucketIndex(%d) = %d, want %d", tc.ns, got, tc.want)
 		}
 	}
-	// Every finite bucket's upper bound must index into the next bucket.
+	// Every finite bucket holds its upper bound (Prometheus le is ≤), and
+	// one nanosecond more indexes into the next bucket.
 	for i := 0; i < histFinite; i++ {
-		if got := bucketIndex(BucketBound(i)); got != i+1 {
-			t.Errorf("bucketIndex(bound %d) = %d, want %d", BucketBound(i), got, i+1)
+		if got := bucketIndex(BucketBound(i)); got != i {
+			t.Errorf("bucketIndex(bound %d) = %d, want %d", BucketBound(i), got, i)
 		}
-		if got := bucketIndex(BucketBound(i) - 1); got != i {
-			t.Errorf("bucketIndex(bound %d - 1) = %d, want %d", BucketBound(i), got, i)
+		if got := bucketIndex(BucketBound(i) + 1); got != i+1 {
+			t.Errorf("bucketIndex(bound %d + 1) = %d, want %d", BucketBound(i), got, i+1)
+		}
+	}
+}
+
+// TestWriteHistogramBoundInclusive: a sample exactly on a bound is
+// exported in that bound's bucket, as Prometheus's le (≤) requires.
+func TestWriteHistogramBoundInclusive(t *testing.T) {
+	h := NewHistogram(1)
+	h.Record(0, 32*time.Nanosecond)
+	var b strings.Builder
+	WriteHistogram(&b, "x", "", h.Summary())
+	for _, want := range []string{
+		"x_bucket{le=\"1.6e-08\"} 0\n",
+		"x_bucket{le=\"3.2e-08\"} 1\n",
+		"x_bucket{le=\"6.4e-08\"} 1\n",
+		"x_bucket{le=\"+Inf\"} 1\n",
+		"x_sum 3.2e-08\n",
+		"x_count 1\n",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("WriteHistogram output lacks %q:\n%s", want, b.String())
 		}
 	}
 }
@@ -73,7 +97,7 @@ func TestHistogramKnownDistribution(t *testing.T) {
 func TestHistogramSingleBucket(t *testing.T) {
 	h := NewHistogram(1)
 	for i := 0; i < 100; i++ {
-		h.Record(0, 100*time.Nanosecond) // bucket [64, 128)
+		h.Record(0, 100*time.Nanosecond) // bucket (64, 128]
 	}
 	s := h.Summary()
 	for _, q := range []time.Duration{s.P50, s.P95, s.P99} {
