@@ -2,10 +2,10 @@ package countingnet
 
 // Serving-path benchmarks: the wire codec in isolation and the full
 // loopback serving stack (server + client library) under SC and LIN at
-// increasing pipelining. BenchmarkWireEncode/BenchmarkWireDecode must
-// report 0 allocs/op — CI's serve-smoke job asserts it — because the
-// codec's allocation-freedom is what the rest of the serving hot path is
-// built on. BenchmarkServerLoopback is the socket-level half of the
+// increasing pipelining. BenchmarkWireEncode, BenchmarkWireEncodeShed
+// and BenchmarkWireDecode must report 0 allocs/op — CI's serve-smoke job
+// asserts it — because the codec's allocation-freedom is what the rest of
+// the serving hot path is built on. BenchmarkServerLoopback is the socket-level half of the
 // paper's SC-vs-LIN story on one node: both modes combine across callers
 // and ride the same sweeps, and a single sweeper's one-at-a-time
 // traversals are the waiting LIN needs, so the two curves should sit
@@ -52,6 +52,25 @@ func BenchmarkWireEncode(b *testing.B) {
 		f := &frames[i%len(frames)]
 		var err error
 		if buf, err = wire.AppendFrame(buf[:0], f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWireEncodeShed — the traced backpressure reply the server
+// sheds a full mailbox with, encoded into a reused buffer; must run at 0
+// allocs/op. Encode only: decoding a TError allocates its Msg.
+func BenchmarkWireEncodeShed(b *testing.B) {
+	f := wire.Frame{Type: wire.TError, ID: 42, Trace: 0xfeedface,
+		Code: wire.CodeOf(wire.ErrBackpressure), Msg: wire.ErrBackpressure.Error()}
+	buf, err := wire.AppendFrame(nil, &f)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if buf, err = wire.AppendFrame(buf[:0], &f); err != nil {
 			b.Fatal(err)
 		}
 	}

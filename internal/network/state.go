@@ -77,9 +77,6 @@ func (s *State) Clone() *State {
 // BalancerState returns the 0-based next-output index of balancer b.
 func (s *State) BalancerState(b int) int { return s.balState[b] }
 
-// CounterNext returns the next value sink j will hand out.
-func (s *State) CounterNext(j int) int64 { return s.counterNext[j] }
-
 // SinkCount returns how many tokens have exited on output wire j
 // (the network-level history variable y_j).
 func (s *State) SinkCount(j int) int64 { return s.sinkIn[j] }

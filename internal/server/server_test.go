@@ -738,3 +738,19 @@ func TestMetricsExposition(t *testing.T) {
 		}
 	}
 }
+
+// TestListenAfterClose: Listen and ListenPacket on a closed server return
+// fault.ErrClosed and leave no listener or socket behind.
+func TestListenAfterClose(t *testing.T) {
+	s := New(runtime.MustCompile(construct.MustBitonic(4)), Options{})
+	_ = s.Close()
+	if addr, err := s.Listen("127.0.0.1:0"); !errors.Is(err, fault.ErrClosed) {
+		t.Fatalf("Listen after Close: %v, %v; want fault.ErrClosed", addr, err)
+	}
+	if addr, err := s.ListenPacket("127.0.0.1:0"); !errors.Is(err, fault.ErrClosed) {
+		t.Fatalf("ListenPacket after Close: %v, %v; want fault.ErrClosed", addr, err)
+	}
+	if len(s.lns) != 0 || len(s.udps) != 0 {
+		t.Fatalf("closed server registered %d listeners and %d sockets", len(s.lns), len(s.udps))
+	}
+}

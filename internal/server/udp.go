@@ -3,6 +3,7 @@ package server
 import (
 	"net"
 
+	"repro/internal/fault"
 	"repro/internal/packetio"
 	"repro/internal/wire"
 )
@@ -21,7 +22,7 @@ import (
 // mailbox is dropped and counted; a replayed dedup id is rejected).
 // On Linux this opens Options.UDPSockets kernel-sharded sockets, each
 // with its own batched read loop; elsewhere a single classic ReadFrom
-// loop serves the same protocol.
+// loop serves the same protocol. After Close it returns fault.ErrClosed.
 func (s *Server) ListenPacket(addr string) (net.Addr, error) {
 	conns, err := packetio.Listen(addr, packetio.Options{
 		Sockets: s.opt.UDPSockets,
@@ -30,15 +31,17 @@ func (s *Server) ListenPacket(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, err
 	}
+	if !s.register(func() { s.udps = append(s.udps, conns...); s.readerWg.Add(len(conns)) }) {
+		for _, c := range conns {
+			_ = c.Close()
+		}
+		return nil, fault.ErrClosed
+	}
 	if st := s.opt.Stats; st != nil {
 		// Segmented() is all-or-nothing across one listen group, so the
 		// first socket speaks for the endpoint.
 		st.setGSOActive(conns[0].Segmented())
 	}
-	s.mu.Lock()
-	s.udps = append(s.udps, conns...)
-	s.readerWg.Add(len(conns))
-	s.mu.Unlock()
 	for _, c := range conns {
 		go s.ingestLoop(c)
 	}

@@ -178,19 +178,3 @@ func TestTraceCorruption(t *testing.T) {
 		}
 	}
 }
-
-// TestErrorTemplateTraced: the traced template reply matches the
-// general encoder byte for byte; trace == 0 is the untraced layout.
-func TestErrorTemplateTraced(t *testing.T) {
-	tmpl := NewErrorTemplate(ErrBackpressure)
-	for _, trace := range []uint64{0, 1, 0xfeedface, 1 << 63} {
-		got := tmpl.AppendFrameTraced(nil, 42, trace)
-		want, err := EncodeFrame(&Frame{Type: TError, ID: 42, Trace: trace, Code: CodeBackpressure, Msg: ErrBackpressure.Error()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("trace=%#x: template bytes differ\n  got  %x\n  want %x", trace, got, want)
-		}
-	}
-}

@@ -507,51 +507,6 @@ func appendRanges(p []byte, rs []Range) []byte {
 	return p
 }
 
-// ErrorTemplate is a pre-encoded TError response body for one canonical
-// service error. The server builds one per sentinel (backpressure,
-// timeout, closed) at start; per response only the request id and the CRC
-// differ, so AppendFrame is a handful of appends into the caller's buffer
-// with zero allocations — the common shed-at-the-door reply no longer
-// costs an encode of the error string.
-type ErrorTemplate struct {
-	code ErrCode
-	tail []byte // pre-encoded payload after the id: code, msg length, msg
-}
-
-// NewErrorTemplate pre-encodes the canonical TError body for err.
-func NewErrorTemplate(err error) *ErrorTemplate {
-	code := CodeOf(err)
-	msg := err.Error()
-	tail := binary.AppendUvarint(nil, uint64(code))
-	tail = binary.AppendUvarint(tail, uint64(len(msg)))
-	tail = append(tail, msg...)
-	return &ErrorTemplate{code: code, tail: tail}
-}
-
-// Code returns the template's error code.
-func (t *ErrorTemplate) Code() ErrCode { return t.code }
-
-// AppendFrameTraced appends the complete TError frame answering request
-// id, with the request's trace id echoed on the reply (trace == 0 emits
-// the untraced layout).
-func (t *ErrorTemplate) AppendFrameTraced(dst []byte, id, trace uint64) []byte {
-	psize := uvarintLen(id) + len(t.tail)
-	start := len(dst)
-	flags := byte(0)
-	if trace != 0 {
-		flags |= flagTraced
-	}
-	dst = append(dst, magic0, magic1, Version, byte(TError), flags)
-	if trace != 0 {
-		dst = binary.LittleEndian.AppendUint64(dst, trace)
-	}
-	dst = binary.AppendUvarint(dst, uint64(psize))
-	dst = binary.AppendUvarint(dst, id)
-	dst = append(dst, t.tail...)
-	crc := crc32.Checksum(dst[start:], castagnoli)
-	return binary.LittleEndian.AppendUint32(dst, crc)
-}
-
 // PeekHeader validates the fixed prefix of a frame — magic, version, a
 // known request opcode, and enough bytes to plausibly hold the smallest
 // complete encoding — and reports the frame's type and consistency mode
