@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -404,5 +406,29 @@ func TestDaemonFlags(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("countd flags:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestDaemonSim runs -sim seeds 1–5 for every network kind in both modes:
+// each seed must pass the simulator's invariants with the daemon's own
+// network behind it.
+func TestDaemonSim(t *testing.T) {
+	// The simulator pins the process to one P; give the other tests theirs back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, kind := range []string{"bitonic", "periodic", "tree"} {
+		for _, mode := range []string{"sc", "lin"} {
+			t.Run(kind+"/"+mode, func(t *testing.T) {
+				for seed := uint64(1); seed <= 5; seed++ {
+					var out strings.Builder
+					err := runSim(options{kind: kind, width: 8, mode: mode, sim: seed}, &out)
+					if err != nil {
+						t.Fatalf("seed %d: %v\n%s", seed, err, out.String())
+					}
+					if want := fmt.Sprintf("sim seed %d ok", seed); !strings.Contains(out.String(), want) {
+						t.Fatalf("seed %d: no %q in\n%s", seed, want, out.String())
+					}
+				}
+			})
+		}
 	}
 }

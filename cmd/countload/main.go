@@ -7,8 +7,8 @@
 // repository's benchmark (bench/README.md).
 //
 // -sim N runs deterministic whole-system simulation seed N
-// (internal/dst) with this driver's client-side configuration (-g,
-// -mode, -adaptive) against a simulated server — no live countd needed —
+// (internal/dst) with this driver's client-side configuration (-g and
+// -mode) against a simulated server — no live countd needed —
 // and audits the protocol invariants over the outcome.
 //
 // -trace-sample N traces one in N increments end to end: the client
@@ -73,7 +73,6 @@ type options struct {
 	clients  int           // concurrent client connections
 	mode     string        // consistency mode requested per increment
 	duration time.Duration // run length
-	adaptive bool          // RTT-adaptive in-flight window
 	cpuprof  string        // write a CPU profile here ("" disables)
 	sim      uint64        // deterministic-simulation seed (0: drive a live countd)
 	sample   int           // trace 1 in N increments end to end (0: off)
@@ -103,7 +102,6 @@ func flags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.clients, "g", 4, "concurrent clients")
 	fs.StringVar(&o.mode, "mode", "sc", "consistency mode: sc or lin")
 	fs.DurationVar(&o.duration, "duration", 2*time.Second, "run length")
-	fs.BoolVar(&o.adaptive, "adaptive", false, "tune each connection's in-flight window to measured RTT (AIMD)")
 	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile to this file (empty: off)")
 	fs.Uint64Var(&o.sim, "sim", 0, "run this deterministic-simulation seed with the client-side configuration instead of driving a live server (0: off)")
 	fs.IntVar(&o.sample, "trace-sample", 0, "trace 1 in N increments through the serving path (0: off)")
@@ -162,17 +160,18 @@ func main() {
 var errUsage = errors.New("usage")
 
 // workers is each load client's count of worker goroutines, each looping
-// sequential increments. It equals the client's in-flight window, so
-// every worker can have an op on the wire.
+// sequential increments. Their Inc calls combine, so a client keeps one
+// frame per mode in flight however many workers it has; the count sets
+// how many increments each frame can carry, and it also sizes the
+// client's Window.
 const workers = 64
 
 // runSim executes one deterministic whole-system simulation seed with
-// this driver's client-side configuration — worker count from -g,
-// consistency mode from -mode, AIMD window from -adaptive — against a
-// simulated server on the virtual clock and in-memory transport. The
-// per-op outcomes get the same uniqueness audit the live driver applies,
-// plus the full dst invariant set (step property, LIN order, retry
-// budgets, clean drain).
+// this driver's client-side configuration — worker count from -g and
+// consistency mode from -mode — against a simulated server on the
+// virtual clock and in-memory transport. The per-op outcomes get the
+// same uniqueness audit the live driver applies, plus the full dst
+// invariant set (step property, LIN order, retry budgets, clean drain).
 func runSim(o options, out io.Writer) error {
 	if _, err := countingnet.ParseConsistencyMode(o.mode); err != nil {
 		return err
@@ -180,7 +179,7 @@ func runSim(o options, out io.Writer) error {
 	if o.clients <= 0 {
 		return fmt.Errorf("need at least one client, got %d", o.clients)
 	}
-	ov := dst.Overrides{Workers: o.clients, Adaptive: &o.adaptive}
+	ov := dst.Overrides{Workers: o.clients}
 	if o.mode == "lin" {
 		ov.Mode = "lin"
 	} else {
@@ -198,8 +197,8 @@ func runSim(o options, out io.Writer) error {
 			errs++
 		}
 	}
-	fmt.Fprintf(out, "countload: sim seed %d (%s), %d clients, mode %s, adaptive %v\n",
-		o.sim, res.Scenario.Flavor, o.clients, o.mode, o.adaptive)
+	fmt.Fprintf(out, "countload: sim seed %d (%s), %d clients, mode %s\n",
+		o.sim, res.Scenario.Flavor, o.clients, o.mode)
 	fmt.Fprintf(out, "  ops %d ok / %d failed, values delivered %d, issued %d, %d steps\n",
 		ops, errs, res.Delivered, res.Issued, res.Steps)
 	for _, v := range res.Violations {
@@ -227,7 +226,6 @@ type result struct {
 	Lat      telemetry.LatencySummary
 	Dup      int64 // values handed to two callers (must be 0)
 	MaxValue int64
-	Windows  []client.WindowStats        // per-client adaptive-window state at end of run
 	Wire     client.Stats                // transport counters summed over the clients (zero in cluster mode)
 	Flight   *countingnet.FlightRecorder // client-side spans (nil: tracing off)
 }
@@ -279,14 +277,6 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		// concurrent load, in either mode.
 		fmt.Fprintf(out, "  wire: %d frames in %d writes (%.1f frames/write, %.3f frames/op), retries %d, refusals %d\n",
 			w.Frames, w.Writes, float64(w.Frames)/float64(w.Writes), float64(w.Frames)/float64(res.Ops), w.Retries, w.Refusals)
-	}
-	if o.adaptive {
-		for i, ws := range res.Windows {
-			for j, eff := range ws.Effective {
-				fmt.Fprintf(out, "  client %d conn %d: window %d/%d, rtt ewma %v floor %v\n",
-					i, j, eff, ws.Window, ws.RTTEwma[j].Round(time.Microsecond), ws.RTTMin[j].Round(time.Microsecond))
-			}
-		}
 	}
 	if res.Dup > 0 {
 		return fmt.Errorf("%d duplicate values observed — the service violated uniqueness", res.Dup)
@@ -546,7 +536,6 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 		vals      []int64
 	}
 	outs := make([]workerOut, o.clients*workers)
-	windows := make([]client.WindowStats, o.clients)
 	wires := make([]client.Stats, o.clients)
 
 	// The stop signal is an atomic flag, not ctx.Err(): with thousands of
@@ -562,13 +551,12 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 		go func(g int) {
 			defer wg.Done()
 			copt := client.Options{
-				Window:         workers,
-				Mode:           mode,
-				OpTimeout:      time.Second,
-				AdaptiveWindow: o.adaptive,
-				Flight:         res.Flight,
-				TraceSample:    o.sample,
-				TraceActor:     uint64(g) + 1,
+				Window:      workers,
+				Mode:        mode,
+				OpTimeout:   time.Second,
+				Flight:      res.Flight,
+				TraceSample: o.sample,
+				TraceActor:  uint64(g) + 1,
 			}
 			// In cluster mode every load client is cluster-aware: it
 			// bootstraps from the full endpoint list and fails an op over to
@@ -641,14 +629,12 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 			}
 			cwg.Wait()
 			if cc != nil {
-				windows[g] = cc.WindowStats()
 				wires[g] = cc.Stats()
 			}
 		}(g)
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
-	res.Windows = windows
 	for _, w := range wires {
 		res.Wire.Frames += w.Frames
 		res.Wire.Writes += w.Writes

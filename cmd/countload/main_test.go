@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -259,12 +261,35 @@ func TestLoadFlags(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
 	want := []string{
-		"adaptive=false", "addr=127.0.0.1:9701", "cluster=", "cpuprofile=",
+		"addr=127.0.0.1:9701", "cluster=", "cpuprofile=",
 		"duration=2s", "g=4", "mode=sc", "sim=0", "trace-from=",
 		"trace-out=", "trace-sample=0", "udp=", "udp-batch=64",
 		"udp-gso=0", "udp-wires=1",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("countload flags:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestLoadSim runs -sim seeds 1–5 at several client counts in both
+// modes: each seed must pass the simulator's invariants with this
+// driver's client configuration.
+func TestLoadSim(t *testing.T) {
+	// The simulator pins the process to one P; give the other tests theirs back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, g := range []int{1, 3, 8} {
+		for _, mode := range []string{"sc", "lin"} {
+			t.Run(fmt.Sprintf("g=%d/%s", g, mode), func(t *testing.T) {
+				for seed := uint64(1); seed <= 5; seed++ {
+					var out strings.Builder
+					if err := runSim(options{clients: g, mode: mode, sim: seed}, &out); err != nil {
+						t.Fatalf("seed %d: %v\n%s", seed, err, out.String())
+					}
+					if want := fmt.Sprintf("sim seed %d ok", seed); !strings.Contains(out.String(), want) {
+						t.Fatalf("seed %d: no %q in\n%s", seed, want, out.String())
+					}
+				}
+			})
+		}
 	}
 }

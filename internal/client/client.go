@@ -73,8 +73,9 @@ type Options struct {
 	// pool; combined Inc calls meet at one combining point per mode.
 	Conns int
 	// Window bounds the in-flight (unanswered) requests per connection
-	// (default 64); acquiring a slot blocks, which is the client-side
-	// backpressure that feeds the re-batcher.
+	// (default 64); acquiring a slot blocks. Combined Inc calls keep at
+	// most one frame per mode in flight, so the bound binds only
+	// pipelined IncBatchCtx and Read calls.
 	Window int
 	// Mode is the consistency mode used by the Counter facade methods
 	// (default ModeSC). The *Mode methods override it per call.
@@ -97,13 +98,7 @@ type Options struct {
 	OpTimeout time.Duration
 	// DialTimeout bounds each dial (default 5s).
 	DialTimeout time.Duration
-	// AdaptiveWindow, when true, tunes each connection's effective
-	// in-flight window to the measured RTT (AIMD: halve when the smoothed
-	// RTT exceeds twice the observed floor — queueing, not service, is
-	// absorbing the extra in-flight — and grow by one when it sits near
-	// the floor). Window stays the hard cap.
-	AdaptiveWindow bool
-	// Clock times attempt deadlines, retry backoff and RTT measurement;
+	// Clock times attempt deadlines, retry backoff and flight spans;
 	// nil means the wall clock. The deterministic simulation harness
 	// (internal/dst) injects its virtual clock here.
 	Clock clock.Clock
@@ -399,32 +394,6 @@ func (c *Client) Read(ctx context.Context) (int64, error) {
 	return f.Value, nil
 }
 
-// WindowStats is a point-in-time view of the pool's in-flight windows,
-// one entry per live connection.
-type WindowStats struct {
-	Window    int             // configured hard cap per connection
-	Effective []int           // current effective window per live connection
-	RTTEwma   []time.Duration // smoothed RTT per live connection
-	RTTMin    []time.Duration // observed RTT floor per live connection
-}
-
-// WindowStats reports the adaptive-window state of the live pool; with
-// AdaptiveWindow off the effective windows simply equal the cap.
-func (c *Client) WindowStats() WindowStats {
-	ws := WindowStats{Window: c.opt.Window}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cc := range c.pool {
-		if cc == nil || cc.isDead() {
-			continue
-		}
-		ws.Effective = append(ws.Effective, cc.effWindow())
-		ws.RTTEwma = append(ws.RTTEwma, time.Duration(cc.rttEwma.Load()))
-		ws.RTTMin = append(ws.RTTMin, time.Duration(cc.rttMin.Load()))
-	}
-	return ws
-}
-
 // Stats is a point-in-time view of the client's transport counters,
 // summed over every connection the pool has held.
 type Stats struct {
@@ -583,13 +552,11 @@ func (c *Client) dial() (*cconn, error) {
 		return nil, err
 	}
 	cc := &cconn{
-		nc:       nc,
-		clk:      c.clk,
-		stats:    &c.stats,
-		window:   make(chan struct{}, c.opt.Window),
-		pending:  make(map[uint64]chan wire.Frame),
-		dead:     make(chan struct{}),
-		adaptive: c.opt.AdaptiveWindow,
+		nc:      nc,
+		stats:   &c.stats,
+		window:  make(chan struct{}, c.opt.Window),
+		pending: make(map[uint64]chan wire.Frame),
+		dead:    make(chan struct{}),
 	}
 	go cc.readLoop()
 	return cc, nil
@@ -599,7 +566,6 @@ func (c *Client) dial() (*cconn, error) {
 // reader goroutine matching responses to waiters by request id.
 type cconn struct {
 	nc    net.Conn
-	clk   clock.Clock
 	stats *counters
 
 	// The group-commit state. Callers append encoded frames to wpend; the
@@ -615,17 +581,9 @@ type cconn struct {
 	mu      sync.Mutex
 	pending map[uint64]chan wire.Frame
 
-	// window is the in-flight semaphore: channel occupancy = in-flight
-	// requests + reserved (tuner-held) tokens; capacity is the hard
-	// window. The tokens are fungible, which is what keeps the adaptive
-	// tuner's reserve/release moves safe against concurrent requests.
-	window   chan struct{}
-	adaptive bool
-	tuneMu   sync.Mutex
-	reserved atomic.Int32 // tokens held by the tuner (shrinks the window)
-	rttN     atomic.Uint64
-	rttEwma  atomic.Int64 // smoothed RTT, ns (heuristic; races are benign)
-	rttMin   atomic.Int64 // observed RTT floor, ns
+	// window is the in-flight semaphore: channel occupancy = requests in
+	// flight; capacity is Options.Window.
+	window chan struct{}
 
 	dead    chan struct{}
 	die     sync.Once
@@ -637,68 +595,6 @@ type cconn struct {
 // channel that was ever abandoned (ctx expiry) or closed (kill) is left
 // to the garbage collector.
 var respChPool = sync.Pool{New: func() any { return make(chan wire.Frame, 1) }}
-
-// observeRTT folds one successful round trip into the connection's RTT
-// model and periodically lets the tuner adjust the effective window.
-func (cc *cconn) observeRTT(rtt time.Duration) {
-	r := int64(rtt)
-	if r <= 0 {
-		return
-	}
-	for {
-		cur := cc.rttMin.Load()
-		if (cur != 0 && r >= cur) || cc.rttMin.CompareAndSwap(cur, r) {
-			break
-		}
-	}
-	if cur := cc.rttEwma.Load(); cur == 0 {
-		cc.rttEwma.Store(r)
-	} else {
-		cc.rttEwma.Store(cur + (r-cur)/8)
-	}
-	if cc.rttN.Add(1)%64 == 0 {
-		cc.tune()
-	}
-}
-
-// tune is the AIMD step: halve the effective window when the smoothed RTT
-// runs at twice the floor (the extra in-flight is sitting in queues, not
-// being served), grow it by one when the RTT sits near the floor.
-func (cc *cconn) tune() {
-	if !cc.tuneMu.TryLock() {
-		return
-	}
-	defer cc.tuneMu.Unlock()
-	floor, ew := cc.rttMin.Load(), cc.rttEwma.Load()
-	if floor <= 0 || ew <= 0 {
-		return
-	}
-	eff := cap(cc.window) - int(cc.reserved.Load())
-	switch {
-	case ew > 2*floor && eff > 1:
-		target := eff / 2
-		if target < 1 {
-			target = 1
-		}
-		for eff > target {
-			select {
-			case cc.window <- struct{}{}:
-				cc.reserved.Add(1)
-				eff--
-			default:
-				return // every slot is in flight; shrink next round
-			}
-		}
-	case ew < 3*floor/2 && cc.reserved.Load() > 0:
-		// reserved > 0 guarantees the channel holds at least one token
-		// (occupancy = inflight + reserved), so this never blocks.
-		<-cc.window
-		cc.reserved.Add(-1)
-	}
-}
-
-// effWindow reports the current effective in-flight window.
-func (cc *cconn) effWindow() int { return cap(cc.window) - int(cc.reserved.Load()) }
 
 func (cc *cconn) isDead() bool {
 	select {
@@ -755,10 +651,6 @@ func (cc *cconn) do(ctx context.Context, f *wire.Frame) (wire.Frame, error) {
 		cc.mu.Unlock()
 	}
 
-	var start time.Time
-	if cc.adaptive {
-		start = cc.clk.Now()
-	}
 	cc.wmu.Lock()
 	var err error
 	cc.wpend, err = wire.AppendFrame(cc.wpend, f)
@@ -785,9 +677,6 @@ func (cc *cconn) do(ctx context.Context, f *wire.Frame) (wire.Frame, error) {
 			return wire.Frame{}, errTransport
 		}
 		respChPool.Put(ch)
-		if cc.adaptive {
-			cc.observeRTT(cc.clk.Since(start))
-		}
 		return rf, nil
 	case <-ctx.Done():
 		// The channel stays out of the pool: the reader may still deliver

@@ -596,6 +596,52 @@ func TestBadWireSurfaces(t *testing.T) {
 	}
 }
 
+// TestOversizeBatchSparesConnection: a batch above the wire's bound on K
+// is refused by the encoder before any byte of it reaches the shared
+// connection. The call fails alone, unretried, and the Inc callers on the
+// same connection never see a transport error.
+func TestOversizeBatchSparesConnection(t *testing.T) {
+	_, addr := startService(t, 4, server.Options{})
+	c := dialC(t, addr, Options{})
+
+	var done, incErrs atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.IncCtx(context.Background(), i); err != nil {
+					incErrs.Add(1)
+				}
+				done.Add(1)
+			}
+		}(i)
+	}
+	waitFor(t, "incs under way", func() bool { return done.Load() >= 100 })
+	_, err := c.IncBatchCtx(context.Background(), 0, 1<<32+1, wire.ModeSC)
+	after := done.Load()
+	waitFor(t, "incs after the oversize call", func() bool { return done.Load() >= after+100 })
+	close(stop)
+	wg.Wait()
+
+	if !errors.Is(err, wire.ErrBadFrame) {
+		t.Fatalf("oversize batch: %v, want wire.ErrBadFrame", err)
+	}
+	if r := c.Stats().Retries; r != 0 {
+		t.Fatalf("%d retries: the oversize frame reached the connection", r)
+	}
+	if n := incErrs.Load(); n != 0 {
+		t.Fatalf("%d Inc calls failed beside the oversize batch", n)
+	}
+}
+
 // TestClosedClient: operations on a closed client fail fast with
 // ErrClosed.
 func TestClosedClient(t *testing.T) {

@@ -187,16 +187,15 @@ func RunScenario(sc Scenario, opts RunOptions) (*Result, error) {
 	}
 	dial := func(wk int) (simClient, error) {
 		return client.Dial(addr, client.Options{
-			Conns:          1,
-			Retries:        sc.Retries,
-			OpTimeout:      sc.OpTimeout,
-			DialTimeout:    sc.DialTimeout,
-			AdaptiveWindow: sc.AdaptiveWindow,
-			Clock:          w.Clk,
-			Dialer:         w.Dialer(wk),
-			Flight:         w.flight,
-			TraceSample:    traceSample,
-			TraceActor:     uint64(wk) + 1,
+			Conns:       1,
+			Retries:     sc.Retries,
+			OpTimeout:   sc.OpTimeout,
+			DialTimeout: sc.DialTimeout,
+			Clock:       w.Clk,
+			Dialer:      w.Dialer(wk),
+			Flight:      w.flight,
+			TraceSample: traceSample,
+			TraceActor:  uint64(wk) + 1,
 			Backoff: &fault.Backoff{
 				Base:  sc.BackoffBase,
 				Cap:   sc.BackoffCap,

@@ -165,12 +165,11 @@ type Scenario struct {
 	SrvOpTimeout time.Duration
 
 	// Client tuning.
-	Retries        int
-	OpTimeout      time.Duration
-	DialTimeout    time.Duration
-	BackoffBase    time.Duration
-	BackoffCap     time.Duration
-	AdaptiveWindow bool
+	Retries     int
+	OpTimeout   time.Duration
+	DialTimeout time.Duration
+	BackoffBase time.Duration
+	BackoffCap  time.Duration
 
 	// Transport.
 	JitterMin, JitterMax time.Duration
@@ -291,8 +290,7 @@ type Overrides struct {
 	Workers int // concurrent workload workers (clamped to [1, 16])
 	// Mode "lin" makes every operation linearizable; "sc" makes every
 	// operation sequentially consistent; "" lets the seed choose the mix.
-	Mode     string
-	Adaptive *bool // RTT-adaptive client window (nil: from seed)
+	Mode string
 }
 
 // GenScenario expands a seed into a scenario. The generator enforces the
@@ -338,7 +336,6 @@ func GenScenarioWith(seed uint64, ov Overrides) Scenario {
 	sc.DialTimeout = 50 * time.Millisecond
 	sc.BackoffBase = 200*time.Microsecond + time.Duration(r(0x09, 0)%800)*time.Microsecond
 	sc.BackoffCap = 4*sc.BackoffBase + time.Duration(r(0x0a, 0)%4000)*time.Microsecond
-	sc.AdaptiveWindow = r(0x0b, 0)%2 == 0
 
 	switch sc.Flavor {
 	case "faulty", "mixed":
@@ -374,9 +371,6 @@ func GenScenarioWith(seed uint64, ov Overrides) Scenario {
 	}
 	if ov.Workers > 0 {
 		sc.Workers = min(max(ov.Workers, 1), 16)
-	}
-	if ov.Adaptive != nil {
-		sc.AdaptiveWindow = *ov.Adaptive
 	}
 
 	// OpTimeout: mandatory whenever a request or response can vanish
@@ -532,9 +526,9 @@ func (s *Scenario) Header() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# seed=%d flavor=%s width=%d workers=%d\n", s.Seed, s.Flavor, s.Width, s.Workers)
 	fmt.Fprintf(&b, "# server mailbox=%d optimeout=%d\n", s.Mailbox, s.SrvOpTimeout.Nanoseconds())
-	fmt.Fprintf(&b, "# client retries=%d optimeout=%d dialtimeout=%d backoff=%d/%d adaptive=%v\n",
+	fmt.Fprintf(&b, "# client retries=%d optimeout=%d dialtimeout=%d backoff=%d/%d\n",
 		s.Retries, s.OpTimeout.Nanoseconds(), s.DialTimeout.Nanoseconds(),
-		s.BackoffBase.Nanoseconds(), s.BackoffCap.Nanoseconds(), s.AdaptiveWindow)
+		s.BackoffBase.Nanoseconds(), s.BackoffCap.Nanoseconds())
 	fmt.Fprintf(&b, "# net jitter=%d..%d drop=%.2f dup=%.2f delay=%.2f@%d..%d\n",
 		s.JitterMin.Nanoseconds(), s.JitterMax.Nanoseconds(),
 		s.DropProb, s.DupProb, s.DelayProb, s.DelayMin.Nanoseconds(), s.DelayMax.Nanoseconds())

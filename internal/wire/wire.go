@@ -192,6 +192,10 @@ const (
 	flagNode   = 0x04 // cluster node-identity extension (THello asks, TShape carries)
 )
 
+// maxK bounds K, the increment count of a TIncBatch, TRangeRequest or
+// TLinForward: the encoder refuses a frame above it, the decoder rejects one.
+const maxK = 1 << 32
+
 // Decode failures: the frame bytes themselves are unusable.
 var (
 	ErrBadMagic   = errors.New("wire: bad magic")
@@ -297,7 +301,7 @@ type Frame struct {
 	Trace uint64
 
 	Wire  int64         // TInc, TIncBatch, TLinForward
-	K     int64         // TIncBatch, TLinForward
+	K     int64         // TIncBatch, TRangeRequest, TLinForward (at most maxK)
 	Value int64         // TValue
 	Rs    []Range       // TRanges; TShape/TRangeRequest/TRangeReturn/TRangeGrant owned ranges
 	Shape network.Shape // TShape
@@ -338,8 +342,8 @@ func payloadSize(f *Frame) (int, error) {
 	case TInc:
 		n += varintLen(f.Wire)
 	case TIncBatch:
-		if f.K < 0 {
-			return 0, fmt.Errorf("%w: negative batch size %d", ErrBadFrame, f.K)
+		if f.K < 0 || f.K > maxK {
+			return 0, fmt.Errorf("%w: batch size %d", ErrBadFrame, f.K)
 		}
 		n += varintLen(f.Wire) + uvarintLen(uint64(f.K))
 	case TRead, THello, TSnapshot:
@@ -367,8 +371,8 @@ func payloadSize(f *Frame) (int, error) {
 	case TError:
 		n += uvarintLen(uint64(f.Code)) + uvarintLen(uint64(len(f.Msg))) + len(f.Msg)
 	case TRangeRequest:
-		if f.K < 0 {
-			return 0, fmt.Errorf("%w: negative range request %d", ErrBadFrame, f.K)
+		if f.K < 0 || f.K > maxK {
+			return 0, fmt.Errorf("%w: range request %d", ErrBadFrame, f.K)
 		}
 		n += uvarintLen(f.Node) + uvarintLen(f.Epoch) + uvarintLen(uint64(f.K))
 	case TRangeGrant:
@@ -384,8 +388,8 @@ func payloadSize(f *Frame) (int, error) {
 		}
 		n += uvarintLen(f.Node) + uvarintLen(f.Epoch) + rn
 	case TLinForward:
-		if f.K < 0 {
-			return 0, fmt.Errorf("%w: negative batch size %d", ErrBadFrame, f.K)
+		if f.K < 0 || f.K > maxK {
+			return 0, fmt.Errorf("%w: batch size %d", ErrBadFrame, f.K)
 		}
 		n += varintLen(f.Wire) + uvarintLen(uint64(f.K)) + uvarintLen(f.Epoch)
 	default:
@@ -619,7 +623,7 @@ func parsePayload(f *Frame, p []byte) error {
 		if f.Wire, p, err = getVarint(p); err == nil {
 			var k uint64
 			if k, p, err = getUvarint(p); err == nil {
-				if k > uint64(1)<<32 {
+				if k > maxK {
 					return fmt.Errorf("%w: batch size %d", ErrBadFrame, k)
 				}
 				f.K = int64(k)
@@ -671,7 +675,7 @@ func parsePayload(f *Frame, p []byte) error {
 		}
 		var k uint64
 		if k, p, err = getUvarint(p); err == nil {
-			if k > uint64(1)<<32 {
+			if k > maxK {
 				return fmt.Errorf("%w: range request %d", ErrBadFrame, k)
 			}
 			f.K = int64(k)
@@ -701,7 +705,7 @@ func parsePayload(f *Frame, p []byte) error {
 		if k, p, err = getUvarint(p); err != nil {
 			return err
 		}
-		if k > uint64(1)<<32 {
+		if k > maxK {
 			return fmt.Errorf("%w: batch size %d", ErrBadFrame, k)
 		}
 		f.K = int64(k)

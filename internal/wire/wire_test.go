@@ -3,7 +3,9 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"testing"
@@ -296,5 +298,40 @@ func TestPeekHeader(t *testing.T) {
 	}
 	if _, _, err := PeekHeader(traced[:headerSize+traceSize]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("short traced peek = %v, want ErrTruncated", err)
+	}
+}
+
+// TestBatchSizeBound: every K-bearing frame carries K = maxK both ways,
+// and K = maxK+1 is refused by the encoder, leaving dst as it was, and
+// rejected by the decoder, so one bound holds on both sides.
+func TestBatchSizeBound(t *testing.T) {
+	for _, typ := range []Type{TIncBatch, TRangeRequest, TLinForward} {
+		f := Frame{Type: typ, ID: 9, Wire: 2, Node: 3, Epoch: 4, K: maxK}
+		enc, err := EncodeFrame(&f)
+		if err != nil {
+			t.Fatalf("%v: encode K=maxK: %v", typ, err)
+		}
+		got, _, err := DecodeFrame(enc)
+		if err != nil || got.K != maxK {
+			t.Fatalf("%v: decode K=maxK: K=%d err=%v", typ, got.K, err)
+		}
+
+		for _, k := range []int64{-1, maxK + 1} {
+			f.K = k
+			prefix := []byte("keep")
+			if out, err := AppendFrame(prefix, &f); !errors.Is(err, ErrBadFrame) || string(out) != "keep" {
+				t.Errorf("%v: encode K=%d: %q, %v; want dst unchanged and ErrBadFrame", typ, k, out, err)
+			}
+		}
+
+		// The decoder's half, on bytes the encoder would not write.
+		f.K = maxK + 1
+		payload := appendPayload(nil, &f)
+		raw := binary.AppendUvarint([]byte{magic0, magic1, Version, byte(typ), 0}, uint64(len(payload)))
+		raw = append(raw, payload...)
+		raw = binary.LittleEndian.AppendUint32(raw, crc32.Checksum(raw, castagnoli))
+		if _, _, err := DecodeFrame(raw); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%v: decode K=maxK+1: got %v, want ErrBadFrame", typ, err)
+		}
 	}
 }
