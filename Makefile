@@ -58,7 +58,6 @@ examples:
 	$(GO) run ./examples/inconsistency
 	$(GO) run ./examples/linearizable
 	$(GO) run ./examples/monitor
-	$(GO) run ./examples/chaos
 	$(GO) run ./examples/netcounter
 
 # Serve a counting network over the wire protocol until interrupted.

@@ -42,7 +42,6 @@
 package countingnet
 
 import (
-	"repro/internal/chaos"
 	"repro/internal/consistency"
 	"repro/internal/construct"
 	"repro/internal/core"
@@ -246,9 +245,6 @@ type (
 	// Range is an arithmetic progression of counter values handed out by
 	// one sink; IncBatch returns the k reserved values as O(width) Ranges.
 	Range = runtime.Range
-	// FaultHook observes and delays balancer transitions on a compiled
-	// network (fault injection; zero-cost when not installed).
-	FaultHook = runtime.FaultHook
 	// ConcurrentNetwork is a compiled lock-free counting network.
 	ConcurrentNetwork = runtime.Network
 	// Workload drives a Counter from concurrent workers with wall-clock
@@ -291,46 +287,16 @@ var (
 // Message-passing substrate (package msgnet): balancers as goroutine
 // actors, wires as channels — the other implementation style Section 2.3
 // says the timing model captures.
-type (
-	MessagePassingNetwork = msgnet.Network
-	// MessagePassingFaults is the instrumentation interface msgnet actors
-	// consult for fault injection; MessagePassingStepFault is one
-	// directive.
-	MessagePassingFaults    = msgnet.Faults
-	MessagePassingStepFault = msgnet.StepFault
-)
+type MessagePassingNetwork = msgnet.Network
 
+// StartMessagePassing spins up the actor network for a wiring spec.
+var StartMessagePassing = msgnet.Start
+
+// ErrClosed and ErrTimeout are the typed failures of the context-aware
+// counting API (IncCtx).
 var (
-	// StartMessagePassing spins up the actor network for a wiring spec.
-	StartMessagePassing = msgnet.Start
-	// WithMessagePassingFaults instruments the actors with fault
-	// injection (pass to StartMessagePassing).
-	WithMessagePassingFaults = msgnet.WithFaults
-)
-
-// Fault-injection and fault-tolerance layer (package chaos): the paper's
-// adversaries as a seeded fault vocabulary for the real concurrent
-// implementations, plus the machinery to survive them.
-type (
-	// FaultPlan is a seeded, deterministic fault-injection plan.
-	FaultPlan = chaos.FaultPlan
-	// CrashSpec schedules one warm balancer crash-and-restart.
-	CrashSpec = chaos.CrashSpec
-	// ResilientCounter degrades gracefully from a stalled primary network
-	// to a backup counter without ever duplicating an id.
-	ResilientCounter = chaos.ResilientCounter
-	// ResilientOptions tunes timeouts, retry/backoff and failover.
-	ResilientOptions = chaos.ResilientOptions
-)
-
-var (
-	// ErrClosed and ErrTimeout are the typed failures of the
-	// context-aware counting API (IncCtx).
 	ErrClosed  = fault.ErrClosed
 	ErrTimeout = fault.ErrTimeout
-	// NewResilientCounter wraps a primary CtxCounter with deadline-bounded
-	// attempts, retry with backoff, and id-range-handoff failover.
-	NewResilientCounter = chaos.NewResilientCounter
 )
 
 // Telemetry layer (package telemetry): per-balancer metrics, latency

@@ -21,7 +21,6 @@ func TestExamplesRun(t *testing.T) {
 		"./examples/inconsistency",
 		"./examples/linearizable",
 		"./examples/monitor",
-		"./examples/chaos",
 		"./examples/netcounter",
 	}
 	for _, path := range examples {

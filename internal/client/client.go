@@ -5,7 +5,7 @@
 //
 // The client presents the same Counter/CtxCounter/BatchCounter facade as
 // the in-process implementations, so every existing harness — the
-// workload driver, the consistency monitors, the chaos drills — runs
+// workload driver, the consistency monitors, the simulation — runs
 // unmodified against a remote network. Inc follows the msgnet
 // convention: -1 on error, a value otherwise.
 //

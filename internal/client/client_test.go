@@ -692,7 +692,7 @@ func (d dropFirstHellos) Frame(conn int, inbound bool, seq int) wire.FrameFault 
 // TestHandshakeSurvivesDroppedFrame: a transport that eats the THello (or
 // its TShape answer) must not hang Dial forever — the handshake is
 // deadline-bounded and retried. Regression for a hang found under the
-// chaos net drill at seed 7.
+// simulation's frame faults at seed 7.
 func TestHandshakeSurvivesDroppedFrame(t *testing.T) {
 	var budget atomic.Int32
 	budget.Store(2)

@@ -27,8 +27,7 @@ type NodeAd struct {
 // Cluster is a cluster-aware client for a multi-node counting service.
 // It keeps one pooled Client per endpoint, routes requests to a sticky
 // healthy endpoint, and fails over to the next one when an endpoint dies
-// or refuses (ResilientCounter-style: the caller sees one logical
-// counter). Because every cluster node mints SC increments from its own
+// or refuses (the caller sees one logical counter). Because every cluster node mints SC increments from its own
 // epoch-fenced blocks and forwards LIN increments to the leader's
 // serialization point, any endpoint can serve any request — routing is
 // purely about liveness, and the ownership map the client caches from

@@ -1,7 +1,7 @@
 // Package clock is the time seam of the serving stack. Every component
 // that waits — the server's flush deadlines and op timeouts, the
-// client's retry backoff and attempt deadlines, the fault layer's
-// resilient counter — takes a Clock instead of calling the time package
+// client's retry backoff and attempt deadlines, the cluster's gossip
+// and elections — takes a Clock instead of calling the time package
 // directly, so the same unmodified code runs against the wall clock in
 // production and against a virtual clock (Sim) under the deterministic
 // simulation harness (internal/dst).

@@ -1,6 +1,7 @@
 package dst
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,24 +104,87 @@ func clip(rs []runtime.Range, k int64) []runtime.Range {
 	return out
 }
 
-// gridFaults adapts a chaos plan's frame faults to the simulation's
-// collision-free timing discipline: drop/duplicate decisions pass
-// through untouched, but a non-zero delay is re-quantized onto the
-// grid with an offset unique to the (connection, direction) pair, so
-// no two sleeping frame handlers ever share a wake instant.
-type gridFaults struct {
-	inner wire.FrameFaults
+// netFaults is the simulation's frame-fault seam (wire.FrameFaults,
+// installed as server.Options.Faults in both directions). Each
+// (connection, direction) pair draws from a private seeded stream, so
+// the schedule a connection sees depends only on the scenario and its
+// connection id, never on how other connections interleave. Every frame
+// consumes the same variates whatever their outcome, so one frame's
+// fault never shifts the schedule of later frames on that stream.
+//
+// Drop/duplicate decisions pass through as drawn, but a non-zero delay
+// is re-quantized onto the grid with an offset unique to the
+// (connection, direction) pair, so no two sleeping frame handlers ever
+// share a wake instant.
+type netFaults struct {
+	seed               int64
+	drop, dup, delay   float64
+	delayMin, delayMax time.Duration
+
+	mu      sync.Mutex
+	streams map[int]*rand.Rand // by conn*2+dir
 }
 
-func (g gridFaults) Frame(conn int, inbound bool, seq int) wire.FrameFault {
-	f := g.inner.Frame(conn, inbound, seq)
-	if f.Delay > 0 {
-		dir := 0
-		if !inbound {
-			dir = 1
-		}
-		steps := 1 + f.Delay/grid
-		f.Delay = steps*grid + time.Duration(1+(conn%127)*32+dir*16)*time.Nanosecond
+// newNetFaults builds the seam for sc's frame-fault fields, or nil when
+// the scenario injects none.
+func newNetFaults(sc *Scenario) wire.FrameFaults {
+	if !sc.faultsActive() {
+		return nil
 	}
-	return f
+	return &netFaults{
+		seed:     int64(sc.Seed%((1<<62)-1)) + 1,
+		drop:     sc.DropProb,
+		dup:      sc.DupProb,
+		delay:    sc.DelayProb,
+		delayMin: sc.DelayMin,
+		delayMax: sc.DelayMax,
+		streams:  make(map[int]*rand.Rand),
+	}
+}
+
+func (f *netFaults) Frame(conn int, inbound bool, _ int) wire.FrameFault {
+	dir := 0
+	if !inbound {
+		dir = 1
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	rng, ok := f.streams[conn*2+dir]
+	if !ok {
+		rng = rand.New(rand.NewSource(mixSeed(f.seed, kindNet, conn*2+dir)))
+		f.streams[conn*2+dir] = rng
+	}
+
+	// The delay always consumes its Float64, and its jitter whenever the
+	// span is non-zero; drop and duplicate consume one Float64 each only
+	// when their probability is non-zero.
+	var ff wire.FrameFault
+	hit := rng.Float64() < f.delay
+	var jitter int64
+	if span := int64(f.delayMax - f.delayMin); span > 0 {
+		jitter = rng.Int63n(span + 1)
+	}
+	if d := f.delayMin + time.Duration(jitter); hit && d > 0 {
+		steps := 1 + d/grid
+		ff.Delay = steps*grid + time.Duration(1+(conn%127)*32+dir*16)*time.Nanosecond
+	}
+	ff.Drop = f.drop > 0 && rng.Float64() < f.drop
+	ff.Duplicate = f.dup > 0 && rng.Float64() < f.dup
+	return ff
+}
+
+// kindNet is the stream family the frame-fault draws are seeded under.
+const kindNet = 4
+
+// mixSeed derives a well-spread per-stream seed (splitmix64 finalizer).
+// It is not mix3: every faulted trace depends on these exact seeds, so
+// changing the mixing (or kindNet) reshuffles them all.
+func mixSeed(seed int64, kind, idx int) int64 {
+	z := uint64(seed) + uint64(kind)*0x9e3779b97f4a7c15 + uint64(idx)*0xbf58476d1ce4e5b9
+	z ^= z >> 30
+	z *= 0xbf58476d1ce4e5b9
+	z ^= z >> 27
+	z *= 0x94d049bb133111eb
+	z ^= z >> 31
+	return int64(z | 1)
 }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/consistency"
@@ -137,19 +136,6 @@ func RunScenario(sc Scenario, opts RunOptions) (*Result, error) {
 		bug:    opts.Bug,
 	}
 
-	var faults wire.FrameFaults
-	if sc.faultsActive() {
-		plan := &chaos.FaultPlan{
-			Seed:         int64(seed%((1<<62)-1)) + 1,
-			NetDropProb:  sc.DropProb,
-			NetDupProb:   sc.DupProb,
-			NetDelayProb: sc.DelayProb,
-			NetDelayMin:  sc.DelayMin,
-			NetDelayMax:  sc.DelayMax,
-		}
-		faults = gridFaults{inner: plan.Frames()}
-	}
-
 	// One shared recorder for both sides of the wire: client and server
 	// spans land in the same rings, stamped from the same virtual clock,
 	// so the dump is one merged timeline. Capacity is sized far past any
@@ -168,7 +154,7 @@ func RunScenario(sc Scenario, opts RunOptions) (*Result, error) {
 	srv := server.New(be, server.Options{
 		Mailbox:   sc.Mailbox,
 		OpTimeout: sc.SrvOpTimeout,
-		Faults:    faults,
+		Faults:    newNetFaults(&sc),
 		Clock:     w.Clk,
 		Flight:    w.flight,
 		Stats:     st,

@@ -1,19 +1,10 @@
 package dst
 
 import (
-	"context"
-	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
-	"repro/internal/client"
-	"repro/internal/construct"
-	"repro/internal/fault"
-	"repro/internal/runtime"
-	"repro/internal/server"
 	"repro/internal/wire"
 )
 
@@ -136,156 +127,4 @@ func TestBackpressureShedUnderFullMailbox(t *testing.T) {
 		t.Fatal("pressure scenario delivered nothing and shed nothing")
 	}
 	t.Logf("delivered=%d issued=%d shed-surfaced=%v", res.Delivered, res.Issued, shed)
-}
-
-// TestResilientCounterFailsOverUnderPartition runs chaos.ResilientCounter
-// over the real networked client inside the simulation: the transport is
-// black-holed mid-run, attempts strike out, and the counter must (a)
-// surface a timeout once MaxRetries is exhausted while the primary is
-// still considered alive, and (b) fail over to its backup range once
-// FailAfter strikes accumulate — without ever duplicating a value.
-func TestResilientCounterFailsOverUnderPartition(t *testing.T) {
-	const seed = 99
-	w := NewWorld(seed, 10*time.Microsecond, 60*time.Microsecond,
-		[]Partition{{Start: 3 * time.Millisecond, End: 100 * time.Second}})
-
-	spec, _, err := construct.Bitonic(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inner, err := runtime.Compile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := server.New(inner, server.Options{Clock: w.Clk})
-	ln := w.Listen("sim")
-	go srv.Serve(ln)
-
-	type outcome struct {
-		preVals  []int64
-		exhErr   error
-		postVals []int64
-		postErrs []error
-		failed   bool
-		base     int64
-	}
-	var out outcome
-	var done atomic.Bool
-	go func() {
-		defer done.Store(true)
-		w.Clk.Sleep(100 * time.Microsecond)
-		cl, err := client.Dial("sim", client.Options{
-			Conns:       1,
-			Mode:        wire.ModeLIN, // direct path: attempt ctx honoured per request
-			Retries:     1,
-			OpTimeout:   time.Millisecond,
-			DialTimeout: 10 * time.Millisecond,
-			Clock:       w.Clk,
-			Dialer:      w.Dialer(0),
-			Backoff:     &fault.Backoff{Base: 200 * time.Microsecond, Cap: 500 * time.Microsecond, Seed: 1, Clock: w.Clk},
-		})
-		if err != nil {
-			out.exhErr = err
-			return
-		}
-		defer cl.Close()
-
-		// rc lives through the whole run: it commits primary values while
-		// the transport is healthy, so its failover base must fence off
-		// everything it ever handed out.
-		rc := chaos.NewResilientCounter(cl, new(runtime.AtomicCounter), chaos.ResilientOptions{
-			Timeout: 3 * time.Millisecond, MaxRetries: 2, FailAfter: 2,
-			BackoffBase: 200 * time.Microsecond, BackoffCap: 500 * time.Microsecond,
-			Clock: w.Clk,
-		})
-		for i := 0; i < 3; i++ {
-			if v, err := rc.IncCtx(context.Background(), i); err == nil {
-				out.preVals = append(out.preVals, v)
-			}
-			w.Clk.Sleep(200*time.Microsecond + time.Duration(i)*time.Microsecond)
-		}
-		// Past the partition start: a counter whose FailAfter is too high
-		// to trip must surface retry-budget exhaustion as an error — not
-		// hang, not fail over.
-		exhaust := chaos.NewResilientCounter(cl, new(runtime.AtomicCounter), chaos.ResilientOptions{
-			Timeout: 3 * time.Millisecond, MaxRetries: 1, FailAfter: 1 << 30,
-			BackoffBase: 200 * time.Microsecond, BackoffCap: 500 * time.Microsecond,
-			Clock: w.Clk,
-		})
-		w.Clk.Sleep(4 * time.Millisecond)
-		_, out.exhErr = exhaust.IncCtx(context.Background(), 0)
-
-		// Black-holed: rc's attempts strike out, it fails over, and keeps
-		// serving from the backup's reserved range.
-		for i := 0; i < 6; i++ {
-			v, err := rc.IncCtx(context.Background(), i)
-			if err != nil {
-				out.postErrs = append(out.postErrs, err)
-				continue
-			}
-			out.postVals = append(out.postVals, v)
-		}
-		out.failed = rc.FailedOver()
-		out.base = rc.Base()
-	}()
-
-	steps, stuck := 0, 0
-	for !done.Load() {
-		w.Settle()
-		if done.Load() {
-			break
-		}
-		if !w.step() {
-			if stuck++; stuck > 40 {
-				t.Fatal("simulation deadlocked")
-			}
-			continue
-		}
-		stuck = 0
-		if steps++; steps > 50000 {
-			t.Fatal("runaway simulation")
-		}
-	}
-	closeDone := make(chan struct{})
-	go func() { _ = srv.Close(); close(closeDone) }()
-	for {
-		w.Settle()
-		if w.step() {
-			continue
-		}
-		select {
-		case <-closeDone:
-		default:
-			if stuck++; stuck > 40 {
-				t.Fatal("drain stuck")
-			}
-			continue
-		}
-		break
-	}
-
-	if out.exhErr == nil || !errors.Is(out.exhErr, fault.ErrTimeout) {
-		t.Errorf("retry-budget exhaustion: want ErrTimeout, got %v", out.exhErr)
-	}
-	if !out.failed {
-		t.Fatalf("counter never failed over; post values %v, errors %v", out.postVals, out.postErrs)
-	}
-	if len(out.postVals) == 0 {
-		t.Fatal("no values served from the backup after failover")
-	}
-	seen := map[int64]bool{}
-	for _, v := range append(append([]int64(nil), out.preVals...), out.postVals...) {
-		if seen[v] {
-			t.Fatalf("duplicate value %d across failover (pre %v, post %v, base %d)", v, out.preVals, out.postVals, out.base)
-		}
-		seen[v] = true
-	}
-	for _, v := range out.postVals {
-		if v < out.base {
-			t.Errorf("backup served %d below its reserved base %d", v, out.base)
-		}
-	}
-	if n := w.Clk.Sleepers(); n != 0 {
-		t.Errorf("%d goroutines left parked on the sim clock", n)
-	}
 }

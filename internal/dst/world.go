@@ -1,7 +1,7 @@
 // Package dst is the deterministic whole-system simulation harness for
 // the serving stack (FoundationDB-style DST). The real client
 // (internal/client), wire protocol (internal/wire), server
-// (internal/server) and chaos fault plans (internal/chaos) run
+// (internal/server) and the frame-fault seam (wire.FrameFaults) run
 // unmodified on a virtual clock (clock.Sim) and an in-memory transport,
 // driven by a seeded adversarial scheduler: message delays, frame
 // drops/duplicates, transport partitions and backend stalls are all

@@ -1,6 +1,6 @@
 // Package fault is the shared error vocabulary of the fault-tolerant
 // counting API. Both concurrent substrates (internal/runtime,
-// internal/msgnet) and the chaos layer (internal/chaos) return these
+// internal/msgnet) and the network client (internal/client) return these
 // sentinels, so callers can switch on a failure's kind without knowing
 // which implementation served the increment.
 package fault
@@ -39,19 +39,13 @@ func FromContext(err error) error {
 	return err
 }
 
-// Transient reports whether err is worth retrying: a deadline expiry may
-// clear when the stalled component resumes, whereas a closed network or a
-// caller-initiated cancellation never will.
-func Transient(err error) bool {
-	return errors.Is(err, ErrTimeout)
-}
-
 // Backoff computes retry delays: exponential from Base, capped at Cap,
 // with equal jitter (half fixed, half uniform) so stalled callers do not
-// retry in lockstep. It is the shared retry policy of the fault-tolerant
-// layers — chaos.ResilientCounter and the network client both draw their
-// delays from it. The zero value is usable (Base 1ms, Cap 100ms, Seed 1);
-// a Backoff must not be copied after first use.
+// retry in lockstep. It is the network client's retry policy
+// (client.Options.Backoff), on the wall clock in production and on the
+// simulation's virtual clock under internal/dst. The zero value is
+// usable (Base 1ms, Cap 100ms, Seed 1); a Backoff must not be copied
+// after first use.
 type Backoff struct {
 	// Base is the first retry's backoff; Cap bounds the exponential
 	// growth. Seed seeds the jitter (same seed, same delay sequence).

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,6 +86,104 @@ func TestHookedConcurrentCounting(t *testing.T) {
 		}
 	})
 	hammer(t, n, 8, 100)
+}
+
+// TestHookedDeadlineAbandonment: under seeded stalls that honour ctx and
+// a deadline on every increment, a token either times out before its
+// first toggle or completes, so deadline-driven abandonment never burns a
+// value: the completed values still count 0..N-1 and the observer sees
+// exactly the completed tokens exit.
+func TestHookedDeadlineAbandonment(t *testing.T) {
+	const workers, per = 8, 150
+	n := MustCompile(construct.MustBitonic(8))
+	obs := &countingObserver{}
+	n.SetObserver(obs)
+	var rngMu sync.Mutex
+	rngs := make(map[int]*rand.Rand) // one stream per balancer
+	n.SetFaultHook(func(ctx context.Context, bal int) {
+		rngMu.Lock()
+		r, ok := rngs[bal]
+		if !ok {
+			r = rand.New(rand.NewSource(42 + int64(bal)))
+			rngs[bal] = r
+		}
+		hit := r.Float64() < 0.02
+		d := 400*time.Microsecond + time.Duration(r.Int63n(int64(1600*time.Microsecond)+1))
+		rngMu.Unlock()
+		if !hit {
+			return
+		}
+		stall := time.NewTimer(d)
+		defer stall.Stop()
+		select {
+		case <-stall.C:
+		case <-ctx.Done():
+		}
+	})
+
+	var mu sync.Mutex
+	var vals []int64
+	timedOut := 0
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+				v, err := n.IncCtx(ctx, w)
+				cancel()
+				mu.Lock()
+				if err != nil {
+					if !errors.Is(err, fault.ErrTimeout) {
+						t.Errorf("err = %v, want ErrTimeout", err)
+					}
+					timedOut++
+				} else {
+					vals = append(vals, v)
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	t.Logf("completed=%d timed out=%d", len(vals), timedOut)
+	if timedOut == 0 {
+		t.Fatal("no increment timed out: the deadline was never exercised")
+	}
+	if err := Verify(vals); err != nil {
+		t.Fatalf("abandonment burned a value: %v", err)
+	}
+	if got := obs.exits.Load(); got != int64(len(vals)) {
+		t.Errorf("observer exits %d != completed %d", got, len(vals))
+	}
+}
+
+// TestLinearizableAbandonedSlotReleasedInOrder: an increment that times
+// out behind an unreturned earlier value hands its slot to a background
+// release, which waits for the earlier value's turn and then frees the
+// slot, so the increment after it is not blocked forever.
+func TestLinearizableAbandonedSlotReleasedInOrder(t *testing.T) {
+	lin := NewLinearizableCounter(new(AtomicCounter))
+	lin.c.Inc(0) // value 0 goes to an operation that has not returned yet
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if _, err := lin.IncCtx(ctx, 0); !errors.Is(err, fault.ErrTimeout) {
+		t.Fatalf("err = %v, want ErrTimeout", err)
+	}
+	// Let value 1's release start waiting its turn, then return value 0.
+	time.Sleep(time.Millisecond)
+	lin.published.Store(1)
+	done := make(chan int64, 1)
+	go func() { done <- lin.Inc(0) }()
+	select {
+	case v := <-done:
+		if v != 2 {
+			t.Errorf("next increment got %d, want 2 (value 1 was abandoned)", v)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the abandoned value's slot was never released")
+	}
 }
 
 // TestLinearizableIncCtxCancellation is the satellite edge-case test: some

@@ -69,6 +69,23 @@ func TestDiffractRoutePairing(t *testing.T) {
 	}
 }
 
+// TestDiffractingTreeCountsDiffraction: a token that claims an offer
+// waiting in the root's prism is counted as a diffraction and leaves
+// right, so it lands on the root's right subtree's first leaf.
+func TestDiffractingTreeCountsDiffraction(t *testing.T) {
+	tree, err := NewDiffractingTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.root.prism.Store(&diffOffer{})
+	if v := tree.Inc(0); v != 1 {
+		t.Errorf("diffracted token got %d, want 1 (root right, then left)", v)
+	}
+	if got := tree.Diffractions(); got != 1 {
+		t.Errorf("Diffractions() = %d, want 1", got)
+	}
+}
+
 // TestDiffractRouteWithdraw: with no partner, a token publishes, times
 // out, withdraws and falls back to the toggle (left first).
 func TestDiffractRouteWithdraw(t *testing.T) {

@@ -41,8 +41,8 @@ type Counter interface {
 // CtxCounter is a Counter whose increments honour deadlines and
 // cancellation: IncCtx returns fault.ErrTimeout / fault.ErrClosed /
 // context.Canceled instead of a value when the operation gives up.
-// Network, LinearizableCounter (this package), msgnet.Network and
-// chaos.ResilientCounter all implement it.
+// Network, LinearizableCounter (this package), msgnet.Network and the
+// network client all implement it.
 type CtxCounter interface {
 	Counter
 	IncCtx(ctx context.Context, wire int) (int64, error)

@@ -116,6 +116,55 @@ func TestBaselinesLinearizable(t *testing.T) {
 	}
 }
 
+// TestQueueLockWaitsForPredecessor: a CLH waiter spins on its
+// predecessor's flag and enters only once that predecessor releases.
+func TestQueueLockWaitsForPredecessor(t *testing.T) {
+	var c QueueLockCounter
+	c.init()
+	holder := new(clhNode)
+	holder.locked.Store(true)
+	c.tail.Store(holder)
+	done := make(chan int64, 1)
+	go func() { done <- c.Inc(0) }()
+	time.Sleep(time.Millisecond)
+	select {
+	case v := <-done:
+		t.Fatalf("Inc returned %d while its predecessor held the lock", v)
+	default:
+	}
+	holder.locked.Store(false)
+	if v := <-done; v != 0 {
+		t.Errorf("Inc = %d, want 0", v)
+	}
+}
+
+// TestCombineWaitsForLockedNode: combine blocks while a node is locked
+// for an earlier round, then re-locks it and deposits its bundle.
+func TestCombineWaitsForLockedNode(t *testing.T) {
+	n := newCombNode(nil, combFirst)
+	n.locked = true
+	done := make(chan int64, 1)
+	go func() { done <- n.combine(5) }()
+	time.Sleep(time.Millisecond)
+	select {
+	case v := <-done:
+		t.Fatalf("combine returned %d through a locked node", v)
+	default:
+	}
+	n.mu.Lock()
+	n.locked = false
+	n.cond.Broadcast()
+	n.mu.Unlock()
+	if v := <-done; v != 5 {
+		t.Errorf("combine = %d, want the deposited 5", v)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.locked {
+		t.Error("combine should leave the node locked for distribution")
+	}
+}
+
 // TestCombiningTreeLinearizable: combining preserves linearizability of
 // the underlying counter.
 func TestCombiningTreeLinearizable(t *testing.T) {

@@ -87,8 +87,8 @@ func (c *conn) trySend(m outMsg) {
 }
 
 // faults is the transport seam: every frame the connection reads or
-// writes consults Options.Faults, so a chaos.FaultPlan can drop, delay or
-// duplicate traffic without touching the protocol or the kernel. It
+// writes consults Options.Faults, so a seeded schedule (internal/dst's
+// frame faults) can drop, delay or duplicate traffic without touching the protocol or the kernel. It
 // counts the injected fault, waits out its delay (cut short by Close),
 // and returns how many times the frame goes through — 0 dropped, 1, or 2
 // duplicated. Without Faults it returns 1.

@@ -4,7 +4,7 @@ import "time"
 
 // FrameFault directs the transport seam of a served counting network for
 // one frame: the server consults its installed FrameFaults once per frame
-// read (inbound) and once per frame written (outbound), so a chaos plan
+// read (inbound) and once per frame written (outbound), so a seeded schedule
 // can drop, delay or duplicate traffic without touching the kernel or the
 // protocol code. The zero value is "deliver normally".
 type FrameFault struct {
