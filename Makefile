@@ -65,8 +65,8 @@ countd:
 	$(GO) run ./cmd/countd -w 8 -listen 127.0.0.1:9701 -telemetry 127.0.0.1:8080
 
 # Loopback end-to-end smoke: countd for 4s, countload against it for 2s;
-# countload exits non-zero on zero ops or a duplicate value. Mirrors the
-# CI job.
+# countload exits non-zero on zero ops, a duplicate value or a
+# session-order break. Mirrors the CI job.
 netsmoke:
 	$(GO) run ./cmd/countd -w 8 -listen 127.0.0.1:9701 -duration 4s & \
 	sleep 1 && \
@@ -89,9 +89,11 @@ udpsmoke:
 
 # Three countd nodes as one logical counter on loopback: gossip
 # membership, epoch-fenced id blocks, LIN forwarded to the leader's
-# serialization point. Drives SC then LIN through cluster-aware clients
-# (a follower is killed mid-LIN-run; failover must keep the count moving
-# without errors). Mirrors the CI job.
+# serialization point. Drives SC through cluster-aware clients, SC
+# against one node (which must keep every worker's session order), then
+# LIN through cluster-aware clients (a follower is killed mid-LIN-run;
+# failover must keep the count moving without errors). Mirrors the CI
+# job.
 clustersmoke:
 	@rm -rf .clustersmoke && mkdir -p .clustersmoke
 	$(GO) build -o .clustersmoke/ ./cmd/countd ./cmd/countload
@@ -105,6 +107,7 @@ clustersmoke:
 	sleep 5; \
 	.clustersmoke/countload -cluster 127.0.0.1:9701,127.0.0.1:9702,127.0.0.1:9703 \
 		-g 6 -duration 2s -mode sc; \
+	.clustersmoke/countload -addr 127.0.0.1:9702 -g 6 -duration 2s -mode sc; \
 	( sleep 1; kill -INT $$P3 ) & \
 	.clustersmoke/countload -cluster 127.0.0.1:9701,127.0.0.1:9702,127.0.0.1:9703 \
 		-g 6 -duration 4s -mode lin; \

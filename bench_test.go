@@ -254,8 +254,8 @@ func BenchmarkBarrierApplication(b *testing.B) {
 		ops := w.Run(ctr)
 		max := int64(-1)
 		for _, op := range ops {
-			if op.Value > max {
-				max = op.Value
+			if op.Values[0] > max {
+				max = op.Values[0]
 			}
 		}
 		if want := int64((i+1)*procs - 1); max != want {

@@ -1,10 +1,11 @@
 // Command countload drives a running countd with concurrent remote
 // clients and reports what the service sustained: ops/s, p50/p95/p99
 // latency, errors, and — because the values a counting network hands out
-// are auditable — a uniqueness check over every value observed. It is a
-// smoke driver: it exits non-zero when nothing completed or the audit
-// failed; the numbers to compare across commits come from the
-// repository's benchmark (bench/README.md).
+// are auditable — consistency.Audit over every value observed: no value
+// twice, and each worker's values in its own issue order (session
+// order). It is a smoke driver: it exits non-zero when nothing completed
+// or the audit failed; the numbers to compare across commits come from
+// the repository's benchmark (bench/README.md).
 //
 // -sim N runs deterministic whole-system simulation seed N
 // (internal/dst) with this driver's client-side configuration (-g and
@@ -31,7 +32,9 @@
 // (client.DialCluster) bootstrapped from the full endpoint list, so it
 // fails over when a node dies mid-run and keeps counting. The uniqueness
 // audit then spans every node — a duplicate across machines is an
-// ownership-protocol violation, not just a server bug.
+// ownership-protocol violation, not just a server bug. Session order is
+// only printed there: a failover may land a worker on a node whose block
+// sits lower, which the cluster does not yet prevent (ROADMAP item 1).
 //
 // Usage:
 //
@@ -51,10 +54,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -62,6 +65,7 @@ import (
 
 	countingnet "repro"
 	"repro/internal/client"
+	"repro/internal/consistency"
 	"repro/internal/dst"
 	"repro/internal/packetio"
 	"repro/internal/telemetry"
@@ -220,14 +224,13 @@ type counter interface {
 
 // result is what one load run measured.
 type result struct {
-	Ops      int64
-	Errors   int64
-	Elapsed  time.Duration
-	Lat      telemetry.LatencySummary
-	Dup      int64 // values handed to two callers (must be 0)
-	MaxValue int64
-	Wire     client.Stats                // transport counters summed over the clients (zero in cluster mode)
-	Flight   *countingnet.FlightRecorder // client-side spans (nil: tracing off)
+	Ops     int64
+	Errors  int64
+	Elapsed time.Duration
+	Lat     telemetry.LatencySummary
+	Audit   consistency.Report          // over every value the workers were handed
+	Wire    client.Stats                // transport counters summed over the clients (zero in cluster mode)
+	Flight  *countingnet.FlightRecorder // client-side spans (nil: tracing off)
 }
 
 func (r result) opsPerSec() float64 {
@@ -268,8 +271,8 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "countload: %s, %d clients x window %d, mode %s, %v\n",
 		target, o.clients, workers, o.mode, res.Elapsed.Round(time.Millisecond))
-	fmt.Fprintf(out, "  ops %d (%.0f ops/s), errors %d, duplicates %d, max value %d\n",
-		res.Ops, res.opsPerSec(), res.Errors, res.Dup, res.MaxValue)
+	fmt.Fprintf(out, "  ops %d (%.0f ops/s), errors %d, duplicates %d, session-order breaks %d\n",
+		res.Ops, res.opsPerSec(), res.Errors, res.Audit.Duplicates, res.Audit.SessionBreaks())
 	fmt.Fprintf(out, "  latency p50 %v p95 %v p99 %v max %v\n",
 		res.Lat.P50, res.Lat.P95, res.Lat.P99, res.Lat.Max)
 	if w := res.Wire; w.Writes > 0 && res.Ops > 0 {
@@ -278,8 +281,11 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		fmt.Fprintf(out, "  wire: %d frames in %d writes (%.1f frames/write, %.3f frames/op), retries %d, refusals %d\n",
 			w.Frames, w.Writes, float64(w.Frames)/float64(w.Writes), float64(w.Frames)/float64(res.Ops), w.Retries, w.Refusals)
 	}
-	if res.Dup > 0 {
-		return fmt.Errorf("%d duplicate values observed — the service violated uniqueness", res.Dup)
+	if res.Audit.Duplicates > 0 {
+		return fmt.Errorf("%d duplicate values observed — the service violated uniqueness", res.Audit.Duplicates)
+	}
+	if n := res.Audit.SessionBreaks(); n > 0 && o.cluster == "" {
+		return fmt.Errorf("%d values below one their worker had already been handed — the service broke session order", n)
 	}
 	if res.Ops == 0 {
 		return fmt.Errorf("no operation completed (errors %d) — is countd up at %s?", res.Errors, target)
@@ -515,7 +521,9 @@ func fetchServerSpans(url string) ([]countingnet.FlightSpan, error) {
 // fixed worker goroutines looping sequential increments (the worker count
 // is the pipelining — no goroutine is spawned per op, and no global lock
 // sits on the hot path). Every observed value is collected per worker and
-// audited for uniqueness after the run with one sort.
+// audited after the run by consistency.Audit. Workers read no clock per
+// op, so the records carry no stamps and the audit's real-time check has
+// nothing to order: it checks uniqueness and session order.
 func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (result, error) {
 	var res result
 	ctx, cancel := context.WithTimeout(ctx, o.duration)
@@ -532,7 +540,6 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 	lat := telemetry.NewHistogram(o.clients * workers)
 	type workerOut struct {
 		ops, errs int64
-		maxVal    int64
 		vals      []int64
 	}
 	outs := make([]workerOut, o.clients*workers)
@@ -593,7 +600,6 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 					defer cwg.Done()
 					id := g*workers + w
 					out := &outs[id]
-					out.maxVal = -1
 					out.vals = make([]int64, 0, 512)
 					// Each op runs under a non-cancellable context — the stop
 					// flag bounds the loop, and OpTimeout bounds each op — so
@@ -621,9 +627,6 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 						}
 						out.ops++
 						out.vals = append(out.vals, v)
-						if v > out.maxVal {
-							out.maxVal = v
-						}
 					}
 				}(w)
 			}
@@ -642,23 +645,20 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 		res.Wire.Refusals += w.Refusals
 	}
 
-	// Post-run merge and uniqueness audit: one sort over every observed
-	// value replaces the per-op map the driver used to maintain.
-	var all []int64
+	// Post-run audit: one record per value, each worker a process, the
+	// value sliced from the worker's own buffer.
 	for i := range outs {
 		res.Ops += outs[i].ops
 		res.Errors += outs[i].errs
-		if outs[i].maxVal > res.MaxValue {
-			res.MaxValue = outs[i].maxVal
-		}
-		all = append(all, outs[i].vals...)
 	}
-	slices.Sort(all)
-	for i := 1; i < len(all); i++ {
-		if all[i] == all[i-1] {
-			res.Dup++
+	recs := make([]consistency.Record, 0, res.Ops)
+	for id := range outs {
+		vals := outs[id].vals
+		for n := range vals {
+			recs = append(recs, consistency.Record{Process: id, Index: n, LIN: mode == countingnet.ModeLIN, Values: vals[n : n+1 : n+1]})
 		}
 	}
+	res.Audit = consistency.Audit(recs, math.MaxInt64)
 	res.Lat = lat.Summary()
 	return res, nil
 }

@@ -5,8 +5,11 @@
 // protocol and server on a virtual clock with an in-memory transport.
 // After each run the protocol invariants are audited: no duplicate
 // mints, values within [0, issued), the step property and gap-free
-// delivery on clean runs, F_nl = 0 for linearizable ops, retry/timeout
-// budgets respected, and a clean drain.
+// delivery on clean runs, F_nl = 0 for linearizable ops, per-worker
+// session order (counted, not failed, in the cluster flavor), retry and
+// timeout budgets respected, and a clean drain. A sweep prints per flavor
+// the seeds that broke session order and the largest displacement k: how
+// far a value fell below one an already-answered op of its mode got.
 //
 // The same seed always replays the same execution, byte for byte, so a
 // failing sweep prints the seed and the fix loop is:
@@ -219,6 +222,7 @@ func sweep(o options, out *os.File) (int, error) {
 	wg.Wait()
 
 	flavors := map[string]int{}
+	backward, displaced := map[string]int{}, map[string]int64{}
 	var failing []uint64
 	dupSeeds := 0
 	for i, r := range runs {
@@ -227,12 +231,9 @@ func sweep(o options, out *os.File) (int, error) {
 			return 2, fmt.Errorf("seed %d: %w", seed, errs[i])
 		}
 		flavors[r.flavor]++
-		for _, v := range r.Violations {
-			if strings.Contains(v, "duplicate") {
-				dupSeeds++
-				break
-			}
-		}
+		backward[r.flavor] += min(r.Audit.SessionBreaks(), 1)
+		displaced[r.flavor] = max(displaced[r.flavor], r.Audit.SC.Displacement, r.Audit.LIN.Displacement)
+		dupSeeds += min(r.Audit.Duplicates, 1)
 		if r.Failed() {
 			failing = append(failing, seed)
 		}
@@ -249,6 +250,10 @@ func sweep(o options, out *os.File) (int, error) {
 	}
 	fmt.Fprintf(out, "countsim: %d seeds [%d..%d], %d failing (%s)\n",
 		o.seeds, o.start, o.start+o.seeds-1, len(failing), strings.Join(mix, ", "))
+	for _, f := range names {
+		fmt.Fprintf(out, "countsim: %s: %d seeds with a session-order break, largest displacement k %d\n",
+			f, backward[f], displaced[f])
+	}
 
 	replayFlags := ""
 	if o.bug {

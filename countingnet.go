@@ -17,7 +17,9 @@
 //     families honouring a timing condition.
 //
 //   - Consistency: decide linearizability and sequential consistency of
-//     counting executions and compute the paper's inconsistency fractions.
+//     counting executions, compute the paper's inconsistency fractions,
+//     and audit a recorded history (Audit) for duplicates and for
+//     real-time and session order.
 //
 //   - Theory: every timing condition of Table 1 and Theorem 4.1 as an
 //     exact predicate, the Lemma 3.1 escort-wave machinery, the Theorem
@@ -26,9 +28,9 @@
 //     paper-versus-measured for every table and figure.
 //
 //   - Runtime: a genuinely concurrent (goroutines + atomics) shared-memory
-//     implementation of any constructed network, with the classic
-//     baselines (fetch-and-increment, mutex, queue lock, combining tree)
-//     for benchmarking.
+//     implementation of any constructed network, with fetch-and-increment
+//     and mutex baselines and a Workload that records every increment
+//     for Audit.
 //
 // # Quick start
 //
@@ -156,27 +158,23 @@ var (
 
 // Consistency layer (package consistency).
 type (
-	// Op is one completed counter operation.
-	Op = consistency.Op
 	// Fractions are the paper's inconsistency fractions.
 	Fractions = consistency.Fractions
-	// OnlineMonitor is the streaming consistency monitor.
-	OnlineMonitor = consistency.Online
+	// AuditRecord is one completed operation as its caller saw it.
+	AuditRecord = consistency.Record
+	// AuditReport is what Audit found: duplicates, values out of range,
+	// and real-time and session order per mode.
+	AuditReport = consistency.Report
 )
 
 var (
 	// Linearizable and SequentiallyConsistent decide the two conditions.
 	Linearizable           = consistency.Linearizable
 	SequentiallyConsistent = consistency.SequentiallyConsistent
-	// NonLinearizable / NonSequentiallyConsistent mark offending tokens.
-	NonLinearizable           = consistency.NonLinearizable
-	NonSequentiallyConsistent = consistency.NonSequentiallyConsistent
-	// MeasureConsistency computes all inconsistency fractions.
-	MeasureConsistency = consistency.Measure
-	// WitnessNonLinearizable / WitnessNonSequentiallyConsistent extract a
-	// concrete violating pair.
-	WitnessNonLinearizable           = consistency.WitnessNonLinearizable
+	// WitnessNonSequentiallyConsistent extracts a concrete violating pair.
 	WitnessNonSequentiallyConsistent = consistency.WitnessNonSequentiallyConsistent
+	// Audit checks a history of records against the counter's contract.
+	Audit = consistency.Audit
 	// NewOnlineMonitor starts a streaming consistency monitor.
 	NewOnlineMonitor = consistency.NewOnline
 )
@@ -236,30 +234,12 @@ var (
 type (
 	// Counter is any concurrent counter (network or baseline).
 	Counter = runtime.Counter
-	// CtxCounter is a Counter whose increments honour deadlines and
-	// cancellation (IncCtx).
-	CtxCounter = runtime.CtxCounter
-	// BatchCounter is a Counter that can reserve many values in one
-	// amortized operation (IncBatch); ConcurrentNetwork implements it.
-	BatchCounter = runtime.BatchCounter
-	// Range is an arithmetic progression of counter values handed out by
-	// one sink; IncBatch returns the k reserved values as O(width) Ranges.
-	Range = runtime.Range
-	// ConcurrentNetwork is a compiled lock-free counting network.
-	ConcurrentNetwork = runtime.Network
-	// Workload drives a Counter from concurrent workers with wall-clock
-	// auditing.
+	// Workload drives a Counter from concurrent workers and returns one
+	// AuditRecord per increment, stamped in wall-clock time.
 	Workload = runtime.Workload
-	// AtomicCounter, MutexCounter, QueueLockCounter, CombiningTree are the
-	// baselines.
-	AtomicCounter    = runtime.AtomicCounter
-	MutexCounter     = runtime.MutexCounter
-	QueueLockCounter = runtime.QueueLockCounter
-	CombiningTree    = runtime.CombiningTree
-	// LinearizableCounter is the waiting wrapper (HSW96-style).
-	LinearizableCounter = runtime.LinearizableCounter
-	// DiffractingTree is the Shavit–Zemach prism-optimised counting tree.
-	DiffractingTree = runtime.DiffractingTree
+	// AtomicCounter and MutexCounter are the baselines.
+	AtomicCounter = runtime.AtomicCounter
+	MutexCounter  = runtime.MutexCounter
 )
 
 var (
@@ -267,21 +247,11 @@ var (
 	Compile = runtime.Compile
 	// MustCompile compiles or panics.
 	MustCompile = runtime.MustCompile
-	// NewCombiningTree builds the combining-tree baseline.
-	NewCombiningTree = runtime.NewCombiningTree
 	// NewLinearizableCounter wraps a counter with HSW96-style waiting,
 	// serializing completions in value order to obtain linearizability.
 	NewLinearizableCounter = runtime.NewLinearizableCounter
-	// NewDiffractingTree builds the prism-optimised counting tree.
-	NewDiffractingTree = runtime.NewDiffractingTree
-	// VerifyValues checks gap-free duplicate-free values.
-	VerifyValues = runtime.Verify
-	// ExpandRanges flattens IncBatch ranges into concrete values;
-	// RangeTotal counts them without expanding.
+	// ExpandRanges flattens IncBatch ranges into concrete values.
 	ExpandRanges = runtime.ExpandRanges
-	RangeTotal   = runtime.RangeTotal
-	// AuditOps converts workload records for the consistency checkers.
-	AuditOps = runtime.Audit
 )
 
 // Message-passing substrate (package msgnet): balancers as goroutine

@@ -6,7 +6,6 @@ package countingnet
 import (
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -94,25 +93,9 @@ func TestFacadeTheory(t *testing.T) {
 }
 
 func TestFacadeConcurrentCounter(t *testing.T) {
-	ctr := MustCompile(MustBitonic(8))
-	var wg sync.WaitGroup
-	values := make([][]int64, 8)
-	for id := 0; id < 8; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for k := 0; k < 100; k++ {
-				values[id] = append(values[id], ctr.Inc(id))
-			}
-		}(id)
-	}
-	wg.Wait()
-	var all []int64
-	for _, vs := range values {
-		all = append(all, vs...)
-	}
-	if err := VerifyValues(all); err != nil {
-		t.Fatal(err)
+	recs := Workload{Workers: 8, OpsPerWorker: 100}.Run(MustCompile(MustBitonic(8)))
+	if rep := Audit(recs, int64(len(recs))); rep.Duplicates != 0 || rep.OutOfRange != 0 {
+		t.Fatalf("values are not exactly 0..%d: %+v", len(recs)-1, rep)
 	}
 }
 

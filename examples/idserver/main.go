@@ -51,24 +51,20 @@ func main() {
 	for _, tc := range counters {
 		w := countingnet.Workload{Workers: producers, OpsPerWorker: idsEach}
 		start := time.Now()
-		ops := w.Run(tc.c)
+		recs := w.Run(tc.c)
 		elapsed := time.Since(start)
 
-		vals := make([]int64, len(ops))
-		for i, op := range ops {
-			vals[i] = op.Value
-		}
-		if err := countingnet.VerifyValues(vals); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: id allocation broken: %v\n", tc.name, err)
+		rep := countingnet.Audit(recs, int64(len(recs)))
+		if rep.Duplicates != 0 || rep.OutOfRange != 0 {
+			fmt.Fprintf(os.Stderr, "%s: id allocation broken: %+v\n", tc.name, rep)
 			os.Exit(1)
 		}
-		audit := countingnet.AuditOps(ops)
 		fmt.Printf("%-18s %9.2f M/s %10v %8v %8v\n",
 			tc.name,
-			float64(len(ops))/elapsed.Seconds()/1e6,
+			float64(len(recs))/elapsed.Seconds()/1e6,
 			elapsed.Round(time.Millisecond),
-			countingnet.Linearizable(audit),
-			countingnet.SequentiallyConsistent(audit))
+			rep.SC.NonLin == 0,
+			rep.SessionBreaks() == 0)
 	}
 	snap := col.Snapshot()
 	fmt.Printf("\nnetwork telemetry: %s\n", snap.Summary())
@@ -101,8 +97,8 @@ func main() {
 	for _, vs := range ids {
 		all = append(all, vs...)
 	}
-	if err := countingnet.VerifyValues(all); err != nil {
-		fmt.Fprintf(os.Stderr, "block allocation broken: %v\n", err)
+	if rep := countingnet.Audit([]countingnet.AuditRecord{{Values: all}}, int64(len(all))); rep.Duplicates != 0 || rep.OutOfRange != 0 {
+		fmt.Fprintf(os.Stderr, "block allocation broken: %+v\n", rep)
 		os.Exit(1)
 	}
 	bs := batchCol.Snapshot()

@@ -46,20 +46,15 @@ func main() {
 func report(c countingnet.Counter, workers, perWork int, pace time.Duration) {
 	w := countingnet.Workload{Workers: workers, OpsPerWorker: perWork, Pace: pace}
 	start := time.Now()
-	ops := w.Run(c)
+	recs := w.Run(c)
 	elapsed := time.Since(start)
 
-	vals := make([]int64, len(ops))
-	for i, op := range ops {
-		vals[i] = op.Value
-	}
-	if err := countingnet.VerifyValues(vals); err != nil {
-		fmt.Fprintln(os.Stderr, "counting broken:", err)
+	rep := countingnet.Audit(recs, int64(len(recs)))
+	if rep.Duplicates != 0 || rep.OutOfRange != 0 {
+		fmt.Fprintf(os.Stderr, "counting broken: %+v\n", rep)
 		os.Exit(1)
 	}
-	audit := countingnet.AuditOps(ops)
-	f := countingnet.MeasureConsistency(audit)
+	f := rep.SC.Fractions()
 	fmt.Printf("   %5d ops in %8v | linearizable: %-5v | seq. consistent: %-5v | %v\n",
-		len(ops), elapsed.Round(time.Millisecond),
-		countingnet.Linearizable(audit), countingnet.SequentiallyConsistent(audit), f)
+		len(recs), elapsed.Round(time.Millisecond), f.NonLin == 0, f.NonSC == 0, f)
 }

@@ -29,15 +29,12 @@ func main() {
 
 	w := countingnet.Workload{Workers: workers, OpsPerWorker: perWork, Monitor: mon}
 	start := time.Now()
-	ops := w.Run(ctr)
+	recs := w.Run(ctr)
 	elapsed := time.Since(start)
 
-	vals := make([]int64, len(ops))
-	for i, op := range ops {
-		vals[i] = op.Value
-	}
-	if err := countingnet.VerifyValues(vals); err != nil {
-		fmt.Fprintln(os.Stderr, "counting broken:", err)
+	rep := countingnet.Audit(recs, int64(len(recs)))
+	if rep.Duplicates != 0 || rep.OutOfRange != 0 {
+		fmt.Fprintf(os.Stderr, "counting broken: %+v\n", rep)
 		os.Exit(1)
 	}
 	f := mon.Fractions()
@@ -47,8 +44,7 @@ func main() {
 	fmt.Printf("  out-of-order reports (clock skew evidence): %d\n", mon.TotalReordered)
 	fmt.Println()
 	fmt.Println("Offline audit of the full transcript agrees:")
-	full := countingnet.MeasureConsistency(countingnet.AuditOps(ops))
-	fmt.Printf("  %v\n", full)
+	fmt.Printf("  %v\n", rep.SC.Fractions())
 
 	snap := col.Snapshot()
 	fmt.Println()

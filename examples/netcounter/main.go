@@ -27,9 +27,8 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
-	"sync"
-	"time"
 
 	countingnet "repro"
 )
@@ -39,7 +38,6 @@ const (
 	clients    = 2  // remote connections
 	workers    = 32 // concurrent workers per connection
 	opsPerWkr  = 25 // sequential increments per worker
-	totalOps   = clients * workers * opsPerWkr
 	windowSize = 64
 )
 
@@ -87,7 +85,7 @@ func demo() error {
 	snap := stats.Snapshot()
 	frames := snap.SCOps + snap.LINOps
 	fmt.Printf("\nserver: %d tokens arrived in %d request frames (%d SC, %d LIN; client re-batching %.1fx),\n",
-		snap.SweepTokens, frames, snap.SCOps, snap.LINOps, float64(snap.SweepTokens)/float64(max64(frames, 1)))
+		snap.SweepTokens, frames, snap.SCOps, snap.LINOps, float64(snap.SweepTokens)/float64(max(frames, 1)))
 	fmt.Printf("        served in %d sweeps\n", snap.Sweeps)
 
 	// The checked claim: linearizable service means zero non-linearizable
@@ -99,68 +97,32 @@ func demo() error {
 	return nil
 }
 
-func max64(v, min uint64) uint64 {
-	if v < min {
-		return min
-	}
-	return v
-}
+// pool spreads a phase's workers over the remote clients.
+type pool []*countingnet.RemoteCounter
+
+func (p pool) Inc(w int) int64 { return p[w%len(p)].Inc(w) }
 
 // phase runs one workload pass in the given mode and returns the
 // consistency fractions the monitor computed from what the remote
 // clients actually observed.
 func phase(addr string, mode countingnet.ConsistencyMode) (countingnet.Fractions, error) {
-	mon := countingnet.NewOnlineMonitor()
-	var frac countingnet.Fractions
-
-	pool := make([]*countingnet.RemoteCounter, clients)
-	for i := range pool {
+	p := make(pool, clients)
+	for i := range p {
 		c, err := countingnet.DialCounter(addr, countingnet.RemoteOptions{
 			Mode:   mode,
 			Window: windowSize,
 		})
 		if err != nil {
-			return frac, err
+			return countingnet.Fractions{}, err
 		}
 		defer c.Close()
-		pool[i] = c
+		p[i] = c
 	}
-
-	var (
-		mu   sync.Mutex
-		seen = make(map[int64]int, totalOps)
-		wg   sync.WaitGroup
-		base = time.Now()
-		fail error
-	)
-	for w := 0; w < clients*workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := pool[w%clients]
-			for i := 0; i < opsPerWkr; i++ {
-				s := time.Since(base).Nanoseconds()
-				v := c.Inc(w)
-				e := time.Since(base).Nanoseconds()
-				mu.Lock()
-				if v < 0 {
-					fail = fmt.Errorf("worker %d: increment failed", w)
-				} else {
-					seen[v]++
-					mon.Report(w, v, s, e)
-				}
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if fail != nil {
-		return frac, fail
-	}
-	for v, n := range seen {
-		if n > 1 {
-			return frac, fmt.Errorf("value %d observed %d times; uniqueness was violated", v, n)
-		}
+	mon := countingnet.NewOnlineMonitor()
+	recs := countingnet.Workload{Workers: clients * workers, OpsPerWorker: opsPerWkr, Monitor: mon}.Run(p)
+	// A failed increment returns -1, which the audit counts out of range.
+	if rep := countingnet.Audit(recs, math.MaxInt64); rep.Duplicates != 0 || rep.OutOfRange != 0 {
+		return countingnet.Fractions{}, fmt.Errorf("%d values handed out twice, %d increments failed", rep.Duplicates, rep.OutOfRange)
 	}
 	return mon.Fractions(), nil
 }

@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"sync"
 
 	countingnet "repro"
 )
@@ -28,28 +27,11 @@ func main() {
 	fmt.Println(countingnet.Render(spec, layout))
 
 	ctr := countingnet.MustCompile(spec)
-
-	values := make([][]int64, workers)
-	var wg sync.WaitGroup
-	for id := 0; id < workers; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for k := 0; k < perWork; k++ {
-				values[id] = append(values[id], ctr.Inc(id))
-			}
-		}(id)
-	}
-	wg.Wait()
-
-	var all []int64
-	for _, vs := range values {
-		all = append(all, vs...)
-	}
-	if err := countingnet.VerifyValues(all); err != nil {
-		fmt.Fprintln(os.Stderr, "counting property violated:", err)
+	recs := countingnet.Workload{Workers: workers, OpsPerWorker: perWork}.Run(ctr)
+	if rep := countingnet.Audit(recs, int64(len(recs))); rep.Duplicates != 0 || rep.OutOfRange != 0 {
+		fmt.Fprintf(os.Stderr, "counting property violated: %+v\n", rep)
 		os.Exit(1)
 	}
 	fmt.Printf("%d workers drew %d values concurrently: exactly 0..%d, no duplicates, no gaps\n",
-		workers, len(all), len(all)-1)
+		workers, len(recs), len(recs)-1)
 }

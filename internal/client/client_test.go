@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -100,15 +101,8 @@ func TestWorkloadUnmodified(t *testing.T) {
 	if len(ops) != 16*25 {
 		t.Fatalf("workload completed %d ops, want %d", len(ops), 16*25)
 	}
-	seen := make(map[int64]bool, len(ops))
-	for _, op := range ops {
-		if op.Value < 0 {
-			t.Fatalf("worker %d observed error value %d", op.Worker, op.Value)
-		}
-		if seen[op.Value] {
-			t.Fatalf("value %d observed twice", op.Value)
-		}
-		seen[op.Value] = true
+	if r := consistency.Audit(ops, math.MaxInt64); r.Duplicates != 0 || r.OutOfRange != 0 {
+		t.Fatalf("values not unique and non-negative: %+v", r)
 	}
 	if mon.NonSC != 0 {
 		t.Fatalf("remote SC counting broke per-process order %d times", mon.NonSC)
@@ -145,7 +139,7 @@ func TestLINBesideSC(t *testing.T) {
 	lin := dialC(t, addr, Options{Mode: wire.ModeLIN, Conns: 2})
 	sc := dialC(t, addr, Options{Conns: 8})
 
-	var linOps, scOps []runtime.Op
+	var linOps, scOps []consistency.Record
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -158,11 +152,19 @@ func TestLINBesideSC(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if f := consistency.Measure(runtime.Audit(linOps)); f.NonLin != 0 {
-		t.Fatalf("LIN ops beside SC traffic: %v", f)
+	for i := range linOps {
+		linOps[i].LIN = true
 	}
-	if err := runtime.Verify(append(runtime.Values(linOps), runtime.Values(scOps)...)); err != nil {
-		t.Fatal(err)
+	for i := range scOps {
+		scOps[i].Process += 8 // the SC client's workers are other processes
+	}
+	all := append(linOps, scOps...)
+	r := consistency.Audit(all, int64(len(all)))
+	if r.LIN.NonLin != 0 {
+		t.Fatalf("LIN ops beside SC traffic: %+v", r)
+	}
+	if r.Duplicates != 0 || r.OutOfRange != 0 {
+		t.Fatalf("values are not exactly 0..n-1: %+v", r)
 	}
 }
 
@@ -175,11 +177,12 @@ func TestSCProcessOrder(t *testing.T) {
 	c := dialC(t, addr, Options{Conns: 8})
 	ops := runtime.Workload{Workers: 32, OpsPerWorker: 40}.Run(c)
 
-	if f := consistency.Measure(runtime.Audit(ops)); f.NonSC != 0 || f.NonLin != 0 {
-		t.Fatalf("SC ops broke per-process or real-time order: %v", f)
+	r := consistency.Audit(ops, int64(len(ops)))
+	if r.SessionBreaks() != 0 || r.SC.NonLin != 0 {
+		t.Fatalf("SC ops broke per-process or real-time order: %+v", r)
 	}
-	if err := runtime.Verify(runtime.Values(ops)); err != nil {
-		t.Fatal(err)
+	if r.Duplicates != 0 || r.OutOfRange != 0 {
+		t.Fatalf("values are not exactly 0..n-1: %+v", r)
 	}
 }
 

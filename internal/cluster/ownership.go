@@ -122,6 +122,7 @@ type Minter struct {
 
 	mu          sync.Mutex
 	wg          sync.WaitGroup // in-flight prefetch
+	fetched     sync.Cond      // on mu: the in-flight prefetch has finished
 	cur, nxt    block
 	prefetching bool
 	closed      bool
@@ -133,11 +134,13 @@ func NewMinter(width int, blockSize int64, stats *Stats) *Minter {
 	if stats == nil {
 		stats = NewStats()
 	}
-	return &Minter{
+	m := &Minter{
 		shape:     network.Shape{Width: width, Sinks: width},
 		blockSize: blockSize,
 		stats:     stats,
 	}
+	m.fetched.L = &m.mu
+	return m
 }
 
 // Shape implements the server Backend contract.
@@ -179,6 +182,12 @@ func (m *Minter) TryIncBatch(wireID, k int) ([]runtime.Range, error) {
 		if m.cur.remaining() == 0 {
 			if m.nxt.remaining() > 0 {
 				m.cur, m.nxt = m.nxt, block{}
+			} else if m.prefetching {
+				// The prefetch was granted before any refill could be, so
+				// its block is the lower one: a refill now would mint
+				// above it and then install it as standby, sending every
+				// session on this node backwards. Wait for it instead.
+				m.fetched.Wait()
 			} else if err := m.refillLocked(); err != nil {
 				// Roll forward nothing: ids already carved into out are
 				// burned (a gap), never re-minted.
@@ -235,6 +244,7 @@ func (m *Minter) maybePrefetchLocked() {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		m.prefetching = false
+		m.fetched.Broadcast()
 		if err != nil || m.closed {
 			return
 		}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"math/rand"
+	stdruntime "runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/wire"
@@ -153,6 +155,87 @@ func TestEpochStripesDisjoint(t *testing.T) {
 			if StripeBase(e+1)-StripeBase(e) != StripeSize {
 				t.Fatalf("stripe %d not %d wide", e, StripeSize)
 			}
+		}
+	}
+}
+
+// TestMinterWaitsForPrefetch: when the active block runs dry while the
+// standby's prefetch is still in flight, the minter waits for that
+// prefetch instead of requesting a second block. The prefetch was granted
+// first, so its block is the lower one; minting a later grant before it
+// would send every session on the node backwards. The request gate holds
+// the prefetch's answer until either a refill beside it has returned or
+// the minter is seen waiting with nothing to mint from.
+func TestMinterWaitsForPrefetch(t *testing.T) {
+	const block = 100
+	m := NewMinter(4, block, nil)
+	var (
+		mu    sync.Mutex
+		next  int64
+		calls int
+		once  sync.Once
+	)
+	arrived, gate := make(chan struct{}), make(chan struct{})
+	release := func() { once.Do(func() { close(gate) }) }
+	m.request = func(k int64) (wire.Range, uint64, error) {
+		mu.Lock()
+		r := wire.Range{First: next, Stride: 1, Count: k}
+		next += k
+		calls++
+		call := calls
+		mu.Unlock()
+		switch call {
+		case 2: // the prefetch: granted now, answered once released
+			close(arrived)
+			<-gate
+		case 3: // a refill: the prefetch installs its block once this call's mint returns
+			release()
+		}
+		return r, 1, nil
+	}
+	var minted []int64
+	mint := func(k int) []int64 {
+		rs, err := m.TryIncBatch(0, k)
+		if err != nil {
+			t.Errorf("TryIncBatch(%d): %v", k, err)
+		}
+		var vals []int64
+		for _, r := range rs {
+			for i := int64(0); i < r.Count; i++ {
+				vals = append(vals, r.First+i*r.Stride)
+			}
+		}
+		return vals
+	}
+
+	// 60 of the first block's 100 leave it under half: the prefetch starts.
+	minted = append(minted, mint(60)...)
+	<-arrived
+	done := make(chan []int64)
+	go func() { done <- mint(60) }()
+	for second := []int64(nil); second == nil; {
+		select {
+		case second = <-done:
+			minted = append(minted, second...)
+		default:
+			m.mu.Lock()
+			waiting := m.cur.remaining() == 0 && m.nxt.remaining() == 0
+			m.mu.Unlock()
+			if waiting {
+				release()
+			}
+			stdruntime.Gosched()
+		}
+	}
+	minted = append(minted, mint(2*block)...)
+	m.drain()
+
+	if len(minted) != 60+60+2*block {
+		t.Fatalf("minted %d values, want %d", len(minted), 60+60+2*block)
+	}
+	for i := 1; i < len(minted); i++ {
+		if minted[i] <= minted[i-1] {
+			t.Fatalf("mint %d handed %d after %d: the node's values went backwards", i, minted[i], minted[i-1])
 		}
 	}
 }

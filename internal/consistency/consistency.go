@@ -10,7 +10,9 @@
 package consistency
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -31,33 +33,30 @@ type Op struct {
 // in the execution.
 func (o Op) CompletelyPrecedes(p Op) bool { return o.ExitSeq < p.EnterSeq }
 
-// Duplicate returns the indices of the first pair of operations, in input
-// order, that obtained the same value — the one breach no counter may
-// ever commit, whatever its consistency condition. ok is false when all
-// values are distinct.
-func Duplicate(ops []Op) (first, second int, ok bool) {
-	at := make(map[int64]int, len(ops))
-	for i, op := range ops {
-		if j, dup := at[op.Value]; dup {
-			return j, i, true
-		}
-		at[op.Value] = i
-	}
-	return 0, 0, false
-}
-
 // NonLinearizable marks each operation that is non-linearizable in the
 // sense of LSST99 (Section 5.1): some other operation completely precedes
 // it yet returned a larger value. The result is indexed like ops.
 func NonLinearizable(ops []Op) []bool {
 	marks := make([]bool, len(ops))
+	for i, k := range displacements(ops) {
+		marks[i] = k > 0
+	}
+	return marks
+}
+
+// displacements returns, indexed like ops, how far each operation's value
+// falls below the largest value of an operation that completely precedes
+// it: the distance from linearizability that NonLinearizable marks when
+// it is positive.
+func displacements(ops []Op) []int64 {
+	out := make([]int64, len(ops))
 	if len(ops) == 0 {
-		return marks
+		return out
 	}
 	// Sweep operations by EnterSeq, maintaining the maximum value among
 	// operations whose ExitSeq has already passed.
-	byEnter := sortedIdx(len(ops), func(a, b int) bool { return ops[a].EnterSeq < ops[b].EnterSeq })
-	byExit := sortedIdx(len(ops), func(a, b int) bool { return ops[a].ExitSeq < ops[b].ExitSeq })
+	byEnter := sortedIdx(len(ops), func(a, b int) int { return cmp.Compare(ops[a].EnterSeq, ops[b].EnterSeq) })
+	byExit := sortedIdx(len(ops), func(a, b int) int { return cmp.Compare(ops[a].ExitSeq, ops[b].ExitSeq) })
 	maxDone := int64(-1)
 	j := 0
 	for _, i := range byEnter {
@@ -68,10 +67,10 @@ func NonLinearizable(ops []Op) []bool {
 			j++
 		}
 		if maxDone > ops[i].Value {
-			marks[i] = true
+			out[i] = maxDone - ops[i].Value
 		}
 	}
-	return marks
+	return out
 }
 
 // NonSequentiallyConsistent marks each operation preceded, at the same
@@ -79,11 +78,8 @@ func NonLinearizable(ops []Op) []bool {
 func NonSequentiallyConsistent(ops []Op) []bool {
 	marks := make([]bool, len(ops))
 	maxByProc := make(map[int]int64)
-	order := sortedIdx(len(ops), func(a, b int) bool {
-		if ops[a].Process != ops[b].Process {
-			return ops[a].Process < ops[b].Process
-		}
-		return ops[a].Index < ops[b].Index
+	order := sortedIdx(len(ops), func(a, b int) int {
+		return cmp.Or(cmp.Compare(ops[a].Process, ops[b].Process), cmp.Compare(ops[a].Index, ops[b].Index))
 	})
 	for _, i := range order {
 		best, ok := maxByProc[ops[i].Process]
@@ -220,32 +216,14 @@ func lisLength(seq []Op) int {
 	return len(tails)
 }
 
-// sortedIdx returns 0..n-1 ordered by less over element indices.
-func sortedIdx(n int, less func(a, b int) bool) []int {
+// sortedIdx returns 0..n-1 stably ordered by order over element indices.
+func sortedIdx(n int, order func(a, b int) int) []int {
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(x, y int) bool { return less(idx[x], idx[y]) })
+	slices.SortStableFunc(idx, order)
 	return idx
-}
-
-// WitnessNonLinearizable returns indices (earlier, later) of one violating
-// pair: ops[earlier] completely precedes ops[later] yet returned a larger
-// value. ok is false when the execution is linearizable.
-func WitnessNonLinearizable(ops []Op) (earlier, later int, ok bool) {
-	marks := NonLinearizable(ops)
-	for i, bad := range marks {
-		if !bad {
-			continue
-		}
-		for j := range ops {
-			if ops[j].CompletelyPrecedes(ops[i]) && ops[j].Value > ops[i].Value {
-				return j, i, true
-			}
-		}
-	}
-	return 0, 0, false
 }
 
 // WitnessNonSequentiallyConsistent returns indices (earlier, later) of one

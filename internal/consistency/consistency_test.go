@@ -1,6 +1,7 @@
 package consistency
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -263,13 +264,6 @@ func TestCompletelyPrecedes(t *testing.T) {
 
 func TestWitnessExtraction(t *testing.T) {
 	ops := seqOps([2]int64{0, 5}, [2]int64{1, 7}, [2]int64{0, 3})
-	e, l, ok := WitnessNonLinearizable(ops)
-	if !ok {
-		t.Fatal("execution has an inversion")
-	}
-	if !(ops[e].Value > ops[l].Value && ops[e].CompletelyPrecedes(ops[l])) {
-		t.Errorf("bad witness: %+v then %+v", ops[e], ops[l])
-	}
 	e2, l2, ok := WitnessNonSequentiallyConsistent(ops)
 	if !ok {
 		t.Fatal("execution has a same-process inversion")
@@ -278,38 +272,135 @@ func TestWitnessExtraction(t *testing.T) {
 		t.Errorf("bad SC witness: %+v then %+v", ops[e2], ops[l2])
 	}
 	clean := seqOps([2]int64{0, 1}, [2]int64{0, 2})
-	if _, _, ok := WitnessNonLinearizable(clean); ok {
-		t.Error("clean execution should have no witness")
-	}
 	if _, _, ok := WitnessNonSequentiallyConsistent(clean); ok {
 		t.Error("clean execution should have no SC witness")
 	}
 }
 
+// records wraps ops as one-value Records, stamps and all.
+func records(ops []Op) []Record {
+	recs := make([]Record, len(ops))
+	for i, op := range ops {
+		recs[i] = Record{Process: op.Process, Index: op.Index, Values: []int64{op.Value}, Invoke: op.EnterSeq, Respond: op.ExitSeq}
+	}
+	return recs
+}
+
+// TestDuplicate pins Audit's duplicate count and its witness: the value
+// whose repeat comes first in input order, with the records that got it.
 func TestDuplicate(t *testing.T) {
 	tests := []struct {
 		name          string
 		ops           []Op
 		first, second int
-		dup           bool
+		dups          int
 	}{
-		{name: "empty"},
-		{name: "distinct", ops: seqOps([2]int64{0, 5}, [2]int64{1, 0}, [2]int64{0, 9})},
-		{name: "pair", ops: seqOps([2]int64{0, 5}, [2]int64{1, 0}, [2]int64{2, 5}), first: 0, second: 2, dup: true},
+		{name: "empty", first: -1, second: -1},
+		{name: "distinct", ops: seqOps([2]int64{0, 5}, [2]int64{1, 0}, [2]int64{0, 9}), first: -1, second: -1},
+		{name: "pair", ops: seqOps([2]int64{0, 5}, [2]int64{1, 0}, [2]int64{2, 5}), first: 0, second: 2, dups: 1},
 		{
 			// Two duplicated values: the pair whose second occurrence
 			// comes first in input order wins.
 			name:  "earliest repeat wins",
 			ops:   seqOps([2]int64{0, 7}, [2]int64{1, 3}, [2]int64{2, 3}, [2]int64{3, 7}),
-			first: 1, second: 2, dup: true,
+			first: 1, second: 2, dups: 2,
 		},
-		{name: "triple reports first two", ops: seqOps([2]int64{0, 1}, [2]int64{1, 1}, [2]int64{2, 1}), first: 0, second: 1, dup: true},
+		{name: "triple reports first two", ops: seqOps([2]int64{0, 1}, [2]int64{1, 1}, [2]int64{2, 1}), first: 0, second: 1, dups: 2},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			first, second, dup := Duplicate(tt.ops)
-			if dup != tt.dup || first != tt.first || second != tt.second {
-				t.Errorf("Duplicate = (%d, %d, %v), want (%d, %d, %v)", first, second, dup, tt.first, tt.second, tt.dup)
+			r := Audit(records(tt.ops), math.MaxInt64)
+			if r.Duplicates != tt.dups || r.Dup != [2]int{tt.first, tt.second} {
+				t.Errorf("Audit = %d duplicates, witness %v; want %d, [%d %d]", r.Duplicates, r.Dup, tt.dups, tt.first, tt.second)
+			}
+		})
+	}
+}
+
+// TestAudit runs Audit over hand-made histories of single values and
+// batches, in both modes, and checks every count and witness it reports.
+func TestAudit(t *testing.T) {
+	const SC, LIN = false, true
+	rec := func(p, i int, lin bool, inv, resp int64, vals ...int64) Record {
+		return Record{Process: p, Index: i, LIN: lin, Values: vals, Invoke: inv, Respond: resp}
+	}
+	tests := []struct {
+		name   string
+		recs   []Record
+		issued int64
+		want   Report
+	}{
+		{
+			name:   "clean mixed history",
+			issued: 6,
+			recs: []Record{
+				rec(0, 0, SC, 1, 2, 2, 0), // a strided batch: its values are never compared
+				rec(0, 1, LIN, 3, 4, 3),
+				rec(1, 0, LIN, 1, 2, 1),
+				rec(1, 1, SC, 3, 4, 4, 5),
+			},
+			want: Report{SC: ModeReport{Ops: 2}, LIN: ModeReport{Ops: 2}},
+		},
+		{
+			// w0's SC batch is handed 5 after its LIN op got 6: its session
+			// goes backwards across modes. Real time within each mode holds.
+			name:   "session order across modes",
+			issued: 7,
+			recs: []Record{
+				rec(0, 0, LIN, 1, 2, 6),
+				rec(0, 1, SC, 3, 4, 5, 4),
+			},
+			want: Report{SC: ModeReport{Ops: 1, NonSC: 1}, LIN: ModeReport{Ops: 1}, Behind: 1},
+		},
+		{
+			// r0 ended at 2 with 9; r1 (started at 3) got 4, and r2 (also
+			// after) got 7: both are outrun, the larger gap is 5. The SC
+			// inversion counts in F_nl(SC) but is not a LIN break.
+			name:   "displacement",
+			issued: math.MaxInt64,
+			recs: []Record{
+				rec(0, 0, SC, 1, 2, 9),
+				rec(1, 0, SC, 3, 4, 4, 12),
+				rec(2, 0, SC, 3, 4, 7),
+			},
+			want: Report{SC: ModeReport{Ops: 3, NonLin: 2, Displacement: 5}},
+		},
+		{
+			name:   "LIN inversion names the first late record",
+			issued: 10,
+			recs: []Record{
+				rec(0, 0, SC, 0, 9, 0),
+				rec(1, 0, LIN, 1, 2, 3),
+				rec(2, 0, LIN, 3, 4, 1, 2),
+			},
+			want: Report{SC: ModeReport{Ops: 1}, LIN: ModeReport{Ops: 2, NonLin: 1, Displacement: 2}, Late: 2},
+		},
+		{
+			// Equal stamps are overlap, not precedence.
+			name:   "unstamped history has no real-time order",
+			issued: 2,
+			recs:   []Record{rec(0, 0, LIN, 0, 0, 1), rec(1, 0, LIN, 0, 0, 0)},
+			want:   Report{LIN: ModeReport{Ops: 2}},
+		},
+		{
+			name:   "out of range and records with no value",
+			issued: 3,
+			recs:   []Record{rec(0, 0, SC, 1, 2), rec(0, 1, SC, 3, 4, 2, -1, 3)},
+			want:   Report{OutOfRange: 2, Stray: -1, SC: ModeReport{Ops: 1}},
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			want := tt.want
+			want.Dup = [2]int{-1, -1}
+			if want.Late == 0 {
+				want.Late = -1
+			}
+			if want.Behind == 0 {
+				want.Behind = -1
+			}
+			if got := Audit(tt.recs, tt.issued); got != want {
+				t.Errorf("Audit =\n  %#v\nwant\n  %#v", got, want)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package dst
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"sort"
 	"strings"
@@ -467,8 +468,10 @@ func checkClusterInvariants(res *ClusterResult, w *World, audit *cluster.Audit) 
 	// elections the new epoch's stripe starts above the old one's, and
 	// the lease ordering (a lease of 4×GossipEvery lapses before the
 	// 8×GossipEvery suspicion that lets a successor stand) forbids
-	// old-leader mints after the new leader starts.
-	delivered, violations := auditOps(res.Ops, w, adversity, true)
+	// old-leader mints after the new leader starts. Ids are striped by
+	// epoch, not dense from 0, so the range check is the grant coverage
+	// below; session order is counted in res.Audit, not enforced.
+	delivered, violations := auditOps(&res.Outcome, w, adversity, true, math.MaxInt64)
 	res.Violations = append(res.Violations, violations...)
 	res.Delivered = len(delivered)
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -157,21 +158,29 @@ func (d deadlined) Inc(wire int) int64 {
 
 // audit checks the guarantees that must survive a fault run of a width-w
 // network, each through the repository's one implementation of it:
-// duplicates are never excusable (consistency.Duplicate); when every
-// increment completed the values are exactly 0..N-1 (runtime.Verify) and
-// the per-sink exit counts form a step sequence at quiescence
+// duplicates are never excusable, and when every increment completed the
+// values are exactly 0..N-1 (both consistency.Audit) and the per-sink
+// exit counts form a step sequence at quiescence
 // (network.CheckStepSequence). Abandoned tokens burn values, so an
 // incomplete run is held to uniqueness only.
-func audit(ops []runtime.Op, w int, complete bool) error {
-	if a, b, dup := consistency.Duplicate(runtime.Audit(ops)); dup {
-		return fmt.Errorf("duplicate value %d handed to workers %d and %d", ops[a].Value, ops[a].Worker, ops[b].Worker)
+func audit(recs []consistency.Record, w int, complete bool) error {
+	issued := int64(math.MaxInt64)
+	if complete {
+		issued = int64(len(recs))
+	}
+	r := consistency.Audit(recs, issued)
+	if r.Duplicates > 0 {
+		return fmt.Errorf("duplicate value %d handed to workers %d and %d", r.DupValue, recs[r.Dup[0]].Process, recs[r.Dup[1]].Process)
 	}
 	if !complete {
 		return nil
 	}
-	vals := runtime.Values(ops)
-	if err := runtime.Verify(vals); err != nil {
-		return err
+	if r.OutOfRange > 0 {
+		return fmt.Errorf("value %d outside 0..%d", r.Stray, len(recs)-1)
+	}
+	vals := make([]int64, 0, len(recs))
+	for _, rec := range recs {
+		vals = append(vals, rec.Values...)
 	}
 	return network.CheckStepSequence(network.SinkCountsOf(vals, w))
 }
@@ -196,17 +205,17 @@ func TestScenarioCatalogue(t *testing.T) {
 			}
 			defer n.Close()
 
-			var ops []runtime.Op
+			var ops []consistency.Record
 			timedOut := 0
 			for _, op := range (runtime.Workload{Workers: scenarioWorkers, OpsPerWorker: scenarioOps}).Run(deadlined{n, sc.deadline}) {
-				if op.Value < 0 {
+				if op.Values[0] < 0 {
 					timedOut++
 				} else {
 					ops = append(ops, op)
 				}
 			}
 			snap := col.Snapshot()
-			t.Logf("ops=%d timeout=%d %s", len(ops), timedOut, consistency.Measure(runtime.Audit(ops)))
+			t.Logf("ops=%d timeout=%d %v", len(ops), timedOut, consistency.Audit(ops, math.MaxInt64).SC.Fractions())
 			if err := audit(ops, spec.FanOut(), timedOut == 0); err != nil {
 				t.Error(err)
 			}
@@ -324,10 +333,10 @@ func TestVerifyUnique(t *testing.T) {
 }
 
 // opsOf wraps bare values as completed operations.
-func opsOf(vals ...int64) []runtime.Op {
-	ops := make([]runtime.Op, len(vals))
+func opsOf(vals ...int64) []consistency.Record {
+	ops := make([]consistency.Record, len(vals))
 	for i, v := range vals {
-		ops[i].Value = v
+		ops[i].Values = []int64{v}
 	}
 	return ops
 }

@@ -1,10 +1,6 @@
 package runtime
 
-import (
-	"testing"
-
-	"repro/internal/consistency"
-)
+import "testing"
 
 func TestDiffractingTreeSequential(t *testing.T) {
 	tree, err := NewDiffractingTree(8)
@@ -27,11 +23,9 @@ func TestDiffractingTreeConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops := hammer(t, tree, 2*w, 300)
-		audit := Audit(ops)
 		// Like any counting network, quiescently consistent counting; the
-		// audit is informational (this box rarely overlaps traversals).
-		_ = consistency.SequentiallyConsistent(audit)
+		// ordering half of the audit is informational.
+		hammer(t, tree, 2*w, 300)
 	}
 }
 

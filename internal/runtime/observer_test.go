@@ -66,6 +66,39 @@ func TestObserverEventCounts(t *testing.T) {
 	}
 }
 
+// racingObserver advances the first balancer a token visits, between
+// IncCAS's read of that toggle and its compare-and-swap, as a concurrent
+// token would.
+type racingObserver struct {
+	countingObserver
+	n     *Network
+	raced int // the balancer raced, -1 until the first visit
+}
+
+func (o *racingObserver) BalancerVisit(wire, b int) {
+	o.countingObserver.BalancerVisit(wire, b)
+	if o.raced < 0 {
+		o.raced = b
+		o.n.toggles[b].v.Add(1)
+	}
+}
+
+// TestIncCASRetry: a toggle that moves between IncCAS's read and its
+// compare-and-swap fails that swap exactly once, and the retry toggles
+// from the moved value.
+func TestIncCASRetry(t *testing.T) {
+	n := MustCompile(construct.MustBitonic(4))
+	obs := &racingObserver{n: n, raced: -1}
+	n.SetObserver(obs)
+	n.IncCAS(0)
+	if got := obs.retries.Load(); got != 1 {
+		t.Errorf("CASRetry fired %d times, want 1", got)
+	}
+	if got := n.toggles[obs.raced].v.Load(); got != 2 {
+		t.Errorf("raced toggle = %d, want 2 (the racer's step and the retried one)", got)
+	}
+}
+
 // TestObserverWithFaultHook: observer and fault hook compose on the same
 // instrumented traversal, and the values stay a correct count.
 func TestObserverWithFaultHook(t *testing.T) {

@@ -74,9 +74,10 @@ type Observer interface {
 	// TokenEnter fires when a token enters the network on wire.
 	TokenEnter(wire int)
 	// BalancerVisit fires once per balancer the token visits, before the
-	// toggle. On the batched path (IncBatch) it fires once per balancer
-	// the batch toggles — i.e. once per atomic operation, not once per
-	// token.
+	// toggle; in IncCAS, between the toggle's first read and its first
+	// compare-and-swap. On the batched path (IncBatch) it fires once per
+	// balancer the batch toggles — i.e. once per atomic operation, not
+	// once per token.
 	BalancerVisit(wire, bal int)
 	// CASRetry fires once per failed compare-and-swap in IncCAS.
 	CASRetry(wire, bal int)
@@ -390,21 +391,17 @@ func (n *Network) IncCAS(wire int) int64 {
 	}
 	at := n.routes[reduceWire(wire, n.wIn)]
 	for at >= 0 {
+		m := &n.meta[at]
+		tg := &n.toggles[at].v
+		t := tg.Load()
 		if obs != nil {
 			obs.BalancerVisit(wire, int(at))
 		}
-		m := &n.meta[at]
-		tg := &n.toggles[at].v
-		var t int64
-		for {
-			s := tg.Load()
-			if tg.CompareAndSwap(s, s+1) {
-				t = s
-				break
-			}
+		for !tg.CompareAndSwap(t, t+1) {
 			if obs != nil {
 				obs.CASRetry(wire, int(at))
 			}
+			t = tg.Load()
 		}
 		at = n.routes[int(m.base)+int(portOf(t, m))]
 	}

@@ -10,16 +10,21 @@ import (
 	"repro/internal/construct"
 )
 
-// hammer runs workers × ops concurrent increments and checks the counting
-// property (values are exactly 0..N-1).
-func hammer(t *testing.T, c Counter, workers, ops int) []Op {
+// hammer runs workers × ops concurrent increments and audits them.
+func hammer(t *testing.T, c Counter, workers, ops int) consistency.Report {
 	t.Helper()
-	w := Workload{Workers: workers, OpsPerWorker: ops}
-	recorded := w.Run(c)
-	if err := Verify(Values(recorded)); err != nil {
-		t.Fatalf("counting property: %v", err)
+	return audit(t, Workload{Workers: workers, OpsPerWorker: ops}.Run(c))
+}
+
+// audit checks the counting property (the values are exactly 0..N-1) and
+// returns the rest of consistency.Audit's report.
+func audit(t *testing.T, recs []consistency.Record) consistency.Report {
+	t.Helper()
+	r := consistency.Audit(recs, int64(len(recs)))
+	if r.Duplicates != 0 || r.OutOfRange != 0 {
+		t.Fatalf("counting property: %+v", r)
 	}
-	return recorded
+	return r
 }
 
 func TestNetworkSequential(t *testing.T) {
@@ -50,10 +55,7 @@ func TestNetworkConcurrentCounts(t *testing.T) {
 func TestTreeConcurrentCounts(t *testing.T) {
 	n := MustCompile(construct.MustTree(8))
 	w := Workload{Workers: 8, OpsPerWorker: 200, WireFor: func(int) int { return 0 }}
-	ops := w.Run(n)
-	if err := Verify(Values(ops)); err != nil {
-		t.Fatal(err)
-	}
+	audit(t, w.Run(n))
 }
 
 func TestNetworkCASVariant(t *testing.T) {
@@ -104,13 +106,12 @@ func TestBaselinesLinearizable(t *testing.T) {
 	}
 	for name, mk := range builders {
 		t.Run(name, func(t *testing.T) {
-			ops := hammer(t, mk(), 6, 300)
-			audit := Audit(ops)
-			if !consistency.Linearizable(audit) {
-				t.Error("baseline audit found a linearizability violation")
+			r := hammer(t, mk(), 6, 300)
+			if r.SC.NonLin != 0 {
+				t.Errorf("baseline audit found a linearizability violation: %+v", r)
 			}
-			if !consistency.SequentiallyConsistent(audit) {
-				t.Error("baseline audit found an SC violation")
+			if r.SessionBreaks() != 0 {
+				t.Errorf("baseline audit found an SC violation: %+v", r)
 			}
 		})
 	}
@@ -168,9 +169,8 @@ func TestCombineWaitsForLockedNode(t *testing.T) {
 // TestCombiningTreeLinearizable: combining preserves linearizability of
 // the underlying counter.
 func TestCombiningTreeLinearizable(t *testing.T) {
-	ops := hammer(t, NewCombiningTree(4), 8, 200)
-	if !consistency.Linearizable(Audit(ops)) {
-		t.Error("combining tree audit found a violation")
+	if r := hammer(t, NewCombiningTree(4), 8, 200); r.SC.NonLin != 0 {
+		t.Errorf("combining tree audit found a violation: %+v", r)
 	}
 }
 
@@ -185,9 +185,8 @@ func TestCombiningTreeHeavyContention(t *testing.T) {
 			OpsPerWorker: 500,
 			WireFor:      func(id int) int { return id / 2 }, // two workers per leaf slot
 		}
-		ops := w.Run(tree)
-		if err := Verify(Values(ops)); err != nil {
-			t.Fatalf("leaves=%d: %v", leaves, err)
+		if r := consistency.Audit(w.Run(tree), int64(w.Workers*w.OpsPerWorker)); r.Duplicates != 0 || r.OutOfRange != 0 {
+			t.Fatalf("leaves=%d: %+v", leaves, r)
 		}
 	}
 }
@@ -202,16 +201,12 @@ func TestPacedWorkloadSC(t *testing.T) {
 	n := MustCompile(construct.MustBitonic(8))
 	w := Workload{Workers: 8, OpsPerWorker: 40, Pace: 2 * time.Millisecond}
 	ops := w.Run(n)
-	if err := Verify(Values(ops)); err != nil {
-		t.Fatal(err)
-	}
-	audit := Audit(ops)
-	if !consistency.SequentiallyConsistent(audit) {
+	if r := audit(t, ops); r.SessionBreaks() != 0 {
 		// A paced run can only violate SC if one traversal outlived the
 		// 2ms pace — possible on a pathologically loaded machine.
 		maxDur := int64(0)
 		for _, op := range ops {
-			if d := op.End - op.Start; d > maxDur {
+			if d := op.Respond - op.Invoke; d > maxDur {
 				maxDur = d
 			}
 		}
@@ -229,9 +224,7 @@ func TestWorkloadWireFor(t *testing.T) {
 	if len(ops) != 90 {
 		t.Fatalf("ops = %d, want 90", len(ops))
 	}
-	if err := Verify(Values(ops)); err != nil {
-		t.Fatal(err)
-	}
+	audit(t, ops)
 }
 
 func TestCompileShapes(t *testing.T) {
@@ -311,10 +304,8 @@ func BenchmarkIncUncontended(b *testing.B) {
 func TestLinearizableWrapper(t *testing.T) {
 	base := MustCompile(construct.MustBitonic(8))
 	lin := NewLinearizableCounter(base)
-	ops := hammer(t, lin, 8, 200)
-	audit := Audit(ops)
-	if !consistency.Linearizable(audit) {
-		t.Error("wrapped counter audit found a linearizability violation")
+	if r := hammer(t, lin, 8, 200); r.SC.NonLin != 0 {
+		t.Errorf("wrapped counter audit found a linearizability violation: %+v", r)
 	}
 }
 
@@ -324,9 +315,7 @@ func TestMonitoredWorkload(t *testing.T) {
 	mon := consistency.NewOnline()
 	w := Workload{Workers: 6, OpsPerWorker: 200, Monitor: mon}
 	ops := w.Run(new(AtomicCounter))
-	if err := Verify(Values(ops)); err != nil {
-		t.Fatal(err)
-	}
+	audit(t, ops)
 	f := mon.Fractions()
 	if f.Total != len(ops) {
 		t.Errorf("monitor saw %d ops, want %d", f.Total, len(ops))

@@ -1,24 +1,17 @@
 package runtime
 
 import (
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/consistency"
 )
 
-// Op is one timed increment observed by a workload worker.
-type Op struct {
-	Worker     int
-	Value      int64
-	Start, End int64 // wall-clock nanoseconds
-}
-
 // Workload drives a Counter from concurrent workers and records every
 // operation with wall-clock timestamps, so executions of the real
-// concurrent object can be audited with the same consistency checkers the
-// simulator uses.
+// concurrent object can be audited by consistency.Audit, as the
+// simulator's are. A Counter has no mode, so every record has LIN
+// false and lands in the report's SC share.
 type Workload struct {
 	// Workers and OpsPerWorker shape the load.
 	Workers, OpsPerWorker int
@@ -37,10 +30,13 @@ type Workload struct {
 	Monitor *consistency.Online
 }
 
-// Run executes the workload and returns all operations, sorted by start
-// time.
-func (w Workload) Run(c Counter) []Op {
-	results := make([][]Op, w.Workers)
+// Run executes the workload and returns one record per operation, in
+// worker order: worker i is process i, stamped in wall-clock nanoseconds.
+// Operation A completely precedes B when A finished before B started,
+// exactly the real-time order linearizability constrains.
+func (w Workload) Run(c Counter) []consistency.Record {
+	recs := make([]consistency.Record, w.Workers*w.OpsPerWorker)
+	vals := make([]int64, len(recs))
 	var wg sync.WaitGroup
 	var start sync.WaitGroup
 	start.Add(1)
@@ -52,7 +48,6 @@ func (w Workload) Run(c Counter) []Op {
 			if w.WireFor != nil {
 				wire = w.WireFor(id)
 			}
-			ops := make([]Op, 0, w.OpsPerWorker)
 			start.Wait()
 			next := time.Now()
 			for k := 0; k < w.OpsPerWorker; k++ {
@@ -60,56 +55,19 @@ func (w Workload) Run(c Counter) []Op {
 					for time.Now().Before(next) {
 					}
 				}
-				s := time.Now().UnixNano()
-				v := c.Inc(wire)
-				e := time.Now().UnixNano()
-				ops = append(ops, Op{Worker: id, Value: v, Start: s, End: e})
+				i, s := id*w.OpsPerWorker+k, time.Now().UnixNano()
+				vals[i] = c.Inc(wire)
+				recs[i] = consistency.Record{Process: id, Index: k, Values: vals[i : i+1 : i+1], Invoke: s, Respond: time.Now().UnixNano()}
 				if w.Monitor != nil {
-					w.Monitor.Report(id, v, s, e)
+					w.Monitor.Report(id, vals[i], s, recs[i].Respond)
 				}
 				if w.Pace > 0 {
 					next = time.Now().Add(w.Pace)
 				}
 			}
-			results[id] = ops
 		}(id)
 	}
 	start.Done()
 	wg.Wait()
-	var all []Op
-	for _, ops := range results {
-		all = append(all, ops...)
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].Start < all[b].Start })
-	return all
-}
-
-// Audit converts recorded operations into the consistency checker's form,
-// using wall-clock order for precedence: operation A completely precedes B
-// when A finished before B started. This is exactly the real-time order
-// that linearizability constrains; sequential consistency only constrains
-// each worker's own order.
-func Audit(ops []Op) []consistency.Op {
-	out := make([]consistency.Op, len(ops))
-	perWorker := make(map[int]int)
-	for i, op := range ops {
-		out[i] = consistency.Op{
-			Process:  op.Worker,
-			Index:    perWorker[op.Worker],
-			Value:    op.Value,
-			EnterSeq: op.Start,
-			ExitSeq:  op.End,
-		}
-		perWorker[op.Worker]++
-	}
-	return out
-}
-
-// Values extracts the raw values, for counting-property verification.
-func Values(ops []Op) []int64 {
-	vals := make([]int64, len(ops))
-	for i, op := range ops {
-		vals[i] = op.Value
-	}
-	return vals
+	return recs
 }

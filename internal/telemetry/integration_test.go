@@ -26,9 +26,8 @@ func TestRuntimeInstrumentedEndToEnd(t *testing.T) {
 	mon := consistency.NewOnline()
 
 	w := runtime.Workload{Workers: workers, OpsPerWorker: perWork, Monitor: mon}
-	ops := w.Run(net)
-	if err := runtime.Verify(runtime.Values(ops)); err != nil {
-		t.Fatal(err)
+	if r := consistency.Audit(w.Run(net), total); r.Duplicates != 0 || r.OutOfRange != 0 {
+		t.Fatalf("values are not exactly 0..%d: %+v", total-1, r)
 	}
 
 	// Collector: every token seen once, every layer crossed once per token
@@ -72,10 +71,10 @@ func TestMsgnetInstrumentedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := runtime.Workload{Workers: workers, OpsPerWorker: perWork}
-	ops := w.Run(net)
+	recs := w.Run(net)
 	net.Close()
-	if err := runtime.Verify(runtime.Values(ops)); err != nil {
-		t.Fatal(err)
+	if r := consistency.Audit(recs, total); r.Duplicates != 0 || r.OutOfRange != 0 {
+		t.Fatalf("values are not exactly 0..%d: %+v", total-1, r)
 	}
 	s := col.Snapshot()
 	if s.Tokens != total {
