@@ -384,10 +384,10 @@ func BenchmarkIncOverhead(b *testing.B) {
 	spec := construct.MustBitonic(8)
 	variants := []struct {
 		name string
-		obs  func() telemetry.Observer
+		obs  func() runtime.Observer
 	}{
-		{"uninstrumented", func() telemetry.Observer { return nil }},
-		{"collector", func() telemetry.Observer { return telemetry.NewCollectorFor(spec) }},
+		{"uninstrumented", func() runtime.Observer { return nil }},
+		{"collector", func() runtime.Observer { return telemetry.NewCollectorFor(spec) }},
 	}
 	for _, tc := range variants {
 		b.Run(tc.name, func(b *testing.B) {

@@ -8,8 +8,10 @@
 // delivery on clean runs, F_nl = 0 for linearizable ops, per-worker
 // session order (counted, not failed, in the cluster flavor), retry and
 // timeout budgets respected, and a clean drain. A sweep prints per flavor
-// the seeds that broke session order and the largest displacement k: how
-// far a value fell below one an already-answered op of its mode got.
+// the seeds that broke session order, the largest displacement k (how
+// far a value fell below one an already-answered op of its mode got),
+// and F_nl of SC values: the share of SC ops an already-answered SC op
+// outran.
 //
 // The same seed always replays the same execution, byte for byte, so a
 // failing sweep prints the seed and the fix loop is:
@@ -47,6 +49,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/consistency"
 	"repro/internal/dst"
 )
 
@@ -196,6 +199,28 @@ func replay(o options, out *os.File) (int, error) {
 	return 0, nil
 }
 
+// tally sums one flavor's audits over a sweep: the seeds with a
+// session-order break, the largest displacement k of either mode, and
+// F_nl of SC values (ROADMAP 13(a)), pooled over every seed's SC ops.
+type tally struct {
+	seeds, broken int
+	k             int64
+	sc            consistency.Fractions
+}
+
+func (t *tally) add(r consistency.Report) {
+	t.seeds++
+	t.broken += min(r.SessionBreaks(), 1)
+	t.k = max(t.k, r.SC.Displacement, r.LIN.Displacement)
+	t.sc.Total += r.SC.Ops
+	t.sc.NonLin += r.SC.NonLin
+}
+
+func (t *tally) line(flavor string) string {
+	return fmt.Sprintf("countsim: %s: %d seeds with a session-order break, largest displacement k %d, F_nl of SC values %.4f (%d/%d)",
+		flavor, t.broken, t.k, t.sc.NonLinFraction(), t.sc.NonLin, t.sc.Total)
+}
+
 // sweep fans the seed range across -par worlds. Each world is fully
 // self-contained (own virtual clock, own transport), so concurrent
 // worlds cannot perturb determinism — the per-seed traces are identical
@@ -221,8 +246,7 @@ func sweep(o options, out *os.File) (int, error) {
 	close(seeds)
 	wg.Wait()
 
-	flavors := map[string]int{}
-	backward, displaced := map[string]int{}, map[string]int64{}
+	flavors := map[string]*tally{}
 	var failing []uint64
 	dupSeeds := 0
 	for i, r := range runs {
@@ -230,9 +254,10 @@ func sweep(o options, out *os.File) (int, error) {
 		if errs[i] != nil {
 			return 2, fmt.Errorf("seed %d: %w", seed, errs[i])
 		}
-		flavors[r.flavor]++
-		backward[r.flavor] += min(r.Audit.SessionBreaks(), 1)
-		displaced[r.flavor] = max(displaced[r.flavor], r.Audit.SC.Displacement, r.Audit.LIN.Displacement)
+		if flavors[r.flavor] == nil {
+			flavors[r.flavor] = &tally{}
+		}
+		flavors[r.flavor].add(r.Audit)
 		dupSeeds += min(r.Audit.Duplicates, 1)
 		if r.Failed() {
 			failing = append(failing, seed)
@@ -246,13 +271,12 @@ func sweep(o options, out *os.File) (int, error) {
 	sort.Strings(names)
 	var mix []string
 	for _, f := range names {
-		mix = append(mix, fmt.Sprintf("%s %d", f, flavors[f]))
+		mix = append(mix, fmt.Sprintf("%s %d", f, flavors[f].seeds))
 	}
 	fmt.Fprintf(out, "countsim: %d seeds [%d..%d], %d failing (%s)\n",
 		o.seeds, o.start, o.start+o.seeds-1, len(failing), strings.Join(mix, ", "))
 	for _, f := range names {
-		fmt.Fprintf(out, "countsim: %s: %d seeds with a session-order break, largest displacement k %d\n",
-			f, backward[f], displaced[f])
+		fmt.Fprintln(out, flavors[f].line(f))
 	}
 
 	replayFlags := ""

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/consistency"
 )
 
 // TestArtifactNamesKeepFlavorsApart pins the artifact naming both the
@@ -34,5 +36,25 @@ func TestArtifactNamesKeepFlavorsApart(t *testing.T) {
 		if err != nil || string(got) != name {
 			t.Errorf("%s holds %q (%v), want its own bytes", name, got, err)
 		}
+	}
+}
+
+// TestFlavorLine pins the per-flavor summary line a sweep prints, F_nl
+// of SC values included: pooled over seeds, not averaged per seed.
+func TestFlavorLine(t *testing.T) {
+	var tl tally
+	tl.add(consistency.Report{
+		SC:  consistency.ModeReport{Ops: 6, NonLin: 3, NonSC: 1, Displacement: 512},
+		LIN: consistency.ModeReport{Ops: 4, Displacement: 7},
+	})
+	tl.add(consistency.Report{SC: consistency.ModeReport{Ops: 2, Displacement: 9}})
+	const want = "countsim: clean: 1 seeds with a session-order break, largest displacement k 512, F_nl of SC values 0.3750 (3/8)"
+	if got := tl.line("clean"); got != want {
+		t.Errorf("got  %q\nwant %q", got, want)
+	}
+	var empty tally
+	const none = "countsim: single: 0 seeds with a session-order break, largest displacement k 0, F_nl of SC values 0.0000 (0/0)"
+	if got := empty.line("single"); got != none {
+		t.Errorf("got  %q\nwant %q", got, none)
 	}
 }

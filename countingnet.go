@@ -3,34 +3,49 @@
 // Merritt and Taubenfeld, "Sequentially Consistent versus Linearizable
 // Counting Networks" (PODC 1999).
 //
-// It bundles five layers, each usable on its own:
+// The facade exports what the examples and commands call; the rest of the
+// paper's machinery stays in the internal packages its experiments run.
+// It bundles these layers, each usable on its own:
 //
 //   - Construction and modelling: build the bitonic network B(w), the
-//     periodic network P(w), merging and block networks, counting
-//     (diffracting) trees, or custom balancing networks, and execute them
-//     step-by-step, under random interleavings, or exhaustively (a small
-//     model checker for the step property).
+//     periodic network P(w), merging and block networks, the counting
+//     (diffracting) tree, or a custom balancing network (NewBuilder);
+//     traverse it step by step (NewState), check the counting property
+//     under random interleavings (VerifyCounting), and compute its
+//     valencies and split sequence (Analyze, ComputeSplitSequence).
 //
-//   - Timed executions: schedule tokens with exact per-wire delays and
-//     entry times (the paper's timing model), measure the realised timing
-//     parameters c_min, c_max, C_L, C_g, and generate random schedule
-//     families honouring a timing condition.
+//   - Timed executions: run a schedule of tokens with exact per-wire
+//     delays and entry times, the paper's timing model (Run), and measure
+//     the realised c_min, c_max, C_L and C_g (MeasureTrace).
 //
 //   - Consistency: decide linearizability and sequential consistency of
 //     counting executions, compute the paper's inconsistency fractions,
-//     and audit a recorded history (Audit) for duplicates and for
-//     real-time and session order.
+//     watch a stream of operations (NewOnlineMonitor), and audit a
+//     recorded history (Audit) for duplicates and for real-time and
+//     session order.
 //
-//   - Theory: every timing condition of Table 1 and Theorem 4.1 as an
-//     exact predicate, the Lemma 3.1 escort-wave machinery, the Theorem
-//     3.2 transformation, the adversarial wave schedules of Propositions
-//     5.2/5.3 and Theorem 5.11, and an experiment harness that reports
-//     paper-versus-measured for every table and figure.
+//   - Theory: the Theorem 4.1 and Table 1 predicates that separate SC
+//     from LIN (SufficientSCLocal, NecessaryLinInfluence,
+//     DistinguishingTiming), the adversarial wave schedules of
+//     Proposition 5.3 and Theorem 5.11, and an experiment harness that
+//     reports paper-versus-measured for every table and figure
+//     (RunAllExperiments).
 //
 //   - Runtime: a genuinely concurrent (goroutines + atomics) shared-memory
-//     implementation of any constructed network, with fetch-and-increment
-//     and mutex baselines and a Workload that records every increment
-//     for Audit.
+//     implementation of any constructed network (Compile), with
+//     fetch-and-increment and mutex baselines, HSW96-style waiting for
+//     linearizability, a Workload that records every increment for
+//     Audit, and the message-passing form (StartMessagePassing) with its
+//     typed failures ErrTimeout and ErrClosed.
+//
+//   - Observability and rendering: a lock-free telemetry collector and its
+//     HTTP surface, ASCII drawings of networks, traffic heatmaps and
+//     time-space diagrams, and the queueing model of contention
+//     (SimulateContention).
+//
+//   - Serving (serve.go): the compiled network as a TCP/UDP service with a
+//     per-request SC or LIN mode (NewServer, DialCounter), and the flight
+//     recorder that traces sampled requests across client and server.
 //
 // # Quick start
 //
@@ -62,18 +77,10 @@ import (
 type (
 	// Network is an immutable balancing-network wiring.
 	Network = network.Network
-	// Builder assembles arbitrary balancing networks.
-	Builder = network.Builder
-	// LineBuilder assembles regular networks drawn on w horizontal lines.
-	LineBuilder = network.LineBuilder
 	// Layout is rendering metadata for line-built networks.
 	Layout = network.Layout
 	// Endpoint identifies a port on a source, balancer or sink.
 	Endpoint = network.Endpoint
-	// State is the mutable execution state of a network.
-	State = network.State
-	// Cursor is a token in flight through a State.
-	Cursor = network.Cursor
 )
 
 // Construction layer (package construct).
@@ -96,13 +103,8 @@ var (
 	MustTree = construct.MustTree
 	// SingleBalancer builds a one-balancer (f,f) network.
 	SingleBalancer = construct.SingleBalancer
-	// PeriodicPrefix builds the first k blocks of P(w) (a smoothing
-	// network for k < lg w).
-	PeriodicPrefix = construct.PeriodicPrefix
 	// Figure2 builds the paper's Figure 2 example network.
 	Figure2 = construct.Figure2
-	// Isomorphic decides balancing-network graph isomorphism.
-	Isomorphic = construct.Isomorphic
 )
 
 // Block construction variants (Figure 5).
@@ -115,17 +117,10 @@ const (
 var (
 	// NewBuilder starts an arbitrary-network builder.
 	NewBuilder = network.NewBuilder
-	// NewLineBuilder starts a w-line builder.
-	NewLineBuilder = network.NewLineBuilder
 	// NewState returns a network's initial execution state.
 	NewState = network.NewState
 	// VerifyCounting checks the counting property under random interleaving.
 	VerifyCounting = network.VerifyCounting
-	// VerifyCountingExhaustive model-checks the counting property over all
-	// interleavings of a small token set.
-	VerifyCountingExhaustive = network.VerifyCountingExhaustive
-	// ExploreInterleavings enumerates all reachable final configurations.
-	ExploreInterleavings = network.ExploreInterleavings
 )
 
 // Timed-execution layer (package sim).
@@ -134,26 +129,15 @@ type (
 	TokenSpec = sim.TokenSpec
 	// Trace is a completed timed execution.
 	Trace = sim.Trace
-	// TokenRecord is one completed token in a Trace.
-	TokenRecord = sim.TokenRecord
-	// Params are measured timing parameters of a trace.
-	Params = sim.Params
-	// GenConfig describes a random-schedule family.
-	GenConfig = sim.GenConfig
-	// DelayFunc gives a token's per-segment wire delays.
-	DelayFunc = sim.DelayFunc
 )
 
 var (
 	// Run executes a timed schedule on a uniform network.
 	Run = sim.Run
-	// Generate draws a random schedule honouring a timing condition.
-	Generate = sim.Generate
 	// MeasureTrace computes the realised timing parameters of a trace.
 	MeasureTrace = sim.Measure
-	// ConstantDelay and PiecewiseDelay build DelayFuncs.
-	ConstantDelay  = sim.ConstantDelay
-	PiecewiseDelay = sim.PiecewiseDelay
+	// ConstantDelay gives every wire segment of a token the same delay.
+	ConstantDelay = sim.ConstantDelay
 )
 
 // Consistency layer (package consistency).
@@ -162,9 +146,6 @@ type (
 	Fractions = consistency.Fractions
 	// AuditRecord is one completed operation as its caller saw it.
 	AuditRecord = consistency.Record
-	// AuditReport is what Audit found: duplicates, values out of range,
-	// and real-time and session order per mode.
-	AuditReport = consistency.Report
 )
 
 var (
@@ -173,22 +154,15 @@ var (
 	SequentiallyConsistent = consistency.SequentiallyConsistent
 	// WitnessNonSequentiallyConsistent extracts a concrete violating pair.
 	WitnessNonSequentiallyConsistent = consistency.WitnessNonSequentiallyConsistent
-	// Audit checks a history of records against the counter's contract.
+	// Audit checks a history of records against the counter's contract:
+	// duplicates, values out of range, and real-time and session order
+	// per mode.
 	Audit = consistency.Audit
 	// NewOnlineMonitor starts a streaming consistency monitor.
 	NewOnlineMonitor = consistency.NewOnline
 )
 
 // Structural-analysis layer (package topology).
-type (
-	// TopologyAnalysis caches valency structure.
-	TopologyAnalysis = topology.Analysis
-	// SplitSequence is the Section 5.3 split sequence.
-	SplitSequence = topology.SplitSequence
-	// SinkSet is a set of output-wire indices.
-	SinkSet = topology.SinkSet
-)
-
 var (
 	// Analyze computes valencies, split depth and influence radius.
 	Analyze = topology.Analyze
@@ -202,28 +176,16 @@ type (
 	Timing = core.Timing
 	// WaveResult is the outcome of an adversarial wave schedule.
 	WaveResult = core.WaveResult
-	// Experiment is one paper-versus-measured reproduction.
-	Experiment = core.Experiment
-	// ExperimentConfig sizes the experiment suite.
-	ExperimentConfig = core.Config
 )
 
 var (
 	// Table 1 / Theorem 4.1 predicates.
-	SufficientLinGlobal   = core.SufficientLinGlobal
-	SufficientLinRatio    = core.SufficientLinRatio
-	SufficientLinShallow  = core.SufficientLinShallow
 	NecessaryLinInfluence = core.NecessaryLinInfluence
 	SufficientSCLocal     = core.SufficientSCLocal
-	MinLocalDelaySC       = core.MinLocalDelaySC
 	DistinguishingTiming  = core.DistinguishingTiming
-	// Constructions from the proofs.
-	Lemma31Insertion   = core.Lemma31Insertion
-	Theorem32Transform = core.Theorem32Transform
+	// Adversarial wave schedules from the proofs.
 	Theorem511Waves    = core.Theorem511Waves
 	Proposition53Waves = core.Proposition53Waves
-	TreeWaves          = core.TreeWaves
-	Theorem54Probe     = core.Theorem54Probe
 	// Experiment harness.
 	RunAllExperiments       = core.RunAll
 	DefaultExperimentConfig = core.DefaultConfig
@@ -254,12 +216,10 @@ var (
 	ExpandRanges = runtime.ExpandRanges
 )
 
-// Message-passing substrate (package msgnet): balancers as goroutine
-// actors, wires as channels — the other implementation style Section 2.3
-// says the timing model captures.
-type MessagePassingNetwork = msgnet.Network
-
-// StartMessagePassing spins up the actor network for a wiring spec.
+// StartMessagePassing spins up the message-passing form of a wiring spec
+// (package msgnet): balancers as goroutine actors, wires as channels —
+// the other implementation style Section 2.3 says the timing model
+// captures.
 var StartMessagePassing = msgnet.Start
 
 // ErrClosed and ErrTimeout are the typed failures of the context-aware
@@ -270,33 +230,20 @@ var (
 )
 
 // Telemetry layer (package telemetry): per-balancer metrics, latency
-// histograms and the live HTTP observability surface.
-// Attach to a compiled network with SetObserver, or to a message-passing
-// one with WithTelemetryObserver; both hooks are zero-cost when absent.
-type (
-	// TelemetryCollector accumulates lock-free per-balancer, per-wire and
-	// per-sink traffic counts plus an Inc latency histogram.
-	TelemetryCollector = telemetry.Collector
-	// TelemetrySnapshot is a merged, JSON-serialisable collector view.
-	TelemetrySnapshot = telemetry.Snapshot
-	// TelemetryObserver is the event hook Collector implements.
-	TelemetryObserver = telemetry.Observer
-	// LatencySummary is a latency histogram snapshot with quantiles.
-	LatencySummary = telemetry.LatencySummary
-)
+// histograms and the live HTTP observability surface. Attach a collector
+// to a compiled network with SetObserver; the hook is zero-cost when
+// absent.
+//
+// TelemetryCollector accumulates lock-free per-balancer, per-wire and
+// per-sink traffic counts plus an Inc latency histogram.
+type TelemetryCollector = telemetry.Collector
 
 var (
-	// NewTelemetryCollector builds a collector for a network shape
-	// (balancers, input wires, sinks); NewTelemetryCollectorFor sizes one
-	// from a network directly.
-	NewTelemetryCollector    = telemetry.NewCollector
+	// NewTelemetryCollectorFor builds a collector sized for a network.
 	NewTelemetryCollectorFor = telemetry.NewCollectorFor
 	// TelemetryHandler serves /metrics, /debug/countingnet and pprof for a
 	// collector plus an optional online consistency monitor.
 	TelemetryHandler = telemetry.Handler
-	// WithTelemetryObserver instruments a message-passing network (pass to
-	// StartMessagePassing).
-	WithTelemetryObserver = msgnet.WithObserver
 	// Heatmap renders per-balancer traffic over the network's layers.
 	Heatmap = viz.Heatmap
 )
@@ -306,10 +253,6 @@ var (
 type (
 	// PerfConfig parameterises one queueing-model run.
 	PerfConfig = perfsim.Config
-	// PerfResult summarises throughput/latency/bottleneck utilization.
-	PerfResult = perfsim.Result
-	// PerfObject is a counter structure in the queueing model.
-	PerfObject = perfsim.Object
 	// CentralObject is the single-location baseline.
 	CentralObject = perfsim.CentralObject
 )
@@ -333,6 +276,4 @@ var (
 	Describe = viz.Describe
 	// Timeline renders a timed execution as a time-space diagram.
 	Timeline = viz.Timeline
-	// FormatTrace renders a trace as a per-token table.
-	FormatTrace = sim.FormatTrace
 )

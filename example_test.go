@@ -90,11 +90,18 @@ func ExampleMustCompile() {
 	// Output: 45
 }
 
-// ExampleSimulateContention runs the queueing model at saturation.
+// ExampleSimulateContention runs the queueing model at saturation: the
+// central counter is pinned at its one location's capacity while B(16)
+// spreads the same load over its first layer.
 func ExampleSimulateContention() {
-	r := countingnet.SimulateContention(countingnet.CentralObject{}, countingnet.PerfConfig{
-		Processes: 16, Ops: 1000, Warmup: 200, ServiceTime: 1, Seed: 1,
-	})
-	fmt.Printf("central counter saturates at %.0f ops per service time\n", r.Throughput)
-	// Output: central counter saturates at 1 ops per service time
+	cfg := countingnet.PerfConfig{
+		Processes: 64, Ops: 1000, Warmup: 200, ServiceTime: 1, Seed: 1,
+	}
+	central := countingnet.SimulateContention(countingnet.CentralObject{}, cfg)
+	bitonic := countingnet.SimulateContention(countingnet.NewNetworkObject(countingnet.MustBitonic(16)), cfg)
+	fmt.Printf("central counter saturates at %.0f ops per service time\n", central.Throughput)
+	fmt.Printf("B(16) serves %.1f\n", bitonic.Throughput)
+	// Output:
+	// central counter saturates at 1 ops per service time
+	// B(16) serves 4.7
 }

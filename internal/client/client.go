@@ -450,10 +450,15 @@ func retryable(err error) bool {
 var errTransport = errors.New("client: connection failed")
 
 // request sends one frame and waits for its response, retrying
-// retryable failures with backoff on a (possibly fresh) connection.
+// retryable failures with backoff on a (possibly fresh) connection. Once
+// the caller's own ctx has ended it returns ctx's error and sends
+// nothing more: a retry would mint a value for a caller that has gone.
 func (c *Client) request(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 	var last error
 	for attempt := 0; attempt <= c.opt.Retries; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return wire.Frame{}, fault.FromContext(err)
+		}
 		if attempt > 0 {
 			if err := c.opt.Backoff.Sleep(ctx, attempt-1); err != nil {
 				return wire.Frame{}, err
@@ -475,11 +480,6 @@ func (c *Client) request(ctx context.Context, f wire.Frame) (wire.Frame, error) 
 		rf, err := c.roundTrip(attemptCtx, cc, f)
 		if cancel != nil {
 			cancel()
-		}
-		if errors.Is(err, fault.ErrTimeout) && ctx.Err() == nil {
-			// The attempt expired, not the caller: retry.
-			last = err
-			continue
 		}
 		if err == nil {
 			return rf, nil

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/fault"
 	"repro/internal/server"
 	"repro/internal/wire"
@@ -377,6 +378,59 @@ func TestGroupCommitExpiredWaiter(t *testing.T) {
 			t.Fatalf("frames %d retries %d, want 4 (hello + 3) and 0", cs.Frames, cs.Retries)
 		}
 	})
+}
+
+// firedClock hands out timers that have already fired, so a backoff
+// wait is over the moment it starts.
+type firedClock struct{ clock.Clock }
+
+type firedTimer chan time.Time
+
+func (t firedTimer) C() <-chan time.Time    { return t }
+func (firedTimer) Stop() bool               { return false }
+func (firedTimer) Reset(time.Duration) bool { return false }
+func (firedClock) NewTimer(time.Duration) clock.Timer {
+	t := make(firedTimer, 1)
+	t <- time.Time{}
+	return t
+}
+
+// TestNoRetryAfterCallerDeadline: a caller whose deadline passes while its
+// frame is unanswered gets ErrTimeout, and nothing is re-sent for it —
+// even when the backoff timer has fired by the time the retry loop looks
+// (a goroutine that waited to be scheduled), so the timer and the ended
+// context are ready together.
+func TestNoRetryAfterCallerDeadline(t *testing.T) {
+	be := &slowBackend{hold: make(chan struct{})}
+	s := server.New(be, server.Options{})
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer close(be.hold)
+	c := dialC(t, addr.String(), Options{Backoff: &fault.Backoff{Clock: firedClock{clock.Real()}}})
+
+	for i := 0; i < 100; i++ {
+		before := c.Stats()
+		ctx := deadlineCtx{Context: context.Background(), done: make(chan struct{})}
+		expired := make(chan error, 1)
+		go func() {
+			_, err := inc1(ctx, c, 0)
+			expired <- err
+		}()
+		waitFor(t, "the frame to be written and unanswered", func() bool {
+			return waiters(c) == 1 && pendingFrames(c) == 0
+		})
+		close(ctx.done)
+		if err := <-expired; !errors.Is(err, fault.ErrTimeout) {
+			t.Fatalf("iteration %d: expired caller returned %v, want ErrTimeout", i, err)
+		}
+		after := c.Stats()
+		if frames, retries := after.Frames-before.Frames, after.Retries-before.Retries; frames != 1 || retries != 0 {
+			t.Fatalf("iteration %d: %d frames and %d retries for an expired caller, want 1 and 0", i, frames, retries)
+		}
+	}
 }
 
 // TestGroupCommitCloseWithPending: Close while a write is stuck and frames

@@ -91,14 +91,19 @@ func (b *Backoff) Delay(attempt int) time.Duration {
 }
 
 // Sleep waits out the attempt-th retry delay or returns early with ctx's
-// converted error; a nil return means the full delay elapsed.
+// converted error; a nil return means the full delay elapsed with ctx
+// still live. A ctx that has ended, before the wait or as its timer
+// fires, always wins: the caller has gone, and nothing may be re-sent on
+// its behalf.
 func (b *Backoff) Sleep(ctx context.Context, attempt int) error {
+	if err := ctx.Err(); err != nil {
+		return FromContext(err)
+	}
 	t := clock.Or(b.Clock).NewTimer(b.Delay(attempt))
 	defer t.Stop()
 	select {
 	case <-t.C():
-		return nil
 	case <-ctx.Done():
-		return FromContext(ctx.Err())
 	}
+	return FromContext(ctx.Err())
 }

@@ -119,3 +119,37 @@ func TestBackoffSleepExactJitteredDelay(t *testing.T) {
 		}
 	}
 }
+
+// firedClock hands out timers that have already fired.
+type firedClock struct{ clock.Clock }
+
+type firedTimer chan time.Time
+
+func (t firedTimer) C() <-chan time.Time    { return t }
+func (firedTimer) Stop() bool               { return false }
+func (firedTimer) Reset(time.Duration) bool { return false }
+func (firedClock) NewTimer(time.Duration) clock.Timer {
+	t := make(firedTimer, 1)
+	t <- time.Time{}
+	return t
+}
+
+// TestBackoffSleepEndedContextWins: when the context has ended and the
+// backoff timer has fired too — a retry loop that waited to be scheduled
+// — Sleep returns the context's error every time, never nil, so no retry
+// goes out for a caller that has gone.
+func TestBackoffSleepEndedContextWins(t *testing.T) {
+	b := &Backoff{Clock: firedClock{clock.Real()}}
+	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	cancelled, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	for i := 0; i < 100; i++ {
+		if err := b.Sleep(expired, i); err != ErrTimeout {
+			t.Fatalf("sleep %d under an expired deadline: %v, want ErrTimeout", i, err)
+		}
+		if err := b.Sleep(cancelled, i); !errors.Is(err, context.Canceled) {
+			t.Fatalf("sleep %d under a cancelled context: %v, want context.Canceled", i, err)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/consistency"
@@ -445,54 +444,6 @@ func ExampleRun() {
 	// Output:
 	// process 0: value 0
 	// process 1: value 1
-}
-
-func TestFormatTrace(t *testing.T) {
-	net := construct.MustBitonic(4)
-	tr, err := Run(net, []TokenSpec{
-		{Process: 2, Input: 1, Enter: 5, Delay: ConstantDelay(1)},
-		{Process: 1, Input: 0, Enter: 0, Delay: ConstantDelay(2)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := FormatTrace(tr)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want header + 2 rows, got:\n%s", out)
-	}
-	// Ordered by entry time: process 1 (enter 0) first.
-	if !strings.Contains(lines[1], "     1    0") {
-		t.Errorf("first row should be process 1: %q", lines[1])
-	}
-}
-
-func TestFormatParams(t *testing.T) {
-	net := construct.MustBitonic(4)
-	tr, err := Run(net, []TokenSpec{{Process: 0, Input: 0, Enter: 0, Delay: ConstantDelay(3)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := FormatParams(Measure(tr))
-	for _, want := range []string{"c_min=3", "c_max=3", "C_L=∞", "C_g=∞"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing %q in %q", want, got)
-		}
-	}
-	// With two paced tokens both bounds become finite.
-	tr2, err := Run(net, []TokenSpec{
-		{Process: 0, Input: 0, Enter: 0, Delay: ConstantDelay(3)},
-		{Process: 0, Input: 0, Enter: 20, Delay: ConstantDelay(3)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got2 := FormatParams(Measure(tr2))
-	for _, want := range []string{"C_L=11", "C_g=11"} {
-		if !strings.Contains(got2, want) {
-			t.Errorf("missing %q in %q", want, got2)
-		}
-	}
 }
 
 func TestDriftDelay(t *testing.T) {

@@ -5,10 +5,11 @@
 // the HTTP surface serving metrics, JSON snapshots and pprof (Handler).
 // Per-request traces live in the flight recorder (internal/flightrec).
 //
-// Instrumentation attaches through the Observer hook on runtime.Network
-// (SetObserver) and msgnet.Network (WithObserver), the same
-// zero-cost-when-nil pattern as the fault hook: an uninstrumented network
-// pays one well-predicted nil check per Inc and allocates nothing.
+// A Collector attaches to runtime.Network (SetObserver) and msgnet.Network
+// (WithObserver), satisfying each package's Observer interface
+// structurally. The hook is zero-cost when nil, like the fault hook: an
+// uninstrumented network pays one well-predicted nil check per Inc and
+// allocates nothing.
 package telemetry
 
 import (
@@ -19,24 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Observer receives traversal events from an instrumented network. All
-// methods must be safe for concurrent use; wire is the caller-supplied
-// input wire (also the worker identity under the pinned-wire convention).
-// Collector implements it, and runtime.Observer / msgnet.Observer are
-// satisfied structurally by any Observer.
-type Observer interface {
-	// TokenEnter fires when a token enters the network on wire.
-	TokenEnter(wire int)
-	// BalancerVisit fires once per balancer the token toggles.
-	BalancerVisit(wire, bal int)
-	// CASRetry fires once per failed compare-and-swap at a balancer
-	// (IncCAS ablation only; fetch-and-add balancers never retry).
-	CASRetry(wire, bal int)
-	// TokenExit fires when the token obtains value at sink, elapsed after
-	// its TokenEnter.
-	TokenExit(wire, sink int, value int64, elapsed time.Duration)
-}
 
 // collectorShard holds one shard's counters. Distinct shards live in
 // distinct allocations, so concurrent writers on different shards do not
@@ -110,22 +93,22 @@ func (c *Collector) shard(wire int) *collectorShard {
 	return &c.shards[uint32(wire)&c.mask]
 }
 
-// TokenEnter implements Observer.
+// TokenEnter implements the networks' Observer hooks.
 func (c *Collector) TokenEnter(wire int) {
 	c.shard(wire).wires[uint(wire)%uint(c.nwire)].Add(1)
 }
 
-// BalancerVisit implements Observer.
+// BalancerVisit implements the networks' Observer hooks.
 func (c *Collector) BalancerVisit(wire, bal int) {
 	c.shard(wire).toggles[bal].Add(1)
 }
 
-// CASRetry implements Observer.
+// CASRetry implements the networks' Observer hooks.
 func (c *Collector) CASRetry(wire, bal int) {
 	c.shard(wire).retries[bal].Add(1)
 }
 
-// TokenExit implements Observer.
+// TokenExit implements the networks' Observer hooks.
 func (c *Collector) TokenExit(wire, sink int, value int64, elapsed time.Duration) {
 	sh := c.shard(wire)
 	sh.sinks[uint(sink)%uint(c.nsink)].Add(1)

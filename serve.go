@@ -3,7 +3,6 @@ package countingnet
 import (
 	"repro/internal/client"
 	"repro/internal/flightrec"
-	"repro/internal/network"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -13,26 +12,11 @@ import (
 type (
 	// ConsistencyMode selects SC or LIN per request on the wire.
 	ConsistencyMode = wire.Mode
-	// WireFrame is one decoded protocol frame.
-	WireFrame = wire.Frame
-	// FrameFault is one injected transport fault decision.
-	FrameFault = wire.FrameFault
-	// FrameFaults decides transport faults at the server's frame seam.
-	FrameFaults = wire.FrameFaults
-	// NetworkShape is a network's topology fingerprint (width, sinks,
-	// balancers, depth), shared by specs, runtimes and the wire protocol.
-	NetworkShape = network.Shape
-	// Server serves a compiled network over TCP/UDP.
-	Server = server.Server
 	// ServerBackend is the counting object a Server serves: a compiled
 	// Network, or a cluster node's block Minter (cmd/countd -cluster-listen).
 	ServerBackend = server.Backend
 	// ServerOptions tunes the server's queues, timeouts and fault seam.
 	ServerOptions = server.Options
-	// ServerStats is the serving layer's metrics sink.
-	ServerStats = server.Stats
-	// ServerSnapshot is a point-in-time copy of the server's metrics.
-	ServerSnapshot = server.Snapshot
 	// RemoteCounter is the client: a Counter/CtxCounter/BatchCounter over
 	// the wire protocol.
 	RemoteCounter = client.Client
@@ -47,8 +31,6 @@ type (
 	FlightPart = flightrec.Part
 	// FlightDump is the flight recorder's black-box artifact shape.
 	FlightDump = flightrec.Dump
-	// FlightEvent is one parsed span event from a merged Chrome timeline.
-	FlightEvent = flightrec.ChromeEvent
 )
 
 const (
