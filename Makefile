@@ -16,6 +16,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/... ./cmd/countd/ ./cmd/countload/
+	$(GO) test -race -count=5 -run TestClusterLINMonotone ./internal/cluster
 	$(GO) test -C bench -race ./...
 
 cover:
@@ -81,10 +82,10 @@ udpsmoke:
 	sleep 1 && \
 	for b in 1 16 64; do \
 		$(GO) run ./cmd/countload -addr 127.0.0.1:9711 -udp 127.0.0.1:9712 \
-			-udp-batch $$b -udp-wires 8 -g 2 -duration 2s || exit 1; \
+			-udp-batch $$b -g 2 -duration 2s || exit 1; \
 	done && \
 	$(GO) run ./cmd/countload -addr 127.0.0.1:9711 -udp 127.0.0.1:9712 \
-		-udp-batch 64 -udp-gso 64 -udp-wires 8 -g 2 -duration 2s && \
+		-udp-batch 64 -udp-gso 64 -g 2 -duration 2s && \
 	wait
 
 # Three countd nodes as one logical counter on loopback: gossip
@@ -105,11 +106,11 @@ clustersmoke:
 		eval P$$i=$$!; \
 	done; \
 	sleep 5; \
-	.clustersmoke/countload -cluster 127.0.0.1:9701,127.0.0.1:9702,127.0.0.1:9703 \
+	.clustersmoke/countload -addr 127.0.0.1:9701,127.0.0.1:9702,127.0.0.1:9703 \
 		-g 6 -duration 2s -mode sc; \
 	.clustersmoke/countload -addr 127.0.0.1:9702 -g 6 -duration 2s -mode sc; \
 	( sleep 1; kill -INT $$P3 ) & \
-	.clustersmoke/countload -cluster 127.0.0.1:9701,127.0.0.1:9702,127.0.0.1:9703 \
+	.clustersmoke/countload -addr 127.0.0.1:9701,127.0.0.1:9702,127.0.0.1:9703 \
 		-g 6 -duration 4s -mode lin; \
 	kill -INT $$P1 $$P2; wait $$P1 $$P2; \
 	cat .clustersmoke/node1.log .clustersmoke/node2.log .clustersmoke/node3.log

@@ -296,7 +296,6 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	}
 	if node != nil {
 		sopt.LIN = node.LIN()
-		sopt.NodeInfo = node.Advertise
 	}
 	srv := countingnet.NewServer(backend, sopt)
 	defer srv.Close()

@@ -22,25 +22,27 @@
 //
 // -udp ADDR switches to open-loop fire-and-forget mode against countd's
 // UDP endpoint: -g senders blast batched SC increment datagrams (one
-// sendmmsg syscall per -udp-batch datagrams on Linux) with unique dedup
-// ids, no response path, while the TCP endpoint's Read supplies the
-// issued-count delta that audits how much actually minted — never more
-// than was sent, or the service duplicated a fire-and-forget increment.
+// sendmmsg syscall per -udp-batch datagrams on Linux) over every input
+// wire of the served width, with unique dedup ids and no response path,
+// while the TCP endpoint's Read supplies the issued-count delta that
+// audits how much actually minted — never more than was sent, or the
+// service duplicated a fire-and-forget increment.
 //
-// -cluster A,B,C drives a multi-node counting cluster instead of a
-// single countd: each load client is a cluster-aware client
-// (client.DialCluster) bootstrapped from the full endpoint list, so it
-// fails over when a node dies mid-run and keeps counting. The uniqueness
-// audit then spans every node — a duplicate across machines is an
-// ownership-protocol violation, not just a server bug. Session order is
-// only printed there: a failover may land a worker on a node whose block
-// sits lower, which the cluster does not yet prevent (ROADMAP item 1).
+// -addr A,B,C (more than one endpoint) drives a multi-node counting
+// cluster instead of a single countd: each load client is a
+// cluster-aware client (client.DialCluster) bootstrapped from the full
+// endpoint list, so it fails over when a node dies mid-run and keeps
+// counting. The uniqueness audit then spans every node — a duplicate
+// across machines is an ownership-protocol violation, not just a server
+// bug. Session order is only printed there: a failover may land a worker
+// on a node whose block sits lower, which the cluster does not yet
+// prevent (ROADMAP item 1).
 //
 // Usage:
 //
 //	countload -addr 127.0.0.1:9701 -g 4 -duration 2s
 //	countload -addr 127.0.0.1:9701 -g 64 -mode lin
-//	countload -cluster 127.0.0.1:9701,127.0.0.1:9711,127.0.0.1:9721 -mode lin
+//	countload -addr 127.0.0.1:9701,127.0.0.1:9711,127.0.0.1:9721 -mode lin
 //	countload -addr 127.0.0.1:9701 -udp 127.0.0.1:9702 -udp-batch 64 -duration 2s
 //	countload -g 8 -mode lin -sim 42
 //	countload -addr 127.0.0.1:9701 -trace-sample 100 \
@@ -73,7 +75,7 @@ import (
 )
 
 type options struct {
-	addr     string        // countd service address
+	addr     string        // countd service address, or comma-separated cluster endpoints
 	clients  int           // concurrent client connections
 	mode     string        // consistency mode requested per increment
 	duration time.Duration // run length
@@ -84,15 +86,13 @@ type options struct {
 	traceSrc string        // countd telemetry base URL for the server-side spans ("" skips)
 	udp      string        // countd UDP endpoint: open-loop fire-and-forget mode ("" disables)
 	udpBatch int           // datagrams per sendmmsg batch in UDP mode
-	udpWires int           // spread UDP increments across this many input wires
 	udpGSO   int           // frames packed per GSO super-datagram (0/1: off)
-	cluster  string        // comma-separated cluster endpoints ("" : single -addr daemon)
 }
 
-// clusterAddrs parses the -cluster endpoint list.
-func (o options) clusterAddrs() []string {
+// endpoints parses the -addr endpoint list.
+func (o options) endpoints() []string {
 	var out []string
-	for _, a := range strings.Split(o.cluster, ",") {
+	for _, a := range strings.Split(o.addr, ",") {
 		if a = strings.TrimSpace(a); a != "" {
 			out = append(out, a)
 		}
@@ -102,7 +102,7 @@ func (o options) clusterAddrs() []string {
 
 // flags registers every countload flag on fs, bound to o's fields.
 func flags(fs *flag.FlagSet, o *options) {
-	fs.StringVar(&o.addr, "addr", "127.0.0.1:9701", "countd service address")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:9701", "countd service address; comma-separated endpoints drive a cluster with failover")
 	fs.IntVar(&o.clients, "g", 4, "concurrent clients")
 	fs.StringVar(&o.mode, "mode", "sc", "consistency mode: sc or lin")
 	fs.DurationVar(&o.duration, "duration", 2*time.Second, "run length")
@@ -113,9 +113,7 @@ func flags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.traceSrc, "trace-from", "", "countd telemetry base URL (e.g. http://127.0.0.1:8080); its /debug/flight spans merge into -trace-out as the server part")
 	fs.StringVar(&o.udp, "udp", "", "countd UDP endpoint: open-loop fire-and-forget SC increments instead of the TCP workload (empty: off)")
 	fs.IntVar(&o.udpBatch, "udp-batch", 64, "datagrams per sendmmsg batch in -udp mode (1..64)")
-	fs.IntVar(&o.udpWires, "udp-wires", 1, "spread -udp increments across this many input wires (must not exceed the served width)")
 	fs.IntVar(&o.udpGSO, "udp-gso", 0, "pack this many unique-id frames into one UDP_SEGMENT super-datagram per send slot (0/1: off, max 64; falls back to unsegmented sends when the kernel lacks UDP_SEGMENT)")
-	fs.StringVar(&o.cluster, "cluster", "", "comma-separated cluster endpoints; drive the whole cluster with failover instead of one -addr daemon (empty: off)")
 }
 
 func main() {
@@ -123,8 +121,8 @@ func main() {
 	flags(flag.CommandLine, &o)
 	flag.Parse()
 
-	if o.cluster != "" && (o.udp != "" || o.sim != 0) {
-		fmt.Fprintln(os.Stderr, "countload: -cluster drives the TCP workload only (no -udp, no -sim)")
+	if len(o.endpoints()) > 1 && (o.udp != "" || o.sim != 0) {
+		fmt.Fprintln(os.Stderr, "countload: more than one -addr endpoint drives the TCP workload only (no -udp, no -sim)")
 		os.Exit(2)
 	}
 
@@ -158,9 +156,8 @@ func main() {
 	}
 }
 
-// errUsage marks a flag combination run refuses: before it dials
-// anything, or, for -udp-wires, once the audit dial has learned the
-// served width.
+// errUsage marks a flag combination run refuses before it dials
+// anything.
 var errUsage = errors.New("usage")
 
 // workers is each load client's count of worker goroutines, each looping
@@ -265,9 +262,10 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		return err
 	}
 
+	cluster := len(o.endpoints()) > 1
 	target := o.addr
-	if o.cluster != "" {
-		target = fmt.Sprintf("cluster[%s]", o.cluster)
+	if cluster {
+		target = fmt.Sprintf("cluster[%s]", o.addr)
 	}
 	fmt.Fprintf(out, "countload: %s, %d clients x window %d, mode %s, %v\n",
 		target, o.clients, workers, o.mode, res.Elapsed.Round(time.Millisecond))
@@ -284,7 +282,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	if res.Audit.Duplicates > 0 {
 		return fmt.Errorf("%d duplicate values observed — the service violated uniqueness", res.Audit.Duplicates)
 	}
-	if n := res.Audit.SessionBreaks(); n > 0 && o.cluster == "" {
+	if n := res.Audit.SessionBreaks(); n > 0 && !cluster {
 		return fmt.Errorf("%d values below one their worker had already been handed — the service broke session order", n)
 	}
 	if res.Ops == 0 {
@@ -315,9 +313,6 @@ func runUDP(ctx context.Context, o options, out io.Writer) error {
 	if o.udpBatch < 1 || o.udpBatch > packetio.MaxBatch {
 		return fmt.Errorf("-udp-batch must be in [1,%d], got %d", packetio.MaxBatch, o.udpBatch)
 	}
-	if o.udpWires < 1 {
-		return fmt.Errorf("-udp-wires must be positive, got %d", o.udpWires)
-	}
 	if o.udpGSO < 0 || o.udpGSO > packetio.MaxSegments {
 		return fmt.Errorf("-udp-gso must be in [0,%d], got %d", packetio.MaxSegments, o.udpGSO)
 	}
@@ -334,9 +329,7 @@ func runUDP(ctx context.Context, o options, out io.Writer) error {
 		return fmt.Errorf("dial %s for the issued-count audit: %w", o.addr, err)
 	}
 	defer aud.Close()
-	if o.udpWires > aud.Width() {
-		return fmt.Errorf("%w: -udp-wires %d exceeds the served width %d", errUsage, o.udpWires, aud.Width())
-	}
+	wires := uint64(aud.Width())
 	before, err := aud.Read(ctx)
 	if err != nil {
 		return fmt.Errorf("read issued count: %w", err)
@@ -370,7 +363,7 @@ func runUDP(ctx context.Context, o options, out io.Writer) error {
 			// is what keeps a GSO super-datagram's frames equal-stride.
 			seq := uint64(0)
 			enc := func(dst []byte) []byte {
-				f = wire.Frame{Type: wire.TInc, ID: uint64(g+1)<<40 | seq, Wire: int64(seq % uint64(o.udpWires))}
+				f = wire.Frame{Type: wire.TInc, ID: uint64(g+1)<<40 | seq, Wire: int64(seq % wires)}
 				seq++
 				p, err := wire.AppendFrame(dst, &f)
 				if err != nil {
@@ -573,7 +566,7 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 				cc  *client.Client
 				err error
 			)
-			if addrs := o.clusterAddrs(); len(addrs) > 0 {
+			if addrs := o.endpoints(); len(addrs) > 1 {
 				copt.Retries = 5
 				// Rotate the endpoint list per client so sticky cursors
 				// spread round-robin across the nodes: the measurement is the

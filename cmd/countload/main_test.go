@@ -14,10 +14,13 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	countingnet "repro"
+	"repro/internal/network"
+	netrt "repro/internal/runtime"
 	"repro/internal/server"
 )
 
@@ -35,11 +38,12 @@ func startService(t *testing.T, width int) string {
 }
 
 // startUDPService serves B(width) on loopback with both the TCP and UDP
-// endpoints up, returning both addresses.
-func startUDPService(t *testing.T, width int) (tcp, udp string) {
+// endpoints up, returning both addresses and the server's stats.
+func startUDPService(t *testing.T, width int) (tcp, udp string, st *server.Stats) {
 	t.Helper()
 	rt := countingnet.MustCompile(countingnet.MustBitonic(width))
-	srv := server.New(rt, server.Options{Stats: server.NewStats(0)})
+	st = server.NewStats(0)
+	srv := server.New(rt, server.Options{Stats: st})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -49,19 +53,19 @@ func startUDPService(t *testing.T, width int) (tcp, udp string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return addr.String(), ua.String()
+	return addr.String(), ua.String(), st
 }
 
 // TestLoadUDPRun drives the open-loop UDP mode against a live service:
 // datagrams must flow, the issued-count audit must reconcile (minted
-// never exceeds sent).
+// never exceeds sent), and the increments, spread over the served width
+// the audit dial learned, never name a wire beyond it.
 func TestLoadUDPRun(t *testing.T) {
-	tcp, udp := startUDPService(t, 4)
+	tcp, udp, st := startUDPService(t, 4)
 	var out strings.Builder
 	err := run(context.Background(), options{
 		addr: tcp, udp: udp, clients: 2, mode: "sc",
-		udpBatch: 16, udpWires: 4,
-		duration: 200 * time.Millisecond,
+		udpBatch: 16, duration: 200 * time.Millisecond,
 	}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
@@ -72,20 +76,8 @@ func TestLoadUDPRun(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, got)
 		}
 	}
-}
-
-// TestLoadUDPRejectsWiresBeyondWidth: -udp-wires above the served width
-// is a usage error once the audit dial has learned the width, not a run
-// whose out-of-range datagrams are silently rejected as bad_wire.
-func TestLoadUDPRejectsWiresBeyondWidth(t *testing.T) {
-	tcp, udp := startUDPService(t, 4)
-	var out strings.Builder
-	err := run(context.Background(), options{
-		addr: tcp, udp: udp, clients: 1, mode: "sc",
-		udpBatch: 8, udpWires: 8, duration: time.Minute,
-	}, &out)
-	if !errors.Is(err, errUsage) || !strings.Contains(err.Error(), "-udp-wires 8 exceeds the served width 4") {
-		t.Fatalf("want usage error for -udp-wires 8 on width 4, got %v\n%s", err, out.String())
+	if bad := st.Snapshot().BadWire; bad != 0 {
+		t.Errorf("server rejected %d datagrams for a wire beyond the served width", bad)
 	}
 }
 
@@ -94,7 +86,7 @@ func TestLoadUDPRejectsLIN(t *testing.T) {
 	var out strings.Builder
 	err := run(context.Background(), options{
 		addr: "127.0.0.1:1", udp: "127.0.0.1:1", clients: 1, mode: "lin",
-		udpBatch: 8, udpWires: 1, duration: 50 * time.Millisecond,
+		udpBatch: 8, duration: 50 * time.Millisecond,
 	}, &out)
 	if err == nil || !strings.Contains(err.Error(), "SC increments only") {
 		t.Fatalf("want SC-only error, got %v", err)
@@ -129,6 +121,43 @@ func TestLoadRun(t *testing.T) {
 				t.Errorf("%s run sent %s frames/op, want < 1:\n%s", mode, m[1], got)
 			}
 		})
+	}
+}
+
+// stripe mints consecutive values from its base: two stripes far apart
+// stand in for two cluster nodes minting from epoch-fenced blocks.
+type stripe struct{ next atomic.Int64 }
+
+func (s *stripe) Shape() network.Shape { return network.Shape{Width: 4, Sinks: 4} }
+func (s *stripe) IncBatch(w, k int) []netrt.Range {
+	return []netrt.Range{{First: s.next.Add(int64(k)) - int64(k), Stride: 1, Count: int64(k)}}
+}
+
+// TestLoadRunCluster: more than one -addr endpoint drives the endpoints
+// as one cluster, and the audit spans them all.
+func TestLoadRunCluster(t *testing.T) {
+	var addrs []string
+	for _, base := range []int64{0, 1 << 40} {
+		be := &stripe{}
+		be.next.Store(base)
+		srv := server.New(be, server.Options{})
+		a, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		addrs = append(addrs, a.String())
+	}
+	var out strings.Builder
+	err := run(context.Background(), options{
+		addr: strings.Join(addrs, ","), clients: 2, mode: "sc",
+		duration: 200 * time.Millisecond,
+	}, &out)
+	if err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	if want := "cluster[" + strings.Join(addrs, ",") + "]"; !strings.Contains(out.String(), want) {
+		t.Errorf("report does not name %s:\n%s", want, out.String())
 	}
 }
 
@@ -261,10 +290,10 @@ func TestLoadFlags(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
 	want := []string{
-		"addr=127.0.0.1:9701", "cluster=", "cpuprofile=",
+		"addr=127.0.0.1:9701", "cpuprofile=",
 		"duration=2s", "g=4", "mode=sc", "sim=0", "trace-from=",
 		"trace-out=", "trace-sample=0", "udp=", "udp-batch=64",
-		"udp-gso=0", "udp-wires=1",
+		"udp-gso=0",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("countload flags:\n got %q\nwant %q", got, want)

@@ -49,7 +49,6 @@ package client
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -120,10 +119,6 @@ type Options struct {
 	// TraceActor namespaces this client's trace ids (flightrec.Sampler);
 	// give each client its own actor when merging multi-client traces.
 	TraceActor uint64
-
-	// nodeHello asks the handshake to request the cluster node
-	// advertisement (set by DialCluster; old servers ignore the flag).
-	nodeHello bool
 }
 
 func (o Options) withDefaults() Options {
@@ -166,13 +161,6 @@ type Client struct {
 	batchers [2]batcher // flat-combining points, indexed by mode: SC, then LIN
 	done     chan struct{}
 
-	// The node advertisement learned from an extended handshake (cluster
-	// servers only), guarded by mu: helloAd refreshes it in place.
-	adOK    bool
-	adNode  uint64
-	adEpoch uint64
-	adOwned []wire.Range
-
 	flight  *flightrec.Recorder // nil: tracing off
 	sampler *flightrec.Sampler  // nil: never sample
 }
@@ -212,7 +200,7 @@ func Dial(addr string, opt Options) (*Client, error) {
 		c.pool[0] = cc
 		c.mu.Unlock()
 		hctx, cancel := c.clk.WithTimeout(context.Background(), c.opt.DialTimeout)
-		f, err := c.roundTrip(hctx, cc, wire.Frame{Type: wire.THello, NodeAd: c.opt.nodeHello})
+		f, err := c.roundTrip(hctx, cc, wire.Frame{Type: wire.THello})
 		cancel()
 		if err != nil {
 			cc.kill(err)
@@ -227,7 +215,6 @@ func Dial(addr string, opt Options) (*Client, error) {
 			return nil, fmt.Errorf("client: handshake answered with %v", f.Type)
 		}
 		c.shape = f.Shape
-		c.setAd(&f)
 		last = nil
 		break
 	}
@@ -239,43 +226,6 @@ func Dial(addr string, opt Options) (*Client, error) {
 
 // Shape returns the served network's topology, learned at handshake.
 func (c *Client) Shape() network.Shape { return c.shape }
-
-// setAd caches a TShape reply's node advertisement, if it carries one.
-func (c *Client) setAd(f *wire.Frame) {
-	if !f.NodeAd {
-		return
-	}
-	c.mu.Lock()
-	c.adOK = true
-	c.adNode = f.Node
-	c.adEpoch = f.Epoch
-	c.adOwned = append([]wire.Range(nil), f.Rs...)
-	c.mu.Unlock()
-}
-
-// NodeAd reports the cluster node advertisement learned at handshake:
-// the serving node's id, its current epoch and the unminted ranges it
-// held. ok is false against a pre-cluster server (or when the handshake
-// did not ask — see DialCluster).
-func (c *Client) NodeAd() (node, epoch uint64, owned []wire.Range, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.adNode, c.adEpoch, append([]wire.Range(nil), c.adOwned...), c.adOK
-}
-
-// helloAd re-runs the node-advertising handshake, refreshing the cached
-// advertisement (DialCluster's epoch-invalidation path).
-func (c *Client) helloAd(ctx context.Context) error {
-	f, err := c.request(ctx, wire.Frame{Type: wire.THello, NodeAd: true})
-	if err != nil {
-		return err
-	}
-	if f.Type != wire.TShape {
-		return fmt.Errorf("client: hello answered with %v", f.Type)
-	}
-	c.setAd(&f)
-	return nil
-}
 
 // Flight returns the client's flight recorder (nil unless Options.Flight
 // was set).
@@ -418,19 +368,6 @@ func (c *Client) Stats() Stats {
 		Retries:  c.stats.retries.Load(),
 		Refusals: c.stats.refusals.Load(),
 	}
-}
-
-// Snapshot fetches the server's stats snapshot, decoded into out (any
-// JSON-shaped destination; pass a *server.Snapshot or *map[string]any).
-func (c *Client) Snapshot(ctx context.Context, out any) error {
-	f, err := c.request(ctx, wire.Frame{Type: wire.TSnapshot})
-	if err != nil {
-		return err
-	}
-	if f.Type != wire.TInfo {
-		return fmt.Errorf("client: snapshot answered with %v", f.Type)
-	}
-	return json.Unmarshal(f.Data, out)
 }
 
 // retryable reports whether a failed attempt may be re-issued: shed or

@@ -6,65 +6,37 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/clock"
 	"repro/internal/runtime"
 	"repro/internal/wire"
 )
 
-// NodeAd is one endpoint's cached cluster advertisement: which node
-// answers there, the epoch it was minting under when last asked, and the
-// unminted ranges it held. The epoch is the cache's validity token — a
-// higher epoch seen anywhere in the cluster means an election happened
-// and every other endpoint's cached view may be stale.
-type NodeAd struct {
-	Addr  string
-	Node  uint64
-	Epoch uint64
-	Owned []wire.Range
-	Seen  bool // false until the endpoint has answered an extended hello
-}
-
 // Cluster is a cluster-aware client for a multi-node counting service.
 // It keeps one pooled Client per endpoint, routes requests to a sticky
 // healthy endpoint, and fails over to the next one when an endpoint dies
-// or refuses (the caller sees one logical counter). Because every cluster node mints SC increments from its own
-// epoch-fenced blocks and forwards LIN increments to the leader's
-// serialization point, any endpoint can serve any request — routing is
-// purely about liveness, and the ownership map the client caches from
-// the extended handshakes is an observability surface plus the epoch
-// invalidation trigger, not a correctness dependency.
+// or refuses (the caller sees one logical counter). Because every
+// cluster node mints SC increments from its own epoch-fenced blocks and
+// forwards LIN increments to the leader's serialization point, any
+// endpoint can serve any request: routing is purely about liveness.
 type Cluster struct {
 	addrs []string
 	opt   Options
-	clk   clock.Clock
 
 	mu      sync.Mutex
 	clients []*Client // lazily dialed, index-aligned with addrs
-	ads     []NodeAd
-	cur     int    // sticky endpoint cursor
-	epoch   uint64 // highest epoch observed across advertisements
+	cur     int       // sticky endpoint cursor
 	closed  bool
 }
 
 // DialCluster connects to a counting cluster given its endpoints (any
 // subset of the live nodes bootstraps — the rest are failover targets).
-// Each endpoint handshake requests the node advertisement; old servers
-// that predate the extension still work, they just contribute nothing to
-// the ownership map.
 func DialCluster(addrs []string, opt Options) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("client: cluster needs at least one endpoint")
 	}
-	opt.nodeHello = true
 	c := &Cluster{
 		addrs:   addrs,
 		opt:     opt,
-		clk:     clock.Or(opt.Clock),
 		clients: make([]*Client, len(addrs)),
-		ads:     make([]NodeAd, len(addrs)),
-	}
-	for i, a := range addrs {
-		c.ads[i].Addr = a
 	}
 	// Bootstrap: at least one endpoint must answer now, so a misconfigured
 	// endpoint list fails loudly instead of at first increment.
@@ -82,8 +54,7 @@ func DialCluster(addrs []string, opt Options) (*Cluster, error) {
 	return nil, fmt.Errorf("client: no cluster endpoint reachable: %w", last)
 }
 
-// endpoint returns the i-th endpoint's client, dialing it on first use,
-// and folds its advertisement into the ownership map.
+// endpoint returns the i-th endpoint's client, dialing it on first use.
 func (c *Cluster) endpoint(i int) (*Client, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -113,43 +84,7 @@ func (c *Cluster) endpoint(i int) (*Client, error) {
 		cli = c.clients[i]
 	}
 	c.mu.Unlock()
-	c.noteAd(i, cli)
 	return cli, nil
-}
-
-// noteAd folds cli's cached advertisement into the ownership map. A
-// strictly higher epoch invalidates every other endpoint's cached view:
-// an election happened, so ownership learned before it is history.
-func (c *Cluster) noteAd(i int, cli *Client) {
-	node, epoch, owned, ok := cli.NodeAd()
-	if !ok {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ads[i] = NodeAd{Addr: c.addrs[i], Node: node, Epoch: epoch, Owned: owned, Seen: true}
-	if epoch > c.epoch {
-		c.epoch = epoch
-		for j := range c.ads {
-			if j != i {
-				c.ads[j].Seen = false
-			}
-		}
-	}
-}
-
-// refresh re-asks endpoint i for its advertisement (cheap hello round
-// trip), used after cluster refusals that imply the view moved.
-func (c *Cluster) refresh(ctx context.Context, i int) {
-	c.mu.Lock()
-	cli := c.clients[i]
-	c.mu.Unlock()
-	if cli == nil {
-		return
-	}
-	if err := cli.helloAd(ctx); err == nil {
-		c.noteAd(i, cli)
-	}
 }
 
 // current returns the sticky endpoint's index.
@@ -170,9 +105,9 @@ func (c *Cluster) advance(i int) {
 }
 
 // do runs op against endpoints starting at the sticky one, advancing on
-// failure, until one answers or every endpoint has failed. Cluster
-// refusals additionally refresh the refusing endpoint's advertisement —
-// a NotLeader or NoRange answer usually means the epoch moved.
+// failure, until one answers or every endpoint has failed. A cluster
+// refusal (not_leader, no_range) advances like any other retryable
+// error.
 func (c *Cluster) do(ctx context.Context, op func(cli *Client) error) error {
 	start := c.current()
 	var last error
@@ -194,9 +129,6 @@ func (c *Cluster) do(ctx context.Context, op func(cli *Client) error) error {
 		last = err
 		if errors.Is(err, ErrClosed) || ctx.Err() != nil {
 			return err
-		}
-		if errors.Is(err, wire.ErrNotLeader) || errors.Is(err, wire.ErrNoRange) {
-			c.refresh(ctx, i)
 		}
 		if !retryable(err) {
 			return err
@@ -265,24 +197,6 @@ func (c *Cluster) Read(ctx context.Context) (int64, error) {
 		return err
 	})
 	return v, err
-}
-
-// Epoch returns the highest cluster epoch observed in any advertisement.
-func (c *Cluster) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
-}
-
-// Ownership returns the cached ownership map: one entry per endpoint,
-// Seen=false where the endpoint has not answered an extended hello since
-// the last epoch invalidation.
-func (c *Cluster) Ownership() []NodeAd {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]NodeAd, len(c.ads))
-	copy(out, c.ads)
-	return out
 }
 
 // Close releases every endpoint client.

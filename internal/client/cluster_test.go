@@ -35,16 +35,10 @@ func (b *stripeBackend) IncBatch(w, k int) []runtime.Range {
 	return []runtime.Range{{First: first, Stride: 1, Count: int64(k)}}
 }
 
-// startNode serves one simulated cluster node: a stripe backend plus a
-// NodeInfo hook advertising the given identity.
-func startNode(t *testing.T, node, epoch uint64, base int64) (*server.Server, string) {
+// startNode serves one simulated cluster node on loopback.
+func startNode(t *testing.T, be server.Backend, opt server.Options) (*server.Server, string) {
 	t.Helper()
-	be := newStripeBackend(4, base)
-	s := server.New(be, server.Options{
-		NodeInfo: func() (uint64, uint64, []wire.Range) {
-			return node, epoch, []wire.Range{{First: be.next.Load(), Stride: 1, Count: 64}}
-		},
-	})
+	s := server.New(be, opt)
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -53,34 +47,45 @@ func startNode(t *testing.T, node, epoch uint64, base int64) (*server.Server, st
 	return s, addr.String()
 }
 
-// TestDialClusterLearnsAdvertisements: the extended handshake populates
-// the ownership map and the cluster epoch.
-func TestDialClusterLearnsAdvertisements(t *testing.T) {
-	_, a0 := startNode(t, 1, 1025, 0)
-	_, a1 := startNode(t, 2, 1025, 1<<20)
-	c, err := DialCluster([]string{a0, a1}, Options{})
+// notLeader refuses every mint the way a follower with no leader does.
+type notLeader struct{ *stripeBackend }
+
+func (notLeader) TryIncBatch(w, k int) ([]runtime.Range, error) { return nil, wire.ErrNotLeader }
+
+// TestClusterRefusalAdvances: a not_leader refusal moves the call on to
+// the next endpoint, which answers it, and the refusing node reads
+// nothing but the refused attempts: no THello follows them.
+func TestClusterRefusalAdvances(t *testing.T) {
+	refusing := server.NewStats(0)
+	_, a0 := startNode(t, notLeader{newStripeBackend(4, 0)}, server.Options{Stats: refusing})
+	_, a1 := startNode(t, newStripeBackend(4, 1<<20), server.Options{})
+	c, err := DialCluster([]string{a0, a1}, Options{Retries: 1, OpTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
 
-	ads := c.Ownership()
-	if len(ads) != 2 {
-		t.Fatalf("ownership entries: %d", len(ads))
+	before := refusing.Snapshot().FramesIn // the handshake's THello
+	v, err := c.IncCtx(context.Background(), 0)
+	if err != nil {
+		t.Fatalf("inc: %v", err)
 	}
-	if !ads[0].Seen || ads[0].Node != 1 || ads[0].Epoch != 1025 || len(ads[0].Owned) != 1 {
-		t.Fatalf("endpoint 0 ad: %+v", ads[0])
+	if v < 1<<20 {
+		t.Fatalf("value %d is not from the next endpoint's stripe", v)
 	}
-	if c.Epoch() != 1025 {
-		t.Fatalf("cluster epoch %d, want 1025", c.Epoch())
+	// Retries 1, the smallest budget, lets the endpoint's client send the
+	// refused increment twice; every frame beyond those would be a
+	// hello round trip the refusal bought.
+	if got := refusing.Snapshot().FramesIn - before; got != 2 {
+		t.Fatalf("refusing endpoint read %d frames for one call, want the 2 refused attempts", got)
 	}
 }
 
 // TestClusterFailover: increments keep flowing when the sticky endpoint
 // dies, and the values observed across the failover stay unique.
 func TestClusterFailover(t *testing.T) {
-	s0, a0 := startNode(t, 1, 1025, 0)
-	_, a1 := startNode(t, 2, 1025, 1<<20)
+	s0, a0 := startNode(t, newStripeBackend(4, 0), server.Options{})
+	_, a1 := startNode(t, newStripeBackend(4, 1<<20), server.Options{})
 	c, err := DialCluster([]string{a0, a1}, Options{Retries: 1, OpTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -114,38 +119,6 @@ func TestClusterFailover(t *testing.T) {
 	// the second node.
 	if !slices.ContainsFunc(vals, func(v int64) bool { return v >= 1<<20 }) {
 		t.Fatalf("no value from the surviving node's stripe: %v", vals)
-	}
-}
-
-// TestClusterEpochInvalidation: observing a higher epoch marks every
-// other endpoint's cached advertisement stale.
-func TestClusterEpochInvalidation(t *testing.T) {
-	s0, a0 := startNode(t, 1, 1025, 0)
-	_, a1 := startNode(t, 2, 2049, 1<<20) // a later term's epoch
-	c, err := DialCluster([]string{a0, a1}, Options{Retries: 1, OpTimeout: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	if c.Epoch() != 1025 {
-		t.Fatalf("bootstrap epoch %d, want 1025", c.Epoch())
-	}
-
-	// Failing over to endpoint 1 dials it, learns epoch 2049, and that
-	// invalidates endpoint 0's cached view.
-	_ = s0.Close()
-	if _, err := c.IncCtx(context.Background(), 0); err != nil {
-		t.Fatalf("failover inc: %v", err)
-	}
-	if c.Epoch() != 2049 {
-		t.Fatalf("epoch after failover %d, want 2049", c.Epoch())
-	}
-	ads := c.Ownership()
-	if ads[0].Seen {
-		t.Fatal("endpoint 0 ad must be invalidated by the higher epoch")
-	}
-	if !ads[1].Seen || ads[1].Epoch != 2049 {
-		t.Fatalf("endpoint 1 ad: %+v", ads[1])
 	}
 }
 

@@ -41,8 +41,8 @@
 //     argument.
 //
 // The package deliberately does not import internal/server: cmd/countd
-// composes them — the cluster Minter is the server's Backend, Node.LIN
-// its LIN backend, and Node.Advertise plugs into the server's options.
+// composes them — the cluster Minter is the server's Backend and
+// Node.LIN its LIN backend.
 package cluster
 
 import (

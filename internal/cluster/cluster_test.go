@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"net"
 	"sort"
 	"testing"
@@ -151,22 +152,22 @@ func TestClusterLINMonotone(t *testing.T) {
 	prev := int64(-1)
 	for j := 0; j < 60; j++ {
 		nd := nodes[j%len(nodes)]
-		var rs []int64
-		var err error
 		// Mid-gossip the view can be briefly leaderless at a follower;
-		// that answers ErrNotLeader, which real clients retry. Do the same.
-		for attempt := 0; attempt < 100; attempt++ {
-			out, ferr := nd.LIN().TryIncBatch(0, 1)
-			if ferr == nil {
+		// that answers ErrNotLeader, which real clients retry. Do the
+		// same, after waiting for the view to converge again, within the
+		// startup's convergence bound.
+		var rs []int64
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			out, err := nd.LIN().TryIncBatch(0, 1)
+			if err == nil {
 				rs = collect(nil, []wire.Range{{First: out[0].First, Stride: out[0].Stride, Count: out[0].Count}})
-				err = nil
 				break
 			}
-			err = ferr
+			if !errors.Is(err, wire.ErrNotLeader) || time.Now().After(deadline) {
+				t.Fatalf("LIN via node %d: %v", nd.ID(), err)
+			}
+			waitLeader(t, nodes)
 			time.Sleep(2 * time.Millisecond)
-		}
-		if err != nil {
-			t.Fatalf("LIN via node %d: %v", nd.ID(), err)
 		}
 		if rs[0] <= prev {
 			t.Fatalf("LIN value %d not above previous %d (call %d)", rs[0], prev, j)
@@ -343,24 +344,5 @@ func TestTransportPrunesClosedConns(t *testing.T) {
 			t.Fatalf("%d transport conns still tracked after every peer hung up", live)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// TestAdvertise pins the Hello-extension hook's contents.
-func TestAdvertise(t *testing.T) {
-	nodes, _ := startCluster(t, 3)
-	nd := nodes[1]
-	if _, err := nd.Minter().TryIncBatch(0, 1); err != nil {
-		t.Fatalf("mint: %v", err)
-	}
-	id, epoch, owned := nd.Advertise()
-	if id != nd.ID() {
-		t.Fatalf("advertised id %d, want %d", id, nd.ID())
-	}
-	if epoch == 0 {
-		t.Fatal("advertised epoch 0 after an election")
-	}
-	if len(owned) == 0 {
-		t.Fatal("advertised no owned ranges mid-block")
 	}
 }

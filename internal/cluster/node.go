@@ -129,12 +129,6 @@ func (n *Node) memberCounts() (alive, suspect, dead int) {
 	return n.ms.counts(n.cfg.Clock.Now())
 }
 
-// Advertise is the server's Hello-extension hook: node id, current
-// epoch view, and the unminted ranges this node holds.
-func (n *Node) Advertise() (node, epoch uint64, rs []wire.Range) {
-	return n.cfg.NodeID, n.Epoch(), n.minter.Owned()
-}
-
 // quorum is the majority of the seeded cluster size.
 func (n *Node) quorum() int { return n.cfg.ExpectedPeers/2 + 1 }
 

@@ -291,7 +291,7 @@ func (m *Minter) drain() []epochRanges {
 }
 
 // Owned reports the unminted ranges the node currently holds (for the
-// Hello advertisement and the metrics surface).
+// metrics surface).
 func (m *Minter) Owned() []wire.Range {
 	m.mu.Lock()
 	defer m.mu.Unlock()

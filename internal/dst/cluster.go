@@ -276,9 +276,8 @@ func startSimNode(w *World, sc *ClusterScenario, i, gen int, audit *cluster.Audi
 		return nil, err
 	}
 	srv := server.New(nd.Minter(), server.Options{
-		Clock:    w.Clk,
-		LIN:      nd.LIN(),
-		NodeInfo: nd.Advertise,
+		Clock: w.Clk,
+		LIN:   nd.LIN(),
 	})
 	go srv.Serve(w.Listen(clusterSrvAddr(i)))
 	return &simNode{idx: i, gen: gen, nd: nd, srv: srv, stats: stats, alive: true}, nil

@@ -43,33 +43,6 @@ func (m *mintStub) TryIncBatch(w, k int) ([]runtime.Range, error) {
 	return m.IncBatch(w, k), nil
 }
 
-// TestHelloNodeAdvertisement pins the handshake extension: a THello
-// carrying the node flag gets the advertisement appended, a plain THello
-// gets the pre-cluster reply — against the same server.
-func TestHelloNodeAdvertisement(t *testing.T) {
-	owned := []wire.Range{{First: 1 << 34, Stride: 1, Count: 4096}}
-	opt := Options{NodeInfo: func() (uint64, uint64, []wire.Range) { return 7, 1031, owned }}
-	s, _, addr := startServer(t, 4, opt)
-	c := dialT(t, addr)
-
-	c.send(wire.Frame{Type: wire.THello, ID: 1, NodeAd: true})
-	f := c.recv()
-	if f.Type != wire.TShape || !f.NodeAd || f.Node != 7 || f.Epoch != 1031 {
-		t.Fatalf("extended hello: %+v", f)
-	}
-	if len(f.Rs) != 1 || f.Rs[0] != owned[0] {
-		t.Fatalf("extended hello ranges: %+v", f.Rs)
-	}
-	if f.Shape != s.Shape() {
-		t.Fatalf("extended hello shape: %+v", f.Shape)
-	}
-
-	c.send(wire.Frame{Type: wire.THello, ID: 2})
-	if f := c.recv(); f.Type != wire.TShape || f.NodeAd || len(f.Rs) != 0 {
-		t.Fatalf("plain hello must stay pre-extension shaped: %+v", f)
-	}
-}
-
 // TestFallibleBackendShedsAndRecovers drives the fail-fast backend seam
 // through both increment paths: while the backend cannot mint, SC and
 // LIN requests are answered with the retryable no-range error (nothing

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -162,25 +161,9 @@ func (c *conn) process(f *wire.Frame) {
 	st := s.opt.Stats
 	switch f.Type {
 	case wire.THello:
-		m := outMsg{f: wire.Frame{Type: wire.TShape, ID: f.ID, Trace: f.Trace, Shape: s.shape}}
-		if f.NodeAd && s.opt.NodeInfo != nil {
-			node, epoch, rs := s.opt.NodeInfo()
-			m.f.NodeAd = true
-			m.f.Node = node
-			m.f.Epoch = epoch
-			m.f.Rs = rs
-		}
-		c.trySend(m)
+		c.trySend(outMsg{f: wire.Frame{Type: wire.TShape, ID: f.ID, Trace: f.Trace, Shape: s.shape}})
 	case wire.TRead:
 		c.trySend(outMsg{f: wire.Frame{Type: wire.TValue, ID: f.ID, Trace: f.Trace, Value: s.issued.Load()}})
-	case wire.TSnapshot:
-		var body []byte
-		if st != nil {
-			body, _ = json.Marshal(st.Snapshot())
-		} else {
-			body, _ = json.Marshal(map[string]int64{"issued": s.issued.Load()})
-		}
-		c.trySend(outMsg{f: wire.Frame{Type: wire.TInfo, ID: f.ID, Trace: f.Trace, Data: body}})
 	case wire.TInc, wire.TIncBatch:
 		k := int64(1)
 		batch := f.Type == wire.TIncBatch

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"net"
 	"reflect"
@@ -38,6 +40,25 @@ func nextReply(t *testing.T, c *conn) wire.Frame {
 	}
 }
 
+// oldPeerHello is the THello an old cluster client sent: the plain frame
+// with the retired node-advertisement flag bit 0x04 set, decoded as the
+// reader decodes it.
+func oldPeerHello(t *testing.T, id uint64) wire.Frame {
+	t.Helper()
+	b, err := wire.EncodeFrame(&wire.Frame{Type: wire.THello, ID: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[4] |= 0x04
+	body := b[:len(b)-4]
+	binary.LittleEndian.PutUint32(b[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	f, _, err := wire.DecodeFrame(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestDoor drives process — the reader's decision for one frame — with no
 // socket: every request type, every refusal, and the shed reply a full
 // mailbox gets, each answered with its id and trace echoed.
@@ -55,16 +76,12 @@ func TestDoor(t *testing.T) {
 		{name: "hello",
 			in:   wire.Frame{Type: wire.THello, ID: 1},
 			want: wire.Frame{Type: wire.TShape, ID: 1, Shape: shape}},
-		{name: "hello with node ad",
-			opt:  Options{NodeInfo: func() (uint64, uint64, []wire.Range) { return 7, 3, []wire.Range{{First: 2, Stride: 4, Count: 9}} }},
-			in:   wire.Frame{Type: wire.THello, ID: 2, NodeAd: true},
-			want: wire.Frame{Type: wire.TShape, ID: 2, Shape: shape, NodeAd: true, Node: 7, Epoch: 3, Rs: []wire.Range{{First: 2, Stride: 4, Count: 9}}}},
+		{name: "hello with node ad", // an old peer sets the retired flag 0x04
+			in:   oldPeerHello(t, 2),
+			want: wire.Frame{Type: wire.TShape, ID: 2, Shape: shape}},
 		{name: "read",
 			in:   wire.Frame{Type: wire.TRead, ID: 3, Trace: trace},
 			want: wire.Frame{Type: wire.TValue, ID: 3, Trace: trace}},
-		{name: "snapshot without stats",
-			in:   wire.Frame{Type: wire.TSnapshot, ID: 4},
-			want: wire.Frame{Type: wire.TInfo, ID: 4, Data: []byte(`{"issued":0}`)}},
 		{name: "inc is posted and swept",
 			in:   wire.Frame{Type: wire.TInc, ID: 5, Wire: 2, Trace: trace},
 			want: wire.Frame{Type: wire.TValue, ID: 5, Trace: trace}},

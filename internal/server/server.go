@@ -130,11 +130,6 @@ type Options struct {
 	// returned. A failed call sheds the whole sweep with its retryable
 	// error. Nil serves LIN from the one mailbox and the main backend.
 	LIN Backend
-	// NodeInfo, when set, is the cluster advertisement hook: a THello
-	// carrying the node flag is answered with the node id, epoch and owned
-	// ranges appended to the TShape reply. Clients that don't set the flag
-	// get the pre-extension reply, byte for byte.
-	NodeInfo func() (node uint64, epoch uint64, rs []wire.Range)
 	// Clock times mailbox residency (OpTimeout), stage spans and
 	// injected frame delays; nil means the wall clock. The deterministic
 	// simulation harness (internal/dst) injects its virtual clock here.

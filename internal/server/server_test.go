@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"slices"
@@ -113,17 +112,8 @@ func TestRequestResponse(t *testing.T) {
 		t.Fatalf("read after 6 incs: %+v", f)
 	}
 
-	c.send(wire.Frame{Type: wire.TSnapshot, ID: 5})
-	f = c.recv()
-	if f.Type != wire.TInfo {
-		t.Fatalf("snapshot: %+v", f)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(f.Data, &snap); err != nil {
-		t.Fatalf("snapshot JSON: %v", err)
-	}
-	if snap.SCOps != 2 {
-		t.Fatalf("snapshot scOps = %d, want 2: %s", snap.SCOps, f.Data)
+	if snap := s.opt.Stats.Snapshot(); snap.SCOps != 2 {
+		t.Fatalf("stats scOps = %d, want 2", snap.SCOps)
 	}
 }
 

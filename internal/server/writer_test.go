@@ -23,7 +23,7 @@ func TestWriter(t *testing.T) {
 	shed.enqNS = 1
 	value := outMsg{f: wire.Frame{Type: wire.TValue, ID: 1, Value: 42}}
 	ranges := outMsg{f: wire.Frame{Type: wire.TRanges, ID: 2, Rs: []wire.Range{{First: 3, Stride: 4, Count: 5}}}}
-	big := outMsg{f: wire.Frame{Type: wire.TInfo, ID: 3, Data: make([]byte, flushBytes)}}
+	big := outMsg{f: wire.Frame{Type: wire.TGossipAck, ID: 3, Data: make([]byte, flushBytes)}}
 	cases := []struct {
 		name    string
 		faults  wire.FrameFaults

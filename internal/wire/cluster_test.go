@@ -83,35 +83,48 @@ func TestClusterOpcodesAreRequests(t *testing.T) {
 	}
 }
 
-// A THello asking for the node advertisement sets only a flag bit: the
-// payload is unchanged, so a pre-extension server that masks unknown
-// flags would still parse the request (and simply not answer the
-// extension — the flag, not the payload, carries the ask).
+// rawFrame builds a frame's bytes by hand, with a valid CRC: what an old
+// peer sends for opcodes and flag bits the encoder no longer produces.
+func rawFrame(typ Type, flags byte, payload ...byte) []byte {
+	b := []byte{magic0, magic1, Version, byte(typ), flags}
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	b = append(b, payload...)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+}
+
+// retiredNodeFlag is the THello flag bit that asked for the retired
+// node advertisement.
+const retiredNodeFlag = 0x04
+
+// An old peer's THello may still set the retired node-advertisement flag.
+// The payload never changed, so it decodes as the plain THello it always
+// was, and the server answers it with the plain TShape.
 func TestHelloNodeExtensionRequest(t *testing.T) {
 	plain, err := EncodeFrame(&Frame{Type: THello, ID: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	asking, err := EncodeFrame(&Frame{Type: THello, ID: 42, NodeAd: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	asking := rawFrame(THello, retiredNodeFlag, 42)
 	if len(plain) != len(asking) {
-		t.Fatalf("node-ad flag changed the frame length: %d vs %d", len(plain), len(asking))
+		t.Fatalf("old peer's hello is %d bytes, plain is %d", len(asking), len(plain))
 	}
-	got, _, err := DecodeFrame(asking)
-	if err != nil {
-		t.Fatal(err)
+	got, n, err := DecodeFrame(asking)
+	if err != nil || n != len(asking) {
+		t.Fatalf("old peer's hello: consumed %d of %d, %v", n, len(asking), err)
 	}
-	if !got.NodeAd {
-		t.Fatal("decoded THello lost the node-ad flag")
+	if want := (Frame{Type: THello, ID: 42}); !framesEqual(got, want) {
+		t.Fatalf("old peer's hello decoded as %+v, want %+v", got, want)
 	}
-	got, _, err = DecodeFrame(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NodeAd {
-		t.Fatal("plain THello grew a node-ad flag")
+}
+
+// Opcodes 5 (TSnapshot) and 19 (TInfo) are retired: a frame that still
+// carries one fails to decode rather than being misread.
+func TestRetiredOpcodes(t *testing.T) {
+	for _, typ := range []Type{5, 19} {
+		b := rawFrame(typ, 0, 9)
+		if _, _, err := DecodeFrame(b); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("opcode %d: decode error %v, want ErrBadFrame", typ, err)
+		}
 	}
 }
 
@@ -133,53 +146,26 @@ func TestShapeWithoutNodeAdIsPreExtensionLayout(t *testing.T) {
 	}
 }
 
-func TestShapeNodeExtensionRoundTrip(t *testing.T) {
-	f := Frame{Type: TShape, ID: 7, NodeAd: true, Node: 2, Epoch: 3<<10 | 2,
-		Rs: []Range{{First: 100, Stride: 1, Count: 50}}}
-	f.Shape.Width = 8
-	got := rtrip(t, f)
-	if !got.NodeAd || got.Node != 2 || got.Epoch != 3<<10|2 {
-		t.Fatalf("extension fields lost: %+v", got)
-	}
-	if len(got.Rs) != 1 || got.Rs[0] != f.Rs[0] {
-		t.Fatalf("owned ranges lost: %+v", got.Rs)
-	}
-	if got.Shape != f.Shape {
-		t.Fatalf("shape fields lost: %+v", got.Shape)
-	}
-}
-
-// Old/new interop: a new server answering an old client (no flag) emits a
-// frame an old decoder accepts, and a new decoder treats the same bytes
-// identically. A TShape carrying the extension without the flag set is
-// rejected as trailing garbage — the flag is the only gate.
+// Interop with a peer that still speaks the retired TShape extension: the
+// flag bit alone is ignored, and the extension's node, epoch and ranges
+// tail is rejected as trailing bytes, flagged or not, so no shape is ever
+// misread.
 func TestShapeNodeExtensionInterop(t *testing.T) {
-	// New decoder on plain bytes: no phantom extension.
 	plain, err := EncodeFrame(&Frame{Type: TShape, ID: 1, Shape: shape8()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := DecodeFrame(plain)
-	if err != nil {
-		t.Fatal(err)
+	payload := plain[headerSize+1 : len(plain)-crcSize]
+	got, _, err := DecodeFrame(rawFrame(TShape, retiredNodeFlag, payload...))
+	if err != nil || got.Shape != shape8() || got.ID != 1 {
+		t.Fatalf("flagged TShape without a tail: %+v, %v", got, err)
 	}
-	if got.NodeAd || got.Node != 0 || got.Epoch != 0 || len(got.Rs) != 0 {
-		t.Fatalf("plain TShape decoded with extension fields: %+v", got)
-	}
-
-	// Extension bytes without the flag bit: an old client's strict parser
-	// (same code path) must reject them rather than misread the shape.
-	ext, err := EncodeFrame(&Frame{Type: TShape, ID: 1, Shape: shape8(),
-		NodeAd: true, Node: 4, Epoch: 1<<10 | 4, Rs: []Range{{First: 0, Stride: 1, Count: 8}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripped := append([]byte(nil), ext...)
-	stripped[4] &^= 0x04 // clear flagNode, fix the CRC
-	body := stripped[:len(stripped)-4]
-	crc := crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))
-	binary.LittleEndian.PutUint32(stripped[len(stripped)-4:], crc)
-	if _, _, err := DecodeFrame(stripped); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("unflagged extension bytes decoded: %v", err)
+	// node 4, epoch 1<<10|4, one range {0, 1, 8}
+	tail := append(binary.AppendUvarint([]byte{4}, 1<<10|4), 1, 0, 1, 8)
+	ext := append(append([]byte(nil), payload...), tail...)
+	for _, flags := range []byte{0, retiredNodeFlag} {
+		if _, _, err := DecodeFrame(rawFrame(TShape, flags, ext...)); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("flags %#x: extension tail decoded: %v", flags, err)
+		}
 	}
 }

@@ -107,7 +107,7 @@ func TestReadFrameIntoZeroAllocs(t *testing.T) {
 func TestDecodeDoesNotAliasInput(t *testing.T) {
 	frames := []Frame{
 		{Type: TRanges, ID: 9, Rs: []Range{{First: 5, Stride: 2, Count: 9}, {First: 6, Stride: 2, Count: 1}}},
-		{Type: TInfo, ID: 10, Data: []byte("snapshot-body-bytes")},
+		{Type: TGossipAck, ID: 10, Data: []byte("digest-body-bytes")},
 		{Type: TError, ID: 11, Code: CodeBackpressure, Msg: "queue full"},
 		{Type: TIncBatch, ID: 12, Wire: 3, K: 77},
 	}
@@ -138,7 +138,7 @@ func TestDecodeIntoReuse(t *testing.T) {
 	seq := []Frame{
 		{Type: TRanges, ID: 1, Rs: []Range{{First: 1, Stride: 1, Count: 4}}},
 		{Type: TValue, ID: 2, Value: 17},
-		{Type: TInfo, ID: 3, Data: []byte("abc")},
+		{Type: TGossipAck, ID: 3, Data: []byte("abc")},
 		{Type: THello, ID: 4},
 		{Type: TError, ID: 5, Code: CodeTimeout, Msg: "late"},
 		{Type: TRanges, ID: 6, Rs: nil},

@@ -20,11 +20,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Type: TIncBatch, ID: 2, Wire: -9, K: 1024},
 		{Type: TRead, ID: 3},
 		{Type: THello, ID: 4},
-		{Type: TSnapshot, ID: 5},
 		{Type: TValue, ID: 6, Value: -1},
 		{Type: TRanges, ID: 7, Rs: []Range{{First: 5, Stride: 8, Count: 128}, {First: 6, Stride: 8, Count: 1}}},
 		{Type: TError, ID: 8, Code: CodeBackpressure, Msg: "queue full"},
-		{Type: TInfo, ID: 9, Data: []byte(`{"ok":true}`)},
+		{Type: TGossipAck, ID: 9, Data: []byte(`{"ok":true}`)},
 		// Trace-extension corpus: sampled frames of the shapes the
 		// serving path actually emits.
 		{Type: TInc, ID: 10, Wire: 1, Trace: 0x1122334455667788},
@@ -41,6 +40,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(enc)
 	}
+	// Retired numbers: an old peer's stats query (opcode 5), and its
+	// THello asking for the node advertisement (flag bit 0x04).
+	f.Add(rawFrame(5, 0, 5))
+	f.Add(rawFrame(THello, retiredNodeFlag, 4))
 	f.Add([]byte{})
 	f.Add([]byte{magic0, magic1, Version})
 	f.Add([]byte{magic0, magic1, Version, byte(TInc), 0, 0xff, 0xff, 0xff, 0xff, 0x0f})

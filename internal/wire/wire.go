@@ -25,7 +25,6 @@
 //	TIncBatch     id, wire, k            →  TRanges id, n, n×(first, stride, count)
 //	TRead         id                     →  TValue  id, issued
 //	THello        id                     →  TShape  id, width, sinks, balancers, depth
-//	TSnapshot     id                     →  TInfo   id, len, bytes (JSON)
 //	TGossip       id, len, bytes (JSON)  →  TGossipAck  id, len, bytes (JSON)
 //	TRangeRequest id, node, epoch, k     →  TRangeGrant id, epoch, ranges
 //	TRangeReturn  id, node, epoch, ranges → TRangeGrant id, epoch, ranges
@@ -46,10 +45,15 @@
 // pre-extension bytes, and a peer that never sets the flag never emits
 // the extra header bytes. A sampled request carries a nonzero trace id;
 // the server echoes it on the response so both sides of the RPC record
-// stage spans under one id (internal/flightrec). The node-advertisement
-// extension (flag bit 2) works the same way: a THello carrying it asks
-// the server to append node-id, epoch and owned ranges to its TShape
-// reply; old peers never set the flag and see the unchanged layout.
+// stage spans under one id (internal/flightrec).
+//
+// Retired numbers stay out of reuse and nothing is renumbered: opcodes 5
+// (TSnapshot, a stats query whose JSON /metrics serves) and 19 (TInfo,
+// its reply), and flag bit 2 (0x04, the THello node advertisement that
+// appended node id, epoch and owned ranges to the TShape reply). A frame
+// with opcode 5 or 19 fails to decode with ErrBadFrame; the decoder
+// ignores flag bit 2, so an old peer's THello that sets it is answered
+// with the plain TShape.
 package wire
 
 import (
@@ -116,7 +120,8 @@ func ParseMode(s string) (Mode, error) {
 	return ModeSC, fmt.Errorf("wire: unknown consistency mode %q (want sc or lin)", s)
 }
 
-// Type is a frame's opcode.
+// Type is a frame's opcode. Opcodes 5 and 19 are retired: never reuse
+// them (see the package doc).
 type Type uint8
 
 const (
@@ -125,7 +130,6 @@ const (
 	TIncBatch Type = 2 // reserve k values from a wire in one sweep
 	TRead     Type = 3 // read the number of values the server handed out
 	THello    Type = 4 // ask for the served network's shape
-	TSnapshot Type = 5 // ask for the server's stats snapshot (JSON)
 
 	// Cluster requests (node-to-node, on the cluster listener).
 	TGossip       Type = 6 // membership exchange: opaque digest (JSON)
@@ -137,7 +141,6 @@ const (
 	TValue      Type = 16 // one value (answers TInc and TRead)
 	TRanges     Type = 17 // value ranges (answers TIncBatch and TLinForward)
 	TShape      Type = 18 // network shape (answers THello)
-	TInfo       Type = 19 // opaque bytes (answers TSnapshot)
 	TError      Type = 20 // typed failure for any request
 	TGossipAck  Type = 21 // responder's merged digest (answers TGossip)
 	TRangeGrant Type = 22 // epoch-fenced id block (answers TRangeRequest/TRangeReturn)
@@ -154,16 +157,12 @@ func (t Type) String() string {
 		return "read"
 	case THello:
 		return "hello"
-	case TSnapshot:
-		return "snapshot"
 	case TValue:
 		return "value"
 	case TRanges:
 		return "ranges"
 	case TShape:
 		return "shape"
-	case TInfo:
-		return "info"
 	case TError:
 		return "error"
 	case TGossip:
@@ -182,14 +181,15 @@ func (t Type) String() string {
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
 
-// IsRequest reports whether t is a client-to-server opcode.
+// IsRequest reports whether t lies in the client-to-server opcode range
+// (retired 5 included; DecodeInto rejects it).
 func (t Type) IsRequest() bool { return t >= TInc && t <= TLinForward }
 
-// flag bits.
+// flag bits. 0x04 is retired (the THello node advertisement): decoders
+// ignore it, and it is never reused.
 const (
 	flagLIN    = 0x01 // consistency mode: 0 = SC, 1 = LIN
 	flagTraced = 0x02 // an 8-byte trace id follows the flags byte
-	flagNode   = 0x04 // cluster node-identity extension (THello asks, TShape carries)
 )
 
 // maxK bounds K, the increment count of a TIncBatch, TRangeRequest or
@@ -218,7 +218,7 @@ var (
 	ErrBackpressure = errors.New("wire: server queue full")
 	// ErrNotLeader reports a cluster request that needed the leader's
 	// serialization point but reached a node that is not (or no longer)
-	// the leader — refresh the membership view and retry.
+	// the leader, or cannot reach one — retry, on another endpoint.
 	ErrNotLeader = errors.New("wire: node is not the cluster leader")
 	// ErrNoRange reports a mint the node had to refuse because it owns no
 	// unminted id range and could not obtain one — retry after backoff.
@@ -303,21 +303,13 @@ type Frame struct {
 	Wire  int64         // TInc, TIncBatch, TLinForward
 	K     int64         // TIncBatch, TRangeRequest, TLinForward (at most maxK)
 	Value int64         // TValue
-	Rs    []Range       // TRanges; TShape/TRangeRequest/TRangeReturn/TRangeGrant owned ranges
+	Rs    []Range       // TRanges, TRangeReturn, TRangeGrant
 	Shape network.Shape // TShape
 	Code  ErrCode       // TError
 	Msg   string        // TError
-	Data  []byte        // TInfo, TGossip, TGossipAck
-
-	// Cluster node-identity fields. On TGossip/TRange*/TLinForward frames
-	// they are part of the fixed payload. On THello/TShape they are the
-	// flag-gated node-advertisement extension: NodeAd on a THello asks the
-	// server to advertise its cluster identity, NodeAd on the TShape reply
-	// means Node/Epoch/Rs carry it. Old peers never set the flag and so
-	// never see the extra bytes (the pre-extension layout is unchanged).
-	NodeAd bool
-	Node   uint64 // minting node id
-	Epoch  uint64 // epoch fencing the advertised/granted ranges
+	Data  []byte        // TGossip, TGossipAck
+	Node  uint64        // TRangeRequest, TRangeReturn: the minting node id
+	Epoch uint64        // TRange*, TLinForward: the epoch fencing the ranges
 }
 
 // uvarintLen is the encoded size of v as a uvarint.
@@ -346,7 +338,7 @@ func payloadSize(f *Frame) (int, error) {
 			return 0, fmt.Errorf("%w: batch size %d", ErrBadFrame, f.K)
 		}
 		n += varintLen(f.Wire) + uvarintLen(uint64(f.K))
-	case TRead, THello, TSnapshot:
+	case TRead, THello:
 		// id only
 	case TValue:
 		n += varintLen(f.Value)
@@ -359,14 +351,7 @@ func payloadSize(f *Frame) (int, error) {
 	case TShape:
 		n += uvarintLen(uint64(f.Shape.Width)) + uvarintLen(uint64(f.Shape.Sinks)) +
 			uvarintLen(uint64(f.Shape.Balancers)) + uvarintLen(uint64(f.Shape.Depth))
-		if f.NodeAd {
-			rn, err := rangesSize(f.Rs)
-			if err != nil {
-				return 0, err
-			}
-			n += uvarintLen(f.Node) + uvarintLen(f.Epoch) + rn
-		}
-	case TInfo, TGossip, TGossipAck:
+	case TGossip, TGossipAck:
 		n += uvarintLen(uint64(len(f.Data))) + len(f.Data)
 	case TError:
 		n += uvarintLen(uint64(f.Code)) + uvarintLen(uint64(len(f.Msg))) + len(f.Msg)
@@ -431,9 +416,6 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	if f.Trace != 0 {
 		flags |= flagTraced
 	}
-	if f.NodeAd {
-		flags |= flagNode
-	}
 	dst = append(dst, magic0, magic1, Version, byte(f.Type), flags)
 	if f.Trace != 0 {
 		dst = binary.LittleEndian.AppendUint64(dst, f.Trace)
@@ -457,7 +439,7 @@ func appendPayload(p []byte, f *Frame) []byte {
 	case TIncBatch:
 		p = binary.AppendVarint(p, f.Wire)
 		p = binary.AppendUvarint(p, uint64(f.K))
-	case TRead, THello, TSnapshot:
+	case TRead, THello:
 		// id only
 	case TValue:
 		p = binary.AppendVarint(p, f.Value)
@@ -468,12 +450,7 @@ func appendPayload(p []byte, f *Frame) []byte {
 		p = binary.AppendUvarint(p, uint64(f.Shape.Sinks))
 		p = binary.AppendUvarint(p, uint64(f.Shape.Balancers))
 		p = binary.AppendUvarint(p, uint64(f.Shape.Depth))
-		if f.NodeAd {
-			p = binary.AppendUvarint(p, f.Node)
-			p = binary.AppendUvarint(p, f.Epoch)
-			p = appendRanges(p, f.Rs)
-		}
-	case TInfo, TGossip, TGossipAck:
+	case TGossip, TGossipAck:
 		p = binary.AppendUvarint(p, uint64(len(f.Data)))
 		p = append(p, f.Data...)
 	case TRangeRequest:
@@ -578,7 +555,6 @@ func DecodeInto(f *Frame, b []byte) (int, error) {
 	if b[4]&flagLIN != 0 {
 		f.Mode = ModeLIN
 	}
-	f.NodeAd = b[4]&flagNode != 0
 	hdr := headerSize
 	if b[4]&flagTraced != 0 {
 		if len(b) < headerSize+traceSize {
@@ -629,7 +605,7 @@ func parsePayload(f *Frame, p []byte) error {
 				f.K = int64(k)
 			}
 		}
-	case TRead, THello, TSnapshot:
+	case TRead, THello:
 	case TValue:
 		f.Value, p, err = getVarint(p)
 	case TRanges:
@@ -655,17 +631,6 @@ func parsePayload(f *Frame, p []byte) error {
 			return fmt.Errorf("%w: absurd shape", ErrBadFrame)
 		}
 		f.Shape = network.Shape{Width: int(w), Sinks: int(s), Balancers: int(nb), Depth: int(d)}
-		if f.NodeAd {
-			if f.Node, p, err = getUvarint(p); err != nil {
-				return err
-			}
-			if f.Epoch, p, err = getUvarint(p); err != nil {
-				return err
-			}
-			if p, err = parseRanges(f, p); err != nil {
-				return err
-			}
-		}
 	case TRangeRequest:
 		if f.Node, p, err = getUvarint(p); err != nil {
 			return err
@@ -710,13 +675,13 @@ func parsePayload(f *Frame, p []byte) error {
 		}
 		f.K = int64(k)
 		f.Epoch, p, err = getUvarint(p)
-	case TInfo, TGossip, TGossipAck:
+	case TGossip, TGossipAck:
 		var n uint64
 		if n, p, err = getUvarint(p); err != nil {
 			return err
 		}
 		if n != uint64(len(p)) {
-			return fmt.Errorf("%w: info length %d vs %d", ErrBadFrame, n, len(p))
+			return fmt.Errorf("%w: data length %d vs %d", ErrBadFrame, n, len(p))
 		}
 		f.Data = append(f.Data[:0], p...)
 		p = nil

@@ -16,7 +16,7 @@ import (
 
 // randFrame draws a random well-formed frame of any type.
 func randFrame(rng *rand.Rand) Frame {
-	types := []Type{TInc, TIncBatch, TRead, THello, TSnapshot, TValue, TRanges, TShape, TInfo, TError}
+	types := []Type{TInc, TIncBatch, TRead, THello, TValue, TRanges, TShape, TGossipAck, TError}
 	f := Frame{
 		Type: types[rng.Intn(len(types))],
 		Mode: Mode(rng.Intn(2)),
@@ -54,7 +54,7 @@ func randFrame(rng *rand.Rand) Frame {
 			Balancers: rng.Intn(1 << 20),
 			Depth:     rng.Intn(1 << 10),
 		}
-	case TInfo:
+	case TGossipAck:
 		f.Data = make([]byte, rng.Intn(256))
 		rng.Read(f.Data)
 	case TError:
