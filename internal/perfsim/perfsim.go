@@ -1,10 +1,13 @@
 // Package perfsim is a discrete-event contention simulator for concurrent
 // counters, standing in for the multiprocessor testbeds of the
-// counting-network literature (AHS94 §6, SZ96, SUZ98). The machine this
-// reproduction runs on cannot exhibit real contention, so the motivating
-// performance claim — a central counter saturates at one increment per
-// memory-access time while a counting network's throughput keeps scaling —
-// is regenerated on a queueing model instead:
+// counting-network literature (AHS94 §6, SZ96, SUZ98). Real contention
+// is measured as well (BenchmarkThroughput at -cpu 2, the benchmark's
+// runtime.inc_contended_ns), but a two-core machine shows only the first
+// step of a scaling curve that the literature draws over tens of
+// processors. So the motivating performance claim — a central counter
+// saturates at one increment per memory-access time while a counting
+// network's throughput keeps scaling — is regenerated on a queueing model,
+// whose process count is a parameter:
 //
 //   - every balancer (and every sink counter, and the central counter
 //     baseline) is a FIFO server with a fixed service time, modelling the

@@ -8,7 +8,8 @@ import (
 // QueueLockCounter serialises increments behind a CLH-style queue lock
 // (Mellor-Crummey & Scott 1991, cited as the queue-lock alternative in the
 // paper's introduction): waiters spin on their predecessor's flag, so the
-// lock hand-off touches only two cache lines.
+// lock hand-off touches only two cache lines. A waiter that has spun
+// spinLimit polls yields between polls, so a preempted holder runs again.
 type QueueLockCounter struct {
 	tail atomic.Pointer[clhNode]
 	v    int64
@@ -32,7 +33,9 @@ func (c *QueueLockCounter) Inc(int) int64 {
 	me := new(clhNode)
 	me.locked.Store(true)
 	pred := c.tail.Swap(me)
+	var sw spinWait
 	for pred.locked.Load() {
+		sw.wait()
 	}
 	v := c.v
 	c.v++

@@ -86,8 +86,9 @@ func (n *Network) IncBatchAppend(dst []Range, wire, k int) []Range {
 	pending, sinks := bc.pending, bc.sinks
 
 	// Inject the batch at the input wire's target.
+	toggles, bals, routes, hook := n.toggles, n.bals, n.routes, n.hook
 	nonzero := 0
-	if at := n.routes[reduceWire(wire, n.wIn)]; at < 0 {
+	if at := routes[reduceWire(wire, n.wIn)]; at < 0 {
 		sinks[^at] += int64(k)
 		nonzero++
 	} else {
@@ -103,28 +104,32 @@ func (n *Network) IncBatchAppend(dst []Range, wire, k int) []Range {
 			continue
 		}
 		pending[bi] = 0
-		if n.hook != nil {
-			n.hook(context.Background(), int(bi))
+		if hook != nil {
+			hook(context.Background(), int(bi))
 		}
 		if obs != nil {
 			obs.BalancerVisit(wire, int(bi))
 		}
-		m := &n.meta[bi]
-		f := int64(m.fanOut)
-		s := n.toggles[bi].v.Add(kb) - kb
-		q, r := kb/f, kb%f
+		b := &bals[bi]
+		f := int64(b.fanOut)
+		s := toggles[bi].v.Add(kb) - kb
 		// Ports start, start+1, ..., start+r-1 (cyclically) get one token
 		// beyond the q = ⌊kb/f⌋ every port gets.
-		start := portOf(s, m)
+		q, r := split(kb, b)
+		start := portOf(s, b)
 		for p := int64(0); p < f; p++ {
 			c := q
-			if d := p - start; (d+f)%f < r {
+			d := p - start
+			if d < 0 {
+				d += f
+			}
+			if d < r {
 				c++
 			}
 			if c == 0 {
 				continue
 			}
-			if at := n.routes[int64(m.base)+p]; at < 0 {
+			if at := b.next(p, routes); at < 0 {
 				if sinks[^at] == 0 {
 					nonzero++
 				}

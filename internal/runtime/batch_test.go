@@ -252,25 +252,24 @@ func TestIncNegativeWire(t *testing.T) {
 	}
 }
 
-// TestPortOfMatchesModulo sweeps the strength-reduced port selection
-// against the plain %, across every fan-out shape Compile can emit.
+// TestPortOfMatchesModulo sweeps the strength-reduced port selection and
+// IncBatch's token split against the plain % and /, across every fan-out
+// shape Compile can emit.
 func TestPortOfMatchesModulo(t *testing.T) {
 	for _, f := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 33, 255} {
-		m := balMeta{fanOut: uint64(f)}
-		if f&(f-1) == 0 {
-			m.mask = int32(f - 1)
-		} else {
-			m.mask = -1
-			m.magic = ^uint64(0) / uint64(f)
-		}
+		var b balancer
+		b.setFanOut(f)
 		states := []int64{0, 1, 2, int64(f) - 1, int64(f), int64(f) + 1,
 			1<<31 - 1, 1 << 31, 1<<40 + 12345, 1<<62 - 1, 1<<62 + 7}
 		for s := int64(0); s < 3*int64(f); s++ {
 			states = append(states, s)
 		}
 		for _, s := range states {
-			if got, want := portOf(s, &m), s%int64(f); got != want {
+			if got, want := portOf(s, &b), s%int64(f); got != want {
 				t.Fatalf("portOf(%d, f=%d) = %d, want %d", s, f, got, want)
+			}
+			if q, r := split(s, &b); q != s/int64(f) || r != s%int64(f) {
+				t.Fatalf("split(%d, f=%d) = %d, %d, want %d, %d", s, f, q, r, s/int64(f), s%int64(f))
 			}
 		}
 	}

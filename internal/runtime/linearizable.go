@@ -21,7 +21,8 @@ import (
 // value. The cost is exactly what the paper's impossibility result
 // (HSW96, cited in Section 1.1) predicts: completions are serialized, so
 // the network's parallelism is spent only on the traversal, not on the
-// hand-off.
+// hand-off. Waiters poll through spinWait, so the value being waited on is
+// returned even when its goroutine was preempted.
 type LinearizableCounter struct {
 	c Counter
 	// published is the lowest value not yet returned: values return in
@@ -39,7 +40,9 @@ func NewLinearizableCounter(c Counter) *LinearizableCounter {
 // value until it is the next to be released.
 func (l *LinearizableCounter) Inc(wire int) int64 {
 	v := l.c.Inc(wire)
+	var sw spinWait
 	for l.published.Load() != v {
+		sw.wait()
 	}
 	l.published.Store(v + 1)
 	return v
@@ -66,13 +69,16 @@ func (l *LinearizableCounter) IncCtx(ctx context.Context, wire int) (int64, erro
 	} else {
 		v = l.c.Inc(wire)
 	}
-	for spins := 0; l.published.Load() != v; spins++ {
-		// ctx.Err takes a lock; amortise it over a batch of spins.
-		if spins%1024 == 0 {
-			if err := ctx.Err(); err != nil {
-				go l.release(v)
-				return 0, fault.FromContext(err)
-			}
+	// ctx.Err takes a lock: check it on the first failed poll and after
+	// every yield, not on every spin.
+	var sw spinWait
+	for check := true; l.published.Load() != v; check = sw.wait() {
+		if !check {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			go l.release(v)
+			return 0, fault.FromContext(err)
 		}
 	}
 	l.published.Store(v + 1)
@@ -81,7 +87,9 @@ func (l *LinearizableCounter) IncCtx(ctx context.Context, wire int) (int64, erro
 
 // release waits for v's turn and releases its slot without returning it.
 func (l *LinearizableCounter) release(v int64) {
+	var sw spinWait
 	for l.published.Load() != v {
+		sw.wait()
 	}
 	l.published.Store(v + 1)
 }

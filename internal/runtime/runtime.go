@@ -87,64 +87,122 @@ type Observer interface {
 	TokenExit(wire, sink int, value int64, elapsed time.Duration)
 }
 
-// The compiled hot path is laid out for mechanical sympathy:
+// The compiled hot path is one predicted branch and one written cache
+// line per balancer hop:
 //
-//   - Every balancer toggle lives on its own cache line (paddedToggle).
-//     Tokens from different balancers would otherwise false-share: a
-//     fetch-and-add on balancer b invalidates the line holding b±1's
-//     toggle too, reintroducing exactly the contention the network
-//     distributes away (the same reasoning as paddedCounter on sinks).
+//   - Each balancer's toggle sits alone on its own cache line
+//     (paddedToggle), and the hop's fetch-and-add is the only access to
+//     it. A token toggling b never invalidates b±1's toggle (the same
+//     reasoning as paddedCounter on sinks), and a contended toggle — the
+//     root of a tree, a bitonic network's first layer — moves between
+//     cores once per token. Any other read of that line, before the Add or
+//     after it, makes it move twice. Measured on tree-16-faa at g=4 and
+//     two Ps (BenchmarkThroughput, 2-vCPU Sapphire Rapids guest,
+//     go1.24.0): one 64-byte line per balancer, toggle and ports
+//     together, read 206–232 ns per value; a toggle line plus a
+//     read-only record whose ports were looked up after the Add, 183–188;
+//     this layout, 106–130.
 //
-//   - All routing is one contiguous read-only []int32 (routes): words
-//     0..wIn-1 are the input wires' targets, then each balancer's output
-//     ports follow at meta[b].base. A word ≥ 0 is the next balancer's
-//     index; a word < 0 encodes sink j as ^j. The whole table for a
-//     B(16) fits in a handful of cache lines and is never written after
-//     Compile, so every core keeps it in Shared state.
+//   - Everything else a hop reads is one read-only 32-byte record
+//     (balancer): the port-selection constants and the first two output
+//     ports. It is never written after Compile, so every core keeps it
+//     in Shared state; B(16)'s 80 records fill 40 lines.
 //
-//   - Port selection avoids the int64 division of `state % fanOut`: all
-//     the classical constructions (bitonic, periodic, trees) use
-//     power-of-two fan-outs, reduced with a bitmask; general fan-outs
-//     are strength-reduced to a multiply-high against a precomputed
-//     reciprocal (Granlund–Montgomery), see portOf.
+//   - A fan-out-2 hop reads both ports before its Add and picks one with a
+//     plain if on the new toggle's low bit. The next balancer's index is
+//     then a predicted branch, not a load whose address depends on the
+//     fetch-and-add, so the next hop's loads issue while the Add retires.
+//     Indexing instead (`at = port[t&1]`) makes the hop a data dependency
+//     again: on bitonic-16-faa at g=1 it read 161–181 ns per value, the
+//     branch 127–138, and a lookup in routes after the Add 151–153.
+//
+//   - routes is the read-only remainder: words 0..wIn-1 are the input
+//     wires' targets, then the ports past the second of wider balancers
+//     (Figure 2's (3,3)-balancers, SingleBalancer(f)). No port is stored
+//     twice. A word ≥ 0 is the next balancer's index; a word < 0 encodes
+//     sink j as ^j.
+//
+//   - Port selection never divides. Every classical construction (bitonic,
+//     periodic, trees) has power-of-two fan-outs, reduced with a mask and,
+//     in IncBatch, a shift; general fan-outs are strength-reduced to a
+//     multiply-high against a precomputed reciprocal (Granlund–Montgomery),
+//     see portOf and split.
 
 // paddedToggle is one balancer's fetch-and-add toggle, padded to a cache
-// line so adjacent balancers never false-share.
+// line so the hop's Add is the only access to it.
 type paddedToggle struct {
 	v atomic.Int64
 	_ [7]int64
 }
 
-// balMeta is the read-only per-balancer routing metadata.
-type balMeta struct {
-	base int32 // index of this balancer's first output port in routes
-	// mask is fanOut-1 when fanOut is a power of two (the common case:
-	// every classical construction), else -1.
-	mask   int32
-	fanOut uint64
-	// magic is ⌊2^64/fanOut⌋, used to strength-reduce state % fanOut to a
-	// multiply-high when mask < 0.
-	magic uint64
+// balancer is everything a token reads to leave a compiled balancer; its
+// toggle is the matching paddedToggle.
+type balancer struct {
+	// magic is ⌊2^64/fanOut⌋, used to strength-reduce division by fanOut
+	// to a multiply-high when mask < 0.
+	magic  uint64
+	fanOut uint32
+	// port0 and port1 are the first two output ports, in routes' encoding
+	// (port1 is unused at fan-out 1).
+	port0, port1 int32
+	// mask is fanOut-1 and shift is log2(fanOut) when fanOut is a power of
+	// two (every classical construction); else mask is -1.
+	mask  int32
+	shift uint32
+	// rest is the index in routes of port 2, for fan-outs above 2.
+	rest int32
 }
 
-// portOf reduces a toggle state (≥ 0) to an output port of m.
-func portOf(t int64, m *balMeta) int64 {
-	if m.mask >= 0 {
-		return t & int64(m.mask)
+// portOf reduces a toggle state (≥ 0) to an output port of b.
+func portOf(t int64, b *balancer) int64 {
+	if b.mask >= 0 {
+		return t & int64(b.mask)
 	}
 	// q = ⌊t·⌊2^64/f⌋ / 2^64⌋ is ⌊t/f⌋ or ⌊t/f⌋-1, so one conditional
 	// subtract corrects the remainder — no division in sight.
-	q, _ := bits.Mul64(uint64(t), m.magic)
-	r := uint64(t) - q*m.fanOut
-	if r >= m.fanOut {
-		r -= m.fanOut
+	f := uint64(b.fanOut)
+	q, _ := bits.Mul64(uint64(t), b.magic)
+	r := uint64(t) - q*f
+	if r >= f {
+		r -= f
 	}
 	return int64(r)
 }
 
+// split divides k (≥ 0) tokens among b's ports: every port gets q, and r
+// ports get one more.
+func split(k int64, b *balancer) (q, r int64) {
+	if b.mask >= 0 {
+		return k >> b.shift, k & int64(b.mask)
+	}
+	f := uint64(b.fanOut)
+	uq, _ := bits.Mul64(uint64(k), b.magic)
+	ur := uint64(k) - uq*f
+	if ur >= f {
+		ur -= f
+		uq++
+	}
+	return int64(uq), int64(ur)
+}
+
+// next returns where port p of b leads.
+func (b *balancer) next(p int64, routes []int32) int32 {
+	switch p {
+	case 0:
+		return b.port0
+	case 1:
+		return b.port1
+	}
+	return routes[int64(b.rest)+p-2]
+}
+
 // reduceWire maps an arbitrary caller wire id (worker ids, possibly
-// negative) onto 0..wIn-1. Unlike Go's %, the result is never negative.
+// negative) onto 0..wIn-1. Unlike Go's %, the result is never negative,
+// and an in-range wire costs no division.
 func reduceWire(wire, wIn int) int {
+	if uint(wire) < uint(wIn) {
+		return wire
+	}
 	w := wire % wIn
 	if w < 0 {
 		w += wIn
@@ -156,10 +214,11 @@ func reduceWire(wire, wIn int) int {
 type Network struct {
 	wIn, wOut int
 	toggles   []paddedToggle
-	meta      []balMeta
-	// routes is the packed routing table: routes[0:wIn] are the input
-	// wires' targets, balancer b's ports start at meta[b].base. Words ≥ 0
-	// name the next balancer; words < 0 encode sink j as ^j.
+	bals      []balancer
+	// routes is the read-only rest of the routing: routes[0:wIn] are the
+	// input wires' targets, then the ports past the second of wider
+	// balancers (bals[b].rest). Words ≥ 0 name the next balancer; words
+	// < 0 encode sink j as ^j.
 	routes   []int32
 	counters []paddedCounter
 	// topo lists balancer indices in topological (layer) order; IncBatch
@@ -191,7 +250,7 @@ func Compile(spec *network.Network) (*Network, error) {
 		wIn:      spec.FanIn(),
 		wOut:     spec.FanOut(),
 		toggles:  make([]paddedToggle, nb),
-		meta:     make([]balMeta, nb),
+		bals:     make([]balancer, nb),
 		counters: make([]paddedCounter, spec.FanOut()),
 		topo:     make([]int32, nb),
 		depth:    spec.Depth(),
@@ -206,11 +265,11 @@ func Compile(spec *network.Network) (*Network, error) {
 			return 0, fmt.Errorf("runtime: cannot compile wire into %v", e)
 		}
 	}
-	ports := 0
+	extra := 0
 	for b := 0; b < nb; b++ {
-		ports += spec.Balancer(b).FanOut
+		extra += max(spec.Balancer(b).FanOut-2, 0)
 	}
-	n.routes = make([]int32, 0, spec.FanIn()+ports)
+	n.routes = make([]int32, 0, spec.FanIn()+extra)
 	for i := 0; i < spec.FanIn(); i++ {
 		w, err := conv(spec.InputTarget(i))
 		if err != nil {
@@ -220,21 +279,22 @@ func Compile(spec *network.Network) (*Network, error) {
 	}
 	for b := 0; b < nb; b++ {
 		f := spec.Balancer(b).FanOut
-		m := &n.meta[b]
-		m.base = int32(len(n.routes))
-		m.fanOut = uint64(f)
-		if f&(f-1) == 0 {
-			m.mask = int32(f - 1)
-		} else {
-			m.mask = -1
-			m.magic = math.MaxUint64 / uint64(f)
-		}
+		bal := &n.bals[b]
+		bal.setFanOut(f)
+		bal.rest = int32(len(n.routes))
 		for p := 0; p < f; p++ {
 			w, err := conv(spec.OutputTarget(b, p))
 			if err != nil {
 				return nil, err
 			}
-			n.routes = append(n.routes, w)
+			switch p {
+			case 0:
+				bal.port0 = w
+			case 1:
+				bal.port1 = w
+			default:
+				n.routes = append(n.routes, w)
+			}
 		}
 	}
 	// Balancer depth strictly increases along every wire, so sorting by
@@ -257,6 +317,18 @@ func Compile(spec *network.Network) (*Network, error) {
 	return n, nil
 }
 
+// setFanOut fills in b's port-selection constants for fan-out f ≥ 1.
+func (b *balancer) setFanOut(f int) {
+	b.fanOut = uint32(f)
+	if f&(f-1) == 0 {
+		b.mask = int32(f - 1)
+		b.shift = uint32(bits.TrailingZeros(uint(f)))
+	} else {
+		b.mask = -1
+		b.magic = math.MaxUint64 / uint64(f)
+	}
+}
+
 // MustCompile compiles or panics; for statically valid constructions.
 func MustCompile(spec *network.Network) *Network {
 	n, err := Compile(spec)
@@ -276,7 +348,7 @@ func (n *Network) Width() int { return n.wIn }
 
 // Shape returns the compiled network's structural fingerprint.
 func (n *Network) Shape() network.Shape {
-	return network.Shape{Width: n.wIn, Sinks: n.wOut, Balancers: len(n.meta), Depth: n.depth}
+	return network.Shape{Width: n.wIn, Sinks: n.wOut, Balancers: len(n.bals), Depth: n.depth}
 }
 
 // Issued returns the number of counter values handed out so far: the sum
@@ -298,7 +370,7 @@ func (n *Network) FanOut() int { return n.wOut }
 func (n *Network) Depth() int { return n.depth }
 
 // Size returns the number of balancers.
-func (n *Network) Size() int { return len(n.meta) }
+func (n *Network) Size() int { return len(n.bals) }
 
 // SetFaultHook installs (or, with nil, removes) the per-balancer fault
 // hook. It must not race with traversals: install before the network is
@@ -323,11 +395,24 @@ func (n *Network) Inc(wire int) int64 {
 		v, _ := n.IncCtx(context.Background(), wire)
 		return v
 	}
-	at := n.routes[reduceWire(wire, n.wIn)]
+	// Atomics are compiler barriers: without these locals every hop
+	// would reload the slices and bounds-check them afresh.
+	toggles, bals, routes := n.toggles, n.bals, n.routes
+	at := routes[reduceWire(wire, n.wIn)]
 	for at >= 0 {
-		m := &n.meta[at]
-		t := n.toggles[at].v.Add(1) - 1
-		at = n.routes[int(m.base)+int(portOf(t, m))]
+		b, tg := &bals[at], &toggles[at].v
+		if b.mask != 1 {
+			at = b.next(portOf(tg.Add(1)-1, b), routes)
+			continue
+		}
+		// Fan-out 2: both ports are read before the Add, and the new
+		// toggle is odd exactly when the state before it was even.
+		p0, p1 := b.port0, b.port1
+		if tg.Add(1)&1 != 0 {
+			at = p0
+		} else {
+			at = p1
+		}
 	}
 	return n.counters[^at].v.Add(int64(n.wOut)) - int64(n.wOut)
 }
@@ -352,11 +437,12 @@ func (n *Network) IncCtx(ctx context.Context, wire int) (int64, error) {
 		t0 = time.Now()
 		obs.TokenEnter(wire)
 	}
-	at := n.routes[reduceWire(wire, n.wIn)]
+	toggles, bals, routes, hook := n.toggles, n.bals, n.routes, n.hook
+	at := routes[reduceWire(wire, n.wIn)]
 	first := true
 	for at >= 0 {
-		if n.hook != nil {
-			n.hook(ctx, int(at))
+		if hook != nil {
+			hook(ctx, int(at))
 			if first {
 				if err := ctx.Err(); err != nil {
 					return 0, fault.FromContext(err)
@@ -367,9 +453,8 @@ func (n *Network) IncCtx(ctx context.Context, wire int) (int64, error) {
 		if obs != nil {
 			obs.BalancerVisit(wire, int(at))
 		}
-		m := &n.meta[at]
-		t := n.toggles[at].v.Add(1) - 1
-		at = n.routes[int(m.base)+int(portOf(t, m))]
+		b := &bals[at]
+		at = b.next(portOf(toggles[at].v.Add(1)-1, b), routes)
 	}
 	sink := int(^at)
 	v := n.counters[sink].v.Add(int64(n.wOut)) - int64(n.wOut)
@@ -389,10 +474,10 @@ func (n *Network) IncCAS(wire int) int64 {
 		t0 = time.Now()
 		obs.TokenEnter(wire)
 	}
-	at := n.routes[reduceWire(wire, n.wIn)]
+	toggles, bals, routes := n.toggles, n.bals, n.routes
+	at := routes[reduceWire(wire, n.wIn)]
 	for at >= 0 {
-		m := &n.meta[at]
-		tg := &n.toggles[at].v
+		b, tg := &bals[at], &toggles[at].v
 		t := tg.Load()
 		if obs != nil {
 			obs.BalancerVisit(wire, int(at))
@@ -403,7 +488,7 @@ func (n *Network) IncCAS(wire int) int64 {
 			}
 			t = tg.Load()
 		}
-		at = n.routes[int(m.base)+int(portOf(t, m))]
+		at = b.next(portOf(t, b), routes)
 	}
 	sink := int(^at)
 	v := n.counters[sink].v.Add(int64(n.wOut)) - int64(n.wOut)

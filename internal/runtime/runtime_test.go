@@ -1,8 +1,11 @@
 package runtime
 
 import (
+	"context"
 	"fmt"
+	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -188,6 +191,82 @@ func TestCombiningTreeHeavyContention(t *testing.T) {
 		if r := consistency.Audit(w.Run(tree), int64(w.Workers*w.OpsPerWorker)); r.Duplicates != 0 || r.OutOfRange != 0 {
 			t.Fatalf("leaves=%d: %+v", leaves, r)
 		}
+	}
+}
+
+// ctxInc drives a LinearizableCounter through IncCtx, the path whose wait
+// also polls its context.
+type ctxInc struct{ l *LinearizableCounter }
+
+func (c ctxInc) Inc(wire int) int64 {
+	v, err := c.l.IncCtx(context.Background(), wire)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// TestWaitersYield drives 4·GOMAXPROCS goroutines through 1e6 increments
+// of every counter whose Inc waits on another goroutine, under a deadline.
+// A wait that spins without yielding turns one preempted lock holder (or
+// ticket) into a convoy: every waiter queued behind it spins out a whole
+// time slice, and at GOMAXPROCS 2 the run takes minutes instead of about a
+// second. Run it at -cpu 1,2.
+//
+// It skips when Ps outnumber cores (GOMAXPROCS 8 on a smaller box): the
+// operating system then deschedules the threads of queued waiters, and a
+// first-in-first-out hand-off waits out its time slices, which no wait
+// short of parking can avoid.
+func TestWaitersYield(t *testing.T) {
+	if goruntime.GOMAXPROCS(0) > goruntime.NumCPU() {
+		t.Skipf("GOMAXPROCS %d exceeds the %d cores", goruntime.GOMAXPROCS(0), goruntime.NumCPU())
+	}
+	ops := 1_000_000
+	if raceEnabled {
+		// The race detector slows every atomic about tenfold; the convoy
+		// shows at this count too, and the race build checks data races.
+		ops = 100_000
+	}
+	const deadline = 60 * time.Second
+	counters := []struct {
+		name string
+		mk   func() Counter
+	}{
+		{"queuelock", func() Counter { return new(QueueLockCounter) }},
+		{"linearizable", func() Counter { return NewLinearizableCounter(MustCompile(construct.MustBitonic(8))) }},
+		{"linearizable-ctx", func() Counter { return ctxInc{NewLinearizableCounter(MustCompile(construct.MustBitonic(8)))} }},
+		{"combining-8", func() Counter { return NewCombiningTree(8) }},
+	}
+	g := 4 * goruntime.GOMAXPROCS(0)
+	for _, tc := range counters {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.mk()
+			vals := make([]int64, ops)
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for w := 0; w < g; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := w; i < ops && !stop.Load(); i += g {
+						vals[i] = c.Inc(w)
+					}
+				}(w)
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			start := time.Now()
+			select {
+			case <-done:
+			case <-time.After(deadline):
+				stop.Store(true)
+				t.Fatalf("%d increments by %d goroutines did not finish in %v: a waiter spins without yielding", ops, g, deadline)
+			}
+			t.Logf("%d increments by %d goroutines in %v", ops, g, time.Since(start).Round(time.Millisecond))
+			if err := Verify(vals); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/construct"
 )
@@ -35,5 +36,28 @@ func TestShapeAccessors(t *testing.T) {
 	n.IncBatch(3, 28)
 	if got := n.Issued(); got != 128 {
 		t.Fatalf("Issued() = %d, want 128", got)
+	}
+}
+
+// TestHopLayout pins the hop's memory layout: each toggle alone on a
+// 64-byte line, each balancer's read-only record half a line (so none
+// straddles two), and routes holding only the input targets and the ports
+// past each balancer's second, so no port is stored twice.
+func TestHopLayout(t *testing.T) {
+	if got := unsafe.Sizeof(paddedToggle{}); got != 64 {
+		t.Fatalf("paddedToggle is %d bytes, want one 64-byte line", got)
+	}
+	if got := unsafe.Sizeof(balancer{}); got != 32 {
+		t.Fatalf("balancer is %d bytes, want half a line", got)
+	}
+	for name, bs := range batchSpecs(t) {
+		n := MustCompile(bs.spec)
+		want := bs.spec.FanIn()
+		for b := 0; b < bs.spec.Size(); b++ {
+			want += max(bs.spec.Balancer(b).FanOut-2, 0)
+		}
+		if len(n.routes) != want {
+			t.Errorf("%s: routes has %d words, want %d", name, len(n.routes), want)
+		}
 	}
 }
