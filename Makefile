@@ -90,7 +90,8 @@ udpsmoke:
 
 # Three countd nodes as one logical counter on loopback: gossip
 # membership, epoch-fenced id blocks, LIN forwarded to the leader's
-# serialization point. Drives SC through cluster-aware clients, SC
+# serialization point, every node's peers and clients on its one -listen
+# door. Drives SC through cluster-aware clients, SC
 # against one node (which must keep every worker's session order), then
 # LIN through cluster-aware clients (a follower is killed mid-LIN-run;
 # failover must keep the count moving without errors). Mirrors the CI
@@ -99,9 +100,9 @@ clustersmoke:
 	@rm -rf .clustersmoke && mkdir -p .clustersmoke
 	$(GO) build -o .clustersmoke/ ./cmd/countd ./cmd/countload
 	@set -e; \
-	JOIN=127.0.0.1:9801,127.0.0.1:9802,127.0.0.1:9803; \
+	JOIN=127.0.0.1:9701,127.0.0.1:9702,127.0.0.1:9703; \
 	for i in 1 2 3; do \
-		.clustersmoke/countd -listen 127.0.0.1:970$$i -cluster-listen 127.0.0.1:980$$i \
+		.clustersmoke/countd -listen 127.0.0.1:970$$i \
 			-node-id $$i -join $$JOIN -duration 60s > .clustersmoke/node$$i.log 2>&1 & \
 		eval P$$i=$$!; \
 	done; \

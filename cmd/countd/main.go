@@ -26,18 +26,22 @@
 // (backpressure sheds, mailbox timeouts, evictions, error frames) and at
 // exit — the post-mortem artifact for a misbehaving deployment.
 //
-// Clustering: -cluster-listen starts the cluster half (internal/cluster)
-// and serves the daemon as one node of a multi-machine logical counter.
-// The node gossips membership with the -join seeds, mints SC increments
-// from epoch-fenced id blocks owned locally (zero cross-node RPCs on the
-// SC hot path), and forwards LIN increments to the elected leader's
+// Clustering: -node-id starts the cluster half (internal/cluster) and
+// serves the daemon as one node of a multi-machine logical counter. The
+// node opens no second listener: its peers reach it at its -listen
+// address, whose door answers their gossip, grants and forwards beside
+// client traffic, and it calls each peer on one pipelined connection.
+// It gossips membership with the -join seeds (serving addresses, named
+// as each node's -listen names itself), mints SC increments from
+// epoch-fenced id blocks owned locally (zero cross-node RPCs on the SC
+// hot path), and forwards LIN increments to the elected leader's
 // serialization point so the remote step property holds cluster-wide.
 // -node-id must be unique per node. In cluster mode the network flags
 // (-net, -w) only shape the advertised wire fan; ids come from the
 // cluster's block allocator, not a compiled network.
 //
-//	countd -listen :9701 -cluster-listen 127.0.0.1:9801 -node-id 1 \
-//	       -join 127.0.0.1:9801,127.0.0.1:9802,127.0.0.1:9803
+//	countd -listen 127.0.0.1:9701 -node-id 1 \
+//	       -join 127.0.0.1:9701,127.0.0.1:9702,127.0.0.1:9703
 //
 // With -duration 0 countd serves until interrupted (SIGINT drains in
 // flight requests and closes connections cleanly); a positive -duration
@@ -93,9 +97,8 @@ type options struct {
 	flight   int           // flight-recorder span capacity (0: off unless -trace-sample)
 	flOut    string        // dump the black box here on anomalies and at exit ("" disables)
 
-	clListen string // cluster transport address ("" : standalone daemon)
-	join     string // comma-separated cluster seed addresses to gossip with
-	nodeID   uint64 // cluster node id, unique per node
+	join   string // comma-separated cluster seed addresses to gossip with
+	nodeID uint64 // cluster node id, unique per node (0: standalone daemon)
 }
 
 // flags registers every countd flag on fs, bound to o's fields.
@@ -114,9 +117,8 @@ func flags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.sample, "trace-sample", 0, "sample 1 in N untraced requests into the flight recorder with a server-minted trace id (0: off; client-traced requests always record)")
 	fs.IntVar(&o.flight, "flight", 0, "flight recorder span capacity; serves /debug/flight on the telemetry endpoint (0: off, or 4096 when -trace-sample is set)")
 	fs.StringVar(&o.flOut, "flight-out", "", "write the flight recorder's black box to this file on each anomaly burst and at exit (empty: off)")
-	fs.StringVar(&o.clListen, "cluster-listen", "", "cluster transport address; joins this daemon to a multi-node counting cluster (empty: standalone)")
-	fs.StringVar(&o.join, "join", "", "comma-separated cluster addresses to gossip with (this node's own -cluster-listen may be included)")
-	fs.Uint64Var(&o.nodeID, "node-id", 0, "cluster node id, unique across the cluster, >= 1 (required with -cluster-listen)")
+	fs.StringVar(&o.join, "join", "", "comma-separated serving addresses of the cluster's nodes to gossip with (this node's own -listen may be included)")
+	fs.Uint64Var(&o.nodeID, "node-id", 0, "cluster node id, unique across the cluster; >= 1 joins this daemon to a multi-node counting cluster, advertised at -listen (0: standalone)")
 }
 
 func main() {
@@ -124,15 +126,11 @@ func main() {
 	flags(flag.CommandLine, &o)
 	flag.Parse()
 
-	if o.clListen == "" && (o.join != "" || o.nodeID != 0) {
-		fmt.Fprintln(os.Stderr, "countd: -join/-node-id need -cluster-listen")
+	if o.nodeID == 0 && o.join != "" {
+		fmt.Fprintln(os.Stderr, "countd: -join needs -node-id >= 1 (id 0 is the wire's no-node sentinel)")
 		os.Exit(2)
 	}
-	if o.clListen != "" && o.nodeID == 0 {
-		fmt.Fprintln(os.Stderr, "countd: -cluster-listen needs -node-id >= 1 (id 0 is the wire's no-node sentinel)")
-		os.Exit(2)
-	}
-	if o.clListen != "" && o.sim != 0 {
+	if o.nodeID != 0 && o.sim != 0 {
 		fmt.Fprintln(os.Stderr, "countd: -sim simulates a standalone daemon; cluster universes are countsim -cluster")
 		os.Exit(2)
 	}
@@ -243,10 +241,10 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		node    *cluster.Node
 	)
 	clStats := cluster.NewStats()
-	if o.clListen != "" {
+	if o.nodeID != 0 {
 		node, err = cluster.Start(cluster.Config{
 			NodeID: o.nodeID,
-			Addr:   o.clListen,
+			Addr:   o.listen,
 			Seeds:  splitAddrs(o.join),
 			Width:  o.width,
 			Stats:  clStats,
@@ -332,7 +330,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	fmt.Fprintf(out, "countd: %s width %d, mode %s, serving %s\n", o.kind, o.width, o.mode, addr)
 	if node != nil {
 		fmt.Fprintf(out, "countd: cluster node %d on %s, %d seed(s)\n",
-			o.nodeID, o.clListen, len(splitAddrs(o.join)))
+			o.nodeID, o.listen, len(splitAddrs(o.join)))
 	}
 	if o.udp != "" {
 		ua, err := srv.ListenPacket(o.udp)

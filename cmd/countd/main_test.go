@@ -350,7 +350,7 @@ func TestDaemonHeatmap(t *testing.T) {
 	out, _, cancel, done = startDaemon(t, options{
 		kind: "bitonic", width: 8,
 		listen: "127.0.0.1:0", telem: "127.0.0.1:0", mode: "sc",
-		clListen: "127.0.0.1:0", nodeID: 1,
+		nodeID: 1,
 	})
 	telem := "http://" + awaitAddr(t, out, done, telemRe)
 	if code, body := get(telem + "/heatmap"); code != http.StatusNotFound {
@@ -399,7 +399,7 @@ func TestDaemonFlags(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
 	want := []string{
-		"cluster-listen=", "cpuprofile=", "duration=0s", "flight=0",
+		"cpuprofile=", "duration=0s", "flight=0",
 		"flight-out=", "join=", "listen=:9701", "mode=sc", "net=bitonic",
 		"node-id=0", "sim=0", "telemetry=", "trace-sample=0", "udp=",
 		"udp-gso=true", "udp-sockets=0", "w=8",

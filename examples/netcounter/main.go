@@ -19,7 +19,7 @@
 //     checked claim rather than a printout.
 //
 // The gap the paper prices opens where traversals cannot be made
-// sequential: across the nodes of a cluster (countd -cluster-listen).
+// sequential: across the nodes of a cluster (countd -node-id).
 //
 // Both phases audit uniqueness: no value may ever be handed to two
 // callers, whatever the mode.

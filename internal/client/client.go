@@ -171,20 +171,7 @@ var ErrClosed = errors.New("client: closed")
 // Dial connects to a counting service, performs the THello handshake and
 // caches the served network's shape.
 func Dial(addr string, opt Options) (*Client, error) {
-	c := &Client{
-		addr: addr,
-		opt:  opt.withDefaults(),
-		clk:  clock.Or(opt.Clock),
-		done: make(chan struct{}),
-	}
-	for i := range c.batchers {
-		c.batchers[i].turn = make(chan struct{}, 1)
-	}
-	c.flight = c.opt.Flight
-	if c.opt.TraceSample > 0 {
-		c.sampler = flightrec.NewSampler(c.opt.TraceSample, c.opt.TraceActor)
-	}
-	c.pool = make([]*cconn, c.opt.Conns)
+	c := NewPeer(addr, opt)
 	// The handshake is bounded by DialTimeout and retried like any other
 	// request: on a faulty transport the THello or its TShape answer can
 	// be dropped, and an unbounded wait would hang Dial forever. A
@@ -222,6 +209,40 @@ func Dial(addr string, opt Options) (*Client, error) {
 		return nil, fmt.Errorf("client: handshake: %w", last)
 	}
 	return c, nil
+}
+
+// NewPeer returns a client of addr that has not dialled: its first
+// request dials, and it makes no THello handshake, so it learns no shape
+// and its increments all enter on wire 0. A cluster node calls its peers
+// through one, with Call.
+func NewPeer(addr string, opt Options) *Client {
+	c := &Client{
+		addr: addr,
+		opt:  opt.withDefaults(),
+		clk:  clock.Or(opt.Clock),
+		done: make(chan struct{}),
+	}
+	for i := range c.batchers {
+		c.batchers[i].turn = make(chan struct{}, 1)
+	}
+	c.flight = c.opt.Flight
+	if c.opt.TraceSample > 0 {
+		c.sampler = flightrec.NewSampler(c.opt.TraceSample, c.opt.TraceActor)
+	}
+	c.pool = make([]*cconn, c.opt.Conns)
+	return c
+}
+
+// Call sends f and waits for its reply: one attempt on the pool's next
+// connection, dialled if need be, with no retry, bounded by ctx. A TError
+// reply comes back as its sentinel error. A caller whose request must not
+// run twice (a grant, a LIN forward) uses Call, not a retrying method.
+func (c *Client) Call(ctx context.Context, f wire.Frame) (wire.Frame, error) {
+	cc, err := c.conn()
+	if err != nil {
+		return wire.Frame{}, err
+	}
+	return c.roundTrip(ctx, cc, f)
 }
 
 // Shape returns the served network's topology, learned at handshake.

@@ -3,7 +3,9 @@
 // layers:
 //
 //   - membership: a seeded gossip protocol over the wire framing's
-//     cluster opcodes (TGossip). Each node bumps a heartbeat every round,
+//     cluster opcodes (TGossip), which ride the serving door: a node
+//     opens no listener of its own and calls each peer on one pipelined
+//     client.Client. Each node bumps a heartbeat every round,
 //     exchanges full member tables with one peer, and classifies peers
 //     alive/suspect/dead from how long ago their heartbeat last advanced.
 //     All waiting goes through clock.Clock, so the same code runs
@@ -86,28 +88,16 @@ func NodeOf(epoch uint64) uint64 { return epoch % MaxNodes }
 // StripeBase is the first id of an epoch's stripe.
 func StripeBase(epoch uint64) int64 { return int64(epoch) << StripeShift }
 
-// Lane distinguishes the cluster's RPC purposes so the simulation can
-// hand every lane a deterministic transport identity of its own.
-type Lane int
-
-const (
-	LaneGossip  Lane = iota // periodic membership exchange
-	LaneRange               // block grants, returns and prefetch
-	LaneForward             // LIN forwards to the serialization point (one per sweep)
-)
-
-// Dialer opens a connection to a peer's cluster address.
-type Dialer func(addr string) (net.Conn, error)
-
 // Config assembles a cluster node.
 type Config struct {
 	// NodeID is this node's id, unique in the cluster, in [1, MaxNodes).
 	// Id 0 is reserved: the gossip wire uses it as the no-node sentinel
 	// (a digest's From and a claim's Leader are 0 only when absent).
 	NodeID uint64
-	// Addr is the cluster address this node advertises to its peers.
+	// Addr is the serving address this node advertises to its peers: the
+	// door of the server whose LIN backend is the node's LIN().
 	Addr string
-	// Seeds are peer cluster addresses used to bootstrap gossip (the
+	// Seeds are peer serving addresses used to bootstrap gossip (the
 	// -join list; may include this node's own address, which is skipped).
 	Seeds []string
 	// ExpectedPeers is the seeded cluster size; elections need fresh
@@ -135,13 +125,11 @@ type Config struct {
 	// (default 256).
 	LINBlock int64
 
-	// Listen opens the cluster listener (nil: TCP).
-	Listen func(addr string) (net.Listener, error)
-	// Dial returns the dialer for one RPC lane. Each lane has one caller
-	// per node at a time: the gossip loop, the grant path (serialized by
-	// the node), and the server's one LIN sweeper through Node.LIN.
-	// nil: TCP with RPCTimeout as the dial timeout, any lane.
-	Dial func(lane Lane) Dialer
+	// PeerDialer, when set, opens the node's connections to its peers
+	// (client.Options.Dialer; nil: TCP with RPCTimeout as the dial
+	// timeout). It may be called from the gossip loop, the grant path and
+	// the LIN sweeper at once.
+	PeerDialer func(addr string, timeout time.Duration) (net.Conn, error)
 
 	// Stats receives the node's counters (nil: a private sink).
 	Stats *Stats
@@ -160,7 +148,7 @@ func (cfg Config) withDefaults() (Config, error) {
 			cfg.NodeID, MaxNodes-1)
 	}
 	if cfg.Addr == "" {
-		return cfg, fmt.Errorf("cluster: missing advertised cluster address")
+		return cfg, fmt.Errorf("cluster: missing advertised serving address")
 	}
 	cfg.Clock = clock.Or(cfg.Clock)
 	if cfg.GossipEvery <= 0 {
@@ -183,17 +171,6 @@ func (cfg Config) withDefaults() (Config, error) {
 			}
 		}
 		cfg.ExpectedPeers = n
-	}
-	if cfg.Listen == nil {
-		cfg.Listen = func(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
-	}
-	if cfg.Dial == nil {
-		timeout := cfg.RPCTimeout
-		cfg.Dial = func(Lane) Dialer {
-			return func(addr string) (net.Conn, error) {
-				return net.DialTimeout("tcp", addr, timeout)
-			}
-		}
 	}
 	if cfg.Stats == nil {
 		cfg.Stats = NewStats()

@@ -5,31 +5,31 @@ import (
 	"errors"
 	"net"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/server"
 	"repro/internal/wire"
 )
 
 // startCluster boots n nodes on loopback TCP with pre-reserved
-// listeners (so every node knows the full seed list up front) and waits
-// until a leader holds the lease and every node agrees on it.
-func startCluster(t *testing.T, n int) ([]*Node, *Audit) {
+// listeners (so every node knows the full seed list up front), each node
+// behind a server as countd runs it, and waits until a leader holds the
+// lease and every node agrees on it. Each set function edits every
+// node's config before it starts.
+func startCluster(t *testing.T, n int, set ...func(*Config)) ([]*Node, []*server.Server, *Audit) {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+		lns[i] = listenT(t)
+		addrs[i] = lns[i].Addr().String()
 	}
 	audit := NewAudit()
 	nodes := make([]*Node, n)
+	srvs := make([]*server.Server, n)
 	for i := range nodes {
-		ln := lns[i]
 		cfg := Config{
 			NodeID:      uint64(i + 1),
 			Addr:        addrs[i],
@@ -37,18 +37,42 @@ func startCluster(t *testing.T, n int) ([]*Node, *Audit) {
 			GossipEvery: 5 * time.Millisecond,
 			BlockSize:   64,
 			LINBlock:    8,
-			Listen:      func(string) (net.Listener, error) { return ln, nil },
 			Audit:       audit,
 		}
-		nd, err := Start(cfg)
-		if err != nil {
-			t.Fatal(err)
+		for _, f := range set {
+			f(&cfg)
 		}
-		nodes[i] = nd
-		t.Cleanup(func() { _ = nd.Kill() })
+		nodes[i], srvs[i] = startNode(t, cfg, lns[i])
 	}
 	waitLeader(t, nodes)
-	return nodes, audit
+	return nodes, srvs, audit
+}
+
+func listenT(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
+// startNode starts a node and, on ln, the server whose door is its only
+// listener, wired as cmd/countd wires them. Cleanup kills the node, then
+// closes the server.
+func startNode(t *testing.T, cfg Config, ln net.Listener) (*Node, *server.Server) {
+	t.Helper()
+	nd, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(nd.Minter(), server.Options{LIN: nd.LIN()})
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		_ = nd.Kill()
+		_ = srv.Close()
+	})
+	return nd, srv
 }
 
 // waitLeader blocks until one node holds the lease and every node's view
@@ -109,7 +133,7 @@ func assertUnique(t *testing.T, ids []int64) {
 // blocks from every node concurrently with the grant plumbing live:
 // all ids must be globally unique and covered by audited grants.
 func TestClusterMintsUniqueAcrossNodes(t *testing.T) {
-	nodes, audit := startCluster(t, 3)
+	nodes, _, audit := startCluster(t, 3)
 
 	var ids []int64
 	for round := 0; round < 5; round++ {
@@ -147,7 +171,7 @@ func TestClusterMintsUniqueAcrossNodes(t *testing.T) {
 // every node in turn: the values must be strictly increasing in call
 // order — the cluster-wide step property.
 func TestClusterLINMonotone(t *testing.T) {
-	nodes, _ := startCluster(t, 3)
+	nodes, _, _ := startCluster(t, 3)
 
 	prev := int64(-1)
 	for j := 0; j < 60; j++ {
@@ -180,7 +204,7 @@ func TestClusterLINMonotone(t *testing.T) {
 // the remainder is returned to and reclaimed by the leader, then
 // re-granted without ever duplicating an id.
 func TestClusterGracefulHandoff(t *testing.T) {
-	nodes, _ := startCluster(t, 3)
+	nodes, _, _ := startCluster(t, 3)
 
 	leaderIdx := -1
 	for i, nd := range nodes {
@@ -235,7 +259,7 @@ func TestClusterGracefulHandoff(t *testing.T) {
 // unminted remainder burns), restarts it with a fresh incarnation on the
 // same address, and keeps minting everywhere: still no duplicate ids.
 func TestClusterKillRejoinNoDuplicates(t *testing.T) {
-	nodes, _ := startCluster(t, 3)
+	nodes, srvs, _ := startCluster(t, 3)
 
 	leaderIdx := -1
 	for i, nd := range nodes {
@@ -269,8 +293,13 @@ func TestClusterKillRejoinNoDuplicates(t *testing.T) {
 	if err := victim.Kill(); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
+	_ = srvs[victimIdx].Close()
 
-	reborn, err := Start(Config{
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("rejoin: %v", err)
+	}
+	reborn, _ := startNode(t, Config{
 		NodeID:      victim.cfg.NodeID,
 		Addr:        addr,
 		Seeds:       seeds,
@@ -278,11 +307,7 @@ func TestClusterKillRejoinNoDuplicates(t *testing.T) {
 		BlockSize:   64,
 		LINBlock:    8,
 		Audit:       victim.cfg.Audit,
-	})
-	if err != nil {
-		t.Fatalf("rejoin: %v", err)
-	}
-	t.Cleanup(func() { _ = reborn.Kill() })
+	}, ln)
 	nodes[victimIdx] = reborn
 	waitLeader(t, nodes)
 
@@ -292,57 +317,149 @@ func TestClusterKillRejoinNoDuplicates(t *testing.T) {
 	assertUnique(t, ids)
 }
 
-// TestTransportPrunesClosedConns: cluster RPCs are connection-per-call,
-// so every handled conn must leave the node's live set when its peer
-// hangs up — a long-running leader would otherwise retain one dead conn
-// per RPC ever served.
-func TestTransportPrunesClosedConns(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd, err := Start(Config{
-		NodeID: 1,
-		Addr:   ln.Addr().String(),
-		Listen: func(string) (net.Listener, error) { return ln, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = nd.Kill() })
-
-	// Several full RPC exchanges, each hanging up afterwards, the way
-	// every gossip/grant/forward caller does.
-	d := digest{From: 2, Members: []Member{{ID: 2, Addr: "peer", Incarnation: 1, Beat: 1}}}
-	for i := 0; i < 8; i++ {
-		c, err := net.Dial("tcp", nd.cfg.Addr)
-		if err != nil {
-			t.Fatal(err)
+// TestPeerOpcodesAnsweredWhileForwardStalls: a follower whose LIN
+// sweeper is held inside a forward to a stalled leader still answers a
+// TGossip and a TRangeRequest, sent behind the held LIN frame on the same
+// connection. Peer opcodes are answered at the door and never wait on the
+// sweeper, so a busy node still gossips and grants.
+func TestPeerOpcodesAnsweredWhileForwardStalls(t *testing.T) {
+	// The stalled leader reads every frame, reports each forward and
+	// answers none.
+	stall := listenT(t)
+	forwards := make(chan struct{}, 8)
+	var mu sync.Mutex
+	var accepted []net.Conn
+	go func() {
+		for {
+			c, err := stall.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			accepted = append(accepted, c)
+			mu.Unlock()
+			go func() {
+				br := bufio.NewReader(c)
+				for {
+					f, err := wire.ReadFrame(br)
+					if err != nil {
+						return
+					}
+					if f.Type == wire.TLinForward {
+						forwards <- struct{}{}
+					}
+				}
+			}()
 		}
-		b, err := wire.EncodeFrame(&wire.Frame{Type: wire.TGossip, ID: 1, Data: d.encode()})
+	}()
+	t.Cleanup(func() {
+		_ = stall.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range accepted {
+			_ = c.Close()
+		}
+	})
+
+	ln := listenT(t)
+	nd, _ := startNode(t, Config{
+		NodeID:      2,
+		Addr:        ln.Addr().String(),
+		Seeds:       []string{stall.Addr().String()},
+		GossipEvery: time.Hour, // no tick may replace the claim below
+		RPCTimeout:  time.Minute,
+	}, ln)
+	nd.mu.Lock()
+	nd.ms.claim = claim{Term: 1, Leader: 1, Addr: stall.Addr().String()}
+	nd.mu.Unlock()
+
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	send := func(f wire.Frame) {
+		t.Helper()
+		b, err := wire.EncodeFrame(&f)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Write(b); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := wire.ReadFrame(bufio.NewReader(c)); err != nil {
-			t.Fatalf("gossip ack: %v", err)
-		}
-		_ = c.Close()
+	}
+	send(wire.Frame{Type: wire.TIncBatch, ID: 1, K: 1, Mode: wire.ModeLIN})
+	select {
+	case <-forwards:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower's LIN sweep never forwarded")
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		nd.mu.Lock()
-		live := len(nd.conns)
-		nd.mu.Unlock()
-		if live == 0 {
-			return
+	d := digest{From: 3, Members: []Member{{ID: 3, Addr: "peer", Incarnation: 1, Beat: 1}}}
+	send(wire.Frame{Type: wire.TGossip, ID: 2, Data: d.encode()})
+	send(wire.Frame{Type: wire.TRangeRequest, ID: 3, Node: 3, K: 8})
+	_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(c)
+	for _, want := range []struct {
+		id  uint64
+		typ wire.Type
+	}{{2, wire.TGossipAck}, {3, wire.TError}} {
+		f, err := wire.ReadFrame(br)
+		if err != nil {
+			t.Fatalf("reply %d while the forward stalls: %v", want.id, err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d transport conns still tracked after every peer hung up", live)
+		if f.ID != want.id || f.Type != want.typ {
+			t.Fatalf("reply %+v, want id %d of type %v", f, want.id, want.typ)
 		}
-		time.Sleep(2 * time.Millisecond)
+		if f.Type == wire.TError && f.Code != wire.CodeNotLeader {
+			t.Fatalf("a follower's grant refusal has code %v, want not_leader", f.Code)
+		}
+	}
+}
+
+// TestFollowerForwardsShareOneConn: a follower makes its peer calls on
+// one pipelined client per peer, so its N LIN sweeps, each one forward
+// to the leader, dial one peer connection, not N.
+func TestFollowerForwardsShareOneConn(t *testing.T) {
+	const sweeps = 20
+	var mu sync.Mutex
+	dials := map[uint64]int{} // by dialling node
+	nodes, _, _ := startCluster(t, 3, func(cfg *Config) {
+		id := cfg.NodeID
+		cfg.PeerDialer = func(addr string, timeout time.Duration) (net.Conn, error) {
+			mu.Lock()
+			dials[id]++
+			mu.Unlock()
+			return net.DialTimeout("tcp", addr, timeout)
+		}
+	})
+	var follower *Node
+	for _, nd := range nodes {
+		if !nd.IsLeader() {
+			follower = nd
+		}
+	}
+	before := follower.cfg.Stats.LinForwards.Load()
+	for j := 0; j < sweeps; j++ {
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			_, err := follower.LIN().TryIncBatch(0, 1)
+			if err == nil {
+				break
+			}
+			if !errors.Is(err, wire.ErrNotLeader) || time.Now().After(deadline) {
+				t.Fatalf("LIN via node %d: %v", follower.ID(), err)
+			}
+			waitLeader(t, nodes)
+		}
+	}
+	if fwd := follower.cfg.Stats.LinForwards.Load() - before; fwd < sweeps {
+		t.Fatalf("%d LIN sweeps made %d forwards, want one each", sweeps, fwd)
+	}
+	mu.Lock()
+	got := dials[follower.ID()]
+	mu.Unlock()
+	if got > len(nodes)-1 {
+		t.Fatalf("follower dialled %d peer connections for %d forwards and its gossip, want at most one per peer (%d)",
+			got, sweeps, len(nodes)-1)
 	}
 }

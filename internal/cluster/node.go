@@ -3,12 +3,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/network"
 	"repro/internal/runtime"
 	"repro/internal/wire"
@@ -17,11 +16,11 @@ import (
 // Node is one countd's cluster half: it gossips membership, obtains
 // epoch-fenced id blocks for the local Minter, and serves or forwards
 // LIN mints. It deliberately knows nothing about the client-facing
-// server; cmd/countd plugs the two together through hooks.
+// server; cmd/countd plugs the two together through hooks, and the
+// server's door hands the node its peers' requests.
 type Node struct {
 	cfg    Config
 	minter *Minter
-	ln     net.Listener
 
 	mu        sync.Mutex
 	ms        *membership
@@ -29,23 +28,19 @@ type Node struct {
 	electedAt time.Time  // when this node started its current term
 	linBlk    block      // leader-side LIN cursor (fresh-frontier blocks only)
 	seeds     []string   // contact addresses, self excluded
-	// conns tracks the live accepted transport conns, keyed by accept
-	// ordinal; handleConn deletes its entry on exit, so a long-running
-	// node does not retain one dead conn per connection-per-call RPC
-	// ever served. The ordinal keys keep shutdown's close order
-	// deterministic (nothing iterates a map in arbitrary order).
-	conns   map[uint64]net.Conn
-	connSeq uint64
-
-	rangeMu sync.Mutex // serializes grant RPCs (refill + prefetch share one lane)
+	// peers holds one pipelined client per peer serving address, made on
+	// the first call to it (transport.go); nil once the node has shut down.
+	peers map[string]*client.Client
 
 	closed  chan struct{}
 	closing atomic.Bool
 	wg      sync.WaitGroup
 }
 
-// Start assembles and launches a cluster node: the cluster listener, the
-// gossip loop, and a minter wired to the leader's allocator.
+// Start assembles and launches a cluster node: the gossip loop and a
+// minter wired to the leader's allocator. The node opens no listener:
+// its peers reach it at cfg.Addr, the serving door of a server whose LIN
+// backend is the node's LIN().
 func Start(cfg Config) (*Node, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -57,7 +52,7 @@ func Start(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:    cfg,
 		closed: make(chan struct{}),
-		conns:  make(map[uint64]net.Conn),
+		peers:  make(map[string]*client.Client),
 	}
 	for _, s := range cfg.Seeds {
 		if s != cfg.Addr {
@@ -76,13 +71,7 @@ func Start(cfg Config) (*Node, error) {
 		Incarnation: uint64(now.UnixNano()),
 	}
 	n.ms = newMembership(self, now, cfg.suspectAfter(), cfg.deadAfter())
-	ln, err := cfg.Listen(cfg.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: listen %s: %w", cfg.Addr, err)
-	}
-	n.ln = ln
-	n.wg.Add(2)
-	go n.acceptLoop()
+	n.wg.Add(1)
 	go n.gossipLoop()
 	return n, nil
 }
@@ -258,8 +247,7 @@ func (n *Node) tick(round int) {
 		return
 	}
 	n.cfg.Stats.GossipRounds.Add(1)
-	req := wire.Frame{Type: wire.TGossip, Data: d.encode()}
-	resp, err := n.rpc(n.cfg.Dial(LaneGossip), addr, &req)
+	resp, err := n.call(addr, wire.Frame{Type: wire.TGossip, Data: d.encode()})
 	if err != nil {
 		n.cfg.Stats.GossipFailures.Add(1)
 		return
@@ -319,9 +307,7 @@ func (n *Node) requestBlock(k int64) (wire.Range, uint64, error) {
 	}
 	req := wire.Frame{Type: wire.TRangeRequest, Node: n.cfg.NodeID,
 		Epoch: EpochOf(cl.Term, cl.Leader), K: k}
-	n.rangeMu.Lock()
-	resp, err := n.rpc(n.cfg.Dial(LaneRange), cl.Addr, &req)
-	n.rangeMu.Unlock()
+	resp, err := n.call(cl.Addr, req)
 	if err != nil {
 		if errors.Is(err, wire.ErrNotLeader) || errors.Is(err, wire.ErrNoRange) {
 			return wire.Range{}, 0, err
@@ -369,23 +355,22 @@ func (n *Node) LIN() LINBackend { return LINBackend{n} }
 // LINBackend mints LIN values at the cluster leader's serialization
 // point. It implements the server Backend contract plus the fallible
 // TryIncBatch, which the server's one LIN sweeper calls once per sweep —
-// so a node has at most one LIN mint in flight, and its forward lane one
-// caller.
+// so a node has at most one LIN mint in flight — and HandlePeer, through
+// which the server's door answers the node's peers.
 type LINBackend struct{ n *Node }
+
+// HandlePeer answers one peer request (TGossip, TRangeRequest,
+// TRangeReturn or TLinForward) for the serving door.
+func (b LINBackend) HandlePeer(f *wire.Frame) wire.Frame { return b.n.handle(f) }
 
 // Shape implements the server Backend contract: the minter's shape.
 func (b LINBackend) Shape() network.Shape { return b.n.minter.Shape() }
 
-// IncBatch implements the server Backend contract. It retries until the
-// mint succeeds or the node closes; servers that understand TryIncBatch
-// never call it.
+// IncBatch implements the server Backend contract: TryIncBatch, nil on
+// failure. The server calls TryIncBatch instead.
 func (b LINBackend) IncBatch(wire, k int) []runtime.Range {
-	for {
-		rs, err := b.TryIncBatch(wire, k)
-		if err == nil || b.n.closing.Load() {
-			return rs
-		}
-	}
+	rs, _ := b.TryIncBatch(wire, k)
+	return rs
 }
 
 // TryIncBatch mints k LIN values: under the node mutex while this node
@@ -410,7 +395,7 @@ func (b LINBackend) TryIncBatch(wireID, k int) ([]runtime.Range, error) {
 	start := n.cfg.Clock.Now()
 	req := wire.Frame{Type: wire.TLinForward, Mode: wire.ModeLIN,
 		Wire: int64(wireID), K: int64(k), Epoch: EpochOf(cl.Term, cl.Leader)}
-	resp, err := n.rpc(n.cfg.Dial(LaneForward), cl.Addr, &req)
+	resp, err := n.call(cl.Addr, req)
 	n.cfg.Stats.FwdLatency.Record(wireID, n.cfg.Clock.Since(start))
 	if err != nil {
 		if errors.Is(err, wire.ErrNotLeader) || errors.Is(err, wire.ErrNoRange) {
@@ -433,15 +418,23 @@ func (b LINBackend) TryIncBatch(wireID, k int) ([]runtime.Range, error) {
 
 // Close shuts the node down gracefully: stop gossiping, hand unminted
 // remainders back to the leader (an epoch-checked TRangeReturn — the
-// leader reuses what it granted itself and burns the rest), then tear
-// down the transport.
-func (n *Node) Close() error {
+// leader reuses what it granted itself and burns the rest), then close
+// the peer clients.
+func (n *Node) Close() error { return n.stop(true) }
+
+// Kill tears the node down abruptly — no handoff, no returns — the
+// simulation's stand-in for a crash. Unminted remainders are burned.
+func (n *Node) Kill() error { return n.stop(false) }
+
+func (n *Node) stop(handoff bool) error {
 	if !n.closing.CompareAndSwap(false, true) {
 		return nil
 	}
 	close(n.closed)
-	// Graceful handoff before the transport goes away.
 	remains := n.minter.drain()
+	if !handoff {
+		remains = nil
+	}
 	n.mu.Lock()
 	cl := n.ms.claim
 	now := n.cfg.Clock.Now()
@@ -459,42 +452,19 @@ func (n *Node) Close() error {
 		if cl.Term == 0 || cl.Addr == "" || cl.Leader == n.cfg.NodeID {
 			continue // no leader to return to: the remainder is burned
 		}
-		req := wire.Frame{Type: wire.TRangeReturn, Node: n.cfg.NodeID, Epoch: er.epoch}
-		req.Rs = er.rs
-		if _, err := n.rpc(n.cfg.Dial(LaneRange), cl.Addr, &req); err == nil {
+		req := wire.Frame{Type: wire.TRangeReturn, Node: n.cfg.NodeID, Epoch: er.epoch, Rs: er.rs}
+		if _, err := n.call(cl.Addr, req); err == nil {
 			n.cfg.Stats.Handoffs.Add(1)
 		}
 	}
-	return n.shutdownTransport()
-}
-
-// Kill tears the node down abruptly — no handoff, no returns — the
-// simulation's stand-in for a crash. Unminted remainders are burned.
-func (n *Node) Kill() error {
-	if !n.closing.CompareAndSwap(false, true) {
-		return nil
-	}
-	close(n.closed)
-	n.minter.drain()
-	return n.shutdownTransport()
-}
-
-func (n *Node) shutdownTransport() error {
-	err := n.ln.Close()
+	// A call still in flight fails with client.ErrClosed.
 	n.mu.Lock()
-	ids := make([]uint64, 0, len(n.conns))
-	for id := range n.conns {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	conns := make([]net.Conn, len(ids))
-	for i, id := range ids {
-		conns[i] = n.conns[id]
-	}
+	peers := n.peers
+	n.peers = nil
 	n.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
+	for _, pc := range peers {
+		_ = pc.Close()
 	}
 	n.wg.Wait()
-	return err
+	return nil
 }

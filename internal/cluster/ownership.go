@@ -146,24 +146,11 @@ func NewMinter(width int, blockSize int64, stats *Stats) *Minter {
 // Shape implements the server Backend contract.
 func (m *Minter) Shape() network.Shape { return m.shape }
 
-// IncBatch implements the server Backend contract. It retries until a
-// block is available; servers that understand TryIncBatch never call it.
+// IncBatch implements the server Backend contract: TryIncBatch, nil on
+// failure. The server calls TryIncBatch instead.
 func (m *Minter) IncBatch(wire, k int) []runtime.Range {
-	for {
-		rs, err := m.TryIncBatch(wire, k)
-		if err == nil {
-			return rs
-		}
-		if m.isClosed() {
-			return nil
-		}
-	}
-}
-
-func (m *Minter) isClosed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.closed
+	rs, _ := m.TryIncBatch(wire, k)
+	return rs
 }
 
 // TryIncBatch mints k ids, returning the covering ranges, or an error

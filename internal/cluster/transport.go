@@ -1,94 +1,42 @@
 package cluster
 
 import (
-	"bufio"
+	"context"
 	"fmt"
-	"net"
 
+	"repro/internal/client"
+	"repro/internal/fault"
 	"repro/internal/wire"
 )
 
-// acceptLoop serves the cluster listener until Close.
-func (n *Node) acceptLoop() {
-	defer n.wg.Done()
-	for {
-		c, err := n.ln.Accept()
-		if err != nil {
-			return
-		}
-		n.mu.Lock()
-		if n.closing.Load() {
-			n.mu.Unlock()
-			c.Close()
-			return
-		}
-		id := n.connSeq
-		n.connSeq++
-		n.conns[id] = c
-		n.mu.Unlock()
-		n.wg.Add(1)
-		go n.handleConn(id, c)
-	}
-}
-
-// handleConn answers cluster RPCs on one accepted connection until the
-// peer hangs up, then drops the conn from the node's live set (cluster
-// RPCs are connection-per-call, so entries that outlive their handler
-// would accumulate one per RPC ever served). Every exchange is one
-// request frame, one reply frame.
-func (n *Node) handleConn(id uint64, c net.Conn) {
-	defer n.wg.Done()
-	defer func() {
-		c.Close()
-		n.mu.Lock()
-		delete(n.conns, id)
-		n.mu.Unlock()
-	}()
-	br := bufio.NewReader(c)
-	buf := make([]byte, 0, 1024)
-	for {
-		f, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		resp := n.handle(&f)
-		resp.ID = f.ID
-		buf = buf[:0]
-		buf, err = wire.AppendFrame(buf, &resp)
-		if err != nil {
-			return
-		}
-		if _, err := c.Write(buf); err != nil {
-			return
-		}
-	}
-}
-
-// handle dispatches one cluster request under the node mutex — which
-// makes the mutex the leader's per-epoch serialization point: LIN
-// forwards, grants and membership merges all pass through it in one
-// total order.
+// handle answers one peer request for the serving door. Grants, returns
+// and forwards run under the node mutex, and only while this node holds
+// the lease — which makes the mutex the leader's per-epoch serialization
+// point: LIN forwards, grants and membership merges all pass through it
+// in one total order.
 func (n *Node) handle(f *wire.Frame) wire.Frame {
-	switch f.Type {
-	case wire.TGossip:
+	if n.closing.Load() {
+		return errorFrame(fault.ErrClosed) // a closed or killed node refuses every peer request
+	}
+	if f.Type == wire.TGossip {
 		d, err := decodeDigest(f.Data)
 		if err != nil {
 			return errorFrame(wire.ErrBadFrame)
 		}
 		n.mu.Lock()
-		now := n.cfg.Clock.Now()
-		n.ms.merge(d, now)
+		n.ms.merge(d, n.cfg.Clock.Now())
 		ack := n.ms.digest()
 		n.mu.Unlock()
 		return wire.Frame{Type: wire.TGossipAck, Data: ack.encode()}
-
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.leaseLocked(n.cfg.Clock.Now()) {
+		n.cfg.Stats.NotLeader.Add(1)
+		return errorFrame(wire.ErrNotLeader)
+	}
+	switch f.Type {
 	case wire.TRangeRequest:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if !n.leaseLocked(n.cfg.Clock.Now()) {
-			n.cfg.Stats.NotLeader.Add(1)
-			return errorFrame(wire.ErrNotLeader)
-		}
 		r, err := n.alloc.grant(f.Node, f.K)
 		if err != nil {
 			return errorFrame(wire.ErrNoRange)
@@ -97,12 +45,6 @@ func (n *Node) handle(f *wire.Frame) wire.Frame {
 		return wire.Frame{Type: wire.TRangeGrant, Epoch: n.alloc.epoch, Rs: []wire.Range{r}}
 
 	case wire.TRangeReturn:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if !n.leaseLocked(n.cfg.Clock.Now()) {
-			n.cfg.Stats.NotLeader.Add(1)
-			return errorFrame(wire.ErrNotLeader)
-		}
 		if !n.alloc.acceptReturn(f.Epoch, f.Rs) {
 			// An epoch this allocator did not grant: refuse the handoff —
 			// the remainder stays burned rather than risk a double mint.
@@ -112,12 +54,6 @@ func (n *Node) handle(f *wire.Frame) wire.Frame {
 		return wire.Frame{Type: wire.TRangeGrant, Epoch: n.alloc.epoch}
 
 	case wire.TLinForward:
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if !n.leaseLocked(n.cfg.Clock.Now()) {
-			n.cfg.Stats.NotLeader.Add(1)
-			return errorFrame(wire.ErrNotLeader)
-		}
 		rs, err := n.linMintLocked(f.K)
 		if err != nil {
 			return errorFrame(wire.ErrNoRange)
@@ -136,35 +72,30 @@ func errorFrame(err error) wire.Frame {
 	return wire.Frame{Type: wire.TError, Code: wire.CodeOf(err), Msg: err.Error()}
 }
 
-// rpc performs one synchronous request/reply exchange with a peer: dial,
-// write, read, close. Cluster RPCs are deliberately connection-per-call —
-// each call gets its own stream with its own deterministic identity under
-// DST, and the rates involved (gossip ticks, one grant per BlockSize
-// mints, LIN forwards) don't justify a pool. The read is bounded by
-// RPCTimeout on the node's clock.
-func (n *Node) rpc(dial Dialer, addr string, req *wire.Frame) (wire.Frame, error) {
-	req.ID = 1 // one exchange per conn: ids need not disambiguate
-	c, err := dial(addr)
+// call makes one request to the peer at addr on that peer's client: one
+// attempt, never retried (a re-sent grant or forward would mint twice),
+// its reply awaited for at most RPCTimeout on the node's clock. A TError
+// reply comes back as its sentinel, wrapped.
+func (n *Node) call(addr string, req wire.Frame) (wire.Frame, error) {
+	n.mu.Lock()
+	pc := n.peers[addr]
+	if pc == nil && n.peers != nil {
+		pc = client.NewPeer(addr, client.Options{
+			Clock:       n.cfg.Clock,
+			DialTimeout: n.cfg.RPCTimeout,
+			Dialer:      n.cfg.PeerDialer,
+		})
+		n.peers[addr] = pc
+	}
+	n.mu.Unlock()
+	if pc == nil {
+		return wire.Frame{}, client.ErrClosed
+	}
+	ctx, cancel := n.cfg.Clock.WithTimeout(context.Background(), n.cfg.RPCTimeout)
+	defer cancel()
+	resp, err := pc.Call(ctx, req)
 	if err != nil {
-		return wire.Frame{}, err
-	}
-	defer c.Close()
-	b, err := wire.EncodeFrame(req)
-	if err != nil {
-		return wire.Frame{}, err
-	}
-	if _, err := c.Write(b); err != nil {
-		return wire.Frame{}, err
-	}
-	if err := c.SetReadDeadline(n.cfg.Clock.Now().Add(n.cfg.RPCTimeout)); err != nil {
-		return wire.Frame{}, err
-	}
-	resp, err := wire.ReadFrame(bufio.NewReader(c))
-	if err != nil {
-		return wire.Frame{}, err
-	}
-	if resp.Type == wire.TError {
-		return resp, fmt.Errorf("cluster: peer %s: %w", addr, resp.Code.Err())
+		return resp, fmt.Errorf("cluster: peer %s: %w", addr, err)
 	}
 	return resp, nil
 }

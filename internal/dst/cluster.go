@@ -6,6 +6,7 @@ import (
 	"net"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/client"
@@ -221,30 +222,33 @@ func (n *simNode) leave() {
 	n.alive = false
 }
 
-func clusterSrvAddr(i int) string  { return fmt.Sprintf("sim-node-%d", i) }
-func clusterPeerAddr(i int) string { return fmt.Sprintf("sim-cluster-%d", i) }
+func clusterSrvAddr(i int) string { return fmt.Sprintf("sim-node-%d", i) }
 
-// startSimNode boots node index i (incarnation gen) into the world:
-// the cluster half on its peer address, the serving half on its client
-// address, wired together exactly as cmd/countd wires them.
+// startSimNode boots node index i (incarnation gen) into the world: the
+// cluster half and the server whose door it answers its peers through,
+// wired together exactly as cmd/countd wires them.
 //
 // Worker-id lanes: every actor that sleeps in World.Dialer needs a
 // sub-grid offset of its own (offset = 8192 + worker*16 ns). Cluster
 // runs partition the id space:
 //
 //	[  0,  64)  client workers
-//	[ 64,  96)  per-node gossip lane
-//	[ 96, 128)  per-node range-grant lane (refill + prefetch, serialized)
-//	[128, 160)  per-node LIN forward lane (the server's one LIN sweeper)
+//	[ 64,  96)  per-node peer lane: the dials of all its peer clients,
+//	            one at a time
 func startSimNode(w *World, sc *ClusterScenario, i, gen int, audit *cluster.Audit) (*simNode, error) {
 	seeds := make([]string, sc.Nodes)
 	for j := range seeds {
-		seeds[j] = clusterPeerAddr(j)
+		seeds[j] = clusterSrvAddr(j)
 	}
+	// The gossip loop, the grant path and the LIN sweeper can each dial a
+	// peer; holding the lane across the dial keeps its dial count and its
+	// connects' completion instants in one order.
+	var laneMu sync.Mutex
+	dial := w.Dialer(64 + i)
 	stats := cluster.NewStats()
 	nd, err := cluster.Start(cluster.Config{
 		NodeID:        uint64(i + 1),
-		Addr:          clusterPeerAddr(i),
+		Addr:          clusterSrvAddr(i),
 		Seeds:         seeds,
 		ExpectedPeers: sc.Nodes,
 		Clock:         w.Clk,
@@ -255,19 +259,10 @@ func startSimNode(w *World, sc *ClusterScenario, i, gen int, audit *cluster.Audi
 		Width:       8,
 		BlockSize:   sc.BlockSize,
 		LINBlock:    sc.LINBlock,
-		Listen:      func(addr string) (net.Listener, error) { return w.Listen(addr), nil },
-		Dial: func(lane cluster.Lane) cluster.Dialer {
-			var worker int
-			switch lane {
-			case cluster.LaneGossip:
-				worker = 64 + i
-			case cluster.LaneRange:
-				worker = 96 + i
-			default:
-				worker = 128 + i
-			}
-			d := w.Dialer(worker)
-			return func(addr string) (net.Conn, error) { return d(addr, 0) }
+		PeerDialer: func(addr string, timeout time.Duration) (net.Conn, error) {
+			laneMu.Lock()
+			defer laneMu.Unlock()
+			return dial(addr, timeout)
 		},
 		Stats: stats,
 		Audit: audit,

@@ -9,7 +9,9 @@ import (
 // (Mellor-Crummey & Scott 1991, cited as the queue-lock alternative in the
 // paper's introduction): waiters spin on their predecessor's flag, so the
 // lock hand-off touches only two cache lines. A waiter that has spun
-// spinLimit polls yields between polls, so a preempted holder runs again.
+// spinLimit polls yields between polls, so a preempted holder runs again,
+// and one that has yielded yieldLimit times parks until its predecessor's
+// release wakes it.
 type QueueLockCounter struct {
 	tail atomic.Pointer[clhNode]
 	v    int64
@@ -18,7 +20,9 @@ type QueueLockCounter struct {
 
 type clhNode struct {
 	locked atomic.Bool
-	_      [7]int64 // avoid false sharing between spinning waiters
+	// wake is set by a successor that parks; the release closes it.
+	wake atomic.Pointer[chan struct{}]
+	_    [6]int64 // avoid false sharing between spinning waiters
 }
 
 func (c *QueueLockCounter) init() {
@@ -35,12 +39,34 @@ func (c *QueueLockCounter) Inc(int) int64 {
 	pred := c.tail.Swap(me)
 	var sw spinWait
 	for pred.locked.Load() {
-		sw.wait()
+		if !sw.wait() {
+			pred.park()
+			break
+		}
 	}
 	v := c.v
 	c.v++
-	me.locked.Store(false)
+	me.release()
 	return v
+}
+
+// release frees the lock n's owner holds and wakes a parked successor.
+func (n *clhNode) release() {
+	n.locked.Store(false)
+	if wake := n.wake.Load(); wake != nil {
+		close(*wake)
+	}
+}
+
+// park sleeps until n's owner releases the lock. release clears locked
+// before it reads wake, and park sets wake before it reads locked, so
+// either release finds the channel to close or park finds the lock free.
+func (n *clhNode) park() {
+	wake := make(chan struct{})
+	n.wake.Store(&wake)
+	if n.locked.Load() {
+		<-wake
+	}
 }
 
 // CombiningTree is a software combining tree (Goodman, Vernon & Woest

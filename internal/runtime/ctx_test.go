@@ -173,7 +173,7 @@ func TestLinearizableAbandonedSlotReleasedInOrder(t *testing.T) {
 	}
 	// Let value 1's release start waiting its turn, then return value 0.
 	time.Sleep(time.Millisecond)
-	lin.published.Store(1)
+	lin.publish(0)
 	done := make(chan int64, 1)
 	go func() { done <- lin.Inc(0) }()
 	select {

@@ -121,7 +121,8 @@ func TestBaselinesLinearizable(t *testing.T) {
 }
 
 // TestQueueLockWaitsForPredecessor: a CLH waiter spins on its
-// predecessor's flag and enters only once that predecessor releases.
+// predecessor's flag, then parks, and enters only once that predecessor
+// releases.
 func TestQueueLockWaitsForPredecessor(t *testing.T) {
 	var c QueueLockCounter
 	c.init()
@@ -136,7 +137,7 @@ func TestQueueLockWaitsForPredecessor(t *testing.T) {
 		t.Fatalf("Inc returned %d while its predecessor held the lock", v)
 	default:
 	}
-	holder.locked.Store(false)
+	holder.release()
 	if v := <-done; v != 0 {
 		t.Errorf("Inc = %d, want 0", v)
 	}
@@ -211,16 +212,11 @@ func (c ctxInc) Inc(wire int) int64 {
 // A wait that spins without yielding turns one preempted lock holder (or
 // ticket) into a convoy: every waiter queued behind it spins out a whole
 // time slice, and at GOMAXPROCS 2 the run takes minutes instead of about a
-// second. Run it at -cpu 1,2.
-//
-// It skips when Ps outnumber cores (GOMAXPROCS 8 on a smaller box): the
-// operating system then deschedules the threads of queued waiters, and a
-// first-in-first-out hand-off waits out its time slices, which no wait
-// short of parking can avoid.
+// second. Run it at -cpu 1,2, and with more Ps than cores
+// (GOMAXPROCS=8 on a smaller box): the operating system then deschedules
+// the threads of queued waiters, and a first-in-first-out hand-off waits
+// out their time slices unless the waiters park.
 func TestWaitersYield(t *testing.T) {
-	if goruntime.GOMAXPROCS(0) > goruntime.NumCPU() {
-		t.Skipf("GOMAXPROCS %d exceeds the %d cores", goruntime.GOMAXPROCS(0), goruntime.NumCPU())
-	}
 	ops := 1_000_000
 	if raceEnabled {
 		// The race detector slows every atomic about tenfold; the convoy

@@ -3,30 +3,42 @@ package runtime
 import goruntime "runtime"
 
 // spinLimit is how many failed polls a waiter spins through before it
-// starts yielding. A hand-off between two running goroutines lands within
-// a few polls; past that the goroutine being waited on is most likely
+// starts yielding, and yieldLimit how many times it yields before it
+// parks. A hand-off between two running goroutines lands within a few
+// polls; past that the goroutine being waited on is most likely
 // descheduled, and every further poll burns the time slice it needs.
-const spinLimit = 64
+// While every P has a core, a yield lets it run again. With more Ps than
+// cores its thread can be descheduled by the operating system, and a
+// first-in-first-out hand-off then waits out OS time slices however often
+// its waiters yield: only waiters that sleep until woken give the cores
+// back.
+const (
+	spinLimit  = 64
+	yieldLimit = 16
+)
 
 // spinWait paces a poll loop: the waiter calls wait once per failed poll.
-// The first spinLimit calls return at once; every later call yields the P,
-// so a waiter queued behind a preempted goroutine lets it run instead of
-// spinning out a whole time slice. Without the yield, waiters in a queue
-// form a convoy: at GOMAXPROCS 2 a million increments through
-// QueueLockCounter did not finish in 90 s.
-//
-// A yield only helps while every P has a core: with more Ps than cores the
-// goroutine waited on can sit on a thread the operating system
-// descheduled, and a first-in-first-out hand-off then waits out OS time
-// slices whatever the waiter does.
+// Without the yields, waiters in a queue form a convoy: at GOMAXPROCS 2 a
+// million increments through QueueLockCounter did not finish in 90 s;
+// without the park they did not finish in 60 s at GOMAXPROCS 8 on two
+// cores.
 type spinWait int
 
-// wait reports whether it yielded.
+// wait spins through the first spinLimit calls, yields the P through the
+// next yieldLimit, and then reports false: the waiter should park until
+// the goroutine it waits on wakes it.
 func (s *spinWait) wait() bool {
-	if *s < spinLimit {
-		*s++
+	*s++
+	switch {
+	case *s <= spinLimit:
+	case *s <= spinLimit+yieldLimit:
+		goruntime.Gosched()
+	default:
 		return false
 	}
-	goruntime.Gosched()
 	return true
 }
+
+// yielding reports whether the spins are spent: polls are now slow enough
+// to afford a check that takes a lock.
+func (s *spinWait) yielding() bool { return *s >= spinLimit }

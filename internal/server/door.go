@@ -154,6 +154,15 @@ func (c *conn) readLoop() {
 	}
 }
 
+// peerHandler is the optional form of Options.LIN that also answers the
+// cluster's peer opcodes (a cluster node's LIN backend implements it).
+// The door calls it on the reader goroutine, never through a mailbox, so
+// a node whose LIN sweeper waits on a forward still gossips, grants and
+// renews its lease. HandlePeer must not retain f.
+type peerHandler interface {
+	HandlePeer(f *wire.Frame) wire.Frame
+}
+
 // process handles one request frame on the reader goroutine. It must not
 // retain f — the reader recycles it for the next frame.
 func (c *conn) process(f *wire.Frame) {
@@ -204,6 +213,14 @@ func (c *conn) process(f *wire.Frame) {
 			}
 			c.trySend(m)
 		}
+	case wire.TGossip, wire.TRangeRequest, wire.TRangeReturn, wire.TLinForward:
+		if s.peer != nil {
+			resp := s.peer.HandlePeer(f)
+			resp.ID, resp.Trace = f.ID, f.Trace
+			c.trySend(outMsg{f: resp})
+			return
+		}
+		fallthrough
 	default:
 		s.anomaly("error_frame", f.Trace)
 		c.trySend(errFrame(f.ID, f.Trace, fmt.Errorf("%w: %v is not a request", wire.ErrBadFrame, f.Type)))

@@ -100,6 +100,14 @@ func TestDoor(t *testing.T) {
 			in:   wire.Frame{Type: wire.TValue, ID: 9},
 			want: wire.Frame{Type: wire.TError, ID: 9, Code: wire.CodeBadRequest},
 			err:  wire.ErrBadFrame},
+		{name: "peer opcode without a cluster node",
+			in:   wire.Frame{Type: wire.TGossip, ID: 12, Data: []byte{1}},
+			want: wire.Frame{Type: wire.TError, ID: 12, Code: wire.CodeBadRequest},
+			err:  wire.ErrBadFrame},
+		{name: "peer opcode goes to the LIN backend's handler",
+			opt:  Options{LIN: &peerStub{linStub: newLINStub(0, false)}},
+			in:   wire.Frame{Type: wire.TRangeRequest, ID: 13, Trace: trace, Node: 2, K: 5},
+			want: wire.Frame{Type: wire.TRangeGrant, ID: 13, Trace: trace, Epoch: 5}},
 		{name: "full mailbox sheds",
 			full: true,
 			in:   wire.Frame{Type: wire.TInc, ID: 10, Trace: trace},
@@ -146,6 +154,14 @@ func TestDoor(t *testing.T) {
 			}
 		})
 	}
+}
+
+// peerStub is a LIN backend that also answers peer opcodes, as a cluster
+// node's does: a TRangeRequest for k ids is granted at epoch k.
+type peerStub struct{ *linStub }
+
+func (p *peerStub) HandlePeer(f *wire.Frame) wire.Frame {
+	return wire.Frame{Type: wire.TRangeGrant, Epoch: uint64(f.K)}
 }
 
 // faultScript injects one fixed fault on every frame and logs each

@@ -128,7 +128,11 @@ type Options struct {
 	// sweep's total k, dealing the values in arrival order. The sweep is
 	// linearizable: every member was invoked before the call and none has
 	// returned. A failed call sheds the whole sweep with its retryable
-	// error. Nil serves LIN from the one mailbox and the main backend.
+	// error. Nil serves LIN from the one mailbox and the main backend. A
+	// LIN backend that also answers the cluster's peer opcodes (TGossip,
+	// TRangeRequest, TRangeReturn, TLinForward) gets them from the door,
+	// so the node needs no listener of its own; without one the door
+	// refuses them with wire.ErrBadFrame.
 	LIN Backend
 	// Clock times mailbox residency (OpTimeout), stage spans and
 	// injected frame delays; nil means the wall clock. The deterministic
@@ -187,6 +191,7 @@ type Server struct {
 
 	mail    chan req      // the main mailbox, drained by the sweeper
 	linMail chan req      // nil unless Options.LIN: the LIN sweeper's mailbox
+	peer    peerHandler   // nil unless Options.LIN answers peer opcodes
 	done    chan struct{} // closed when Close begins
 	combWg  sync.WaitGroup
 
@@ -236,6 +241,7 @@ func New(be Backend, opt Options) *Server {
 	s.combWg.Add(1)
 	go s.combine(s.mail, be)
 	if s.opt.LIN != nil {
+		s.peer, _ = s.opt.LIN.(peerHandler)
 		s.linMail = make(chan req, s.opt.Mailbox)
 		s.combWg.Add(1)
 		go s.combine(s.linMail, s.opt.LIN)

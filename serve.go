@@ -13,7 +13,7 @@ type (
 	// ConsistencyMode selects SC or LIN per request on the wire.
 	ConsistencyMode = wire.Mode
 	// ServerBackend is the counting object a Server serves: a compiled
-	// Network, or a cluster node's block Minter (cmd/countd -cluster-listen).
+	// Network, or a cluster node's block Minter (cmd/countd -node-id).
 	ServerBackend = server.Backend
 	// ServerOptions tunes the server's queues, timeouts and fault seam.
 	ServerOptions = server.Options
