@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay sim-digest experiments examples lint clean
+.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay sim-digest sim-digest-diff experiments examples lint clean
 
 all: build test
 
@@ -157,9 +157,8 @@ sim-replay:
 	$(GO) run ./cmd/countsim -seed $(SEED) -trace $(if $(CLUSTER),-cluster)
 
 # One "flavor seed sha256" line per trace, seeds 1..SIM_SEEDS of both
-# flavors (the lines testdata/trace.sha256 pins). Diff two commits'
-# output to prove their traces byte-identical; run it on another tree
-# with make -C <tree> -f $(CURDIR)/Makefile sim-digest.
+# flavors (the lines testdata/trace.sha256 pins). sim-digest-diff
+# compares two commits' lines.
 sim-digest:
 	@mkdir -p .sim-digest
 	@$(GO) build -o .sim-digest/countsim ./cmd/countsim
@@ -170,6 +169,22 @@ sim-digest:
 			echo "$$f $$s $${sum%% *}"; \
 		done; \
 	done
+
+# Prove a change leaves the simulator's traces byte-identical: run
+# sim-digest on a git archive of BASE and on this tree with the same
+# SIM_SEEDS, print how many lines of each flavor differ, and fail on any
+# difference: make sim-digest-diff BASE=<rev> SIM_SEEDS=1000
+sim-digest-diff:
+	@test -n "$(BASE)" || { echo "usage: make sim-digest-diff BASE=<rev> [SIM_SEEDS=n]"; exit 2; }
+	@rm -rf .sim-digest/base && mkdir -p .sim-digest/base
+	@git archive $(BASE) | tar -x -C .sim-digest/base
+	@$(MAKE) -s --no-print-directory -C .sim-digest/base -f $(CURDIR)/Makefile sim-digest > .sim-digest/base.txt
+	@$(MAKE) -s --no-print-directory sim-digest > .sim-digest/head.txt
+	@diff .sim-digest/base.txt .sim-digest/head.txt > .sim-digest/diff.txt; \
+	for f in single cluster; do \
+		echo "$$f: $$(grep -c "^> $$f " .sim-digest/diff.txt) of $$(grep -c "^$$f " .sim-digest/head.txt) lines differ"; \
+	done; \
+	test ! -s .sim-digest/diff.txt
 
 lint:
 	$(GO) vet ./...

@@ -163,6 +163,11 @@ type Client struct {
 
 	flight  *flightrec.Recorder // nil: tracing off
 	sampler *flightrec.Sampler  // nil: never sample
+
+	// refusalsReturn makes a cluster refusal (not_leader, no_range) end a
+	// request at once: a Cluster's endpoint clients set it, so the
+	// Cluster moves to the next endpoint instead of re-sending there.
+	refusalsReturn bool
 }
 
 // ErrClosed reports an operation on a closed client.
@@ -396,13 +401,18 @@ func (c *Client) Stats() Stats {
 // cost of a possible burned value (a gap, never a duplicate — the old
 // request id can no longer match a response). Cluster refusals
 // (mid-election leaderlessness, a node briefly out of ranges) are
-// transient by construction and re-issue the same way.
+// transient by construction and re-issue the same way, except on a
+// Cluster's endpoint clients (refusalsReturn).
 func retryable(err error) bool {
 	return errors.Is(err, wire.ErrBackpressure) ||
 		errors.Is(err, fault.ErrTimeout) ||
-		errors.Is(err, wire.ErrNotLeader) ||
-		errors.Is(err, wire.ErrNoRange) ||
+		refusal(err) ||
 		errors.Is(err, errTransport)
+}
+
+// refusal reports whether err is a cluster node's refusal to serve.
+func refusal(err error) bool {
+	return errors.Is(err, wire.ErrNotLeader) || errors.Is(err, wire.ErrNoRange)
 }
 
 var errTransport = errors.New("client: connection failed")
@@ -443,7 +453,7 @@ func (c *Client) request(ctx context.Context, f wire.Frame) (wire.Frame, error) 
 			return rf, nil
 		}
 		last = err
-		if !retryable(err) {
+		if !retryable(err) || c.refusalsReturn && refusal(err) {
 			return wire.Frame{}, err
 		}
 	}

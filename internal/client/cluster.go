@@ -70,6 +70,7 @@ func (c *Cluster) endpoint(i int) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	cli.refusalsReturn = true
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -107,7 +108,8 @@ func (c *Cluster) advance(i int) {
 // do runs op against endpoints starting at the sticky one, advancing on
 // failure, until one answers or every endpoint has failed. A cluster
 // refusal (not_leader, no_range) advances like any other retryable
-// error.
+// error, and at once: an endpoint client does not re-send a refused
+// request.
 func (c *Cluster) do(ctx context.Context, op func(cli *Client) error) error {
 	start := c.current()
 	var last error

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -54,12 +55,13 @@ func (notLeader) TryIncBatch(w, k int) ([]runtime.Range, error) { return nil, wi
 
 // TestClusterRefusalAdvances: a not_leader refusal moves the call on to
 // the next endpoint, which answers it, and the refusing node reads
-// nothing but the refused attempts: no THello follows them.
+// nothing but the one refused attempt: no re-send and no THello follow
+// it. A plain client of that node still retries the refusal.
 func TestClusterRefusalAdvances(t *testing.T) {
 	refusing := server.NewStats(0)
 	_, a0 := startNode(t, notLeader{newStripeBackend(4, 0)}, server.Options{Stats: refusing})
 	_, a1 := startNode(t, newStripeBackend(4, 1<<20), server.Options{})
-	c, err := DialCluster([]string{a0, a1}, Options{Retries: 1, OpTimeout: time.Second})
+	c, err := DialCluster([]string{a0, a1}, Options{Retries: 5, OpTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +75,21 @@ func TestClusterRefusalAdvances(t *testing.T) {
 	if v < 1<<20 {
 		t.Fatalf("value %d is not from the next endpoint's stripe", v)
 	}
-	// Retries 1, the smallest budget, lets the endpoint's client send the
-	// refused increment twice; every frame beyond those would be a
-	// hello round trip the refusal bought.
+	// The endpoint's client returns the refusal at once, whatever its
+	// retry budget: a second frame would be a re-send to the node that
+	// refused, and every frame beyond that a hello round trip the refusal
+	// bought.
+	if got := refusing.Snapshot().FramesIn - before; got != 1 {
+		t.Fatalf("refusing endpoint read %d frames for one call, want the 1 refused attempt", got)
+	}
+
+	plain := dialC(t, a0, Options{Retries: 1})
+	before = refusing.Snapshot().FramesIn
+	if _, err := plain.IncCtx(context.Background(), 0); !errors.Is(err, wire.ErrNotLeader) {
+		t.Fatalf("plain client inc: %v, want not_leader", err)
+	}
 	if got := refusing.Snapshot().FramesIn - before; got != 2 {
-		t.Fatalf("refusing endpoint read %d frames for one call, want the 2 refused attempts", got)
+		t.Fatalf("a plain client sent %d frames for one refused call, want 2 (Retries 1)", got)
 	}
 }
 

@@ -25,22 +25,14 @@
 //
 //   - routing: SC increments mint node-locally from owned blocks (zero
 //     cross-node RPCs on the hot path — a standby block is prefetched at
-//     half-use), while LIN increments are forwarded to the leader's
-//     serialization point, which mints them in arrival order from
-//     strictly increasing stripes — so the remote step property's
-//     F_nl = 0 holds cluster-wide. The leader holds an endorsement
-//     lease: it serves LIN and grants ranges only while a majority of
-//     peers have directly restated its exact claim within leaseTimeout
-//     (4×GossipEvery), AND both its own tenure and those endorsements
-//     have aged past RPCTimeout+leaseTimeout. The aging fence is what
-//     makes leases mutually exclusive across a partition heal: a peer
-//     that switches to a newer claim never endorses the older one again
-//     (terms are monotone per node), so every lease statement the old
-//     leader still holds was produced before the switch and expires
-//     within RPCTimeout+leaseTimeout of it — by the time the new leader's
-//     endorsements mature, majority intersection guarantees the old
-//     lease is provably dead. See Node.leaseLocked for the full
-//     argument.
+//     half-use; mintState holds the rule), while LIN increments are
+//     forwarded to the leader's serialization point, which mints them in
+//     arrival order from strictly increasing stripes — so the remote step
+//     property's F_nl = 0 holds cluster-wide. The leader serves LIN and
+//     grants ranges only under an endorsement lease that a majority of
+//     peers back and that has aged past RPCTimeout+leaseTimeout, which
+//     makes leases mutually exclusive across a partition heal
+//     (Node.leaseLocked has the argument).
 //
 // The package deliberately does not import internal/server: cmd/countd
 // composes them — the cluster Minter is the server's Backend and

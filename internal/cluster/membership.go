@@ -110,14 +110,13 @@ type membership struct {
 }
 
 func newMembership(self Member, now time.Time, suspect, dead time.Duration) *membership {
-	ms := &membership{
+	return &membership{
 		self:    self.ID,
 		members: map[uint64]*memberInfo{self.ID: {Member: self, lastFresh: now}},
 		endorse: map[uint64]endorsement{},
 		suspect: suspect,
 		dead:    dead,
 	}
-	return ms
 }
 
 // beat advances this node's own heartbeat.
@@ -127,10 +126,8 @@ func (ms *membership) beat(now time.Time) {
 	me.lastFresh = now
 }
 
-// merge folds a peer's digest into the local table and returns whether
-// anything changed (used only for logging).
-func (ms *membership) merge(d digest, now time.Time) bool {
-	changed := false
+// merge folds a peer's digest into the local table.
+func (ms *membership) merge(d digest, now time.Time) {
 	for _, m := range d.Members {
 		if m.ID == ms.self {
 			// Nobody knows more about this node than itself, except a
@@ -143,11 +140,9 @@ func (ms *membership) merge(d digest, now time.Time) bool {
 		switch {
 		case !ok:
 			ms.members[m.ID] = &memberInfo{Member: m, lastFresh: now}
-			changed = true
 		case m.newer(cur.Member):
 			cur.Member = m
 			cur.lastFresh = now
-			changed = true
 		}
 	}
 	if d.From != 0 && d.From != ms.self {
@@ -163,13 +158,9 @@ func (ms *membership) merge(d digest, now time.Time) bool {
 			ms.endorse[d.From] = endorsement{c: d.Claim, first: now, last: now}
 		}
 	}
-	if d.Claim.Leader != 0 || d.Claim.Term != 0 {
-		if d.Claim.better(ms.claim) {
-			ms.claim = d.Claim
-			changed = true
-		}
+	if (d.Claim.Leader != 0 || d.Claim.Term != 0) && d.Claim.better(ms.claim) {
+		ms.claim = d.Claim
 	}
-	return changed
 }
 
 // endorseCount counts peers whose direct statements currently back cl.
@@ -253,10 +244,6 @@ func (ms *membership) counts(now time.Time) (alive, suspect, dead int) {
 	}
 	return
 }
-
-// maxTerm returns the highest election term this node has ever observed
-// (its own claim included).
-func (ms *membership) maxTerm() uint64 { return ms.claim.Term }
 
 // digest snapshots the table for one gossip exchange.
 func (ms *membership) digest() digest {

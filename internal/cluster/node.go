@@ -59,8 +59,7 @@ func Start(cfg Config) (*Node, error) {
 			n.seeds = append(n.seeds, s)
 		}
 	}
-	n.minter = NewMinter(cfg.Width, cfg.BlockSize, cfg.Stats)
-	n.minter.request = n.requestBlock
+	n.minter = newMinter(cfg.Width, cfg.BlockSize, cfg.Stats, n.requestBlock)
 	now := cfg.Clock.Now()
 	self := Member{
 		ID:   cfg.NodeID,
@@ -109,13 +108,6 @@ func (n *Node) IsLeader() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.leaseLocked(n.cfg.Clock.Now())
-}
-
-// memberCounts tallies the membership view for the metrics surface.
-func (n *Node) memberCounts() (alive, suspect, dead int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ms.counts(n.cfg.Clock.Now())
 }
 
 // quorum is the majority of the seeded cluster size.
@@ -208,7 +200,7 @@ func (n *Node) electLocked(now time.Time) {
 // majority's endorsements of it have matured the same way (leaseLocked).
 // The why is for the transition log only.
 func (n *Node) startTermLocked(now time.Time, why string, args ...any) {
-	term := n.ms.maxTerm() + 1
+	term := n.ms.claim.Term + 1 // the claim is the highest term this node has seen
 	n.ms.claim = claim{Term: term, Leader: n.cfg.NodeID, Addr: n.cfg.Addr}
 	n.alloc = newAllocator(EpochOf(term, n.cfg.NodeID), n.cfg.Audit)
 	n.electedAt = now
@@ -330,11 +322,7 @@ func (n *Node) requestBlock(k int64) (wire.Range, uint64, error) {
 // property.
 func (n *Node) linMintLocked(k int64) ([]runtime.Range, error) {
 	if n.linBlk.remaining() < k {
-		need := n.cfg.LINBlock
-		if need < k {
-			need = k
-		}
-		r, err := n.alloc.grantFresh(n.cfg.NodeID, need)
+		r, err := n.alloc.grantFresh(n.cfg.NodeID, max(n.cfg.LINBlock, k))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", wire.ErrNoRange, err)
 		}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/network"
@@ -45,28 +44,15 @@ func (a *allocator) grantFresh(to uint64, k int64) (wire.Range, error) {
 // grant carves a block of k ids for node `to`, preferring returned
 // remainders over fresh frontier ids.
 func (a *allocator) grant(to uint64, k int64) (wire.Range, error) {
-	if k <= 0 {
-		return wire.Range{}, fmt.Errorf("cluster: grant of %d ids", k)
+	if len(a.free) == 0 || k <= 0 {
+		return a.grantFresh(to, k)
 	}
-	var r wire.Range
-	if len(a.free) > 0 {
-		f := &a.free[0]
-		take := k
-		if take > f.Count {
-			take = f.Count
-		}
-		r = wire.Range{First: f.First, Stride: 1, Count: take}
-		f.First += take
-		f.Count -= take
-		if f.Count == 0 {
-			a.free = a.free[1:]
-		}
-	} else {
-		if a.next+k > StripeSize {
-			return wire.Range{}, fmt.Errorf("cluster: epoch %d stripe exhausted", a.epoch)
-		}
-		r = wire.Range{First: StripeBase(a.epoch) + a.next, Stride: 1, Count: k}
-		a.next += k
+	f := &a.free[0]
+	r := wire.Range{First: f.First, Stride: 1, Count: min(k, f.Count)}
+	f.First += r.Count
+	f.Count -= r.Count
+	if f.Count == 0 {
+		a.free = a.free[1:]
 	}
 	a.audit.record(GrantRecord{Epoch: a.epoch, To: to, R: r})
 	return r, nil
@@ -103,44 +89,139 @@ type block struct {
 
 func (b block) remaining() int64 { return b.end - b.next }
 
+func (b block) rng() wire.Range { return wire.Range{First: b.next, Stride: 1, Count: b.remaining()} }
+
+// mintAction is what a take leaves its caller to do.
+type mintAction uint8
+
+const (
+	mintNone     mintAction = iota
+	mintPrefetch            // request a standby block off the minting path
+	mintWait                // wait for the in-flight prefetch to land, then take the rest
+	mintRefill              // request a block now, then take the rest
+)
+
+// mintState is a node's whole minting rule, with no lock, goroutine or
+// clock: the Minter carries out the actions it returns. The node mints
+// from cur, keeps nxt as the standby, and so holds at most 2·size ids.
+// At most one block request is in flight: a take that runs dry beside
+// the prefetch waits for it, since its block is the lower one.
+type mintState struct {
+	size        int64 // grant size
+	cur, nxt    block
+	prefetching bool
+	closed      bool
+	burned      int64 // ids of blocks that landed after drain
+}
+
+// take appends up to k ids to out, in ascending order, and returns how
+// many it fell short by. It falls short only when cur and nxt are spent,
+// and its action says how to go on; a take that is met asks for a
+// prefetch once cur is half used.
+func (s *mintState) take(out []runtime.Range, k int64) ([]runtime.Range, int64, mintAction) {
+	for k > 0 {
+		if s.cur.remaining() == 0 {
+			if s.nxt.remaining() == 0 {
+				if s.prefetching {
+					return out, k, mintWait
+				}
+				return out, k, mintRefill
+			}
+			s.cur, s.nxt = s.nxt, block{}
+		}
+		n := min(s.cur.remaining(), k)
+		out = append(out, runtime.Range{First: s.cur.next, Stride: 1, Count: n})
+		s.cur.next += n
+		k -= n
+	}
+	if s.prefetching || s.nxt.remaining() > 0 || s.cur.remaining() > s.size/2 {
+		return out, 0, mintNone
+	}
+	s.prefetching = true
+	return out, 0, mintPrefetch
+}
+
+// granted installs a block that landed: as cur if that is spent, else
+// as nxt. After drain it is burned: a gap, never a duplicate.
+func (s *mintState) granted(b block) {
+	s.prefetching = false
+	if s.closed {
+		s.burned += b.remaining()
+	} else if s.cur.remaining() == 0 {
+		s.cur = b
+	} else {
+		s.nxt = b
+	}
+}
+
+// fetchFailed ends a prefetch that obtained no block.
+func (s *mintState) fetchFailed() { s.prefetching = false }
+
+// owned lists the unminted ranges the node holds, active block first.
+func (s *mintState) owned() []wire.Range {
+	var out []wire.Range
+	for _, b := range []block{s.cur, s.nxt} {
+		if b.remaining() > 0 {
+			out = append(out, b.rng())
+		}
+	}
+	return out
+}
+
+// epochRanges is one grant epoch's unminted remainder.
+type epochRanges struct {
+	epoch uint64
+	rs    []wire.Range
+}
+
+// drain closes the state and surrenders the unminted remainders for a
+// graceful TRangeReturn, grouped by grant epoch in ascending order.
+func (s *mintState) drain() []epochRanges {
+	s.closed = true
+	var out []epochRanges
+	for _, b := range []block{s.cur, s.nxt} {
+		switch n := len(out); {
+		case b.remaining() <= 0:
+		case n > 0 && out[n-1].epoch == b.epoch:
+			out[n-1].rs = append(out[n-1].rs, b.rng())
+		default:
+			out = append(out, epochRanges{b.epoch, []wire.Range{b.rng()}})
+		}
+	}
+	if len(out) == 2 && out[1].epoch < out[0].epoch {
+		out[0], out[1] = out[1], out[0]
+	}
+	s.cur, s.nxt = block{}, block{}
+	return out
+}
+
 // Minter is the cluster node's counting backend: it implements the
 // server Backend contract (IncBatch/Shape) plus the fallible
 // TryIncBatch extension, minting ids from epoch-fenced blocks granted by
 // the cluster leader instead of traversing a counting network. SC
 // increments therefore stay node-local: the only cross-node traffic is
 // one grant RPC per BlockSize mints, and even that is prefetched off the
-// hot path once the active block is half used.
+// hot path. The Minter carries out mintState's actions under one lock.
 type Minter struct {
 	shape network.Shape
 	stats *Stats
-
-	// request obtains one fresh block of k ids (set by the Node: a local
-	// allocator call on the leader, a TRangeRequest RPC elsewhere).
+	// request obtains one fresh block of k ids: a local allocator call on
+	// the leader, a TRangeRequest RPC elsewhere.
 	request func(k int64) (wire.Range, uint64, error)
-	// prefetchSize is the standby block's grant size.
-	blockSize int64
 
-	mu          sync.Mutex
-	wg          sync.WaitGroup // in-flight prefetch
-	fetched     sync.Cond      // on mu: the in-flight prefetch has finished
-	cur, nxt    block
-	prefetching bool
-	closed      bool
+	mu     sync.Mutex
+	st     mintState
+	landed chan struct{} // closed once the latest prefetch has landed
 }
 
-// NewMinter builds a minter that advertises the given shape. width is
-// the wire fan the server advertises to clients; mints ignore the wire.
-func NewMinter(width int, blockSize int64, stats *Stats) *Minter {
-	if stats == nil {
-		stats = NewStats()
-	}
-	m := &Minter{
-		shape:     network.Shape{Width: width, Sinks: width},
-		blockSize: blockSize,
-		stats:     stats,
-	}
-	m.fetched.L = &m.mu
-	return m
+// newMinter builds a minter that advertises the given shape (width is
+// the wire fan clients see; mints ignore the wire) and draws blocks of
+// blockSize ids from request.
+func newMinter(width int, blockSize int64, stats *Stats, request func(k int64) (wire.Range, uint64, error)) *Minter {
+	landed := make(chan struct{})
+	close(landed)
+	return &Minter{shape: network.Shape{Width: width, Sinks: width}, stats: stats,
+		request: request, st: mintState{size: blockSize}, landed: landed}
 }
 
 // Shape implements the server Backend contract.
@@ -164,116 +245,71 @@ func (m *Minter) TryIncBatch(wireID, k int) ([]runtime.Range, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var out []runtime.Range
-	need := int64(k)
-	for need > 0 {
-		if m.cur.remaining() == 0 {
-			if m.nxt.remaining() > 0 {
-				m.cur, m.nxt = m.nxt, block{}
-			} else if m.prefetching {
-				// The prefetch was granted before any refill could be, so
-				// its block is the lower one: a refill now would mint
-				// above it and then install it as standby, sending every
-				// session on this node backwards. Wait for it instead.
-				m.fetched.Wait()
-			} else if err := m.refillLocked(); err != nil {
-				// Roll forward nothing: ids already carved into out are
-				// burned (a gap), never re-minted.
+	for need := int64(k); ; {
+		var act mintAction
+		out, need, act = m.st.take(out, need)
+		switch act {
+		case mintPrefetch:
+			m.prefetch()
+		case mintWait:
+			landed := m.landed
+			m.mu.Unlock()
+			<-landed
+			m.mu.Lock()
+			continue
+		case mintRefill:
+			if err := m.refill(); err != nil {
+				// Ids already carved into out are burned (a gap), never
+				// re-minted.
 				m.stats.NoRange.Add(1)
 				return nil, fmt.Errorf("%w: %v", wire.ErrNoRange, err)
 			}
 			continue
 		}
-		take := m.cur.remaining()
-		if take > need {
-			take = need
-		}
-		out = append(out, runtime.Range{First: m.cur.next, Stride: 1, Count: take})
-		m.cur.next += take
-		need -= take
+		return out, nil
 	}
-	m.maybePrefetchLocked()
-	return out, nil
 }
 
-// refillLocked fetches a block synchronously — the slow path that the
-// prefetch exists to keep empty. The DST transport audit asserts it
-// stays unused in healthy runs (Stats.RefillBlocking == 0).
-func (m *Minter) refillLocked() error {
-	if m.closed {
+// refill fetches a block under the lock: the slow path the prefetch
+// keeps empty (the DST audit asserts Stats.RefillBlocking == 0).
+func (m *Minter) refill() error {
+	if m.st.closed {
 		return fmt.Errorf("minter closed")
 	}
-	if m.request == nil {
-		return fmt.Errorf("no range source")
-	}
 	m.stats.RefillBlocking.Add(1)
-	r, epoch, err := m.request(m.blockSize)
+	r, epoch, err := m.request(m.st.size)
 	if err != nil {
 		return err
 	}
-	m.cur = block{next: r.First, end: r.First + r.Count, epoch: epoch}
+	m.st.granted(block{next: r.First, end: r.First + r.Count, epoch: epoch})
 	return nil
 }
 
-// maybePrefetchLocked tops up the standby block once the active one is
-// half used, off the minting path.
-func (m *Minter) maybePrefetchLocked() {
-	if m.prefetching || m.closed || m.request == nil {
-		return
-	}
-	if m.nxt.remaining() > 0 || m.cur.remaining() > m.blockSize/2 {
-		return
-	}
-	m.prefetching = true
-	m.wg.Add(1)
+// prefetch requests the standby block off the minting path.
+func (m *Minter) prefetch() {
+	landed, size := make(chan struct{}), m.st.size
+	m.landed = landed
 	go func() {
-		defer m.wg.Done()
-		r, epoch, err := m.request(m.blockSize)
+		r, epoch, err := m.request(size)
 		m.mu.Lock()
-		defer m.mu.Unlock()
-		m.prefetching = false
-		m.fetched.Broadcast()
-		if err != nil || m.closed {
-			return
+		if err != nil {
+			m.st.fetchFailed()
+		} else {
+			m.st.granted(block{next: r.First, end: r.First + r.Count, epoch: epoch})
 		}
-		m.nxt = block{next: r.First, end: r.First + r.Count, epoch: epoch}
+		m.mu.Unlock()
+		close(landed)
 	}()
 }
 
-// epochRanges is one grant epoch's unminted remainder.
-type epochRanges struct {
-	epoch uint64
-	rs    []wire.Range
-}
-
-// drain marks the minter closed and surrenders the unminted remainders,
-// grouped by grant epoch in ascending epoch order (a deterministic
-// handoff sequence), for a graceful TRangeReturn.
+// drain closes the minter and surrenders its unminted remainders once
+// any in-flight prefetch has landed.
 func (m *Minter) drain() []epochRanges {
 	m.mu.Lock()
-	m.closed = true
-	var out []epochRanges
-	for _, b := range []block{m.cur, m.nxt} {
-		if b.remaining() <= 0 {
-			continue
-		}
-		r := wire.Range{First: b.next, Stride: 1, Count: b.remaining()}
-		found := false
-		for i := range out {
-			if out[i].epoch == b.epoch {
-				out[i].rs = append(out[i].rs, r)
-				found = true
-			}
-		}
-		if !found {
-			out = append(out, epochRanges{epoch: b.epoch, rs: []wire.Range{r}})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].epoch < out[j].epoch })
-	m.cur, m.nxt = block{}, block{}
+	out := m.st.drain()
+	landed := m.landed
 	m.mu.Unlock()
-	// A block a racing prefetch installs after this point is simply
-	// burned — a gap, never a duplicate.
-	m.wg.Wait()
+	<-landed
 	return out
 }
 
@@ -282,11 +318,5 @@ func (m *Minter) drain() []epochRanges {
 func (m *Minter) Owned() []wire.Range {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []wire.Range
-	for _, b := range []block{m.cur, m.nxt} {
-		if b.remaining() > 0 {
-			out = append(out, wire.Range{First: b.next, Stride: 1, Count: b.remaining()})
-		}
-	}
-	return out
+	return m.st.owned()
 }

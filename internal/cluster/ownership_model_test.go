@@ -168,7 +168,6 @@ func TestEpochStripesDisjoint(t *testing.T) {
 // the minter is seen waiting with nothing to mint from.
 func TestMinterWaitsForPrefetch(t *testing.T) {
 	const block = 100
-	m := NewMinter(4, block, nil)
 	var (
 		mu    sync.Mutex
 		next  int64
@@ -177,7 +176,7 @@ func TestMinterWaitsForPrefetch(t *testing.T) {
 	)
 	arrived, gate := make(chan struct{}), make(chan struct{})
 	release := func() { once.Do(func() { close(gate) }) }
-	m.request = func(k int64) (wire.Range, uint64, error) {
+	m := newMinter(4, block, NewStats(), func(k int64) (wire.Range, uint64, error) {
 		mu.Lock()
 		r := wire.Range{First: next, Stride: 1, Count: k}
 		next += k
@@ -192,7 +191,7 @@ func TestMinterWaitsForPrefetch(t *testing.T) {
 			release()
 		}
 		return r, 1, nil
-	}
+	})
 	var minted []int64
 	mint := func(k int) []int64 {
 		rs, err := m.TryIncBatch(0, k)
@@ -219,7 +218,7 @@ func TestMinterWaitsForPrefetch(t *testing.T) {
 			minted = append(minted, second...)
 		default:
 			m.mu.Lock()
-			waiting := m.cur.remaining() == 0 && m.nxt.remaining() == 0
+			waiting := m.st.cur.remaining() == 0 && m.st.nxt.remaining() == 0
 			m.mu.Unlock()
 			if waiting {
 				release()

@@ -81,7 +81,9 @@ func (n *Node) AppendMetrics(w io.Writer) {
 		telemetry.WriteSample(w, name, "", v)
 	}
 
-	alive, suspect, dead := n.memberCounts()
+	n.mu.Lock()
+	alive, suspect, dead := n.ms.counts(n.cfg.Clock.Now())
+	n.mu.Unlock()
 	telemetry.WriteFamily(w, "countd_cluster_members", "gauge", "cluster members by state")
 	telemetry.WriteSample(w, "countd_cluster_members", `state="alive"`, alive)
 	telemetry.WriteSample(w, "countd_cluster_members", `state="suspect"`, suspect)

@@ -7,38 +7,48 @@ import (
 
 // QueueLockCounter serialises increments behind a CLH-style queue lock
 // (Mellor-Crummey & Scott 1991, cited as the queue-lock alternative in the
-// paper's introduction): waiters spin on their predecessor's flag, so the
+// paper's introduction): waiters spin on their predecessor's node, so the
 // lock hand-off touches only two cache lines. A waiter that has spun
 // spinLimit polls yields between polls, so a preempted holder runs again,
 // and one that has yielded yieldLimit times parks until its predecessor's
-// release wakes it.
+// release wakes it. Nodes are recycled the CLH way: the waiter that sees
+// its predecessor's node released is the last to touch it, and pools it,
+// so an Inc allocates nothing.
 type QueueLockCounter struct {
 	tail atomic.Pointer[clhNode]
 	v    int64
 	once sync.Once
 }
 
+// clhNode's state is nil while its owner holds or awaits the lock,
+// clhReleased once the owner has released it, and otherwise the channel
+// a parked successor sleeps on.
 type clhNode struct {
-	locked atomic.Bool
-	// wake is set by a successor that parks; the release closes it.
-	wake atomic.Pointer[chan struct{}]
-	_    [6]int64 // avoid false sharing between spinning waiters
+	state atomic.Pointer[chan struct{}]
+	_     [7]int64 // avoid false sharing between spinning waiters
 }
+
+var (
+	clhReleased = new(chan struct{})
+	clhPool     = sync.Pool{New: func() any { return new(clhNode) }}
+)
 
 func (c *QueueLockCounter) init() {
 	c.once.Do(func() {
-		c.tail.Store(new(clhNode)) // dummy unlocked predecessor
+		n := new(clhNode) // dummy released predecessor
+		n.state.Store(clhReleased)
+		c.tail.Store(n)
 	})
 }
 
 // Inc implements Counter.
 func (c *QueueLockCounter) Inc(int) int64 {
 	c.init()
-	me := new(clhNode)
-	me.locked.Store(true)
+	me := clhPool.Get().(*clhNode)
+	me.state.Store(nil)
 	pred := c.tail.Swap(me)
 	var sw spinWait
-	for pred.locked.Load() {
+	for pred.state.Load() != clhReleased {
 		if !sw.wait() {
 			pred.park()
 			break
@@ -47,24 +57,27 @@ func (c *QueueLockCounter) Inc(int) int64 {
 	v := c.v
 	c.v++
 	me.release()
+	// Pool pred only now: a preemption that arrives while the pool has
+	// the P pinned is taken at the next call, and a holder preempted
+	// there would make every waiter queue behind it.
+	clhPool.Put(pred)
 	return v
 }
 
 // release frees the lock n's owner holds and wakes a parked successor.
+// It touches n once: from the Swap on, the successor may recycle n.
 func (n *clhNode) release() {
-	n.locked.Store(false)
-	if wake := n.wake.Load(); wake != nil {
+	if wake := n.state.Swap(clhReleased); wake != nil {
 		close(*wake)
 	}
 }
 
-// park sleeps until n's owner releases the lock. release clears locked
-// before it reads wake, and park sets wake before it reads locked, so
-// either release finds the channel to close or park finds the lock free.
+// park sleeps until n's owner releases the lock. Either park installs its
+// channel before the release, which then closes it, or the release came
+// first and the install fails.
 func (n *clhNode) park() {
 	wake := make(chan struct{})
-	n.wake.Store(&wake)
-	if n.locked.Load() {
+	if n.state.CompareAndSwap(nil, &wake) {
 		<-wake
 	}
 }

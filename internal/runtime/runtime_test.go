@@ -121,13 +121,12 @@ func TestBaselinesLinearizable(t *testing.T) {
 }
 
 // TestQueueLockWaitsForPredecessor: a CLH waiter spins on its
-// predecessor's flag, then parks, and enters only once that predecessor
+// predecessor's node, then parks, and enters only once that predecessor
 // releases.
 func TestQueueLockWaitsForPredecessor(t *testing.T) {
 	var c QueueLockCounter
 	c.init()
-	holder := new(clhNode)
-	holder.locked.Store(true)
+	holder := new(clhNode) // a nil state: its owner holds the lock
 	c.tail.Store(holder)
 	done := make(chan int64, 1)
 	go func() { done <- c.Inc(0) }()
@@ -140,6 +139,19 @@ func TestQueueLockWaitsForPredecessor(t *testing.T) {
 	holder.release()
 	if v := <-done; v != 0 {
 		t.Errorf("Inc = %d, want 0", v)
+	}
+}
+
+// TestQueueLockIncAllocatesNothing: an uncontended Inc reuses the node
+// its predecessor released instead of allocating one.
+func TestQueueLockIncAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop nodes at random")
+	}
+	var c QueueLockCounter
+	c.Inc(0)
+	if n := testing.AllocsPerRun(1000, func() { c.Inc(0) }); n != 0 {
+		t.Errorf("Inc allocates %v times, want 0", n)
 	}
 }
 
