@@ -16,7 +16,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/... ./cmd/countd/ ./cmd/countload/
-	$(GO) test -race -count=5 -run TestClusterLINMonotone ./internal/cluster
+	$(GO) test -race -count=5 -run 'TestClusterLINMonotone|TestNodeAscendsAcrossPeerLeave' ./internal/cluster
 	$(GO) test -C bench -race ./...
 
 cover:

@@ -256,8 +256,8 @@ func run(ctx context.Context, o options, out io.Writer) error {
 			return err
 		}
 		// Registered before srv's defer, so it runs after it: the server
-		// drains in-flight LIN forwards before the node hands its unminted
-		// blocks back to the cluster.
+		// drains in-flight LIN forwards before the node closes its peer
+		// clients.
 		defer node.Close()
 		backend = node.Minter()
 	} else {
@@ -393,8 +393,8 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		return err
 	}
 	if node != nil {
-		// After the server drained: in-flight LIN forwards are answered, so
-		// the node can hand its unminted blocks back to the cluster.
+		// After the server drained: in-flight LIN forwards are answered
+		// before the node closes its peer clients. Its unminted ids burn.
 		if err := node.Close(); err != nil {
 			return err
 		}

@@ -33,7 +33,7 @@
 //
 // Usage:
 //
-//	countsim -seeds 1000 -par 8 -artifacts /tmp/sim
+//	countsim -seeds 1000 -artifacts /tmp/sim
 //	countsim -seeds 200 -bug -expect-bug
 //	countsim -seed 42 -trace
 //	countsim -seed 42 -flight -artifacts /tmp/sim
@@ -44,10 +44,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/consistency"
 	"repro/internal/dst"
@@ -57,7 +55,6 @@ type options struct {
 	seeds     uint64 // sweep size (0: single-seed mode via -seed)
 	start     uint64 // first seed of the sweep
 	seed      uint64 // single seed to replay
-	par       int    // concurrent simulation worlds
 	bug       bool   // inject the duplicate-mint canary into the backend
 	expectBug bool   // succeed only if the canary is caught (CI self-check)
 	trace     bool   // print the deterministic trace (single-seed mode)
@@ -71,7 +68,6 @@ func main() {
 	flag.Uint64Var(&o.seeds, "seeds", 0, "sweep this many seeds (0: single-seed mode)")
 	flag.Uint64Var(&o.start, "start", 1, "first seed of the sweep")
 	flag.Uint64Var(&o.seed, "seed", 0, "replay exactly this seed")
-	flag.IntVar(&o.par, "par", runtime.GOMAXPROCS(0), "concurrent simulation worlds, interleaved on the one P internal/dst pins the process to")
 	flag.BoolVar(&o.bug, "bug", false, "inject a duplicate-mint bug into the backend")
 	flag.BoolVar(&o.expectBug, "expect-bug", false, "succeed only if the injected bug is caught (use with -bug)")
 	flag.BoolVar(&o.trace, "trace", false, "print the deterministic trace (with -seed)")
@@ -221,39 +217,20 @@ func (t *tally) line(flavor string) string {
 		flavor, t.broken, t.k, t.sc.NonLinFraction(), t.sc.NonLin, t.sc.Total)
 }
 
-// sweep fans the seed range across -par worlds. Each world is fully
-// self-contained (own virtual clock, own transport), so concurrent
-// worlds cannot perturb determinism — the per-seed traces are identical
-// to a serial run's. dst.NewWorld pins the process to one P, so the
-// worlds interleave rather than run in parallel.
+// sweep runs the seed range in order. dst.NewWorld pins the process to
+// one P, so concurrent worlds would only interleave.
 func sweep(o options, out *os.File) (int, error) {
 	runs := make([]seedRun, o.seeds)
-	errs := make([]error, o.seeds)
-	seeds := make(chan uint64)
-	var wg sync.WaitGroup
-	for p := 0; p < max(o.par, 1); p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seed := range seeds {
-				runs[seed-o.start], errs[seed-o.start] = runSeed(o, seed)
-			}
-		}()
-	}
-	for seed := o.start; seed < o.start+o.seeds; seed++ {
-		seeds <- seed
-	}
-	close(seeds)
-	wg.Wait()
-
 	flavors := map[string]*tally{}
 	var failing []uint64
 	dupSeeds := 0
-	for i, r := range runs {
+	for i := range runs {
 		seed := o.start + uint64(i)
-		if errs[i] != nil {
-			return 2, fmt.Errorf("seed %d: %w", seed, errs[i])
+		r, err := runSeed(o, seed)
+		if err != nil {
+			return 2, fmt.Errorf("seed %d: %w", seed, err)
 		}
+		runs[i] = r
 		if flavors[r.flavor] == nil {
 			flavors[r.flavor] = &tally{}
 		}

@@ -18,10 +18,9 @@
 //     epoch, so blocks granted under different epochs are disjoint by
 //     arithmetic — no duplicate id can be minted even under split brain,
 //     node kills, or rejoins, with no timing assumptions at all. Within
-//     one epoch a single allocator hands out disjoint blocks by
-//     construction. Crashing burns a block's unminted remainder (a gap,
-//     which SC counting tolerates); graceful shutdown returns it for
-//     re-grant under an epoch check.
+//     one epoch a single allocator bumps one frontier, so each block lies
+//     above every earlier one. A node that crashes or leaves burns its
+//     blocks' unminted remainder (a gap, which SC counting tolerates).
 //
 //   - routing: SC increments mint node-locally from owned blocks (zero
 //     cross-node RPCs on the hot path — a standby block is prefetched at

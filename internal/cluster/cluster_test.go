@@ -58,8 +58,8 @@ func listenT(t *testing.T) net.Listener {
 }
 
 // startNode starts a node and, on ln, the server whose door is its only
-// listener, wired as cmd/countd wires them. Cleanup kills the node, then
-// closes the server.
+// listener, wired as cmd/countd wires them. Cleanup closes the node,
+// then the server.
 func startNode(t *testing.T, cfg Config, ln net.Listener) (*Node, *server.Server) {
 	t.Helper()
 	nd, err := Start(cfg)
@@ -69,7 +69,7 @@ func startNode(t *testing.T, cfg Config, ln net.Listener) (*Node, *server.Server
 	srv := server.New(nd.Minter(), server.Options{LIN: nd.LIN()})
 	go srv.Serve(ln)
 	t.Cleanup(func() {
-		_ = nd.Kill()
+		_ = nd.Close()
 		_ = srv.Close()
 	})
 	return nd, srv
@@ -118,6 +118,20 @@ func collect(dst []int64, rs []wire.Range) []int64 {
 	return dst
 }
 
+// mintIDs mints k SC ids on nd and returns them in the order handed out.
+func mintIDs(t *testing.T, nd *Node, k int) []int64 {
+	t.Helper()
+	rts, err := nd.Minter().TryIncBatch(0, k)
+	if err != nil {
+		t.Fatalf("node %d mint: %v", nd.ID(), err)
+	}
+	var ids []int64
+	for _, r := range rts {
+		ids = collect(ids, []wire.Range{{First: r.First, Stride: r.Stride, Count: r.Count}})
+	}
+	return ids
+}
+
 func assertUnique(t *testing.T, ids []int64) {
 	t.Helper()
 	sorted := append([]int64(nil), ids...)
@@ -138,13 +152,7 @@ func TestClusterMintsUniqueAcrossNodes(t *testing.T) {
 	var ids []int64
 	for round := 0; round < 5; round++ {
 		for _, nd := range nodes {
-			rts, err := nd.Minter().TryIncBatch(0, 100)
-			if err != nil {
-				t.Fatalf("node %d mint: %v", nd.ID(), err)
-			}
-			for _, r := range rts {
-				ids = collect(ids, []wire.Range{{First: r.First, Stride: r.Stride, Count: r.Count}})
-			}
+			ids = append(ids, mintIDs(t, nd, 100)...)
 		}
 	}
 	if len(ids) != 3*5*100 {
@@ -200,9 +208,9 @@ func TestClusterLINMonotone(t *testing.T) {
 	}
 }
 
-// TestClusterGracefulHandoff shuts a follower down mid-block and checks
-// the remainder is returned to and reclaimed by the leader, then
-// re-granted without ever duplicating an id.
+// TestClusterGracefulHandoff shuts a follower down mid-block: its
+// remainder burns, and the ids the leader mints afterwards never repeat
+// one the follower minted.
 func TestClusterGracefulHandoff(t *testing.T) {
 	nodes, _, _ := startCluster(t, 3)
 
@@ -220,44 +228,56 @@ func TestClusterGracefulHandoff(t *testing.T) {
 	leader := nodes[leaderIdx]
 
 	// Mint a partial block on the follower so Close has a remainder to
-	// hand back.
-	var ids []int64
-	rts, err := follower.Minter().TryIncBatch(0, 10)
-	if err != nil {
-		t.Fatalf("follower mint: %v", err)
-	}
-	for _, r := range rts {
-		ids = collect(ids, []wire.Range{{First: r.First, Stride: r.Stride, Count: r.Count}})
-	}
-
+	// burn.
+	ids := mintIDs(t, follower, 10)
 	if err := follower.Close(); err != nil {
 		t.Fatalf("follower close: %v", err)
 	}
 	nodes[followerIdx] = nil
-	if got := follower.cfg.Stats.Handoffs.Load(); got == 0 {
-		t.Fatal("graceful close returned no remainder")
-	}
-	if got := leader.cfg.Stats.Reclaims.Load(); got == 0 {
-		t.Fatal("leader reclaimed nothing")
-	}
 
-	// The reclaimed ids re-grant (freelist first) — and must not collide
-	// with what the follower already minted.
 	for round := 0; round < 3; round++ {
-		rts, err := leader.Minter().TryIncBatch(0, 100)
-		if err != nil {
-			t.Fatalf("leader mint after reclaim: %v", err)
-		}
-		for _, r := range rts {
-			ids = collect(ids, []wire.Range{{First: r.First, Stride: r.Stride, Count: r.Count}})
-		}
+		ids = append(ids, mintIDs(t, leader, 100)...)
 	}
 	assertUnique(t, ids)
 }
 
-// TestClusterKillRejoinNoDuplicates kills a follower abruptly (its
-// unminted remainder burns), restarts it with a fresh incarnation on the
-// same address, and keeps minting everywhere: still no duplicate ids.
+// TestNodeAscendsAcrossPeerLeave: a node hands out ascending ids in one
+// mode whoever leaves. Follower A is granted a block first, follower B
+// the next one, then A leaves mid-block. Every block B is granted after
+// that lies above its last, so B's values keep rising; a leader that
+// re-granted A's remainder would hand B ids below the ones it minted.
+func TestNodeAscendsAcrossPeerLeave(t *testing.T) {
+	nodes, _, _ := startCluster(t, 3)
+
+	var followers []*Node
+	for _, nd := range nodes {
+		if !nd.IsLeader() {
+			followers = append(followers, nd)
+		}
+	}
+	if len(followers) != 2 {
+		t.Fatalf("%d followers, want 2", len(followers))
+	}
+	a, b := followers[0], followers[1]
+
+	mintIDs(t, a, 10)
+	vals := mintIDs(t, b, 1)
+	if err := a.Close(); err != nil {
+		t.Fatalf("node %d close: %v", a.ID(), err)
+	}
+	for i := 0; i < 8; i++ {
+		vals = append(vals, mintIDs(t, b, 64)...)
+	}
+	for i := 1; i < len(vals); i++ {
+		if vals[i] <= vals[i-1] {
+			t.Fatalf("node %d handed %d after %d", b.ID(), vals[i], vals[i-1])
+		}
+	}
+}
+
+// TestClusterKillRejoinNoDuplicates kills a follower (its unminted
+// remainder burns), restarts it with a fresh incarnation on the same
+// address, and keeps minting everywhere: still no duplicate ids.
 func TestClusterKillRejoinNoDuplicates(t *testing.T) {
 	nodes, srvs, _ := startCluster(t, 3)
 
@@ -274,23 +294,13 @@ func TestClusterKillRejoinNoDuplicates(t *testing.T) {
 	victim := nodes[victimIdx]
 
 	var ids []int64
-	mintFrom := func(nd *Node, k int) {
-		t.Helper()
-		rts, err := nd.Minter().TryIncBatch(0, k)
-		if err != nil {
-			t.Fatalf("node %d mint: %v", nd.ID(), err)
-		}
-		for _, r := range rts {
-			ids = collect(ids, []wire.Range{{First: r.First, Stride: r.Stride, Count: r.Count}})
-		}
-	}
 	for _, nd := range nodes {
-		mintFrom(nd, 50)
+		ids = append(ids, mintIDs(t, nd, 50)...)
 	}
 
 	addr := victim.cfg.Addr
 	seeds := victim.cfg.Seeds
-	if err := victim.Kill(); err != nil {
+	if err := victim.Close(); err != nil {
 		t.Fatalf("kill: %v", err)
 	}
 	_ = srvs[victimIdx].Close()
@@ -312,7 +322,7 @@ func TestClusterKillRejoinNoDuplicates(t *testing.T) {
 	waitLeader(t, nodes)
 
 	for _, nd := range nodes {
-		mintFrom(nd, 50)
+		ids = append(ids, mintIDs(t, nd, 50)...)
 	}
 	assertUnique(t, ids)
 }

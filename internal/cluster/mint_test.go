@@ -86,8 +86,8 @@ type mintParked struct {
 // mintWorld adds the books the invariants read and no step does.
 type mintWorld struct {
 	mintKey
-	handed                      [4]uint64 // bit set of ids handed out
-	installed, out, surrendered int64     // ids granted() took in, handed out, drained
+	handed         [4]uint64 // bit set of ids handed out
+	installed, out int64     // ids granted() took in, handed out
 }
 
 func newMintWorld() mintWorld {
@@ -116,7 +116,7 @@ func (w *mintWorld) events() []string {
 		evs = append(evs, fmt.Sprintf("fail(%d)", i))
 	}
 	if !w.st.closed {
-		evs = append(evs, "drain")
+		evs = append(evs, "close")
 	}
 	return evs
 }
@@ -126,17 +126,8 @@ func (w *mintWorld) events() []string {
 func (w *mintWorld) step(ev string) error {
 	var i int
 	switch {
-	case ev == "drain" && !w.st.closed:
-		var last uint64
-		for j, er := range w.st.drain() {
-			if j > 0 && er.epoch <= last {
-				return fmt.Errorf("drain returned epoch %d after %d", er.epoch, last)
-			}
-			last = er.epoch
-			for _, r := range er.rs {
-				w.surrendered += r.Count
-			}
-		}
+	case ev == "close" && !w.st.closed:
+		w.st.close()
 	case scan(ev, "take(%d)", &i) && w.np < len(w.parked):
 		if err := w.call(int64(i)); err != nil {
 			return err
@@ -164,9 +155,9 @@ func (w *mintWorld) step(ev string) error {
 	if held > 2*mintB {
 		return fmt.Errorf("the node holds %d unminted ids, over 2·B = %d", held, 2*mintB)
 	}
-	if w.installed != w.out+held+w.surrendered+w.st.burned {
-		return fmt.Errorf("granted %d ids, but handed out %d, held %d, surrendered %d and burned %d",
-			w.installed, w.out, held, w.surrendered, w.st.burned)
+	if w.installed != w.out+held+w.st.burned {
+		return fmt.Errorf("granted %d ids, but handed out %d, held %d and burned %d",
+			w.installed, w.out, held, w.st.burned)
 	}
 	return nil
 }
@@ -213,7 +204,7 @@ func (w *mintWorld) call(need int64) error {
 
 // grant carves the next block from the leader's frontier.
 func (w *mintWorld) grant() block {
-	b := block{next: w.front, end: w.front + mintB, epoch: 1}
+	b := block{next: w.front, end: w.front + mintB}
 	w.front += mintB
 	return b
 }
@@ -267,12 +258,12 @@ func replayMint(sched []string) error {
 }
 
 // TestMintStateExplore tries every interleaving of takes, the leader's
-// grant of a prefetch, that grant's reply landing or failing, and drain,
+// grant of a prefetch, that grant's reply landing or failing, and close,
 // breadth first to mintDepth events, visiting each distinct state once.
 // In every state: no id is handed out twice, each id handed out is above
-// every earlier one, every granted id is handed out, held, surrendered or
-// burned, and the node holds at most 2·B ids. A failure prints the
-// schedule; TestMintSchedules replays it as a row.
+// every earlier one, every granted id is handed out, held or burned, and
+// the node holds at most 2·B ids. A failure prints the schedule;
+// TestMintSchedules replays it as a row.
 func TestMintStateExplore(t *testing.T) {
 	type node struct {
 		w      mintWorld
@@ -324,7 +315,7 @@ func TestMintSchedules(t *testing.T) {
 		// 4..7 (the bug TestMinterWaitsForPrefetch pins on the Minter).
 		{"wait for the granted prefetch", []string{"take(3)", "grant(0)", "take(3)", "land(0)", "take(3)"}},
 		{"resume after the landing", []string{"take(4)", "grant(0)", "take(1)", "land(0)", "resume(0)", "take(5)"}},
-		{"burn a prefetch landing after drain", []string{"take(3)", "grant(0)", "drain", "land(0)", "take(1)"}},
+		{"burn a prefetch landing after close", []string{"take(3)", "grant(0)", "close", "land(0)", "take(1)"}},
 	} {
 		if err := replayMint(tc.sched); err != nil {
 			t.Errorf("%s: %v", tc.name, err)
@@ -335,7 +326,8 @@ func TestMintSchedules(t *testing.T) {
 // TestMinterFollowsMintState drives the real Minter, its lock and its
 // prefetch goroutine, with a scripted request beside a shadow mintState
 // stepped through the same events: after every call the ranges handed
-// out, Owned() and finally drain() must equal the shadow's. The script
+// out and Owned() must equal the shadow's, and finally so must the ids
+// close() burns. The script
 // grants from a frontier and, per the seed, holds each prefetch's reply
 // until the test lands or fails it, and fails some refills.
 func TestMinterFollowsMintState(t *testing.T) {
@@ -350,7 +342,6 @@ func TestMinterFollowsMintState(t *testing.T) {
 func minterFollows(t *testing.T, seed int64) {
 	const size = 8
 	rng := rand.New(rand.NewSource(seed))
-	epochOf := func(first int64) uint64 { return 1 + uint64(first/(3*size)) }
 	type call struct{ prefetch, fail bool }
 	var (
 		plan    = make(chan call, 4)  // the requests the shadow makes, in order
@@ -359,13 +350,13 @@ func minterFollows(t *testing.T, seed int64) {
 		front   atomic.Int64          // the scripted leader's frontier
 		errLost = errors.New("reply lost")
 	)
-	m := newMinter(4, size, NewStats(), func(k int64) (wire.Range, uint64, error) {
+	m := newMinter(4, size, NewStats(), func(k int64) (wire.Range, error) {
 		var c call
 		select {
 		case c = <-plan:
 		default:
 			t.Errorf("the minter made a request its state did not ask for")
-			return wire.Range{}, 0, errLost
+			return wire.Range{}, errLost
 		}
 		r := wire.Range{First: front.Add(k) - k, Stride: 1, Count: k}
 		if c.prefetch {
@@ -373,9 +364,9 @@ func minterFollows(t *testing.T, seed int64) {
 			c.fail = !<-verdict
 		}
 		if c.fail {
-			return wire.Range{}, 0, errLost
+			return wire.Range{}, errLost
 		}
-		return r, epochOf(r.First), nil
+		return r, nil
 	})
 	await := func(ch <-chan struct{}, what string) {
 		select {
@@ -389,7 +380,7 @@ func minterFollows(t *testing.T, seed int64) {
 	var shFront int64
 	var pending block // the shadow's prefetch in flight
 	grant := func() block {
-		b := block{next: shFront, end: shFront + size, epoch: epochOf(shFront)}
+		b := block{next: shFront, end: shFront + size}
 		shFront += size
 		return b
 	}
@@ -480,24 +471,21 @@ func minterFollows(t *testing.T, seed int64) {
 		compareOwned(fmt.Sprintf("step %d, after TryIncBatch(%d)", step, k))
 	}
 
-	// Drain, with the prefetch (if one is in flight) landing after it: its
-	// block is burned on both.
+	// Close, with the prefetch (if one is in flight) landing after it: the
+	// held ids and its block are burned on both.
 	inFlight := sh.prefetching
-	want := sh.drain()
-	drained := make(chan []epochRanges, 1)
-	go func() { drained <- m.drain() }()
+	sh.close()
+	closed := make(chan struct{})
+	go func() { m.close(); close(closed) }()
 	if inFlight {
-		for closed := false; !closed; stdruntime.Gosched() {
+		for done := false; !done; stdruntime.Gosched() {
 			m.mu.Lock()
-			closed = m.st.closed
+			done = m.st.closed
 			m.mu.Unlock()
 		}
 		resolve(true)
 	}
-	got := <-drained
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("seed %d: drain() = %v, shadow surrenders %v", seed, got, want)
-	}
+	<-closed
 	m.mu.Lock()
 	burned := m.st.burned
 	m.mu.Unlock()
@@ -505,7 +493,7 @@ func minterFollows(t *testing.T, seed int64) {
 		t.Errorf("seed %d: burned %d ids, shadow %d", seed, burned, sh.burned)
 	}
 	if _, err := m.TryIncBatch(0, 1); err == nil || !strings.Contains(err.Error(), "closed") {
-		t.Errorf("seed %d: TryIncBatch after drain: %v, want the closed error", seed, err)
+		t.Errorf("seed %d: TryIncBatch after close: %v, want the closed error", seed, err)
 	}
-	compareOwned("after drain")
+	compareOwned("after close")
 }

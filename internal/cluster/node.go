@@ -26,7 +26,7 @@ type Node struct {
 	ms        *membership
 	alloc     *allocator // non-nil while this node claims leadership
 	electedAt time.Time  // when this node started its current term
-	linBlk    block      // leader-side LIN cursor (fresh-frontier blocks only)
+	linBlk    block      // leader-side LIN cursor
 	seeds     []string   // contact addresses, self excluded
 	// peers holds one pipelined client per peer serving address, made on
 	// the first call to it (transport.go); nil once the node has shut down.
@@ -279,55 +279,53 @@ func (n *Node) pickPeerLocked(round int, now time.Time) string {
 
 // requestBlock is the minter's range source: a local grant while
 // leading, one TRangeRequest RPC to the leader otherwise.
-func (n *Node) requestBlock(k int64) (wire.Range, uint64, error) {
+func (n *Node) requestBlock(k int64) (wire.Range, error) {
 	n.cfg.Stats.RangeRequests.Add(1)
 	n.mu.Lock()
 	now := n.cfg.Clock.Now()
 	if n.leaseLocked(now) {
 		r, err := n.alloc.grant(n.cfg.NodeID, k)
-		epoch := n.alloc.epoch
 		if err == nil {
 			n.cfg.Stats.Grants.Add(1)
 		}
 		n.mu.Unlock()
-		return r, epoch, err
+		return r, err
 	}
 	cl := n.ms.claim
 	n.mu.Unlock()
 	if cl.Term == 0 || cl.Addr == "" || cl.Leader == n.cfg.NodeID {
-		return wire.Range{}, 0, fmt.Errorf("%w: no leader to request a block from", wire.ErrNoRange)
+		return wire.Range{}, fmt.Errorf("%w: no leader to request a block from", wire.ErrNoRange)
 	}
 	req := wire.Frame{Type: wire.TRangeRequest, Node: n.cfg.NodeID,
 		Epoch: EpochOf(cl.Term, cl.Leader), K: k}
 	resp, err := n.call(cl.Addr, req)
 	if err != nil {
 		if errors.Is(err, wire.ErrNotLeader) || errors.Is(err, wire.ErrNoRange) {
-			return wire.Range{}, 0, err
+			return wire.Range{}, err
 		}
 		// An unreachable leader and an absent block look the same to the
 		// mint that is waiting: a retryable range drought.
-		return wire.Range{}, 0, fmt.Errorf("%w: grant rpc: %v", wire.ErrNoRange, err)
+		return wire.Range{}, fmt.Errorf("%w: grant rpc: %v", wire.ErrNoRange, err)
 	}
 	if resp.Type != wire.TRangeGrant || len(resp.Rs) != 1 {
-		return wire.Range{}, 0, fmt.Errorf("cluster: unexpected grant reply %v", resp.Type)
+		return wire.Range{}, fmt.Errorf("cluster: unexpected grant reply %v", resp.Type)
 	}
-	return resp.Rs[0], resp.Epoch, nil
+	return resp.Rs[0], nil
 }
 
 // linMintLocked serves k LIN mints at this node's serialization point.
-// LIN blocks are drawn fresh from the frontier (never from returned
-// remainders), so successive LIN values are strictly increasing within
-// an epoch; across elections the new epoch's stripe starts above every
-// id the old one could grant — together that is the cluster-wide step
-// property.
+// LIN blocks come from the allocator's frontier like every grant, so
+// successive LIN values are strictly increasing within an epoch; across
+// elections the new epoch's stripe starts above every id the old one
+// could grant — together that is the cluster-wide step property.
 func (n *Node) linMintLocked(k int64) ([]runtime.Range, error) {
 	if n.linBlk.remaining() < k {
-		r, err := n.alloc.grantFresh(n.cfg.NodeID, max(n.cfg.LINBlock, k))
+		r, err := n.alloc.grant(n.cfg.NodeID, max(n.cfg.LINBlock, k))
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", wire.ErrNoRange, err)
 		}
 		n.cfg.Stats.Grants.Add(1)
-		n.linBlk = block{next: r.First, end: r.First + r.Count, epoch: n.alloc.epoch}
+		n.linBlk = block{next: r.First, end: r.First + r.Count}
 	}
 	first := n.linBlk.next
 	n.linBlk.next += k
@@ -347,8 +345,8 @@ func (n *Node) LIN() LINBackend { return LINBackend{n} }
 // which the server's door answers the node's peers.
 type LINBackend struct{ n *Node }
 
-// HandlePeer answers one peer request (TGossip, TRangeRequest,
-// TRangeReturn or TLinForward) for the serving door.
+// HandlePeer answers one peer request (TGossip, TRangeRequest or
+// TLinForward) for the serving door.
 func (b LINBackend) HandlePeer(f *wire.Frame) wire.Frame { return b.n.handle(f) }
 
 // Shape implements the server Backend contract: the minter's shape.
@@ -404,47 +402,15 @@ func (b LINBackend) TryIncBatch(wireID, k int) ([]runtime.Range, error) {
 	return out, nil
 }
 
-// Close shuts the node down gracefully: stop gossiping, hand unminted
-// remainders back to the leader (an epoch-checked TRangeReturn — the
-// leader reuses what it granted itself and burns the rest), then close
-// the peer clients.
-func (n *Node) Close() error { return n.stop(true) }
-
-// Kill tears the node down abruptly — no handoff, no returns — the
-// simulation's stand-in for a crash. Unminted remainders are burned.
-func (n *Node) Kill() error { return n.stop(false) }
-
-func (n *Node) stop(handoff bool) error {
+// Close shuts the node down: stop gossiping, close the minter, then close
+// the peer clients. The unminted ids the node holds burn, as a crash's
+// do: a gap, which SC counting tolerates, never a duplicate.
+func (n *Node) Close() error {
 	if !n.closing.CompareAndSwap(false, true) {
 		return nil
 	}
 	close(n.closed)
-	remains := n.minter.drain()
-	if !handoff {
-		remains = nil
-	}
-	n.mu.Lock()
-	cl := n.ms.claim
-	now := n.cfg.Clock.Now()
-	leaderSelf := n.leaseLocked(now)
-	n.mu.Unlock()
-	for _, er := range remains {
-		if leaderSelf {
-			n.mu.Lock()
-			if n.alloc != nil && n.alloc.acceptReturn(er.epoch, er.rs) {
-				n.cfg.Stats.Reclaims.Add(1)
-			}
-			n.mu.Unlock()
-			continue
-		}
-		if cl.Term == 0 || cl.Addr == "" || cl.Leader == n.cfg.NodeID {
-			continue // no leader to return to: the remainder is burned
-		}
-		req := wire.Frame{Type: wire.TRangeReturn, Node: n.cfg.NodeID, Epoch: er.epoch, Rs: er.rs}
-		if _, err := n.call(cl.Addr, req); err == nil {
-			n.cfg.Stats.Handoffs.Add(1)
-		}
-	}
+	n.minter.close()
 	// A call still in flight fails with client.ErrClosed.
 	n.mu.Lock()
 	peers := n.peers

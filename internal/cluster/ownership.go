@@ -10,15 +10,16 @@ import (
 )
 
 // allocator is the leader-side range allocator for one epoch. It hands
-// out disjoint blocks from its epoch's stripe: a bump frontier plus a
-// freelist of returned (unminted) remainders. The allocator carries no
-// durable state on purpose — a new leader starts a fresh allocator in a
-// fresh epoch, whose stripe cannot intersect any previous grant, so
-// correctness never depends on recovering the old leader's book-keeping.
+// out disjoint blocks from its epoch's stripe by bumping one frontier, so
+// every block lies above every block granted before it in the epoch. The
+// allocator carries no durable state on purpose — a new leader starts a
+// fresh allocator in a fresh epoch, whose stripe cannot intersect any
+// previous grant, so correctness never depends on recovering the old
+// leader's book-keeping. Ids a node never minted before it crashed or
+// left are never granted again: a gap, never a duplicate.
 type allocator struct {
 	epoch uint64
-	next  int64        // frontier offset within the stripe
-	free  []wire.Range // returned remainders, re-granted before fresh ids
+	next  int64 // frontier offset within the stripe
 	audit *Audit
 }
 
@@ -26,9 +27,10 @@ func newAllocator(epoch uint64, audit *Audit) *allocator {
 	return &allocator{epoch: epoch, audit: audit}
 }
 
-// grantFresh carves a block of k ids from the frontier only. Successive
-// fresh grants are strictly increasing — the property LIN blocks need.
-func (a *allocator) grantFresh(to uint64, k int64) (wire.Range, error) {
+// grant carves a block of k ids for node `to` from the frontier.
+// Successive grants are strictly increasing — the property LIN blocks
+// and each node's own order rest on.
+func (a *allocator) grant(to uint64, k int64) (wire.Range, error) {
 	if k <= 0 {
 		return wire.Range{}, fmt.Errorf("cluster: grant of %d ids", k)
 	}
@@ -41,51 +43,8 @@ func (a *allocator) grantFresh(to uint64, k int64) (wire.Range, error) {
 	return r, nil
 }
 
-// grant carves a block of k ids for node `to`, preferring returned
-// remainders over fresh frontier ids.
-func (a *allocator) grant(to uint64, k int64) (wire.Range, error) {
-	if len(a.free) == 0 || k <= 0 {
-		return a.grantFresh(to, k)
-	}
-	f := &a.free[0]
-	r := wire.Range{First: f.First, Stride: 1, Count: min(k, f.Count)}
-	f.First += r.Count
-	f.Count -= r.Count
-	if f.Count == 0 {
-		a.free = a.free[1:]
-	}
-	a.audit.record(GrantRecord{Epoch: a.epoch, To: to, R: r})
-	return r, nil
-}
-
-// acceptReturn takes back an unminted remainder for re-grant. The epoch
-// check is the handoff fence: only blocks this allocator granted itself
-// (same epoch, and therefore inside its own stripe) are reusable —
-// anything else is refused and stays burned, because a newer allocator
-// cannot know whether an older grant was partially minted. Refusing
-// costs a gap; accepting blindly could mint an id twice.
-func (a *allocator) acceptReturn(epoch uint64, rs []wire.Range) bool {
-	if epoch != a.epoch {
-		return false
-	}
-	base, limit := StripeBase(a.epoch), StripeBase(a.epoch)+StripeSize
-	for _, r := range rs {
-		if r.Count <= 0 || r.Stride != 1 {
-			return false
-		}
-		if r.First < base || r.First+r.Count > limit || r.First+r.Count > base+a.next {
-			return false
-		}
-	}
-	a.free = append(a.free, rs...)
-	return true
-}
-
 // block is one granted id block being minted from.
-type block struct {
-	next, end int64
-	epoch     uint64
-}
+type block struct{ next, end int64 }
 
 func (b block) remaining() int64 { return b.end - b.next }
 
@@ -111,7 +70,7 @@ type mintState struct {
 	cur, nxt    block
 	prefetching bool
 	closed      bool
-	burned      int64 // ids of blocks that landed after drain
+	burned      int64 // ids held at close, or landed after it
 }
 
 // take appends up to k ids to out, in ascending order, and returns how
@@ -142,7 +101,7 @@ func (s *mintState) take(out []runtime.Range, k int64) ([]runtime.Range, int64, 
 }
 
 // granted installs a block that landed: as cur if that is spent, else
-// as nxt. After drain it is burned: a gap, never a duplicate.
+// as nxt. After close it is burned: a gap, never a duplicate.
 func (s *mintState) granted(b block) {
 	s.prefetching = false
 	if s.closed {
@@ -168,31 +127,12 @@ func (s *mintState) owned() []wire.Range {
 	return out
 }
 
-// epochRanges is one grant epoch's unminted remainder.
-type epochRanges struct {
-	epoch uint64
-	rs    []wire.Range
-}
-
-// drain closes the state and surrenders the unminted remainders for a
-// graceful TRangeReturn, grouped by grant epoch in ascending order.
-func (s *mintState) drain() []epochRanges {
+// close closes the state and burns the unminted ids it holds, as a
+// crash would: a gap, which SC counting tolerates, never a duplicate.
+func (s *mintState) close() {
 	s.closed = true
-	var out []epochRanges
-	for _, b := range []block{s.cur, s.nxt} {
-		switch n := len(out); {
-		case b.remaining() <= 0:
-		case n > 0 && out[n-1].epoch == b.epoch:
-			out[n-1].rs = append(out[n-1].rs, b.rng())
-		default:
-			out = append(out, epochRanges{b.epoch, []wire.Range{b.rng()}})
-		}
-	}
-	if len(out) == 2 && out[1].epoch < out[0].epoch {
-		out[0], out[1] = out[1], out[0]
-	}
+	s.burned += s.cur.remaining() + s.nxt.remaining()
 	s.cur, s.nxt = block{}, block{}
-	return out
 }
 
 // Minter is the cluster node's counting backend: it implements the
@@ -207,7 +147,7 @@ type Minter struct {
 	stats *Stats
 	// request obtains one fresh block of k ids: a local allocator call on
 	// the leader, a TRangeRequest RPC elsewhere.
-	request func(k int64) (wire.Range, uint64, error)
+	request func(k int64) (wire.Range, error)
 
 	mu     sync.Mutex
 	st     mintState
@@ -217,7 +157,7 @@ type Minter struct {
 // newMinter builds a minter that advertises the given shape (width is
 // the wire fan clients see; mints ignore the wire) and draws blocks of
 // blockSize ids from request.
-func newMinter(width int, blockSize int64, stats *Stats, request func(k int64) (wire.Range, uint64, error)) *Minter {
+func newMinter(width int, blockSize int64, stats *Stats, request func(k int64) (wire.Range, error)) *Minter {
 	landed := make(chan struct{})
 	close(landed)
 	return &Minter{shape: network.Shape{Width: width, Sinks: width}, stats: stats,
@@ -277,11 +217,11 @@ func (m *Minter) refill() error {
 		return fmt.Errorf("minter closed")
 	}
 	m.stats.RefillBlocking.Add(1)
-	r, epoch, err := m.request(m.st.size)
+	r, err := m.request(m.st.size)
 	if err != nil {
 		return err
 	}
-	m.st.granted(block{next: r.First, end: r.First + r.Count, epoch: epoch})
+	m.st.granted(block{next: r.First, end: r.First + r.Count})
 	return nil
 }
 
@@ -290,27 +230,26 @@ func (m *Minter) prefetch() {
 	landed, size := make(chan struct{}), m.st.size
 	m.landed = landed
 	go func() {
-		r, epoch, err := m.request(size)
+		r, err := m.request(size)
 		m.mu.Lock()
 		if err != nil {
 			m.st.fetchFailed()
 		} else {
-			m.st.granted(block{next: r.First, end: r.First + r.Count, epoch: epoch})
+			m.st.granted(block{next: r.First, end: r.First + r.Count})
 		}
 		m.mu.Unlock()
 		close(landed)
 	}()
 }
 
-// drain closes the minter and surrenders its unminted remainders once
-// any in-flight prefetch has landed.
-func (m *Minter) drain() []epochRanges {
+// close closes the minter, burning its unminted ids, and returns once
+// any in-flight prefetch has landed (and burned).
+func (m *Minter) close() {
 	m.mu.Lock()
-	out := m.st.drain()
+	m.st.close()
 	landed := m.landed
 	m.mu.Unlock()
 	<-landed
-	return out
 }
 
 // Owned reports the unminted ranges the node currently holds (for the

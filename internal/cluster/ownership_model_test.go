@@ -10,12 +10,11 @@ import (
 )
 
 // TestOwnershipModel drives the allocator through random histories of
-// grants, mints, graceful returns, crashes (burned blocks) and elections
-// (fresh allocators in fresh epochs), checking every step against a
-// map-based oracle: no id is ever minted twice, every minted id lies
-// inside an audited grant of its epoch's stripe, fresh grants are
-// strictly increasing within an epoch, and returns are only accepted
-// under the granting epoch.
+// grants, mints, leaves and crashes (both burn a held block's remainder)
+// and elections (fresh allocators in fresh epochs), checking every step
+// against a map-based oracle: no id is ever minted twice, every minted id
+// lies inside an audited grant of its epoch's stripe, and every grant
+// lies above the previous one in its epoch.
 func TestOwnershipModel(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -25,23 +24,19 @@ func TestOwnershipModel(t *testing.T) {
 		term := uint64(1)
 		node := rng.Uint64() % MaxNodes
 		alloc := newAllocator(EpochOf(term, node), audit)
-		lastFresh := int64(-1) // highest fresh-grant start in the current epoch
+		last := int64(-1) // highest id granted in the current epoch
 
-		type holding struct {
-			epoch uint64
-			r     wire.Range
-		}
-		var held []holding
+		var held []wire.Range
 
-		mint := func(h *holding, m int64) {
-			for id := h.r.First; id < h.r.First+m; id++ {
+		mint := func(r *wire.Range, m int64) {
+			for id := r.First; id < r.First+m; id++ {
 				if minted[id] {
 					t.Fatalf("seed %d: id %d minted twice", seed, id)
 				}
 				minted[id] = true
 			}
-			h.r.First += m
-			h.r.Count -= m
+			r.First += m
+			r.Count -= m
 		}
 
 		for op := 0; op < 4000; op++ {
@@ -50,60 +45,31 @@ func TestOwnershipModel(t *testing.T) {
 				term++
 				node = rng.Uint64() % MaxNodes
 				alloc = newAllocator(EpochOf(term, node), audit)
-				lastFresh = -1
-			case 1, 2, 3: // grant a block to some node (freelist first)
+				last = -1
+			case 1, 2, 3, 4: // grant a block to some node
 				k := 1 + rng.Int63n(64)
 				r, err := alloc.grant(rng.Uint64()%8, k)
 				if err != nil {
 					t.Fatalf("seed %d: grant: %v", seed, err)
 				}
 				if r.Count != k {
-					// A freelist remainder may be shorter than asked.
-					if r.Count <= 0 || r.Count > k {
-						t.Fatalf("seed %d: grant of %d returned %d ids", seed, k, r.Count)
-					}
+					t.Fatalf("seed %d: grant of %d returned %d ids", seed, k, r.Count)
 				}
-				held = append(held, holding{alloc.epoch, r})
-			case 4: // fresh grant (the LIN path): strictly increasing
-				k := 1 + rng.Int63n(16)
-				r, err := alloc.grantFresh(rng.Uint64()%8, k)
-				if err != nil {
-					t.Fatalf("seed %d: grantFresh: %v", seed, err)
+				if r.First <= last {
+					t.Fatalf("seed %d: grant at %d not above previous %d", seed, r.First, last)
 				}
-				if r.First <= lastFresh {
-					t.Fatalf("seed %d: fresh grant %d not above previous %d", seed, r.First, lastFresh)
-				}
-				lastFresh = r.First + r.Count - 1
-				held = append(held, holding{alloc.epoch, r})
+				last = r.First + r.Count - 1
+				held = append(held, r)
 			case 5, 6, 7, 8: // mint a prefix of a held block
 				if len(held) == 0 {
 					continue
 				}
-				h := &held[rng.Intn(len(held))]
-				if h.r.Count == 0 {
+				r := &held[rng.Intn(len(held))]
+				if r.Count == 0 {
 					continue
 				}
-				mint(h, 1+rng.Int63n(h.r.Count))
-			case 9, 10: // graceful return of a held remainder
-				if len(held) == 0 {
-					continue
-				}
-				i := rng.Intn(len(held))
-				h := held[i]
-				held = append(held[:i], held[i+1:]...)
-				if h.r.Count == 0 {
-					continue
-				}
-				accepted := alloc.acceptReturn(h.epoch, []wire.Range{h.r})
-				if accepted && h.epoch != alloc.epoch {
-					t.Fatalf("seed %d: return from epoch %d accepted by epoch %d",
-						seed, h.epoch, alloc.epoch)
-				}
-				if !accepted && h.epoch == alloc.epoch {
-					t.Fatalf("seed %d: own-epoch return refused: %+v", seed, h.r)
-				}
-				// Refused remainders are burned: simply dropped.
-			case 11: // crash: a held block's remainder is burned
+				mint(r, 1+rng.Int63n(r.Count))
+			case 9, 10, 11: // leave or crash: a held block's remainder is burned
 				if len(held) == 0 {
 					continue
 				}
@@ -176,7 +142,7 @@ func TestMinterWaitsForPrefetch(t *testing.T) {
 	)
 	arrived, gate := make(chan struct{}), make(chan struct{})
 	release := func() { once.Do(func() { close(gate) }) }
-	m := newMinter(4, block, NewStats(), func(k int64) (wire.Range, uint64, error) {
+	m := newMinter(4, block, NewStats(), func(k int64) (wire.Range, error) {
 		mu.Lock()
 		r := wire.Range{First: next, Stride: 1, Count: k}
 		next += k
@@ -190,7 +156,7 @@ func TestMinterWaitsForPrefetch(t *testing.T) {
 		case 3: // a refill: the prefetch installs its block once this call's mint returns
 			release()
 		}
-		return r, 1, nil
+		return r, nil
 	})
 	var minted []int64
 	mint := func(k int) []int64 {
@@ -227,7 +193,7 @@ func TestMinterWaitsForPrefetch(t *testing.T) {
 		}
 	}
 	minted = append(minted, mint(2*block)...)
-	m.drain()
+	m.close()
 
 	if len(minted) != 60+60+2*block {
 		t.Fatalf("minted %d values, want %d", len(minted), 60+60+2*block)

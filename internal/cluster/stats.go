@@ -15,8 +15,6 @@ type Stats struct {
 	GossipFailures atomic.Uint64 // gossip exchanges that errored
 	Grants         atomic.Uint64 // blocks granted while leading
 	RangeRequests  atomic.Uint64 // grant RPCs sent (prefetch + blocking)
-	Handoffs       atomic.Uint64 // graceful range returns sent
-	Reclaims       atomic.Uint64 // returned remainders accepted while leading
 	LinForwards    atomic.Uint64 // TLinForward calls to a remote leader (one per LIN sweep)
 	LinServed      atomic.Uint64 // LIN mints served at this node's serialization point
 	NotLeader      atomic.Uint64 // cluster requests refused for lack of leadership
@@ -39,8 +37,6 @@ type Snapshot struct {
 	GossipFailures uint64 `json:"gossipFailures"`
 	Grants         uint64 `json:"grants"`
 	RangeRequests  uint64 `json:"rangeRequests"`
-	Handoffs       uint64 `json:"handoffs"`
-	Reclaims       uint64 `json:"reclaims"`
 	LinForwards    uint64 `json:"linForwards"`
 	LinServed      uint64 `json:"linServed"`
 	NotLeader      uint64 `json:"notLeader"`
@@ -56,8 +52,6 @@ func (st *Stats) Snapshot() Snapshot {
 		GossipFailures: st.GossipFailures.Load(),
 		Grants:         st.Grants.Load(),
 		RangeRequests:  st.RangeRequests.Load(),
-		Handoffs:       st.Handoffs.Load(),
-		Reclaims:       st.Reclaims.Load(),
 		LinForwards:    st.LinForwards.Load(),
 		LinServed:      st.LinServed.Load(),
 		NotLeader:      st.NotLeader.Load(),
@@ -107,8 +101,6 @@ func (n *Node) AppendMetrics(w io.Writer) {
 	counter("countd_cluster_gossip_failures_total", "gossip exchanges that errored", st.GossipFailures.Load())
 	counter("countd_cluster_grants_total", "id blocks granted while leading", st.Grants.Load())
 	counter("countd_cluster_range_requests_total", "grant RPCs sent", st.RangeRequests.Load())
-	counter("countd_cluster_handoffs_total", "graceful range returns sent", st.Handoffs.Load())
-	counter("countd_cluster_reclaims_total", "returned remainders accepted while leading", st.Reclaims.Load())
 	counter("countd_cluster_lin_forwards_total", "LIN mints forwarded to a remote leader", st.LinForwards.Load())
 	counter("countd_cluster_lin_served_total", "LIN mints served at this node", st.LinServed.Load())
 	counter("countd_cluster_not_leader_total", "cluster requests refused for lack of leadership", st.NotLeader.Load())

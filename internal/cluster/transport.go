@@ -9,14 +9,14 @@ import (
 	"repro/internal/wire"
 )
 
-// handle answers one peer request for the serving door. Grants, returns
-// and forwards run under the node mutex, and only while this node holds
+// handle answers one peer request for the serving door. Grants and
+// forwards run under the node mutex, and only while this node holds
 // the lease — which makes the mutex the leader's per-epoch serialization
 // point: LIN forwards, grants and membership merges all pass through it
 // in one total order.
 func (n *Node) handle(f *wire.Frame) wire.Frame {
 	if n.closing.Load() {
-		return errorFrame(fault.ErrClosed) // a closed or killed node refuses every peer request
+		return errorFrame(fault.ErrClosed) // a closed node refuses every peer request
 	}
 	if f.Type == wire.TGossip {
 		d, err := decodeDigest(f.Data)
@@ -43,15 +43,6 @@ func (n *Node) handle(f *wire.Frame) wire.Frame {
 		}
 		n.cfg.Stats.Grants.Add(1)
 		return wire.Frame{Type: wire.TRangeGrant, Epoch: n.alloc.epoch, Rs: []wire.Range{r}}
-
-	case wire.TRangeReturn:
-		if !n.alloc.acceptReturn(f.Epoch, f.Rs) {
-			// An epoch this allocator did not grant: refuse the handoff —
-			// the remainder stays burned rather than risk a double mint.
-			return errorFrame(wire.ErrNotLeader)
-		}
-		n.cfg.Stats.Reclaims.Add(1)
-		return wire.Frame{Type: wire.TRangeGrant, Epoch: n.alloc.epoch}
 
 	case wire.TLinForward:
 		rs, err := n.linMintLocked(f.K)

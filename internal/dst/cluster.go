@@ -32,7 +32,7 @@ import (
 // ClusterEvent is one planned chaos action against a node.
 type ClusterEvent struct {
 	At   time.Duration // offset from the workload start
-	Kind string        // "kill" (burn), "leave" (graceful handoff) or "restart"
+	Kind string        // "kill" (crash), "leave" (graceful shutdown) or "restart"
 	Node int           // node index in [0, Nodes)
 }
 
@@ -94,8 +94,8 @@ func (sc *ClusterScenario) Header() string {
 //	                   rejoins with a fresh incarnation
 //	cluster-partition  a global black-hole window stalls gossip and
 //	                   client traffic; the leader lease must lapse and heal
-//	cluster-rolling    followers leave gracefully (epoch-checked handoff)
-//	                   and restart, one at a time
+//	cluster-rolling    followers leave gracefully (their unminted blocks
+//	                   burn, as a crash's do) and restart, one at a time
 func GenClusterScenario(seed uint64) ClusterScenario {
 	r := func(k, a uint64) uint64 { return mix3(seed, k, a, 0xc1) }
 
@@ -195,7 +195,7 @@ type ClusterResult struct {
 	Outcome
 	Scenario ClusterScenario
 	Nodes    []ClusterNodeReport
-	Granted  int64 // unique ids covered by audited grants
+	Granted  int64 // ids covered by audited grants (grants never overlap)
 }
 
 // RunCluster executes one cluster seed end to end.
@@ -214,8 +214,8 @@ type simNode struct {
 }
 
 // leave shuts the incarnation down gracefully: drain the serving half
-// (in-flight LIN forwards resolve), then hand its remainders to the
-// leader.
+// (in-flight LIN forwards resolve), then close the cluster half, whose
+// unminted ids burn.
 func (n *simNode) leave() {
 	_ = n.srv.Close()
 	_ = n.nd.Close()
@@ -366,7 +366,7 @@ func RunClusterScenario(sc ClusterScenario) (*ClusterResult, error) {
 					}
 					// A crash: the cluster half dies first (unminted blocks
 					// burn), then the serving half is torn down.
-					_ = n.nd.Kill()
+					_ = n.nd.Close()
 					_ = n.srv.Close()
 					n.alive = false
 					live[ev.Node] = nil
@@ -393,22 +393,13 @@ func RunClusterScenario(sc ClusterScenario) (*ClusterResult, error) {
 	}
 	s.workload(sc.Plans, 150*time.Microsecond, dial, chaos, "cluster actors")
 
-	// Shutdown: servers and nodes close gracefully, followers before the
-	// leader so every handoff still has a reclaimer to land on.
+	// Shutdown: servers and nodes close gracefully, in any order, since a
+	// leaving node hands nothing back to the leader.
 	s.drain(func() {
-		leaderIdx := -1
-		for i, n := range live {
-			if n != nil && n.alive && n.nd.IsLeader() {
-				leaderIdx = i
-			}
-		}
-		for i, n := range live {
-			if n != nil && n.alive && i != leaderIdx {
+		for _, n := range live {
+			if n != nil && n.alive {
 				n.leave()
 			}
-		}
-		if leaderIdx >= 0 && live[leaderIdx] != nil && live[leaderIdx].alive {
-			live[leaderIdx].leave()
 		}
 	}, "cluster shutdown")
 
@@ -418,37 +409,12 @@ func RunClusterScenario(sc ClusterScenario) (*ClusterResult, error) {
 		res.Nodes = append(res.Nodes, rep)
 		res.Issued += rep.Issued
 	}
-	res.Granted = uniqueGranted(audit.Grants())
+	for _, g := range audit.Grants() {
+		res.Granted += g.R.Count
+	}
 	checkClusterInvariants(res, w, audit)
 	res.Trace = buildClusterTrace(res, w)
 	return res, nil
-}
-
-// uniqueGranted merges the audited grant ranges (freelist re-grants
-// re-issue id spans) and counts the distinct ids ever granted.
-func uniqueGranted(grants []cluster.GrantRecord) int64 {
-	if len(grants) == 0 {
-		return 0
-	}
-	type iv struct{ lo, hi int64 } // [lo, hi)
-	ivs := make([]iv, 0, len(grants))
-	for _, g := range grants {
-		ivs = append(ivs, iv{g.R.First, g.R.First + g.R.Count})
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].lo < ivs[j].lo })
-	var total int64
-	cur := ivs[0]
-	for _, v := range ivs[1:] {
-		if v.lo <= cur.hi {
-			if v.hi > cur.hi {
-				cur.hi = v.hi
-			}
-			continue
-		}
-		total += cur.hi - cur.lo
-		cur = v
-	}
-	return total + cur.hi - cur.lo
 }
 
 // checkClusterInvariants audits one finished cluster run.
@@ -469,8 +435,9 @@ func checkClusterInvariants(res *ClusterResult, w *World, audit *cluster.Audit) 
 	res.Violations = append(res.Violations, violations...)
 	res.Delivered = len(delivered)
 
-	// Every delivered id lies inside an audited grant, and every grant
-	// stays inside its epoch's stripe.
+	// Every grant stays inside its epoch's stripe, no two grants overlap
+	// (the allocator only bumps its frontier, and no id is granted twice),
+	// and every delivered id lies inside an audited grant.
 	grants := audit.Grants()
 	for _, g := range grants {
 		base, limit := cluster.StripeBase(g.Epoch), cluster.StripeBase(g.Epoch)+cluster.StripeSize
@@ -480,18 +447,15 @@ func checkClusterInvariants(res *ClusterResult, w *World, audit *cluster.Audit) 
 		}
 	}
 	sort.Slice(grants, func(i, j int) bool { return grants[i].R.First < grants[j].R.First })
-	covered := func(v int64) bool {
-		i := sort.Search(len(grants), func(i int) bool { return grants[i].R.First > v })
-		for i--; i >= 0; i-- {
-			g := grants[i]
-			if v < g.R.First {
-				return false
-			}
-			if v < g.R.First+g.R.Count {
-				return true
-			}
+	for i := 1; i < len(grants); i++ {
+		if p, g := grants[i-1], grants[i]; g.R.First < p.R.First+p.R.Count {
+			res.Violations = append(res.Violations,
+				fmt.Sprintf("grant %+v to node %d overlaps grant %+v to node %d", g.R, g.To, p.R, p.To))
 		}
-		return false
+	}
+	covered := func(v int64) bool {
+		i := sort.Search(len(grants), func(i int) bool { return grants[i].R.First > v }) - 1
+		return i >= 0 && v < grants[i].R.First+grants[i].R.Count
 	}
 	for _, v := range delivered {
 		if !covered(v) {
@@ -550,10 +514,10 @@ func buildClusterTrace(res *ClusterResult, w *World) []byte {
 	return traceOf(res.Scenario.Header(), w, &res.Outcome, func(b *strings.Builder) {
 		for _, rep := range res.Nodes {
 			st := rep.Stats
-			fmt.Fprintf(b, "S n%d g%d issued=%d epoch=%d grants=%d reqs=%d fwd=%d served=%d refill=%d norange=%d notleader=%d elections=%d reclaims=%d handoffs=%d\n",
+			fmt.Fprintf(b, "S n%d g%d issued=%d epoch=%d grants=%d reqs=%d fwd=%d served=%d refill=%d norange=%d notleader=%d elections=%d\n",
 				rep.Node, rep.Gen, rep.Issued, rep.Epoch, st.Grants, st.RangeRequests,
 				st.LinForwards, st.LinServed, st.RefillBlocking, st.NoRange, st.NotLeader,
-				st.Elections, st.Reclaims, st.Handoffs)
+				st.Elections)
 		}
 		fmt.Fprintf(b, "# cluster granted=%d issued=%d delivered=%d burned=%d steps=%d violations=%d\n",
 			res.Granted, res.Issued, res.Delivered, res.Granted-res.Issued, res.Steps, len(res.Violations))

@@ -213,7 +213,7 @@ func (c *conn) process(f *wire.Frame) {
 			}
 			c.trySend(m)
 		}
-	case wire.TGossip, wire.TRangeRequest, wire.TRangeReturn, wire.TLinForward:
+	case wire.TGossip, wire.TRangeRequest, wire.TLinForward:
 		if s.peer != nil {
 			resp := s.peer.HandlePeer(f)
 			resp.ID, resp.Trace = f.ID, f.Trace

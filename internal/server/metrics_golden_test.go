@@ -70,7 +70,7 @@ func TestMetricsTextGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = nd.Kill() })
+	t.Cleanup(func() { _ = nd.Close() })
 	cst.GossipRounds.Add(11)
 	cst.Grants.Add(2)
 	cst.LinForwards.Add(5)

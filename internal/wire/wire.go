@@ -27,7 +27,6 @@
 //	THello        id                     →  TShape  id, width, sinks, balancers, depth
 //	TGossip       id, len, bytes (JSON)  →  TGossipAck  id, len, bytes (JSON)
 //	TRangeRequest id, node, epoch, k     →  TRangeGrant id, epoch, ranges
-//	TRangeReturn  id, node, epoch, ranges → TRangeGrant id, epoch, ranges
 //	TLinForward   id, wire, k, epoch     →  TRanges id, n, n×(first, stride, count)
 //	any           —                      →  TError  id, code, len, message
 //
@@ -36,9 +35,10 @@
 // order — the protocol-level form of the paper's
 // sequentially-consistent-versus-linearizable tradeoff. A single node
 // meets both with one sweeper; a cluster forwards LIN to its leader.
-// The cluster opcodes (TGossip, TRange*, TLinForward) are spoken between
-// countd nodes on the cluster listener (internal/cluster); they reuse the
-// same framing and CRC discipline as the client-facing protocol.
+// The cluster opcodes (TGossip, TRangeRequest, TLinForward) are spoken
+// between countd nodes (internal/cluster) and ride each node's serving
+// door; they reuse the same framing and CRC discipline as the
+// client-facing protocol.
 //
 // The trace extension (flag bit 1) is backward compatible by
 // construction: a frame with Frame.Trace == 0 encodes to exactly the
@@ -48,12 +48,14 @@
 // stage spans under one id (internal/flightrec).
 //
 // Retired numbers stay out of reuse and nothing is renumbered: opcodes 5
-// (TSnapshot, a stats query whose JSON /metrics serves) and 19 (TInfo,
-// its reply), and flag bit 2 (0x04, the THello node advertisement that
-// appended node id, epoch and owned ranges to the TShape reply). A frame
-// with opcode 5 or 19 fails to decode with ErrBadFrame; the decoder
-// ignores flag bit 2, so an old peer's THello that sets it is answered
-// with the plain TShape.
+// (TSnapshot, a stats query whose JSON /metrics serves), 8
+// (TRangeReturn, a leaving node's unminted remainder handed back to the
+// leader; a leaving node now burns it) and 19 (TInfo, the stats reply),
+// and flag bit 2 (0x04, the THello node advertisement that appended node
+// id, epoch and owned ranges to the TShape reply). A frame with opcode 5,
+// 8 or 19 fails to decode with ErrBadFrame; the decoder ignores flag bit
+// 2, so an old peer's THello that sets it is answered with the plain
+// TShape.
 package wire
 
 import (
@@ -120,8 +122,8 @@ func ParseMode(s string) (Mode, error) {
 	return ModeSC, fmt.Errorf("wire: unknown consistency mode %q (want sc or lin)", s)
 }
 
-// Type is a frame's opcode. Opcodes 5 and 19 are retired: never reuse
-// them (see the package doc).
+// Type is a frame's opcode. Opcodes 5, 8 and 19 are retired: never
+// reuse them (see the package doc).
 type Type uint8
 
 const (
@@ -131,10 +133,9 @@ const (
 	TRead     Type = 3 // read the number of values the server handed out
 	THello    Type = 4 // ask for the served network's shape
 
-	// Cluster requests (node-to-node, on the cluster listener).
+	// Cluster requests (node-to-node, on the serving door).
 	TGossip       Type = 6 // membership exchange: opaque digest (JSON)
 	TRangeRequest Type = 7 // ask the leader for a fresh id block
-	TRangeReturn  Type = 8 // hand unminted remainder back to the leader
 	TLinForward   Type = 9 // forward a LIN mint to the serialization point
 
 	// Responses.
@@ -143,7 +144,7 @@ const (
 	TShape      Type = 18 // network shape (answers THello)
 	TError      Type = 20 // typed failure for any request
 	TGossipAck  Type = 21 // responder's merged digest (answers TGossip)
-	TRangeGrant Type = 22 // epoch-fenced id block (answers TRangeRequest/TRangeReturn)
+	TRangeGrant Type = 22 // epoch-fenced id block (answers TRangeRequest)
 )
 
 // String implements fmt.Stringer.
@@ -169,8 +170,6 @@ func (t Type) String() string {
 		return "gossip"
 	case TRangeRequest:
 		return "rangereq"
-	case TRangeReturn:
-		return "rangeret"
 	case TLinForward:
 		return "linfwd"
 	case TGossipAck:
@@ -182,7 +181,7 @@ func (t Type) String() string {
 }
 
 // IsRequest reports whether t lies in the client-to-server opcode range
-// (retired 5 included; DecodeInto rejects it).
+// (retired 5 and 8 included; DecodeInto rejects them).
 func (t Type) IsRequest() bool { return t >= TInc && t <= TLinForward }
 
 // flag bits. 0x04 is retired (the THello node advertisement): decoders
@@ -303,12 +302,12 @@ type Frame struct {
 	Wire  int64         // TInc, TIncBatch, TLinForward
 	K     int64         // TIncBatch, TRangeRequest, TLinForward (at most maxK)
 	Value int64         // TValue
-	Rs    []Range       // TRanges, TRangeReturn, TRangeGrant
+	Rs    []Range       // TRanges, TRangeGrant
 	Shape network.Shape // TShape
 	Code  ErrCode       // TError
 	Msg   string        // TError
 	Data  []byte        // TGossip, TGossipAck
-	Node  uint64        // TRangeRequest, TRangeReturn: the minting node id
+	Node  uint64        // TRangeRequest: the minting node id
 	Epoch uint64        // TRange*, TLinForward: the epoch fencing the ranges
 }
 
@@ -366,12 +365,6 @@ func payloadSize(f *Frame) (int, error) {
 			return 0, err
 		}
 		n += uvarintLen(f.Epoch) + rn
-	case TRangeReturn:
-		rn, err := rangesSize(f.Rs)
-		if err != nil {
-			return 0, err
-		}
-		n += uvarintLen(f.Node) + uvarintLen(f.Epoch) + rn
 	case TLinForward:
 		if f.K < 0 || f.K > maxK {
 			return 0, fmt.Errorf("%w: batch size %d", ErrBadFrame, f.K)
@@ -458,10 +451,6 @@ func appendPayload(p []byte, f *Frame) []byte {
 		p = binary.AppendUvarint(p, f.Epoch)
 		p = binary.AppendUvarint(p, uint64(f.K))
 	case TRangeGrant:
-		p = binary.AppendUvarint(p, f.Epoch)
-		p = appendRanges(p, f.Rs)
-	case TRangeReturn:
-		p = binary.AppendUvarint(p, f.Node)
 		p = binary.AppendUvarint(p, f.Epoch)
 		p = appendRanges(p, f.Rs)
 	case TLinForward:
@@ -646,16 +635,6 @@ func parsePayload(f *Frame, p []byte) error {
 			f.K = int64(k)
 		}
 	case TRangeGrant:
-		if f.Epoch, p, err = getUvarint(p); err != nil {
-			return err
-		}
-		if p, err = parseRanges(f, p); err != nil {
-			return err
-		}
-	case TRangeReturn:
-		if f.Node, p, err = getUvarint(p); err != nil {
-			return err
-		}
 		if f.Epoch, p, err = getUvarint(p); err != nil {
 			return err
 		}
