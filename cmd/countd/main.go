@@ -1,7 +1,7 @@
 // Command countd serves a compiled counting network over the wire
 // protocol — the daemon form of the repository. It compiles a network,
 // wraps it in the coalescing server (internal/server), and listens on
-// TCP for framed Inc/IncBatch/Read/Snapshot requests, each carrying its
+// TCP for framed Inc/IncBatch/Read requests, each carrying its
 // own SC|LIN consistency mode. Concurrent increments from different
 // connections are folded into single IncBatch FAA sweeps, run one at a
 // time by the server's one sweeper, so every sweep's values lie above
@@ -47,14 +47,6 @@
 // flight requests and closes connections cleanly); a positive -duration
 // runs that long and exits, which is how the CI smoke job uses it.
 //
-// -sim N skips serving entirely and instead runs deterministic
-// whole-system simulation seed N (internal/dst) through this daemon's
-// exact configuration — same network spec and consistency mode — on a
-// virtual clock and in-memory transport, auditing the protocol
-// invariants. `countd -w 8 -mode lin -sim 42` answers "does my
-// deployment configuration survive adversarial schedules?" without
-// opening a socket.
-//
 // Usage:
 //
 //	countd -net bitonic -w 8 -listen :9701 -telemetry :8080
@@ -76,9 +68,14 @@ import (
 	"sync/atomic"
 	"time"
 
-	countingnet "repro"
 	"repro/internal/cluster"
-	"repro/internal/dst"
+	"repro/internal/construct"
+	"repro/internal/flightrec"
+	"repro/internal/network"
+	"repro/internal/runtime"
+	"repro/internal/server"
+	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 type options struct {
@@ -92,7 +89,6 @@ type options struct {
 	udpGSO   bool          // UDP GSO/GRO segmentation offload (auto-falls back)
 	duration time.Duration // run length (0: serve until interrupted)
 	cpuprof  string        // write a CPU profile here ("" disables)
-	sim      uint64        // deterministic-simulation seed (0: serve normally)
 	sample   int           // server-side trace sampling: 1 in N untraced requests (0: off)
 	flight   int           // flight-recorder span capacity (0: off unless -trace-sample)
 	flOut    string        // dump the black box here on anomalies and at exit ("" disables)
@@ -113,7 +109,6 @@ func flags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.mode, "mode", "sc", "default consistency: sc, or lin to serve every increment as LIN (forwarded to the leader in a cluster)")
 	fs.DurationVar(&o.duration, "duration", 0, "run length (0: serve until interrupted)")
 	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile to this file (empty: off)")
-	fs.Uint64Var(&o.sim, "sim", 0, "run this deterministic-simulation seed through the daemon's configuration instead of serving (0: off)")
 	fs.IntVar(&o.sample, "trace-sample", 0, "sample 1 in N untraced requests into the flight recorder with a server-minted trace id (0: off; client-traced requests always record)")
 	fs.IntVar(&o.flight, "flight", 0, "flight recorder span capacity; serves /debug/flight on the telemetry endpoint (0: off, or 4096 when -trace-sample is set)")
 	fs.StringVar(&o.flOut, "flight-out", "", "write the flight recorder's black box to this file on each anomaly burst and at exit (empty: off)")
@@ -130,18 +125,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "countd: -join needs -node-id >= 1 (id 0 is the wire's no-node sentinel)")
 		os.Exit(2)
 	}
-	if o.nodeID != 0 && o.sim != 0 {
-		fmt.Fprintln(os.Stderr, "countd: -sim simulates a standalone daemon; cluster universes are countsim -cluster")
-		os.Exit(2)
-	}
-
-	if o.sim != 0 {
-		if err := runSim(o, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "countd:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if err := run(ctx, o, os.Stdout); err != nil {
@@ -150,59 +133,17 @@ func main() {
 	}
 }
 
-// runSim executes one deterministic whole-system simulation seed with
-// this daemon's flag-derived configuration — the same network spec and
-// consistency mode (-net, -w, -mode) the serving path would use, but on
-// the virtual clock and in-memory transport, with a seed-generated
-// workload, server tuning and fault schedule. The invariant audit that
-// countsim applies to sweeps runs on this single seed; a violation is a
-// daemon bug.
-func runSim(o options, out io.Writer) error {
-	mode, err := countingnet.ParseConsistencyMode(o.mode)
-	if err != nil {
-		return err
-	}
-	spec, err := buildSpec(o.kind, o.width)
-	if err != nil {
-		return err
-	}
-	ctr, err := countingnet.Compile(spec)
-	if err != nil {
-		return err
-	}
-	// Scenario width is the compiled network's fan-in, not -w: a tree of
-	// any -w has a single input wire.
-	ov := dst.Overrides{Width: ctr.Width()}
-	if mode == countingnet.ModeLIN {
-		ov.Mode = "lin"
-	}
-	res, err := dst.RunScenario(dst.GenScenarioWith(o.sim, ov), dst.RunOptions{Backend: ctr})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "countd: sim seed %d (%s), %s width %d, mode %s: %d ops, issued %d, delivered %d, %d steps\n",
-		o.sim, res.Scenario.Flavor, o.kind, o.width, o.mode, len(res.Ops), res.Issued, res.Delivered, res.Steps)
-	for _, v := range res.Violations {
-		fmt.Fprintf(out, "  violation: %s\n", v)
-	}
-	if res.Failed() {
-		return fmt.Errorf("sim seed %d: %d invariant violations", o.sim, len(res.Violations))
-	}
-	fmt.Fprintf(out, "countd: sim seed %d ok\n", o.sim)
-	return nil
-}
-
 // buildSpec constructs the requested network specification.
-func buildSpec(kind string, width int) (*countingnet.Network, error) {
+func buildSpec(kind string, width int) (*network.Network, error) {
 	switch kind {
 	case "bitonic":
-		spec, _, err := countingnet.Bitonic(width)
+		spec, _, err := construct.Bitonic(width)
 		return spec, err
 	case "periodic":
-		spec, _, err := countingnet.Periodic(width, countingnet.BlockTopBottom)
+		spec, _, err := construct.Periodic(width, construct.BlockTopBottom)
 		return spec, err
 	case "tree":
-		return countingnet.Tree(width)
+		return construct.Tree(width)
 	default:
 		return nil, fmt.Errorf("unknown network %q (want bitonic, periodic or tree)", kind)
 	}
@@ -227,7 +168,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	mode, err := countingnet.ParseConsistencyMode(o.mode)
+	mode, err := wire.ParseMode(o.mode)
 	if err != nil {
 		return err
 	}
@@ -236,8 +177,8 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	// epoch-fenced grants, so compiling a counting network would only
 	// build machinery nothing traverses.
 	var (
-		backend countingnet.ServerBackend
-		col     *countingnet.TelemetryCollector
+		backend server.Backend
+		col     *telemetry.Collector
 		node    *cluster.Node
 	)
 	clStats := cluster.NewStats()
@@ -261,7 +202,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		defer node.Close()
 		backend = node.Minter()
 	} else {
-		ctr, err := countingnet.Compile(spec)
+		ctr, err := runtime.Compile(spec)
 		if err != nil {
 			return err
 		}
@@ -270,7 +211,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		// costs atomics on every balancer visit, so it is attached only
 		// when the telemetry endpoint is actually on.
 		if o.telem != "" {
-			col = countingnet.NewTelemetryCollectorFor(spec)
+			col = telemetry.NewCollectorFor(spec)
 			ctr.SetObserver(col)
 		}
 		backend = ctr
@@ -282,11 +223,11 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	if flCap == 0 && o.sample > 0 {
 		flCap = 4096
 	}
-	rec := countingnet.NewFlightRecorder(flCap)
-	stats := countingnet.NewServerStats(0)
-	sopt := countingnet.ServerOptions{
+	rec := flightrec.New(flCap)
+	stats := server.NewStats(0)
+	sopt := server.Options{
 		Stats:       stats,
-		ForceLIN:    mode == countingnet.ModeLIN,
+		ForceLIN:    mode == wire.ModeLIN,
 		Flight:      rec,
 		TraceSample: o.sample,
 		UDPSockets:  o.udpSocks,
@@ -295,7 +236,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 	if node != nil {
 		sopt.LIN = node.LIN()
 	}
-	srv := countingnet.NewServer(backend, sopt)
+	srv := server.New(backend, sopt)
 	defer srv.Close()
 
 	// -flight-out turns the recorder into a black box on disk: each
@@ -353,7 +294,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		if node != nil {
 			extras = append(extras, node.AppendMetrics)
 		}
-		mux.Handle("/", countingnet.TelemetryHandler(col, nil, extras...))
+		mux.Handle("/", telemetry.Handler(col, nil, extras...))
 		if rec != nil {
 			mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "application/json")
@@ -366,7 +307,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		if col != nil {
 			mux.HandleFunc("/heatmap", func(w http.ResponseWriter, r *http.Request) {
 				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				fmt.Fprintln(w, countingnet.Heatmap(spec, col.Snapshot().Toggles))
+				fmt.Fprintln(w, telemetry.Heatmap(spec, col.Snapshot().Toggles))
 			})
 		}
 		hsrv := &http.Server{Handler: mux}

@@ -5,21 +5,20 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	countingnet "repro"
 	"repro/internal/client"
+	"repro/internal/construct"
+	"repro/internal/flightrec"
 	"repro/internal/packetio"
 	"repro/internal/wire"
 )
@@ -264,7 +263,7 @@ func TestDaemonFlightEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /debug/flight: %v", err)
 	}
-	var dump countingnet.FlightDump
+	var dump flightrec.Dump
 	err = json.NewDecoder(resp.Body).Decode(&dump)
 	resp.Body.Close()
 	if err != nil {
@@ -283,7 +282,7 @@ func TestDaemonFlightEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exit dump missing: %v", err)
 	}
-	var exitDump countingnet.FlightDump
+	var exitDump flightrec.Dump
 	if err := json.Unmarshal(b, &exitDump); err != nil {
 		t.Fatalf("-flight-out artifact is not valid JSON: %v", err)
 	}
@@ -329,10 +328,7 @@ func TestDaemonHeatmap(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("standalone /heatmap = %d, want 200:\n%s", code, body)
 	}
-	spec, _, err := countingnet.Bitonic(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := construct.MustBitonic(8)
 	rows := 0
 	for _, line := range strings.Split(body, "\n") {
 		if strings.HasPrefix(line, "layer ") {
@@ -401,34 +397,10 @@ func TestDaemonFlags(t *testing.T) {
 	want := []string{
 		"cpuprofile=", "duration=0s", "flight=0",
 		"flight-out=", "join=", "listen=:9701", "mode=sc", "net=bitonic",
-		"node-id=0", "sim=0", "telemetry=", "trace-sample=0", "udp=",
+		"node-id=0", "telemetry=", "trace-sample=0", "udp=",
 		"udp-gso=true", "udp-sockets=0", "w=8",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("countd flags:\n got %q\nwant %q", got, want)
-	}
-}
-
-// TestDaemonSim runs -sim seeds 1–5 for every network kind in both modes:
-// each seed must pass the simulator's invariants with the daemon's own
-// network behind it.
-func TestDaemonSim(t *testing.T) {
-	// The simulator pins the process to one P; give the other tests theirs back.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, kind := range []string{"bitonic", "periodic", "tree"} {
-		for _, mode := range []string{"sc", "lin"} {
-			t.Run(kind+"/"+mode, func(t *testing.T) {
-				for seed := uint64(1); seed <= 5; seed++ {
-					var out strings.Builder
-					err := runSim(options{kind: kind, width: 8, mode: mode, sim: seed}, &out)
-					if err != nil {
-						t.Fatalf("seed %d: %v\n%s", seed, err, out.String())
-					}
-					if want := fmt.Sprintf("sim seed %d ok", seed); !strings.Contains(out.String(), want) {
-						t.Fatalf("seed %d: no %q in\n%s", seed, want, out.String())
-					}
-				}
-			})
-		}
 	}
 }

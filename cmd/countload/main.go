@@ -7,11 +7,6 @@
 // or the audit failed; the numbers to compare across commits come from
 // the repository's benchmark (bench/README.md).
 //
-// -sim N runs deterministic whole-system simulation seed N
-// (internal/dst) with this driver's client-side configuration (-g and
-// -mode) against a simulated server — no live countd needed —
-// and audits the protocol invariants over the outcome.
-//
 // -trace-sample N traces one in N increments end to end: the client
 // stamps the request with a trace id the server propagates, both sides
 // record stage spans, and -trace-out merges them into one Chrome
@@ -44,7 +39,6 @@
 //	countload -addr 127.0.0.1:9701 -g 64 -mode lin
 //	countload -addr 127.0.0.1:9701,127.0.0.1:9711,127.0.0.1:9721 -mode lin
 //	countload -addr 127.0.0.1:9701 -udp 127.0.0.1:9702 -udp-batch 64 -duration 2s
-//	countload -g 8 -mode lin -sim 42
 //	countload -addr 127.0.0.1:9701 -trace-sample 100 \
 //	    -trace-from http://127.0.0.1:8080 -trace-out trace.json
 package main
@@ -65,10 +59,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	countingnet "repro"
 	"repro/internal/client"
 	"repro/internal/consistency"
-	"repro/internal/dst"
+	"repro/internal/flightrec"
 	"repro/internal/packetio"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -80,7 +73,6 @@ type options struct {
 	mode     string        // consistency mode requested per increment
 	duration time.Duration // run length
 	cpuprof  string        // write a CPU profile here ("" disables)
-	sim      uint64        // deterministic-simulation seed (0: drive a live countd)
 	sample   int           // trace 1 in N increments end to end (0: off)
 	traceOut string        // merged Chrome timeline output path ("" disables)
 	traceSrc string        // countd telemetry base URL for the server-side spans ("" skips)
@@ -107,7 +99,6 @@ func flags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.mode, "mode", "sc", "consistency mode: sc or lin")
 	fs.DurationVar(&o.duration, "duration", 2*time.Second, "run length")
 	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile to this file (empty: off)")
-	fs.Uint64Var(&o.sim, "sim", 0, "run this deterministic-simulation seed with the client-side configuration instead of driving a live server (0: off)")
 	fs.IntVar(&o.sample, "trace-sample", 0, "trace 1 in N increments through the serving path (0: off)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write the sampled requests as Chrome trace-event JSON here (requires -trace-sample)")
 	fs.StringVar(&o.traceSrc, "trace-from", "", "countd telemetry base URL (e.g. http://127.0.0.1:8080); its /debug/flight spans merge into -trace-out as the server part")
@@ -121,17 +112,9 @@ func main() {
 	flags(flag.CommandLine, &o)
 	flag.Parse()
 
-	if len(o.endpoints()) > 1 && (o.udp != "" || o.sim != 0) {
-		fmt.Fprintln(os.Stderr, "countload: more than one -addr endpoint drives the TCP workload only (no -udp, no -sim)")
+	if len(o.endpoints()) > 1 && o.udp != "" {
+		fmt.Fprintln(os.Stderr, "countload: more than one -addr endpoint drives the TCP workload only (no -udp)")
 		os.Exit(2)
-	}
-
-	if o.sim != 0 {
-		if err := runSim(o, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "countload:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if o.cpuprof != "" {
@@ -167,51 +150,6 @@ var errUsage = errors.New("usage")
 // client's Window.
 const workers = 64
 
-// runSim executes one deterministic whole-system simulation seed with
-// this driver's client-side configuration — worker count from -g and
-// consistency mode from -mode — against a simulated server on the
-// virtual clock and in-memory transport. The per-op outcomes get the
-// same uniqueness audit the live driver applies, plus the full dst
-// invariant set (step property, LIN order, retry budgets, clean drain).
-func runSim(o options, out io.Writer) error {
-	if _, err := countingnet.ParseConsistencyMode(o.mode); err != nil {
-		return err
-	}
-	if o.clients <= 0 {
-		return fmt.Errorf("need at least one client, got %d", o.clients)
-	}
-	ov := dst.Overrides{Workers: o.clients}
-	if o.mode == "lin" {
-		ov.Mode = "lin"
-	} else {
-		ov.Mode = "sc"
-	}
-	res, err := dst.RunScenario(dst.GenScenarioWith(o.sim, ov), dst.RunOptions{})
-	if err != nil {
-		return err
-	}
-	var ops, errs int
-	for _, op := range res.Ops {
-		if op.Err == "" {
-			ops++
-		} else {
-			errs++
-		}
-	}
-	fmt.Fprintf(out, "countload: sim seed %d (%s), %d clients, mode %s\n",
-		o.sim, res.Scenario.Flavor, o.clients, o.mode)
-	fmt.Fprintf(out, "  ops %d ok / %d failed, values delivered %d, issued %d, %d steps\n",
-		ops, errs, res.Delivered, res.Issued, res.Steps)
-	for _, v := range res.Violations {
-		fmt.Fprintf(out, "  violation: %s\n", v)
-	}
-	if res.Failed() {
-		return fmt.Errorf("sim seed %d: %d invariant violations", o.sim, len(res.Violations))
-	}
-	fmt.Fprintf(out, "countload: sim seed %d ok\n", o.sim)
-	return nil
-}
-
 // counter is the slice of the client surface the load loop needs — both
 // the single-endpoint client and the cluster-aware one satisfy it.
 type counter interface {
@@ -225,9 +163,9 @@ type result struct {
 	Errors  int64
 	Elapsed time.Duration
 	Lat     telemetry.LatencySummary
-	Audit   consistency.Report          // over every value the workers were handed
-	Wire    client.Stats                // transport counters summed over the clients (zero in cluster mode)
-	Flight  *countingnet.FlightRecorder // client-side spans (nil: tracing off)
+	Audit   consistency.Report  // over every value the workers were handed
+	Wire    client.Stats        // transport counters summed over the clients (zero in cluster mode)
+	Flight  *flightrec.Recorder // client-side spans (nil: tracing off)
 }
 
 func (r result) opsPerSec() float64 {
@@ -240,7 +178,7 @@ func (r result) opsPerSec() float64 {
 // run drives the load and writes the human report. Split from main for
 // in-process testing.
 func run(ctx context.Context, o options, out io.Writer) error {
-	mode, err := countingnet.ParseConsistencyMode(o.mode)
+	mode, err := wire.ParseMode(o.mode)
 	if err != nil {
 		return err
 	}
@@ -461,19 +399,19 @@ func runUDP(ctx context.Context, o options, out io.Writer) error {
 // endpoint) into one Chrome trace-event timeline, then re-reads the
 // artifact to prove the export round-trips before reporting success.
 func writeTimeline(o options, res result) (int, error) {
-	parts := []countingnet.FlightPart{{Name: "countload", Spans: res.Flight.Snapshot()}}
+	parts := []flightrec.Part{{Name: "countload", Spans: res.Flight.Snapshot()}}
 	if o.traceSrc != "" {
 		spans, err := fetchServerSpans(strings.TrimSuffix(o.traceSrc, "/") + "/debug/flight")
 		if err != nil {
 			return 0, err
 		}
-		parts = append(parts, countingnet.FlightPart{Name: "countd", Spans: spans})
+		parts = append(parts, flightrec.Part{Name: "countd", Spans: spans})
 	}
 	f, err := os.Create(o.traceOut)
 	if err != nil {
 		return 0, err
 	}
-	if err := countingnet.WriteFlightChrome(f, parts...); err != nil {
+	if err := flightrec.WriteChrome(f, parts...); err != nil {
 		f.Close()
 		return 0, err
 	}
@@ -485,7 +423,7 @@ func writeTimeline(o options, res result) (int, error) {
 		return 0, err
 	}
 	defer rf.Close()
-	evs, err := countingnet.ReadFlightChrome(rf)
+	evs, err := flightrec.ReadChrome(rf)
 	if err != nil {
 		return 0, fmt.Errorf("trace round-trip: %w", err)
 	}
@@ -494,7 +432,7 @@ func writeTimeline(o options, res result) (int, error) {
 
 // fetchServerSpans pulls the server half of the timeline from countd's
 // flight-recorder endpoint.
-func fetchServerSpans(url string) ([]countingnet.FlightSpan, error) {
+func fetchServerSpans(url string) ([]flightrec.Span, error) {
 	resp, err := http.Get(url)
 	if err != nil {
 		return nil, fmt.Errorf("fetch server spans: %w", err)
@@ -503,7 +441,7 @@ func fetchServerSpans(url string) ([]countingnet.FlightSpan, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("fetch server spans: %s: status %d", url, resp.StatusCode)
 	}
-	var d countingnet.FlightDump
+	var d flightrec.Dump
 	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
 		return nil, fmt.Errorf("fetch server spans: %w", err)
 	}
@@ -517,7 +455,7 @@ func fetchServerSpans(url string) ([]countingnet.FlightSpan, error) {
 // audited after the run by consistency.Audit. Workers read no clock per
 // op, so the records carry no stamps and the audit's real-time check has
 // nothing to order: it checks uniqueness and session order.
-func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (result, error) {
+func drive(ctx context.Context, o options, mode wire.Mode) (result, error) {
 	var res result
 	ctx, cancel := context.WithTimeout(ctx, o.duration)
 	defer cancel()
@@ -527,7 +465,7 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 	// with the expected sampled volume; ring wraparound just drops the
 	// oldest spans.
 	if o.sample > 0 {
-		res.Flight = countingnet.NewFlightRecorder(1 << 16)
+		res.Flight = flightrec.New(1 << 16)
 	}
 
 	lat := telemetry.NewHistogram(o.clients * workers)
@@ -648,7 +586,7 @@ func drive(ctx context.Context, o options, mode countingnet.ConsistencyMode) (re
 	for id := range outs {
 		vals := outs[id].vals
 		for n := range vals {
-			recs = append(recs, consistency.Record{Process: id, Index: n, LIN: mode == countingnet.ModeLIN, Values: vals[n : n+1 : n+1]})
+			recs = append(recs, consistency.Record{Process: id, Index: n, LIN: mode == wire.ModeLIN, Values: vals[n : n+1 : n+1]})
 		}
 	}
 	res.Audit = consistency.Audit(recs, math.MaxInt64)

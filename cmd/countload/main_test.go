@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -18,7 +16,8 @@ import (
 	"testing"
 	"time"
 
-	countingnet "repro"
+	"repro/internal/construct"
+	"repro/internal/flightrec"
 	"repro/internal/network"
 	netrt "repro/internal/runtime"
 	"repro/internal/server"
@@ -27,7 +26,7 @@ import (
 // startService serves B(width) on loopback for the duration of the test.
 func startService(t *testing.T, width int) string {
 	t.Helper()
-	rt := countingnet.MustCompile(countingnet.MustBitonic(width))
+	rt := netrt.MustCompile(construct.MustBitonic(width))
 	srv := server.New(rt, server.Options{Stats: server.NewStats(0)})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -41,7 +40,7 @@ func startService(t *testing.T, width int) string {
 // endpoints up, returning both addresses and the server's stats.
 func startUDPService(t *testing.T, width int) (tcp, udp string, st *server.Stats) {
 	t.Helper()
-	rt := countingnet.MustCompile(countingnet.MustBitonic(width))
+	rt := netrt.MustCompile(construct.MustBitonic(width))
 	st = server.NewStats(0)
 	srv := server.New(rt, server.Options{Stats: st})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -166,8 +165,8 @@ func TestLoadRunCluster(t *testing.T) {
 // the way countd's telemetry surface does.
 func startTracedService(t *testing.T, width int) (addr, telem string) {
 	t.Helper()
-	rec := countingnet.NewFlightRecorder(1 << 14)
-	rt := countingnet.MustCompile(countingnet.MustBitonic(width))
+	rec := flightrec.New(1 << 14)
+	rt := netrt.MustCompile(construct.MustBitonic(width))
 	srv := server.New(rt, server.Options{Stats: server.NewStats(0), Flight: rec})
 	a, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -211,7 +210,7 @@ func TestLoadTraceExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	evs, err := countingnet.ReadFlightChrome(f)
+	evs, err := flightrec.ReadChrome(f)
 	if err != nil {
 		t.Fatalf("parse exported timeline: %v", err)
 	}
@@ -291,34 +290,11 @@ func TestLoadFlags(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
 	want := []string{
 		"addr=127.0.0.1:9701", "cpuprofile=",
-		"duration=2s", "g=4", "mode=sc", "sim=0", "trace-from=",
+		"duration=2s", "g=4", "mode=sc", "trace-from=",
 		"trace-out=", "trace-sample=0", "udp=", "udp-batch=64",
 		"udp-gso=0",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("countload flags:\n got %q\nwant %q", got, want)
-	}
-}
-
-// TestLoadSim runs -sim seeds 1–5 at several client counts in both
-// modes: each seed must pass the simulator's invariants with this
-// driver's client configuration.
-func TestLoadSim(t *testing.T) {
-	// The simulator pins the process to one P; give the other tests theirs back.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, g := range []int{1, 3, 8} {
-		for _, mode := range []string{"sc", "lin"} {
-			t.Run(fmt.Sprintf("g=%d/%s", g, mode), func(t *testing.T) {
-				for seed := uint64(1); seed <= 5; seed++ {
-					var out strings.Builder
-					if err := runSim(options{clients: g, mode: mode, sim: seed}, &out); err != nil {
-						t.Fatalf("seed %d: %v\n%s", seed, err, out.String())
-					}
-					if want := fmt.Sprintf("sim seed %d ok", seed); !strings.Contains(out.String(), want) {
-						t.Fatalf("seed %d: no %q in\n%s", seed, want, out.String())
-					}
-				}
-			})
-		}
 	}
 }

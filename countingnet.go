@@ -38,14 +38,12 @@
 //     Audit, and the message-passing form (StartMessagePassing) with its
 //     typed failures ErrTimeout and ErrClosed.
 //
-//   - Observability and rendering: a lock-free telemetry collector and its
-//     HTTP surface, ASCII drawings of networks, traffic heatmaps and
-//     time-space diagrams, and the queueing model of contention
-//     (SimulateContention).
+//   - Observability and rendering: a lock-free telemetry collector, ASCII
+//     drawings of networks, traffic heatmaps and time-space diagrams, and
+//     the queueing model of contention (SimulateContention).
 //
 //   - Serving (serve.go): the compiled network as a TCP/UDP service with a
-//     per-request SC or LIN mode (NewServer, DialCounter), and the flight
-//     recorder that traces sampled requests across client and server.
+//     per-request SC or LIN mode (NewServer, DialCounter).
 //
 // # Quick start
 //
@@ -229,23 +227,15 @@ var (
 	ErrTimeout = fault.ErrTimeout
 )
 
-// Telemetry layer (package telemetry): per-balancer metrics, latency
-// histograms and the live HTTP observability surface. Attach a collector
-// to a compiled network with SetObserver; the hook is zero-cost when
-// absent.
-//
-// TelemetryCollector accumulates lock-free per-balancer, per-wire and
-// per-sink traffic counts plus an Inc latency histogram.
-type TelemetryCollector = telemetry.Collector
-
+// Telemetry layer (package telemetry): lock-free per-balancer, per-wire
+// and per-sink traffic counts and an Inc latency histogram. Attach a
+// collector to a compiled network with SetObserver; the hook is
+// zero-cost when absent.
 var (
 	// NewTelemetryCollectorFor builds a collector sized for a network.
 	NewTelemetryCollectorFor = telemetry.NewCollectorFor
-	// TelemetryHandler serves /metrics, /debug/countingnet and pprof for a
-	// collector plus an optional online consistency monitor.
-	TelemetryHandler = telemetry.Handler
 	// Heatmap renders per-balancer traffic over the network's layers.
-	Heatmap = viz.Heatmap
+	Heatmap = telemetry.Heatmap
 )
 
 // Contention model (package perfsim) — the queueing substitute for a

@@ -29,10 +29,10 @@ type RunOptions struct {
 	// the canary proving the invariant checker catches real bugs. A Bug
 	// run is expected to produce violations.
 	Bug bool
-	// Backend substitutes a pre-compiled counting network for the default
-	// bitonic one — cmd/countd plumbs its -net/-w selection through here.
-	// Its fan-in must match the scenario width.
-	Backend *runtime.Network
+	// backend substitutes a pre-compiled counting network for the
+	// default bitonic one, so a test can run any network kind countd
+	// serves. Its fan-in must match the scenario width.
+	backend *runtime.Network
 	// Flight turns on end-to-end request tracing inside the simulation:
 	// every worker samples all of its requests (each worker its own actor
 	// namespace) into one shared flight recorder the server also records
@@ -118,7 +118,7 @@ func RunScenario(sc Scenario, opts RunOptions) (*Result, error) {
 	res := &Result{Outcome: Outcome{Seed: seed}, Scenario: sc}
 	w := NewWorld(seed, sc.JitterMin, sc.JitterMax, sc.Partitions)
 
-	inner := opts.Backend
+	inner := opts.backend
 	if inner == nil {
 		spec, _, err := construct.Bitonic(sc.Width)
 		if err != nil {

@@ -280,12 +280,12 @@ func (s *Scenario) faultsActive() bool {
 	return s.DropProb > 0 || s.DupProb > 0 || s.DelayProb > 0
 }
 
-// Overrides pins scenario fields that normally come from the seed — the
-// seam cmd/countd and cmd/countload use to push their own flag-derived
-// configuration through the simulation while the rest of the scenario
-// (jitter, faults, partitions, think times) still varies per seed.
-// Zero-valued fields defer to the seed.
-type Overrides struct {
+// overrides pins scenario fields that normally come from the seed — the
+// seam the daemon-configuration tests use to push countd's and
+// countload's flag-derived settings through the simulation while the
+// rest of the scenario (jitter, faults, partitions, think times) still
+// varies per seed. Zero-valued fields defer to the seed.
+type overrides struct {
 	Width   int // network fan (power of two)
 	Workers int // concurrent workload workers (clamped to [1, 16])
 	// Mode "lin" makes every operation linearizable; "sc" makes every
@@ -299,13 +299,13 @@ type Overrides struct {
 // positive OpTimeout, sized well above the worst healthy round trip, so
 // a lost frame means a bounded retry instead of a hung worker.
 func GenScenario(seed uint64) Scenario {
-	return GenScenarioWith(seed, Overrides{})
+	return genScenarioWith(seed, overrides{})
 }
 
-// GenScenarioWith is GenScenario with daemon-supplied overrides applied
-// between the seed's flavor expansion and the workload plan generation,
-// so plans respect the pinned width, worker count and mode.
-func GenScenarioWith(seed uint64, ov Overrides) Scenario {
+// genScenarioWith is GenScenario with overrides applied between the
+// seed's flavor expansion and the workload plan generation, so plans
+// respect the pinned width, worker count and mode.
+func genScenarioWith(seed uint64, ov overrides) Scenario {
 	r := func(k, a uint64) uint64 { return mix3(seed, k, a, 0) }
 	sc := Scenario{Seed: seed}
 
@@ -363,7 +363,7 @@ func GenScenarioWith(seed uint64, ov Overrides) Scenario {
 		}
 	}
 
-	// Daemon overrides land here: after the flavor expansion (so they win)
+	// Overrides land here: after the flavor expansion (so they win)
 	// and before the timeout sizing and plan generation (so both respect
 	// the pinned values).
 	if ov.Width > 0 {

@@ -1,8 +1,9 @@
 // Package telemetry is the observability layer for the concurrent counting
 // implementations: lock-free per-balancer traffic counters and Inc latency
 // histograms (Collector), the Prometheus text writers every /metrics
-// section is written with (WriteFamily, WriteSample, WriteHistogram), and
-// the HTTP surface serving metrics, JSON snapshots and pprof (Handler).
+// section is written with (WriteFamily, WriteSample, WriteHistogram), the
+// HTTP surface serving metrics, JSON snapshots and pprof (Handler), and
+// the ASCII heatmap of a snapshot's balancer toggles (Heatmap).
 // Per-request traces live in the flight recorder (internal/flightrec).
 //
 // A Collector attaches to runtime.Network (SetObserver) and msgnet.Network

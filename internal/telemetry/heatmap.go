@@ -1,4 +1,4 @@
-package viz
+package telemetry
 
 import (
 	"fmt"
@@ -26,7 +26,7 @@ func heatCell(count, max uint64) byte {
 }
 
 // Heatmap renders per-balancer traffic — e.g. the toggle counts of a
-// telemetry snapshot — over the network's layer structure: one row per
+// Collector snapshot — over the network's layer structure: one row per
 // layer, one cell per balancer (in index order within the layer), shaded
 // by count relative to the hottest balancer. It makes contention visible:
 // B(w) spreads traffic evenly per layer, a counting tree funnels

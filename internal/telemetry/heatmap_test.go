@@ -1,4 +1,4 @@
-package viz
+package telemetry
 
 import (
 	"strings"
