@@ -16,7 +16,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/... ./cmd/countd/ ./cmd/countload/
-	$(GO) test -race -count=5 -run 'TestClusterLINMonotone|TestNodeAscendsAcrossPeerLeave' ./internal/cluster
+	$(GO) test -race -count=5 -run 'TestClusterLINMonotone|TestNodeAscendsAcrossPeerLeave|TestLINAboveEarlierSC' ./internal/cluster
 	$(GO) test -C bench -race ./...
 
 cover:
@@ -144,7 +144,7 @@ sim:
 	$(GO) run ./cmd/countsim -seeds $(SIM_SEEDS) -artifacts sim-artifacts
 
 # Multi-daemon cluster simulation: whole clusters — gossip, elections,
-# block grants, LIN forwards, node kills, partitions, rolling restarts —
+# block grants, LIN grants, node kills, partitions, rolling restarts —
 # on the virtual clock, with the global no-duplicate-mint, gap-accounting
 # and cluster-wide LIN invariants checked on every seed.
 sim-cluster:

@@ -29,13 +29,14 @@
 // Clustering: -node-id starts the cluster half (internal/cluster) and
 // serves the daemon as one node of a multi-machine logical counter. The
 // node opens no second listener: its peers reach it at its -listen
-// address, whose door answers their gossip, grants and forwards beside
+// address, whose door answers their gossip and grant requests beside
 // client traffic, and it calls each peer on one pipelined connection.
 // It gossips membership with the -join seeds (serving addresses, named
 // as each node's -listen names itself), mints SC increments from
 // epoch-fenced id blocks owned locally (zero cross-node RPCs on the SC
-// hot path), and forwards LIN increments to the elected leader's
-// serialization point so the remote step property holds cluster-wide.
+// hot path), and mints each LIN sweep as one grant of exactly its k from
+// the elected leader's frontier, its serialization point, so the remote
+// step property holds cluster-wide.
 // -node-id must be unique per node. In cluster mode the network flags
 // (-net, -w) only shape the advertised wire fan; ids come from the
 // cluster's block allocator, not a compiled network.
@@ -197,7 +198,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 			return err
 		}
 		// Registered before srv's defer, so it runs after it: the server
-		// drains in-flight LIN forwards before the node closes its peer
+		// drains in-flight LIN grants before the node closes its peer
 		// clients.
 		defer node.Close()
 		backend = node.Minter()
@@ -334,7 +335,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		return err
 	}
 	if node != nil {
-		// After the server drained: in-flight LIN forwards are answered
+		// After the server drained: in-flight LIN grants are answered
 		// before the node closes its peer clients. Its unminted ids burn.
 		if err := node.Close(); err != nil {
 			return err

@@ -7,6 +7,10 @@
 // or the audit failed; the numbers to compare across commits come from
 // the repository's benchmark (bench/README.md).
 //
+// Each of the -g clients runs 64 workers, and worker i (counted across
+// all clients) increments on input wire i modulo the served width, so
+// even one client enters on every input wire.
+//
 // -trace-sample N traces one in N increments end to end: the client
 // stamps the request with a trace id the server propagates, both sides
 // record stage spans, and -trace-out merges them into one Chrome
@@ -546,7 +550,7 @@ func drive(ctx context.Context, o options, mode wire.Mode) (result, error) {
 						if sample {
 							s = time.Now()
 						}
-						v, err := c.IncCtx(context.Background(), g)
+						v, err := c.IncCtx(context.Background(), id)
 						if err != nil {
 							if !stop.Load() {
 								out.errs++

@@ -21,6 +21,7 @@ import (
 	"repro/internal/network"
 	netrt "repro/internal/runtime"
 	"repro/internal/server"
+	"repro/internal/telemetry"
 )
 
 // startService serves B(width) on loopback for the duration of the test.
@@ -120,6 +121,36 @@ func TestLoadRun(t *testing.T) {
 				t.Errorf("%s run sent %s frames/op, want < 1:\n%s", mode, m[1], got)
 			}
 		})
+	}
+}
+
+// TestLoadReachesEveryInputWire: one client's workers enter on every
+// input wire of the served width, so a -g 1 run against B(8) toggles all
+// four first-layer balancers, not only the one its client's number
+// names.
+func TestLoadReachesEveryInputWire(t *testing.T) {
+	spec := construct.MustBitonic(8)
+	rt := netrt.MustCompile(spec)
+	col := telemetry.NewCollectorFor(spec)
+	rt.SetObserver(col)
+	srv := server.New(rt, server.Options{})
+	a, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	var out strings.Builder
+	if err := run(context.Background(), options{
+		addr: a.String(), clients: 1, mode: "sc",
+		duration: 300 * time.Millisecond,
+	}, &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	toggles := col.Snapshot().Toggles
+	for b := 0; b < spec.Size(); b++ {
+		if spec.BalancerDepth(b) == 1 && toggles[b] == 0 {
+			t.Errorf("first-layer balancer b%d never toggled:\n%s", b, telemetry.Heatmap(spec, toggles))
+		}
 	}
 }
 

@@ -113,7 +113,7 @@ type seedRun struct {
 }
 
 // runSeed runs one seed of the flavor o selects: a single server, or a
-// whole multi-daemon universe — gossip, elections, grants, LIN forwards,
+// whole multi-daemon universe — gossip, elections, grants, LIN sweeps,
 // the chaos schedule — audited cluster-wide (global no-duplicate-mint,
 // grant coverage, gap accounting, LIN monotonicity, full drain).
 func runSeed(o options, seed uint64) (seedRun, error) {

@@ -22,16 +22,21 @@
 //     above every earlier one. A node that crashes or leaves burns its
 //     blocks' unminted remainder (a gap, which SC counting tolerates).
 //
-//   - routing: SC increments mint node-locally from owned blocks (zero
-//     cross-node RPCs on the hot path — a standby block is prefetched at
-//     half-use; mintState holds the rule), while LIN increments are
-//     forwarded to the leader's serialization point, which mints them in
-//     arrival order from strictly increasing stripes — so the remote step
-//     property's F_nl = 0 holds cluster-wide. The leader serves LIN and
-//     grants ranges only under an endorsement lease that a majority of
-//     peers back and that has aged past RPCTimeout+leaseTimeout, which
-//     makes leases mutually exclusive across a partition heal
-//     (Node.leaseLocked has the argument).
+//   - routing: every id leaves the leader one way, as a grant from its
+//     frontier (Node.grant). SC increments mint node-locally from owned
+//     blocks (zero cross-node RPCs on the hot path — a standby block is
+//     prefetched at half-use; mintState holds the rule), while each LIN
+//     sweep is granted exactly its k: under the node mutex on the
+//     leader, one TRangeRequest to it from anywhere else. A LIN sweep
+//     therefore lies above every value already handed out in its epoch,
+//     SC values included, and across elections the new epoch's stripe
+//     starts above the old one's — so the remote step property's
+//     F_nl = 0 holds cluster-wide, and no LIN value falls below one its
+//     session already holds. The leader grants only under an
+//     endorsement lease that a majority of peers back and that has aged
+//     past RPCTimeout+leaseTimeout, which makes leases mutually
+//     exclusive across a partition heal (Node.leaseLocked has the
+//     argument).
 //
 // The package deliberately does not import internal/server: cmd/countd
 // composes them — the cluster Minter is the server's Backend and
@@ -110,16 +115,14 @@ type Config struct {
 	// (default 8). Mints ignore the wire; the width only keeps clients'
 	// wire-pinning semantics intact.
 	Width int
-	// BlockSize is the id count of one SC grant (default 4096).
+	// BlockSize is the id count of one SC grant (default 4096). A LIN
+	// sweep is granted exactly its own k.
 	BlockSize int64
-	// LINBlock is the id count the leader draws per LIN refill
-	// (default 256).
-	LINBlock int64
 
 	// PeerDialer, when set, opens the node's connections to its peers
 	// (client.Options.Dialer; nil: TCP with RPCTimeout as the dial
-	// timeout). It may be called from the gossip loop, the grant path and
-	// the LIN sweeper at once.
+	// timeout). It may be called from the gossip loop, the minter's grant
+	// path and the LIN sweeper at once.
 	PeerDialer func(addr string, timeout time.Duration) (net.Conn, error)
 
 	// Stats receives the node's counters (nil: a private sink).
@@ -150,9 +153,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.BlockSize <= 0 {
 		cfg.BlockSize = 4096
-	}
-	if cfg.LINBlock <= 0 {
-		cfg.LINBlock = 256
 	}
 	if cfg.ExpectedPeers <= 0 {
 		n := 1

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/runtime"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -36,7 +37,6 @@ func startCluster(t *testing.T, n int, set ...func(*Config)) ([]*Node, []*server
 			Seeds:       addrs,
 			GossipEvery: 5 * time.Millisecond,
 			BlockSize:   64,
-			LINBlock:    8,
 			Audit:       audit,
 		}
 		for _, f := range set {
@@ -208,6 +208,46 @@ func TestClusterLINMonotone(t *testing.T) {
 	}
 }
 
+// TestLINAboveEarlierSC: one caller on the leader takes a LIN value, an
+// SC value, then a LIN value again. Every LIN sweep is a fresh grant from
+// the frontier the SC block was granted from, so the second LIN value
+// lies above the SC value: LIN keeps its caller's session order across
+// modes.
+func TestLINAboveEarlierSC(t *testing.T) {
+	nodes, _, _ := startCluster(t, 3)
+	var leader *Node
+	for _, nd := range nodes {
+		if nd.IsLeader() {
+			leader = nd
+		}
+	}
+	if leader == nil {
+		t.Fatal("no node holds the lease")
+	}
+	// A refusal while the view briefly loses its leader is retried, as a
+	// client would.
+	mint := func(mode string, inc func(wireID, k int) ([]runtime.Range, error)) int64 {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			rs, err := inc(0, 1)
+			if err == nil {
+				return rs[0].First
+			}
+			refused := errors.Is(err, wire.ErrNotLeader) || errors.Is(err, wire.ErrNoRange)
+			if !refused || time.Now().After(deadline) {
+				t.Fatalf("%s on node %d: %v", mode, leader.ID(), err)
+			}
+			waitLeader(t, nodes)
+		}
+	}
+	lin1 := mint("LIN", leader.LIN().TryIncBatch)
+	sc := mint("SC", leader.Minter().TryIncBatch)
+	lin2 := mint("LIN", leader.LIN().TryIncBatch)
+	if lin2 <= sc || lin2 <= lin1 {
+		t.Fatalf("LIN %d, SC %d, then LIN %d: the second LIN value is not above both", lin1, sc, lin2)
+	}
+}
+
 // TestClusterGracefulHandoff shuts a follower down mid-block: its
 // remainder burns, and the ids the leader mints afterwards never repeat
 // one the follower minted.
@@ -315,7 +355,6 @@ func TestClusterKillRejoinNoDuplicates(t *testing.T) {
 		Seeds:       seeds,
 		GossipEvery: 5 * time.Millisecond,
 		BlockSize:   64,
-		LINBlock:    8,
 		Audit:       victim.cfg.Audit,
 	}, ln)
 	nodes[victimIdx] = reborn
@@ -328,12 +367,12 @@ func TestClusterKillRejoinNoDuplicates(t *testing.T) {
 }
 
 // TestPeerOpcodesAnsweredWhileForwardStalls: a follower whose LIN
-// sweeper is held inside a forward to a stalled leader still answers a
-// TGossip and a TRangeRequest, sent behind the held LIN frame on the same
-// connection. Peer opcodes are answered at the door and never wait on the
-// sweeper, so a busy node still gossips and grants.
+// sweeper is held inside its grant request to a stalled leader still
+// answers a TGossip and a TRangeRequest, sent behind the held LIN frame
+// on the same connection. Peer opcodes are answered at the door and
+// never wait on the sweeper, so a busy node still gossips and grants.
 func TestPeerOpcodesAnsweredWhileForwardStalls(t *testing.T) {
-	// The stalled leader reads every frame, reports each forward and
+	// The stalled leader reads every frame, reports each grant request and
 	// answers none.
 	stall := listenT(t)
 	forwards := make(chan struct{}, 8)
@@ -355,8 +394,8 @@ func TestPeerOpcodesAnsweredWhileForwardStalls(t *testing.T) {
 					if err != nil {
 						return
 					}
-					if f.Type == wire.TLinForward {
-						forwards <- struct{}{}
+					if f.Type == wire.TRangeRequest {
+						forwards <- struct{}{} // the LIN sweep's grant request
 					}
 				}
 			}()
@@ -428,7 +467,7 @@ func TestPeerOpcodesAnsweredWhileForwardStalls(t *testing.T) {
 }
 
 // TestFollowerForwardsShareOneConn: a follower makes its peer calls on
-// one pipelined client per peer, so its N LIN sweeps, each one forward
+// one pipelined client per peer, so its N LIN sweeps, each one grant RPC
 // to the leader, dial one peer connection, not N.
 func TestFollowerForwardsShareOneConn(t *testing.T) {
 	const sweeps = 20

@@ -13,11 +13,12 @@ import (
 	"repro/internal/wire"
 )
 
-// Node is one countd's cluster half: it gossips membership, obtains
-// epoch-fenced id blocks for the local Minter, and serves or forwards
-// LIN mints. It deliberately knows nothing about the client-facing
-// server; cmd/countd plugs the two together through hooks, and the
-// server's door hands the node its peers' requests.
+// Node is one countd's cluster half: it gossips membership and obtains
+// epoch-fenced id grants from the leader, blocks for the local Minter
+// and exactly k ids for each LIN sweep. It deliberately knows nothing
+// about the client-facing server; cmd/countd plugs the two together
+// through hooks, and the server's door hands the node its peers'
+// requests.
 type Node struct {
 	cfg    Config
 	minter *Minter
@@ -26,7 +27,6 @@ type Node struct {
 	ms        *membership
 	alloc     *allocator // non-nil while this node claims leadership
 	electedAt time.Time  // when this node started its current term
-	linBlk    block      // leader-side LIN cursor
 	seeds     []string   // contact addresses, self excluded
 	// peers holds one pipelined client per peer serving address, made on
 	// the first call to it (transport.go); nil once the node has shut down.
@@ -59,7 +59,9 @@ func Start(cfg Config) (*Node, error) {
 			n.seeds = append(n.seeds, s)
 		}
 	}
-	n.minter = newMinter(cfg.Width, cfg.BlockSize, cfg.Stats, n.requestBlock)
+	n.minter = newMinter(cfg.Width, cfg.BlockSize, cfg.Stats, func(k int64) (wire.Range, error) {
+		return n.grant(k, false)
+	})
 	now := cfg.Clock.Now()
 	self := Member{
 		ID:   cfg.NodeID,
@@ -170,7 +172,6 @@ func (n *Node) electLocked(now time.Time) {
 		// A higher-term claim deposed us.
 		n.cfg.Logf("cluster: node %d deposed by term %d leader %d", n.cfg.NodeID, cl.Term, cl.Leader)
 		n.alloc = nil
-		n.linBlk = block{}
 	}
 	if cl.Term > 0 {
 		if mi, ok := n.ms.members[cl.Leader]; ok && n.ms.state(mi, now) == StateAlive {
@@ -204,7 +205,6 @@ func (n *Node) startTermLocked(now time.Time, why string, args ...any) {
 	n.ms.claim = claim{Term: term, Leader: n.cfg.NodeID, Addr: n.cfg.Addr}
 	n.alloc = newAllocator(EpochOf(term, n.cfg.NodeID), n.cfg.Audit)
 	n.electedAt = now
-	n.linBlk = block{}
 	n.cfg.Stats.Elections.Add(1)
 	n.cfg.Logf("cluster: node %d elected itself leader of term %d (epoch %d): %s",
 		n.cfg.NodeID, term, EpochOf(term, n.cfg.NodeID), fmt.Sprintf(why, args...))
@@ -277,35 +277,55 @@ func (n *Node) pickPeerLocked(round int, now time.Time) string {
 	return peers[round%len(peers)]
 }
 
-// requestBlock is the minter's range source: a local grant while
-// leading, one TRangeRequest RPC to the leader otherwise.
-func (n *Node) requestBlock(k int64) (wire.Range, error) {
-	n.cfg.Stats.RangeRequests.Add(1)
+// grant obtains k fresh ids from the leader's frontier, the one way ids
+// leave the leader: an SC block for the minter (lin false) or exactly a
+// LIN sweep's k. On the lease holder it is alloc.grant under the node
+// mutex, anywhere else one TRangeRequest to the leader. Within an epoch
+// every grant lies above every earlier one, so a LIN sweep lies above
+// every value already handed out of the epoch, SC values included. A
+// failure wraps the refusal its caller's clients advance on:
+// wire.ErrNoRange for a block, wire.ErrNotLeader for a LIN sweep that
+// finds no leader or cannot reach it.
+func (n *Node) grant(k int64, lin bool) (wire.Range, error) {
+	st, refuse := n.cfg.Stats, wire.ErrNoRange
+	if lin {
+		refuse = wire.ErrNotLeader
+	} else {
+		st.RangeRequests.Add(1)
+	}
 	n.mu.Lock()
-	now := n.cfg.Clock.Now()
-	if n.leaseLocked(now) {
+	if n.leaseLocked(n.cfg.Clock.Now()) {
 		r, err := n.alloc.grant(n.cfg.NodeID, k)
-		if err == nil {
-			n.cfg.Stats.Grants.Add(1)
-		}
 		n.mu.Unlock()
-		return r, err
+		if err != nil {
+			return wire.Range{}, fmt.Errorf("%w: %v", wire.ErrNoRange, err)
+		}
+		st.Grants.Add(1)
+		if lin {
+			st.LinServed.Add(1)
+		}
+		return r, nil
 	}
 	cl := n.ms.claim
 	n.mu.Unlock()
 	if cl.Term == 0 || cl.Addr == "" || cl.Leader == n.cfg.NodeID {
-		return wire.Range{}, fmt.Errorf("%w: no leader to request a block from", wire.ErrNoRange)
+		return wire.Range{}, fmt.Errorf("%w: no leader to grant from", refuse)
 	}
 	req := wire.Frame{Type: wire.TRangeRequest, Node: n.cfg.NodeID,
 		Epoch: EpochOf(cl.Term, cl.Leader), K: k}
+	start := n.cfg.Clock.Now()
 	resp, err := n.call(cl.Addr, req)
+	if lin {
+		st.LinForwards.Add(1)
+		st.FwdLatency.Record(0, n.cfg.Clock.Since(start))
+	}
 	if err != nil {
 		if errors.Is(err, wire.ErrNotLeader) || errors.Is(err, wire.ErrNoRange) {
-			return wire.Range{}, err
+			return wire.Range{}, err // the leader already classified the refusal
 		}
-		// An unreachable leader and an absent block look the same to the
-		// mint that is waiting: a retryable range drought.
-		return wire.Range{}, fmt.Errorf("%w: grant rpc: %v", wire.ErrNoRange, err)
+		// An unreachable leader is a retryable refusal, not a malformed
+		// op: the caller's clients fail over or retry.
+		return wire.Range{}, fmt.Errorf("%w: grant from %s: %v", refuse, cl.Addr, err)
 	}
 	if resp.Type != wire.TRangeGrant || len(resp.Rs) != 1 {
 		return wire.Range{}, fmt.Errorf("cluster: unexpected grant reply %v", resp.Type)
@@ -313,40 +333,20 @@ func (n *Node) requestBlock(k int64) (wire.Range, error) {
 	return resp.Rs[0], nil
 }
 
-// linMintLocked serves k LIN mints at this node's serialization point.
-// LIN blocks come from the allocator's frontier like every grant, so
-// successive LIN values are strictly increasing within an epoch; across
-// elections the new epoch's stripe starts above every id the old one
-// could grant — together that is the cluster-wide step property.
-func (n *Node) linMintLocked(k int64) ([]runtime.Range, error) {
-	if n.linBlk.remaining() < k {
-		r, err := n.alloc.grant(n.cfg.NodeID, max(n.cfg.LINBlock, k))
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", wire.ErrNoRange, err)
-		}
-		n.cfg.Stats.Grants.Add(1)
-		n.linBlk = block{next: r.First, end: r.First + r.Count}
-	}
-	first := n.linBlk.next
-	n.linBlk.next += k
-	n.cfg.Stats.LinServed.Add(1)
-	return []runtime.Range{{First: first, Stride: 1, Count: k}}, nil
-}
-
 // LIN returns the node's LIN backend for the serving layer's LIN
 // sweeper (server Options.LIN): one call mints a whole sweep's k values
 // at the cluster's serialization point.
 func (n *Node) LIN() LINBackend { return LINBackend{n} }
 
-// LINBackend mints LIN values at the cluster leader's serialization
-// point. It implements the server Backend contract plus the fallible
-// TryIncBatch, which the server's one LIN sweeper calls once per sweep —
-// so a node has at most one LIN mint in flight — and HandlePeer, through
-// which the server's door answers the node's peers.
+// LINBackend mints LIN values from the cluster leader's frontier, its
+// serialization point. It implements the server Backend contract plus
+// the fallible TryIncBatch, which the server's one LIN sweeper calls
+// once per sweep — so a node has at most one LIN grant in flight — and
+// HandlePeer, through which the server's door answers the node's peers.
 type LINBackend struct{ n *Node }
 
-// HandlePeer answers one peer request (TGossip, TRangeRequest or
-// TLinForward) for the serving door.
+// HandlePeer answers one peer request (TGossip or TRangeRequest) for
+// the serving door.
 func (b LINBackend) HandlePeer(f *wire.Frame) wire.Frame { return b.n.handle(f) }
 
 // Shape implements the server Backend contract: the minter's shape.
@@ -359,47 +359,16 @@ func (b LINBackend) IncBatch(wire, k int) []runtime.Range {
 	return rs
 }
 
-// TryIncBatch mints k LIN values: under the node mutex while this node
-// holds the lease, otherwise with one TLinForward to the leader. A
-// refusal, or a leader that cannot be reached, is the retryable
-// wire.ErrNotLeader (or wire.ErrNoRange); the server sheds the sweep with
-// it.
-func (b LINBackend) TryIncBatch(wireID, k int) ([]runtime.Range, error) {
-	n := b.n
-	n.mu.Lock()
-	if n.leaseLocked(n.cfg.Clock.Now()) {
-		rs, err := n.linMintLocked(int64(k))
-		n.mu.Unlock()
-		return rs, err
-	}
-	cl := n.ms.claim
-	n.mu.Unlock()
-	if cl.Term == 0 || cl.Addr == "" || cl.Leader == n.cfg.NodeID {
-		return nil, wire.ErrNotLeader
-	}
-	n.cfg.Stats.LinForwards.Add(1)
-	start := n.cfg.Clock.Now()
-	req := wire.Frame{Type: wire.TLinForward, Mode: wire.ModeLIN,
-		Wire: int64(wireID), K: int64(k), Epoch: EpochOf(cl.Term, cl.Leader)}
-	resp, err := n.call(cl.Addr, req)
-	n.cfg.Stats.FwdLatency.Record(wireID, n.cfg.Clock.Since(start))
+// TryIncBatch mints a LIN sweep's k values as one grant of exactly k
+// from the leader's frontier (Node.grant). A refusal, or a leader that
+// cannot be reached, is the retryable wire.ErrNotLeader (or
+// wire.ErrNoRange); the server sheds the sweep with it.
+func (b LINBackend) TryIncBatch(_, k int) ([]runtime.Range, error) {
+	r, err := b.n.grant(int64(k), true)
 	if err != nil {
-		if errors.Is(err, wire.ErrNotLeader) || errors.Is(err, wire.ErrNoRange) {
-			return nil, err // the remote already classified the refusal
-		}
-		// An unreachable forward target is a leadership problem, not a
-		// client one: surface the retryable refusal so callers fail over
-		// to a live node instead of treating the op as malformed.
-		return nil, fmt.Errorf("%w: forward to %s: %v", wire.ErrNotLeader, cl.Addr, err)
+		return nil, err
 	}
-	if resp.Type != wire.TRanges {
-		return nil, fmt.Errorf("cluster: unexpected LIN forward reply %v", resp.Type)
-	}
-	out := make([]runtime.Range, len(resp.Rs))
-	for i, r := range resp.Rs {
-		out[i] = runtime.Range{First: r.First, Stride: r.Stride, Count: r.Count}
-	}
-	return out, nil
+	return []runtime.Range{{First: r.First, Stride: r.Stride, Count: r.Count}}, nil
 }
 
 // Close shuts the node down: stop gossiping, close the minter, then close

@@ -28,7 +28,7 @@ func newAllocator(epoch uint64, audit *Audit) *allocator {
 }
 
 // grant carves a block of k ids for node `to` from the frontier.
-// Successive grants are strictly increasing — the property LIN blocks
+// Successive grants are strictly increasing — the property LIN sweeps
 // and each node's own order rest on.
 func (a *allocator) grant(to uint64, k int64) (wire.Range, error) {
 	if k <= 0 {

@@ -8,21 +8,21 @@ import (
 )
 
 // Stats is the cluster layer's metrics sink: lock-free counters plus the
-// LIN forward latency histogram, surfaced on countd's existing /metrics
+// LIN grant RPC latency histogram, surfaced on countd's existing /metrics
 // handler (Node.AppendMetrics) under the countd_cluster_* prefix.
 type Stats struct {
 	GossipRounds   atomic.Uint64 // gossip exchanges attempted
 	GossipFailures atomic.Uint64 // gossip exchanges that errored
-	Grants         atomic.Uint64 // blocks granted while leading
-	RangeRequests  atomic.Uint64 // grant RPCs sent (prefetch + blocking)
-	LinForwards    atomic.Uint64 // TLinForward calls to a remote leader (one per LIN sweep)
-	LinServed      atomic.Uint64 // LIN mints served at this node's serialization point
+	Grants         atomic.Uint64 // grants made while leading (SC blocks and LIN sweeps)
+	RangeRequests  atomic.Uint64 // SC block requests by the minter (prefetch + blocking)
+	LinForwards    atomic.Uint64 // LIN grant RPCs to a remote leader (one per LIN sweep)
+	LinServed      atomic.Uint64 // LIN sweeps granted under this node's own lease
 	NotLeader      atomic.Uint64 // cluster requests refused for lack of leadership
 	RefillBlocking atomic.Uint64 // mints that had to wait on a grant RPC
 	NoRange        atomic.Uint64 // mints shed because no block was obtainable
 	Elections      atomic.Uint64 // terms this node started
 
-	// FwdLatency is the LIN forward round-trip latency histogram.
+	// FwdLatency is the LIN grant RPC round-trip latency histogram.
 	FwdLatency *telemetry.Histogram
 }
 
@@ -63,7 +63,7 @@ func (st *Stats) Snapshot() Snapshot {
 
 // AppendMetrics writes the cluster metrics in Prometheus text exposition
 // format: counters, the membership/ownership gauges read live from the
-// node, and the LIN forward latency histogram.
+// node, and the LIN grant RPC latency histogram.
 func (n *Node) AppendMetrics(w io.Writer) {
 	st := n.cfg.Stats
 	counter := func(name, help string, v uint64) {
@@ -99,15 +99,15 @@ func (n *Node) AppendMetrics(w io.Writer) {
 
 	counter("countd_cluster_gossip_rounds_total", "gossip exchanges attempted", st.GossipRounds.Load())
 	counter("countd_cluster_gossip_failures_total", "gossip exchanges that errored", st.GossipFailures.Load())
-	counter("countd_cluster_grants_total", "id blocks granted while leading", st.Grants.Load())
-	counter("countd_cluster_range_requests_total", "grant RPCs sent", st.RangeRequests.Load())
-	counter("countd_cluster_lin_forwards_total", "LIN mints forwarded to a remote leader", st.LinForwards.Load())
-	counter("countd_cluster_lin_served_total", "LIN mints served at this node", st.LinServed.Load())
+	counter("countd_cluster_grants_total", "id grants made while leading (SC blocks and LIN sweeps)", st.Grants.Load())
+	counter("countd_cluster_range_requests_total", "SC block requests made by the minter", st.RangeRequests.Load())
+	counter("countd_cluster_lin_forwards_total", "LIN grant RPCs sent to a remote leader, one per LIN sweep", st.LinForwards.Load())
+	counter("countd_cluster_lin_served_total", "LIN sweeps granted under this node's own lease", st.LinServed.Load())
 	counter("countd_cluster_not_leader_total", "cluster requests refused for lack of leadership", st.NotLeader.Load())
 	counter("countd_cluster_refill_blocking_total", "mints that waited on a grant RPC", st.RefillBlocking.Load())
 	counter("countd_cluster_no_range_total", "mints shed with no obtainable block", st.NoRange.Load())
 	counter("countd_cluster_elections_total", "election terms this node started", st.Elections.Load())
 
-	telemetry.WriteFamily(w, "countd_cluster_lin_forward_seconds", "histogram", "LIN forward round-trip latency")
+	telemetry.WriteFamily(w, "countd_cluster_lin_forward_seconds", "histogram", "LIN grant RPC round-trip latency")
 	telemetry.WriteHistogram(w, "countd_cluster_lin_forward_seconds", "", st.FwdLatency.Summary())
 }

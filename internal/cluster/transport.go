@@ -9,11 +9,11 @@ import (
 	"repro/internal/wire"
 )
 
-// handle answers one peer request for the serving door. Grants and
-// forwards run under the node mutex, and only while this node holds
-// the lease — which makes the mutex the leader's per-epoch serialization
-// point: LIN forwards, grants and membership merges all pass through it
-// in one total order.
+// handle answers one peer request for the serving door. A grant runs
+// under the node mutex, and only while this node holds the lease — which
+// makes the mutex the leader's per-epoch serialization point: SC blocks,
+// LIN sweeps and membership merges all pass through it in one total
+// order.
 func (n *Node) handle(f *wire.Frame) wire.Frame {
 	if n.closing.Load() {
 		return errorFrame(fault.ErrClosed) // a closed node refuses every peer request
@@ -35,27 +35,15 @@ func (n *Node) handle(f *wire.Frame) wire.Frame {
 		n.cfg.Stats.NotLeader.Add(1)
 		return errorFrame(wire.ErrNotLeader)
 	}
-	switch f.Type {
-	case wire.TRangeRequest:
-		r, err := n.alloc.grant(f.Node, f.K)
-		if err != nil {
-			return errorFrame(wire.ErrNoRange)
-		}
-		n.cfg.Stats.Grants.Add(1)
-		return wire.Frame{Type: wire.TRangeGrant, Epoch: n.alloc.epoch, Rs: []wire.Range{r}}
-
-	case wire.TLinForward:
-		rs, err := n.linMintLocked(f.K)
-		if err != nil {
-			return errorFrame(wire.ErrNoRange)
-		}
-		out := wire.Frame{Type: wire.TRanges, Rs: make([]wire.Range, len(rs))}
-		for i, r := range rs {
-			out.Rs[i] = wire.Range{First: r.First, Stride: r.Stride, Count: r.Count}
-		}
-		return out
+	if f.Type != wire.TRangeRequest {
+		return errorFrame(wire.ErrBadFrame)
 	}
-	return errorFrame(wire.ErrBadFrame)
+	r, err := n.alloc.grant(f.Node, f.K)
+	if err != nil {
+		return errorFrame(wire.ErrNoRange)
+	}
+	n.cfg.Stats.Grants.Add(1)
+	return wire.Frame{Type: wire.TRangeGrant, Epoch: n.alloc.epoch, Rs: []wire.Range{r}}
 }
 
 // errorFrame builds the TError reply for a sentinel.
@@ -64,7 +52,7 @@ func errorFrame(err error) wire.Frame {
 }
 
 // call makes one request to the peer at addr on that peer's client: one
-// attempt, never retried (a re-sent grant or forward would mint twice),
+// attempt, never retried (a re-sent request would be granted twice),
 // its reply awaited for at most RPCTimeout on the node's clock. A TError
 // reply comes back as its sentinel, wrapped.
 func (n *Node) call(addr string, req wire.Frame) (wire.Frame, error) {

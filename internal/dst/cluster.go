@@ -19,11 +19,12 @@ import (
 
 // Cluster scenarios run N whole daemons — each a server.Server over a
 // cluster.Minter plus a cluster.Node — inside one simulated universe:
-// gossip, elections, range grants, LIN forwards, client failover, node
-// kills, rolling restarts and partitions all on the virtual clock. The
-// generator is deliberately separate from GenScenario so the cluster
-// flavor's existence cannot shift any existing seed's expansion (the
-// single-server traces and the -bug canary stay byte-identical).
+// gossip, elections, range grants (SC blocks and LIN sweeps), client
+// failover, node kills, rolling restarts and partitions all on the
+// virtual clock. The generator is deliberately separate from GenScenario
+// so the cluster flavor's existence cannot shift any existing seed's
+// expansion (the single-server traces and the -bug canary stay
+// byte-identical).
 //
 // The flavor runs on the shared harness: RunClusterScenario boots the
 // nodes and supplies the chaos actor, dials each worker a
@@ -52,7 +53,6 @@ type ClusterScenario struct {
 	GossipEvery time.Duration // base period; node i adds i*1009ns so ticks never tie
 	RPCTimeout  time.Duration
 	BlockSize   int64
-	LINBlock    int64
 
 	JitterMin, JitterMax time.Duration
 	Retries              int
@@ -72,8 +72,8 @@ func (sc *ClusterScenario) Header() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# cluster seed=%d flavor=%s nodes=%d workers=%d linfrac=%d\n",
 		sc.Seed, sc.Flavor, sc.Nodes, sc.Workers, sc.LinFrac)
-	fmt.Fprintf(&b, "# gossip=%d rpct=%d block=%d linblock=%d jitter=[%d,%d] retries=%d opt=%d dialt=%d backoff=[%d,%d]\n",
-		sc.GossipEvery.Nanoseconds(), sc.RPCTimeout.Nanoseconds(), sc.BlockSize, sc.LINBlock,
+	fmt.Fprintf(&b, "# gossip=%d rpct=%d block=%d jitter=[%d,%d] retries=%d opt=%d dialt=%d backoff=[%d,%d]\n",
+		sc.GossipEvery.Nanoseconds(), sc.RPCTimeout.Nanoseconds(), sc.BlockSize,
 		sc.JitterMin.Nanoseconds(), sc.JitterMax.Nanoseconds(), sc.Retries,
 		sc.OpTimeout.Nanoseconds(), sc.DialTimeout.Nanoseconds(),
 		sc.BackoffBase.Nanoseconds(), sc.BackoffCap.Nanoseconds())
@@ -116,7 +116,6 @@ func GenClusterScenario(seed uint64) ClusterScenario {
 	sc.GossipEvery = 10*time.Millisecond + time.Duration(r(0x04, 0)%6)*time.Millisecond
 	sc.RPCTimeout = 250 * time.Millisecond
 	sc.BlockSize = 512
-	sc.LINBlock = 32
 	sc.JitterMin = 20 * time.Microsecond
 	sc.JitterMax = sc.JitterMin + time.Duration(r(0x05, 0)%10)*25*time.Microsecond
 	sc.Retries = 2 + int(r(0x06, 0)%3)
@@ -124,7 +123,7 @@ func GenClusterScenario(seed uint64) ClusterScenario {
 	sc.BackoffCap = 8 * sc.BackoffBase
 	sc.DialTimeout = time.Second
 	// Per-attempt budget: dial (<=5 grid cells) + both legs' jitter, plus
-	// the LIN forward's own dial and round trip, plus leader-mutex queuing
+	// the LIN grant's own dial and round trip, plus leader-mutex queuing
 	// behind every other worker.
 	sc.OpTimeout = 9*sc.JitterMax + 40*grid + 3*time.Millisecond +
 		time.Duration(sc.Workers)*2*grid
@@ -214,7 +213,7 @@ type simNode struct {
 }
 
 // leave shuts the incarnation down gracefully: drain the serving half
-// (in-flight LIN forwards resolve), then close the cluster half, whose
+// (in-flight LIN grants resolve), then close the cluster half, whose
 // unminted ids burn.
 func (n *simNode) leave() {
 	_ = n.srv.Close()
@@ -258,7 +257,6 @@ func startSimNode(w *World, sc *ClusterScenario, i, gen int, audit *cluster.Audi
 		RPCTimeout:  sc.RPCTimeout,
 		Width:       8,
 		BlockSize:   sc.BlockSize,
-		LINBlock:    sc.LINBlock,
 		PeerDialer: func(addr string, timeout time.Duration) (net.Conn, error) {
 			laneMu.Lock()
 			defer laneMu.Unlock()
@@ -430,7 +428,9 @@ func checkClusterInvariants(res *ClusterResult, w *World, audit *cluster.Audit) 
 	// 8×GossipEvery suspicion that lets a successor stand) forbids
 	// old-leader mints after the new leader starts. Ids are striped by
 	// epoch, not dense from 0, so the range check is the grant coverage
-	// below; session order is counted in res.Audit, not enforced.
+	// below. LIN keeps session order (a LIN sweep is a fresh frontier
+	// grant, above every value already handed out); SC session order is
+	// counted in res.Audit, not enforced.
 	delivered, violations := auditOps(&res.Outcome, w, adversity, true, math.MaxInt64)
 	res.Violations = append(res.Violations, violations...)
 	res.Delivered = len(delivered)

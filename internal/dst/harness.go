@@ -549,8 +549,10 @@ func allowedErr(cat string, cluster bool) bool {
 //     returns a value below one that a LIN increment which had already
 //     ended (simulated real time, any worker, any node) returned;
 //   - session order: no increment returns a value below one its worker
-//     was already handed, in either mode. The cluster does not keep it
-//     yet (ROADMAP item 1), so there it is counted in out.Audit only;
+//     was already handed, in either mode. The cluster keeps it for LIN
+//     increments only (each LIN sweep is a fresh grant from the leader's
+//     frontier), so there a LIN break fails and an SC break is counted in
+//     out.Audit only (ROADMAP item 1);
 //   - errors: none on a clean run, only whitelisted categories otherwise;
 //   - drain: after Close nothing is still parked on the virtual clock.
 func auditOps(out *Outcome, w *World, adversity, cluster bool, issued int64) (vals []int64, violations []string) {
@@ -583,6 +585,9 @@ func auditOps(out *Outcome, w *World, adversity, cluster bool, issued int64) (va
 		b := recs[rep.Behind]
 		fail("session order: w%d/op%d (val %d) returned below a value w%d had already been handed, %d such ops",
 			b.Process, b.Index, slices.Min(b.Values), b.Process, n)
+	}
+	if cluster && rep.LIN.NonSC > 0 {
+		fail("LIN session order: %d LIN ops returned below a value their worker had already been handed", rep.LIN.NonSC)
 	}
 	for _, op := range out.Ops {
 		switch {

@@ -157,7 +157,7 @@ func (c *conn) readLoop() {
 // peerHandler is the optional form of Options.LIN that also answers the
 // cluster's peer opcodes (a cluster node's LIN backend implements it).
 // The door calls it on the reader goroutine, never through a mailbox, so
-// a node whose LIN sweeper waits on a forward still gossips, grants and
+// a node whose LIN sweeper waits on a grant still gossips, grants and
 // renews its lease. HandlePeer must not retain f.
 type peerHandler interface {
 	HandlePeer(f *wire.Frame) wire.Frame
@@ -213,7 +213,7 @@ func (c *conn) process(f *wire.Frame) {
 			}
 			c.trySend(m)
 		}
-	case wire.TGossip, wire.TRangeRequest, wire.TLinForward:
+	case wire.TGossip, wire.TRangeRequest:
 		if s.peer != nil {
 			resp := s.peer.HandlePeer(f)
 			resp.ID, resp.Trace = f.ID, f.Trace

@@ -130,9 +130,9 @@ type Options struct {
 	// returned. A failed call sheds the whole sweep with its retryable
 	// error. Nil serves LIN from the one mailbox and the main backend. A
 	// LIN backend that also answers the cluster's peer opcodes (TGossip,
-	// TRangeRequest, TLinForward) gets them from the door, so the node
-	// needs no listener of its own; without one the door refuses them
-	// with wire.ErrBadFrame.
+	// TRangeRequest) gets them from the door, so the node needs no
+	// listener of its own; without one the door refuses them with
+	// wire.ErrBadFrame.
 	LIN Backend
 	// Clock times mailbox residency (OpTimeout), stage spans and
 	// injected frame delays; nil means the wall clock. The deterministic

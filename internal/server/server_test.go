@@ -112,8 +112,34 @@ func TestRequestResponse(t *testing.T) {
 		t.Fatalf("read after 6 incs: %+v", f)
 	}
 
-	if snap := s.opt.Stats.Snapshot(); snap.SCOps != 2 {
-		t.Fatalf("stats scOps = %d, want 2", snap.SCOps)
+	if snap := s.opt.Stats.Snapshot(); snap.SCOps != 6 {
+		t.Fatalf("stats scOps = %d, want 6 (one inc and a batch of 5)", snap.SCOps)
+	}
+}
+
+// TestOpCountersCountIncrements: the SC and LIN op counters count
+// increments, not requests, so a combined TIncBatch of k callers counts
+// k and on a clean server the two counters sum to issued.
+func TestOpCountersCountIncrements(t *testing.T) {
+	s, _, addr := startServer(t, 4, Options{Stats: NewStats(0)})
+	c := dialT(t, addr)
+	c.send(
+		wire.Frame{Type: wire.TIncBatch, ID: 1, Wire: 0, K: 5},
+		wire.Frame{Type: wire.TIncBatch, ID: 2, Wire: 1, K: 3, Mode: wire.ModeLIN},
+		wire.Frame{Type: wire.TInc, ID: 3, Wire: 2},
+		wire.Frame{Type: wire.TInc, ID: 4, Wire: 3, Mode: wire.ModeLIN},
+	)
+	for i := 0; i < 4; i++ {
+		if f := c.recv(); f.Type == wire.TError {
+			t.Fatalf("reply %d: %+v", i, f)
+		}
+	}
+	snap := s.opt.Stats.Snapshot()
+	if snap.SCOps != 6 || snap.LINOps != 4 {
+		t.Errorf("counted %d SC and %d LIN increments, want 6 and 4", snap.SCOps, snap.LINOps)
+	}
+	if got := int64(snap.SCOps + snap.LINOps); got != s.Issued() {
+		t.Errorf("sc + lin ops = %d, issued %d", got, s.Issued())
 	}
 }
 

@@ -72,7 +72,7 @@ type Stats struct {
 	bytesOut       atomic.Uint64 // response bytes written
 
 	latSC  *telemetry.Histogram // mailbox-entry to response-enqueue
-	latLIN *telemetry.Histogram // the same for LIN; a cluster forward's round trip
+	latLIN *telemetry.Histogram // the same for LIN; a cluster LIN grant's round trip
 
 	// stage holds one histogram per serving-path stage (stageDefs): where
 	// a request's time goes, split by the request's consistency mode.
@@ -83,7 +83,7 @@ type Stats struct {
 
 // Stage-histogram indices and their Prometheus labels: mailbox, sweep
 // and traverse once per mode, in the same order, so a LIN request's
-// stage is its SC stage plus stageLinMailbox. A cluster LIN forward
+// stage is its SC stage plus stageLinMailbox. A cluster LIN grant
 // records its round trip as traverse/lin. The flush stage is shared by
 // both modes (one writer per connection).
 const (
@@ -223,16 +223,18 @@ func (st *Stats) observeQueue(depth int) {
 	}
 }
 
-// recordSwept counts one swept request under its mode: the op counter,
-// the end-to-end latency and its mailbox, sweep and traverse stages,
-// each weighted by the operations the request stands for.
+// recordSwept counts one swept request under its mode: its k increments
+// on the op counter (a combined TIncBatch of k callers counts k, a UDP
+// post the sum of its datagrams' k), and the end-to-end latency and its
+// mailbox, sweep and traverse stages, each weighted by the requests it
+// stands for (its weight).
 func (st *Stats) recordSwept(r req, lat, mailbox, sweep, traverse time.Duration) {
 	n := r.weight()
 	ops, hist, stage := &st.scOps, st.latSC, stageScMailbox
 	if r.mode == 1 {
 		ops, hist, stage = &st.linOps, st.latLIN, stageLinMailbox
 	}
-	ops.Add(uint64(n))
+	ops.Add(uint64(r.k))
 	hist.RecordN(r.wire, lat, n)
 	st.stageRecordN(stage, r.wire, mailbox, n)
 	st.stageRecordN(stage+1, r.wire, sweep, n)

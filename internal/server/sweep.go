@@ -22,9 +22,10 @@ type req struct {
 	trace uint64 // nonzero: record stage spans for this request
 }
 
-// weight is how many client operations r stands for — 1 for TCP requests,
-// the folded datagram count for aggregated UDP posts — so per-op counters
-// and latency histograms keep per-datagram semantics under aggregation.
+// weight is how many requests r stands for — 1 for TCP requests, the
+// folded datagram count for aggregated UDP posts — so latency histograms
+// keep per-request semantics under aggregation. The op counters count
+// r.k, the increments.
 func (r req) weight() int {
 	if r.folds > 1 {
 		return int(r.folds)
@@ -213,7 +214,7 @@ func (sw *sweeper) sweep(pending []req) {
 	}
 	if sweepErr != nil {
 		// The backend could not mint (a cluster node cut off from its
-		// range leader, or a LIN forward that found no leader): shed the
+		// range leader, or a LIN grant that found no leader): shed the
 		// whole sweep with a retryable error — nothing was issued, nothing
 		// is lost, clients re-issue. UDP posts have no one to answer, so
 		// they are counted as dropped.

@@ -252,8 +252,8 @@ func TestUDPBatchAggregation(t *testing.T) {
 	if snap.SweepReqs != 1 {
 		t.Errorf("the sweeper saw %d posts for %d datagrams, want 1 (one per batch)", snap.SweepReqs, onWire0+onWire1)
 	}
-	if snap.SCOps != onWire0+onWire1 {
-		t.Errorf("scOps = %d, want %d (per-datagram accounting)", snap.SCOps, onWire0+onWire1)
+	if snap.SCOps != values {
+		t.Errorf("scOps = %d, want %d (the datagrams' increments)", snap.SCOps, values)
 	}
 	if snap.LatencySC.Count != onWire0+onWire1 {
 		t.Errorf("SC latency count = %d, want %d", snap.LatencySC.Count, onWire0+onWire1)

@@ -38,9 +38,8 @@ func TestClusterOpcodesRoundTrip(t *testing.T) {
 		{Type: TGossip, ID: 10}, // empty digest
 		{Type: TRangeRequest, ID: 11, Node: 3, Epoch: 5<<10 | 3, K: 2048},
 		{Type: TRangeGrant, ID: 11, Epoch: 5<<10 | 1, Rs: rs},
-		{Type: TRangeGrant, ID: 12, Epoch: 1}, // rejection carries no ranges
-		{Type: TLinForward, ID: 14, Wire: 6, K: 3, Epoch: 9<<10 | 2, Mode: ModeLIN},
-		{Type: TLinForward, ID: 15, Wire: 0, K: 1, Epoch: 0},
+		{Type: TRangeGrant, ID: 12, Epoch: 1},                          // rejection carries no ranges
+		{Type: TRangeRequest, ID: 14, Node: 2, Epoch: 9<<10 | 2, K: 1}, // a LIN sweep of one
 	} {
 		got := rtrip(t, f)
 		want := f
@@ -63,7 +62,7 @@ func TestClusterOpcodesRoundTrip(t *testing.T) {
 }
 
 func TestClusterOpcodesAreRequests(t *testing.T) {
-	for _, typ := range []Type{TGossip, TRangeRequest, TLinForward} {
+	for _, typ := range []Type{TGossip, TRangeRequest} {
 		if !typ.IsRequest() {
 			t.Errorf("%v should be a request opcode", typ)
 		}
@@ -116,13 +115,17 @@ func TestHelloNodeExtensionRequest(t *testing.T) {
 	}
 }
 
-// Opcodes 5 (TSnapshot), 8 (TRangeReturn) and 19 (TInfo) are retired: a
-// frame that still carries one fails to decode rather than being misread.
+// Opcodes 5 (TSnapshot), 8 (TRangeReturn), 9 (TLinForward) and 19
+// (TInfo) are retired: a frame that still carries one fails to decode
+// rather than being misread, and the encoder refuses to write one.
 func TestRetiredOpcodes(t *testing.T) {
-	for _, typ := range []Type{5, 8, 19} {
+	for _, typ := range []Type{5, 8, 9, 19} {
 		b := rawFrame(typ, 0, 9)
 		if _, _, err := DecodeFrame(b); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("opcode %d: decode error %v, want ErrBadFrame", typ, err)
+		}
+		if _, err := EncodeFrame(&Frame{Type: typ, ID: 9}); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("opcode %d: encode error %v, want ErrBadFrame", typ, err)
 		}
 	}
 }

@@ -41,10 +41,12 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(enc)
 	}
 	// Retired numbers: an old peer's stats query (opcode 5), its range
-	// return (opcode 8: id, node, epoch, one range {0, 1, 8}), and its
-	// THello asking for the node advertisement (flag bit 0x04).
+	// return (opcode 8: id, node, epoch, one range {0, 1, 8}), its LIN
+	// forward (opcode 9: id, wire 6, k 3, epoch), and its THello asking
+	// for the node advertisement (flag bit 0x04).
 	f.Add(rawFrame(5, 0, 5))
 	f.Add(rawFrame(8, 0, 8, 2, 1, 1, 0, 1, 8))
+	f.Add(rawFrame(9, flagLIN, 9, 12, 3, 1))
 	f.Add(rawFrame(THello, retiredNodeFlag, 4))
 	f.Add([]byte{})
 	f.Add([]byte{magic0, magic1, Version})

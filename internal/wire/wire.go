@@ -27,17 +27,16 @@
 //	THello        id                     →  TShape  id, width, sinks, balancers, depth
 //	TGossip       id, len, bytes (JSON)  →  TGossipAck  id, len, bytes (JSON)
 //	TRangeRequest id, node, epoch, k     →  TRangeGrant id, epoch, ranges
-//	TLinForward   id, wire, k, epoch     →  TRanges id, n, n×(first, stride, count)
 //	any           —                      →  TError  id, code, len, message
 //
 // The mode flag rides on every request frame: SC requests may be answered
 // with purely local latency, LIN requests must be answered in real-time
 // order — the protocol-level form of the paper's
 // sequentially-consistent-versus-linearizable tradeoff. A single node
-// meets both with one sweeper; a cluster forwards LIN to its leader.
-// The cluster opcodes (TGossip, TRangeRequest, TLinForward) are spoken
-// between countd nodes (internal/cluster) and ride each node's serving
-// door; they reuse the same framing and CRC discipline as the
+// meets both with one sweeper; a cluster grants each LIN sweep from its
+// leader's frontier. The cluster opcodes (TGossip, TRangeRequest) are
+// spoken between countd nodes (internal/cluster) and ride each node's
+// serving door; they reuse the same framing and CRC discipline as the
 // client-facing protocol.
 //
 // The trace extension (flag bit 1) is backward compatible by
@@ -50,10 +49,12 @@
 // Retired numbers stay out of reuse and nothing is renumbered: opcodes 5
 // (TSnapshot, a stats query whose JSON /metrics serves), 8
 // (TRangeReturn, a leaving node's unminted remainder handed back to the
-// leader; a leaving node now burns it) and 19 (TInfo, the stats reply),
-// and flag bit 2 (0x04, the THello node advertisement that appended node
-// id, epoch and owned ranges to the TShape reply). A frame with opcode 5,
-// 8 or 19 fails to decode with ErrBadFrame; the decoder ignores flag bit
+// leader; a leaving node now burns it), 9 (the LIN forward, a LIN sweep
+// minted from a block the leader kept for LIN; a LIN sweep is now a
+// TRangeRequest for exactly its k) and 19 (TInfo, the stats reply), and
+// flag bit 2 (0x04, the THello node advertisement that appended node
+// id, epoch and owned ranges to the TShape reply). A frame with opcode
+// 5, 8, 9 or 19 fails to decode with ErrBadFrame; the decoder ignores flag bit
 // 2, so an old peer's THello that sets it is answered with the plain
 // TShape.
 package wire
@@ -122,7 +123,7 @@ func ParseMode(s string) (Mode, error) {
 	return ModeSC, fmt.Errorf("wire: unknown consistency mode %q (want sc or lin)", s)
 }
 
-// Type is a frame's opcode. Opcodes 5, 8 and 19 are retired: never
+// Type is a frame's opcode. Opcodes 5, 8, 9 and 19 are retired: never
 // reuse them (see the package doc).
 type Type uint8
 
@@ -135,12 +136,11 @@ const (
 
 	// Cluster requests (node-to-node, on the serving door).
 	TGossip       Type = 6 // membership exchange: opaque digest (JSON)
-	TRangeRequest Type = 7 // ask the leader for a fresh id block
-	TLinForward   Type = 9 // forward a LIN mint to the serialization point
+	TRangeRequest Type = 7 // ask the leader for k fresh ids from its frontier
 
 	// Responses.
 	TValue      Type = 16 // one value (answers TInc and TRead)
-	TRanges     Type = 17 // value ranges (answers TIncBatch and TLinForward)
+	TRanges     Type = 17 // value ranges (answers TIncBatch)
 	TShape      Type = 18 // network shape (answers THello)
 	TError      Type = 20 // typed failure for any request
 	TGossipAck  Type = 21 // responder's merged digest (answers TGossip)
@@ -170,8 +170,6 @@ func (t Type) String() string {
 		return "gossip"
 	case TRangeRequest:
 		return "rangereq"
-	case TLinForward:
-		return "linfwd"
 	case TGossipAck:
 		return "gossipack"
 	case TRangeGrant:
@@ -181,8 +179,8 @@ func (t Type) String() string {
 }
 
 // IsRequest reports whether t lies in the client-to-server opcode range
-// (retired 5 and 8 included; DecodeInto rejects them).
-func (t Type) IsRequest() bool { return t >= TInc && t <= TLinForward }
+// (retired 5 included; DecodeInto rejects it).
+func (t Type) IsRequest() bool { return t >= TInc && t <= TRangeRequest }
 
 // flag bits. 0x04 is retired (the THello node advertisement): decoders
 // ignore it, and it is never reused.
@@ -191,8 +189,8 @@ const (
 	flagTraced = 0x02 // an 8-byte trace id follows the flags byte
 )
 
-// maxK bounds K, the increment count of a TIncBatch, TRangeRequest or
-// TLinForward: the encoder refuses a frame above it, the decoder rejects one.
+// maxK bounds K, the increment count of a TIncBatch or TRangeRequest:
+// the encoder refuses a frame above it, the decoder rejects one.
 const maxK = 1 << 32
 
 // Decode failures: the frame bytes themselves are unusable.
@@ -299,8 +297,8 @@ type Frame struct {
 	// echoed by the server on the response.
 	Trace uint64
 
-	Wire  int64         // TInc, TIncBatch, TLinForward
-	K     int64         // TIncBatch, TRangeRequest, TLinForward (at most maxK)
+	Wire  int64         // TInc, TIncBatch
+	K     int64         // TIncBatch, TRangeRequest (at most maxK)
 	Value int64         // TValue
 	Rs    []Range       // TRanges, TRangeGrant
 	Shape network.Shape // TShape
@@ -308,7 +306,7 @@ type Frame struct {
 	Msg   string        // TError
 	Data  []byte        // TGossip, TGossipAck
 	Node  uint64        // TRangeRequest: the minting node id
-	Epoch uint64        // TRange*, TLinForward: the epoch fencing the ranges
+	Epoch uint64        // TRange*: the epoch fencing the ranges
 }
 
 // uvarintLen is the encoded size of v as a uvarint.
@@ -365,11 +363,6 @@ func payloadSize(f *Frame) (int, error) {
 			return 0, err
 		}
 		n += uvarintLen(f.Epoch) + rn
-	case TLinForward:
-		if f.K < 0 || f.K > maxK {
-			return 0, fmt.Errorf("%w: batch size %d", ErrBadFrame, f.K)
-		}
-		n += varintLen(f.Wire) + uvarintLen(uint64(f.K)) + uvarintLen(f.Epoch)
 	default:
 		return 0, fmt.Errorf("%w: unknown frame type %d", ErrBadFrame, f.Type)
 	}
@@ -453,10 +446,6 @@ func appendPayload(p []byte, f *Frame) []byte {
 	case TRangeGrant:
 		p = binary.AppendUvarint(p, f.Epoch)
 		p = appendRanges(p, f.Rs)
-	case TLinForward:
-		p = binary.AppendVarint(p, f.Wire)
-		p = binary.AppendUvarint(p, uint64(f.K))
-		p = binary.AppendUvarint(p, f.Epoch)
 	case TError:
 		p = binary.AppendUvarint(p, uint64(f.Code))
 		p = binary.AppendUvarint(p, uint64(len(f.Msg)))
@@ -641,19 +630,6 @@ func parsePayload(f *Frame, p []byte) error {
 		if p, err = parseRanges(f, p); err != nil {
 			return err
 		}
-	case TLinForward:
-		if f.Wire, p, err = getVarint(p); err != nil {
-			return err
-		}
-		var k uint64
-		if k, p, err = getUvarint(p); err != nil {
-			return err
-		}
-		if k > maxK {
-			return fmt.Errorf("%w: batch size %d", ErrBadFrame, k)
-		}
-		f.K = int64(k)
-		f.Epoch, p, err = getUvarint(p)
 	case TGossip, TGossipAck:
 		var n uint64
 		if n, p, err = getUvarint(p); err != nil {

@@ -305,7 +305,7 @@ func TestPeekHeader(t *testing.T) {
 // and K = maxK+1 is refused by the encoder, leaving dst as it was, and
 // rejected by the decoder, so one bound holds on both sides.
 func TestBatchSizeBound(t *testing.T) {
-	for _, typ := range []Type{TIncBatch, TRangeRequest, TLinForward} {
+	for _, typ := range []Type{TIncBatch, TRangeRequest} {
 		f := Frame{Type: typ, ID: 9, Wire: 2, Node: 3, Epoch: 4, K: maxK}
 		enc, err := EncodeFrame(&f)
 		if err != nil {
