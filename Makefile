@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay sim-digest sim-digest-diff experiments examples lint clean
+.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay sim-digest sim-digest-diff sim-cost-diff experiments examples lint clean
 
 all: build test
 
@@ -185,6 +185,20 @@ sim-digest-diff:
 		echo "$$f: $$(grep -c "^> $$f " .sim-digest/diff.txt) of $$(grep -c "^$$f " .sim-digest/head.txt) lines differ"; \
 	done; \
 	test ! -s .sim-digest/diff.txt
+
+# Show how a change moves the simulator's cost ledger: regenerate
+# internal/dst/testdata/cost.golden (TestCostGolden -update) on a git
+# archive of BASE and in this tree (rewriting the tree's golden, as a change
+# that moves it must), print the diff, and fail on any
+# difference. BASE must already have the golden: make sim-cost-diff BASE=<rev>
+sim-cost-diff:
+	@test -n "$(BASE)" || { echo "usage: make sim-cost-diff BASE=<rev>"; exit 2; }
+	@rm -rf .sim-digest/cost-base && mkdir -p .sim-digest/cost-base
+	@git archive $(BASE) | tar -x -C .sim-digest/cost-base
+	@$(GO) test -C .sim-digest/cost-base -count=1 -run '^TestCostGolden$$' ./internal/dst -update > /dev/null
+	@$(GO) test -count=1 -run '^TestCostGolden$$' ./internal/dst -update > /dev/null
+	@diff -u .sim-digest/cost-base/internal/dst/testdata/cost.golden internal/dst/testdata/cost.golden \
+		&& echo "cost.golden: no line differs from $(BASE)"
 
 lint:
 	$(GO) vet ./...

@@ -47,7 +47,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/consistency"
 	"repro/internal/dst"
 )
 
@@ -109,7 +108,8 @@ func run(o options, out *os.File) (int, error) {
 type seedRun struct {
 	*dst.Outcome
 	flavor  string
-	summary string // the flavor's accounting for the replay line
+	summary string           // the flavor's accounting for the replay line
+	count   func(*dst.Tally) // adds the run to its flavor's tally
 }
 
 // runSeed runs one seed of the flavor o selects: a single server, or a
@@ -124,7 +124,8 @@ func runSeed(o options, seed uint64) (seedRun, error) {
 		}
 		return seedRun{&res.Outcome, res.Scenario.Flavor, fmt.Sprintf(
 			"%d nodes, %d ops, granted %d, issued %d, delivered %d, %d steps",
-			res.Scenario.Nodes, len(res.Ops), res.Granted, res.Issued, res.Delivered, res.Steps)}, nil
+			res.Scenario.Nodes, len(res.Ops), res.Granted, res.Issued, res.Delivered, res.Steps),
+			func(t *dst.Tally) { t.AddCluster(res) }}, nil
 	}
 	res, err := dst.Run(seed, dst.RunOptions{Bug: o.bug, Flight: o.flight})
 	if err != nil {
@@ -132,7 +133,8 @@ func runSeed(o options, seed uint64) (seedRun, error) {
 	}
 	return seedRun{&res.Outcome, res.Scenario.Flavor, fmt.Sprintf(
 		"%d ops, issued %d, delivered %d, %d steps",
-		len(res.Ops), res.Issued, res.Delivered, res.Steps)}, nil
+		len(res.Ops), res.Issued, res.Delivered, res.Steps),
+		func(t *dst.Tally) { t.Add(&res.Outcome) }}, nil
 }
 
 // artifact writes one of a seed's artifacts ("trace" or "flight.json")
@@ -195,33 +197,16 @@ func replay(o options, out *os.File) (int, error) {
 	return 0, nil
 }
 
-// tally sums one flavor's audits over a sweep: the seeds with a
-// session-order break, the largest displacement k of either mode, and
-// F_nl of SC values (ROADMAP 13(a)), pooled over every seed's SC ops.
-type tally struct {
-	seeds, broken int
-	k             int64
-	sc            consistency.Fractions
-}
-
-func (t *tally) add(r consistency.Report) {
-	t.seeds++
-	t.broken += min(r.SessionBreaks(), 1)
-	t.k = max(t.k, r.SC.Displacement, r.LIN.Displacement)
-	t.sc.Total += r.SC.Ops
-	t.sc.NonLin += r.SC.NonLin
-}
-
-func (t *tally) line(flavor string) string {
-	return fmt.Sprintf("countsim: %s: %d seeds with a session-order break, largest displacement k %d, F_nl of SC values %.4f (%d/%d)",
-		flavor, t.broken, t.k, t.sc.NonLinFraction(), t.sc.NonLin, t.sc.Total)
+// line is a flavor's summary line in a sweep.
+func line(flavor string, t *dst.Tally) string {
+	return fmt.Sprintf("countsim: %s: %s", flavor, t.Summary())
 }
 
 // sweep runs the seed range in order. dst.NewWorld pins the process to
 // one P, so concurrent worlds would only interleave.
 func sweep(o options, out *os.File) (int, error) {
 	runs := make([]seedRun, o.seeds)
-	flavors := map[string]*tally{}
+	flavors := map[string]*dst.Tally{}
 	var failing []uint64
 	dupSeeds := 0
 	for i := range runs {
@@ -232,9 +217,9 @@ func sweep(o options, out *os.File) (int, error) {
 		}
 		runs[i] = r
 		if flavors[r.flavor] == nil {
-			flavors[r.flavor] = &tally{}
+			flavors[r.flavor] = &dst.Tally{}
 		}
-		flavors[r.flavor].add(r.Audit)
+		r.count(flavors[r.flavor])
 		dupSeeds += min(r.Audit.Duplicates, 1)
 		if r.Failed() {
 			failing = append(failing, seed)
@@ -248,12 +233,12 @@ func sweep(o options, out *os.File) (int, error) {
 	sort.Strings(names)
 	var mix []string
 	for _, f := range names {
-		mix = append(mix, fmt.Sprintf("%s %d", f, flavors[f].seeds))
+		mix = append(mix, fmt.Sprintf("%s %d", f, flavors[f].Seeds))
 	}
 	fmt.Fprintf(out, "countsim: %d seeds [%d..%d], %d failing (%s)\n",
 		o.seeds, o.start, o.start+o.seeds-1, len(failing), strings.Join(mix, ", "))
 	for _, f := range names {
-		fmt.Fprintln(out, flavors[f].line(f))
+		fmt.Fprintln(out, line(f, flavors[f]))
 	}
 
 	replayFlags := ""

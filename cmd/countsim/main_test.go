@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/consistency"
+	"repro/internal/dst"
 )
 
 // TestArtifactNamesKeepFlavorsApart pins the artifact naming both the
@@ -42,19 +43,19 @@ func TestArtifactNamesKeepFlavorsApart(t *testing.T) {
 // TestFlavorLine pins the per-flavor summary line a sweep prints, F_nl
 // of SC values included: pooled over seeds, not averaged per seed.
 func TestFlavorLine(t *testing.T) {
-	var tl tally
-	tl.add(consistency.Report{
+	var tl dst.Tally
+	tl.Add(&dst.Outcome{Audit: consistency.Report{
 		SC:  consistency.ModeReport{Ops: 6, NonLin: 3, NonSC: 1, Displacement: 512},
 		LIN: consistency.ModeReport{Ops: 4, Displacement: 7},
-	})
-	tl.add(consistency.Report{SC: consistency.ModeReport{Ops: 2, Displacement: 9}})
+	}})
+	tl.Add(&dst.Outcome{Audit: consistency.Report{SC: consistency.ModeReport{Ops: 2, Displacement: 9}}})
 	const want = "countsim: clean: 1 seeds with a session-order break, largest displacement k 512, F_nl of SC values 0.3750 (3/8)"
-	if got := tl.line("clean"); got != want {
+	if got := line("clean", &tl); got != want {
 		t.Errorf("got  %q\nwant %q", got, want)
 	}
-	var empty tally
+	var empty dst.Tally
 	const none = "countsim: single: 0 seeds with a session-order break, largest displacement k 0, F_nl of SC values 0.0000 (0/0)"
-	if got := empty.line("single"); got != none {
+	if got := line("single", &empty); got != none {
 		t.Errorf("got  %q\nwant %q", got, none)
 	}
 }

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-var updateDigests = flag.Bool("update", false, "rewrite testdata/trace.sha256 from the current code")
+var updateDigests = flag.Bool("update", false, "rewrite testdata/trace.sha256 and testdata/cost.golden from the current code")
 
 // traceDigestFile pins the SHA-256 of chosen seeds' traces, one
 // "flavor seed sha256" line each — the format `make sim-digest` prints.
