@@ -202,6 +202,7 @@ sim-cost-diff:
 
 lint:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed on:"; echo "$$fmt"; exit 1; fi
 	@# The serving path must be simulation-ready: no direct wall-clock use
 	@# outside tests — everything goes through the internal/clock seam.

@@ -107,7 +107,7 @@ func flags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.udpSocks, "udp-sockets", 0, "UDP sockets sharing the port via SO_REUSEPORT, one batched read loop each (0: default, min(GOMAXPROCS,4) on Linux)")
 	fs.BoolVar(&o.udpGSO, "udp-gso", true, "UDP GSO/GRO segmentation offload on the -udp endpoint; falls back to the plain batched path when the kernel lacks UDP_SEGMENT/UDP_GRO")
 	fs.StringVar(&o.telem, "telemetry", "", "HTTP telemetry address (empty: off)")
-	fs.StringVar(&o.mode, "mode", "sc", "default consistency: sc, or lin to serve every increment as LIN (forwarded to the leader in a cluster)")
+	fs.StringVar(&o.mode, "mode", "sc", "default consistency: sc, or lin to serve every increment as LIN (in a cluster, each LIN sweep is one grant from the leader)")
 	fs.DurationVar(&o.duration, "duration", 0, "run length (0: serve until interrupted)")
 	fs.StringVar(&o.cpuprof, "cpuprofile", "", "write a CPU profile to this file (empty: off)")
 	fs.IntVar(&o.sample, "trace-sample", 0, "sample 1 in N untraced requests into the flight recorder with a server-minted trace id (0: off; client-traced requests always record)")
@@ -235,7 +235,7 @@ func run(ctx context.Context, o options, out io.Writer) error {
 		UDPGSO:      o.udpGSO,
 	}
 	if node != nil {
-		sopt.LIN = node.LIN()
+		sopt.LIN = node
 	}
 	srv := server.New(backend, sopt)
 	defer srv.Close()

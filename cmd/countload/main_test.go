@@ -159,8 +159,8 @@ func TestLoadReachesEveryInputWire(t *testing.T) {
 type stripe struct{ next atomic.Int64 }
 
 func (s *stripe) Shape() network.Shape { return network.Shape{Width: 4, Sinks: 4} }
-func (s *stripe) IncBatch(w, k int) []netrt.Range {
-	return []netrt.Range{{First: s.next.Add(int64(k)) - int64(k), Stride: 1, Count: int64(k)}}
+func (s *stripe) Mint(dst []netrt.Range, w, k int) ([]netrt.Range, error) {
+	return append(dst, netrt.Range{First: s.next.Add(int64(k)) - int64(k), Stride: 1, Count: int64(k)}), nil
 }
 
 // TestLoadRunCluster: more than one -addr endpoint drives the endpoints

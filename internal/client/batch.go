@@ -45,8 +45,9 @@ const sealBit = int32(1) << 30
 
 // batcher is one flat-combining point. A client has exactly two, one per
 // mode, and callers on every wire share their mode's. SC and LIN never
-// share a batcher, so never a frame: in a cluster the LIN frame is
-// forwarded to the leader while SC is minted where it lands. Callers
+// share a batcher, so never a frame: in a cluster the LIN frame's sweep
+// is one grant from the leader's frontier while SC is minted from the
+// node's own block. Callers
 // claim a slot in the open group with one atomic add — no lock on the
 // per-op path. The caller that opens a group sends it: it waits for the
 // batcher's turn, seals the group and issues one TIncBatch on its own

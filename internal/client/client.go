@@ -241,7 +241,8 @@ func NewPeer(addr string, opt Options) *Client {
 // Call sends f and waits for its reply: one attempt on the pool's next
 // connection, dialled if need be, with no retry, bounded by ctx. A TError
 // reply comes back as its sentinel error. A caller whose request must not
-// run twice (a grant, a LIN forward) uses Call, not a retrying method.
+// run twice (a cluster node's grant request) uses Call, not a retrying
+// method.
 func (c *Client) Call(ctx context.Context, f wire.Frame) (wire.Frame, error) {
 	cc, err := c.conn()
 	if err != nil {

@@ -207,7 +207,7 @@ func (b *slowBackend) Shape() network.Shape {
 	return network.Shape{Width: w, Sinks: w, Balancers: w, Depth: 2}
 }
 
-func (b *slowBackend) IncBatch(w, k int) []runtime.Range {
+func (b *slowBackend) Mint(dst []runtime.Range, w, k int) ([]runtime.Range, error) {
 	time.Sleep(b.delay)
 	if b.hold != nil {
 		b.entered.Add(1)
@@ -218,7 +218,7 @@ func (b *slowBackend) IncBatch(w, k int) []runtime.Range {
 	first := b.next
 	b.next += int64(k)
 	b.wires = append(b.wires, w)
-	return []runtime.Range{{First: first, Stride: 1, Count: int64(k)}}
+	return append(dst, runtime.Range{First: first, Stride: 1, Count: int64(k)}), nil
 }
 
 // TestRebatching: 64 concurrent Inc callers of either mode against a slow

@@ -15,8 +15,8 @@ import (
 // healthy endpoint, and fails over to the next one when an endpoint dies
 // or refuses (the caller sees one logical counter). Because every
 // cluster node mints SC increments from its own epoch-fenced blocks and
-// forwards LIN increments to the leader's serialization point, any
-// endpoint can serve any request: routing is purely about liveness.
+// each LIN sweep as one grant from the leader's frontier, any endpoint
+// can serve any request: routing is purely about liveness.
 type Cluster struct {
 	addrs []string
 	opt   Options

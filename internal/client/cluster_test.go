@@ -30,10 +30,9 @@ func newStripeBackend(width int, base int64) *stripeBackend {
 }
 
 func (b *stripeBackend) Shape() network.Shape { return b.shape }
-func (b *stripeBackend) Inc(w int) int64      { return b.next.Add(1) - 1 }
-func (b *stripeBackend) IncBatch(w, k int) []runtime.Range {
+func (b *stripeBackend) Mint(dst []runtime.Range, w, k int) ([]runtime.Range, error) {
 	first := b.next.Add(int64(k)) - int64(k)
-	return []runtime.Range{{First: first, Stride: 1, Count: int64(k)}}
+	return append(dst, runtime.Range{First: first, Stride: 1, Count: int64(k)}), nil
 }
 
 // startNode serves one simulated cluster node on loopback.
@@ -51,7 +50,9 @@ func startNode(t *testing.T, be server.Backend, opt server.Options) (*server.Ser
 // notLeader refuses every mint the way a follower with no leader does.
 type notLeader struct{ *stripeBackend }
 
-func (notLeader) TryIncBatch(w, k int) ([]runtime.Range, error) { return nil, wire.ErrNotLeader }
+func (notLeader) Mint(dst []runtime.Range, w, k int) ([]runtime.Range, error) {
+	return dst, wire.ErrNotLeader
+}
 
 // TestClusterRefusalAdvances: a not_leader refusal moves the call on to
 // the next endpoint, which answers it, and the refusing node reads

@@ -66,7 +66,7 @@ func startNode(t *testing.T, cfg Config, ln net.Listener) (*Node, *server.Server
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(nd.Minter(), server.Options{LIN: nd.LIN()})
+	srv := server.New(nd.Minter(), server.Options{LIN: nd})
 	go srv.Serve(ln)
 	t.Cleanup(func() {
 		_ = nd.Close()
@@ -121,7 +121,7 @@ func collect(dst []int64, rs []wire.Range) []int64 {
 // mintIDs mints k SC ids on nd and returns them in the order handed out.
 func mintIDs(t *testing.T, nd *Node, k int) []int64 {
 	t.Helper()
-	rts, err := nd.Minter().TryIncBatch(0, k)
+	rts, err := nd.Minter().Mint(nil, 0, k)
 	if err != nil {
 		t.Fatalf("node %d mint: %v", nd.ID(), err)
 	}
@@ -190,7 +190,7 @@ func TestClusterLINMonotone(t *testing.T) {
 		// startup's convergence bound.
 		var rs []int64
 		for deadline := time.Now().Add(10 * time.Second); ; {
-			out, err := nd.LIN().TryIncBatch(0, 1)
+			out, err := nd.Mint(nil, 0, 1)
 			if err == nil {
 				rs = collect(nil, []wire.Range{{First: out[0].First, Stride: out[0].Stride, Count: out[0].Count}})
 				break
@@ -225,13 +225,18 @@ func TestLINAboveEarlierSC(t *testing.T) {
 		t.Fatal("no node holds the lease")
 	}
 	// A refusal while the view briefly loses its leader is retried, as a
-	// client would.
-	mint := func(mode string, inc func(wireID, k int) ([]runtime.Range, error)) int64 {
+	// client would. Each mint appends its one range to a non-empty dst,
+	// as into the sweeper's reused buffer.
+	mint := func(mode string, inc func(dst []runtime.Range, wireID, k int) ([]runtime.Range, error)) int64 {
 		t.Helper()
+		dst := []runtime.Range{{First: -1, Stride: 1, Count: 1}}
 		for deadline := time.Now().Add(10 * time.Second); ; {
-			rs, err := inc(0, 1)
+			rs, err := inc(dst, 0, 1)
 			if err == nil {
-				return rs[0].First
+				if len(rs) != 2 || rs[0] != dst[0] {
+					t.Fatalf("%s on node %d appended %v to %v, want one range after dst", mode, leader.ID(), rs, dst)
+				}
+				return rs[1].First
 			}
 			refused := errors.Is(err, wire.ErrNotLeader) || errors.Is(err, wire.ErrNoRange)
 			if !refused || time.Now().After(deadline) {
@@ -240,9 +245,9 @@ func TestLINAboveEarlierSC(t *testing.T) {
 			waitLeader(t, nodes)
 		}
 	}
-	lin1 := mint("LIN", leader.LIN().TryIncBatch)
-	sc := mint("SC", leader.Minter().TryIncBatch)
-	lin2 := mint("LIN", leader.LIN().TryIncBatch)
+	lin1 := mint("LIN", leader.Mint)
+	sc := mint("SC", leader.Minter().Mint)
+	lin2 := mint("LIN", leader.Mint)
 	if lin2 <= sc || lin2 <= lin1 {
 		t.Fatalf("LIN %d, SC %d, then LIN %d: the second LIN value is not above both", lin1, sc, lin2)
 	}
@@ -491,7 +496,7 @@ func TestFollowerForwardsShareOneConn(t *testing.T) {
 	before := follower.cfg.Stats.LinForwards.Load()
 	for j := 0; j < sweeps; j++ {
 		for deadline := time.Now().Add(10 * time.Second); ; {
-			_, err := follower.LIN().TryIncBatch(0, 1)
+			_, err := follower.Mint(nil, 0, 1)
 			if err == nil {
 				break
 			}

@@ -125,7 +125,7 @@ func TestDecodeDigestRejectsOutOfRange(t *testing.T) {
 			mine := claim{Term: 2, Leader: 1, Addr: "a"}
 			n := &Node{cfg: Config{Clock: clock.Or(nil)}, ms: newMembership(self, now, time.Second, 3*time.Second)}
 			n.ms.claim = mine
-			resp := n.handle(&wire.Frame{Type: wire.TGossip, Data: []byte(tc.body)})
+			resp := n.HandlePeer(&wire.Frame{Type: wire.TGossip, Data: []byte(tc.body)})
 			if tc.ok {
 				if resp.Type != wire.TGossipAck {
 					t.Fatalf("gossip answered %v %q, want an ack", resp.Type, resp.Msg)

@@ -167,7 +167,7 @@ func scan(ev, format string, i *int) bool {
 	return n == 1 && err == nil
 }
 
-// call runs one TryIncBatch of need ids the way the Minter does, up to
+// call runs one Mint of need ids the way the Minter does, up to
 // its return or its wait for a prefetch.
 func (w *mintWorld) call(need int64) error {
 	var out []runtime.Range
@@ -450,7 +450,7 @@ func minterFollows(t *testing.T, seed int64) {
 		}
 		done := make(chan result, 1)
 		go func() {
-			rs, err := m.TryIncBatch(0, k)
+			rs, err := m.Mint(nil, 0, k)
 			done <- result{rs, err}
 		}()
 		if waits {
@@ -461,14 +461,14 @@ func minterFollows(t *testing.T, seed int64) {
 		select {
 		case res = <-done:
 		case <-time.After(10 * time.Second):
-			t.Fatalf("seed %d, step %d: TryIncBatch(%d) did not return", seed, step, k)
+			t.Fatalf("seed %d, step %d: Mint(%d) did not return", seed, step, k)
 		}
 		if (res.err != nil) != wantErr {
-			t.Errorf("seed %d, step %d: TryIncBatch(%d) error %v, shadow expects an error: %v", seed, step, k, res.err, wantErr)
+			t.Errorf("seed %d, step %d: Mint(%d) error %v, shadow expects an error: %v", seed, step, k, res.err, wantErr)
 		} else if !wantErr && !reflect.DeepEqual(res.rs, want) {
-			t.Errorf("seed %d, step %d: TryIncBatch(%d) = %v, shadow hands out %v", seed, step, k, res.rs, want)
+			t.Errorf("seed %d, step %d: Mint(%d) = %v, shadow hands out %v", seed, step, k, res.rs, want)
 		}
-		compareOwned(fmt.Sprintf("step %d, after TryIncBatch(%d)", step, k))
+		compareOwned(fmt.Sprintf("step %d, after Mint(%d)", step, k))
 	}
 
 	// Close, with the prefetch (if one is in flight) landing after it: the
@@ -492,8 +492,8 @@ func minterFollows(t *testing.T, seed int64) {
 	if burned != sh.burned {
 		t.Errorf("seed %d: burned %d ids, shadow %d", seed, burned, sh.burned)
 	}
-	if _, err := m.TryIncBatch(0, 1); err == nil || !strings.Contains(err.Error(), "closed") {
-		t.Errorf("seed %d: TryIncBatch after close: %v, want the closed error", seed, err)
+	if _, err := m.Mint(nil, 0, 1); err == nil || !strings.Contains(err.Error(), "closed") {
+		t.Errorf("seed %d: Mint after close: %v, want the closed error", seed, err)
 	}
 	compareOwned("after close")
 }

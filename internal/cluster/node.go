@@ -40,7 +40,7 @@ type Node struct {
 // Start assembles and launches a cluster node: the gossip loop and a
 // minter wired to the leader's allocator. The node opens no listener:
 // its peers reach it at cfg.Addr, the serving door of a server whose LIN
-// backend is the node's LIN().
+// backend is the node.
 func Start(cfg Config) (*Node, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -311,8 +311,7 @@ func (n *Node) grant(k int64, lin bool) (wire.Range, error) {
 	if cl.Term == 0 || cl.Addr == "" || cl.Leader == n.cfg.NodeID {
 		return wire.Range{}, fmt.Errorf("%w: no leader to grant from", refuse)
 	}
-	req := wire.Frame{Type: wire.TRangeRequest, Node: n.cfg.NodeID,
-		Epoch: EpochOf(cl.Term, cl.Leader), K: k}
+	req := wire.Frame{Type: wire.TRangeRequest, Node: n.cfg.NodeID, K: k}
 	start := n.cfg.Clock.Now()
 	resp, err := n.call(cl.Addr, req)
 	if lin {
@@ -333,42 +332,22 @@ func (n *Node) grant(k int64, lin bool) (wire.Range, error) {
 	return resp.Rs[0], nil
 }
 
-// LIN returns the node's LIN backend for the serving layer's LIN
-// sweeper (server Options.LIN): one call mints a whole sweep's k values
-// at the cluster's serialization point.
-func (n *Node) LIN() LINBackend { return LINBackend{n} }
-
-// LINBackend mints LIN values from the cluster leader's frontier, its
-// serialization point. It implements the server Backend contract plus
-// the fallible TryIncBatch, which the server's one LIN sweeper calls
-// once per sweep — so a node has at most one LIN grant in flight — and
-// HandlePeer, through which the server's door answers the node's peers.
-type LINBackend struct{ n *Node }
-
-// HandlePeer answers one peer request (TGossip or TRangeRequest) for
-// the serving door.
-func (b LINBackend) HandlePeer(f *wire.Frame) wire.Frame { return b.n.handle(f) }
-
 // Shape implements the server Backend contract: the minter's shape.
-func (b LINBackend) Shape() network.Shape { return b.n.minter.Shape() }
+func (n *Node) Shape() network.Shape { return n.minter.Shape() }
 
-// IncBatch implements the server Backend contract: TryIncBatch, nil on
-// failure. The server calls TryIncBatch instead.
-func (b LINBackend) IncBatch(wire, k int) []runtime.Range {
-	rs, _ := b.TryIncBatch(wire, k)
-	return rs
-}
-
-// TryIncBatch mints a LIN sweep's k values as one grant of exactly k
-// from the leader's frontier (Node.grant). A refusal, or a leader that
-// cannot be reached, is the retryable wire.ErrNotLeader (or
+// Mint implements the server Backend contract for the server's LIN
+// sweeper (server Options.LIN), the node's one caller of it, so a node
+// has at most one LIN grant in flight. It appends a LIN sweep's k values
+// to dst as one grant of exactly k from the leader's frontier
+// (Node.grant). A refusal, or a leader that cannot be reached, returns
+// dst unchanged with the retryable wire.ErrNotLeader (or
 // wire.ErrNoRange); the server sheds the sweep with it.
-func (b LINBackend) TryIncBatch(_, k int) ([]runtime.Range, error) {
-	r, err := b.n.grant(int64(k), true)
+func (n *Node) Mint(dst []runtime.Range, _, k int) ([]runtime.Range, error) {
+	r, err := n.grant(int64(k), true)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return []runtime.Range{{First: r.First, Stride: r.Stride, Count: r.Count}}, nil
+	return append(dst, runtime.Range{First: r.First, Stride: r.Stride, Count: r.Count}), nil
 }
 
 // Close shuts the node down: stop gossiping, close the minter, then close

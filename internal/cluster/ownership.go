@@ -136,9 +136,9 @@ func (s *mintState) close() {
 }
 
 // Minter is the cluster node's counting backend: it implements the
-// server Backend contract (IncBatch/Shape) plus the fallible
-// TryIncBatch extension, minting ids from epoch-fenced blocks granted by
-// the cluster leader instead of traversing a counting network. SC
+// server Backend contract (Mint/Shape), minting ids from epoch-fenced
+// blocks granted by the cluster leader instead of traversing a counting
+// network. SC
 // increments therefore stay node-local: the only cross-node traffic is
 // one grant RPC per BlockSize mints, and even that is prefetched off the
 // hot path. The Minter carries out mintState's actions under one lock.
@@ -167,24 +167,19 @@ func newMinter(width int, blockSize int64, stats *Stats, request func(k int64) (
 // Shape implements the server Backend contract.
 func (m *Minter) Shape() network.Shape { return m.shape }
 
-// IncBatch implements the server Backend contract: TryIncBatch, nil on
-// failure. The server calls TryIncBatch instead.
-func (m *Minter) IncBatch(wire, k int) []runtime.Range {
-	rs, _ := m.TryIncBatch(wire, k)
-	return rs
-}
-
-// TryIncBatch mints k ids, returning the covering ranges, or an error
-// when the node owns no unminted ids and cannot obtain a block. The
-// server maps the error onto a retryable TError, so a node cut off from
-// the leader sheds load instead of stalling its combiners forever.
-func (m *Minter) TryIncBatch(wireID, k int) ([]runtime.Range, error) {
+// Mint implements the server Backend contract: it mints k ids and
+// appends the covering ranges to dst, or returns dst unchanged and an
+// error when the node owns no unminted ids and cannot obtain a block.
+// The server maps the error onto a retryable TError, so a node cut off
+// from the leader sheds load instead of stalling its combiners forever.
+// Mints ignore the wire.
+func (m *Minter) Mint(dst []runtime.Range, _, k int) ([]runtime.Range, error) {
 	if k <= 0 {
-		return nil, nil
+		return dst, nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []runtime.Range
+	out := dst
 	for need := int64(k); ; {
 		var act mintAction
 		out, need, act = m.st.take(out, need)
@@ -202,7 +197,7 @@ func (m *Minter) TryIncBatch(wireID, k int) ([]runtime.Range, error) {
 				// Ids already carved into out are burned (a gap), never
 				// re-minted.
 				m.stats.NoRange.Add(1)
-				return nil, fmt.Errorf("%w: %v", wire.ErrNoRange, err)
+				return dst, fmt.Errorf("%w: %v", wire.ErrNoRange, err)
 			}
 			continue
 		}

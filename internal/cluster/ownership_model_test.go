@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"errors"
 	"math/rand"
 	stdruntime "runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/runtime"
 	"repro/internal/wire"
 )
 
@@ -160,9 +162,9 @@ func TestMinterWaitsForPrefetch(t *testing.T) {
 	})
 	var minted []int64
 	mint := func(k int) []int64 {
-		rs, err := m.TryIncBatch(0, k)
+		rs, err := m.Mint(nil, 0, k)
 		if err != nil {
-			t.Errorf("TryIncBatch(%d): %v", k, err)
+			t.Errorf("Mint(%d): %v", k, err)
 		}
 		var vals []int64
 		for _, r := range rs {
@@ -202,5 +204,36 @@ func TestMinterWaitsForPrefetch(t *testing.T) {
 		if minted[i] <= minted[i-1] {
 			t.Fatalf("mint %d handed %d after %d: the node's values went backwards", i, minted[i], minted[i-1])
 		}
+	}
+}
+
+// TestMintAppends: the sweeper hands a node's two backends its reused
+// result buffer. The minter appends to it with no allocation over a held
+// block, and a LIN mint the node refuses leaves dst as it was.
+func TestMintAppends(t *testing.T) {
+	m := newMinter(4, 1<<40, NewStats(), func(k int64) (wire.Range, error) {
+		return wire.Range{First: 0, Stride: 1, Count: k}, nil
+	})
+	defer m.close()
+	buf := make([]runtime.Range, 0, 4)
+	allocs := testing.AllocsPerRun(100, func() {
+		if rs, err := m.Mint(buf[:0], 0, 3); err != nil || len(rs) != 1 || &rs[0] != &buf[:1][0] {
+			t.Fatalf("Minter.Mint(buf[:0], 0, 3) = %v, %v: want one range in buf", rs, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Minter.Mint over a held block: %.1f allocs/op, want 0", allocs)
+	}
+
+	// A lone node of an expected three never elects itself: no leader.
+	nd, err := Start(Config{NodeID: 1, Addr: "127.0.0.1:1", ExpectedPeers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	dst := []runtime.Range{{First: 7, Stride: 1, Count: 1}}
+	rs, err := nd.Mint(dst, 0, 2)
+	if !errors.Is(err, wire.ErrNotLeader) || len(rs) != 1 || &rs[0] != &dst[0] || rs[0] != dst[0] {
+		t.Fatalf("Node.Mint without a leader = %v, %v: want dst unchanged and ErrNotLeader", rs, err)
 	}
 }

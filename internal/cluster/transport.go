@@ -9,12 +9,14 @@ import (
 	"repro/internal/wire"
 )
 
-// handle answers one peer request for the serving door. A grant runs
-// under the node mutex, and only while this node holds the lease — which
-// makes the mutex the leader's per-epoch serialization point: SC blocks,
-// LIN sweeps and membership merges all pass through it in one total
-// order.
-func (n *Node) handle(f *wire.Frame) wire.Frame {
+// HandlePeer answers one peer request (TGossip or TRangeRequest) for
+// the serving door. A grant runs under the node mutex, and only while
+// this node holds the lease — which makes the mutex the leader's
+// per-epoch serialization point: SC blocks, LIN sweeps and membership
+// merges all pass through it in one total order. The lease fences the
+// grant, and the reply carries no epoch: a grant lies inside its
+// epoch's stripe, so its epoch is Rs[0].First >> StripeShift.
+func (n *Node) HandlePeer(f *wire.Frame) wire.Frame {
 	if n.closing.Load() {
 		return errorFrame(fault.ErrClosed) // a closed node refuses every peer request
 	}
@@ -43,7 +45,7 @@ func (n *Node) handle(f *wire.Frame) wire.Frame {
 		return errorFrame(wire.ErrNoRange)
 	}
 	n.cfg.Stats.Grants.Add(1)
-	return wire.Frame{Type: wire.TRangeGrant, Epoch: n.alloc.epoch, Rs: []wire.Range{r}}
+	return wire.Frame{Type: wire.TRangeGrant, Rs: []wire.Range{r}}
 }
 
 // errorFrame builds the TError reply for a sentinel.

@@ -62,46 +62,27 @@ func (b *simBackend) trip(n uint64) bool {
 	return b.bug && mix3(b.seed, 0xb116, n, 1)%100 < 7
 }
 
-func (b *simBackend) IncBatch(w, k int) []runtime.Range {
+// Mint implements server.Backend over the compiled network. The
+// canary keeps a copy of each sweep's ranges: dst is the sweeper's
+// reused buffer, which the next sweep overwrites.
+func (b *simBackend) Mint(dst []runtime.Range, w, k int) ([]runtime.Range, error) {
 	n := b.stall()
-	if b.trip(n) {
-		b.bugMu.Lock()
-		prev := b.lastOut
-		b.bugMu.Unlock()
-		if total(prev) >= int64(k) {
-			return clip(prev, int64(k))
-		}
-	}
-	rs := b.inner.IncBatch(w, k)
 	b.bugMu.Lock()
-	b.lastOut = rs
-	b.bugMu.Unlock()
-	return rs
-}
-
-func total(rs []runtime.Range) int64 {
-	var t int64
-	for _, r := range rs {
-		t += r.Count
-	}
-	return t
-}
-
-// clip returns the first k values of rs as ranges.
-func clip(rs []runtime.Range, k int64) []runtime.Range {
-	out := make([]runtime.Range, 0, len(rs))
-	for _, r := range rs {
-		if k <= 0 {
-			break
+	defer b.bugMu.Unlock()
+	if b.trip(n) {
+		// Re-serve the previous sweep's first k values, if it had k.
+		out, need := dst, int64(k)
+		for _, r := range b.lastOut {
+			take := min(r.Count, need)
+			out = append(out, runtime.Range{First: r.First, Stride: r.Stride, Count: take})
+			if need -= take; need == 0 {
+				return out, nil
+			}
 		}
-		take := r.Count
-		if take > k {
-			take = k
-		}
-		out = append(out, runtime.Range{First: r.First, Stride: r.Stride, Count: take})
-		k -= take
 	}
-	return out
+	out := b.inner.IncBatchAppend(dst, w, k)
+	b.lastOut = append(b.lastOut[:0], out[len(dst):]...)
+	return out, nil
 }
 
 // netFaults is the simulation's frame-fault seam (wire.FrameFaults,

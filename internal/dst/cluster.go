@@ -270,7 +270,7 @@ func startSimNode(w *World, sc *ClusterScenario, i, gen int, audit *cluster.Audi
 	}
 	srv := server.New(nd.Minter(), server.Options{
 		Clock: w.Clk,
-		LIN:   nd.LIN(),
+		LIN:   nd,
 	})
 	go srv.Serve(w.Listen(clusterSrvAddr(i)))
 	return &simNode{idx: i, gen: gen, nd: nd, srv: srv, stats: stats, alive: true}, nil
@@ -486,24 +486,18 @@ func checkClusterInvariants(res *ClusterResult, w *World, audit *cluster.Audit) 
 	// one unavoidable blocking refill per node (every later block arrives
 	// by prefetch, off the minting path).
 	if !adversity {
-		var fwd, served, refill, noRange uint64
-		for _, rep := range res.Nodes {
-			fwd += rep.Stats.LinForwards
-			served += rep.Stats.LinServed
-			refill += rep.Stats.RefillBlocking
-			noRange += rep.Stats.NoRange
-		}
-		if sc.LinFrac == 0 && (fwd != 0 || served != 0) {
+		tot := nodeTotals(res.Nodes)
+		if sc.LinFrac == 0 && (tot.LinForwards != 0 || tot.LinServed != 0) {
 			res.Violations = append(res.Violations,
-				fmt.Sprintf("SC-only clean run performed %d LIN forwards, %d LIN serves — SC must stay node-local", fwd, served))
+				fmt.Sprintf("SC-only clean run performed %d LIN forwards, %d LIN serves — SC must stay node-local", tot.LinForwards, tot.LinServed))
 		}
-		if noRange != 0 {
+		if tot.NoRange != 0 {
 			res.Violations = append(res.Violations,
-				fmt.Sprintf("clean cluster run shed %d mints with no_range", noRange))
+				fmt.Sprintf("clean cluster run shed %d mints with no_range", tot.NoRange))
 		}
-		if refill > uint64(sc.Nodes) {
+		if tot.RefillBlocking > uint64(sc.Nodes) {
 			res.Violations = append(res.Violations,
-				fmt.Sprintf("%d blocking refills on a clean run (at most one first-fill per node, %d nodes) — prefetch fell behind", refill, sc.Nodes))
+				fmt.Sprintf("%d blocking refills on a clean run (at most one first-fill per node, %d nodes) — prefetch fell behind", tot.RefillBlocking, sc.Nodes))
 		}
 	}
 }

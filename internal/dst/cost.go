@@ -20,11 +20,9 @@ type Tally struct {
 	Issued, Delivered, Steps int64
 
 	// Cluster flavors only: ids covered by audited grants, ids granted
-	// but never issued, and the S-line counters summed over every
-	// incarnation.
-	Cluster         bool
+	// but never issued, and every incarnation's counters.
 	Granted, Burned int64
-	Nodes           cluster.Snapshot
+	nodes           []ClusterNodeReport
 }
 
 // Add counts one seed's outcome.
@@ -43,20 +41,25 @@ func (t *Tally) Add(o *Outcome) {
 // nodes' counters.
 func (t *Tally) AddCluster(r *ClusterResult) {
 	t.Add(&r.Outcome)
-	t.Cluster = true
 	t.Granted += r.Granted
 	t.Burned += r.Granted - r.Issued
-	for _, n := range r.Nodes {
-		s, st := &t.Nodes, n.Stats
-		s.Grants += st.Grants
-		s.RangeRequests += st.RangeRequests
-		s.LinForwards += st.LinForwards
-		s.LinServed += st.LinServed
-		s.RefillBlocking += st.RefillBlocking
-		s.NoRange += st.NoRange
-		s.NotLeader += st.NotLeader
-		s.Elections += st.Elections
+	t.nodes = append(t.nodes, r.Nodes...)
+}
+
+// nodeTotals sums the S-line counters over node reports.
+func nodeTotals(nodes []ClusterNodeReport) cluster.Snapshot {
+	var s cluster.Snapshot
+	for _, n := range nodes {
+		s.Grants += n.Stats.Grants
+		s.RangeRequests += n.Stats.RangeRequests
+		s.LinForwards += n.Stats.LinForwards
+		s.LinServed += n.Stats.LinServed
+		s.RefillBlocking += n.Stats.RefillBlocking
+		s.NoRange += n.Stats.NoRange
+		s.NotLeader += n.Stats.NotLeader
+		s.Elections += n.Stats.Elections
 	}
+	return s
 }
 
 // Summary is the audit half of the tally, as a sweep prints it.
@@ -71,10 +74,10 @@ func (t *Tally) Summary() string {
 func (t *Tally) Cost() string {
 	s := fmt.Sprintf("seeds=%d broken=%d k=%d fnl_sc=%.4f(%d/%d) issued=%d delivered=%d steps=%d",
 		t.Seeds, t.Broken, t.K, t.SC.NonLinFraction(), t.SC.NonLin, t.SC.Total, t.Issued, t.Delivered, t.Steps)
-	if !t.Cluster {
+	if len(t.nodes) == 0 {
 		return s
 	}
-	n := &t.Nodes
+	n := nodeTotals(t.nodes)
 	return s + fmt.Sprintf(" granted=%d burned=%d grants=%d reqs=%d fwd=%d served=%d refill=%d norange=%d notleader=%d elections=%d",
 		t.Granted, t.Burned, n.Grants, n.RangeRequests, n.LinForwards, n.LinServed,
 		n.RefillBlocking, n.NoRange, n.NotLeader, n.Elections)

@@ -168,11 +168,11 @@ type stallBackend struct {
 	delay time.Duration
 }
 
-func (b *stallBackend) IncBatch(w, k int) []runtime.Range {
+func (b *stallBackend) Mint(dst []runtime.Range, w, k int) ([]runtime.Range, error) {
 	if w == 0 {
 		b.clk.Sleep(b.delay)
 	}
-	return b.inner.IncBatch(w, k)
+	return b.inner.Mint(dst, w, k)
 }
 
 func (b *stallBackend) Shape() network.Shape { return b.inner.Shape() }

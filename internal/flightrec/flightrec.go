@@ -48,9 +48,9 @@ const (
 	// StageServerSweep: sweep pickup → traversal start (expiry and
 	// summing the sweep's k).
 	StageServerSweep
-	// StageServerTraverse: the counting-network traversal itself
-	// (the sweep's IncBatch, or a cluster LIN sweep's forward round
-	// trip).
+	// StageServerTraverse: the sweep's one backend call (Mint): the
+	// counting-network traversal, or in a cluster the minter's carve or
+	// a LIN sweep's grant from the leader.
 	StageServerTraverse
 	// StageServerLINWait is no longer recorded: cluster LIN rides a
 	// sweeper and records mailbox, sweep and traverse like SC. The stage

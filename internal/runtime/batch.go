@@ -163,3 +163,9 @@ func (n *Network) IncBatchAppend(dst []Range, wire, k int) []Range {
 	n.batchScratch.Put(bc)
 	return out
 }
+
+// Mint is IncBatchAppend as a serving backend (server.Backend): a
+// compiled network never runs out of values, so it never fails.
+func (n *Network) Mint(dst []Range, wire, k int) ([]Range, error) {
+	return n.IncBatchAppend(dst, wire, k), nil
+}

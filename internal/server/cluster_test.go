@@ -29,18 +29,12 @@ func newMintStub(width int) *mintStub {
 
 func (m *mintStub) Shape() network.Shape { return m.shape }
 
-func (m *mintStub) Inc(w int) int64 { return m.next.Add(1) - 1 }
-
-func (m *mintStub) IncBatch(w, k int) []runtime.Range {
-	first := m.next.Add(int64(k)) - int64(k)
-	return []runtime.Range{{First: first, Stride: 1, Count: int64(k)}}
-}
-
-func (m *mintStub) TryIncBatch(w, k int) ([]runtime.Range, error) {
+func (m *mintStub) Mint(dst []runtime.Range, w, k int) ([]runtime.Range, error) {
 	if m.fail.Load() {
-		return nil, wire.ErrNoRange
+		return dst, wire.ErrNoRange
 	}
-	return m.IncBatch(w, k), nil
+	first := m.next.Add(int64(k)) - int64(k)
+	return append(dst, runtime.Range{First: first, Stride: 1, Count: int64(k)}), nil
 }
 
 // TestFallibleBackendShedsAndRecovers drives the fail-fast backend seam
@@ -109,23 +103,18 @@ func newLINStub(base int64, gated bool) *linStub {
 
 func (l *linStub) Shape() network.Shape { return network.Shape{Width: 4, Sinks: 4} }
 
-func (l *linStub) IncBatch(w, k int) []runtime.Range {
-	rs, _ := l.TryIncBatch(w, k)
-	return rs
-}
-
-func (l *linStub) TryIncBatch(w, k int) ([]runtime.Range, error) {
+func (l *linStub) Mint(dst []runtime.Range, w, k int) ([]runtime.Range, error) {
 	l.mu.Lock()
 	l.calls = append(l.calls, k)
 	l.mu.Unlock()
 	l.entered <- k
 	if l.gate != nil {
 		if err := <-l.gate; err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
 	first := l.next.Add(int64(k)) - int64(k)
-	return []runtime.Range{{First: first, Stride: 1, Count: int64(k)}}, nil
+	return append(dst, runtime.Range{First: first, Stride: 1, Count: int64(k)}), nil
 }
 
 func (l *linStub) callLog() []int {

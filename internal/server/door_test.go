@@ -107,7 +107,7 @@ func TestDoor(t *testing.T) {
 		{name: "peer opcode goes to the LIN backend's handler",
 			opt:  Options{LIN: &peerStub{linStub: newLINStub(0, false)}},
 			in:   wire.Frame{Type: wire.TRangeRequest, ID: 13, Trace: trace, Node: 2, K: 5},
-			want: wire.Frame{Type: wire.TRangeGrant, ID: 13, Trace: trace, Epoch: 5}},
+			want: wire.Frame{Type: wire.TRangeGrant, ID: 13, Trace: trace, Rs: []wire.Range{{First: 0, Stride: 1, Count: 5}}}},
 		{name: "full mailbox sheds",
 			full: true,
 			in:   wire.Frame{Type: wire.TInc, ID: 10, Trace: trace},
@@ -157,11 +157,11 @@ func TestDoor(t *testing.T) {
 }
 
 // peerStub is a LIN backend that also answers peer opcodes, as a cluster
-// node's does: a TRangeRequest for k ids is granted at epoch k.
+// node does: a TRangeRequest for k ids is granted ids 0..k-1.
 type peerStub struct{ *linStub }
 
 func (p *peerStub) HandlePeer(f *wire.Frame) wire.Frame {
-	return wire.Frame{Type: wire.TRangeGrant, Epoch: uint64(f.K)}
+	return wire.Frame{Type: wire.TRangeGrant, Rs: []wire.Range{{First: 0, Stride: 1, Count: f.K}}}
 }
 
 // faultScript injects one fixed fault on every frame and logs each

@@ -4,11 +4,11 @@
 //
 // The serving layer is where the paper's contrast becomes a systems
 // tradeoff. The server folds concurrent increments from many connections
-// into batched IncBatch sweeps (one fetch-and-add per balancer for a
-// whole batch), so under load the per-token cost of the network
-// collapses. Linearizable increments ride the same sweeps: the paper's
-// price for linearizability is waiting (§1.1, after HSW96), and one
-// sweeper already waits — it runs one traversal at a time. A request
+// into batched sweeps, one Backend.Mint each (one fetch-and-add per
+// balancer for a whole batch), so under load the per-token cost of the
+// network collapses. Linearizable increments ride the same sweeps: the
+// paper's price for linearizability is waiting (§1.1, after HSW96), and
+// one sweeper already waits — it runs one traversal at a time. A request
 // crosses three stages, one to a file: a connection's reader (door.go),
 // a sweeper (sweep.go) and the connection's writer (writer.go).
 //
@@ -16,10 +16,10 @@
 //
 // Connection readers do not touch the network. They validate each request
 // and post it into the one mailbox; one sweeper goroutine drains it,
-// folds every pending increment into one IncBatch on the first request's
+// folds every pending increment into one Mint on the first request's
 // wire, and deals the resulting value ranges back to the requests in
 // arrival order. The sweeper is the only caller of the backend, so the
-// network is quiescent between two IncBatch calls, and by the step
+// network is quiescent between two Mint calls, and by the step
 // property every value a later call hands out lies above every value an
 // earlier call handed out. Which wire a call enters on changes no value
 // it hands out: from quiescence the next k tokens get the next k values
@@ -80,13 +80,18 @@ import (
 )
 
 // Backend is the counting object a Server serves: the compiled
-// runtime.Network is the intended implementation, but anything with a
-// batched increment and a shape works (tests substitute slow or scripted
-// backends). A backend's one sweeper is its only caller, so IncBatch
-// runs one call at a time; a backend that something else also traverses
-// gives up the linearizability the sweeper otherwise provides.
+// runtime.Network, a cluster node's Minter (SC) or the node itself
+// (LIN), and in tests slow or scripted stand-ins. A backend's one
+// sweeper is its only caller, so Mint runs one call at a time; a backend
+// that something else also traverses gives up the linearizability the
+// sweeper otherwise provides.
 type Backend interface {
-	IncBatch(wire, k int) []runtime.Range
+	// Mint hands out the next k values, entering on wire, as ranges
+	// appended to dst. A backend that can run out of values (a cluster
+	// node cut off from its leader) returns dst unchanged and an error,
+	// which the server answers every request of the sweep with; ids it
+	// had already carved for the call are burned, never handed out.
+	Mint(dst []runtime.Range, wire, k int) ([]runtime.Range, error)
 	Shape() network.Shape
 }
 
@@ -122,17 +127,16 @@ type Options struct {
 	// every TCP increment rides the LIN sweeper.
 	ForceLIN bool
 	// LIN, when set, is the backend LIN increments are minted from (the
-	// cluster's serialization point, cluster.Node.LIN). They post to a
+	// cluster's serialization point, a cluster.Node). They post to a
 	// second mailbox of Mailbox depth, and a second sweeper drains it with
-	// one TryIncBatch (if LIN has it, else IncBatch) per sweep for the
-	// sweep's total k, dealing the values in arrival order. The sweep is
-	// linearizable: every member was invoked before the call and none has
-	// returned. A failed call sheds the whole sweep with its retryable
-	// error. Nil serves LIN from the one mailbox and the main backend. A
-	// LIN backend that also answers the cluster's peer opcodes (TGossip,
-	// TRangeRequest) gets them from the door, so the node needs no
-	// listener of its own; without one the door refuses them with
-	// wire.ErrBadFrame.
+	// one Mint per sweep for the sweep's total k, dealing the values in
+	// arrival order. The sweep is linearizable: every member was invoked
+	// before the call and none has returned. A failed call sheds the whole
+	// sweep with its retryable error. Nil serves LIN from the one mailbox
+	// and the main backend. A LIN backend that also answers the cluster's
+	// peer opcodes (TGossip, TRangeRequest) gets them from the door, so
+	// the node needs no listener of its own; without one the door refuses
+	// them with wire.ErrBadFrame.
 	LIN Backend
 	// Clock times mailbox residency (OpTimeout), stage spans and
 	// injected frame delays; nil means the wall clock. The deterministic

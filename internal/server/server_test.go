@@ -322,11 +322,11 @@ type recordingBackend struct {
 
 func (b *recordingBackend) Shape() network.Shape { return b.shape }
 
-func (b *recordingBackend) IncBatch(w, k int) []runtime.Range {
+func (b *recordingBackend) Mint(dst []runtime.Range, w, k int) ([]runtime.Range, error) {
 	b.calls = append(b.calls, [2]int{w, k})
 	first := b.next
 	b.next += int64(k)
-	return []runtime.Range{{First: first, Stride: 1, Count: int64(k)}}
+	return append(dst, runtime.Range{First: first, Stride: 1, Count: int64(k)}), nil
 }
 
 // TestOneTraversalPerSweep pins the sweep contract: a sweep makes exactly
@@ -349,7 +349,7 @@ func TestOneTraversalPerSweep(t *testing.T) {
 			conns[i] = &conn{s: s, out: make(chan outMsg, 1), dead: make(chan struct{})}
 			reqs[i] = req{c: conns[i], id: uint64(i), wire: p.wire, k: p.k, batch: p.batch, enq: s.clk.Now()}
 		}
-		newSweeper(s, nil, be).sweep(reqs)
+		(&sweeper{s: s, be: be}).sweep(reqs)
 		got := make([][]int64, len(conns))
 		for i, c := range conns {
 			var m outMsg
@@ -487,13 +487,13 @@ func (b *slowBackend) Shape() network.Shape {
 	return network.Shape{Width: 2, Sinks: 2, Balancers: 1, Depth: 1}
 }
 
-func (b *slowBackend) IncBatch(w, k int) []runtime.Range {
+func (b *slowBackend) Mint(dst []runtime.Range, w, k int) ([]runtime.Range, error) {
 	time.Sleep(b.delay)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	first := b.next
 	b.next += int64(k)
-	return []runtime.Range{{First: first, Stride: 1, Count: int64(k)}}
+	return append(dst, runtime.Range{First: first, Stride: 1, Count: int64(k)}), nil
 }
 
 // TestBackpressure: a single-slot mailbox in front of a slow backend

@@ -49,28 +49,13 @@ func (s *Server) post(r req) bool {
 	}
 }
 
-// fallible is the optional fail-fast form of Backend.IncBatch: a backend
-// that can run out of values (the cluster minter when it is cut off from
-// the range leader, the cluster LIN backend when it finds no leader)
-// reports the condition instead of blocking the sweeper, and the server
-// answers the affected requests with a retryable error.
-type fallible interface {
-	TryIncBatch(wire, k int) ([]runtime.Range, error)
-}
-
-// batchAppender is the optional allocation-free form of Backend.IncBatch
-// (runtime.Network implements it).
-type batchAppender interface {
-	IncBatchAppend(dst []runtime.Range, wire, k int) []runtime.Range
-}
-
 // combine is a sweeper's loop: it drains mail, folds every pending
 // increment into one sweep of be, and deals the resulting ranges back to
 // the requests in arrival order.
 func (s *Server) combine(mail chan req, be Backend) {
 	defer s.combWg.Done()
 	limit := s.opt.BatchLimit
-	sw := newSweeper(s, mail, be)
+	sw := &sweeper{s: s, mail: mail, be: be}
 	pending := make([]req, 0, limit)
 	for {
 		r, ok := <-mail
@@ -96,23 +81,14 @@ func (s *Server) combine(mail chan req, be Backend) {
 	}
 }
 
-// sweeper holds one sweeper's mailbox, backend and reusable sweep state,
-// so that, when the backend can append into a caller buffer,
+// sweeper holds one sweeper's mailbox, backend and reusable sweep
+// state: the backend appends each sweep's ranges into rsbuf, so
 // steady-state sweeps allocate nothing for their results.
 type sweeper struct {
 	s     *Server
 	mail  chan req
 	be    Backend
-	fb    fallible        // non-nil when the backend is fail-fast capable
-	ba    batchAppender   // non-nil when the backend supports it
 	rsbuf []runtime.Range // reused sweep-result buffer (consumed before the next sweep)
-}
-
-func newSweeper(s *Server, mail chan req, be Backend) *sweeper {
-	sw := &sweeper{s: s, mail: mail, be: be}
-	sw.fb, _ = be.(fallible)
-	sw.ba, _ = be.(batchAppender)
-	return sw
 }
 
 // rangeFree recycles TRanges reply slices between the sweepers that
@@ -198,17 +174,8 @@ func (sw *sweeper) sweep(pending []req) {
 	if timed {
 		t0 = s.clk.Now()
 	}
-	w := live[0].wire
-	var rs []runtime.Range
-	var sweepErr error
-	if sw.fb != nil {
-		rs, sweepErr = sw.fb.TryIncBatch(w, int(total))
-	} else if sw.ba != nil {
-		sw.rsbuf = sw.ba.IncBatchAppend(sw.rsbuf[:0], w, int(total))
-		rs = sw.rsbuf
-	} else {
-		rs = sw.be.IncBatch(w, int(total))
-	}
+	rs, sweepErr := sw.be.Mint(sw.rsbuf[:0], live[0].wire, int(total))
+	sw.rsbuf = rs
 	if timed {
 		t1 = s.clk.Now()
 	}

@@ -20,11 +20,11 @@ type stripeBackend struct{ next int64 }
 
 func (b *stripeBackend) Shape() network.Shape { return network.Shape{Width: 2, Sinks: 2} }
 
-func (b *stripeBackend) IncBatch(w, k int) []runtime.Range {
+func (b *stripeBackend) Mint(dst []runtime.Range, w, k int) ([]runtime.Range, error) {
 	evens, odds := int64(k+1)/2, int64(k)/2
-	rs := []runtime.Range{{First: b.next, Stride: 2, Count: evens}, {First: b.next + 1, Stride: 2, Count: odds}}
+	dst = append(dst, runtime.Range{First: b.next, Stride: 2, Count: evens}, runtime.Range{First: b.next + 1, Stride: 2, Count: odds})
 	b.next += int64(k)
-	return rs
+	return dst, nil
 }
 
 // TestSweep drives one sweep with no socket and no sweeper goroutine:
@@ -112,7 +112,7 @@ func TestSweep(t *testing.T) {
 				}
 				pending[i] = r
 			}
-			newSweeper(s, nil, be).sweep(pending)
+			(&sweeper{s: s, be: be}).sweep(pending)
 
 			for i, c := range conns {
 				if c == nil {

@@ -36,10 +36,10 @@ func TestClusterOpcodesRoundTrip(t *testing.T) {
 		{Type: TGossip, ID: 9, Data: []byte(`{"members":[{"id":1}]}`)},
 		{Type: TGossipAck, ID: 9, Data: []byte(`{"members":[]}`)},
 		{Type: TGossip, ID: 10}, // empty digest
-		{Type: TRangeRequest, ID: 11, Node: 3, Epoch: 5<<10 | 3, K: 2048},
-		{Type: TRangeGrant, ID: 11, Epoch: 5<<10 | 1, Rs: rs},
-		{Type: TRangeGrant, ID: 12, Epoch: 1},                          // rejection carries no ranges
-		{Type: TRangeRequest, ID: 14, Node: 2, Epoch: 9<<10 | 2, K: 1}, // a LIN sweep of one
+		{Type: TRangeRequest, ID: 11, Node: 3, K: 2048},
+		{Type: TRangeGrant, ID: 11, Rs: rs},
+		{Type: TRangeGrant, ID: 12},                  // rejection carries no ranges
+		{Type: TRangeRequest, ID: 14, Node: 2, K: 1}, // a LIN sweep of one
 	} {
 		got := rtrip(t, f)
 		want := f
@@ -112,6 +112,35 @@ func TestHelloNodeExtensionRequest(t *testing.T) {
 	}
 	if want := (Frame{Type: THello, ID: 42}); !framesEqual(got, want) {
 		t.Fatalf("old peer's hello decoded as %+v, want %+v", got, want)
+	}
+}
+
+// oldGrantFrames are one grant RPC as a peer that still carried the
+// epoch on grant frames writes it: TRangeRequest id 11, node 1, epoch
+// 1025 (term 1, node 1), k 2048, and the TRangeGrant answering it: id
+// 11, epoch 1025, one range of 2048 ids at that epoch's stripe base
+// (epoch<<34).
+func oldGrantFrames() (req, grant []byte) {
+	const epoch = 1<<10 | 1
+	p := binary.AppendUvarint([]byte{11, 1}, epoch)
+	req = rawFrame(TRangeRequest, 0, binary.AppendUvarint(p, 2048)...)
+	g := binary.AppendUvarint([]byte{11}, epoch)
+	g = binary.AppendVarint(append(g, 1), epoch<<34)
+	g = binary.AppendUvarint(append(g, 1), 2048)
+	return req, rawFrame(TRangeGrant, 0, g...)
+}
+
+// A mixed-version cluster refuses every grant RPC between old and new
+// peers. Every epoch is at least 1025, so the decoder meets that uvarint
+// where it now expects k (leaving k's bytes trailing) or the range count
+// (more ranges than the payload could hold), and either frame fails with
+// ErrBadFrame instead of being misread as a grant.
+func TestOldGrantLayoutsFailClosed(t *testing.T) {
+	req, grant := oldGrantFrames()
+	for name, b := range map[string][]byte{"TRangeRequest": req, "TRangeGrant": grant} {
+		if f, _, err := DecodeFrame(b); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("old %s decoded as %+v, %v; want ErrBadFrame", name, f, err)
+		}
 	}
 }
 

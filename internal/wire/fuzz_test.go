@@ -48,6 +48,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(rawFrame(8, 0, 8, 2, 1, 1, 0, 1, 8))
 	f.Add(rawFrame(9, flagLIN, 9, 12, 3, 1))
 	f.Add(rawFrame(THello, retiredNodeFlag, 4))
+	// An old peer's grant RPC, which still carried the epoch.
+	req, grant := oldGrantFrames()
+	f.Add(req)
+	f.Add(grant)
 	f.Add([]byte{})
 	f.Add([]byte{magic0, magic1, Version})
 	f.Add([]byte{magic0, magic1, Version, byte(TInc), 0, 0xff, 0xff, 0xff, 0xff, 0x0f})

@@ -26,7 +26,7 @@
 //	TRead         id                     →  TValue  id, issued
 //	THello        id                     →  TShape  id, width, sinks, balancers, depth
 //	TGossip       id, len, bytes (JSON)  →  TGossipAck  id, len, bytes (JSON)
-//	TRangeRequest id, node, epoch, k     →  TRangeGrant id, epoch, ranges
+//	TRangeRequest id, node, k            →  TRangeGrant id, ranges
 //	any           —                      →  TError  id, code, len, message
 //
 // The mode flag rides on every request frame: SC requests may be answered
@@ -57,6 +57,16 @@
 // 5, 8, 9 or 19 fails to decode with ErrBadFrame; the decoder ignores flag bit
 // 2, so an old peer's THello that sets it is answered with the plain
 // TShape.
+//
+// Grant frames carry no epoch: the leader fences a grant with its own
+// lease, and a grant lies inside its epoch's id stripe, which names the
+// epoch. A peer that still writes the older layout (TRangeRequest id,
+// node, epoch, k; TRangeGrant id, epoch, ranges) is never misread:
+// every epoch is at least 1025, so its frames fail to decode with
+// ErrBadFrame, and this layout's request is a field short for it. In a
+// mixed-version cluster each grant RPC between old and new nodes is
+// refused: the requester burns the ids it had carved or sheds the sweep
+// with a retryable error, and no id is granted twice.
 package wire
 
 import (
@@ -306,7 +316,6 @@ type Frame struct {
 	Msg   string        // TError
 	Data  []byte        // TGossip, TGossipAck
 	Node  uint64        // TRangeRequest: the minting node id
-	Epoch uint64        // TRange*: the epoch fencing the ranges
 }
 
 // uvarintLen is the encoded size of v as a uvarint.
@@ -339,7 +348,7 @@ func payloadSize(f *Frame) (int, error) {
 		// id only
 	case TValue:
 		n += varintLen(f.Value)
-	case TRanges:
+	case TRanges, TRangeGrant:
 		rn, err := rangesSize(f.Rs)
 		if err != nil {
 			return 0, err
@@ -356,13 +365,7 @@ func payloadSize(f *Frame) (int, error) {
 		if f.K < 0 || f.K > maxK {
 			return 0, fmt.Errorf("%w: range request %d", ErrBadFrame, f.K)
 		}
-		n += uvarintLen(f.Node) + uvarintLen(f.Epoch) + uvarintLen(uint64(f.K))
-	case TRangeGrant:
-		rn, err := rangesSize(f.Rs)
-		if err != nil {
-			return 0, err
-		}
-		n += uvarintLen(f.Epoch) + rn
+		n += uvarintLen(f.Node) + uvarintLen(uint64(f.K))
 	default:
 		return 0, fmt.Errorf("%w: unknown frame type %d", ErrBadFrame, f.Type)
 	}
@@ -429,7 +432,7 @@ func appendPayload(p []byte, f *Frame) []byte {
 		// id only
 	case TValue:
 		p = binary.AppendVarint(p, f.Value)
-	case TRanges:
+	case TRanges, TRangeGrant:
 		p = appendRanges(p, f.Rs)
 	case TShape:
 		p = binary.AppendUvarint(p, uint64(f.Shape.Width))
@@ -441,11 +444,7 @@ func appendPayload(p []byte, f *Frame) []byte {
 		p = append(p, f.Data...)
 	case TRangeRequest:
 		p = binary.AppendUvarint(p, f.Node)
-		p = binary.AppendUvarint(p, f.Epoch)
 		p = binary.AppendUvarint(p, uint64(f.K))
-	case TRangeGrant:
-		p = binary.AppendUvarint(p, f.Epoch)
-		p = appendRanges(p, f.Rs)
 	case TError:
 		p = binary.AppendUvarint(p, uint64(f.Code))
 		p = binary.AppendUvarint(p, uint64(len(f.Msg)))
@@ -586,7 +585,7 @@ func parsePayload(f *Frame, p []byte) error {
 	case TRead, THello:
 	case TValue:
 		f.Value, p, err = getVarint(p)
-	case TRanges:
+	case TRanges, TRangeGrant:
 		if p, err = parseRanges(f, p); err != nil {
 			return err
 		}
@@ -613,22 +612,12 @@ func parsePayload(f *Frame, p []byte) error {
 		if f.Node, p, err = getUvarint(p); err != nil {
 			return err
 		}
-		if f.Epoch, p, err = getUvarint(p); err != nil {
-			return err
-		}
 		var k uint64
 		if k, p, err = getUvarint(p); err == nil {
 			if k > maxK {
 				return fmt.Errorf("%w: range request %d", ErrBadFrame, k)
 			}
 			f.K = int64(k)
-		}
-	case TRangeGrant:
-		if f.Epoch, p, err = getUvarint(p); err != nil {
-			return err
-		}
-		if p, err = parseRanges(f, p); err != nil {
-			return err
 		}
 	case TGossip, TGossipAck:
 		var n uint64

@@ -306,7 +306,7 @@ func TestPeekHeader(t *testing.T) {
 // rejected by the decoder, so one bound holds on both sides.
 func TestBatchSizeBound(t *testing.T) {
 	for _, typ := range []Type{TIncBatch, TRangeRequest} {
-		f := Frame{Type: typ, ID: 9, Wire: 2, Node: 3, Epoch: 4, K: maxK}
+		f := Frame{Type: typ, ID: 9, Wire: 2, Node: 3, K: maxK}
 		enc, err := EncodeFrame(&f)
 		if err != nil {
 			t.Fatalf("%v: encode K=maxK: %v", typ, err)
