@@ -108,8 +108,7 @@ func run(o options, out *os.File) (int, error) {
 type seedRun struct {
 	*dst.Outcome
 	flavor  string
-	summary string           // the flavor's accounting for the replay line
-	count   func(*dst.Tally) // adds the run to its flavor's tally
+	summary string // the flavor's accounting for the replay line
 }
 
 // runSeed runs one seed of the flavor o selects: a single server, or a
@@ -124,8 +123,7 @@ func runSeed(o options, seed uint64) (seedRun, error) {
 		}
 		return seedRun{&res.Outcome, res.Scenario.Flavor, fmt.Sprintf(
 			"%d nodes, %d ops, granted %d, issued %d, delivered %d, %d steps",
-			res.Scenario.Nodes, len(res.Ops), res.Granted, res.Issued, res.Delivered, res.Steps),
-			func(t *dst.Tally) { t.AddCluster(res) }}, nil
+			res.Scenario.Nodes, len(res.Ops), res.Granted, res.Issued, res.Delivered, res.Steps)}, nil
 	}
 	res, err := dst.Run(seed, dst.RunOptions{Bug: o.bug, Flight: o.flight})
 	if err != nil {
@@ -133,8 +131,7 @@ func runSeed(o options, seed uint64) (seedRun, error) {
 	}
 	return seedRun{&res.Outcome, res.Scenario.Flavor, fmt.Sprintf(
 		"%d ops, issued %d, delivered %d, %d steps",
-		len(res.Ops), res.Issued, res.Delivered, res.Steps),
-		func(t *dst.Tally) { t.Add(&res.Outcome) }}, nil
+		len(res.Ops), res.Issued, res.Delivered, res.Steps)}, nil
 }
 
 // artifact writes one of a seed's artifacts ("trace" or "flight.json")
@@ -219,7 +216,7 @@ func sweep(o options, out *os.File) (int, error) {
 		if flavors[r.flavor] == nil {
 			flavors[r.flavor] = &dst.Tally{}
 		}
-		r.count(flavors[r.flavor])
+		flavors[r.flavor].Add(r.Outcome)
 		dupSeeds += min(r.Audit.Duplicates, 1)
 		if r.Failed() {
 			failing = append(failing, seed)

@@ -138,10 +138,10 @@ func (s *mintState) close() {
 // Minter is the cluster node's counting backend: it implements the
 // server Backend contract (Mint/Shape), minting ids from epoch-fenced
 // blocks granted by the cluster leader instead of traversing a counting
-// network. SC
-// increments therefore stay node-local: the only cross-node traffic is
-// one grant RPC per BlockSize mints, and even that is prefetched off the
-// hot path. The Minter carries out mintState's actions under one lock.
+// network. SC increments therefore stay node-local: the only cross-node
+// traffic is one grant RPC per BlockSize mints, and even that is
+// prefetched off the hot path. The Minter carries out mintState's
+// actions under one lock.
 type Minter struct {
 	shape network.Shape
 	stats *Stats

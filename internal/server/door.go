@@ -155,10 +155,10 @@ func (c *conn) readLoop() {
 }
 
 // peerHandler is the optional form of Options.LIN that also answers the
-// cluster's peer opcodes (a cluster node's LIN backend implements it).
-// The door calls it on the reader goroutine, never through a mailbox, so
-// a node whose LIN sweeper waits on a grant still gossips, grants and
-// renews its lease. HandlePeer must not retain f.
+// cluster's peer opcodes: a cluster.Node is both the LIN backend and the
+// handler. The door calls it on the reader goroutine, never through a
+// mailbox, so a node whose LIN sweeper waits on a grant still gossips,
+// grants and renews its lease. HandlePeer must not retain f.
 type peerHandler interface {
 	HandlePeer(f *wire.Frame) wire.Frame
 }
