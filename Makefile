@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay sim-digest sim-digest-diff sim-cost-diff experiments examples lint clean
+.PHONY: all build test race race-procs cover gobench bench bench-smoke bench-trace countd netsmoke udpsmoke clustersmoke crossbuild tracesmoke sim sim-cluster sim-replay sim-digest sim-digest-diff sim-cost-diff mutants experiments examples lint clean
 
 all: build test
 
@@ -200,6 +200,14 @@ sim-cost-diff:
 	@diff -u .sim-digest/cost-base/internal/dst/testdata/cost.golden internal/dst/testdata/cost.golden \
 		&& echo "cost.golden: no line differs from $(BASE)"
 
+# Prove that each check can fail: apply every testdata/mutants/*.patch to
+# a git archive of HEAD under .mutants/<name>, run the one check its header
+# names, and fail if that check passes, or the patch no longer applies.
+# Prints one table: mutant, check, verdict, first catching seed or test,
+# and catches/seeds.
+mutants:
+	@bash testdata/mutants/run.sh
+
 lint:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
@@ -216,4 +224,4 @@ lint:
 
 clean:
 	$(GO) clean ./...
-	rm -rf .clustersmoke .sim-digest sim-artifacts trace.json flight.json
+	rm -rf .clustersmoke .sim-digest .mutants sim-artifacts trace.json flight.json

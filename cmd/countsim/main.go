@@ -19,11 +19,11 @@
 //	countsim -seeds 1000                 # CI sweep; prints failing seeds
 //	countsim -seed 4217 -trace           # replay one failure, full trace
 //
-// -bug injects a duplicate-mint fault into the backend (it occasionally
-// re-serves value ranges it already handed out); with -expect-bug the
-// sweep succeeds only if the injected bug is actually caught, which is
-// how CI proves the harness detects real protocol violations rather
-// than vacuously passing.
+// That the audit can fail is proved outside this command: `make
+// mutants` applies each patch under testdata/mutants (the first,
+// dup-mint, makes the backend re-serve value ranges it already handed
+// out) to a copy of the tree and requires its named check, often a
+// countsim sweep, to go red.
 //
 // -flight traces every simulated request through the flight recorder
 // (internal/flightrec): the span-tree invariants join the audit, and a
@@ -34,7 +34,6 @@
 // Usage:
 //
 //	countsim -seeds 1000 -artifacts /tmp/sim
-//	countsim -seeds 200 -bug -expect-bug
 //	countsim -seed 42 -trace
 //	countsim -seed 42 -flight -artifacts /tmp/sim
 package main
@@ -54,8 +53,6 @@ type options struct {
 	seeds     uint64 // sweep size (0: single-seed mode via -seed)
 	start     uint64 // first seed of the sweep
 	seed      uint64 // single seed to replay
-	bug       bool   // inject the duplicate-mint canary into the backend
-	expectBug bool   // succeed only if the canary is caught (CI self-check)
 	trace     bool   // print the deterministic trace (single-seed mode)
 	flight    bool   // trace every request into the flight recorder
 	cluster   bool   // run the multi-daemon cluster flavor instead
@@ -67,8 +64,6 @@ func main() {
 	flag.Uint64Var(&o.seeds, "seeds", 0, "sweep this many seeds (0: single-seed mode)")
 	flag.Uint64Var(&o.start, "start", 1, "first seed of the sweep")
 	flag.Uint64Var(&o.seed, "seed", 0, "replay exactly this seed")
-	flag.BoolVar(&o.bug, "bug", false, "inject a duplicate-mint bug into the backend")
-	flag.BoolVar(&o.expectBug, "expect-bug", false, "succeed only if the injected bug is caught (use with -bug)")
 	flag.BoolVar(&o.trace, "trace", false, "print the deterministic trace (with -seed)")
 	flag.BoolVar(&o.flight, "flight", false, "record every request's stage spans; failing seeds also dump seed-N.flight.json (with -artifacts) and the span-tree invariants join the audit")
 	flag.BoolVar(&o.cluster, "cluster", false, "expand seeds into multi-daemon cluster scenarios (gossip, elections, kills, partitions) instead of single-server ones")
@@ -87,11 +82,8 @@ func run(o options, out *os.File) (int, error) {
 	if o.seeds == 0 && o.seed == 0 {
 		return 2, fmt.Errorf("nothing to do: pass -seeds N to sweep or -seed X to replay")
 	}
-	if o.expectBug && !o.bug {
-		return 2, fmt.Errorf("-expect-bug requires -bug")
-	}
-	if o.cluster && (o.bug || o.flight) {
-		return 2, fmt.Errorf("-cluster runs its own universe: it composes with neither -bug nor -flight")
+	if o.cluster && o.flight {
+		return 2, fmt.Errorf("-cluster runs its own universe: it does not compose with -flight")
 	}
 	if o.artifacts != "" {
 		if err := os.MkdirAll(o.artifacts, 0o755); err != nil {
@@ -125,7 +117,7 @@ func runSeed(o options, seed uint64) (seedRun, error) {
 			"%d nodes, %d ops, granted %d, issued %d, delivered %d, %d steps",
 			res.Scenario.Nodes, len(res.Ops), res.Granted, res.Issued, res.Delivered, res.Steps)}, nil
 	}
-	res, err := dst.Run(seed, dst.RunOptions{Bug: o.bug, Flight: o.flight})
+	res, err := dst.Run(seed, dst.RunOptions{Flight: o.flight})
 	if err != nil {
 		return seedRun{}, err
 	}
@@ -205,7 +197,6 @@ func sweep(o options, out *os.File) (int, error) {
 	runs := make([]seedRun, o.seeds)
 	flavors := map[string]*dst.Tally{}
 	var failing []uint64
-	dupSeeds := 0
 	for i := range runs {
 		seed := o.start + uint64(i)
 		r, err := runSeed(o, seed)
@@ -217,7 +208,6 @@ func sweep(o options, out *os.File) (int, error) {
 			flavors[r.flavor] = &dst.Tally{}
 		}
 		flavors[r.flavor].Add(r.Outcome)
-		dupSeeds += min(r.Audit.Duplicates, 1)
 		if r.Failed() {
 			failing = append(failing, seed)
 		}
@@ -239,9 +229,6 @@ func sweep(o options, out *os.File) (int, error) {
 	}
 
 	replayFlags := ""
-	if o.bug {
-		replayFlags += " -bug"
-	}
 	if o.flight {
 		replayFlags += " -flight"
 	}
@@ -249,9 +236,6 @@ func sweep(o options, out *os.File) (int, error) {
 		replayFlags += " -cluster"
 	}
 	for _, seed := range failing {
-		if o.expectBug {
-			break // the failures are the injected canary being caught, not news
-		}
 		r := &runs[seed-o.start]
 		fmt.Fprintf(out, "seed %d (%s): %d violations\n", seed, r.flavor, len(r.Violations))
 		for _, v := range r.Violations {
@@ -274,14 +258,6 @@ func sweep(o options, out *os.File) (int, error) {
 		fmt.Fprintf(out, "  replay: countsim -seed %d -trace%s\n", seed, replayFlags)
 	}
 
-	if o.expectBug {
-		if dupSeeds == 0 {
-			fmt.Fprintf(out, "countsim: injected duplicate-mint bug NEVER caught in %d seeds — the harness is blind\n", o.seeds)
-			return 1, nil
-		}
-		fmt.Fprintf(out, "countsim: canary ok — duplicate mint caught in %d/%d seeds\n", dupSeeds, o.seeds)
-		return 0, nil
-	}
 	if len(failing) > 0 {
 		return 1, nil
 	}

@@ -12,11 +12,9 @@ import (
 	"repro/internal/wire"
 )
 
-// simBackend wraps the compiled counting network for simulation: seeded
-// per-call latency (how mailboxes fill and backpressure becomes
-// reachable) and, when bug is set, a deliberately injected
-// duplicate-mint defect the invariant checker must catch — the canary
-// proving the harness can see real bugs.
+// simBackend wraps the compiled counting network for simulation with
+// seeded per-call latency: how mailboxes fill and backpressure becomes
+// reachable.
 //
 // Latency deadlines are grid-aligned with a per-call offset of their
 // own, so the sweeper asleep in the backend never wakes at the same
@@ -30,20 +28,15 @@ type simBackend struct {
 
 	latMin, latMax time.Duration
 	calls          atomic.Uint64
-
-	bug     bool
-	bugMu   sync.Mutex
-	lastOut []runtime.Range // previous sweep's ranges, replayed on a bug hit
 }
 
 func (b *simBackend) Shape() network.Shape { return b.inner.Shape() }
 
-// stall sleeps the seeded latency for this call and reports the call's
-// ordinal.
-func (b *simBackend) stall() uint64 {
+// stall sleeps the seeded latency for this call.
+func (b *simBackend) stall() {
 	n := b.calls.Add(1)
 	if b.latMax <= 0 {
-		return n
+		return
 	}
 	span := int64(b.latMax - b.latMin)
 	base := b.latMin
@@ -53,36 +46,13 @@ func (b *simBackend) stall() uint64 {
 	steps := 1 + base/grid
 	off := time.Duration(4096+int(n%256)*16) * time.Nanosecond
 	b.clk.Sleep(steps*grid + off)
-	return n
 }
 
-// mint reports whether this call should trip the injected
-// duplicate-mint bug (re-serving the previous result).
-func (b *simBackend) trip(n uint64) bool {
-	return b.bug && mix3(b.seed, 0xb116, n, 1)%100 < 7
-}
-
-// Mint implements server.Backend over the compiled network. The
-// canary keeps a copy of each sweep's ranges: dst is the sweeper's
-// reused buffer, which the next sweep overwrites.
+// Mint implements server.Backend over the compiled network: the call's
+// stall, then one traversal appended to dst.
 func (b *simBackend) Mint(dst []runtime.Range, w, k int) ([]runtime.Range, error) {
-	n := b.stall()
-	b.bugMu.Lock()
-	defer b.bugMu.Unlock()
-	if b.trip(n) {
-		// Re-serve the previous sweep's first k values, if it had k.
-		out, need := dst, int64(k)
-		for _, r := range b.lastOut {
-			take := min(r.Count, need)
-			out = append(out, runtime.Range{First: r.First, Stride: r.Stride, Count: take})
-			if need -= take; need == 0 {
-				return out, nil
-			}
-		}
-	}
-	out := b.inner.IncBatchAppend(dst, w, k)
-	b.lastOut = append(b.lastOut[:0], out[len(dst):]...)
-	return out, nil
+	b.stall()
+	return b.inner.IncBatchAppend(dst, w, k), nil
 }
 
 // netFaults is the simulation's frame-fault seam (wire.FrameFaults,

@@ -23,8 +23,7 @@ import (
 // failover, node kills, rolling restarts and partitions all on the
 // virtual clock. The generator is deliberately separate from GenScenario
 // so the cluster flavor's existence cannot shift any existing seed's
-// expansion (the single-server traces and the -bug canary stay
-// byte-identical).
+// expansion (the single-server traces stay byte-identical).
 //
 // The flavor runs on the shared harness: RunClusterScenario boots the
 // nodes and supplies the chaos actor, dials each worker a

@@ -85,10 +85,11 @@ func TestClusterTraceDeterminism(t *testing.T) {
 	pinTraces(t, "cluster", traces)
 }
 
-// TestGenClusterScenarioSeparation pins that adding the cluster flavor
-// did not disturb the classic generator: cluster scenarios come from
-// their own expansion, and the classic one still yields the documented
-// canary behavior elsewhere (covered by TestSweepFindsPlantedBug).
+// TestGenClusterScenarioSeparation pins what the cluster generator
+// expands a seed into: node and worker counts in range, one plan per
+// worker, a cluster flavor. It is its own expansion, so it cannot shift
+// a single-server seed's; the single-flavor digests TestReplayByteIdentical
+// checks pin that side.
 func TestGenClusterScenarioSeparation(t *testing.T) {
 	sc := GenClusterScenario(7)
 	if sc.Nodes != 3 && sc.Nodes != 5 {

@@ -25,10 +25,6 @@ import (
 
 // RunOptions tunes one simulation run.
 type RunOptions struct {
-	// Bug injects the deliberate duplicate-mint defect into the backend —
-	// the canary proving the invariant checker catches real bugs. A Bug
-	// run is expected to produce violations.
-	Bug bool
 	// backend substitutes a pre-compiled counting network for the
 	// default bitonic one, so a test can run any network kind countd
 	// serves. Its fan-in must match the scenario width.
@@ -137,7 +133,6 @@ func RunScenario(sc Scenario, opts RunOptions) (*Result, error) {
 		seed:   seed,
 		latMin: sc.BackendLatMin,
 		latMax: sc.BackendLatMax,
-		bug:    opts.Bug,
 	}
 
 	// One shared recorder for both sides of the wire: client and server
