@@ -17,6 +17,7 @@ test:
 race:
 	$(GO) test -race ./internal/... ./cmd/countd/ ./cmd/countload/
 	$(GO) test -race -count=5 -run 'TestClusterLINMonotone|TestNodeAscendsAcrossPeerLeave|TestLINAboveEarlierSC' ./internal/cluster
+	$(GO) test -race -count=5 -run 'TestBatcherFollowsCombineState' ./internal/client
 	$(GO) test -C bench -race ./...
 
 cover:

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	stdruntime "runtime"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/flightrec"
@@ -12,63 +12,99 @@ import (
 )
 
 // batchGroup is one set of increments of one mode that crosses the wire
-// as a single TIncBatch. Callers claim arrival slots lock-free; results
-// come back by arrival index; done is closed once vals/err are final,
-// waking every waiter with one operation instead of one channel send per
-// caller.
+// as a single TIncBatch. done is closed once vals/err are final, waking
+// every member at once.
 type batchGroup struct {
-	// arrivals packs the claim counter with sealBit. It starts at 1: the
-	// caller that installs the group (its opener) holds slot 0. A caller
-	// joins by adding 1; the opener seals the group by adding sealBit,
-	// after which late adders retry on a fresh group. Claims past the seal
-	// (or past BatchLimit) are abandoned — the seal-time count minus the
-	// overshoot is the group's true size.
-	arrivals atomic.Int32
-	// wire is the input wire the combined frame enters on: the opener's.
-	// wire, n and mode share the word after arrivals, so the group stays
-	// 80 bytes.
-	wire int32
+	id   uint64    // its number in its batcher's combineState
+	wire int32     // the input wire the combined frame enters on: the opener's
 	n    int32     // final size, set once by the opener's seal
 	mode wire.Mode // every member's mode, sent in the frame
 	vals []int64   // dealt values by arrival index, valid after done
 	err  error     // group-wide failure, valid after done
 	done chan struct{}
 
-	// trace, when nonzero, marks the group sampled: its combined frame
-	// carries the id and both sides record stage spans for it. born is
-	// the group's creation stamp (ns), the client_combine span's start.
+	// trace, when nonzero, samples the group: its frame carries the id and
+	// both sides record spans. born (ns) starts the client_combine span.
 	trace uint64
 	born  int64
 }
 
-const sealBit = int32(1) << 30
+// combineState is one mode's whole grouping rule, with no lock, channel
+// or goroutine: the batcher carries out what its transitions return.
+// Groups are numbered from 1 (0 names none). At most one is open, taking
+// joiners, and at most one is out, its frame in flight: the mode's turn.
+type combineState struct {
+	limit          int    // BatchLimit: the most increments one frame carries
+	seq, open, out uint64 // the last group opened, the open one, the out one
+	n              int    // the open group's members so far
+}
 
-// batcher is one flat-combining point. A client has exactly two, one per
-// mode, and callers on every wire share their mode's. SC and LIN never
-// share a batcher, so never a frame: in a cluster the LIN frame's sweep
-// is one grant from the leader's frontier while SC is minted from the
-// node's own block. Callers
-// claim a slot in the open group with one atomic add — no lock on the
-// per-op path. The caller that opens a group sends it: it waits for the
-// batcher's turn, seals the group and issues one TIncBatch on its own
-// wire and the pool's next connection. So at most one frame per mode is
-// in flight; while it is out new callers accumulate behind the next
-// opener, which is exactly what builds big batches under load.
+// join adds a caller to the open group, or opens one, and returns the
+// group and the caller's arrival index; index 0 is the opener, which
+// sends it. The join that fills a group to limit detaches it.
+func (s *combineState) join() (g uint64, idx int) {
+	if s.open == 0 {
+		s.seq++
+		s.open, s.n = s.seq, 0
+	}
+	g, idx = s.open, s.n
+	if s.n++; s.n == s.limit {
+		s.open = 0
+	}
+	return g, idx
+}
+
+// take gives g the turn if no frame is out, and reports whether it did.
+func (s *combineState) take(g uint64) bool {
+	ok := s.out == 0
+	if ok {
+		s.out = g
+	}
+	return ok
+}
+
+// seal freezes g's membership and returns its size: the open count if g
+// is still open, which it detaches, else limit, since a group leaves the
+// open slot before its seal only by filling up.
+func (s *combineState) seal(g uint64) int {
+	if s.open != g {
+		return s.limit
+	}
+	s.open = 0
+	return s.n
+}
+
+// sent ends the turn: the frame out has been answered.
+func (s *combineState) sent() { s.out = 0 }
+
+// cancel drops g unsent, its opener's context having ended before its
+// turn came: g leaves the open slot, and its members join a later group.
+func (s *combineState) cancel(g uint64) {
+	if s.open == g {
+		s.open = 0
+	}
+}
+
+// batcher is one flat-combining point: a combineState under one lock and
+// the groups it names. A client has two, one per mode, shared by callers
+// on every wire; SC and LIN never share a frame (in a cluster they mint
+// differently). While a frame is out, openers wait on its group's done
+// and new callers accumulate behind them: big batches under load.
 type batcher struct {
-	open atomic.Pointer[batchGroup]
-	turn chan struct{} // capacity 1: holding its slot is the turn to send
+	mu        sync.Mutex
+	st        combineState
+	open, out *batchGroup // the groups st.open and st.out name
 }
 
 // incBatched submits one increment on wire w through its mode's batcher
-// and waits for its dealt-out value. Should w open the group, the whole
-// group enters on w. Any mode but SC is LIN.
+// and waits for its value. Any mode but SC is LIN.
 func (c *Client) incBatched(ctx context.Context, w int, mode wire.Mode) (int64, error) {
 	if mode != wire.ModeSC {
 		mode = wire.ModeLIN
 	}
 	b := &c.batchers[mode]
 	for {
-		g, idx := b.join(c.opt.BatchLimit, func() *batchGroup { return c.newGroup(w, mode) })
+		g, idx := c.join(b, w, mode)
 		if idx == 0 && !c.send(ctx, b, g) {
 			return 0, fault.FromContext(ctx.Err())
 		}
@@ -86,100 +122,80 @@ func (c *Client) incBatched(ctx context.Context, w int, mode wire.Mode) (int64, 
 // nothing was sent for it, so its members join a later group.
 var errRegroup = errors.New("client: batch group dropped unsent")
 
-// send is the opener's part: wait for the batcher's turn, seal the group
-// and send it. Once it holds the turn it sends even if its own context
-// ends, since every other member waits on this group. Should its context
-// end while the previous frame is still out, it seals the group unsent
-// and closes it with errRegroup instead, and reports false.
+// join joins b's open group, or opens one entering on wire w, and
+// returns it and the caller's index in it. A new group is sampled: it is
+// the unit that crosses the wire, so also the unit of tracing.
+func (c *Client) join(b *batcher, w int, mode wire.Mode) (*batchGroup, int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	id, idx := b.st.join()
+	g := b.open
+	if idx == 0 {
+		g = &batchGroup{id: id, wire: int32(w), mode: mode, done: make(chan struct{})}
+		if tid := c.sampler.Sample(); tid != 0 {
+			g.trace, g.born = tid, c.clk.Now().UnixNano()
+		}
+	}
+	b.track(g)
+	return g, idx
+}
+
+// track keeps b.open naming st.open's group after a transition on g.
+func (b *batcher) track(g *batchGroup) {
+	if b.st.open == g.id {
+		b.open = g
+	} else if b.open == g {
+		b.open = nil
+	}
+}
+
+// send is the opener's part: take the turn, seal the group and send it.
+// While another frame is out it waits on that group's done. Once it
+// holds the turn it sends even if its own context ends, since every
+// other member waits on this group. Should its context end while it
+// waits, it drops the group unsent (errRegroup) and reports false.
 func (c *Client) send(ctx context.Context, b *batcher, g *batchGroup) bool {
-	select {
-	case b.turn <- struct{}{}:
-	default:
+	b.mu.Lock()
+	for !b.st.take(g.id) {
+		out := b.out.done
+		b.mu.Unlock()
 		select {
-		case b.turn <- struct{}{}:
+		case <-out:
 		case <-ctx.Done():
-			b.seal(g, c.opt.BatchLimit)
+			b.mu.Lock()
+			b.st.cancel(g.id)
+			b.track(g)
+			b.mu.Unlock()
 			g.err = errRegroup
 			close(g.done)
 			return false
 		}
+		b.mu.Lock()
 	}
+	b.out = g
+	b.mu.Unlock()
 	b.settle()
-	b.seal(g, c.opt.BatchLimit)
-	c.sendGroup(g)
-	<-b.turn
+	b.mu.Lock()
+	g.n = int32(b.st.seal(g.id))
+	b.track(g)
+	b.mu.Unlock()
+	c.sendGroup(b, g)
 	return true
 }
 
-// newGroup builds a fresh batch group of one mode entering on wire w,
-// its opener's slot already claimed, and samples it: the group is the
-// unit that crosses the wire, so it is also the unit of tracing. With
-// sampling off this is one nil check beyond the allocation.
-func (c *Client) newGroup(w int, mode wire.Mode) *batchGroup {
-	g := &batchGroup{wire: int32(w), mode: mode, done: make(chan struct{})}
-	g.arrivals.Store(1)
-	if id := c.sampler.Sample(); id != 0 {
-		g.trace = id
-		g.born = c.clk.Now().UnixNano()
-	}
-	return g
-}
-
-// join claims an arrival slot in the batcher's open group, or installs a
-// fresh group (built by mk) and holds its slot 0 when none is open. A
-// group that a claim fills to limit is detached at once, so no frame
-// carries more than limit increments; a group of limit 1 is never
-// installed at all.
-func (b *batcher) join(limit int, mk func() *batchGroup) (*batchGroup, int) {
-	for {
-		g := b.open.Load()
-		if g == nil {
-			ng := mk()
-			if limit > 1 && !b.open.CompareAndSwap(nil, ng) {
-				continue
-			}
-			return ng, 0
-		}
-		a := g.arrivals.Add(1)
-		if a&sealBit != 0 || int(a) > limit {
-			continue // sealed (or full) under us; retry on a fresh group
-		}
-		if int(a) == limit {
-			b.open.CompareAndSwap(g, nil) // full: its opener seals it on its turn
-		}
-		return g, int(a) - 1
-	}
-}
-
-// seal detaches the opener's group if it is still open, freezes its
-// membership and records its final size.
-func (b *batcher) seal(g *batchGroup, limit int) {
-	b.open.CompareAndSwap(g, nil)
-	count := int(g.arrivals.Add(sealBit) &^ sealBit)
-	if count > limit {
-		count = limit // overshooting claimers retried elsewhere
-	}
-	g.n = int32(count)
-}
-
-// waitInc blocks until the opener closes the group. Delivery is
-// guaranteed even across client close — the opener always finishes the
-// group, with an error if the connection is gone or errRegroup if it
-// gave up unsent — so the only other exit is the caller's own context.
+// waitInc blocks until the opener closes the group: it always does, with
+// an error if the connection is gone or errRegroup if it gave up unsent,
+// so the only other exit is the caller's own context.
 func waitInc(ctx context.Context, g *batchGroup, idx int) (int64, error) {
 	if done := ctx.Done(); done != nil {
 		select {
 		case <-g.done:
 		case <-done:
-			// The opener will still finish the group; the value dealt to
-			// this index is abandoned — a gap, never a duplicate.
+			// The value dealt to this index is abandoned: a gap.
 			return 0, fault.FromContext(ctx.Err())
 		}
 	} else {
-		// Non-cancellable caller: a plain receive skips the select
-		// machinery — and, with thousands of concurrent callers, the lock
-		// contention on a shared ctx.Done channel.
-		<-g.done
+		<-g.done // no select, nor its lock on a shared ctx.Done channel
 	}
 	if g.err != nil {
 		return 0, g.err
@@ -193,39 +209,25 @@ func waitInc(ctx context.Context, g *batchGroup, idx int) (int64, error) {
 // (half in flight, half waking — the classic double buffer). The loop is
 // bounded: it exits the first time a yield adds no caller.
 func (b *batcher) settle() {
-	prev := int32(-1)
-	for {
-		var n int32
-		if g := b.open.Load(); g != nil {
-			n = g.arrivals.Load()
-		}
-		if n == prev {
+	for prev := [2]uint64{^uint64(0)}; ; stdruntime.Gosched() {
+		b.mu.Lock()
+		now := [2]uint64{b.st.open, uint64(b.st.n)}
+		b.mu.Unlock()
+		if now == prev {
 			return
 		}
-		prev = n
-		stdruntime.Gosched()
+		prev = now
 	}
 }
 
 // sendGroup issues one TIncBatch for the group on its opener's wire and
-// deals the returned values out by arrival index. Safe for per-process
-// ordering despite a concurrent send on the other batcher: a caller's next
-// increment is only submitted after this one's value arrives, so its
-// batch is issued strictly later. The same argument makes a combined LIN
-// frame linearizable: every member was invoked before the frame was sent
-// and answers after its reply, so the members overlap and any order
-// among them is legal, while an op invoked after that reply can only
-// join a later frame, which the server sweeps after this one.
-func (c *Client) sendGroup(g *batchGroup) {
-	w := int64(g.wire)
-	m := uint8(g.mode)
-	req := wire.Frame{
-		Type:  wire.TIncBatch,
-		Wire:  w,
-		K:     int64(g.n),
-		Mode:  g.mode,
-		Trace: g.trace,
-	}
+// deals the returned values out by arrival index. Every member joined
+// before the seal, so it was invoked before the frame left and answers
+// after its reply: the package doc's argument for both modes.
+func (c *Client) sendGroup(b *batcher, g *batchGroup) {
+	defer b.finish(g)
+	w, m := int64(g.wire), uint8(g.mode)
+	req := wire.Frame{Type: wire.TIncBatch, Wire: w, K: int64(g.n), Mode: g.mode, Trace: g.trace}
 	// Traced groups record their three client stages: combine (birth →
 	// handed to the connection), RPC (transport + server), complete
 	// (response decoded → values dealt).
@@ -242,7 +244,6 @@ func (c *Client) sendGroup(g *batchGroup) {
 	}
 	if err != nil {
 		g.err = err
-		close(g.done)
 		return
 	}
 	n := int(g.n)
@@ -258,5 +259,14 @@ func (c *Client) sendGroup(g *batchGroup) {
 	if g.trace != 0 {
 		c.flight.RecordNS(g.trace, flightrec.StageClientComplete, m, w, doneNS, c.clk.Now().UnixNano())
 	}
+}
+
+// finish ends b's turn, then wakes g's members: a woken opener finds the
+// turn free rather than spinning on it.
+func (b *batcher) finish(g *batchGroup) {
+	b.mu.Lock()
+	b.st.sent()
+	b.out = nil
+	b.mu.Unlock()
 	close(g.done)
 }

@@ -12,38 +12,34 @@
 // # Re-batching
 //
 // Concurrent Inc calls do not each cross the network. They meet at a
-// flat-combining point, exactly one per mode, which callers on every
-// input wire share: the caller that finds no group open opens one, and
-// everyone who arrives while it waits for its mode's turn joins it. On
-// its turn the opener seals the group, sends it as one TIncBatch frame
-// of that mode on the pool's next connection (Options.Conns sizes only
-// the pool), and deals the returned value ranges back out in arrival
-// order; so each mode has at most one frame in flight, and no goroutine
-// is started to send one. An opener whose context ends before its turn
-// comes sends nothing: its group is dropped unsent and the other members
-// join a later one.
-// The frame enters on the opener's wire; the counting and step
-// properties do not depend on which wires tokens enter on, and a
-// caller's next increment waits for this one's value, so per-process
-// order survives. LIN combines too: every op in a frame was invoked
-// before it was sent and answers after its reply, so they all overlap,
-// and an op invoked after a reply joins a later frame, which the server
-// sweeps later. Against a coalescing server this compounds: many callers
-// → few frames → fewer sweeps.
+// flat-combining point, one per mode, shared by callers on every input
+// wire: a plain grouping rule under one lock. The caller that finds no
+// group open opens one, and later callers join it until it holds
+// BatchLimit. The opener sends it as one TIncBatch frame on its own wire
+// and the pool's next connection once no frame of that mode is in
+// flight (waiting until then on the in-flight group's done), and deals
+// the returned ranges back out in arrival order. So each mode has at
+// most one frame in flight, sent by no extra goroutine. An opener whose
+// context ends before its turn drops its group unsent; the other
+// members join a later one. Tokens' entry wires do not matter to the
+// counting and step properties, and a caller's next increment waits for
+// this one's value, so per-process order survives. LIN combines too:
+// every op in a frame was invoked before it was sent and answers after
+// its reply, so they all overlap, and an op invoked after a reply joins
+// a later frame, which the server sweeps later.
 // IncBatchCtx never re-batches and always enters on the caller's wire.
 //
 // # Group commit
 //
-// What no request pays alone is the write syscall. Every frame, of either
-// mode, is appended to its connection's pending buffer; the caller that
-// finds no writer active writes for everyone — one yield so the rest of a
-// burst can append, then one Write per accumulated buffer until none is
-// left. A lone caller still gets exactly one Write per request and no
-// added hold. Stats reports how many frames each write carried. Combined
-// increments keep at most one frame per mode in flight, so group commit
-// serves the pipelined, uncombined requests: IncBatchCtx and Read, up to
-// Window per connection. No caller waits on another's Write; each waits
-// only for its reply, under its own context.
+// What no request pays alone is the write syscall. Every frame is
+// appended to its connection's pending buffer; the caller that finds no
+// writer active yields once, so the rest of a burst can append, then
+// writes for everyone until nothing is left. A lone caller gets one Write
+// and no added hold. Stats reports how many frames each write carried.
+// Combined increments keep one frame per mode in flight, so group commit
+// serves the pipelined requests, IncBatchCtx and Read, up to Window per
+// connection. Each caller waits only for its own reply, under its own
+// context.
 package client
 
 import (
@@ -68,13 +64,10 @@ import (
 // Options tunes a Client; the zero value picks the defaults noted on
 // each field.
 type Options struct {
-	// Conns is the connection pool size (default 1). It sizes only the
-	// pool; combined Inc calls meet at one combining point per mode.
+	// Conns is the connection pool size (default 1).
 	Conns int
 	// Window bounds the in-flight (unanswered) requests per connection
-	// (default 64); acquiring a slot blocks. Combined Inc calls keep at
-	// most one frame per mode in flight, so the bound binds only
-	// pipelined IncBatchCtx and Read calls.
+	// (default 64); acquiring a slot blocks.
 	Window int
 	// Mode is the consistency mode used by the Counter facade methods
 	// (default ModeSC). The *Mode methods override it per call.
@@ -228,7 +221,7 @@ func NewPeer(addr string, opt Options) *Client {
 		done: make(chan struct{}),
 	}
 	for i := range c.batchers {
-		c.batchers[i].turn = make(chan struct{}, 1)
+		c.batchers[i].st.limit = c.opt.BatchLimit
 	}
 	c.flight = c.opt.Flight
 	if c.opt.TraceSample > 0 {
@@ -559,10 +552,8 @@ type cconn struct {
 	lastErr error
 }
 
-// respChPool recycles the one-shot response channels of the request path.
-// A channel is re-pooled only after its owner received from it — a
-// channel that was ever abandoned (ctx expiry) or closed (kill) is left
-// to the garbage collector.
+// respChPool recycles the request path's one-shot response channels; one
+// ever abandoned (ctx expiry) or closed (kill) is never re-pooled.
 var respChPool = sync.Pool{New: func() any { return make(chan wire.Frame, 1) }}
 
 func (cc *cconn) isDead() bool {
@@ -658,11 +649,10 @@ func (cc *cconn) do(ctx context.Context, f *wire.Frame) (wire.Frame, error) {
 }
 
 // commit is the group-commit writer: one Write per accumulated buffer
-// until none is left. The yield is what makes a burst coalesce — on one P
-// a non-blocking loopback write never parks, so without it every caller
-// would find the writer gone and write alone; a lone caller's yield
-// returns at once. A failed write kills the connection, which fails every
-// waiter, this caller included, with the retryable errTransport.
+// until none is left. The yield makes a burst coalesce: on one P a
+// loopback write never parks, so without it every caller would write
+// alone. A failed write kills the connection, failing every waiter with
+// the retryable errTransport.
 func (cc *cconn) commit() {
 	stdruntime.Gosched()
 	cc.wmu.Lock()
@@ -686,12 +676,10 @@ func (cc *cconn) commit() {
 	cc.wmu.Unlock()
 }
 
-// readLoop delivers responses to waiters; responses with no waiter
-// (duplicates injected by faults, or requests abandoned on ctx expiry)
-// are discarded — that discard is what keeps duplicated frames from
-// duplicating observed values. The frame and scratch buffer are recycled
-// across reads, so the steady state allocates only when a response
-// carries a slice payload that must be detached before handoff.
+// readLoop delivers responses to waiters. One with no waiter (a
+// duplicate, or a request abandoned on ctx expiry) is discarded, which
+// keeps duplicated frames from duplicating values. The frame and scratch
+// buffer are recycled, so only a slice payload allocates (detached below).
 func (cc *cconn) readLoop() {
 	br := newReader(cc.nc)
 	var f wire.Frame

@@ -281,7 +281,7 @@ func TestCancelInsideGroup(t *testing.T) {
 	// The test holds the SC turn, so every member joins the group while
 	// its opener waits.
 	b := &c.batchers[wire.ModeSC]
-	b.turn <- struct{}{}
+	release := holdTurn(b)
 	const members, other = 8, 5
 	res := make([]chan incResult, members)
 	cancels := make([]context.CancelFunc, members)
@@ -291,12 +291,11 @@ func TestCancelInsideGroup(t *testing.T) {
 		defer cancels[i]()
 		res[i] = goInc(ctx, c, i)
 		if i == 0 {
-			waitFor(t, "the opener to install its group", func() bool { return b.open.Load() != nil })
+			waitFor(t, "the opener to install its group", func() bool { return openMembers(b) != 0 })
 		}
 	}
-	g := b.open.Load()
-	waitFor(t, "every member to join", func() bool { return g.arrivals.Load() == members })
-	<-b.turn
+	waitFor(t, "every member to join", func() bool { return openMembers(b) == members })
+	release()
 	waitFor(t, "the group's frame to reach the backend", func() bool { return be.entered.Load() == 1 })
 	cancels[0]()
 	cancels[other]()
@@ -361,7 +360,7 @@ func TestOpenerDeadlineBehindStalledFrame(t *testing.T) {
 	defer cancel()
 	opener := goInc(ctx, c, 0)
 	waitFor(t, "the opener to install its group or give up", func() bool {
-		return b.open.Load() != nil || len(opener) > 0
+		return openMembers(b) != 0 || len(opener) > 0
 	})
 	const members = 6
 	res := make([]chan incResult, members)
@@ -379,10 +378,7 @@ func TestOpenerDeadlineBehindStalledFrame(t *testing.T) {
 	if n := be.entered.Load(); n != 1 {
 		t.Fatalf("backend entered %d times before the stalled frame returned, want 1", n)
 	}
-	waitFor(t, "every member to join the next group", func() bool {
-		g := b.open.Load()
-		return g != nil && g.arrivals.Load() == members
-	})
+	waitFor(t, "every member to join the next group", func() bool { return openMembers(b) == members })
 	unhold()
 
 	seen := make(map[int64]bool, members+1)
@@ -514,20 +510,18 @@ func TestRebatchingAcrossWires(t *testing.T) {
 		c := dialC(t, addr.String(), Options{})
 
 		b := &c.batchers[0]
-		joinOn := func(w int) (*batchGroup, int) {
-			return b.join(c.opt.BatchLimit, func() *batchGroup { return c.newGroup(w, wire.ModeSC) })
-		}
+		joinOn := func(w int) (*batchGroup, int) { return c.join(b, w, wire.ModeSC) }
 		g1, i1 := joinOn(3)
 		g2, i2 := joinOn(5)
 		if g1 != g2 || i1 != 0 || i2 != 1 {
 			t.Fatalf("joiners on wires 3 and 5 did not share a group: (%p,%d) (%p,%d)", g1, i1, g2, i2)
 		}
 		g := g1
-		b.seal(g, c.opt.BatchLimit)
-		if b.open.Load() != nil || g.n != 2 || g.wire != 3 {
-			t.Fatalf("sealed group n=%d wire=%d (still open: %v), want detached, n=2 wire=3", g.n, g.wire, b.open.Load() == g)
+		takeAndSeal(b, g)
+		if openMembers(b) != 0 || g.n != 2 || g.wire != 3 {
+			t.Fatalf("sealed group n=%d wire=%d (still open: %v), want detached, n=2 wire=3", g.n, g.wire, openMembers(b) != 0)
 		}
-		c.sendGroup(g)
+		c.sendGroup(b, g)
 		v1, err1 := waitInc(context.Background(), g, i1)
 		v2, err2 := waitInc(context.Background(), g, i2)
 		if err1 != nil || err2 != nil || v1 == v2 {

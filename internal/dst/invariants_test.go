@@ -131,7 +131,7 @@ func TestCheckInvariantsHandMadeHistories(t *testing.T) {
 			if tt.adverse {
 				res.Scenario.DropProb = 0.1
 			}
-			checkInvariants(res, NewWorld(1, 0, 0, nil))
+			checkInvariants(res, NewWorld(1, 0, 0, nil), nil)
 			if len(res.Violations) != len(tt.want) {
 				t.Fatalf("violations = %q, want %d matching %q", res.Violations, len(tt.want), tt.want)
 			}

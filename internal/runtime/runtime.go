@@ -363,6 +363,17 @@ func (n *Network) Issued() int64 {
 	return total
 }
 
+// SinkCounts returns how many values each output counter has handed out:
+// counter j holds j + issued_j·w. Like Issued it is exact at quiescence,
+// where the counts satisfy the step property.
+func (n *Network) SinkCounts() []int64 {
+	counts := make([]int64, n.wOut)
+	for j := range n.counters {
+		counts[j] = (n.counters[j].v.Load() - int64(j)) / int64(n.wOut)
+	}
+	return counts
+}
+
 // FanOut returns the number of output counters.
 func (n *Network) FanOut() int { return n.wOut }
 
