@@ -16,7 +16,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/... ./cmd/countd/ ./cmd/countload/
-	$(GO) test -race -count=5 -run 'TestClusterLINMonotone|TestNodeAscendsAcrossPeerLeave|TestLINAboveEarlierSC' ./internal/cluster
+	$(GO) test -race -count=5 -run 'TestClusterLINMonotone|TestNodeAscendsAcrossPeerLeave|TestLINAboveEarlierSC|TestLeadershipModel|TestLeaseFence|TestSpentStripeStartsNextTerm' ./internal/cluster
 	$(GO) test -race -count=5 -run 'TestBatcherFollowsCombineState' ./internal/client
 	$(GO) test -C bench -race ./...
 

@@ -35,8 +35,8 @@
 //     session already holds. The leader grants only under an
 //     endorsement lease that a majority of peers back and that has aged
 //     past RPCTimeout+leaseTimeout, which makes leases mutually
-//     exclusive across a partition heal (Node.leaseLocked has the
-//     argument).
+//     exclusive across a partition heal (leadership.held in lease.go
+//     has the argument).
 //
 // The package deliberately does not import internal/server: cmd/countd
 // composes them — the cluster Minter is the server's Backend and

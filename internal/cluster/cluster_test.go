@@ -424,7 +424,7 @@ func TestPeerOpcodesAnsweredWhileForwardStalls(t *testing.T) {
 		RPCTimeout:  time.Minute,
 	}, ln)
 	nd.mu.Lock()
-	nd.ms.claim = claim{Term: 1, Leader: 1, Addr: stall.Addr().String()}
+	nd.lead.ms.claim = claim{Term: 1, Leader: 1, Addr: stall.Addr().String()}
 	nd.mu.Unlock()
 
 	c, err := net.Dial("tcp", ln.Addr().String())
@@ -515,5 +515,66 @@ func TestFollowerForwardsShareOneConn(t *testing.T) {
 	if got > len(nodes)-1 {
 		t.Fatalf("follower dialled %d peer connections for %d forwards and its gossip, want at most one per peer (%d)",
 			got, sweeps, len(nodes)-1)
+	}
+}
+
+// TestSpentStripeStartsNextTerm: the leader's stripe is spent 100 ids
+// short of its end, and the leader takes a LIN grant of 10 every
+// millisecond. Once the stripe cannot hold 10 more, the leader starts the
+// next term and mints again, from its fresh stripe, within RPCTimeout
+// plus a few gossip periods (the new term's fence); every id is unique
+// and the leader's ids ascend.
+func TestSpentStripeStartsNextTerm(t *testing.T) {
+	const rpc = 100 * time.Millisecond
+	nodes, _, _ := startCluster(t, 3, func(cfg *Config) { cfg.RPCTimeout = rpc })
+	var leader *Node
+	for _, nd := range nodes {
+		if nd.IsLeader() {
+			leader = nd
+		}
+	}
+	if leader == nil {
+		t.Fatal("no node holds the lease")
+	}
+	leader.mu.Lock()
+	spent := leader.lead.epoch
+	leader.lead.next = StripeSize - 100
+	leader.mu.Unlock()
+
+	var ids []int64
+	var stalled time.Time
+	var pause time.Duration // from the first refusal to the first id of a later epoch
+	for resumed := 0; resumed < 10; time.Sleep(time.Millisecond) {
+		out, err := leader.Mint(nil, 0, 10)
+		if err != nil {
+			if !errors.Is(err, wire.ErrNoRange) && !errors.Is(err, wire.ErrNotLeader) {
+				t.Fatalf("LIN on the leader: %v", err)
+			}
+			if stalled.IsZero() {
+				stalled = time.Now()
+			}
+			if bound := rpc + 40*leader.cfg.GossipEvery; time.Since(stalled) > bound {
+				t.Fatalf("minting stopped (spent epoch %d) and did not resume within %v: %v", spent, bound, err)
+			}
+			continue
+		}
+		ids = collect(ids, []wire.Range{{First: out[0].First, Stride: out[0].Stride, Count: out[0].Count}})
+		switch epoch := uint64(out[0].First >> StripeShift); {
+		case epoch < spent:
+			t.Fatalf("grant %+v lies below the spent epoch %d", out[0], spent)
+		case epoch > spent && resumed == 0:
+			pause = time.Since(stalled)
+			fallthrough
+		case epoch > spent:
+			resumed++
+		}
+		stalled = time.Time{}
+	}
+	t.Logf("minting paused %v at the stripe's end", pause)
+	assertUnique(t, ids)
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			t.Fatalf("the leader handed %d after %d", ids[i], ids[i-1])
+		}
 	}
 }

@@ -172,11 +172,7 @@ func (ms *membership) merge(d digest, now time.Time) {
 func (ms *membership) endorseCount(cl claim, now time.Time, window, aging time.Duration) int {
 	n := 0
 	for _, id := range ms.sortedIDs() {
-		e, ok := ms.endorse[id]
-		if !ok || e.c != cl {
-			continue
-		}
-		if now.Sub(e.first) >= aging && now.Sub(e.last) < window {
+		if e, ok := ms.endorse[id]; ok && e.c == cl && now.Sub(e.first) >= aging && now.Sub(e.last) < window {
 			n++
 		}
 	}
@@ -207,17 +203,6 @@ func (ms *membership) sortedIDs() []uint64 {
 	return ids
 }
 
-// alive returns the ascending ids of members currently considered alive.
-func (ms *membership) alive(now time.Time) []uint64 {
-	var out []uint64
-	for _, id := range ms.sortedIDs() {
-		if ms.state(ms.members[id], now) == StateAlive {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // freshCount counts members whose heartbeat advanced within the window —
 // the leader's quorum-lease measure.
 func (ms *membership) freshCount(now time.Time, window time.Duration) int {
@@ -231,18 +216,11 @@ func (ms *membership) freshCount(now time.Time, window time.Duration) int {
 }
 
 // counts tallies members by state for the metrics surface.
-func (ms *membership) counts(now time.Time) (alive, suspect, dead int) {
+func (ms *membership) counts(now time.Time) (c [StateDead + 1]int) {
 	for _, id := range ms.sortedIDs() {
-		switch ms.state(ms.members[id], now) {
-		case StateAlive:
-			alive++
-		case StateSuspect:
-			suspect++
-		default:
-			dead++
-		}
+		c[ms.state(ms.members[id], now)]++
 	}
-	return
+	return c
 }
 
 // digest snapshots the table for one gossip exchange.

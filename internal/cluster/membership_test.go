@@ -123,8 +123,8 @@ func TestDecodeDigestRejectsOutOfRange(t *testing.T) {
 			now := time.Unix(0, 0)
 			self := Member{ID: 1, Addr: "a", Incarnation: 1, Beat: 1}
 			mine := claim{Term: 2, Leader: 1, Addr: "a"}
-			n := &Node{cfg: Config{Clock: clock.Or(nil)}, ms: newMembership(self, now, time.Second, 3*time.Second)}
-			n.ms.claim = mine
+			n := &Node{cfg: Config{Clock: clock.Or(nil)}, lead: leadership{ms: newMembership(self, now, time.Second, 3*time.Second)}}
+			n.lead.ms.claim = mine
 			resp := n.HandlePeer(&wire.Frame{Type: wire.TGossip, Data: []byte(tc.body)})
 			if tc.ok {
 				if resp.Type != wire.TGossipAck {
@@ -135,8 +135,8 @@ func TestDecodeDigestRejectsOutOfRange(t *testing.T) {
 			if resp.Type != wire.TError || resp.Code != wire.CodeOf(wire.ErrBadFrame) {
 				t.Fatalf("gossip answered %v %q, want ErrBadFrame", resp.Type, resp.Msg)
 			}
-			if len(n.ms.members) != 1 || n.ms.claim != mine {
-				t.Fatalf("rejected digest changed the table: %d members, claim %+v", len(n.ms.members), n.ms.claim)
+			if len(n.lead.ms.members) != 1 || n.lead.ms.claim != mine {
+				t.Fatalf("rejected digest changed the table: %d members, claim %+v", len(n.lead.ms.members), n.lead.ms.claim)
 			}
 		})
 	}

@@ -1,13 +1,14 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/client"
+	"repro/internal/fault"
 	"repro/internal/network"
 	"repro/internal/runtime"
 	"repro/internal/wire"
@@ -15,21 +16,18 @@ import (
 
 // Node is one countd's cluster half: it gossips membership and obtains
 // epoch-fenced id grants from the leader, blocks for the local Minter
-// and exactly k ids for each LIN sweep. It deliberately knows nothing
-// about the client-facing server; cmd/countd plugs the two together
-// through hooks, and the server's door hands the node its peers'
-// requests.
+// and exactly k ids for each LIN sweep. It knows nothing of the
+// client-facing server, whose door hands it its peers' requests. The
+// Node is the shell of one leadership value (lease.go): the mutex, the
+// gossip timer, the peer clients, and what the transitions report.
 type Node struct {
 	cfg    Config
 	minter *Minter
 
-	mu        sync.Mutex
-	ms        *membership
-	alloc     *allocator // non-nil while this node claims leadership
-	electedAt time.Time  // when this node started its current term
-	seeds     []string   // contact addresses, self excluded
+	mu   sync.Mutex
+	lead leadership
 	// peers holds one pipelined client per peer serving address, made on
-	// the first call to it (transport.go); nil once the node has shut down.
+	// the first call to it; nil once the node has shut down.
 	peers map[string]*client.Client
 
 	closed  chan struct{}
@@ -54,24 +52,10 @@ func Start(cfg Config) (*Node, error) {
 		closed: make(chan struct{}),
 		peers:  make(map[string]*client.Client),
 	}
-	for _, s := range cfg.Seeds {
-		if s != cfg.Addr {
-			n.seeds = append(n.seeds, s)
-		}
-	}
 	n.minter = newMinter(cfg.Width, cfg.BlockSize, cfg.Stats, func(k int64) (wire.Range, error) {
 		return n.grant(k, false)
 	})
-	now := cfg.Clock.Now()
-	self := Member{
-		ID:   cfg.NodeID,
-		Addr: cfg.Addr,
-		// A restart starts a strictly higher incarnation than any
-		// earlier life could have gossiped (the clock only moves forward),
-		// so stale rumours about the old life cannot shadow the new one.
-		Incarnation: uint64(now.UnixNano()),
-	}
-	n.ms = newMembership(self, now, cfg.suspectAfter(), cfg.deadAfter())
+	n.lead = newLeadership(cfg, cfg.Clock.Now())
 	n.wg.Add(1)
 	go n.gossipLoop()
 	return n, nil
@@ -87,7 +71,7 @@ func (n *Node) ID() uint64 { return n.cfg.NodeID }
 func (n *Node) Epoch() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	cl := n.ms.claim
+	cl := n.lead.ms.claim
 	if cl.Term == 0 {
 		return 0
 	}
@@ -98,7 +82,7 @@ func (n *Node) Epoch() uint64 {
 func (n *Node) Leader() (id uint64, addr string, ok bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	cl := n.ms.claim
+	cl := n.lead.ms.claim
 	if cl.Term == 0 {
 		return 0, "", false
 	}
@@ -109,183 +93,77 @@ func (n *Node) Leader() (id uint64, addr string, ok bool) {
 func (n *Node) IsLeader() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.leaseLocked(n.cfg.Clock.Now())
+	return n.lead.held(n.cfg.Clock.Now())
 }
 
-// quorum is the majority of the seeded cluster size.
-func (n *Node) quorum() int { return n.cfg.ExpectedPeers/2 + 1 }
-
-// leaseLocked reports whether this node may act as leader right now: it
-// must be the claimed leader of the current term, hold the matching
-// allocator, and be backed by a majority of direct, mature, fresh
-// endorsements of exactly this claim.
-//
-// The endorsement rules are the fence that keeps cluster-wide LIN
-// monotone (id uniqueness needs none of this — epoch stripes guarantee
-// it unconditionally). A peer's terms only ever rise, so once it
-// endorses a higher term it never again backs a lower one. Any lease the
-// old leader can still assemble therefore rests on statements the
-// switching peer made before it adopted the new claim; those statements
-// were generated at most RPCTimeout before they merged and expire
-// leaseTimeout after, so the old lease is provably dead once the new
-// claim has been endorsed for RPCTimeout+leaseTimeout — exactly the
-// maturity both the leader's own tenure (electedAt) and every counted
-// endorsement must reach. Majorities intersect, so the two leases can
-// never overlap: the SC-vs-LIN gap stays honest across elections.
-func (n *Node) leaseLocked(now time.Time) bool {
-	cl := n.ms.claim
-	if cl.Term == 0 || cl.Leader != n.cfg.NodeID || n.alloc == nil {
-		return false
-	}
-	if n.alloc.epoch != EpochOf(cl.Term, cl.Leader) {
-		return false
-	}
-	aging := n.cfg.RPCTimeout + n.cfg.leaseTimeout()
-	if now.Sub(n.electedAt) < aging {
-		return false // a predecessor's lease may not have lapsed yet
-	}
-	return 1+n.ms.endorseCount(cl, now, n.cfg.leaseTimeout(), aging) >= n.quorum()
-}
-
-// electLocked advances the leadership state machine one step. Called on
-// every gossip tick, under the node mutex.
-func (n *Node) electLocked(now time.Time) {
-	cl := n.ms.claim
-	if cl.Term > 0 && cl.Leader == n.cfg.NodeID {
-		if n.alloc != nil && n.alloc.epoch == EpochOf(cl.Term, cl.Leader) {
-			return // our own claim, allocator continuity intact
-		}
-		// A claim naming us that we hold no allocator for is a ghost of a
-		// previous incarnation: we crashed and rejoined inside our own
-		// term, and the old allocator's cursor died with us. Rebuilding it
-		// at the old epoch would re-mint that stripe from zero — duplicate
-		// ids. Supersede the ghost with a fresh term (fresh stripe) once a
-		// majority is fresh enough to propagate it; until then we hold no
-		// lease and refuse leadership work.
-		if n.ms.freshCount(now, n.cfg.leaseTimeout()) < n.quorum() {
-			return
-		}
-		n.startTermLocked(now, "superseding own ghost claim of term %d", cl.Term)
-		return
-	}
-	if n.alloc != nil {
-		// A higher-term claim deposed us.
+// report counts and logs what a transition changed.
+func (n *Node) report(t turn) {
+	if cl := t.deposedBy; cl.Term > 0 {
 		n.cfg.Logf("cluster: node %d deposed by term %d leader %d", n.cfg.NodeID, cl.Term, cl.Leader)
-		n.alloc = nil
 	}
-	if cl.Term > 0 {
-		if mi, ok := n.ms.members[cl.Leader]; ok && n.ms.state(mi, now) == StateAlive {
-			return // healthy leader exists; follow it
-		}
+	if t.term > 0 {
+		n.cfg.Stats.Elections.Add(1)
+		n.cfg.Logf("cluster: node %d elected itself leader of term %d (epoch %d): %s",
+			n.cfg.NodeID, t.term, EpochOf(t.term, n.cfg.NodeID), t.why)
 	}
-	// No live claimant. Elect ourselves only if enough of the seeded
-	// cluster is known (a node booting alone must meet its peers first),
-	// we are the minimal alive id, and a majority is fresh enough that
-	// the new term will propagate.
-	if len(n.ms.members) < n.quorum() {
-		return
-	}
-	alive := n.ms.alive(now)
-	if len(alive) == 0 || alive[0] != n.cfg.NodeID {
-		return
-	}
-	if n.ms.freshCount(now, n.cfg.leaseTimeout()) < n.quorum() {
-		return
-	}
-	n.startTermLocked(now, "no live claimant")
 }
 
-// startTermLocked begins a fresh term with this node as leader: a new
-// epoch, a new allocator over that epoch's untouched stripe. The lease
-// stays fenced until the term has aged RPCTimeout+leaseTimeout and a
-// majority's endorsements of it have matured the same way (leaseLocked).
-// The why is for the transition log only.
-func (n *Node) startTermLocked(now time.Time, why string, args ...any) {
-	term := n.ms.claim.Term + 1 // the claim is the highest term this node has seen
-	n.ms.claim = claim{Term: term, Leader: n.cfg.NodeID, Addr: n.cfg.Addr}
-	n.alloc = newAllocator(EpochOf(term, n.cfg.NodeID), n.cfg.Audit)
-	n.electedAt = now
-	n.cfg.Stats.Elections.Add(1)
-	n.cfg.Logf("cluster: node %d elected itself leader of term %d (epoch %d): %s",
-		n.cfg.NodeID, term, EpochOf(term, n.cfg.NodeID), fmt.Sprintf(why, args...))
-}
-
-// gossipLoop is the node's single periodic actor: beat, elect, exchange
-// tables with one peer, merge the reply.
+// gossipLoop is the node's single periodic actor: each GossipEvery, the
+// round's rule, then an exchange of tables with the peer it picked.
 func (n *Node) gossipLoop() {
 	defer n.wg.Done()
-	for round := 0; ; round++ {
-		t := n.cfg.Clock.NewTimer(n.cfg.GossipEvery)
+	for {
+		tm := n.cfg.Clock.NewTimer(n.cfg.GossipEvery)
 		select {
-		case <-t.C():
+		case <-tm.C():
 		case <-n.closed:
-			t.Stop()
+			tm.Stop()
 			return
 		}
-		n.tick(round)
-	}
-}
-
-// tick runs one gossip round.
-func (n *Node) tick(round int) {
-	n.mu.Lock()
-	now := n.cfg.Clock.Now()
-	n.ms.beat(now)
-	n.electLocked(now)
-	d := n.ms.digest()
-	addr := n.pickPeerLocked(round, now)
-	n.mu.Unlock()
-	if addr == "" {
-		return
-	}
-	n.cfg.Stats.GossipRounds.Add(1)
-	resp, err := n.call(addr, wire.Frame{Type: wire.TGossip, Data: d.encode()})
-	if err != nil {
-		n.cfg.Stats.GossipFailures.Add(1)
-		return
-	}
-	ack, err := decodeDigest(resp.Data)
-	if err != nil {
-		n.cfg.Stats.GossipFailures.Add(1)
-		return
-	}
-	n.mu.Lock()
-	n.ms.merge(ack, n.cfg.Clock.Now())
-	n.mu.Unlock()
-}
-
-// pickPeerLocked chooses this round's gossip target: round-robin over
-// the known live peers (sorted ids — nothing iterates maps), falling
-// back to the seed list while the table is still just us.
-func (n *Node) pickPeerLocked(round int, now time.Time) string {
-	var peers []string
-	for _, id := range n.ms.sortedIDs() {
-		if id == n.cfg.NodeID {
+		n.mu.Lock()
+		d, addr, t := n.lead.tick(n.cfg.Clock.Now())
+		n.mu.Unlock()
+		n.report(t)
+		if addr == "" {
 			continue
 		}
-		mi := n.ms.members[id]
-		if n.ms.state(mi, now) != StateDead {
-			peers = append(peers, mi.Addr)
+		n.cfg.Stats.GossipRounds.Add(1)
+		resp, err := n.call(addr, wire.Frame{Type: wire.TGossip, Data: d.encode()})
+		var ack digest
+		if err == nil {
+			ack, err = decodeDigest(resp.Data)
 		}
+		if err != nil {
+			n.cfg.Stats.GossipFailures.Add(1)
+			continue
+		}
+		n.mu.Lock()
+		n.lead.merge(ack, n.cfg.Clock.Now())
+		n.mu.Unlock()
 	}
-	if len(peers) == 0 {
-		peers = n.seeds
-	}
-	if len(peers) == 0 {
-		return ""
-	}
-	return peers[round%len(peers)]
 }
 
-// grant obtains k fresh ids from the leader's frontier, the one way ids
-// leave the leader: an SC block for the minter (lin false) or exactly a
-// LIN sweep's k. On the lease holder it is alloc.grant under the node
-// mutex, anywhere else one TRangeRequest to the leader. Within an epoch
-// every grant lies above every earlier one, so a LIN sweep lies above
-// every value already handed out of the epoch, SC values included. A
-// failure wraps the refusal its caller's clients advance on:
-// wire.ErrNoRange for a block, wire.ErrNotLeader for a LIN sweep that
-// finds no leader or cannot reach it.
+// serve is the leader's half of every grant, its own and its peers':
+// lead.grant under the mutex, the leader's per-epoch serialization point.
+// It also returns the claim, the leader to ask without the lease.
+func (n *Node) serve(to uint64, k int64) (wire.Range, claim, error) {
+	n.mu.Lock()
+	r, t, err := n.lead.grant(to, k, n.cfg.Clock.Now())
+	cl := n.lead.ms.claim
+	n.mu.Unlock()
+	n.report(t)
+	if err == nil {
+		n.cfg.Stats.Grants.Add(1)
+	}
+	return r, cl, err
+}
+
+// grant obtains k fresh ids from the leader's frontier: an SC block for
+// the minter (lin false) or exactly a LIN sweep's k. On the lease holder
+// it is serve, anywhere else one TRangeRequest to the leader. A failure
+// wraps the refusal its caller's clients advance on: wire.ErrNoRange for
+// a block, wire.ErrNotLeader for a LIN sweep that finds no leader or
+// cannot reach it.
 func (n *Node) grant(k int64, lin bool) (wire.Range, error) {
 	st, refuse := n.cfg.Stats, wire.ErrNoRange
 	if lin {
@@ -293,21 +171,13 @@ func (n *Node) grant(k int64, lin bool) (wire.Range, error) {
 	} else {
 		st.RangeRequests.Add(1)
 	}
-	n.mu.Lock()
-	if n.leaseLocked(n.cfg.Clock.Now()) {
-		r, err := n.alloc.grant(n.cfg.NodeID, k)
-		n.mu.Unlock()
-		if err != nil {
-			return wire.Range{}, fmt.Errorf("%w: %v", wire.ErrNoRange, err)
-		}
-		st.Grants.Add(1)
-		if lin {
+	r, cl, err := n.serve(n.cfg.NodeID, k)
+	if !errors.Is(err, wire.ErrNotLeader) {
+		if err == nil && lin {
 			st.LinServed.Add(1)
 		}
-		return r, nil
+		return r, err
 	}
-	cl := n.ms.claim
-	n.mu.Unlock()
 	if cl.Term == 0 || cl.Addr == "" || cl.Leader == n.cfg.NodeID {
 		return wire.Range{}, fmt.Errorf("%w: no leader to grant from", refuse)
 	}
@@ -330,6 +200,66 @@ func (n *Node) grant(k int64, lin bool) (wire.Range, error) {
 		return wire.Range{}, fmt.Errorf("cluster: unexpected grant reply %v", resp.Type)
 	}
 	return resp.Rs[0], nil
+}
+
+// HandlePeer answers the serving door's peer requests, TGossip and
+// TRangeRequest; a grant is serve. The reply carries no epoch: a grant
+// lies inside its epoch's stripe, so its epoch is Rs[0].First >> StripeShift.
+func (n *Node) HandlePeer(f *wire.Frame) wire.Frame {
+	if n.closing.Load() {
+		return errorFrame(fault.ErrClosed) // a closed node refuses every peer request
+	}
+	if f.Type == wire.TGossip {
+		d, err := decodeDigest(f.Data)
+		if err != nil {
+			return errorFrame(wire.ErrBadFrame)
+		}
+		n.mu.Lock()
+		ack := n.lead.merge(d, n.cfg.Clock.Now())
+		n.mu.Unlock()
+		return wire.Frame{Type: wire.TGossipAck, Data: ack.encode()}
+	}
+	r, _, err := n.serve(f.Node, f.K)
+	if err != nil {
+		if errors.Is(err, wire.ErrNotLeader) {
+			n.cfg.Stats.NotLeader.Add(1)
+		}
+		return errorFrame(err)
+	}
+	return wire.Frame{Type: wire.TRangeGrant, Rs: []wire.Range{r}}
+}
+
+// errorFrame builds the TError reply for err, coded by its sentinel.
+func errorFrame(err error) wire.Frame {
+	return wire.Frame{Type: wire.TError, Code: wire.CodeOf(err), Msg: err.Error()}
+}
+
+// call makes one request to the peer at addr on that peer's client: one
+// attempt, never retried (a re-sent request would be granted twice),
+// its reply awaited for at most RPCTimeout on the node's clock. A TError
+// reply comes back as its sentinel, wrapped.
+func (n *Node) call(addr string, req wire.Frame) (wire.Frame, error) {
+	n.mu.Lock()
+	pc := n.peers[addr]
+	if pc == nil && n.peers != nil {
+		pc = client.NewPeer(addr, client.Options{
+			Clock:       n.cfg.Clock,
+			DialTimeout: n.cfg.RPCTimeout,
+			Dialer:      n.cfg.PeerDialer,
+		})
+		n.peers[addr] = pc
+	}
+	n.mu.Unlock()
+	if pc == nil {
+		return wire.Frame{}, client.ErrClosed
+	}
+	ctx, cancel := n.cfg.Clock.WithTimeout(context.Background(), n.cfg.RPCTimeout)
+	defer cancel()
+	resp, err := pc.Call(ctx, req)
+	if err != nil {
+		return resp, fmt.Errorf("cluster: peer %s: %w", addr, err)
+	}
+	return resp, nil
 }
 
 // Shape implements the server Backend contract: the minter's shape.

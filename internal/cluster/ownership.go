@@ -9,40 +9,6 @@ import (
 	"repro/internal/wire"
 )
 
-// allocator is the leader-side range allocator for one epoch. It hands
-// out disjoint blocks from its epoch's stripe by bumping one frontier, so
-// every block lies above every block granted before it in the epoch. The
-// allocator carries no durable state on purpose — a new leader starts a
-// fresh allocator in a fresh epoch, whose stripe cannot intersect any
-// previous grant, so correctness never depends on recovering the old
-// leader's book-keeping. Ids a node never minted before it crashed or
-// left are never granted again: a gap, never a duplicate.
-type allocator struct {
-	epoch uint64
-	next  int64 // frontier offset within the stripe
-	audit *Audit
-}
-
-func newAllocator(epoch uint64, audit *Audit) *allocator {
-	return &allocator{epoch: epoch, audit: audit}
-}
-
-// grant carves a block of k ids for node `to` from the frontier.
-// Successive grants are strictly increasing — the property LIN sweeps
-// and each node's own order rest on.
-func (a *allocator) grant(to uint64, k int64) (wire.Range, error) {
-	if k <= 0 {
-		return wire.Range{}, fmt.Errorf("cluster: grant of %d ids", k)
-	}
-	if a.next+k > StripeSize {
-		return wire.Range{}, fmt.Errorf("cluster: epoch %d stripe exhausted", a.epoch)
-	}
-	r := wire.Range{First: StripeBase(a.epoch) + a.next, Stride: 1, Count: k}
-	a.next += k
-	a.audit.record(GrantRecord{Epoch: a.epoch, To: to, R: r})
-	return r, nil
-}
-
 // block is one granted id block being minted from.
 type block struct{ next, end int64 }
 

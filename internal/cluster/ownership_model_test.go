@@ -25,7 +25,7 @@ func TestOwnershipModel(t *testing.T) {
 
 		term := uint64(1)
 		node := rng.Uint64() % MaxNodes
-		alloc := newAllocator(EpochOf(term, node), audit)
+		alloc := &leadership{epoch: EpochOf(term, node), stripe: StripeSize, audit: audit}
 		last := int64(-1) // highest id granted in the current epoch
 
 		var held []wire.Range
@@ -46,11 +46,11 @@ func TestOwnershipModel(t *testing.T) {
 			case 0: // election: a new leader, fresh allocator, fresh epoch
 				term++
 				node = rng.Uint64() % MaxNodes
-				alloc = newAllocator(EpochOf(term, node), audit)
+				alloc = &leadership{epoch: EpochOf(term, node), stripe: StripeSize, audit: audit}
 				last = -1
 			case 1, 2, 3, 4: // grant a block to some node
 				k := 1 + rng.Int63n(64)
-				r, err := alloc.grant(rng.Uint64()%8, k)
+				r, err := alloc.carve(rng.Uint64()%8, k)
 				if err != nil {
 					t.Fatalf("seed %d: grant: %v", seed, err)
 				}

@@ -76,12 +76,12 @@ func (n *Node) AppendMetrics(w io.Writer) {
 	}
 
 	n.mu.Lock()
-	alive, suspect, dead := n.ms.counts(n.cfg.Clock.Now())
+	c := n.lead.ms.counts(n.cfg.Clock.Now())
 	n.mu.Unlock()
 	telemetry.WriteFamily(w, "countd_cluster_members", "gauge", "cluster members by state")
-	telemetry.WriteSample(w, "countd_cluster_members", `state="alive"`, alive)
-	telemetry.WriteSample(w, "countd_cluster_members", `state="suspect"`, suspect)
-	telemetry.WriteSample(w, "countd_cluster_members", `state="dead"`, dead)
+	for s, v := range c {
+		telemetry.WriteSample(w, "countd_cluster_members", `state="`+State(s).String()+`"`, v)
+	}
 
 	gauge("countd_cluster_node_id", "this node's id", int64(n.cfg.NodeID))
 	gauge("countd_cluster_epoch", "current epoch (term*1024+leader)", int64(n.Epoch()))

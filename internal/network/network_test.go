@@ -2,7 +2,6 @@ package network
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 )
 
@@ -298,24 +297,6 @@ func TestCheckStepSequence(t *testing.T) {
 				t.Errorf("CheckStepSequence(%v) error = %v, want ok=%v", tt.counts, err, tt.ok)
 			}
 		})
-	}
-}
-
-// TestSinkCountsOf: the counts recovered from a run's values agree with
-// the sink counters of a State that handed those values out.
-func TestSinkCountsOf(t *testing.T) {
-	n := twoByTwo(t)
-	s := NewState(n)
-	var vals []int64
-	for k := 0; k < 5; k++ {
-		vals = append(vals, s.Traverse(k%n.FanIn()))
-	}
-	got, want := SinkCountsOf(vals, n.FanOut()), s.SinkCounts()
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SinkCountsOf(%v) = %v, State.SinkCounts = %v", vals, got, want)
-	}
-	if err := CheckStepSequence(got); err != nil {
-		t.Error(err)
 	}
 }
 
